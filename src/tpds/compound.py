@@ -12,8 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, OrderOutOfRange
-from .totalpos import _det
+from .errors import CrossCheckFailed, DimensionMismatch, OrderOutOfRange
+from .totalpos import _minors
 
 
 def index_subsets(n, p):
@@ -47,14 +47,7 @@ def mult_compound(A, p):
     n = A.shape[0]
     if not 1 <= p <= n:
         raise OrderOutOfRange(f"order {p} outside 1..{n}")
-    labels = index_subsets(n, p)
-    m = len(labels)
-    out = np.empty((m, m))
-    for i, alpha in enumerate(labels):
-        ra = [a - 1 for a in alpha]
-        for j, beta in enumerate(labels):
-            out[i, j] = _det(A[np.ix_(ra, [b - 1 for b in beta])])
-    return CompoundMatrix(n, p, out, labels)
+    return CompoundMatrix(n, p, _minors(A, p)[0], index_subsets(n, p))
 
 
 def add_compound(A, p):
@@ -101,6 +94,6 @@ def metzler_compound_profile(A):
     n = A.shape[0]
     profile = [(p, is_metzler(add_compound(A, p).entries)) for p in range(1, n + 1)]
     status = dict(profile)
-    if status.get(1) and status.get(2, True):
-        assert all(ok for _, ok in profile), "Metzler propagation rule violated"
+    if status.get(1) and status.get(2, True) and not all(ok for _, ok in profile):
+        raise CrossCheckFailed("Metzler propagation rule violated")
     return profile

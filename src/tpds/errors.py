@@ -13,6 +13,14 @@ class DimensionMismatch(TpdsError):
     pass
 
 
+class NonFiniteInput(TpdsError):
+    """A minor came out nan or infinite: a non-finite matrix entry, or overflow."""
+
+
+class CrossCheckFailed(TpdsError):
+    """Two independent characterizations of the same property disagree."""
+
+
 class SizeLimitExceeded(TpdsError):
     """Exhaustive minor enumeration refused for too-large matrices."""
 

@@ -13,6 +13,8 @@ code paths (zero tolerance 0) stay exact through a round trip.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SpecFileError
@@ -24,9 +26,12 @@ def _parse_entry(tok):
     except ValueError:
         pass
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError as exc:
         raise SpecFileError(f"bad matrix entry {tok!r}") from exc
+    if not math.isfinite(value):
+        raise SpecFileError(f"non-finite matrix entry {tok!r}")
+    return value
 
 
 def loads(text):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotInV
+from .errors import CrossCheckFailed, NotInV
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -75,21 +75,6 @@ def s_plus(y, zero_tol=None):
     return max(best.values())
 
 
-def s_plus_bruteforce(y, zero_tol=None):
-    """Exhaustive +/-1 replacement oracle for ``s_plus`` (exponential)."""
-    s = signs(y, zero_tol)
-    zero_idx = np.flatnonzero(s == 0)
-    if zero_idx.size == 0:
-        return int(np.sum(s[1:] != s[:-1]))
-    top = 0
-    for mask in range(2 ** zero_idx.size):
-        t = s.copy()
-        for b, i in enumerate(zero_idx):
-            t[i] = 1 if (mask >> b) & 1 else -1
-        top = max(top, int(np.sum(t[1:] != t[:-1])))
-    return top
-
-
 def in_V(y, zero_tol=None):
     """True iff sigma extends continuously to ``y``.
 
@@ -107,7 +92,8 @@ def in_V(y, zero_tol=None):
         # the count characterization s_minus == s_plus only separates V for
         # n >= 2 (a single zero entry has both counts 0 yet sits outside V)
         via_counts = s_minus(y, zero_tol) == s_plus(y, zero_tol)
-        assert direct == via_counts, "the two V characterizations disagree"
+        if direct != via_counts:
+            raise CrossCheckFailed("the two V characterizations disagree")
     return direct
 
 

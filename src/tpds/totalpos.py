@@ -12,7 +12,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (
+    CrossCheckFailed,
     DimensionMismatch,
+    NonFiniteInput,
     NotTN,
     NotTridiagonal,
     PivotBreakdown,
@@ -25,6 +27,63 @@ from .signvar import s_minus, s_plus
 
 EXHAUSTIVE_LIMIT = 10
 MINOR_REL_TOL = 1e-10
+MINOR_CHUNK = 1024  # submatrices gathered and evaluated per batch
+
+
+def _subsets(n, k):
+    """Lexicographically ordered k-subsets of range(n), one per row."""
+    return np.array(list(combinations(range(n), k)), dtype=np.intp)
+
+
+def _minors(A, k):
+    """Every order-k minor of A with its scale-aware zero threshold.
+
+    Returns ``(d, thr)``, both C(m,k) x C(n,k) for an m x n matrix A: row
+    subsets in lexicographic order down the first axis, column subsets in
+    lexicographic order along the second. ``thr`` is MINOR_REL_TOL times
+    the product of the submatrix's row max-norms. Submatrices are gathered
+    and evaluated MINOR_CHUNK at a time; orders up to 3 use closed forms,
+    higher orders a stacked LU determinant. Raises NonFiniteInput when a
+    minor or threshold comes out nan or infinite, from a non-finite entry
+    of A or from overflow.
+    """
+    rows = _subsets(A.shape[0], k)
+    cols = _subsets(A.shape[1], k)
+    ncols = len(cols)
+    total = len(rows) * ncols
+    # rowmax[i, c]: max-norm of row i of A restricted to column subset c
+    rowmax = np.abs(A)[:, cols].max(axis=2)
+    d = np.empty(total)
+    thr = np.empty(total)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for start in range(0, total, MINOR_CHUNK):
+            r, c = np.divmod(np.arange(start, min(start + MINOR_CHUNK, total)), ncols)
+            ri = rows[r]
+            out = slice(start, start + len(r))
+            d[out] = _stacked_det(A[ri[:, :, None], cols[c][:, None, :]])
+            norms = rowmax[ri, c[:, None]]
+            scale = norms[:, 0]
+            for i in range(1, k):
+                scale = scale * norms[:, i]
+            thr[out] = MINOR_REL_TOL * scale
+    if not (np.isfinite(d).all() and np.isfinite(thr).all()):
+        raise NonFiniteInput(f"an order-{k} minor or its threshold is nan or infinite")
+    return d.reshape(-1, ncols), thr.reshape(-1, ncols)
+
+
+def _stacked_det(s):
+    k = s.shape[-1]
+    if k == 1:
+        return s[:, 0, 0]
+    if k == 2:
+        return s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    if k == 3:
+        return (
+            s[:, 0, 0] * (s[:, 1, 1] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 1])
+            - s[:, 0, 1] * (s[:, 1, 0] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 0])
+            + s[:, 0, 2] * (s[:, 1, 0] * s[:, 2, 1] - s[:, 1, 1] * s[:, 2, 0])
+        )
+    return np.linalg.det(s)
 
 
 def minor(A, alpha, beta):
@@ -38,30 +97,7 @@ def minor(A, alpha, beta):
         if list(idx) != sorted(set(idx)) or idx[0] < 1 or idx[-1] > bound:
             raise DimensionMismatch(f"bad index tuple {idx}")
     sub = A[np.ix_([i - 1 for i in alpha], [j - 1 for j in beta])]
-    return _det(sub)
-
-
-def _det(sub):
-    n = sub.shape[0]
-    if n == 1:
-        return float(sub[0, 0])
-    if n == 2:
-        return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-    if n == 3:
-        return float(
-            sub[0, 0] * (sub[1, 1] * sub[2, 2] - sub[1, 2] * sub[2, 1])
-            - sub[0, 1] * (sub[1, 0] * sub[2, 2] - sub[1, 2] * sub[2, 0])
-            + sub[0, 2] * (sub[1, 0] * sub[2, 1] - sub[1, 1] * sub[2, 0])
-        )
-    return float(np.linalg.det(sub))
-
-
-def _minor_zero_threshold(sub):
-    # scale-aware cutoff: relative to the product of row max-norms
-    scale = 1.0
-    for row in np.abs(sub):
-        scale *= row.max()
-    return MINOR_REL_TOL * scale
+    return float(_minors(sub, len(alpha))[0][0, 0])
 
 
 @dataclass
@@ -87,8 +123,11 @@ def _irreducible(A, tol=0.0):
 def classify(A, cross_check=True):
     """Exhaustive TN/TP/SSR/oscillatory classification.
 
-    All sum_k C(n,k)^2 minors are enumerated; refuses n > 10. When the
-    matrix comes out oscillatory, A^(n-1) is re-classified and must be TP.
+    All sum_k C(n,k)^2 minors are enumerated in batches, one order at a
+    time; refuses n > 10. The witness is the first negative minor with the
+    orders ascending and, within an order, row subsets outer and column
+    subsets inner, both lexicographic. When the matrix comes out
+    oscillatory, A^(n-1) is re-classified and must be TP.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -102,32 +141,22 @@ def classify(A, cross_check=True):
     is_ssr = True
     witness = None
     full_det_nonzero = False
-    idx = list(range(n))
     for k in range(1, n + 1):
-        order_sign = 0
-        for rows in combinations(idx, k):
-            for cols in combinations(idx, k):
-                sub = A[np.ix_(rows, cols)]
-                d = _det(sub)
-                thr = _minor_zero_threshold(sub)
-                if d < -thr and witness is None:
-                    witness = (
-                        tuple(i + 1 for i in rows),
-                        tuple(j + 1 for j in cols),
-                        d,
-                    )
-                if d < -thr:
-                    is_tn = False
-                if d <= thr:
-                    is_tp = False
-                if abs(d) <= thr:
-                    is_ssr = False
-                elif order_sign == 0:
-                    order_sign = 1 if d > 0 else -1
-                elif (d > 0) != (order_sign > 0):
-                    is_ssr = False
-                if k == n and abs(d) > thr:
-                    full_det_nonzero = True
+        d, thr = _minors(A, k)
+        negative = d < -thr
+        if negative.any():
+            is_tn = False
+            if witness is None:
+                r, c = np.unravel_index(np.argmax(negative), d.shape)
+                alpha, beta = (tuple(int(i) + 1 for i in s) for s in _subsets(n, k)[[r, c]])
+                witness = (alpha, beta, float(d[r, c]))
+        if (d <= thr).any():
+            is_tp = False
+        zero = np.abs(d) <= thr
+        if zero.any() or not ((d > 0).all() or (d < 0).all()):
+            is_ssr = False
+        if k == n:
+            full_det_nonzero = not zero[0, 0]
 
     is_osc = is_tn and full_det_nonzero and _irreducible(A)
     result = Classification(is_tn, is_tp, is_ssr, is_osc, witness)
@@ -174,8 +203,8 @@ def is_dominant_tridiagonal_TN(A):
         ci = c[i - 1] if i > 0 else 0.0
         if a[i] < bi + ci:
             return False
-    if n <= 7:
-        assert classify(A).is_TN, "dominance held but exhaustive TN check failed"
+    if n <= 7 and not classify(A).is_TN:
+        raise CrossCheckFailed("dominance held but exhaustive TN check failed")
     return True
 
 
@@ -327,27 +356,13 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     """
     U = np.asarray(U, dtype=float)
     n, m = U.shape
-    if m >= n:
-        raise DimensionMismatch("need strictly fewer columns than rows")
+    if not 1 <= m < n:
+        raise DimensionMismatch("need at least one column and strictly fewer columns than rows")
+    d, thr = _minors(U, m)
     if np.linalg.matrix_rank(U) < m:
         raise RankDeficient("columns are linearly dependent")
+    same_sign = bool(np.all(np.abs(d) > thr) and (np.all(d > 0) or np.all(d < 0)))
     rng = np.random.default_rng(rng)
-
-    same_sign = True
-    ref = 0
-    for rows in combinations(range(n), m):
-        sub = U[list(rows), :]
-        d = _det(sub)
-        thr = _minor_zero_threshold(sub)
-        if abs(d) <= thr:
-            same_sign = False
-            break
-        s = 1 if d > 0 else -1
-        if ref == 0:
-            ref = s
-        elif s != ref:
-            same_sign = False
-            break
 
     bound_holds = True
     for _ in range(trials):

@@ -51,3 +51,9 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "m.mat"
     matio.dump(A, path)
     assert np.array_equal(matio.load(path), A)
+
+
+@pytest.mark.parametrize("tok", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_entry_is_rejected(tok):
+    with pytest.raises(SpecFileError):
+        matio.loads(f"2 2\n1 {tok}\n0 1\n")

@@ -8,7 +8,21 @@ from hypothesis import given, strategies as st
 
 from tpds import in_V, s_minus, s_plus, sigma, signs
 from tpds.errors import NotInV
-from tpds.signvar import s_plus_bruteforce
+
+
+def s_plus_bruteforce(y, zero_tol=None):
+    """Exhaustive +/-1 replacement oracle for ``s_plus`` (exponential)."""
+    s = signs(y, zero_tol)
+    zero_idx = np.flatnonzero(s == 0)
+    if zero_idx.size == 0:
+        return int(np.sum(s[1:] != s[:-1]))
+    top = 0
+    for mask in range(2 ** zero_idx.size):
+        t = s.copy()
+        for b, i in enumerate(zero_idx):
+            t[i] = 1 if (mask >> b) & 1 else -1
+        top = max(top, int(np.sum(t[1:] != t[:-1])))
+    return top
 
 
 def test_counts_on_mixed_vector():
