@@ -14,7 +14,8 @@ class DimensionMismatch(TpdsError):
 
 
 class NonFiniteInput(TpdsError):
-    """A minor came out nan or infinite: a non-finite matrix entry, or overflow."""
+    """A nan or infinite value: a vector entry given to a sign count, or a
+    minor that came out non-finite from a non-finite matrix entry or overflow."""
 
 
 class CrossCheckFailed(TpdsError):
@@ -117,10 +118,6 @@ class LeftDomain(TpdsError):
     def __init__(self, message, time=None):
         super().__init__(message)
         self.time = time
-
-
-class JacobianNotInM(TpdsError):
-    """Informational: Jacobian samples left the tridiagonal cooperative class."""
 
 
 class NoMonotoneTail(TpdsError):

@@ -9,6 +9,9 @@ Grammar (radians throughout)::
     atom   :=  number | 't' | 'u' | 'x<k>' | func '(' expr ')' | '(' expr ')'
 
 Recognized functions: sin cos tan sinh cosh tanh exp log sqrt abs.
+
+Coefficients are evaluated only through ``compile_fn``, which turns a whole
+scalar, vector or matrix of them into one checked Python function.
 """
 
 from __future__ import annotations
@@ -17,7 +20,15 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownIdentifier
+import numpy as np
+
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    ExprSyntaxError,
+    UnboundVariable,
+    UnknownIdentifier,
+)
 
 FUNCTIONS = {
     "sin": math.sin,
@@ -189,99 +200,107 @@ def variables(expr):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def evaluate(expr, t=None, x=None, u=None):
-    """Evaluate with t/x/u bindings; real-domain violations raise DomainError."""
-    env = {}
-    if t is not None:
-        env["t"] = float(t)
-    if u is not None:
-        env["u"] = float(u)
-    if x is not None:
-        for k, v in enumerate(x, start=1):
-            env[f"x{k}"] = float(v)
-    return _eval(expr, env)
-
-
-def _eval(expr, env):
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        if expr.name not in env:
-            raise UnboundVariable(f"variable {expr.name!r} not bound")
-        return env[expr.name]
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, env)
-    if isinstance(expr, BinOp):
-        a = _eval(expr.left, env)
-        b = _eval(expr.right, env)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            if b == 0:
-                raise DomainError("division by zero")
-            return a / b
-        if expr.op == "^":
-            try:
-                r = a**b
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise DomainError(str(exc)) from exc
-            if isinstance(r, complex):
-                raise DomainError(f"non-real power {a} ^ {b}")
-            return r
-        raise AssertionError(expr.op)
-    if isinstance(expr, Call):
-        v = _eval(expr.arg, env)
-        if expr.func == "log" and v <= 0:
-            raise DomainError("log of nonpositive value")
-        if expr.func == "sqrt" and v < 0:
-            raise DomainError("sqrt of negative value")
-        try:
-            return FUNCTIONS[expr.func](v)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{expr.func}({v}): {exc}") from exc
-    raise TypeError(f"not an expression node: {expr!r}")
+def _literal(v):
+    # repr round-trips every finite float; inf and nan have no literal
+    return repr(v) if math.isfinite(v) else f"_float({repr(v)!r})"
 
 
 def _pycode(expr):
     if isinstance(expr, (int, float)):
-        return repr(float(expr))
+        return _literal(float(expr))
     if isinstance(expr, Num):
-        return repr(expr.value)
+        return _literal(expr.value)
     if isinstance(expr, Var):
-        if expr.name in ("t", "u"):
-            return expr.name
-        return f"x[{int(expr.name[1:]) - 1}]"
+        return expr.name
     if isinstance(expr, Neg):
         return f"(-{_pycode(expr.operand)})"
     if isinstance(expr, BinOp):
-        op = "**" if expr.op == "^" else expr.op
-        return f"({_pycode(expr.left)} {op} {_pycode(expr.right)})"
+        if expr.op == "^":
+            return f"_pow({_pycode(expr.left)}, {_pycode(expr.right)})"
+        return f"({_pycode(expr.left)} {expr.op} {_pycode(expr.right)})"
     if isinstance(expr, Call):
         return f"_fn_{expr.func}({_pycode(expr.arg)})"
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def compile_fn(expr):
-    """Compile an AST to a fast callable f(t, x, u).
+def _pow(a, b):
+    r = a**b
+    if isinstance(r, complex):
+        raise DomainError(f"non-real power {a} ^ {b}")
+    return r
 
-    The compiled form skips the interpreter's explicit domain checks;
-    real-domain violations surface as DomainError raised from the underlying
-    math-library errors. Intended for integrator hot loops.
+
+def _names(entry):
+    return set() if isinstance(entry, (int, float)) else variables(entry)
+
+
+def compile_fn(coeff, n=None, u=None):
+    """Compile a coefficient into one checked function.
+
+    ``coeff`` is a number or AST (the function returns a float), a sequence
+    of them (a 1-d array) or a sequence of equal-length sequences (a 2-d
+    array). Constant entries are baked in. Without ``n`` the function is
+    ``f(t)`` over t alone, as for a segment of A(t). With ``n`` it is
+    ``f(t, x)`` over t and x1..xn, plus u when the input ``u`` (an AST over
+    t) is given; u is then evaluated once per call, before the entries.
+
+    Each variable is bound as a Python float, so the real-domain semantics
+    hold whatever numeric type the caller passes: ``^`` raises DomainError
+    on a complex result, and a ValueError, ZeroDivisionError or
+    OverflowError (log or sqrt out of domain, division by zero, overflow)
+    is re-raised as DomainError. A variable outside the allowed set raises
+    UnboundVariable here, at compile time.
     """
+    seq = (list, tuple, np.ndarray)
+    if not isinstance(coeff, seq):
+        shape, cells = None, {(): coeff}
+    elif any(isinstance(row, seq) for row in coeff):
+        if any(not isinstance(row, seq) or len(row) != len(coeff[0]) for row in coeff):
+            raise DimensionMismatch("coefficient matrix rows differ in length")
+        shape = (len(coeff), len(coeff[0]))
+        cells = {(i, j): e for i, row in enumerate(coeff) for j, e in enumerate(row)}
+    else:
+        shape, cells = (len(coeff),), {(i,): e for i, e in enumerate(coeff)}
+    used = set().union(*map(_names, cells.values()))
+    allowed = {"t"}
+    if n is not None:
+        allowed |= {f"x{k}" for k in range(1, n + 1)}
+    u_names = set()
+    if u is not None:
+        allowed.add("u")
+        u_names = _names(u)
+    unbound = (used - allowed) | (u_names - {"t"})
+    if unbound:
+        raise UnboundVariable(f"variables {sorted(unbound)} not bound")
+    used |= u_names
+
+    lines = ["t = float(t)"] if "t" in used else []
+    lines += [f"{v} = float(x[{int(v[1:]) - 1}])" for v in sorted(used - {"t", "u"})]
+    if u is not None:
+        lines.append(f"u = {_pycode(u)}")
+    base = None if shape is None else np.zeros(shape)
+    if base is None:
+        lines.append(f"return {_pycode(coeff)}")
+    else:
+        # constants go into a base array; each call copies it and fills
+        # in the expression entries, in row-major order
+        lines.append("A = _base.copy()")
+        for idx, e in cells.items():
+            if isinstance(e, (int, float, Num)):
+                base[idx] = e.value if isinstance(e, Num) else e
+            else:
+                lines.append(f"A[{', '.join(map(str, idx))}] = {_pycode(e)}")
+        lines.append("return A")
+    source = (
+        f"def coefficient(t{', x' if n is not None else ''}):\n    try:\n"
+        + "".join(f"        {line}\n" for line in lines)
+        + "    except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
+        + "        raise DomainError(str(exc)) from exc\n"
+    )
     env = {f"_fn_{name}": fn for name, fn in FUNCTIONS.items()}
-    raw = eval(f"lambda t=None, x=None, u=None: {_pycode(expr)}", env)
-
-    def call(t=None, x=None, u=None):
-        try:
-            return raw(t, x, u)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(str(exc)) from exc
-
-    return call
+    env.update(_pow=_pow, _float=float, _base=base, DomainError=DomainError)
+    exec(source, env)
+    return env["coefficient"]
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import BandViolation, FloquetViolation, LeadingCoefficientZero, NotPeriodic
 from .integrate import simulate_linear, transition_matrix
-from .signvar import s_minus, s_plus
+from .totalpos import _ordered_spectrum
 
 EIG_IMAG_TOL = 1e-8
 EIG_ZERO_TOL = 1e-8
@@ -34,34 +34,8 @@ def floquet(sys, step=None):
         raise NotPeriodic("system carries no period")
     T = sys.period
     B = transition_matrix(sys, 0.0, T, step).phi
-    vals, vecs = np.linalg.eig(B)
-    radius = np.abs(vals).max()
-    if np.any(np.abs(vals.imag) > EIG_IMAG_TOL * radius):
-        raise FloquetViolation("complex characteristic multiplier beyond tolerance")
-    vals = vals.real
-    order = np.argsort(-vals)
-    vals = vals[order]
-    vecs = vecs[:, order].real
-    if np.any(vals <= 0):
-        raise FloquetViolation("nonpositive characteristic multiplier")
-    if np.any(np.diff(vals) >= -EIG_IMAG_TOL * radius):
-        raise FloquetViolation("multipliers not strictly decreasing")
-    counts = []
-    for k in range(len(vals)):
-        v = vecs[:, k]
-        v = v / np.linalg.norm(v)
-        lead = v[np.abs(v) > EIG_ZERO_TOL]
-        if lead.size and lead[0] < 0:
-            v = -v
-        vecs[:, k] = v
-        sm = s_minus(v, EIG_ZERO_TOL)
-        sp = s_plus(v, EIG_ZERO_TOL)
-        if sm != k or sp != k:
-            raise FloquetViolation(
-                f"eigenvector {k + 1} sign counts ({sm}, {sp}) != {k}"
-            )
-        counts.append(k)
-    return FloquetData(T, B, vals, vecs, counts)
+    vals, vecs = _ordered_spectrum(B, FloquetViolation, EIG_IMAG_TOL, EIG_ZERO_TOL)
+    return FloquetData(T, B, vals, vecs, list(range(len(vals))))
 
 
 def floquet_mode_evolution(sys, fd, coeffs, horizon, samples_per_period=200, step=None):

@@ -21,7 +21,7 @@ from .errors import (
     OutOfInterval,
     TrivialSolution,
 )
-from .signvar import in_V, s_minus, s_plus
+from .signvar import s_minus, s_plus
 
 DET_REL_TOL = 1e-6
 TRAJ_ZERO_REL_TOL = 1e-8
@@ -118,12 +118,39 @@ def transition_matrix(sys, t0, t, step=None):
 
 @dataclass
 class Trajectory:
+    """Sampled states with their sign counts, V flags and exceptional clusters.
+
+    Everything past (times, states) is computed from them. Each sample's
+    zero tolerance is TRAJ_ZERO_REL_TOL times the largest |entry| seen up
+    to it; non-V samples less than CLUSTER_GAP samples apart form one
+    exceptional cluster, recorded by the time of its first sample.
+    """
+
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n)
-    sigma_minus: list = field(default_factory=list)
-    sigma_plus: list = field(default_factory=list)
-    in_V_flags: list = field(default_factory=list)
-    exceptional_times: list = field(default_factory=list)
+    zero_tols: list = field(init=False)
+    sigma_minus: list = field(init=False)
+    sigma_plus: list = field(init=False)
+    in_V_flags: list = field(init=False)
+    exceptional_times: list = field(init=False)
+
+    def __post_init__(self):
+        self.zero_tols, self.sigma_minus, self.sigma_plus = [], [], []
+        self.in_V_flags, self.exceptional_times = [], []
+        running = 0.0
+        last_bad = None
+        for k, z in enumerate(self.states):
+            running = max(running, float(np.max(np.abs(z))))
+            tol = TRAJ_ZERO_REL_TOL * running
+            sm, sp = s_minus(z, tol), s_plus(z, tol)
+            self.zero_tols.append(tol)
+            self.sigma_minus.append(sm)
+            self.sigma_plus.append(sp)
+            self.in_V_flags.append(sm == sp)
+            if sm != sp:
+                if last_bad is None or k - last_bad >= CLUSTER_GAP:
+                    self.exceptional_times.append(self.times[k])
+                last_bad = k
 
     @property
     def n(self):
@@ -143,34 +170,6 @@ class Trajectory:
                     + [f"{v:.12g}" for v in self.states[k]]
                     + [self.sigma_minus[k], self.sigma_plus[k], int(self.in_V_flags[k])]
                 )
-
-
-def _annotate(times, states):
-    """Per-sample sign counts with a scale-aware zero tolerance."""
-    sm, sp, flags = [], [], []
-    running = 0.0
-    for z in states:
-        running = max(running, float(np.max(np.abs(z))))
-        tol = TRAJ_ZERO_REL_TOL * running
-        sm.append(s_minus(z, tol))
-        sp.append(s_plus(z, tol))
-        flags.append(sm[-1] == sp[-1])
-    return sm, sp, flags
-
-
-def _exceptional_clusters(times, flags):
-    """Merge runs of non-V samples (gaps < CLUSTER_GAP samples) into clusters."""
-    clusters = []
-    last_bad = None
-    for k, ok in enumerate(flags):
-        if ok:
-            continue
-        if last_bad is not None and k - last_bad < CLUSTER_GAP:
-            last_bad = k
-            continue
-        clusters.append(times[k])
-        last_bad = k
-    return clusters
 
 
 def simulate_linear(sys, z0, grid, step=None, tpds=False):
@@ -193,11 +192,9 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
             sys, z, t_prev, t_next, step, lambda s, seg: sys.matrix_at(s, segment=seg)
         )
         states.append(z)
-    states = np.array(states)
-    sm, sp, flags = _annotate(grid, states)
-    clusters = _exceptional_clusters(grid, flags)
-    traj = Trajectory(grid, states, sm, sp, flags, clusters)
+    traj = Trajectory(grid, np.array(states))
     if tpds:
+        sm, sp, clusters = traj.sigma_minus, traj.sigma_plus, traj.exceptional_times
         bad = [
             float(grid[k])
             for k in range(1, len(grid))
@@ -246,14 +243,9 @@ def tn_weak_svdp_check(traj):
     Scans for samples r with z1(r) ~ 0 followed by the next sample s with
     z1(s) != 0 and asserts s_plus(z(s)) <= s_plus(z(r)) - 1 for every pair.
     """
-    times = traj.times
-    states = traj.states
-    running = 0.0
     pairs = []
     zero_at = None
-    for k, z in enumerate(states):
-        running = max(running, float(np.max(np.abs(z))))
-        tol = TRAJ_ZERO_REL_TOL * running
+    for k, (z, tol) in enumerate(zip(traj.states, traj.zero_tols)):
         if abs(z[0]) <= tol:
             if zero_at is None:
                 zero_at = k
@@ -266,6 +258,6 @@ def tn_weak_svdp_check(traj):
         if traj.sigma_plus[s] > traj.sigma_plus[r] - 1:
             raise MonotonicityViolation(
                 "weak variation-diminishing drop failed",
-                [float(times[r]), float(times[s])],
+                [float(traj.times[r]), float(traj.times[s])],
             )
     return True

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +15,7 @@ from .errors import (
     NotPeriodic,
     SpecFileError,
 )
-from .integrate import Trajectory, _annotate, _exceptional_clusters, _rk4_span
+from .integrate import Trajectory, _rk4_span
 from .systems import in_M_plus
 
 FD_JAC_REL_STEP = 1e-6
@@ -25,6 +24,13 @@ GAUSS_LEGENDRE_POINTS = 16
 
 @dataclass
 class NonlinearSystem:
+    """x' = f(t, x), its right-hand side and Jacobian compiled at construction.
+
+    The input u(t), when given, is evaluated once per call of f or jac. A
+    variable outside t, x1..xn and u (u only with an input) raises
+    UnboundVariable here; an out-of-domain evaluation raises DomainError.
+    """
+
     n: int
     rhs: list  # n exprlang ASTs over t, x1..xn, u
     input: object = None  # optional expr over t
@@ -42,43 +48,23 @@ class NonlinearSystem:
             raise SpecFileError("jacobian dimension mismatch")
         if self.domain_box is not None and len(self.domain_box) != self.n:
             raise SpecFileError("domain box dimension mismatch")
+        self._f = exprlang.compile_fn(self.rhs, self.n, self.input)
+        self._jac = (
+            exprlang.compile_fn(self.jacobian, self.n, self.input)
+            if self.jacobian is not None
+            else None
+        )
 
     @property
     def uses_finite_difference_jacobian(self):
         return self.jacobian is None
 
-    def _compiled(self):
-        # compiled forms are cached; integrator hot loops go through them
-        if not hasattr(self, "_rhs_fns"):
-            self._rhs_fns = [exprlang.compile_fn(e) for e in self.rhs]
-            self._input_fn = exprlang.compile_fn(self.input) if self.input is not None else None
-            self._jac_fns = (
-                [[exprlang.compile_fn(e) for e in row] for row in self.jacobian]
-                if self.jacobian is not None
-                else None
-            )
-        return self._rhs_fns, self._input_fn, self._jac_fns
-
-    def input_at(self, t):
-        _, ufn, _ = self._compiled()
-        if ufn is None:
-            return None
-        return ufn(t=t)
-
     def f(self, t, x):
-        fns, ufn, _ = self._compiled()
-        u = ufn(t=t) if ufn is not None else None
-        return np.array([fn(t, x, u) for fn in fns])
+        return self._f(t, x)
 
     def jac(self, t, x):
-        _, ufn, jfns = self._compiled()
-        u = ufn(t=t) if ufn is not None else None
-        if jfns is not None:
-            J = np.empty((self.n, self.n))
-            for i in range(self.n):
-                for j in range(self.n):
-                    J[i, j] = jfns[i][j](t, x, u)
-            return J
+        if self._jac is not None:
+            return self._jac(t, x)
         # central differences, scale-aware step
         J = np.empty((self.n, self.n))
         for j in range(self.n):
@@ -127,13 +113,7 @@ def simulate_nonlinear(sys, x0, grid, step=None):
         xs.append(x)
         zs.append(sys.f(t1, x))
         jac_ok = jac_ok and in_M_plus(sys.jac(t1, x))
-    xs = np.array(xs)
-    zs = np.array(zs)
-    sm, sp, flags = _annotate(grid, zs)
-    clusters = _exceptional_clusters(grid, flags)
-    state = Trajectory(grid, xs, *_annotate(grid, xs))
-    deriv = Trajectory(grid, zs, sm, sp, flags, clusters)
-    return NonlinearRun(state, deriv, jac_ok)
+    return NonlinearRun(Trajectory(grid, np.array(xs)), Trajectory(grid, np.array(zs)), jac_ok)
 
 
 def line_integral_jacobian(sys, t, a, b):

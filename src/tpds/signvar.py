@@ -8,9 +8,11 @@ first/last entries whose interior zeros sit between strict sign changes).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import CrossCheckFailed, NotInV
+from .errors import CrossCheckFailed, NonFiniteInput, NotInV
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -30,12 +32,15 @@ def signs(y, zero_tol=None):
     """Classify entries into -1/0/+1 using the zero tolerance.
 
     Integer input defaults to exact classification, float input to a
-    1e-9 absolute tolerance.
+    1e-9 absolute tolerance. A nan or infinite entry has no sign count and
+    raises NonFiniteInput.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("expected a nonempty vector")
     tol = _resolve_tol(y, zero_tol)
+    if not all(map(math.isfinite, y.tolist())):
+        raise NonFiniteInput(f"vector {y.tolist()} has a non-finite entry")
     s = np.sign(y).astype(int)
     s[np.abs(y) <= tol] = 0
     return s

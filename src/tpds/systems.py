@@ -57,34 +57,18 @@ def offdiag_min(A):
 
 @dataclass
 class Segment:
+    """A(t) on [t_start, t_end), compiled at construction into one function
+    of t; a variable other than t raises UnboundVariable here."""
+
     t_start: float
     t_end: float
-    entries: list  # n x n nested list of floats or exprlang ASTs
+    entries: list  # n x n nested list of floats or exprlang ASTs over t
 
-    def _compiled(self):
-        # constant entries are baked into a base matrix once; expression
-        # entries are compiled to callables of t
-        if not hasattr(self, "_base"):
-            n = len(self.entries)
-            base = np.zeros((n, n))
-            fns = []
-            for i in range(n):
-                for j in range(n):
-                    e = self.entries[i][j]
-                    if isinstance(e, (int, float)):
-                        base[i, j] = e
-                    else:
-                        fns.append((i, j, exprlang.compile_fn(e)))
-            self._base = base
-            self._fns = fns
-        return self._base, self._fns
+    def __post_init__(self):
+        self._matrix = exprlang.compile_fn(self.entries)
 
     def matrix_at(self, t):
-        base, fns = self._compiled()
-        A = base.copy()
-        for i, j, fn in fns:
-            A[i, j] = fn(t=t)
-        return A
+        return self._matrix(t)
 
 
 @dataclass

@@ -304,34 +304,43 @@ def oscillatory_spectrum(A, imag_tol=1e-8, zero_tol=1e-8):
     A = np.asarray(A, dtype=float)
     if not classify(A).is_oscillatory:
         raise SpectralViolation("input did not classify as oscillatory")
-    vals, vecs = np.linalg.eig(A)
-    out = []
+    vals, vecs = _ordered_spectrum(A, SpectralViolation, imag_tol, zero_tol)
+    return [(float(vals[k]), vecs[:, k], k) for k in range(len(vals))]
+
+
+def _ordered_spectrum(M, error, imag_tol, zero_tol):
+    """Eigenvalues of M in decreasing order and their eigenvectors, checked.
+
+    The eigenvalues must come out real (imaginary parts within imag_tol of
+    the spectral radius), positive and strictly decreasing, and eigenvector
+    k (column k-1, unit norm, first entry above zero_tol positive) must
+    show exactly k-1 sign changes under both counts; anything else raises
+    `error`.
+    """
+    vals, vecs = np.linalg.eig(M)
     scale = np.abs(vals).max()
     if np.any(np.abs(vals.imag) > imag_tol * scale):
-        raise SpectralViolation("complex eigenvalue beyond tolerance")
+        raise error("complex eigenvalue beyond tolerance")
     vals = vals.real
     order = np.argsort(-vals)
     vals = vals[order]
     vecs = vecs[:, order].real
-    n = len(vals)
     if np.any(vals <= 0):
-        raise SpectralViolation("nonpositive eigenvalue")
+        raise error("nonpositive eigenvalue")
     if np.any(np.diff(vals) >= -imag_tol * scale):
-        raise SpectralViolation("eigenvalues not strictly decreasing")
-    for k in range(n):
+        raise error("eigenvalues not strictly decreasing")
+    for k in range(len(vals)):
         v = vecs[:, k]
         v = v / np.linalg.norm(v)
         lead = v[np.abs(v) > zero_tol]
         if lead.size and lead[0] < 0:
             v = -v
+        vecs[:, k] = v
         sm = s_minus(v, zero_tol)
         sp = s_plus(v, zero_tol)
         if sm != k or sp != k:
-            raise SpectralViolation(
-                f"eigenvector {k + 1} has sign counts ({sm}, {sp}), expected {k}"
-            )
-        out.append((float(vals[k]), v, k))
-    return out
+            raise error(f"eigenvector {k + 1} has sign counts ({sm}, {sp}), expected {k}")
+    return vals, vecs
 
 
 def svdp_check(A, x, zero_tol=None):

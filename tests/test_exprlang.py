@@ -6,38 +6,66 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tpds import exprlang
+from expr_reference import evaluate
+from tpds import NonlinearSystem, Segment
 from tpds.errors import (
+    DimensionMismatch,
     DomainError,
     ExprSyntaxError,
+    TpdsError,
     UnboundVariable,
     UnknownIdentifier,
 )
-from tpds.exprlang import compile_fn, evaluate, parse, pretty, variables
+from tpds.exprlang import Num, compile_fn, parse, pretty, variables
+
+
+def run(src, t=0.0, x=None, u=None):
+    """Compile and call, as the library does: f(t), or f(t, x) with u bound."""
+    ast = parse(src)
+    if x is None:
+        return compile_fn(ast, u=None if u is None else Num(u))(t)
+    return compile_fn(ast, len(x), None if u is None else Num(u))(t, x)
 
 
 def test_parse_and_evaluate_basic():
-    assert evaluate(parse("1 + 2 * 3")) == 7.0
-    assert evaluate(parse("(1 + 2) * 3")) == 9.0
-    assert evaluate(parse("2 ^ 3 ^ 2")) == 512.0  # right-associative
-    assert evaluate(parse("-2 ^ 2")) == -4.0  # power binds above unary minus
-    assert evaluate(parse("6 / 4")) == 1.5
+    assert run("1 + 2 * 3") == 7.0
+    assert run("(1 + 2) * 3") == 9.0
+    assert run("2 ^ 3 ^ 2") == 512.0  # right-associative
+    assert run("-2 ^ 2") == -4.0  # power binds above unary minus
+    assert run("6 / 4") == 1.5
 
 
 def test_variables_and_bindings():
     e = parse("t * x2 + sin(u)")
     assert variables(e) == {"t", "x2", "u"}
-    val = evaluate(e, t=2.0, x=[10.0, 3.0], u=0.0)
+    val = run("t * x2 + sin(u)", t=2.0, x=[10.0, 3.0], u=0.0)
     assert val == pytest.approx(6.0)
     with pytest.raises(UnboundVariable):
-        evaluate(e, t=1.0)
+        compile_fn(e)  # a function of t alone
+    with pytest.raises(UnboundVariable):
+        compile_fn(e, 2)  # no input bound to u
+    with pytest.raises(UnboundVariable):
+        compile_fn(e, 1, Num(0.0))  # x2 beyond n = 1
+    with pytest.raises(UnboundVariable):
+        compile_fn(parse("u"), 1, parse("x1"))  # the input is a function of t
 
 
 def test_functions_radians():
-    assert evaluate(parse("cos(0)")) == 1.0
-    assert evaluate(parse("sin(t)"), t=math.pi / 2) == pytest.approx(1.0)
-    assert evaluate(parse("tanh(100)")) == pytest.approx(1.0)
-    assert evaluate(parse("sqrt(2)")) == pytest.approx(math.sqrt(2))
+    assert run("cos(0)") == 1.0
+    assert run("sin(t)", t=math.pi / 2) == pytest.approx(1.0)
+    assert run("tanh(100)") == pytest.approx(1.0)
+    assert run("sqrt(2)") == pytest.approx(math.sqrt(2))
+
+
+def test_compile_shapes():
+    t_ast, x_ast = parse("2 * t"), parse("x1 - x2")
+    assert compile_fn(t_ast)(1.5) == 3.0
+    A = compile_fn([[1, t_ast], [t_ast, -0.5]])(np.float64(2.0))
+    assert A.dtype == float and np.array_equal(A, [[1.0, 4.0], [4.0, -0.5]])
+    v = compile_fn([x_ast, 7, parse("u * t")], 2, parse("t + 1"))(2.0, np.array([5.0, 1.0]))
+    assert v.dtype == float and np.array_equal(v, [4.0, 7.0, 6.0])
+    with pytest.raises(DimensionMismatch):
+        compile_fn([[1.0, 2.0], [3.0]])
 
 
 def test_syntax_errors_carry_position():
@@ -56,13 +84,41 @@ def test_syntax_errors_carry_position():
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        evaluate(parse("1 / (t - t)"), t=3.0)
+        run("1 / (t - t)", t=np.float64(3.0))
     with pytest.raises(DomainError):
-        evaluate(parse("log(0)"))
+        run("log(0)")
     with pytest.raises(DomainError):
-        evaluate(parse("sqrt(0 - 1)"))
+        run("sqrt(0 - 1)")
     with pytest.raises(DomainError):
-        evaluate(parse("(0 - 2) ^ 0.5"))
+        run("(0 - 2) ^ 0.5")
+    with pytest.raises(DomainError):
+        run("t ^ 0.5", t=-4.0)
+    with pytest.raises(DomainError):
+        run("exp(t)", t=1e3)
+    with pytest.raises(DomainError):
+        Segment(0.0, 1.0, [[parse("t ^ 0.5")]]).matrix_at(-4.0)
+    sys = NonlinearSystem(n=2, rhs=[parse("1 / x1"), parse("x2 ^ 0.5")])
+    with pytest.raises(DomainError):
+        sys.f(0.0, np.array([0.0, 1.0]))
+    with pytest.raises(DomainError):
+        sys.f(0.0, np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Segment(0.0, 1.0, [[parse("x1")]]),
+        lambda: Segment(0.0, 1.0, [[0.0, parse("u")], [1.0, 0.0]]),
+        lambda: NonlinearSystem(n=2, rhs=[parse("x1"), parse("x3")]),
+        lambda: NonlinearSystem(n=1, rhs=[parse("u * x1")]),
+        lambda: NonlinearSystem(n=1, rhs=[parse("u")], input=parse("x1")),
+        lambda: NonlinearSystem(n=1, rhs=[parse("x1")], jacobian=[[parse("x2")]]),
+    ],
+    ids=["segment-x1", "segment-u", "rhs-x3", "rhs-u-without-input", "input-x1", "jacobian-x2"],
+)
+def test_unbound_variable_at_construction(build):
+    with pytest.raises(UnboundVariable):
+        build()
 
 
 SOURCES = [
@@ -95,24 +151,52 @@ def test_pretty_round_trip(src):
     assert parse(pretty(ast)) == ast
 
 
-@pytest.mark.parametrize("src", SOURCES)
+# domain edges: negative base with a fractional exponent, zero divisors,
+# log / sqrt at and below zero, overflow, a literal that overflows to inf,
+# and x<k> beyond the three state entries
+EDGE_SOURCES = [
+    "t ^ 0.5",
+    "x1 ^ 0.5",
+    "1 / x1",
+    "u / (t - t)",
+    "0 ^ -t",
+    "log(t) + sqrt(x2)",
+    "exp(t * 1000)",
+    "10 ^ (t * 400)",
+    "1e999 * t",
+    "x4 + t",
+]
+EDGE_T = [-4.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+EDGE_X = [[0.0, 0.0, 0.0], [-2.0, 0.0, 1.0], [4.0, -1.0, 0.5]]
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except TpdsError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("src", SOURCES + EDGE_SOURCES)
 def test_compiled_matches_interpreter(src):
     ast = parse(src)
-    fn = compile_fn(ast)
     rng = np.random.default_rng(9)
-    for _ in range(100):
-        t = rng.uniform(0.1, 5.0)
-        x = rng.uniform(-2.0, 2.0, 3)
-        u = rng.uniform(-1.0, 1.0)
-        assert fn(t, x, u) == pytest.approx(evaluate(ast, t=t, x=x, u=u), abs=1e-12)
+    points = [(t, x, 0.0) for t in EDGE_T for x in EDGE_X]
+    points += [(rng.uniform(-5.0, 5.0), list(rng.uniform(-2.0, 2.0, 3)), rng.uniform(-1.0, 1.0)) for _ in range(60)]
+    for t, x, u in points:
+        for xs in (x, np.array(x)):
+            for ts in (t, np.float64(t)):
+                ref = _outcome(lambda: evaluate(ast, t=ts, x=xs, u=u))
+                got = _outcome(lambda: compile_fn(ast, len(xs), Num(u))(ts, xs))
+                # repr: equal classes, or equal floats bit for bit (nan included)
+                assert repr(got) == repr(ref), (src, t, x, u)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 50))
 def test_arithmetic_identities(a, b, c):
-    expr = parse(f"({a} + {b}) / {c}")
-    assert evaluate(expr) == pytest.approx((a + b) / c)
+    assert run(f"({a} + {b}) / {c}") == pytest.approx((a + b) / c)
 
 
 def test_left_associativity():
-    assert evaluate(parse("8 - 4 - 2")) == 2.0
-    assert evaluate(parse("8 / 4 / 2")) == 1.0
+    assert run("8 - 4 - 2") == 2.0
+    assert run("8 / 4 / 2") == 1.0

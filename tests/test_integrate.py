@@ -5,6 +5,7 @@ import pytest
 
 from tpds import (
     TimeVaryingSystem,
+    Trajectory,
     classify,
     compound_transition,
     shipped,
@@ -155,3 +156,15 @@ def test_trajectory_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert [float(v) for v in first[1:5]] == [-1.0, 5.0, -13.0, 17.0]
     assert first[5:] == ["3", "3", "1"]
+
+
+def test_trajectory_from_states():
+    # [1, 0] and [0, 1] lie off V; samples 1, 2 and 4 are under CLUSTER_GAP
+    # apart and form one cluster, sample 7 starts the next
+    states = np.array([[1, 1], [1, 0], [1, 0], [1, 1], [0, 1], [1, 1], [1, -1], [1, 0]], dtype=float)
+    traj = Trajectory(np.arange(8.0), states)
+    assert traj.sigma_minus == [0, 0, 0, 0, 0, 0, 1, 0]
+    assert traj.sigma_plus == [0, 1, 1, 0, 1, 0, 1, 1]
+    assert traj.in_V_flags == [True, False, False, True, False, True, True, False]
+    assert traj.exceptional_times == [1.0, 7.0]
+    assert traj.zero_tols == [1e-8] * 8

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tpds import in_V, s_minus, s_plus, sigma, signs
-from tpds.errors import NotInV
+from tpds import in_V, s_minus, s_plus, sigma, signs, strong_svdp_holds, svdp_check
+from tpds.errors import NonFiniteInput, NotInV
 
 
 def s_plus_bruteforce(y, zero_tol=None):
@@ -23,6 +23,25 @@ def s_plus_bruteforce(y, zero_tol=None):
             t[i] = 1 if (mask >> b) & 1 else -1
         top = max(top, int(np.sum(t[1:] != t[:-1])))
     return top
+
+
+NAN_MATRIX = [[2.0, 1.0], [1.0, np.nan]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: s_minus([1, np.nan, -1]),
+        lambda: s_plus([1, -np.inf, 0, 1]),
+        lambda: in_V([1, np.nan, -1]),
+        lambda: svdp_check(NAN_MATRIX, [1, -1]),
+        lambda: strong_svdp_holds(NAN_MATRIX, rng=0),
+    ],
+    ids=["s_minus", "s_plus", "in_V", "svdp_check", "strong_svdp_holds"],
+)
+def test_non_finite_entry_raises(call):
+    with pytest.raises(NonFiniteInput):
+        call()
 
 
 def test_counts_on_mixed_vector():
