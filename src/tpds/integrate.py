@@ -18,10 +18,11 @@ from .errors import (
     IntegrationSuspect,
     MonotonicityViolation,
     NoApplicablePair,
+    NonFiniteInput,
     OutOfInterval,
     TrivialSolution,
 )
-from .signvar import s_minus, s_plus
+from .signvar import sign_counts
 
 DET_REL_TOL = 1e-6
 TRAJ_ZERO_REL_TOL = 1e-8
@@ -64,11 +65,28 @@ def _spans(sys, t0, t1):
 
 
 def _integrate_piecewise(sys, y0, t0, t1, step, matfun):
+    """Integrate y' = matfun(t, seg) @ y segment by segment.
+
+    matfun is evaluated once per distinct stage time: RK4's k2 and k3 share
+    t + h/2, and k4's t + h is the next step's k1 time (``t += h`` gives the
+    same float), so a one-entry memo keyed on t leaves 2 evaluations per
+    step plus one at the start of each span.
+    """
     y = y0
     for lo, hi, seg in _spans(sys, t0, t1):
-        A = lambda t: matfun(t, seg)
-        y = _rk4_span(lambda t, v: A(t) @ v, y, lo, hi, step)
+        last = [None, None]  # the latest stage time and matfun's value there
+
+        def f(t, v):
+            if t != last[0]:
+                last[:] = t, matfun(t, seg)
+            return last[1] @ v
+
+        y = _rk4_span(f, y, lo, hi, step)
     return y
+
+
+def _segment_matrix(sys):
+    return lambda t, seg: sys.segments[seg].matrix_at(t)
 
 
 def _trace_integral(sys, t0, t1, step):
@@ -77,7 +95,8 @@ def _trace_integral(sys, t0, t1, step):
     for lo, hi, seg in _spans(sys, t0, t1):
         npanels = max(2, 2 * math.ceil((hi - lo) / step))
         ts = np.linspace(lo, hi, npanels + 1)
-        vals = np.array([np.trace(sys.matrix_at(t, segment=seg)) for t in ts])
+        segment = sys.segments[seg]
+        vals = np.array([segment.matrix_at(t).trace() for t in ts])
         h = (hi - lo) / npanels
         total += h / 3 * (
             vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-1:2].sum()
@@ -100,18 +119,25 @@ def transition_matrix(sys, t0, t, step=None):
 
     The determinant is compared with exp of the integrated trace
     (Abel-Jacobi-Liouville); a relative mismatch beyond 1e-6 marks the
-    record as suspect.
+    record as suspect. A non-finite Phi (a non-finite A(t), or a step too
+    large for ||A(t)||) or predicted determinant raises IntegrationSuspect.
     """
     a, b = sys.interval
     if not (a <= t0 <= t <= b):
         raise OutOfInterval(f"need a <= t0 <= t <= b, got t0={t0}, t={t}")
     if step is None:
         step = default_step(sys)
-    phi = _integrate_piecewise(
-        sys, np.eye(sys.n), t0, t, step, lambda s, seg: sys.matrix_at(s, segment=seg)
-    )
+    phi = _integrate_piecewise(sys, np.eye(sys.n), t0, t, step, _segment_matrix(sys))
+    if not np.isfinite(phi).all():
+        raise IntegrationSuspect(
+            f"Phi({t}, {t0}) has a non-finite entry at step {step:.3g}"
+        )
     det_phi = float(np.linalg.det(phi))
     det_pred = float(np.exp(_trace_integral(sys, t0, t, step)))
+    if not math.isfinite(det_pred):
+        raise IntegrationSuspect(
+            f"predicted det Phi({t}, {t0}) = exp(integral of trace A) is {det_pred}"
+        )
     suspect = abs(det_phi - det_pred) > DET_REL_TOL * abs(det_pred)
     return TransitionRecord(t0, t, phi, det_phi, det_pred, suspect)
 
@@ -123,7 +149,9 @@ class Trajectory:
     Everything past (times, states) is computed from them. Each sample's
     zero tolerance is TRAJ_ZERO_REL_TOL times the largest |entry| seen up
     to it; non-V samples less than CLUSTER_GAP samples apart form one
-    exceptional cluster, recorded by the time of its first sample.
+    exceptional cluster, recorded by the time of its first sample. The
+    counts of all samples come from one sign matrix; a sample with a nan or
+    inf entry raises NonFiniteInput.
     """
 
     times: np.ndarray
@@ -135,22 +163,26 @@ class Trajectory:
     exceptional_times: list = field(init=False)
 
     def __post_init__(self):
-        self.zero_tols, self.sigma_minus, self.sigma_plus = [], [], []
-        self.in_V_flags, self.exceptional_times = [], []
-        running = 0.0
+        y = np.asarray(self.states, dtype=float)
+        finite = np.isfinite(y).all(axis=1)
+        if not finite.all():
+            bad = y[np.argmin(finite)].tolist()
+            raise NonFiniteInput(f"vector {bad} has a non-finite entry")
+        mag = np.abs(y)
+        tols = TRAJ_ZERO_REL_TOL * np.maximum.accumulate(mag.max(axis=1))
+        S = np.sign(y).astype(int)
+        S[mag <= tols[:, None]] = 0
+        sm, sp = sign_counts(S)
+        self.zero_tols = tols.tolist()
+        self.sigma_minus = sm.tolist()
+        self.sigma_plus = sp.tolist()
+        self.in_V_flags = (sm == sp).tolist()
+        self.exceptional_times = []
         last_bad = None
-        for k, z in enumerate(self.states):
-            running = max(running, float(np.max(np.abs(z))))
-            tol = TRAJ_ZERO_REL_TOL * running
-            sm, sp = s_minus(z, tol), s_plus(z, tol)
-            self.zero_tols.append(tol)
-            self.sigma_minus.append(sm)
-            self.sigma_plus.append(sp)
-            self.in_V_flags.append(sm == sp)
-            if sm != sp:
-                if last_bad is None or k - last_bad >= CLUSTER_GAP:
-                    self.exceptional_times.append(self.times[k])
-                last_bad = k
+        for k in np.flatnonzero(sm != sp).tolist():
+            if last_bad is None or k - last_bad >= CLUSTER_GAP:
+                self.exceptional_times.append(self.times[k])
+            last_bad = k
 
     @property
     def n(self):
@@ -188,9 +220,7 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     states = [z0]
     z = z0
     for t_prev, t_next in zip(grid, grid[1:]):
-        z = _integrate_piecewise(
-            sys, z, t_prev, t_next, step, lambda s, seg: sys.matrix_at(s, segment=seg)
-        )
+        z = _integrate_piecewise(sys, z, t_prev, t_next, step, _segment_matrix(sys))
         states.append(z)
     traj = Trajectory(grid, np.array(states))
     if tpds:
@@ -225,7 +255,7 @@ def compound_transition(sys, p, t0, t, step=None, check_tol=1e-5):
         t0,
         t,
         step,
-        lambda s, seg: add_compound(sys.matrix_at(s, segment=seg), p).entries,
+        lambda s, seg: add_compound(sys.segments[seg].matrix_at(s), p).entries,
     )
     direct = mult_compound(transition_matrix(sys, t0, t, step).phi, p).entries
     denom = max(np.linalg.norm(direct), 1e-300)

@@ -80,6 +80,30 @@ def s_plus(y, zero_tol=None):
     return max(best.values())
 
 
+def sign_counts(S):
+    """s_minus and s_plus of every row of a -1/0/+1 sign matrix at once.
+
+    One pass over the columns with all rows in step: s_minus counts changes
+    between consecutive nonzero signs, s_plus runs the dynamic program of
+    ``s_plus`` on every row. Returns two integer arrays.
+    """
+    S = np.asarray(S)
+    first = S[:, 0]
+    last = first  # latest nonzero sign of each row, 0 before the first
+    sm = np.zeros(len(S), dtype=int)
+    # best alternation count with the previous entry -1 / +1, -1 if impossible
+    bm = np.where(first == 1, -1, 0)
+    bp = np.where(first == -1, -1, 0)
+    for v in S.T[1:]:
+        sm += (v != 0) & (last != 0) & (v != last)
+        last = np.where(v != 0, v, last)
+        to_m = np.maximum(np.where(bp >= 0, bp + 1, -1), bm)
+        to_p = np.maximum(np.where(bm >= 0, bm + 1, -1), bp)
+        bm = np.where(v != 1, to_m, -1)
+        bp = np.where(v != -1, to_p, -1)
+    return sm, np.maximum(bm, bp)
+
+
 def in_V(y, zero_tol=None):
     """True iff sigma extends continuously to ``y``.
 

@@ -17,6 +17,7 @@ internal form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -42,6 +43,8 @@ class SystemSpec:
 def _parse_entry(raw, n, allow_state=False):
     if isinstance(raw, bool):
         raise SpecFileError(f"boolean is not a matrix entry: {raw!r}")
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise SpecFileError(f"non-finite number is not an entry: {raw!r}")
     if isinstance(raw, (int, float)):
         return raw
     if not isinstance(raw, str):

@@ -114,3 +114,32 @@ def test_outdir_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TPDS_OUTDIR", str(tmp_path / "envout"))
     assert cli.main(["reproduce", "spectrum-tp3"]) == 0
     assert (tmp_path / "envout" / "spectrum_tp3.csv").exists()
+
+
+NON_FINITE_SPECS = {
+    "nan": ("[[-1, 1], [1, .nan]]", 2),
+    "overflow": ('[[-1, "t * 1e308 * 10"], [1, -1]]', 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_SPECS))
+def test_simulate_non_finite_spec_exit_code(tmp_path, capsys, name):
+    matrix, code = NON_FINITE_SPECS[name]
+    path = tmp_path / f"{name}.spec"
+    path.write_text(
+        "meta: {name: bad, n: 2, interval: [0, 1]}\n"
+        "linear:\n  segments:\n    - {t_start: 0, t_end: 1, matrix: " + matrix + "}\n"
+        "experiment: {z0: [1, -1], grid: 20}\n"
+    )
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x.csv")]) == code
+
+
+def test_floquet_stiff_spec_exits_4(tmp_path, capsys):
+    path = tmp_path / "stiff.spec"
+    path.write_text(
+        "meta: {name: stiff, n: 2, interval: [0, 10], period: 10}\n"
+        "linear:\n  segments:\n    - {t_start: 0, t_end: 10, matrix: [[-1000, 1], [1, -1000]]}\n"
+    )
+    with np.errstate(all="ignore"):
+        assert cli.main(["floquet", str(path)]) == 4
+    assert "non-finite" in capsys.readouterr().err

@@ -4,22 +4,33 @@ import numpy as np
 import pytest
 
 from tpds import (
+    Segment,
     TimeVaryingSystem,
     Trajectory,
+    add_compound,
     classify,
     compound_transition,
+    exprlang,
+    floquet,
+    integrate,
+    random_tpds_system,
+    s_minus,
+    s_plus,
     shipped,
+    shipped_names,
     simulate_linear,
     tn_weak_svdp_check,
     transition_matrix,
 )
 from tpds.errors import (
+    IntegrationSuspect,
     MonotonicityViolation,
     NoApplicablePair,
+    NonFiniteInput,
     OutOfInterval,
     TrivialSolution,
 )
-from tpds.integrate import default_step
+from tpds.integrate import CLUSTER_GAP, TRAJ_ZERO_REL_TOL, _rk4_span, _spans, default_step
 
 
 def cosh_exact(t0, t):
@@ -168,3 +179,129 @@ def test_trajectory_from_states():
     assert traj.in_V_flags == [True, False, False, True, False, True, True, False]
     assert traj.exceptional_times == [1.0, 7.0]
     assert traj.zero_tols == [1e-8] * 8
+
+
+def integrate_unmemoised(sys, y0, t0, t1, step, matfun):
+    """_integrate_piecewise with four coefficient evaluations per RK4 step."""
+    y = y0
+    for lo, hi, seg in _spans(sys, t0, t1):
+        y = _rk4_span(lambda t, v, seg=seg: matfun(t, seg) @ v, y, lo, hi, step)
+    return y
+
+
+def linear_systems():
+    shipped_linear = [shipped(name) for name in shipped_names()]
+    systems = [spec.system for spec in shipped_linear if spec.kind == "linear"]
+    return systems + [random_tpds_system(n, rng=n) for n in range(2, 7)]
+
+
+def test_memoised_integration_matches_unmemoised():
+    for sys in linear_systems():
+        a, b = sys.interval
+        step = default_step(sys)
+        A = lambda t, seg: sys.segments[seg].matrix_at(t)
+        C = lambda t, seg: add_compound(sys.segments[seg].matrix_at(t), 2).entries
+        z0 = np.arange(1.0, sys.n + 1) * (-1.0) ** np.arange(sys.n)
+        cases = [
+            (np.eye(sys.n), a, b, A),
+            (z0, a + 0.3 * (b - a), a + 0.7 * (b - a), A),
+            (np.eye(len(add_compound(np.eye(sys.n), 2).index_map)), a, a + 0.2 * (b - a), C),
+        ]
+        for y0, t0, t1, matfun in cases:
+            got = integrate._integrate_piecewise(sys, y0, t0, t1, step, matfun)
+            want = integrate_unmemoised(sys, y0, t0, t1, step, matfun)
+            assert got.tobytes() == want.tobytes(), sys.name
+
+
+def trajectory_reference(times, states):
+    """The per-sample loop Trajectory replaced: running tolerance, s_minus and
+    s_plus of each sample, exceptional clusters."""
+    zero_tols, sm, sp, flags, clusters = [], [], [], [], []
+    running, last_bad = 0.0, None
+    for k, z in enumerate(states):
+        running = max(running, float(np.max(np.abs(z))))
+        tol = TRAJ_ZERO_REL_TOL * running
+        zero_tols.append(tol)
+        sm.append(s_minus(z, tol))
+        sp.append(s_plus(z, tol))
+        flags.append(sm[-1] == sp[-1])
+        if not flags[-1]:
+            if last_bad is None or k - last_bad >= CLUSTER_GAP:
+                clusters.append(times[k])
+            last_bad = k
+    return zero_tols, sm, sp, flags, clusters
+
+
+def test_trajectory_matches_per_sample_reference():
+    rng = np.random.default_rng(11)
+    runs = []
+    for sys in linear_systems()[:4]:
+        grid = np.linspace(*sys.interval, 120)
+        z0 = np.ones(sys.n) * (-1.0) ** np.arange(sys.n)
+        runs.append(simulate_linear(sys, z0, grid, step=default_step(sys) * 4))
+    for _ in range(5):
+        states = rng.choice([-2.0, -1e-9, -0.0, 0.0, 1e-12, 3.0], size=(60, 5))
+        runs.append(Trajectory(np.linspace(0.0, 1.0, 60), states * rng.uniform(0.5, 2.0, (60, 1))))
+    for traj in runs:
+        want = trajectory_reference(traj.times, traj.states)
+        got = (traj.zero_tols, traj.sigma_minus, traj.sigma_plus, traj.in_V_flags, traj.exceptional_times)
+        assert [float(v).hex() for v in got[0]] == [float(v).hex() for v in want[0]]
+        assert got[1:] == want[1:]
+        assert all(type(v) is int for v in got[1] + got[2])
+
+
+def test_trajectory_non_finite_row_raises():
+    states = np.array([[1.0, 2.0], [np.inf, 1.0], [np.nan, 0.0]])
+    with pytest.raises(NonFiniteInput, match=r"vector \[inf, 1.0\] has a non-finite entry"):
+        Trajectory(np.arange(3.0), states)
+
+
+def test_one_coefficient_evaluation_per_stage_time(monkeypatch):
+    """RK4 evaluates A(t) at t, t + h/2 and t + h only, and t + h is the next
+    step's t: a one-segment run of N steps makes 2 N + 1 evaluations."""
+    sys = random_tpds_system(3, rng=0)
+    nsteps, T = 100, np.pi / 2
+    count = {"in_rk4": False, "A": 0, "compound": 0}
+    rk4, matrix_at = integrate._rk4_span, Segment.matrix_at
+
+    def counting_rk4(*args):
+        count["in_rk4"] = True
+        try:
+            return rk4(*args)
+        finally:
+            count["in_rk4"] = False
+
+    def counting_matrix_at(self, t):
+        count["A"] += count["in_rk4"]
+        return matrix_at(self, t)
+
+    def counting_add_compound(A, p):
+        count["compound"] += 1
+        return add_compound(A, p)
+
+    monkeypatch.setattr(integrate, "_rk4_span", counting_rk4)
+    monkeypatch.setattr(Segment, "matrix_at", counting_matrix_at)
+    monkeypatch.setattr(integrate, "add_compound", counting_add_compound)
+    transition_matrix(sys, 0.0, T, step=T / nsteps)
+    assert count["A"] == 2 * nsteps + 1
+    compound_transition(sys, 2, 0.0, T, step=T / nsteps)
+    assert count["compound"] == 2 * nsteps + 1
+
+
+STIFF = [[-1000.0, 1.0], [1.0, -1000.0]]
+OVERFLOW = Segment(0.0, 1.0, [[-1.0, exprlang.parse("t * 1e308 * 10")], [1.0, -1.0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: transition_matrix(TimeVaryingSystem.constant(STIFF, (0.0, 10.0)), 0.0, 10.0),
+        lambda: transition_matrix(TimeVaryingSystem(2, (0.0, 1.0), [OVERFLOW]), 0.0, 1.0),
+        lambda: floquet(TimeVaryingSystem.constant(STIFF, (0.0, 10.0), period=10.0)),
+        lambda: compound_transition(TimeVaryingSystem.constant(STIFF, (0.0, 10.0)), 1, 0.0, 10.0),
+    ],
+    ids=["stiff", "overflowing_entry", "floquet", "compound_transition"],
+)
+def test_non_finite_transition_matrix_is_suspect(call):
+    with np.errstate(all="ignore"), pytest.raises(IntegrationSuspect, match="non-finite"):
+        call()

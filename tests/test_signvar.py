@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from tpds import in_V, s_minus, s_plus, sigma, signs, strong_svdp_holds, svdp_check
 from tpds.errors import NonFiniteInput, NotInV
+from tpds.signvar import sign_counts
 
 
 def s_plus_bruteforce(y, zero_tol=None):
@@ -138,3 +139,23 @@ def test_count_ordering_and_range(pattern):
     y = np.array(pattern, dtype=float)
     n = len(pattern)
     assert 0 <= s_minus(y) <= s_plus(y) <= n - 1
+
+
+def _per_vector_counts(S):
+    return [s_minus(s, 0.0) for s in S], [s_plus(s, 0.0) for s in S]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sign_counts_every_pattern(n):
+    S = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+    sm, sp = sign_counts(S)
+    assert (sm.tolist(), sp.tolist()) == _per_vector_counts(S)
+
+
+def test_sign_counts_random_patterns():
+    rng = np.random.default_rng(3)
+    for n in range(8, 11):
+        S = rng.integers(-1, 2, size=(3000, n))
+        S[::7] = 0
+        sm, sp = sign_counts(S)
+        assert (sm.tolist(), sp.tolist()) == _per_vector_counts(S)

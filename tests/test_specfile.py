@@ -73,6 +73,9 @@ def test_file_round_trip(tmp_path):
         MINIMAL_LINEAR.replace('"sin(t)"', '"x1"'),  # state var in linear entry
         MINIMAL_NONLINEAR.replace('  input: "sin(t)"\n', ""),  # u unbound
         MINIMAL_NONLINEAR.replace('"-x2"', '"-x3"'),  # state index out of range
+        MINIMAL_LINEAR.replace('[1, 0]', '[1, .nan]'),  # nan entry
+        MINIMAL_LINEAR.replace('[1, 0]', '[-.inf, 0]'),  # infinite entry
+        MINIMAL_NONLINEAR.replace('"-x2"', '.inf'),  # infinite rhs
     ],
 )
 def test_malformed_specs(text):

@@ -14,8 +14,8 @@ from tpds import (
     random_tridiagonal_cooperative,
     shipped,
 )
-from tpds.errors import EmptySegments, OutOfInterval, SpecFileError
-from tpds.systems import offdiag_min
+from tpds.errors import EmptySegments, NonFiniteInput, OutOfInterval, SpecFileError
+from tpds.systems import SystemClass, offdiag_min
 
 
 def test_in_M_and_M_plus():
@@ -158,3 +158,58 @@ def test_constant_system_wrapper():
     assert np.array_equal(sys.matrix_at(0.3), A)
     assert np.array_equal(sys.matrix_at(4.9), A)
     assert sys.period == 1.0
+
+
+def classify_time_varying_reference(sys, grid, delta_floor=1e-6):
+    """The per-sample loop over in_M / offdiag_min that the stacked
+    classify_time_varying replaced."""
+    a = sys.interval[0]
+    samples = []
+    for seg in sys.segments:
+        ts = np.linspace(seg.t_start, seg.t_end, grid, endpoint=False)
+        samples += [(float(t), seg.matrix_at(t)) for t in ts[ts > a]]
+    violations = [(t, "A(t) not in M") for t, At in samples if not in_M(At)]
+    if violations:
+        return SystemClass("neither", None, violations)
+    delta = np.inf
+    for _, At in samples:
+        delta = min(delta, offdiag_min(At))
+    if delta >= delta_floor:
+        return SystemClass("TPDS", float(delta), [])
+    low = [(t, "off-diagonal below delta floor") for t, At in samples if offdiag_min(At) < delta_floor]
+    return SystemClass("TNDS_only", None, low)
+
+
+def test_classify_time_varying_matches_per_sample_reference():
+    from tpds import exprlang, random_tpds_system
+
+    def system(*entries):
+        e = [[v if isinstance(v, float) else exprlang.parse(v) for v in row] for row in entries]
+        return TimeVaryingSystem(len(e), (0.0, 10.0), [Segment(0.0, 4.0, e), Segment(4.0, 10.0, e)])
+
+    cases = [
+        (shipped("switched").system, "TPDS"),
+        (shipped("schwarz3").system, "TPDS"),
+        (shipped("sinusoidal2").system, "TNDS_only"),
+        (random_tpds_system(5, rng=1), "TPDS"),
+        (system([0.0, "(t - 2) ^ 2"], ["1 + sin(t)", 0.0]), "TNDS_only"),
+        (system([0.0, "sin(t)", 0.0], [1.0, -1.0, 0.0], [0.0, 2.0, "t"]), "neither"),
+        (system([0.0, 1.0, "0.1 * cos(t)"], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]), "neither"),
+        (system([0.0, 1.0], [-5e-324, 0.0]), "neither"),
+        (system(["t"]), "TPDS"),
+    ]
+    for sys, verdict in cases:
+        for grid in (7, 1000):
+            got = classify_time_varying(sys, grid=grid)
+            assert got == classify_time_varying_reference(sys, grid)
+            assert got.verdict == verdict or grid == 7
+            assert type(got.delta) in (float, type(None))
+
+
+def test_classify_time_varying_non_finite_sample_raises():
+    from tpds import exprlang
+
+    e = exprlang.parse("t * 1e308 * 10")
+    sys = TimeVaryingSystem(2, (0.0, 1.0), [Segment(0.0, 1.0, [[-1.0, e], [1.0, -1.0]])])
+    with pytest.raises(NonFiniteInput, match="t=0.18"):
+        classify_time_varying(sys)
