@@ -209,11 +209,15 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
 
     With tpds=True the monotonicity contract is enforced: s_plus and s_minus
     must be non-increasing sample to sample and at most n-1 exceptional
-    clusters of non-V samples may occur.
+    clusters of non-V samples may occur. A non-finite z0 raises
+    NonFiniteInput; a state that turns non-finite on the way (a stiff or
+    overflowing system at this step) raises IntegrationSuspect.
     """
     z0 = np.asarray(z0, dtype=float)
     if not np.any(z0):
         raise TrivialSolution("z0 = 0 yields the trivial solution")
+    if not np.isfinite(z0).all():
+        raise NonFiniteInput(f"z0 {z0.tolist()} has a non-finite entry")
     grid = np.asarray(grid, dtype=float)
     if step is None:
         step = default_step(sys)
@@ -222,7 +226,12 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     for t_prev, t_next in zip(grid, grid[1:]):
         z = _integrate_piecewise(sys, z, t_prev, t_next, step, _segment_matrix(sys))
         states.append(z)
-    traj = Trajectory(grid, np.array(states))
+    states = np.array(states)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        t = float(grid[np.argmin(finite)])
+        raise IntegrationSuspect(f"the state became non-finite by t={t} from a finite z0")
+    traj = Trajectory(grid, states)
     if tpds:
         sm, sp, clusters = traj.sigma_minus, traj.sigma_plus, traj.exceptional_times
         bad = [

@@ -112,7 +112,10 @@ class TimeVaryingSystem:
         ts = np.linspace(a, b - T, 100)
         ts = ts[(ts > a) & (ts + T < b)]
         for t in ts:
-            if np.max(np.abs(self.matrix_at(t) - self.matrix_at(t + T))) > PERIOD_CHECK_TOL:
+            now, later = self.matrix_at(t), self.matrix_at(t + T)
+            if not (np.isfinite(now).all() and np.isfinite(later).all()):
+                raise NonFiniteInput(f"A(t) or A(t+T) has a non-finite entry at t={t}")
+            if np.max(np.abs(now - later)) > PERIOD_CHECK_TOL:
                 raise SpecFileError(f"A(t) != A(t+T) at t={t}")
 
     def segment_index(self, t):

@@ -100,6 +100,25 @@ def minor(A, alpha, beta):
     return float(_minors(sub, len(alpha))[0][0, 0])
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """What decided a classification.
+
+    ``rule`` is "initial minors" when the exact test certified TP, so that
+    no minor was enumerated, or "exhaustive" when it refuted TP and every
+    minor was enumerated for TN, SSR and the witness. ``nonpositive`` is
+    what refuted TP: ``("entry", (i,), (j,), sign)`` for the first entry
+    <= 0 in row-major order, or ``(matrix, rows, cols, sign)`` for the
+    first initial minor <= 0 of ``matrix`` ("A" or "A^T"), 1-based, where
+    ``sign`` is the exact sign of that value (0 or -1). ``det_sign`` is
+    the exact sign of det A when the oscillation test needed it.
+    """
+
+    rule: str
+    nonpositive: tuple | None = None
+    det_sign: int | None = None
+
+
 @dataclass
 class Classification:
     is_TN: bool
@@ -107,40 +126,132 @@ class Classification:
     is_SSR: bool
     is_oscillatory: bool
     witness: tuple | None = None  # (alpha, beta, value) of first TN violation
+    certificate: Certificate | None = field(default=None, compare=False)
 
 
-def _irreducible(A, tol=0.0):
-    """Strong connectivity of the directed graph of the nonzero pattern."""
-    n = A.shape[0]
-    adj = np.abs(A) > tol
-    np.fill_diagonal(adj, True)
-    reach = adj.copy()
-    for _ in range(n):
-        reach = reach | (reach @ adj)
-    return bool(reach.all())
+def _dyadic_integers(A):
+    """The entries of A as Python ints, all scaled by one power of two.
+
+    Every finite float is a dyadic rational, so one common power-of-two
+    factor makes them all integers; a positive scale leaves every minor's
+    sign unchanged.
+    """
+    ratios = [x.as_integer_ratio() for x in A.ravel().tolist()]
+    den = max((d for _, d in ratios), default=1)
+    ints = [num * (den // d) for num, d in ratios]
+    n = A.shape[1]
+    return [ints[i : i + n] for i in range(0, len(ints), n)]
 
 
-def classify(A, cross_check=True):
-    """Exhaustive TN/TP/SSR/oscillatory classification.
+def _first_nonpositive_initial_minor(M):
+    """First minor det M[i-k+1..i | 1..k] <= 0 of a square integer matrix
+    with positive entries, as (k, i, value) with i 0-based, or None.
 
-    All sum_k C(n,k)^2 minors are enumerated in batches, one order at a
-    time; refuses n > 10. The witness is the first negative minor with the
-    orders ascending and, within an order, row subsets outer and column
-    subsets inner, both lexicographic. When the matrix comes out
-    oscillatory, A^(n-1) is re-classified and must be TP.
+    Fraction-free Neville condensation: D_k(i, c) = det M[i-k+1..i |
+    1..k-1, c] obeys Sylvester's identity
+    D_k(i,c) = (D_{k-1}(i,c) D_{k-1}(i-1,k-1) - D_{k-1}(i,k-1) D_{k-1}(i-1,c))
+    / D_{k-2}(i-1,k-2), and the division is exact. Orders ascend and,
+    within an order, i ascends; both factors kept from earlier orders are
+    minors of this kind already found positive, so no divisor is zero.
+    O(n^3) integer operations.
+    """
+    n = len(M)
+    # cur[i] lists D_k(i, c) for c = k..n (1-based); older holds order k - 1
+    older, cur = None, M
+    for k in range(2, n + 1):
+        new = [None] * n
+        for i in range(k - 1, n):
+            hi, lo = cur[i - 1], cur[i]
+            p, q = hi[0], lo[0]
+            div = older[i - 1][0] if k > 2 else 1
+            row = [(a * p - q * b) // div for a, b in zip(lo[1:], hi[1:])]
+            if row[0] <= 0:
+                return k, i, row[0]
+            new[i] = row
+        older, cur = cur, new
+    return None
+
+
+def _tp_refutation(A):
+    """None when the stored floats of the square matrix A are exactly TP,
+    else the first entry or initial minor found <= 0, as in
+    ``Certificate.nonpositive``.
+
+    Gasca and Pena ("Total positivity and Neville elimination", LAA 165,
+    1992): A is TP iff all its n^2 initial minors, those with consecutive
+    rows and consecutive columns one of which starts at 1, are positive.
+    They are the leading-column minors of A and of A^T.
+    """
+    bad = np.flatnonzero(~(A > 0))
+    if bad.size:
+        i, j = divmod(int(bad[0]), A.shape[1])
+        return ("entry", (i + 1,), (j + 1,), -1 if A[i, j] < 0 else 0)
+    M = _dyadic_integers(A)
+    for name, X in (("A", M), ("A^T", [list(col) for col in zip(*M)])):
+        found = _first_nonpositive_initial_minor(X)
+        if found is not None:
+            k, i, value = found
+            rows = tuple(range(i - k + 2, i + 2))
+            return (name, rows, tuple(range(1, k + 1)), -1 if value < 0 else 0)
+    return None
+
+
+def _det_sign(M):
+    """Exact sign of the determinant of a square integer matrix (Bareiss
+    fraction-free elimination with row exchanges)."""
+    M = [row[:] for row in M]
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        p = next((r for r in range(k, n) if M[r][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            M[k], M[p] = M[p], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    last = M[n - 1][n - 1]
+    return sign * ((last > 0) - (last < 0))
+
+
+def classify(A):
+    """TN / TP / SSR / oscillatory classification of a square matrix.
+
+    TP is exact on the stored floats: every entry must be positive and every
+    initial minor of A and of A^T, computed in integer arithmetic, must be
+    positive (Gasca-Pena). A certified matrix is also TN, SSR and
+    oscillatory, and nothing is enumerated. Otherwise all sum_k C(n,k)^2
+    minors are enumerated in batches, one order at a time, each against the
+    zero threshold MINOR_REL_TOL times the product of its rows' max-norms:
+    TN means no minor below -thr, SSR that every order's minors are beyond
+    thr and share one sign. The witness is the first minor below -thr with
+    the orders ascending and, within an order, row subsets outer and column
+    subsets inner, both lexicographic. Oscillation follows Gantmacher-Krein:
+    TN, super- and subdiagonal entries positive, and det A > 0, its sign
+    exact. A nan or infinite entry raises NonFiniteInput. The enumeration is
+    capped at n = EXHAUSTIVE_LIMIT: a larger matrix that is not certified TP
+    raises SizeLimitExceeded.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch("classify expects a square matrix")
     n = A.shape[0]
+    if not np.isfinite(A).all():
+        raise NonFiniteInput("classify: the matrix has a nan or infinite entry")
+    nonpositive = _tp_refutation(A)
+    if nonpositive is None:
+        return Classification(True, True, True, True, None, Certificate("initial minors"))
     if n > EXHAUSTIVE_LIMIT:
-        raise SizeLimitExceeded(f"exhaustive enumeration capped at n={EXHAUSTIVE_LIMIT}")
+        raise SizeLimitExceeded(
+            f"{n} x {n} matrix is not TP; exhaustive enumeration is capped at n={EXHAUSTIVE_LIMIT}"
+        )
 
     is_tn = True
-    is_tp = True
     is_ssr = True
     witness = None
-    full_det_nonzero = False
     for k in range(1, n + 1):
         d, thr = _minors(A, k)
         negative = d < -thr
@@ -150,26 +261,16 @@ def classify(A, cross_check=True):
                 r, c = np.unravel_index(np.argmax(negative), d.shape)
                 alpha, beta = (tuple(int(i) + 1 for i in s) for s in _subsets(n, k)[[r, c]])
                 witness = (alpha, beta, float(d[r, c]))
-        if (d <= thr).any():
-            is_tp = False
         zero = np.abs(d) <= thr
         if zero.any() or not ((d > 0).all() or (d < 0).all()):
             is_ssr = False
-        if k == n:
-            full_det_nonzero = not zero[0, 0]
 
-    is_osc = is_tn and full_det_nonzero and _irreducible(A)
-    result = Classification(is_tn, is_tp, is_ssr, is_osc, witness)
-    if cross_check and is_osc and n >= 2:
-        # the (n-1) power of an oscillatory matrix is TP; thresholds do not
-        # scale consistently from A to its power, so assert the robust
-        # direction only: no significantly negative minor in the power
-        power = np.linalg.matrix_power(A, n - 1)
-        if not classify(power, cross_check=False).is_TN:
-            raise SpectralViolation(
-                "oscillatory matrix whose (n-1) power has a negative minor"
-            )
-    return result
+    det_sign = None
+    if is_tn and (np.diag(A, 1) > 0).all() and (np.diag(A, -1) > 0).all():
+        det_sign = _det_sign(_dyadic_integers(A))
+    is_osc = det_sign == 1
+    certificate = Certificate("exhaustive", nonpositive, det_sign)
+    return Classification(is_tn, False, is_ssr, is_osc, witness, certificate)
 
 
 def _tridiagonal_parts(A):

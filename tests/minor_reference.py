@@ -1,17 +1,32 @@
-"""Per-minor reference implementation of minor enumeration, for tests only.
+"""Per-minor reference implementations of minor enumeration, for tests only.
 
 This is the one-minor-at-a-time loop the library's batched kernel
 (``tpds.totalpos._minors``) replaced: one ``np.ix_`` gather, one scalar
 determinant and one scalar zero threshold per minor. It performs the same
 floating-point operations in the same order, so the kernel must agree with
-it bit for bit.
+it bit for bit. ``exact_minors`` is the exact oracle for total positivity:
+every minor of the stored floats in rational arithmetic, by cofactor
+expansion.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 
-from tpds.totalpos import MINOR_REL_TOL, Classification, _irreducible
+from tpds.totalpos import MINOR_REL_TOL, Classification
+
+
+def _irreducible(A, tol=0.0):
+    """Strong connectivity of the directed graph of the nonzero pattern."""
+    n = A.shape[0]
+    adj = np.abs(A) > tol
+    np.fill_diagonal(adj, True)
+    reach = adj.copy()
+    for _ in range(n):
+        reach = reach | (reach @ adj)
+    return bool(reach.all())
 
 
 def det(sub):
@@ -89,3 +104,30 @@ def classify(A):
                     full_det_nonzero = True
     is_osc = is_tn and full_det_nonzero and _irreducible(A)
     return Classification(is_tn, is_tp, is_ssr, is_osc, witness)
+
+
+def exact_minors(A):
+    """Every minor of the square matrix A, exact, keyed by 0-based (rows, cols).
+
+    The entries are read as Fractions and scaled by the lcm of their
+    denominators, which leaves every minor's sign as it is; each order-k
+    minor is expanded along its first row into order-(k-1) minors.
+    """
+    F = [[Fraction(x) for x in row] for row in np.asarray(A, dtype=float).tolist()]
+    n = len(F)
+    den = lcm(*(x.denominator for row in F for x in row))
+    M = [[int(x * den) for x in row] for row in F]
+    minors = {((i,), (j,)): M[i][j] for i in range(n) for j in range(n)}
+    for k in range(2, n + 1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                value = 0
+                for t, c in enumerate(cols):
+                    term = M[rows[0]][c] * minors[rows[1:], cols[:t] + cols[t + 1 :]]
+                    value += -term if t % 2 else term
+                minors[rows, cols] = value
+    return minors
+
+
+def exact_is_tp(A):
+    return all(v > 0 for v in exact_minors(A).values())

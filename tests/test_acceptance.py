@@ -192,7 +192,7 @@ def test_07_constant_classification_bridge():
             i = int(rng.integers(n - 1))
             A[i + 1, i] = -rng.uniform(0.3, 1.0)
         verdict = classify_constant(A, cross_check=False)
-        flows = [classify(expm(A * t), cross_check=False) for t in times]
+        flows = [classify(expm(A * t)) for t in times]
         if verdict.is_TPDS:
             ok = ok and all(c.is_TP for c in flows)
         elif verdict.is_TNDS:

@@ -143,3 +143,15 @@ def test_floquet_stiff_spec_exits_4(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert cli.main(["floquet", str(path)]) == 4
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_simulate_stiff_spec_exits_4(tmp_path, capsys):
+    path = tmp_path / "stiff.spec"
+    path.write_text(
+        "meta: {name: stiff, n: 2, interval: [0, 10]}\n"
+        "linear:\n  segments:\n    - {t_start: 0, t_end: 10, matrix: [[-1000, 1], [1, -1000]]}\n"
+        "experiment: {z0: [1, -1], grid: 20}\n"
+    )
+    with np.errstate(all="ignore"):
+        assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x.csv")]) == 4
+    assert "non-finite" in capsys.readouterr().err

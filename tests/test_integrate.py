@@ -305,3 +305,13 @@ OVERFLOW = Segment(0.0, 1.0, [[-1.0, exprlang.parse("t * 1e308 * 10")], [1.0, -1
 def test_non_finite_transition_matrix_is_suspect(call):
     with np.errstate(all="ignore"), pytest.raises(IntegrationSuspect, match="non-finite"):
         call()
+
+
+def test_stiff_simulation_is_suspect():
+    # finite inputs whose integration overflows at the default step
+    sys = TimeVaryingSystem.constant(STIFF, (0.0, 10.0))
+    grid = np.linspace(0.0, 10.0, 50)
+    with np.errstate(all="ignore"), pytest.raises(IntegrationSuspect, match="non-finite"):
+        simulate_linear(sys, [1.0, -1.0], grid)
+    with pytest.raises(NonFiniteInput, match="z0"):
+        simulate_linear(sys, [np.nan, 1.0], grid)

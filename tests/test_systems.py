@@ -213,3 +213,10 @@ def test_classify_time_varying_non_finite_sample_raises():
     sys = TimeVaryingSystem(2, (0.0, 1.0), [Segment(0.0, 1.0, [[-1.0, e], [1.0, -1.0]])])
     with pytest.raises(NonFiniteInput, match="t=0.18"):
         classify_time_varying(sys)
+
+
+def test_periodic_system_with_nan_coefficient_raises():
+    # a nan difference compares False against the period tolerance
+    with pytest.raises(NonFiniteInput):
+        TimeVaryingSystem.constant([[0.0, 1.0], [1.0, np.nan]], (0.0, 10.0), period=1.0)
+    TimeVaryingSystem.constant([[0.0, 1.0], [1.0, 2.0]], (0.0, 10.0), period=1.0)
