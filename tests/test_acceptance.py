@@ -191,7 +191,7 @@ def test_07_constant_classification_bridge():
         elif kind == 3:
             i = int(rng.integers(n - 1))
             A[i + 1, i] = -rng.uniform(0.3, 1.0)
-        verdict = classify_constant(A, cross_check=False)
+        verdict = classify_constant(A)
         flows = [classify(expm(A * t)) for t in times]
         if verdict.is_TPDS:
             ok = ok and all(c.is_TP for c in flows)

@@ -21,7 +21,7 @@ from tpds import (
     random_tridiagonal_cooperative,
 )
 from tpds.errors import NonFiniteInput
-from tpds.totalpos import MINOR_CHUNK, _minors
+from tpds.totalpos import MINOR_CHUNK, Certificate, Classification, _minors
 
 GENERATORS = {
     "tp": random_tp,
@@ -105,6 +105,17 @@ def test_non_finite_entry_raises_everywhere(bad):
         column_set_equivalence(A[:, :2], rng=0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_subnormal_minors_raise_no_warning():
+    # numpy's stacked LU determinant of this order-4 minor raises the
+    # divide-by-zero flag; the verdict is finite and must come without a
+    # RuntimeWarning
+    A = [[0, 1, 3, 0], [5e-324, 1, 3, -1], [-1, 0, 0, 1e-300], [0, 5e-324, 5e-324, 1e-300]]
+    cls = classify(A)
+    assert cls == Classification(False, False, False, False, ((2,), (4,), -1.0))
+    assert cls.certificate == Certificate("exhaustive", ("entry", (1,), (1,), 0))
+
+
 def test_overflowing_minor_raises():
     with pytest.raises(NonFiniteInput):
         classify(np.full((2, 2), 1e200))
@@ -131,7 +142,7 @@ def test_cross_checks_raise_under_python_O():
         """
         import numpy as np
         import tpds
-        from tpds import compound, signvar, totalpos
+        from tpds import compound, signvar
         from tpds.errors import CrossCheckFailed
 
         assert False, "assertions are live"  # stripped by -O
@@ -143,8 +154,6 @@ def test_cross_checks_raise_under_python_O():
             except CrossCheckFailed:
                 fired.append(True)
 
-        totalpos.classify = lambda A: totalpos.Classification(False, False, False, False)
-        expect(lambda: totalpos.is_dominant_tridiagonal_TN(np.diag([2.0, 2.0, 2.0])))
         compound.is_metzler = lambda M: M.shape[0] > 1
         expect(lambda: compound.metzler_compound_profile(np.eye(3)))
         signvar.s_plus = lambda y, zero_tol=None: signvar.s_minus(y, zero_tol) + 1
@@ -159,4 +168,4 @@ def test_cross_checks_raise_under_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["3"]
+    assert out.stdout.split() == ["2"]

@@ -10,6 +10,7 @@ from tpds import (
     classify_time_varying,
     in_M,
     in_M_plus,
+    is_dominant_tridiagonal_TN,
     negative_minor_witness,
     random_tridiagonal_cooperative,
     shipped,
@@ -220,3 +221,24 @@ def test_periodic_system_with_nan_coefficient_raises():
     with pytest.raises(NonFiniteInput):
         TimeVaryingSystem.constant([[0.0, 1.0], [1.0, np.nan]], (0.0, 10.0), period=1.0)
     TimeVaryingSystem.constant([[0.0, 1.0], [1.0, 2.0]], (0.0, 10.0), period=1.0)
+
+
+@pytest.mark.parametrize(
+    "n, where",
+    [
+        (n, where)
+        for n in (2, 3, 7, 8)
+        for where in ("diagonal", "superdiagonal", "subdiagonal", "far")
+        if n >= 3 or where != "far"
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constant_verdicts_reject_non_finite(n, where, bad):
+    # a dominant cooperative tridiagonal: every verdict would be positive
+    A = np.diag(np.full(n, 3.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    k = n // 2
+    at = {"diagonal": (k, k), "superdiagonal": (k - 1, k), "subdiagonal": (k, k - 1), "far": (0, n - 1)}
+    A[at[where]] = bad
+    for verdict in (classify_constant, in_M, in_M_plus, is_dominant_tridiagonal_TN):
+        with pytest.raises(NonFiniteInput):
+            verdict(A)
