@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CrossCheckFailed, DimensionMismatch, OrderOutOfRange
+from .errors import DimensionMismatch, OrderOutOfRange
 from .totalpos import _minors
 
 
@@ -109,15 +109,7 @@ def is_metzler(A, tol=0.0):
 
 
 def metzler_compound_profile(A):
-    """Metzler status of every additive compound of A.
-
-    Also enforces the propagation rule: Metzler at orders 1 and 2 forces
-    Metzler at every order.
-    """
+    """Metzler status of every additive compound of A, as (order, bool) pairs."""
     A = _check_square(A)
     n = A.shape[0]
-    profile = [(p, is_metzler(add_compound(A, p).entries)) for p in range(1, n + 1)]
-    status = dict(profile)
-    if status.get(1) and status.get(2, True) and not all(ok for _, ok in profile):
-        raise CrossCheckFailed("Metzler propagation rule violated")
-    return profile
+    return [(p, is_metzler(add_compound(A, p).entries)) for p in range(1, n + 1)]

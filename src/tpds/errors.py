@@ -18,10 +18,6 @@ class NonFiniteInput(TpdsError):
     minor that came out non-finite from a non-finite matrix entry or overflow."""
 
 
-class CrossCheckFailed(TpdsError):
-    """Two independent characterizations of the same property disagree."""
-
-
 class SizeLimitExceeded(TpdsError):
     """Exhaustive minor enumeration refused for too-large matrices."""
 

@@ -4,130 +4,101 @@ Three counts are provided: ``s_minus`` (sign changes after deleting zeros),
 ``s_plus`` (maximal sign changes over all +/-1 replacements of zeros), and
 ``sigma`` (their common value on the open set V of vectors with nonzero
 first/last entries whose interior zeros sit between strict sign changes).
+All of them, and every batched caller, count with ``sign_counts``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import CrossCheckFailed, NonFiniteInput, NotInV
+from .errors import NonFiniteInput, NotInV
 
 DEFAULT_FLOAT_TOL = 1e-9
 
 
-def _resolve_tol(y, zero_tol):
-    if zero_tol is not None:
-        if zero_tol < 0:
-            raise ValueError("zero_tol must be nonnegative")
-        return zero_tol
-    arr = np.asarray(y)
-    if np.issubdtype(arr.dtype, np.integer):
-        return 0.0
-    return DEFAULT_FLOAT_TOL
+def _sign_rows(Y, zero_tol=None):
+    """-1/0/+1 signs of a float array of any leading shape, and which rows
+    are finite. A row with a nan or inf entry gets all-zero signs; the
+    caller decides whether and when it raises."""
+    if zero_tol is not None and zero_tol < 0:
+        raise ValueError("zero_tol must be nonnegative")
+    tol = DEFAULT_FLOAT_TOL if zero_tol is None else zero_tol
+    Y = np.asarray(Y, dtype=float)
+    finite = np.isfinite(Y).all(axis=-1, keepdims=True)
+    Y = np.where(finite, Y, 0.0)
+    S = np.sign(Y).astype(int)
+    S[np.abs(Y) <= tol] = 0
+    return S, finite[..., 0]
 
 
 def signs(y, zero_tol=None):
     """Classify entries into -1/0/+1 using the zero tolerance.
 
-    Integer input defaults to exact classification, float input to a
-    1e-9 absolute tolerance. A nan or infinite entry has no sign count and
-    raises NonFiniteInput.
+    The default is a 1e-9 absolute tolerance, which classifies integer
+    input exactly. A nan or infinite entry has no sign count and raises
+    NonFiniteInput.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("expected a nonempty vector")
-    tol = _resolve_tol(y, zero_tol)
-    if not all(map(math.isfinite, y.tolist())):
+    s, finite = _sign_rows(y, zero_tol)
+    if not finite:
         raise NonFiniteInput(f"vector {y.tolist()} has a non-finite entry")
-    s = np.sign(y).astype(int)
-    s[np.abs(y) <= tol] = 0
     return s
+
+
+def sign_counts(S):
+    """s_minus and s_plus of every row of a -1/0/+1 sign array, in closed form.
+
+    S has any leading shape, a single vector included, and both counts come
+    back with that shape. Only consecutive nonzero entries p < q of a row
+    matter. s_minus counts the pairs with S[p] != S[q]. The q - p - 1 zeros
+    between them can alternate all the way exactly when
+    S[p] * S[q] == (-1)**(q - p), and every other adjacent pair of a row of
+    length n can always change sign, so s_plus is n - 1 less the pairs where
+    that parity fails.
+    """
+    S = np.asarray(S)
+    n = S.shape[-1]
+    flat = S.ravel()
+    f = np.flatnonzero(flat)  # every nonzero entry, row after row
+    row = f // n
+    pair = row[1:] == row[:-1]  # f[k] and f[k + 1] are p and q of one row
+    prod = flat[f[1:]] * flat[f[:-1]]
+    parity = 1 - 2 * ((f[1:] - f[:-1]) & 1)  # (-1)**(q - p)
+    rows = flat.size // n
+    s_minus = np.bincount(row[1:][pair & (prod < 0)], minlength=rows)
+    s_plus = n - 1 - np.bincount(row[1:][pair & (prod != parity)], minlength=rows)
+    return s_minus.reshape(S.shape[:-1]), s_plus.reshape(S.shape[:-1])
 
 
 def s_minus(y, zero_tol=None):
     """Number of sign changes in ``y`` after deleting all zero entries."""
-    s = signs(y, zero_tol)
-    nz = s[s != 0]
-    if nz.size < 2:
-        return 0
-    return int(np.sum(nz[1:] != nz[:-1]))
+    return int(sign_counts(signs(y, zero_tol))[0])
 
 
 def s_plus(y, zero_tol=None):
-    """Maximal number of sign changes over all +/-1 replacements of zeros.
+    """Maximal number of sign changes over all +/-1 replacements of zeros."""
+    return int(sign_counts(signs(y, zero_tol))[1])
 
-    Linear-time dynamic program over entry signs; each zero entry may take
-    either sign, chosen to maximize the alternation count.
-    """
+
+def _sigma_or_none(y, zero_tol):
     s = signs(y, zero_tol)
-    # best[k] = max alternations so far when the previous entry took sign k
-    best = {-1: 0, 1: 0}
-    first = s[0]
-    if first != 0:
-        best[-first] = -1  # sign forced
-    for v in s[1:]:
-        choices = (-1, 1) if v == 0 else (v,)
-        new = {-1: -1, 1: -1}
-        for c in choices:
-            cand = max(
-                best[-c] + 1 if best[-c] >= 0 else -1,
-                best[c] if best[c] >= 0 else -1,
-            )
-            new[c] = cand
-        best = new
-    return max(best.values())
-
-
-def sign_counts(S):
-    """s_minus and s_plus of every row of a -1/0/+1 sign matrix at once.
-
-    One pass over the columns with all rows in step: s_minus counts changes
-    between consecutive nonzero signs, s_plus runs the dynamic program of
-    ``s_plus`` on every row. Returns two integer arrays.
-    """
-    S = np.asarray(S)
-    first = S[:, 0]
-    last = first  # latest nonzero sign of each row, 0 before the first
-    sm = np.zeros(len(S), dtype=int)
-    # best alternation count with the previous entry -1 / +1, -1 if impossible
-    bm = np.where(first == 1, -1, 0)
-    bp = np.where(first == -1, -1, 0)
-    for v in S.T[1:]:
-        sm += (v != 0) & (last != 0) & (v != last)
-        last = np.where(v != 0, v, last)
-        to_m = np.maximum(np.where(bp >= 0, bp + 1, -1), bm)
-        to_p = np.maximum(np.where(bm >= 0, bm + 1, -1), bp)
-        bm = np.where(v != 1, to_m, -1)
-        bp = np.where(v != -1, to_p, -1)
-    return sm, np.maximum(bm, bp)
+    sm, sp = sign_counts(s)
+    # V is where s_minus == s_plus; a zero end entry always makes s_plus the
+    # larger, except in a single-entry vector, where both counts are 0
+    return int(sm) if s[0] != 0 and sm == sp else None
 
 
 def in_V(y, zero_tol=None):
-    """True iff sigma extends continuously to ``y``.
-
-    Both characterizations are evaluated (nonzero endpoints with strict sign
-    changes across interior zeros, and s_minus == s_plus) and must agree.
-    """
-    s = signs(y, zero_tol)
-    direct = s[0] != 0 and s[-1] != 0
-    if direct:
-        for i in range(1, len(s) - 1):
-            if s[i] == 0 and s[i - 1] * s[i + 1] >= 0:
-                direct = False
-                break
-    if len(s) > 1:
-        # the count characterization s_minus == s_plus only separates V for
-        # n >= 2 (a single zero entry has both counts 0 yet sits outside V)
-        via_counts = s_minus(y, zero_tol) == s_plus(y, zero_tol)
-        if direct != via_counts:
-            raise CrossCheckFailed("the two V characterizations disagree")
-    return direct
+    """True iff sigma extends continuously to ``y``: s_minus(y) == s_plus(y)
+    and the first entry is nonzero."""
+    return _sigma_or_none(y, zero_tol) is not None
 
 
 def sigma(y, zero_tol=None):
     """Sign-change count on V; raises NotInV off it (no extension by fiat)."""
-    if not in_V(y, zero_tol):
+    count = _sigma_or_none(y, zero_tol)
+    if count is None:
         raise NotInV(f"vector {np.asarray(y).tolist()} is not in V")
-    return s_minus(y, zero_tol)
+    return count

@@ -27,14 +27,15 @@ DEFAULT_DELTA_FLOOR = 1e-6
 def in_M(A, tol=0.0):
     """Tridiagonal with nonnegative sub- and super-diagonal entries.
 
-    A nan or infinite entry raises NonFiniteInput.
+    Anything but a nonempty square matrix raises DimensionMismatch, and a
+    nan or infinite entry NonFiniteInput.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise DimensionMismatch("in_M expects a square matrix")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise DimensionMismatch("in_M expects a nonempty square matrix")
     if not np.isfinite(A).all():
         raise NonFiniteInput("in_M: the matrix has a nan or infinite entry")
+    n = A.shape[0]
     for i in range(n):
         for j in range(n):
             if abs(i - j) > 1 and abs(A[i, j]) > tol:
@@ -179,10 +180,10 @@ def classify_constant(A):
     (delta is its smallest off-diagonal entry), TNDS_only when A is in M,
     otherwise neither, with each far-off-diagonal nonzero and negative
     off-diagonal entry listed. A nan or infinite entry raises
-    NonFiniteInput.
+    NonFiniteInput, and anything but a nonempty square matrix
+    DimensionMismatch.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
     violations = []
     if in_M_plus(A):
         verdict = "TPDS"
@@ -193,6 +194,7 @@ def classify_constant(A):
     else:
         verdict = "neither"
         delta = None
+        n = A.shape[0]
         for i in range(n):
             for j in range(n):
                 if abs(i - j) > 1 and A[i, j] != 0:
@@ -207,11 +209,14 @@ def negative_minor_witness(A, i, j, t_grid=(1e-1, 1e-2, 1e-3, 1e-4)):
 
     Indices are 1-based. Returns (t, rows, cols, value) or None. For i > j+1
     the minor sits on rows {k,i}, columns {j,k} with j < k < i; the j > i+1
-    case is the transpose picture.
+    case is the transpose picture. A nan or infinite entry raises
+    NonFiniteInput.
     """
     from scipy.linalg import expm  # here, so that `import tpds` loads no scipy
 
     A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise NonFiniteInput("negative_minor_witness: the matrix has a nan or infinite entry")
     t_scale = 1.0 / max(1.0, np.abs(A).max())
     if i > j + 1:
         ks = range(j + 1, i)

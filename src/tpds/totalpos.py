@@ -22,11 +22,12 @@ from .errors import (
     SpectralViolation,
     ZeroVector,
 )
-from .signvar import s_minus, s_plus
+from .signvar import _sign_rows, sign_counts, signs
 
 EXHAUSTIVE_LIMIT = 10
 MINOR_REL_TOL = 1e-10
 MINOR_CHUNK = 1024  # submatrices gathered and evaluated per batch
+SVDP_CHUNK = 4096  # vectors drawn and counted per batch in strong_svdp_holds
 
 
 def _subsets(n, k):
@@ -274,14 +275,10 @@ def classify(A):
 
 def _tridiagonal_parts(A):
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotTridiagonal("matrix is not square")
-    mask = np.ones_like(A, dtype=bool)
-    for i in range(n):
-        for j in range(max(0, i - 1), min(n, i + 2)):
-            mask[i, j] = False
-    if np.any(A[mask] != 0):
+    i = np.arange(A.shape[0])
+    if np.any(A[np.abs(i[:, None] - i) > 1] != 0):
         raise NotTridiagonal("nonzero entry outside the three central diagonals")
     a = np.diag(A)
     b = np.diag(A, 1)
@@ -294,8 +291,8 @@ def is_dominant_tridiagonal_TN(A):
 
     Sufficient for TN, not necessary: True certifies a TN matrix, False
     says nothing. Nothing is enumerated. A nan or infinite entry raises
-    NonFiniteInput; an entry outside the three central diagonals raises
-    NotTridiagonal.
+    NonFiniteInput; a non-square input or an entry outside the three
+    central diagonals raises NotTridiagonal.
     """
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
@@ -386,12 +383,9 @@ def geb_factorize(A, pivot_tol=1e-12):
     upper = [F.T for F in reversed(upper_t)]
     factors = lower + [diag] + upper
 
-    P = np.eye(n)
-    for F in factors:
-        P = P @ F
+    fact = GEBFactorization(factors)
     denom = max(np.linalg.norm(A), 1e-300)
-    residual = float(np.linalg.norm(P - A) / denom)
-    fact = GEBFactorization(factors, residual)
+    fact.residual_error = float(np.linalg.norm(fact.product() - A) / denom)
     for F in factors:
         if not is_geb(F):
             raise PivotBreakdown("produced a non-GEB factor")
@@ -437,14 +431,37 @@ def _ordered_spectrum(M, error, imag_tol, zero_tol):
         v = vecs[:, k]
         v = v / np.linalg.norm(v)
         lead = v[np.abs(v) > zero_tol]
-        if lead.size and lead[0] < 0:
-            v = -v
-        vecs[:, k] = v
-        sm = s_minus(v, zero_tol)
-        sp = s_plus(v, zero_tol)
-        if sm != k or sp != k:
-            raise error(f"eigenvector {k + 1} has sign counts ({sm}, {sp}), expected {k}")
+        vecs[:, k] = -v if lead.size and lead[0] < 0 else v
+    sm, sp = sign_counts(_sign_rows(vecs.T, zero_tol)[0])
+    expected = np.arange(len(vals))
+    wrong = np.flatnonzero((sm != expected) | (sp != expected))
+    if wrong.size:
+        k = wrong[0]
+        raise error(f"eigenvector {k + 1} has sign counts ({sm[k]}, {sp[k]}), expected {k}")
     return vals, vecs
+
+
+def _svdp_counts(Sx, Sy):
+    """s-(x) and s+(y) of paired sign rows of x and y, from one sign_counts
+    call on both padded with zeros to one length: a trailing zero leaves s-
+    alone and adds exactly one to s+."""
+    n, m = Sx.shape[-1], Sy.shape[-1]
+    L = max(n, m)
+    S = np.zeros((2,) + Sx.shape[:-1] + (L,), dtype=int)
+    S[0, ..., :n] = Sx
+    S[1, ..., :m] = Sy
+    sm, sp = sign_counts(S)
+    return sm[0], sp[1] - (L - m)
+
+
+def _first_failure(Y, finite, fails):
+    """True when some row of Y fails. As when the rows were counted one at a
+    time, a row with a nan or inf entry before the first failing row raises
+    NonFiniteInput."""
+    bad = np.flatnonzero(~finite | fails)
+    if bad.size and not finite[bad[0]]:
+        raise NonFiniteInput(f"vector {Y[bad[0]].tolist()} has a non-finite entry")
+    return bool(bad.size)
 
 
 def svdp_check(A, x, zero_tol=None):
@@ -455,9 +472,10 @@ def svdp_check(A, x, zero_tol=None):
         raise ZeroVector("svdp_check requires a nonzero vector")
     if A.shape[1] != x.shape[0]:
         raise DimensionMismatch("incompatible shapes")
-    sin = s_minus(x, zero_tol)
-    sout = s_plus(A @ x, zero_tol)
-    return sin, sout, sout <= sin
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Ax raises in signs
+        y = A @ x
+    sin, sout = _svdp_counts(signs(x, zero_tol), signs(y, zero_tol))
+    return int(sin), int(sout), bool(sout <= sin)
 
 
 def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
@@ -465,7 +483,8 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
 
     For U in R^{n x m} (m < n, full column rank) checks (a) whether all
     order-m minors are nonzero with one sign and (b) whether s+(Uc) <= m-1
-    for `trials` random nonzero coefficient vectors.
+    for `trials` random nonzero coefficient vectors, drawn as one
+    (trials, m) array and counted at once.
     """
     U = np.asarray(U, dtype=float)
     n, m = U.shape
@@ -477,14 +496,15 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     same_sign = bool(np.all(np.abs(d) > thr) and (np.all(d > 0) or np.all(d < 0)))
     rng = np.random.default_rng(rng)
 
-    bound_holds = True
-    for _ in range(trials):
-        c = rng.standard_normal(m)
-        while not np.any(c):
-            c = rng.standard_normal(m)
-        if s_plus(U @ c, zero_tol) > m - 1:
-            bound_holds = False
-            break
+    C = rng.standard_normal((max(trials, 0), m))
+    zero = ~C.any(axis=1)
+    while zero.any():  # every coefficient vector must be nonzero
+        C[zero] = rng.standard_normal((int(zero.sum()), m))
+        zero = ~C.any(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _first_failure
+        Y = (U @ C[..., None])[..., 0]  # row by row as U @ c rounds; C @ U.T does not
+    S, finite = _sign_rows(Y, zero_tol)
+    bound_holds = not _first_failure(Y, finite, sign_counts(S)[1] > m - 1)
     return same_sign, bound_holds
 
 
@@ -492,8 +512,9 @@ def strong_svdp_holds(A, rng=None, vectors_per_pattern=20, zero_tol=None):
     """Randomized verification of s+(Ax) <= s-(x) over all sign patterns.
 
     Enumerates every nonzero sign pattern in {-1,0,+1}^n and draws random
-    magnitudes for the nonzero slots. Returns False as soon as a violating
-    vector is found.
+    magnitudes for the nonzero slots, pattern by pattern, SVDP_CHUNK
+    vectors per batch. Returns False after the first batch that holds a
+    violating vector.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
@@ -501,12 +522,15 @@ def strong_svdp_holds(A, rng=None, vectors_per_pattern=20, zero_tol=None):
     patterns = np.stack(
         np.meshgrid(*([np.array([-1, 0, 1])] * n), indexing="ij"), axis=-1
     ).reshape(-1, n)
-    for pat in patterns:
-        if not np.any(pat):
-            continue
-        for _ in range(vectors_per_pattern):
-            x = pat * rng.uniform(0.1, 2.0, size=n)
-            _, _, ok = svdp_check(A, x, zero_tol)
-            if not ok:
-                return False
+    patterns = patterns[patterns.any(axis=1)]
+    total = len(patterns) * vectors_per_pattern
+    for start in range(0, total, SVDP_CHUNK):
+        rows = np.arange(start, min(start + SVDP_CHUNK, total))
+        X = patterns[rows // vectors_per_pattern] * rng.uniform(0.1, 2.0, size=(len(rows), n))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by _first_failure
+            Y = (A @ X[..., None])[..., 0]  # row by row as A @ x rounds; X @ A.T does not
+        Sy, finite = _sign_rows(Y, zero_tol)
+        sin, sout = _svdp_counts(_sign_rows(X, zero_tol)[0], Sy)
+        if _first_failure(Y, finite, sout > sin):
+            return False
     return True

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import signvar_reference as ref
 from tpds import (
     Segment,
     TimeVaryingSystem,
@@ -14,8 +15,6 @@ from tpds import (
     floquet,
     integrate,
     random_tpds_system,
-    s_minus,
-    s_plus,
     shipped,
     shipped_names,
     simulate_linear,
@@ -215,15 +214,16 @@ def test_memoised_integration_matches_unmemoised():
 
 def trajectory_reference(times, states):
     """The per-sample loop Trajectory replaced: running tolerance, s_minus and
-    s_plus of each sample, exceptional clusters."""
+    s_plus of each sample (from the reference counts), exceptional clusters."""
     zero_tols, sm, sp, flags, clusters = [], [], [], [], []
     running, last_bad = 0.0, None
     for k, z in enumerate(states):
         running = max(running, float(np.max(np.abs(z))))
         tol = TRAJ_ZERO_REL_TOL * running
         zero_tols.append(tol)
-        sm.append(s_minus(z, tol))
-        sp.append(s_plus(z, tol))
+        counts = ref.counts(z, tol)
+        sm.append(counts[0])
+        sp.append(counts[1])
         flags.append(sm[-1] == sp[-1])
         if not flags[-1]:
             if last_bad is None or k - last_bad >= CLUSTER_GAP:

@@ -1,10 +1,5 @@
 """The batched minor kernel against the per-minor reference, and its input checks."""
 
-import os
-import subprocess
-import sys
-import textwrap
-
 import numpy as np
 import pytest
 
@@ -133,39 +128,3 @@ def test_cli_maps_kernel_error_to_assertion_exit(tmp_path):
     path.write_text("2 2\n1e200 1e200\n1e200 1e200\n")
     assert cli.main(["check", str(path)]) == cli.EXIT_ASSERTION
     assert cli.main(["compound", str(path), "2", "--multiplicative"]) == cli.EXIT_ASSERTION
-
-
-def test_cross_checks_raise_under_python_O():
-    # each inner oracle is forced to disagree; the check must still fire
-    # with assertions compiled out
-    script = textwrap.dedent(
-        """
-        import numpy as np
-        import tpds
-        from tpds import compound, signvar
-        from tpds.errors import CrossCheckFailed
-
-        assert False, "assertions are live"  # stripped by -O
-        fired = []
-
-        def expect(call):
-            try:
-                call()
-            except CrossCheckFailed:
-                fired.append(True)
-
-        compound.is_metzler = lambda M: M.shape[0] > 1
-        expect(lambda: compound.metzler_compound_profile(np.eye(3)))
-        signvar.s_plus = lambda y, zero_tol=None: signvar.s_minus(y, zero_tol) + 1
-        expect(lambda: signvar.in_V([1.0, -1.0]))
-        print(len(fired))
-        """
-    )
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["2"]

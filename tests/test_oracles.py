@@ -10,6 +10,9 @@ characterisations:
 - Smith: a tridiagonal matrix with nonnegative off-diagonals and
   a_i >= b_i + c_{i-1} is TN, which the exhaustive ``classify`` must agree
   with.
+- Metzler propagation: a matrix whose first and second additive compounds
+  are Metzler has a Metzler additive compound at every order
+  (``metzler_compound_profile``).
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ from tpds import (
     classify,
     classify_constant,
     is_dominant_tridiagonal_TN,
+    metzler_compound_profile,
     negative_minor_witness,
     random_tridiagonal_cooperative,
 )
@@ -120,3 +124,24 @@ def test_dominance_implies_exhaustive_tn(n):
             dominant += 1
             assert classify(A).is_TN, A
     assert dominant >= 10
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_metzler_at_orders_one_and_two_is_metzler_at_every_order(n):
+    rng = np.random.default_rng([83, n])
+    propagated = 0
+    for k in range(40):
+        # off-diagonals mostly positive, some zero, a few negative
+        off = rng.uniform(0.0, 1.0, (2, n - 1)) * rng.choice(
+            [0.0, 1.0, -1.0], (2, n - 1), p=[0.2, 0.7, 0.1]
+        )
+        tri = np.diag(rng.standard_normal(n)) + np.diag(off[0], 1) + np.diag(off[1], -1)
+        dense = rng.standard_normal((n, n))
+        metzler = np.abs(dense) * (1 - 2 * np.eye(n))
+        for A in (tri, dense, metzler):
+            status = dict(metzler_compound_profile(A))
+            assert sorted(status) == list(range(1, n + 1))
+            if status[1] and status.get(2, True):
+                propagated += 1
+                assert all(status.values()), A
+    assert propagated >= 10

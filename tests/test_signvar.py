@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import signvar_reference as ref
 from tpds import in_V, s_minus, s_plus, sigma, signs, strong_svdp_holds, svdp_check
 from tpds.errors import NonFiniteInput, NotInV
 from tpds.signvar import sign_counts
@@ -94,6 +96,14 @@ def test_sigma_near_boundary_of_V():
     assert sigma([-1.0, -1e-3, 2.0]) == 1
 
 
+def test_single_entry_V_membership():
+    # one entry: both counts are 0, and only a nonzero entry is in V
+    assert in_V([2.0]) and in_V([-1]) and sigma([3.0]) == 0
+    assert not in_V([0.0])
+    with pytest.raises(NotInV):
+        sigma([0.0])
+
+
 def test_exhaustive_V_membership_small_n():
     """in_V agrees with the defining conditions over all sign patterns."""
     for n in (2, 3, 4, 5, 6):
@@ -141,15 +151,12 @@ def test_count_ordering_and_range(pattern):
     assert 0 <= s_minus(y) <= s_plus(y) <= n - 1
 
 
-def _per_vector_counts(S):
-    return [s_minus(s, 0.0) for s in S], [s_plus(s, 0.0) for s in S]
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sign_counts_every_pattern(n):
     S = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
     sm, sp = sign_counts(S)
-    assert (sm.tolist(), sp.tolist()) == _per_vector_counts(S)
+    want_sm, want_sp = ref.sign_counts(S)
+    assert (sm.tolist(), sp.tolist()) == (want_sm.tolist(), want_sp.tolist())
 
 
 def test_sign_counts_random_patterns():
@@ -158,4 +165,27 @@ def test_sign_counts_random_patterns():
         S = rng.integers(-1, 2, size=(3000, n))
         S[::7] = 0
         sm, sp = sign_counts(S)
-        assert (sm.tolist(), sp.tolist()) == _per_vector_counts(S)
+        want_sm, want_sp = ref.sign_counts(S)
+        assert (sm.tolist(), sp.tolist()) == (want_sm.tolist(), want_sp.tolist())
+
+
+leading_shapes = st.one_of(
+    st.just(()), st.tuples(st.integers(1, 4)), st.tuples(st.integers(1, 3), st.integers(1, 3))
+)
+sign_stacks = st.tuples(leading_shapes, st.integers(1, 12)).flatmap(
+    lambda shape: arrays(np.int64, shape[0] + (shape[1],), elements=st.integers(-1, 1))
+)
+
+
+@settings(deadline=None)  # the exhaustive oracle takes up to 2^12 replacements a row
+@given(sign_stacks)
+def test_sign_counts_any_stack_matches_reference_and_bruteforce(S):
+    """The closed form keeps the leading shape and agrees row by row with
+    the column-loop reference and with exhaustive +/-1 replacement."""
+    sm, sp = sign_counts(S)
+    assert np.shape(sm) == np.shape(sp) == S.shape[:-1]
+    rows = S.reshape(-1, S.shape[-1])
+    want_sm, want_sp = ref.sign_counts(rows)
+    assert np.ravel(sm).tolist() == want_sm.tolist()
+    assert np.ravel(sp).tolist() == want_sp.tolist()
+    assert np.ravel(sp).tolist() == [s_plus_bruteforce(row) for row in rows]

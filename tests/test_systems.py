@@ -15,7 +15,7 @@ from tpds import (
     random_tridiagonal_cooperative,
     shipped,
 )
-from tpds.errors import EmptySegments, NonFiniteInput, OutOfInterval, SpecFileError
+from tpds.errors import DimensionMismatch, EmptySegments, NonFiniteInput, OutOfInterval, SpecFileError
 from tpds.systems import SystemClass, offdiag_min
 
 
@@ -241,4 +241,20 @@ def test_constant_verdicts_reject_non_finite(n, where, bad):
     A[at[where]] = bad
     for verdict in (classify_constant, in_M, in_M_plus, is_dominant_tridiagonal_TN):
         with pytest.raises(NonFiniteInput):
+            verdict(A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(2, 0), (2, 2)])
+def test_negative_minor_witness_rejects_non_finite(bad, at):
+    A = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.5, 1.0, -1.0]])
+    A[at] = bad
+    with pytest.raises(NonFiniteInput):
+        negative_minor_witness(A, 3, 1)
+
+
+@pytest.mark.parametrize("A", [np.zeros((0, 0)), np.zeros((2, 3)), np.ones(3), np.float64(1.0)])
+def test_constant_verdicts_reject_non_square_and_empty(A):
+    for verdict in (classify_constant, in_M, in_M_plus):
+        with pytest.raises(DimensionMismatch):
             verdict(A)

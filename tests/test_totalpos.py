@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import signvar_reference as ref
+from tpds import totalpos
 from tpds import (
     classify,
     column_set_equivalence,
@@ -11,6 +13,7 @@ from tpds import (
     is_geb,
     minor,
     oscillatory_spectrum,
+    random_nonsingular,
     random_tn,
     random_tp,
     strong_svdp_holds,
@@ -196,3 +199,113 @@ def test_column_set_equivalence_preconditions():
         column_set_equivalence(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         column_set_equivalence(np.eye(2))
+
+
+def outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the exception type and message are the outcome
+        return type(exc).__name__, str(exc)
+
+
+def test_column_set_bound_matches_per_trial_loop():
+    """One (trials, m) draw counted at once gives the per-trial loop's
+    answer, including a column whose products overflow on some trials:
+    a non-finite product raises only when it comes before the first
+    violation."""
+    for seed in range(100):
+        rng = np.random.default_rng([seed, 1])
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, n))
+        U = [random_tp(n, rng=seed), random_tn(n, rng=seed), rng.standard_normal((n, n))][seed % 3][:, :m]
+        trials = [200, 37, 0, 300][seed % 4]
+        zero_tol = [None, 1e-3][seed % 2]
+        got = outcome(lambda: column_set_equivalence(U, trials, seed, zero_tol)[1])
+        assert got == outcome(lambda: ref.column_set_bound_reference(U, trials, seed, zero_tol)), seed
+    seen = set()
+    for seed in range(20):
+        for column in ([1e308, -1e308, 1.0], [1e308, 1e308, 1.0]):
+            U = np.array(column)[:, None]
+            got = outcome(lambda: column_set_equivalence(U, rng=seed)[1])
+            assert got == outcome(lambda: ref.column_set_bound_reference(U, rng=seed)), (seed, column)
+            seen.add(got if isinstance(got, bool) else got[0])
+    assert seen == {False, "NonFiniteInput"}
+
+
+def test_strong_svdp_matches_per_vector_loop():
+    for seed in range(16):
+        rng = np.random.default_rng([seed, 2])
+        n = int(rng.integers(2, 5))
+        A = [random_tp(n, rng=seed), random_tn(n, rng=seed), random_nonsingular(n, rng=seed)][seed % 3]
+        if seed % 4 == 3:
+            A = np.abs(rng.standard_normal((n + 1, n)))  # not square
+        vpp = [20, 3, 1, 6][seed % 4]
+        got = outcome(lambda: strong_svdp_holds(A, seed, vpp))
+        assert got == outcome(lambda: ref.strong_svdp_reference(A, seed, vpp)), seed
+    outcomes = set()
+    for A in ([[1e308, 1e308], [1.0, 2.0]], [[1e308, -1e308], [1.0, 1.0]]):
+        for seed in range(3):
+            got = outcome(lambda: strong_svdp_holds(A, rng=seed))
+            assert got == outcome(lambda: ref.strong_svdp_reference(A, rng=seed)), (A, seed)
+            outcomes.add(got if isinstance(got, bool) else got[0])
+    assert outcomes == {False, "NonFiniteInput"}
+
+
+def test_svdp_check_on_non_square_matrices():
+    rng = np.random.default_rng(8)
+    for shape in ((2, 4), (4, 2), (3, 3), (1, 3), (3, 1)):
+        for _ in range(30):
+            A = rng.standard_normal(shape)
+            x = rng.choice([-1.0, 0.0, 2.0], size=shape[1])
+            if not x.any():
+                continue
+            sin, sout, ok = svdp_check(A, x)
+            assert (sin, sout) == (ref.counts(x)[0], ref.counts(A @ x)[1])
+            assert ok == (sout <= sin)
+
+
+def test_dominance_rejects_a_vector():
+    with pytest.raises(NotTridiagonal):
+        is_dominant_tridiagonal_TN([1.0, 2.0])
+
+
+def test_geb_residual_is_that_of_the_product_from_the_identity():
+    for n, A in ((3, random_tp(3, rng=4)), (5, random_tn(5, rng=6))):
+        fact = geb_factorize(A)
+        P = np.eye(n)
+        for F in fact.factors:
+            P = P @ F
+        want = float(np.linalg.norm(P - A) / max(np.linalg.norm(A), 1e-300))
+        assert fact.residual_error.hex() == want.hex()
+
+
+def test_ordered_spectrum_checks_both_counts_of_each_eigenvector():
+    # eigenvector 2 is (1, -1, 0): one sign change, but two once its zero
+    # end entry may take either sign
+    V = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [1.0, 0.0, 1.0]])
+    M = V @ np.diag([3.0, 2.0, 1.0]) @ np.linalg.inv(V)
+    with pytest.raises(SpectralViolation, match=r"eigenvector 2 has sign counts \(1, 2\), expected 1"):
+        totalpos._ordered_spectrum(M, SpectralViolation, 1e-8, 1e-8)
+
+
+def test_sampled_products_round_as_one_vector_at_a_time(monkeypatch):
+    """The batched checks form U @ c and A @ x exactly as the per-vector
+    loop did, so a sign at the zero tolerance cannot flip."""
+    seen = []
+
+    def spy(Y, zero_tol=None):
+        seen.append(np.array(Y))
+        return sign_rows(Y, zero_tol)
+
+    sign_rows = totalpos._sign_rows
+    monkeypatch.setattr(totalpos, "_sign_rows", spy)
+    rng = np.random.default_rng(12)
+    U = rng.standard_normal((6, 3))
+    column_set_equivalence(U, trials=500, rng=4)
+    draws = np.random.default_rng(4).standard_normal((500, 3))
+    assert seen[-1].tobytes() == np.array([U @ c for c in draws]).tobytes()
+    A = rng.standard_normal((4, 3))
+    strong_svdp_holds(A, rng=5, vectors_per_pattern=2)
+    patterns = np.array([p for p in np.ndindex(3, 3, 3) if p != (1, 1, 1)]) - 1
+    X = np.repeat(patterns, 2, axis=0) * np.random.default_rng(5).uniform(0.1, 2.0, (52, 3))
+    assert seen[-2].tobytes() == np.array([A @ x for x in X]).tobytes()
