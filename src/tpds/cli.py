@@ -155,71 +155,69 @@ def _write_rows(path, header, rows):
         w.writerows(rows)
 
 
+def _figure_sigma_switched(outdir):
+    spec = specfile.shipped("switched")
+    z0 = np.asarray(spec.experiment["z0"], dtype=float)
+    traj = simulate_linear(spec.system, z0, _linear_grid(spec.system, spec.experiment), tpds=True)
+    traj.to_csv(os.path.join(outdir, "sigma_switched.csv"))
+    flagged = zip(traj.times, traj.sigma_minus, traj.in_V_flags)
+    rows = [(f"{t:.10g}", sm) for t, sm, ok in flagged if ok]
+    _write_rows(os.path.join(outdir, "sigma_switched_plot.dat"), ["t", "sigma"], rows)
+
+
+def _figure_floquet_sinusoidal(outdir):
+    spec = specfile.shipped("sinusoidal2")
+    n, step = spec.system.n, 5e-4 * spec.system.period
+    fd = floquet(spec.system, step=step)
+    rows = [
+        [k + 1, f"{fd.multipliers[k]:.10g}", fd.sign_counts[k]]
+        + [f"{v:.10g}" for v in fd.eigvecs[:, k]]
+        for k in range(n)
+    ]
+    header = ["k", "multiplier", "sign_changes"] + [f"v{i + 1}" for i in range(n)]
+    _write_rows(os.path.join(outdir, "floquet_sinusoidal.csv"), header, rows)
+    traj = floquet_mode_evolution(
+        spec.system, fd, {1: 1.0, 2: 10.0}, horizon=10 * fd.period, step=step
+    )
+    traj.to_csv(os.path.join(outdir, "floquet_sinusoidal_modes.csv"))
+
+
+def _figure_takac(outdir):
+    spec = specfile.shipped("takac")
+    res = poincare_analysis(spec.system, np.asarray(spec.experiment["x0"], dtype=float))
+    rows = [
+        [k]
+        + [f"{v:.10g}" for v in x]
+        + [f"{res.residuals[k]:.3e}" if k < len(res.residuals) else ""]
+        for k, x in enumerate(res.iterates)
+    ]
+    header = ["k"] + [f"x{i + 1}" for i in range(spec.system.n)] + ["residual"]
+    _write_rows(os.path.join(outdir, "takac_iterates.csv"), header, rows)
+
+
+def _figure_spectrum_tp3(outdir):
+    A = np.array([[5, 4, 1], [4, 6, 4], [1, 4, 5]], dtype=float)
+    rows = [
+        [k + 1, f"{lam:.10g}", count] + [f"{v:.10g}" for v in vec]
+        for k, (lam, vec, count) in enumerate(oscillatory_spectrum(A))
+    ]
+    header = ["k", "eigenvalue", "sign_changes", "v1", "v2", "v3"]
+    _write_rows(os.path.join(outdir, "spectrum_tp3.csv"), header, rows)
+
+
+FIGURES = {
+    "sigma-switched": _figure_sigma_switched,
+    "floquet-sinusoidal": _figure_floquet_sinusoidal,
+    "takac": _figure_takac,
+    "spectrum-tp3": _figure_spectrum_tp3,
+}
+
+
 def cmd_reproduce(args):
     outdir = _outdir(args)
-    fig = args.figure
-    if fig == "sigma-switched":
-        spec = specfile.shipped("switched")
-        grid = _linear_grid(spec.system, spec.experiment)
-        traj = simulate_linear(
-            spec.system, np.asarray(spec.experiment["z0"], dtype=float), grid, tpds=True
-        )
-        traj.to_csv(os.path.join(outdir, "sigma_switched.csv"))
-        _write_rows(
-            os.path.join(outdir, "sigma_switched_plot.dat"),
-            ["t", "sigma"],
-            [
-                (f"{t:.10g}", sm)
-                for t, sm, ok in zip(traj.times, traj.sigma_minus, traj.in_V_flags)
-                if ok
-            ],
-        )
-    elif fig == "floquet-sinusoidal":
-        spec = specfile.shipped("sinusoidal2")
-        fd = floquet(spec.system, step=5e-4 * spec.system.period)
-        _write_rows(
-            os.path.join(outdir, "floquet_sinusoidal.csv"),
-            ["k", "multiplier", "sign_changes"] + [f"v{i + 1}" for i in range(spec.system.n)],
-            [
-                [k + 1, f"{fd.multipliers[k]:.10g}", fd.sign_counts[k]]
-                + [f"{v:.10g}" for v in fd.eigvecs[:, k]]
-                for k in range(spec.system.n)
-            ],
-        )
-        traj = floquet_mode_evolution(
-            spec.system, fd, {1: 1.0, 2: 10.0}, horizon=10 * fd.period,
-            step=5e-4 * spec.system.period,
-        )
-        traj.to_csv(os.path.join(outdir, "floquet_sinusoidal_modes.csv"))
-    elif fig == "takac":
-        spec = specfile.shipped("takac")
-        res = poincare_analysis(spec.system, np.asarray(spec.experiment["x0"], dtype=float))
-        _write_rows(
-            os.path.join(outdir, "takac_iterates.csv"),
-            ["k"] + [f"x{i + 1}" for i in range(spec.system.n)] + ["residual"],
-            [
-                [k]
-                + [f"{v:.10g}" for v in res.iterates[k]]
-                + [f"{res.residuals[k]:.3e}" if k < len(res.residuals) else ""]
-                for k in range(len(res.iterates))
-            ],
-        )
-    elif fig == "spectrum-tp3":
-        A = np.array([[5, 4, 1], [4, 6, 4], [1, 4, 5]], dtype=float)
-        spectrum = oscillatory_spectrum(A)
-        _write_rows(
-            os.path.join(outdir, "spectrum_tp3.csv"),
-            ["k", "eigenvalue", "sign_changes", "v1", "v2", "v3"],
-            [
-                [k + 1, f"{lam:.10g}", count] + [f"{v:.10g}" for v in vec]
-                for k, (lam, vec, count) in enumerate(spectrum)
-            ],
-        )
-    else:
-        raise UnknownFigure(
-            f"unknown figure {fig!r}; choose from sigma-switched, "
-            "floquet-sinusoidal, takac, spectrum-tp3"
-        )
+    if args.figure not in FIGURES:
+        raise UnknownFigure(f"unknown figure {args.figure!r}; choose from {', '.join(FIGURES)}")
+    FIGURES[args.figure](outdir)
     print(f"figure data written under {outdir}")
     return EXIT_OK
 
@@ -271,10 +269,7 @@ def build_parser():
     p.set_defaults(func=cmd_entrain)
 
     p = sub.add_parser("reproduce", help="write figure-backing data files")
-    p.add_argument(
-        "figure",
-        help="one of sigma-switched, floquet-sinusoidal, takac, spectrum-tp3",
-    )
+    p.add_argument("figure", help="one of " + ", ".join(FIGURES))
     p.add_argument("--outdir")
     p.set_defaults(func=cmd_reproduce)
 

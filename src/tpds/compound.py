@@ -101,11 +101,9 @@ def add_compound(A, p):
     return CompoundMatrix(n, p, out.reshape(m, m), list(labels))
 
 
-def is_metzler(A, tol=0.0):
+def is_metzler(A):
     A = np.asarray(A, dtype=float)
-    off = A.copy()
-    np.fill_diagonal(off, np.inf)
-    return bool(np.all(off >= -tol))
+    return bool(np.all((A >= 0) | np.eye(*A.shape, dtype=bool)))
 
 
 def metzler_compound_profile(A):

@@ -22,7 +22,7 @@ from .errors import (
     OutOfInterval,
     TrivialSolution,
 )
-from .signvar import sign_counts
+from .signvar import v_counts
 
 DET_REL_TOL = 1e-6
 TRAJ_ZERO_REL_TOL = 1e-8
@@ -148,8 +148,9 @@ class Trajectory:
 
     Everything past (times, states) is computed from them. Each sample's
     zero tolerance is TRAJ_ZERO_REL_TOL times the largest |entry| seen up
-    to it; non-V samples less than CLUSTER_GAP samples apart form one
-    exceptional cluster, recorded by the time of its first sample. The
+    to it, and its V flag follows ``in_V`` (``signvar.v_counts``); non-V
+    samples less than CLUSTER_GAP samples apart form one exceptional
+    cluster, recorded by the time of its first sample. The
     counts of all samples come from one sign matrix; a sample with a nan or
     inf entry raises NonFiniteInput.
     """
@@ -172,14 +173,14 @@ class Trajectory:
         tols = TRAJ_ZERO_REL_TOL * np.maximum.accumulate(mag.max(axis=1))
         S = np.sign(y).astype(int)
         S[mag <= tols[:, None]] = 0
-        sm, sp = sign_counts(S)
+        sm, sp, in_v = v_counts(S)
         self.zero_tols = tols.tolist()
         self.sigma_minus = sm.tolist()
         self.sigma_plus = sp.tolist()
-        self.in_V_flags = (sm == sp).tolist()
+        self.in_V_flags = in_v.tolist()
         self.exceptional_times = []
         last_bad = None
-        for k in np.flatnonzero(sm != sp).tolist():
+        for k in np.flatnonzero(~in_v).tolist():
             if last_bad is None or k - last_bad >= CLUSTER_GAP:
                 self.exceptional_times.append(self.times[k])
             last_bad = k
@@ -209,9 +210,10 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
 
     With tpds=True the monotonicity contract is enforced: s_plus and s_minus
     must be non-increasing sample to sample and at most n-1 exceptional
-    clusters of non-V samples may occur. A non-finite z0 raises
-    NonFiniteInput; a state that turns non-finite on the way (a stiff or
-    overflowing system at this step) raises IntegrationSuspect.
+    clusters of non-V samples may occur. A grid that decreases or leaves
+    [a, b] by more than segment_index's 1e-12 raises OutOfInterval, a
+    non-finite z0 NonFiniteInput, and a state that turns non-finite on the
+    way (a stiff or overflowing system at this step) IntegrationSuspect.
     """
     z0 = np.asarray(z0, dtype=float)
     if not np.any(z0):
@@ -219,6 +221,9 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     if not np.isfinite(z0).all():
         raise NonFiniteInput(f"z0 {z0.tolist()} has a non-finite entry")
     grid = np.asarray(grid, dtype=float)
+    a, b = sys.interval
+    if not (np.all(np.diff(grid) >= 0) and np.all((a - 1e-12 <= grid) & (grid <= b + 1e-12))):
+        raise OutOfInterval(f"the grid must be nondecreasing within [{a}, {b}]")
     if step is None:
         step = default_step(sys)
     states = [z0]

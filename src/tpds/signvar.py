@@ -82,23 +82,24 @@ def s_plus(y, zero_tol=None):
     return int(sign_counts(signs(y, zero_tol))[1])
 
 
-def _sigma_or_none(y, zero_tol):
-    s = signs(y, zero_tol)
-    sm, sp = sign_counts(s)
-    # V is where s_minus == s_plus; a zero end entry always makes s_plus the
-    # larger, except in a single-entry vector, where both counts are 0
-    return int(sm) if s[0] != 0 and sm == sp else None
+def v_counts(S):
+    """s_minus, s_plus and the V flag of every row of a -1/0/+1 sign array:
+    a row is in V when its first entry is nonzero and s_minus == s_plus.
+    (A zero end entry already makes s_plus the larger, except in a
+    single-entry row, where both counts are 0.)"""
+    sm, sp = sign_counts(S)
+    return sm, sp, (np.asarray(S)[..., 0] != 0) & (sm == sp)
 
 
 def in_V(y, zero_tol=None):
     """True iff sigma extends continuously to ``y``: s_minus(y) == s_plus(y)
     and the first entry is nonzero."""
-    return _sigma_or_none(y, zero_tol) is not None
+    return bool(v_counts(signs(y, zero_tol))[2])
 
 
 def sigma(y, zero_tol=None):
     """Sign-change count on V; raises NotInV off it (no extension by fiat)."""
-    count = _sigma_or_none(y, zero_tol)
-    if count is None:
+    sm, _, in_v = v_counts(signs(y, zero_tol))
+    if not in_v:
         raise NotInV(f"vector {np.asarray(y).tolist()} is not in V")
-    return count
+    return int(sm)

@@ -8,6 +8,7 @@ verified by dense sampling, with the sampling density part of the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,46 +25,54 @@ PERIOD_CHECK_TOL = 1e-10
 DEFAULT_DELTA_FLOOR = 1e-6
 
 
-def in_M(A, tol=0.0):
-    """Tridiagonal with nonnegative sub- and super-diagonal entries.
+@lru_cache(maxsize=None)
+def _bands(n):
+    """Masks of the far (|i - j| > 1) and near (|i - j| == 1) entries of n x n."""
+    d = abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    far, near = d > 1, d == 1
+    far.flags.writeable = near.flags.writeable = False  # shared through the cache
+    return far, near
 
-    Anything but a nonempty square matrix raises DimensionMismatch, and a
-    nan or infinite entry NonFiniteInput.
-    """
+
+def _membership(As):
+    """The M rule for a (..., n, n) stack: the entries that keep each matrix
+    out of M (far-off-diagonal nonzeros, negative off-diagonals), and each
+    matrix's smallest off-diagonal entry (the subdiagonal's on a tie, inf when
+    n == 1). In M means an empty mask; in M+, that and a positive minimum."""
+    far, near = _bands(As.shape[-1])
+    bad = (far & (As != 0)) | (near & (As < 0))
+    sub = As.diagonal(-1, -2, -1).min(axis=-1, initial=np.inf)
+    sup = As.diagonal(1, -2, -1).min(axis=-1, initial=np.inf)
+    return bad, np.where(sup < sub, sup, sub)
+
+
+def _checked_membership(A, name):
+    """_membership of one nonempty square finite matrix, the minimum a float."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-        raise DimensionMismatch("in_M expects a nonempty square matrix")
+        raise DimensionMismatch(f"{name} expects a nonempty square matrix")
     if not np.isfinite(A).all():
-        raise NonFiniteInput("in_M: the matrix has a nan or infinite entry")
-    n = A.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1 and abs(A[i, j]) > tol:
-                return False
-            if abs(i - j) == 1 and A[i, j] < -tol:
-                return False
-    return True
+        raise NonFiniteInput(f"{name}: the matrix has a nan or infinite entry")
+    bad, low = _membership(A)
+    return bad, float(low)
 
 
-def in_M_plus(A, strict_floor=0.0):
-    """As in_M but with strictly positive off-diagonals (above strict_floor);
-    a nan or infinite entry raises NonFiniteInput."""
-    A = np.asarray(A, dtype=float)
-    if not in_M(A):
-        return False
-    n = A.shape[0]
-    sub = np.diag(A, -1)
-    sup = np.diag(A, 1)
-    if n == 1:
-        return True
-    return bool(np.all(sub > strict_floor) and np.all(sup > strict_floor))
+def in_M(A):
+    """Tridiagonal with nonnegative off-diagonals. Anything but a nonempty
+    square matrix raises DimensionMismatch, a nan or inf entry NonFiniteInput."""
+    return not _checked_membership(A, "in_M")[0].any()
+
+
+def in_M_plus(A):
+    """As in_M but with strictly positive off-diagonals; a nan or infinite
+    entry raises NonFiniteInput."""
+    bad, low = _checked_membership(A, "in_M_plus")
+    return not bad.any() and low > 0
 
 
 def offdiag_min(A):
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] == 1:
-        return np.inf
-    return float(min(np.diag(A, -1).min(), np.diag(A, 1).min()))
+    """Smallest off-diagonal entry (inf for 1 x 1), checked as in in_M."""
+    return _checked_membership(A, "offdiag_min")[1]
 
 
 @dataclass
@@ -184,24 +193,16 @@ def classify_constant(A):
     DimensionMismatch.
     """
     A = np.asarray(A, dtype=float)
-    violations = []
-    if in_M_plus(A):
-        verdict = "TPDS"
-        delta = offdiag_min(A)
-    elif in_M(A):
-        verdict = "TNDS_only"
-        delta = None
-    else:
-        verdict = "neither"
-        delta = None
-        n = A.shape[0]
-        for i in range(n):
-            for j in range(n):
-                if abs(i - j) > 1 and A[i, j] != 0:
-                    violations.append((None, f"a[{i + 1},{j + 1}]={A[i, j]} nonzero"))
-                if abs(i - j) == 1 and A[i, j] < 0:
-                    violations.append((None, f"a[{i + 1},{j + 1}]={A[i, j]} negative"))
-    return SystemClass(verdict, delta, violations)
+    bad, low = _checked_membership(A, "classify_constant")
+    if bad.any():
+        violations = [
+            (None, f"a[{i + 1},{j + 1}]={A[i, j]} {'nonzero' if abs(i - j) > 1 else 'negative'}")
+            for i, j in np.argwhere(bad).tolist()
+        ]
+        return SystemClass("neither", None, violations)
+    if low > 0:
+        return SystemClass("TPDS", low, [])
+    return SystemClass("TNDS_only", None, [])
 
 
 def negative_minor_witness(A, i, j, t_grid=(1e-1, 1e-2, 1e-3, 1e-4)):
@@ -247,36 +248,32 @@ def classify_time_varying(sys, grid=1000, delta_floor=DEFAULT_DELTA_FLOOR):
     sample in M; TPDS additionally requires every off-diagonal sample at or
     above delta_floor. This is a sampled verification of an almost-everywhere
     condition; no measure-zero claims are made. A non-finite sample raises
-    NonFiniteInput.
+    NonFiniteInput, and a grid that puts no sample inside (a, b) EmptySegments.
     """
-    if not sys.segments:
-        raise EmptySegments("no segments to sample")
     a, b = sys.interval
     n = sys.n
-    i, j = np.indices((n, n))
-    far, near = abs(i - j) > 1, abs(i - j) == 1
     ts, mats = [], []
     for seg in sys.segments:
         seg_ts = np.linspace(seg.t_start, seg.t_end, grid, endpoint=False)
         seg_ts = seg_ts[seg_ts > a]
         ts.append(seg_ts)
         mats.extend(seg.matrix_at(t) for t in seg_ts)
+    if not mats:  # no segment, or a grid too coarse to reach inside (a, b)
+        raise EmptySegments(f"no sample lies inside ({a}, {b}) at grid={grid}")
     ts = np.concatenate(ts)
     As = np.array(mats).reshape(len(ts), n, n)
     finite = np.isfinite(As).all(axis=(1, 2))
     if not finite.all():
         t = float(ts[np.argmin(finite)])
         raise NonFiniteInput(f"A(t) has a non-finite entry at t={t}")
-    in_m = ~((np.abs(As[:, far]) > 0).any(axis=1) | (As[:, near] < 0).any(axis=1))
-    if not in_m.all():
-        return SystemClass("neither", None, [(t, "A(t) not in M") for t in ts[~in_m].tolist()])
-    sub = np.diagonal(As, -1, 1, 2).min(axis=1, initial=np.inf)
-    sup = np.diagonal(As, 1, 1, 2).min(axis=1, initial=np.inf)
-    # offdiag_min per sample, and their running min in sample order (the
-    # first of equal values, signed zeros included)
-    offdiag = np.where(sup < sub, sup, sub)
-    delta = min(offdiag.tolist(), default=np.inf)
+    bad, offdiag = _membership(As)
+    out = bad.any(axis=(1, 2))
+    if out.any():
+        return SystemClass("neither", None, [(t, "A(t) not in M") for t in ts[out].tolist()])
+    # the running min of the samples' offdiag_min in sample order (the first
+    # of equal values, signed zeros included)
+    delta = min(offdiag.tolist())
     if delta >= delta_floor:
-        return SystemClass("TPDS", float(delta), [])
+        return SystemClass("TPDS", delta, [])
     low = ts[offdiag < delta_floor].tolist()
     return SystemClass("TNDS_only", None, [(t, "off-diagonal below delta floor") for t in low])

@@ -108,6 +108,19 @@ def test_reproduce_idempotent(tmp_path, capsys):
 
 def test_reproduce_unknown_figure(tmp_path, capsys):
     assert cli.main(["reproduce", "no-such-figure", "--outdir", str(tmp_path)]) == 3
+    # the error and the help text both list the figure table
+    assert "choose from " + ", ".join(cli.FIGURES) in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["reproduce", "--help"])
+    help_text = "".join(capsys.readouterr().out.split())  # argparse wraps at hyphens too
+    assert "oneof" + ",".join(cli.FIGURES) in help_text
+
+
+@pytest.mark.parametrize("figure", list(cli.FIGURES))
+def test_reproduce_every_figure_writes_its_files(figure, tmp_path, capsys):
+    assert cli.main(["reproduce", figure, "--outdir", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written and all(name.startswith(figure.replace("-", "_")) for name in written)
 
 
 def test_outdir_env_override(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from tpds import (
     compound_transition,
     exprlang,
     floquet,
+    in_V,
     integrate,
     random_tpds_system,
     shipped,
@@ -214,7 +215,8 @@ def test_memoised_integration_matches_unmemoised():
 
 def trajectory_reference(times, states):
     """The per-sample loop Trajectory replaced: running tolerance, s_minus and
-    s_plus of each sample (from the reference counts), exceptional clusters."""
+    s_plus of each sample (from the reference counts), the V flag of in_V (a
+    nonzero first entry and s_minus == s_plus), exceptional clusters."""
     zero_tols, sm, sp, flags, clusters = [], [], [], [], []
     running, last_bad = 0.0, None
     for k, z in enumerate(states):
@@ -224,7 +226,7 @@ def trajectory_reference(times, states):
         counts = ref.counts(z, tol)
         sm.append(counts[0])
         sp.append(counts[1])
-        flags.append(sm[-1] == sp[-1])
+        flags.append(abs(z[0]) > tol and sm[-1] == sp[-1])
         if not flags[-1]:
             if last_bad is None or k - last_bad >= CLUSTER_GAP:
                 clusters.append(times[k])
@@ -239,8 +241,8 @@ def test_trajectory_matches_per_sample_reference():
         grid = np.linspace(*sys.interval, 120)
         z0 = np.ones(sys.n) * (-1.0) ** np.arange(sys.n)
         runs.append(simulate_linear(sys, z0, grid, step=default_step(sys) * 4))
-    for _ in range(5):
-        states = rng.choice([-2.0, -1e-9, -0.0, 0.0, 1e-12, 3.0], size=(60, 5))
+    for n in (5, 5, 5, 5, 5, 1, 1):
+        states = rng.choice([-2.0, -1e-9, -0.0, 0.0, 1e-12, 3.0], size=(60, n))
         runs.append(Trajectory(np.linspace(0.0, 1.0, 60), states * rng.uniform(0.5, 2.0, (60, 1))))
     for traj in runs:
         want = trajectory_reference(traj.times, traj.states)
@@ -248,6 +250,30 @@ def test_trajectory_matches_per_sample_reference():
         assert [float(v).hex() for v in got[0]] == [float(v).hex() for v in want[0]]
         assert got[1:] == want[1:]
         assert all(type(v) is int for v in got[1] + got[2])
+
+
+def test_trajectory_one_coordinate_zero_state_is_not_in_V():
+    # s_minus == s_plus == 0 for a single zero entry, yet in_V([0.0]) is False
+    traj = Trajectory(np.arange(2.0), np.array([[0.0], [1.0]]))
+    assert traj.in_V_flags == [False, True]
+    assert traj.exceptional_times == [0.0]
+    assert [in_V(z) for z in traj.states] == traj.in_V_flags
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.5], [0.5, 0.2], [-1e-9, 0.5], [0.0, np.nan]])
+def test_simulate_linear_grid_outside_interval_or_decreasing_raises(grid):
+    sys = TimeVaryingSystem.constant([[-1.0, 1.0], [1.0, -1.0]], (0.0, 1.0))
+    with pytest.raises(OutOfInterval):
+        simulate_linear(sys, [1.0, 0.0], grid)
+    # transition_matrix draws the same line
+    with pytest.raises(OutOfInterval):
+        transition_matrix(sys, grid[0], grid[-1])
+
+
+def test_simulate_linear_grid_within_slack_and_repeated_points():
+    sys = TimeVaryingSystem.constant([[-1.0, 1.0], [1.0, -1.0]], (0.0, 1.0))
+    traj = simulate_linear(sys, [1.0, 0.0], [-1e-13, 0.5, 0.5, 1.0 + 1e-13])
+    assert np.array_equal(traj.states[1], traj.states[2])
 
 
 def test_trajectory_non_finite_row_raises():

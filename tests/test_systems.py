@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import systems_reference as ref
 from tpds import (
     Segment,
     TimeVaryingSystem,
@@ -16,7 +18,7 @@ from tpds import (
     shipped,
 )
 from tpds.errors import DimensionMismatch, EmptySegments, NonFiniteInput, OutOfInterval, SpecFileError
-from tpds.systems import SystemClass, offdiag_min
+from tpds.systems import SystemClass, _membership, offdiag_min
 
 
 def test_in_M_and_M_plus():
@@ -162,22 +164,22 @@ def test_constant_system_wrapper():
 
 
 def classify_time_varying_reference(sys, grid, delta_floor=1e-6):
-    """The per-sample loop over in_M / offdiag_min that the stacked
-    classify_time_varying replaced."""
+    """The per-sample loop over the reference in_M / offdiag_min that the
+    stacked classify_time_varying replaced."""
     a = sys.interval[0]
     samples = []
     for seg in sys.segments:
         ts = np.linspace(seg.t_start, seg.t_end, grid, endpoint=False)
         samples += [(float(t), seg.matrix_at(t)) for t in ts[ts > a]]
-    violations = [(t, "A(t) not in M") for t, At in samples if not in_M(At)]
+    violations = [(t, "A(t) not in M") for t, At in samples if not ref.in_M(At)]
     if violations:
         return SystemClass("neither", None, violations)
     delta = np.inf
     for _, At in samples:
-        delta = min(delta, offdiag_min(At))
+        delta = min(delta, ref.offdiag_min(At))
     if delta >= delta_floor:
         return SystemClass("TPDS", float(delta), [])
-    low = [(t, "off-diagonal below delta floor") for t, At in samples if offdiag_min(At) < delta_floor]
+    low = [(t, "off-diagonal below delta floor") for t, At in samples if ref.offdiag_min(At) < delta_floor]
     return SystemClass("TNDS_only", None, low)
 
 
@@ -258,3 +260,56 @@ def test_constant_verdicts_reject_non_square_and_empty(A):
     for verdict in (classify_constant, in_M, in_M_plus):
         with pytest.raises(DimensionMismatch):
             verdict(A)
+
+
+# entries that sit on the M rule's edges: signed zeros, the smallest
+# subnormals of either sign, and +-1, mixed with ordinary floats
+M_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def membership_stacks(draw):
+    """A (k, n, n) stack, n = 1..8. Each slice has its far entries set to
+    signed zeros or not, and its off-diagonals made nonnegative or not, so
+    that every verdict of the M rule is drawn."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    As = np.array(draw(st.lists(M_ENTRIES, min_size=k * n * n, max_size=k * n * n))).reshape(k, n, n)
+    d = abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    far, near, m = d > 1, d == 1, int((d > 1).sum())
+    for A in As:
+        if draw(st.booleans()):
+            A[far] = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=m, max_size=m))
+            if draw(st.booleans()):
+                A[near] = np.abs(A[near])
+    return As
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_stacks())
+def test_membership_matches_per_entry_reference(As):
+    bad, low = _membership(As)
+    for k, A in enumerate(As):
+        for got, want in [
+            (in_M(A), ref.in_M(A)),
+            (in_M_plus(A), ref.in_M_plus(A)),
+            (offdiag_min(A), ref.offdiag_min(A)),
+            (classify_constant(A), ref.classify_constant(A)),
+        ]:
+            assert repr(got) == repr(want) and type(got) is type(want)
+        assert type(classify_constant(A).delta) is type(ref.classify_constant(A).delta)
+        # the stacked kernel answers each slice as the single-matrix calls do
+        assert bool(bad[k].any()) is not ref.in_M(A)
+        assert float(low[k]).hex() == float(ref.offdiag_min(A)).hex()
+
+
+@pytest.mark.parametrize("grid", [0, 1])
+def test_classify_time_varying_without_samples_raises(grid):
+    # grid 0 samples nothing and grid 1 only the excluded left endpoint; an
+    # empty stack of samples must not read as TPDS with delta = inf
+    sys = TimeVaryingSystem.constant([[0.0, -1.0], [1.0, 0.0]], (0.0, 1.0))
+    with pytest.raises(EmptySegments, match="no sample"):
+        classify_time_varying(sys, grid=grid)
+    assert classify_time_varying(sys, grid=2).verdict == "neither"
+    sys.segments = []  # the same check covers a system stripped of its segments
+    with pytest.raises(EmptySegments, match="no sample"):
+        classify_time_varying(sys, grid=2)
