@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, OrderOutOfRange
+from .errors import DimensionMismatch, NonFiniteInput, OrderOutOfRange
 from .totalpos import _minors
 
 
@@ -102,12 +102,17 @@ def add_compound(A, p):
 
 
 def is_metzler(A):
-    A = np.asarray(A, dtype=float)
+    """Nonnegative off the diagonal. A non-square A raises DimensionMismatch,
+    a nan or infinite entry NonFiniteInput."""
+    A = _check_square(A)
+    if not np.isfinite(A).all():
+        raise NonFiniteInput("is_metzler: the matrix has a nan or infinite entry")
     return bool(np.all((A >= 0) | np.eye(*A.shape, dtype=bool)))
 
 
 def metzler_compound_profile(A):
-    """Metzler status of every additive compound of A, as (order, bool) pairs."""
+    """Metzler status of every additive compound of A, as (order, bool) pairs;
+    checked as in is_metzler."""
     A = _check_square(A)
     n = A.shape[0]
     return [(p, is_metzler(add_compound(A, p).entries)) for p in range(1, n + 1)]

@@ -10,7 +10,13 @@ class NotInV(TpdsError):
 
 
 class DimensionMismatch(TpdsError):
-    pass
+    """A shape or an index that does not fit: a non-square or empty matrix,
+    a 1-based index outside 1..n, a factorization with no factors."""
+
+
+class InvalidArgument(TpdsError):
+    """An argument value outside the ones a call accepts: a negative zero
+    tolerance, a sample count that is not an integer >= 0."""
 
 
 class NonFiniteInput(TpdsError):

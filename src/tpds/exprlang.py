@@ -45,9 +45,9 @@ FUNCTIONS = {
 
 _VAR_RE = re.compile(r"^(t|u|x[1-9][0-9]*)$")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
 )
 
 
@@ -88,10 +88,10 @@ def _tokenize(source):
         if pos >= len(source):
             break
         m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             raise ExprSyntaxError(f"unexpected character {source[pos]!r}", pos)
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
+        tokens.append((kind, m.group(kind), pos))
         pos = m.end()
     tokens.append(("end", "", len(source)))
     return tokens

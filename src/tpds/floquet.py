@@ -6,12 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandViolation, FloquetViolation, LeadingCoefficientZero, NotPeriodic
+from .errors import (
+    BandViolation,
+    FloquetViolation,
+    LeadingCoefficientZero,
+    NotPeriodic,
+    SpectralViolation,
+)
 from .integrate import simulate_linear, transition_matrix
 from .totalpos import _ordered_spectrum
 
-EIG_IMAG_TOL = 1e-8
-EIG_ZERO_TOL = 1e-8
+SAMPLES_PER_PERIOD = 200
 
 
 @dataclass
@@ -34,11 +39,14 @@ def floquet(sys, step=None):
         raise NotPeriodic("system carries no period")
     T = sys.period
     B = transition_matrix(sys, 0.0, T, step).phi
-    vals, vecs = _ordered_spectrum(B, FloquetViolation, EIG_IMAG_TOL, EIG_ZERO_TOL)
+    try:
+        vals, vecs = _ordered_spectrum(B)
+    except SpectralViolation as exc:
+        raise FloquetViolation(str(exc)) from exc
     return FloquetData(T, B, vals, vecs, list(range(len(vals))))
 
 
-def floquet_mode_evolution(sys, fd, coeffs, horizon, samples_per_period=200, step=None):
+def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
     """Evolution of z(0) = sum_k c_k p^k with the sign-count band enforced.
 
     `coeffs` maps 1-based mode numbers to coefficients (dict) or is a dense
@@ -59,10 +67,8 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, samples_per_period=200, ste
     if nz.size == 0:
         raise LeadingCoefficientZero("all coefficients are zero")
     i, j = nz[0] + 1, nz[-1] + 1
-    if cvec[i - 1] == 0:
-        raise LeadingCoefficientZero("leading coefficient is zero")
     z0 = fd.eigvecs @ cvec
-    nsamples = max(2, int(samples_per_period * horizon / fd.period))
+    nsamples = max(2, int(SAMPLES_PER_PERIOD * horizon / fd.period))
     grid = np.linspace(0.0, horizon, nsamples)
     traj = simulate_linear(sys, z0, grid, step=step, tpds=True)
     lo, hi = i - 1, j - 1

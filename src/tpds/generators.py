@@ -45,56 +45,56 @@ def _eb_product(n, lower_params, diag, upper_params):
     return A
 
 
-def random_tp(n, rng=None, low=0.3, high=2.0):
-    """Random totally positive matrix (all EB parameters strictly positive)."""
+def random_tp(n, rng=None):
+    """Random totally positive matrix (all EB parameters in [0.3, 2))."""
     rng = np.random.default_rng(rng)
     m = n * (n - 1) // 2
     return _eb_product(
         n,
-        rng.uniform(low, high, m),
-        rng.uniform(low, high, n),
-        rng.uniform(low, high, m),
+        rng.uniform(0.3, 2.0, m),
+        rng.uniform(0.3, 2.0, n),
+        rng.uniform(0.3, 2.0, m),
     )
 
 
-def random_tn(n, rng=None, high=2.0, zero_frac=0.4):
-    """Random totally nonnegative matrix (some EB parameters zeroed out)."""
+def random_tn(n, rng=None):
+    """Random totally nonnegative matrix (EB parameters zeroed at rate 0.4)."""
     rng = np.random.default_rng(rng)
     m = n * (n - 1) // 2
 
     def params(size):
-        p = rng.uniform(0.0, high, size)
-        p[rng.random(size) < zero_frac] = 0.0
+        p = rng.uniform(0.0, 2.0, size)
+        p[rng.random(size) < 0.4] = 0.0
         return p
 
-    return _eb_product(n, params(m), rng.uniform(0.2, high, n), params(m))
+    return _eb_product(n, params(m), rng.uniform(0.2, 2.0, n), params(m))
 
 
-def random_nonsingular(n, rng=None, scale=1.0, cond_cap=1e6):
-    """Random dense nonsingular matrix with a modest condition number."""
+def random_nonsingular(n, rng=None):
+    """Random dense standard-normal matrix with condition number below 1e6."""
     rng = np.random.default_rng(rng)
     while True:
-        A = rng.standard_normal((n, n)) * scale
-        if np.linalg.cond(A) < cond_cap:
+        A = rng.standard_normal((n, n))
+        if np.linalg.cond(A) < 1e6:
             return A
 
 
-def random_tridiagonal_cooperative(n, rng=None, delta=0.5):
-    """Random constant matrix in M+ (off-diagonals at least delta)."""
+def random_tridiagonal_cooperative(n, rng=None):
+    """Random constant matrix in M+ (off-diagonals in [0.5, 1.5))."""
     rng = np.random.default_rng(rng)
     A = np.diag(rng.uniform(-1.0, 1.0, n))
     for i in range(n - 1):
-        A[i + 1, i] = rng.uniform(delta, delta + 1.0)
-        A[i, i + 1] = rng.uniform(delta, delta + 1.0)
+        A[i + 1, i] = rng.uniform(0.5, 1.5)
+        A[i, i + 1] = rng.uniform(0.5, 1.5)
     return A
 
 
-def random_tpds_system(n, rng=None, interval=(0.0, 2 * np.pi), delta=0.5):
+def random_tpds_system(n, rng=None, interval=(0.0, 2 * np.pi)):
     """Random periodic time-varying system with A(t) in M+ throughout.
 
     Each entry on the three central diagonals is c0 + c1 sin t + c2 cos t,
     with the off-diagonal constants large enough that the entry stays at or
-    above delta for all t.
+    above 0.5 for all t.
     """
     from . import exprlang
 
@@ -111,8 +111,8 @@ def random_tpds_system(n, rng=None, interval=(0.0, 2 * np.pi), delta=0.5):
     for i in range(n):
         entries[i][i] = smooth_entry(-2.0)
         if i + 1 < n:
-            entries[i][i + 1] = smooth_entry(delta)
-            entries[i + 1][i] = smooth_entry(delta)
+            entries[i][i + 1] = smooth_entry(0.5)
+            entries[i + 1][i] = smooth_entry(0.5)
     a, b = interval
     return TimeVaryingSystem(
         n=n,

@@ -25,6 +25,7 @@ from .errors import (
 from .signvar import v_counts
 
 DET_REL_TOL = 1e-6
+COMPOUND_REL_TOL = 1e-5
 TRAJ_ZERO_REL_TOL = 1e-8
 CLUSTER_GAP = 3
 
@@ -32,6 +33,22 @@ CLUSTER_GAP = 3
 def default_step(sys):
     a, b = sys.interval
     return 1e-3 * (b - a)
+
+
+def _checked_grid(grid, interval=None):
+    """The sample grid as a float array. It must be a nonempty, finite,
+    nondecreasing sequence and, given an interval [a, b], lie within it up
+    to segment_index's 1e-12; anything else raises OutOfInterval."""
+    grid = np.asarray(grid, dtype=float)
+    ok = grid.ndim == 1 and grid.size > 0 and np.isfinite(grid).all()
+    ok = ok and bool(np.all(np.diff(grid) >= 0))
+    if ok and interval is not None:
+        a, b = interval
+        ok = a - 1e-12 <= grid[0] and grid[-1] <= b + 1e-12
+    if not ok:
+        where = "" if interval is None else f" within [{interval[0]}, {interval[1]}]"
+        raise OutOfInterval(f"the grid must be a nonempty, finite, nondecreasing sequence{where}")
+    return grid
 
 
 def _rk4_span(f, y, t0, t1, step):
@@ -89,21 +106,6 @@ def _segment_matrix(sys):
     return lambda t, seg: sys.segments[seg].matrix_at(t)
 
 
-def _trace_integral(sys, t0, t1, step):
-    """Composite-Simpson integral of trace(A(s)) over [t0, t1]."""
-    total = 0.0
-    for lo, hi, seg in _spans(sys, t0, t1):
-        npanels = max(2, 2 * math.ceil((hi - lo) / step))
-        ts = np.linspace(lo, hi, npanels + 1)
-        segment = sys.segments[seg]
-        vals = np.array([segment.matrix_at(t).trace() for t in ts])
-        h = (hi - lo) / npanels
-        total += h / 3 * (
-            vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-1:2].sum()
-        )
-    return total
-
-
 @dataclass
 class TransitionRecord:
     t0: float
@@ -117,23 +119,34 @@ class TransitionRecord:
 def transition_matrix(sys, t0, t, step=None):
     """Transition matrix Phi(t, t0) of z' = A(s) z by fixed-step RK4.
 
-    The determinant is compared with exp of the integrated trace
-    (Abel-Jacobi-Liouville); a relative mismatch beyond 1e-6 marks the
-    record as suspect. A non-finite Phi (a non-finite A(t), or a step too
-    large for ||A(t)||) or predicted determinant raises IntegrationSuspect.
+    det Phi is compared with exp of the integral of tr A (Abel-Jacobi-
+    Liouville), taken by the same RK4 steps over the Phi pass's values of
+    tr A(s); a relative mismatch beyond 1e-6 marks the record as suspect.
+    A non-finite Phi (a non-finite A(t), or a step too large for ||A(t)||)
+    or predicted determinant raises IntegrationSuspect.
     """
     a, b = sys.interval
     if not (a <= t0 <= t <= b):
         raise OutOfInterval(f"need a <= t0 <= t <= b, got t0={t0}, t={t}")
     if step is None:
         step = default_step(sys)
-    phi = _integrate_piecewise(sys, np.eye(sys.n), t0, t, step, _segment_matrix(sys))
+    traces = {}  # (segment, s) -> tr A(s) at each stage time of the Phi pass
+
+    def matrix(s, seg):
+        A = sys.segments[seg].matrix_at(s)
+        traces[seg, s] = A.trace()
+        return A
+
+    phi = _integrate_piecewise(sys, np.eye(sys.n), t0, t, step, matrix)
     if not np.isfinite(phi).all():
         raise IntegrationSuspect(
             f"Phi({t}, {t0}) has a non-finite entry at step {step:.3g}"
         )
     det_phi = float(np.linalg.det(phi))
-    det_pred = float(np.exp(_trace_integral(sys, t0, t, step)))
+    log_det = 0.0
+    for lo, hi, seg in _spans(sys, t0, t):
+        log_det = _rk4_span(lambda s, _, seg=seg: traces[seg, s], log_det, lo, hi, step)
+    det_pred = float(np.exp(log_det))
     if not math.isfinite(det_pred):
         raise IntegrationSuspect(
             f"predicted det Phi({t}, {t0}) = exp(integral of trace A) is {det_pred}"
@@ -210,20 +223,18 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
 
     With tpds=True the monotonicity contract is enforced: s_plus and s_minus
     must be non-increasing sample to sample and at most n-1 exceptional
-    clusters of non-V samples may occur. A grid that decreases or leaves
-    [a, b] by more than segment_index's 1e-12 raises OutOfInterval, a
-    non-finite z0 NonFiniteInput, and a state that turns non-finite on the
-    way (a stiff or overflowing system at this step) IntegrationSuspect.
+    clusters of non-V samples may occur. A grid that is empty, non-finite
+    or decreasing, or leaves [a, b] by more than segment_index's 1e-12,
+    raises OutOfInterval, a non-finite z0 NonFiniteInput, and a state that
+    turns non-finite on the way (a stiff or overflowing system at this step)
+    IntegrationSuspect.
     """
     z0 = np.asarray(z0, dtype=float)
     if not np.any(z0):
         raise TrivialSolution("z0 = 0 yields the trivial solution")
     if not np.isfinite(z0).all():
         raise NonFiniteInput(f"z0 {z0.tolist()} has a non-finite entry")
-    grid = np.asarray(grid, dtype=float)
-    a, b = sys.interval
-    if not (np.all(np.diff(grid) >= 0) and np.all((a - 1e-12 <= grid) & (grid <= b + 1e-12))):
-        raise OutOfInterval(f"the grid must be nondecreasing within [{a}, {b}]")
+    grid = _checked_grid(grid, sys.interval)
     if step is None:
         step = default_step(sys)
     states = [z0]
@@ -253,12 +264,12 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     return traj
 
 
-def compound_transition(sys, p, t0, t, step=None, check_tol=1e-5):
+def compound_transition(sys, p, t0, t, step=None):
     """p-th compound of the transition matrix via the compound dynamics.
 
     Integrates the C(n,p)-dimensional system driven by the additive compound
     of A(s) and cross-asserts against the multiplicative compound of the
-    directly integrated transition matrix.
+    directly integrated transition matrix, to COMPOUND_REL_TOL.
     """
     if step is None:
         step = default_step(sys)
@@ -274,7 +285,7 @@ def compound_transition(sys, p, t0, t, step=None, check_tol=1e-5):
     direct = mult_compound(transition_matrix(sys, t0, t, step).phi, p).entries
     denom = max(np.linalg.norm(direct), 1e-300)
     rel = np.linalg.norm(Y - direct) / denom
-    if rel > check_tol:
+    if rel > COMPOUND_REL_TOL:
         raise IntegrationSuspect(
             f"compound-dynamics route deviates from minors route by {rel:.3g}"
         )

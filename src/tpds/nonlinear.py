@@ -14,12 +14,15 @@ from .errors import (
     NoMonotoneTail,
     NotPeriodic,
     SpecFileError,
+    TrivialSolution,
 )
-from .integrate import Trajectory, _rk4_span
+from .integrate import Trajectory, _checked_grid, _rk4_span
 from .systems import in_M_plus
 
 FD_JAC_REL_STEP = 1e-6
 GAUSS_LEGENDRE_POINTS = 16
+R_GRID = 9  # points r in [0, 1] at which eventual_monotonicity tests J(t, r a + (1 - r) b)
+PERSISTENCE = 5  # consecutive small residuals that make poincare_analysis detect a period
 
 
 @dataclass
@@ -48,6 +51,8 @@ class NonlinearSystem:
             raise SpecFileError("jacobian dimension mismatch")
         if self.domain_box is not None and len(self.domain_box) != self.n:
             raise SpecFileError("domain box dimension mismatch")
+        if self.period is not None and not self.period > 0:
+            raise SpecFileError("period must be positive")
         self._f = exprlang.compile_fn(self.rhs, self.n, self.input)
         self._jac = (
             exprlang.compile_fn(self.jacobian, self.n, self.input)
@@ -94,12 +99,13 @@ def simulate_nonlinear(sys, x0, grid, step=None):
 
     Jacobian samples are tested for M+ membership along the run; when they
     leave the class the sign-count assertions do not apply and the flag in
-    the result says so.
+    the result says so. A grid that is empty, non-finite or decreasing
+    raises OutOfInterval.
     """
+    grid = _checked_grid(grid)
     x0 = np.asarray(x0, dtype=float)
     if not sys.in_box(x0):
         raise LeftDomain("initial condition outside the domain box", grid[0])
-    grid = np.asarray(grid, dtype=float)
     if step is None:
         step = 1e-3 * (grid[-1] - grid[0])
     xs = [x0]
@@ -129,17 +135,18 @@ def line_integral_jacobian(sys, t, a, b):
     return J
 
 
-def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None, r_grid=9):
+def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
     """Last time after which x1(t, a0) - x1(t, b0) keeps one strict sign.
 
     Requires the line-integral Jacobian between the two solutions to stay in
     M+ on a (t, r) sample grid; otherwise the underlying theory does not
-    apply and AssumptionViolated is raised.
+    apply and AssumptionViolated is raised. Equal starts raise
+    TrivialSolution: their difference is zero throughout.
     """
     a0 = np.asarray(a0, dtype=float)
     b0 = np.asarray(b0, dtype=float)
     if np.array_equal(a0, b0):
-        raise ValueError("initial conditions must differ")
+        raise TrivialSolution("initial conditions must differ")
     grid = np.linspace(0.0, horizon, samples)
     run_a = simulate_nonlinear(sys, a0, grid, step)
     run_b = simulate_nonlinear(sys, b0, grid, step)
@@ -147,7 +154,7 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None, r_grid=9
     for k in range(0, samples, max(1, samples // 25)):
         t = grid[k]
         xa, xb = run_a.state.states[k], run_b.state.states[k]
-        for r in np.linspace(0.0, 1.0, r_grid):
+        for r in np.linspace(0.0, 1.0, R_GRID):
             J = sys.jac(t, r * xa + (1 - r) * xb)
             if not in_M_plus(J):
                 raise AssumptionViolated(
@@ -176,12 +183,11 @@ class PoincareResult:
     residuals: list = field(default_factory=list)
 
 
-def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None,
-                      persistence=5):
+def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
     """Iterate the period map and detect the minimal asymptotic period.
 
     detected_period is the smallest q <= q_max whose iterate residuals
-    ||x((k+q)T) - x(kT)|| stay below tol for `persistence` consecutive k at
+    ||x((k+q)T) - x(kT)|| stay below tol for PERSISTENCE consecutive k at
     the tail of the run; q = 1 certifies entrainment at this resolution.
     """
     if sys.period is None:
@@ -198,7 +204,7 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None,
         if not sys.in_box(x):
             raise LeftDomain("trajectory left the domain box", (k + 1) * T)
         iterates.append(x)
-        q = _detect_period(iterates, q_max, tol, persistence)
+        q = _detect_period(iterates, q_max, tol)
         if q is not None:
             arr = np.array(iterates)
             res = [float(np.linalg.norm(arr[m + q] - arr[m])) for m in range(len(arr) - q)]
@@ -206,12 +212,12 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None,
     raise NoConvergence(f"no period <= {q_max} detected within {max_iters} iterates")
 
 
-def _detect_period(iterates, q_max, tol, persistence):
+def _detect_period(iterates, q_max, tol):
     arr = np.array(iterates)
     for q in range(1, q_max + 1):
-        if len(arr) < q + persistence:
+        if len(arr) < q + PERSISTENCE:
             continue
-        tail = range(len(arr) - persistence - q, len(arr) - q)
+        tail = range(len(arr) - PERSISTENCE - q, len(arr) - q)
         if all(np.linalg.norm(arr[k + q] - arr[k]) < tol for k in tail):
             return q
     return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteInput, NotInV
+from .errors import DimensionMismatch, InvalidArgument, NonFiniteInput, NotInV
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -21,7 +21,7 @@ def _sign_rows(Y, zero_tol=None):
     are finite. A row with a nan or inf entry gets all-zero signs; the
     caller decides whether and when it raises."""
     if zero_tol is not None and zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
+        raise InvalidArgument("zero_tol must be nonnegative")
     tol = DEFAULT_FLOAT_TOL if zero_tol is None else zero_tol
     Y = np.asarray(Y, dtype=float)
     finite = np.isfinite(Y).all(axis=-1, keepdims=True)
@@ -36,11 +36,12 @@ def signs(y, zero_tol=None):
 
     The default is a 1e-9 absolute tolerance, which classifies integer
     input exactly. A nan or infinite entry has no sign count and raises
-    NonFiniteInput.
+    NonFiniteInput, anything but a nonempty vector DimensionMismatch and a
+    negative zero_tol InvalidArgument.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
-        raise ValueError("expected a nonempty vector")
+        raise DimensionMismatch("expected a nonempty vector")
     s, finite = _sign_rows(y, zero_tol)
     if not finite:
         raise NonFiniteInput(f"vector {y.tolist()} has a non-finite entry")

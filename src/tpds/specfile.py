@@ -40,27 +40,47 @@ class SystemSpec:
         return "linear" if isinstance(self.system, TimeVaryingSystem) else "nonlinear"
 
 
-def _parse_entry(raw, n, allow_state=False):
-    if isinstance(raw, bool):
-        raise SpecFileError(f"boolean is not a matrix entry: {raw!r}")
-    if isinstance(raw, float) and not math.isfinite(raw):
-        raise SpecFileError(f"non-finite number is not an entry: {raw!r}")
-    if isinstance(raw, (int, float)):
+def _number(raw, what):
+    """raw as a finite float: a YAML number, or a string such as 1e-3 that
+    YAML 1.1 leaves unparsed. Anything else raises SpecFileError."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecFileError(f"{what} must be a number, got {raw!r}") from exc
+    if isinstance(raw, bool) or not math.isfinite(value):
+        raise SpecFileError(f"{what} must be a finite number, got {raw!r}")
+    return value
+
+
+def _typed(raw, kind, what):
+    if not isinstance(raw, kind):
+        raise SpecFileError(f"{what} must be a {kind.__name__}, got {raw!r}")
+    return raw
+
+
+def _pair(raw, what):
+    if len(_typed(raw, list, what)) != 2:
+        raise SpecFileError(f"{what} must be [lo, hi], got {raw!r}")
+    return _number(raw[0], what), _number(raw[1], what)
+
+
+def _parse_entry(raw):
+    """A number or an expression AST; which variables it may use is for the
+    system it goes into to check."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        _number(raw, "an entry")
         return raw
     if not isinstance(raw, str):
         raise SpecFileError(f"entry must be a number or expression string: {raw!r}")
     try:
-        expr = exprlang.parse(raw)
+        return exprlang.parse(raw)
     except TpdsError as exc:
         raise SpecFileError(f"bad expression {raw!r}: {exc}") from exc
-    names = exprlang.variables(expr)
-    allowed = {"t"}
-    if allow_state:
-        allowed |= {"u"} | {f"x{k}" for k in range(1, n + 1)}
-    bad = names - allowed
-    if bad:
-        raise SpecFileError(f"expression {raw!r} references {sorted(bad)}")
-    return expr
+
+
+def _parse_matrix(raw, what):
+    rows = _typed(raw, list, what)
+    return [[_parse_entry(e) for e in _typed(row, list, f"a row of {what}")] for row in rows]
 
 
 def _render_entry(e):
@@ -70,6 +90,9 @@ def _render_entry(e):
 
 
 def loads(text):
+    """Parse a spec document. Every malformed document raises SpecFileError,
+    including a TpdsError from building its system (an unbound variable, a
+    wrong row count, a failed period check)."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -79,71 +102,67 @@ def loads(text):
     meta = doc.get("meta")
     if not isinstance(meta, dict) or "n" not in meta:
         raise SpecFileError("meta section with field 'n' is required")
-    n = int(meta["n"])
+    n = meta["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise SpecFileError(f"meta.n must be a positive integer, got {n!r}")
     has_lin = "linear" in doc
     has_nl = "nonlinear" in doc
     if has_lin == has_nl:
         raise SpecFileError("exactly one of 'linear' / 'nonlinear' must be present")
-    experiment = doc.get("experiment") or {}
-    if not isinstance(experiment, dict):
-        raise SpecFileError("experiment section must be a mapping")
+    experiment = _typed(doc.get("experiment") or {}, dict, "experiment section")
     name = str(meta.get("name", ""))
     period = meta.get("period")
-    period = float(period) if period is not None else None
-
-    if has_lin:
-        if "interval" not in meta:
-            raise SpecFileError("linear specs need meta.interval")
-        a, b = (float(v) for v in meta["interval"])
-        raw_segments = doc["linear"].get("segments")
-        if not raw_segments:
-            raise SpecFileError("linear.segments must be a nonempty list")
-        segments = []
-        for seg in raw_segments:
-            matrix = seg.get("matrix")
-            if not isinstance(matrix, list) or len(matrix) != n:
-                raise SpecFileError(f"segment matrix must have {n} rows")
-            entries = []
-            for row in matrix:
-                if not isinstance(row, list) or len(row) != n:
-                    raise SpecFileError(f"segment matrix rows must have {n} entries")
-                entries.append([_parse_entry(e, n) for e in row])
-            segments.append(Segment(float(seg["t_start"]), float(seg["t_end"]), entries))
-        system = TimeVaryingSystem(
-            n=n, interval=(a, b), segments=segments, period=period, name=name
-        )
-    else:
-        nl = doc["nonlinear"]
-        rhs_raw = nl.get("rhs")
-        if not isinstance(rhs_raw, list) or len(rhs_raw) != n:
-            raise SpecFileError(f"nonlinear.rhs must list {n} expressions")
-        input_raw = nl.get("input")
-        input_expr = (
-            _parse_entry(input_raw, n) if input_raw is not None else None
-        )
-        rhs = [_parse_entry(e, n, allow_state=True) for e in rhs_raw]
-        if input_expr is None:
-            for raw, e in zip(rhs_raw, rhs):
-                if not isinstance(e, (int, float)) and "u" in exprlang.variables(e):
-                    raise SpecFileError(f"rhs {raw!r} uses u but no input is given")
-        jac_raw = nl.get("jacobian")
-        jacobian = None
-        if jac_raw is not None:
-            jacobian = [[_parse_entry(e, n, allow_state=True) for e in row] for row in jac_raw]
-        box = nl.get("domain_box")
-        domain_box = None
-        if box is not None:
-            domain_box = [(float(lo), float(hi)) for lo, hi in box]
-        system = NonlinearSystem(
-            n=n,
-            rhs=rhs,
-            input=input_expr,
-            jacobian=jacobian,
-            period=period,
-            domain_box=domain_box,
-            name=name,
-        )
+    period = _number(period, "meta.period") if period is not None else None
+    try:
+        if has_lin:
+            system = _linear_system(doc["linear"], meta, n, name, period)
+        else:
+            system = _nonlinear_system(doc["nonlinear"], n, name, period)
+    except SpecFileError:
+        raise
+    except TpdsError as exc:
+        raise SpecFileError(f"{type(exc).__name__}: {exc}") from exc
     return SystemSpec(dict(meta), system, dict(experiment))
+
+
+def _linear_system(lin, meta, n, name, period):
+    if "interval" not in meta:
+        raise SpecFileError("linear specs need meta.interval")
+    interval = _pair(meta["interval"], "meta.interval")
+    raw_segments = _typed(lin, dict, "linear section").get("segments")
+    if not raw_segments:
+        raise SpecFileError("linear.segments must be a nonempty list")
+    segments = []
+    for seg in _typed(raw_segments, list, "linear.segments"):
+        seg = _typed(seg, dict, "a segment")
+        segments.append(
+            Segment(
+                _number(seg.get("t_start"), "a segment's t_start"),
+                _number(seg.get("t_end"), "a segment's t_end"),
+                _parse_matrix(seg.get("matrix"), "a segment's matrix"),
+            )
+        )
+    return TimeVaryingSystem(n=n, interval=interval, segments=segments, period=period, name=name)
+
+
+def _nonlinear_system(nl, n, name, period):
+    nl = _typed(nl, dict, "nonlinear section")
+    input_raw = nl.get("input")
+    jac_raw = nl.get("jacobian")
+    box = nl.get("domain_box")
+    return NonlinearSystem(
+        n=n,
+        rhs=[_parse_entry(e) for e in _typed(nl.get("rhs"), list, "nonlinear.rhs")],
+        input=_parse_entry(input_raw) if input_raw is not None else None,
+        jacobian=_parse_matrix(jac_raw, "nonlinear.jacobian") if jac_raw is not None else None,
+        period=period,
+        domain_box=(
+            [_pair(b, "a domain_box entry") for b in _typed(box, list, "nonlinear.domain_box")]
+            if box is not None
+            else None
+        ),
+        name=name,
+    )
 
 
 def load(path):

@@ -16,13 +16,15 @@ from . import exprlang
 from .errors import (
     DimensionMismatch,
     EmptySegments,
+    InvalidArgument,
     NonFiniteInput,
     OutOfInterval,
     SpecFileError,
 )
 
 PERIOD_CHECK_TOL = 1e-10
-DEFAULT_DELTA_FLOOR = 1e-6
+DEFAULT_DELTA_FLOOR = 1e-6  # smallest sampled off-diagonal entry a TPDS verdict accepts
+WITNESS_T_GRID = (1e-1, 1e-2, 1e-3, 1e-4)  # times tried by negative_minor_witness
 
 
 @lru_cache(maxsize=None)
@@ -141,9 +143,8 @@ class TimeVaryingSystem:
                 return k
         return len(self.segments) - 1
 
-    def matrix_at(self, t, segment=None):
-        seg = self.segments[segment if segment is not None else self.segment_index(t)]
-        return seg.matrix_at(t)
+    def matrix_at(self, t):
+        return self.segments[self.segment_index(t)].matrix_at(t)
 
     def boundaries_between(self, t0, t1):
         """Interior segment boundaries in (t0, t1), for exact integrator landing."""
@@ -205,29 +206,33 @@ def classify_constant(A):
     return SystemClass("TNDS_only", None, [])
 
 
-def negative_minor_witness(A, i, j, t_grid=(1e-1, 1e-2, 1e-3, 1e-4)):
+def negative_minor_witness(A, i, j):
     """Negative 2x2 minor of exp(At) induced by a_{ij} > 0 with |i-j| > 1.
 
     Indices are 1-based. Returns (t, rows, cols, value) or None. For i > j+1
     the minor sits on rows {k,i}, columns {j,k} with j < k < i; the j > i+1
-    case is the transpose picture. A nan or infinite entry raises
+    case is the transpose picture. A non-square A, or i, j outside 1..n or
+    with |i - j| <= 1, raises DimensionMismatch, a nan or infinite entry
     NonFiniteInput.
     """
     from scipy.linalg import expm  # here, so that `import tpds` loads no scipy
 
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch("negative_minor_witness expects a square matrix")
+    n = A.shape[0]
+    if not (1 <= i <= n and 1 <= j <= n and abs(i - j) > 1):
+        raise DimensionMismatch(f"need 1 <= i, j <= {n} and |i - j| > 1, got i={i}, j={j}")
     if not np.isfinite(A).all():
         raise NonFiniteInput("negative_minor_witness: the matrix has a nan or infinite entry")
     t_scale = 1.0 / max(1.0, np.abs(A).max())
     if i > j + 1:
         ks = range(j + 1, i)
         pick = lambda k: ((k, i), (j, k))
-    elif j > i + 1:
+    else:
         ks = range(i + 1, j)
         pick = lambda k: ((i, k), (k, j))
-    else:
-        raise ValueError("need |i - j| > 1")
-    for t in t_grid:
+    for t in WITNESS_T_GRID:
         U = expm(A * t * t_scale)
         for k in ks:
             rows, cols = pick(k)
@@ -240,16 +245,20 @@ def negative_minor_witness(A, i, j, t_grid=(1e-1, 1e-2, 1e-3, 1e-4)):
     return None
 
 
-def classify_time_varying(sys, grid=1000, delta_floor=DEFAULT_DELTA_FLOOR):
+def classify_time_varying(sys, grid=1000):
     """Sampled TNDS/TPDS verdict for a time-varying system.
 
     Each segment is sampled half-open on `grid` points (the open interval's
     endpoints are excluded from strictness checks). TNDS requires every
     sample in M; TPDS additionally requires every off-diagonal sample at or
-    above delta_floor. This is a sampled verification of an almost-everywhere
-    condition; no measure-zero claims are made. A non-finite sample raises
-    NonFiniteInput, and a grid that puts no sample inside (a, b) EmptySegments.
+    above DEFAULT_DELTA_FLOOR. This is a sampled verification of an
+    almost-everywhere condition; no measure-zero claims are made. A grid
+    that is not an integer >= 0 raises InvalidArgument, a non-finite sample
+    NonFiniteInput, and a grid that puts no sample inside (a, b)
+    EmptySegments.
     """
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 0:
+        raise InvalidArgument(f"grid must be an integer >= 0, got {grid!r}")
     a, b = sys.interval
     n = sys.n
     ts, mats = [], []
@@ -273,7 +282,7 @@ def classify_time_varying(sys, grid=1000, delta_floor=DEFAULT_DELTA_FLOOR):
     # the running min of the samples' offdiag_min in sample order (the first
     # of equal values, signed zeros included)
     delta = min(offdiag.tolist())
-    if delta >= delta_floor:
+    if delta >= DEFAULT_DELTA_FLOOR:
         return SystemClass("TPDS", delta, [])
-    low = ts[offdiag < delta_floor].tolist()
+    low = ts[offdiag < DEFAULT_DELTA_FLOOR].tolist()
     return SystemClass("TNDS_only", None, [(t, "off-diagonal below delta floor") for t in low])

@@ -26,8 +26,19 @@ from .signvar import _sign_rows, sign_counts, signs
 
 EXHAUSTIVE_LIMIT = 10
 MINOR_REL_TOL = 1e-10
+GEB_ZERO_TOL = 1e-12  # Neville pivots and GEB structure entries this small count as zero
+SPECTRUM_IMAG_TOL, SPECTRUM_ZERO_TOL = 1e-8, 1e-8  # see _ordered_spectrum
 MINOR_CHUNK = 1024  # submatrices gathered and evaluated per batch
 SVDP_CHUNK = 4096  # vectors drawn and counted per batch in strong_svdp_holds
+
+
+def _as_matrix(A, name, square=True):
+    """A as a nonempty 2-d float array, square unless told otherwise;
+    anything else raises DimensionMismatch."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.size == 0 or (square and A.shape[0] != A.shape[1]):
+        raise DimensionMismatch(f"{name} expects a nonempty {'square ' if square else ''}matrix")
+    return A
 
 
 def _subsets(n, k):
@@ -88,7 +99,7 @@ def _stacked_det(s):
 
 def minor(A, alpha, beta):
     """Determinant of the submatrix selected by 1-based index tuples."""
-    A = np.asarray(A, dtype=float)
+    A = _as_matrix(A, "minor", square=False)
     alpha = tuple(alpha)
     beta = tuple(beta)
     if len(alpha) != len(beta) or not alpha:
@@ -231,13 +242,12 @@ def classify(A):
     the orders ascending and, within an order, row subsets outer and column
     subsets inner, both lexicographic. Oscillation follows Gantmacher-Krein:
     TN, super- and subdiagonal entries positive, and det A > 0, its sign
-    exact. A nan or infinite entry raises NonFiniteInput. The enumeration is
+    exact. A nan or infinite entry raises NonFiniteInput, anything but a
+    nonempty square matrix DimensionMismatch. The enumeration is
     capped at n = EXHAUSTIVE_LIMIT: a larger matrix that is not certified TP
     raises SizeLimitExceeded.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch("classify expects a square matrix")
+    A = _as_matrix(A, "classify")
     n = A.shape[0]
     if not np.isfinite(A).all():
         raise NonFiniteInput("classify: the matrix has a nan or infinite entry")
@@ -316,18 +326,22 @@ class GEBFactorization:
 
     def product(self):
         if not self.factors:
-            raise ValueError("empty factorization")
+            raise DimensionMismatch("a factorization with no factors has no product")
         P = self.factors[0]
         for F in self.factors[1:]:
             P = P @ F
         return P
 
 
-def is_geb(F, tol=1e-12):
+def is_geb(F):
     """Structural check: diagonal plus at most one first-off-diagonal entry,
-    all of them nonnegative."""
-    F = np.asarray(F, dtype=float)
-    n = F.shape[0]
+    all of them nonnegative, up to GEB_ZERO_TOL. Anything but a nonempty
+    square matrix raises DimensionMismatch, a nan or inf entry
+    NonFiniteInput."""
+    F = _as_matrix(F, "is_geb")
+    if not np.isfinite(F).all():
+        raise NonFiniteInput("is_geb: the matrix has a nan or infinite entry")
+    tol = GEB_ZERO_TOL
     off = F.copy()
     np.fill_diagonal(off, 0.0)
     sub = np.diag(off, -1)
@@ -340,14 +354,15 @@ def is_geb(F, tol=1e-12):
     return bool(np.all(np.diag(F) >= -tol) and np.all(sub >= -tol) and np.all(sup >= -tol))
 
 
-def geb_factorize(A, pivot_tol=1e-12):
+def geb_factorize(A):
     """Neville-elimination factorization of a TN matrix into TN GEB factors.
 
     Returns lower bidiagonal factors, then a diagonal factor, then upper
     bidiagonal factors, whose ordered product reconstructs the input. No
     pivoting is performed; a zero pivot above a nonzero entry is a breakdown.
+    The input is checked as in classify.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_matrix(A, "geb_factorize")
     n = A.shape[0]
     if not classify(A).is_TN:
         raise NotTN("geb_factorize requires a TN input")
@@ -360,15 +375,15 @@ def geb_factorize(A, pivot_tol=1e-12):
         factors = []
         for j in range(n - 1):
             for i in range(n - 1, j, -1):
-                if abs(M[i, j]) <= pivot_tol:
+                if abs(M[i, j]) <= GEB_ZERO_TOL:
                     M[i, j] = 0.0
                     continue
-                if abs(M[i - 1, j]) <= pivot_tol:
+                if abs(M[i - 1, j]) <= GEB_ZERO_TOL:
                     raise PivotBreakdown(
                         f"zero pivot above nonzero entry at row {i + 1}, column {j + 1}"
                     )
                 m = M[i, j] / M[i - 1, j]
-                if m < -pivot_tol:
+                if m < -GEB_ZERO_TOL:
                     raise PivotBreakdown(f"negative multiplier {m} (input not TN?)")
                 M[i, :] -= m * M[i - 1, :]
                 M[i, j] = 0.0
@@ -392,7 +407,7 @@ def geb_factorize(A, pivot_tol=1e-12):
     return fact
 
 
-def oscillatory_spectrum(A, imag_tol=1e-8, zero_tol=1e-8):
+def oscillatory_spectrum(A):
     """Eigen-decomposition of an oscillatory matrix with structure checks.
 
     Eigenvalues must come out real, positive and distinct; eigenvector k
@@ -402,42 +417,42 @@ def oscillatory_spectrum(A, imag_tol=1e-8, zero_tol=1e-8):
     A = np.asarray(A, dtype=float)
     if not classify(A).is_oscillatory:
         raise SpectralViolation("input did not classify as oscillatory")
-    vals, vecs = _ordered_spectrum(A, SpectralViolation, imag_tol, zero_tol)
+    vals, vecs = _ordered_spectrum(A)
     return [(float(vals[k]), vecs[:, k], k) for k in range(len(vals))]
 
 
-def _ordered_spectrum(M, error, imag_tol, zero_tol):
+def _ordered_spectrum(M):
     """Eigenvalues of M in decreasing order and their eigenvectors, checked.
 
-    The eigenvalues must come out real (imaginary parts within imag_tol of
-    the spectral radius), positive and strictly decreasing, and eigenvector
-    k (column k-1, unit norm, first entry above zero_tol positive) must
-    show exactly k-1 sign changes under both counts; anything else raises
-    `error`.
+    The eigenvalues must come out real (imaginary parts within
+    SPECTRUM_IMAG_TOL of the spectral radius), positive and strictly
+    decreasing, and eigenvector k (column k-1, unit norm, first entry above
+    SPECTRUM_ZERO_TOL positive) must show exactly k-1 sign changes under
+    both counts; anything else raises SpectralViolation.
     """
     vals, vecs = np.linalg.eig(M)
     scale = np.abs(vals).max()
-    if np.any(np.abs(vals.imag) > imag_tol * scale):
-        raise error("complex eigenvalue beyond tolerance")
+    if np.any(np.abs(vals.imag) > SPECTRUM_IMAG_TOL * scale):
+        raise SpectralViolation("complex eigenvalue beyond tolerance")
     vals = vals.real
     order = np.argsort(-vals)
     vals = vals[order]
     vecs = vecs[:, order].real
     if np.any(vals <= 0):
-        raise error("nonpositive eigenvalue")
-    if np.any(np.diff(vals) >= -imag_tol * scale):
-        raise error("eigenvalues not strictly decreasing")
+        raise SpectralViolation("nonpositive eigenvalue")
+    if np.any(np.diff(vals) >= -SPECTRUM_IMAG_TOL * scale):
+        raise SpectralViolation("eigenvalues not strictly decreasing")
     for k in range(len(vals)):
         v = vecs[:, k]
         v = v / np.linalg.norm(v)
-        lead = v[np.abs(v) > zero_tol]
+        lead = v[np.abs(v) > SPECTRUM_ZERO_TOL]
         vecs[:, k] = -v if lead.size and lead[0] < 0 else v
-    sm, sp = sign_counts(_sign_rows(vecs.T, zero_tol)[0])
+    sm, sp = sign_counts(_sign_rows(vecs.T, SPECTRUM_ZERO_TOL)[0])
     expected = np.arange(len(vals))
     wrong = np.flatnonzero((sm != expected) | (sp != expected))
     if wrong.size:
         k = wrong[0]
-        raise error(f"eigenvector {k + 1} has sign counts ({sm[k]}, {sp[k]}), expected {k}")
+        raise SpectralViolation(f"eigenvector {k + 1} has sign counts ({sm[k]}, {sp[k]}), expected {k}")
     return vals, vecs
 
 
@@ -466,11 +481,11 @@ def _first_failure(Y, finite, fails):
 
 def svdp_check(A, x, zero_tol=None):
     """Evaluate the variation-diminishing inequality s+(Ax) <= s-(x)."""
-    A = np.asarray(A, dtype=float)
+    A = _as_matrix(A, "svdp_check", square=False)
     x = np.asarray(x, dtype=float)
     if not np.any(x != 0):
         raise ZeroVector("svdp_check requires a nonzero vector")
-    if A.shape[1] != x.shape[0]:
+    if x.ndim != 1 or A.shape[1] != x.shape[0]:
         raise DimensionMismatch("incompatible shapes")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Ax raises in signs
         y = A @ x
@@ -486,7 +501,7 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     for `trials` random nonzero coefficient vectors, drawn as one
     (trials, m) array and counted at once.
     """
-    U = np.asarray(U, dtype=float)
+    U = _as_matrix(U, "column_set_equivalence", square=False)
     n, m = U.shape
     if not 1 <= m < n:
         raise DimensionMismatch("need at least one column and strictly fewer columns than rows")
@@ -516,7 +531,7 @@ def strong_svdp_holds(A, rng=None, vectors_per_pattern=20, zero_tol=None):
     vectors per batch. Returns False after the first batch that holds a
     violating vector.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_matrix(A, "strong_svdp_holds", square=False)
     n = A.shape[1]
     rng = np.random.default_rng(rng)
     patterns = np.stack(

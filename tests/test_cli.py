@@ -129,6 +129,13 @@ def test_outdir_env_override(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envout" / "spectrum_tp3.csv").exists()
 
 
+def test_simulate_malformed_spec_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.spec"
+    path.write_text("meta: {name: bad, n: 2, interval: [0, 1]}\nlinear:\n  segments: [5]\n")
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "a segment must be a dict" in capsys.readouterr().err
+
+
 NON_FINITE_SPECS = {
     "nan": ("[[-1, 1], [1, .nan]]", 2),
     "overflow": ('[[-1, "t * 1e308 * 10"], [1, -1]]', 3),

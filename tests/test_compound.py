@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 import compound_reference as ref
 from tpds import add_compound, index_subsets, is_metzler, metzler_compound_profile, mult_compound
-from tpds.errors import OrderOutOfRange
+from tpds.errors import DimensionMismatch, NonFiniteInput, OrderOutOfRange
 
 
 def expected_add_compound_3(a):
@@ -137,6 +137,22 @@ def test_metzler_profile_propagation():
     B[0, 2] = 1.0
     profile_b = dict(metzler_compound_profile(B))
     assert is_metzler(B) and not profile_b[2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+def test_metzler_checks_reject_non_finite_entries(bad):
+    # nan >= 0 is False, so a nan used to read as "not Metzler" at order 1
+    # and vanish from the order-2 compound's off-diagonal
+    A = np.array([[0.0, bad], [1.0, 0.0]])
+    with pytest.raises(NonFiniteInput):
+        is_metzler(A)
+    with pytest.raises(NonFiniteInput):
+        metzler_compound_profile(A)
+
+
+def test_is_metzler_rejects_a_vector():
+    with pytest.raises(DimensionMismatch):
+        is_metzler([1.0, -2.0])
 
 
 def test_order_out_of_range():

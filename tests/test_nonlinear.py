@@ -11,7 +11,14 @@ from tpds import (
     shipped,
     simulate_nonlinear,
 )
-from tpds.errors import AssumptionViolated, LeftDomain, NoConvergence, NotPeriodic
+from tpds.errors import (
+    AssumptionViolated,
+    LeftDomain,
+    NoConvergence,
+    NotPeriodic,
+    OutOfInterval,
+    TrivialSolution,
+)
 
 
 def gamma(t):
@@ -78,6 +85,16 @@ def test_left_domain_reported_with_time():
         simulate_nonlinear(sys, [2.0, 0.0], np.linspace(0.0, 1.0, 50))
 
 
+@pytest.mark.parametrize("grid", [[], [0.0, np.nan], [0.5, 0.2], [0.0, np.inf]])
+def test_simulate_nonlinear_grid_rule(grid):
+    # the same rule as simulate_linear's, without an interval; [0.5, 0.2]
+    # used to return x0 as the state at t = 0.2
+    sys = NonlinearSystem(2, [exprlang.parse("-x1"), exprlang.parse("-x2")])
+    with pytest.raises(OutOfInterval, match="nonempty, finite, nondecreasing"):
+        simulate_nonlinear(sys, [1.0, 2.0], grid)
+    assert simulate_nonlinear(sys, [1.0, 2.0], [0.2, 0.2, 0.5]).state.states.shape == (3, 2)
+
+
 def test_autonomous_sigma_of_derivative_non_increasing():
     # z = dx/dt satisfies the variational equation only without explicit
     # time dependence, so use a constant bias instead of periodic forcing
@@ -103,7 +120,7 @@ def test_eventual_monotonicity_demo(demo):
 
 
 def test_eventual_monotonicity_requires_distinct_starts(demo):
-    with pytest.raises(ValueError):
+    with pytest.raises(TrivialSolution):
         eventual_monotonicity(demo, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3], horizon=1.0)
 
 

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import signvar_reference as ref
 from tpds import in_V, s_minus, s_plus, sigma, signs, strong_svdp_holds, svdp_check
-from tpds.errors import NonFiniteInput, NotInV
+from tpds.errors import DimensionMismatch, InvalidArgument, NonFiniteInput, NotInV
 from tpds.signvar import sign_counts
 
 
@@ -72,9 +72,9 @@ def test_signs_integer_input_is_exact():
 
 
 def test_signs_rejects_empty_and_negative_tol():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         signs([])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         signs([1.0, 2.0], zero_tol=-1.0)
     # a single-entry vector is fine (scalar systems)
     assert s_minus([3.0]) == s_plus([3.0]) == 0

@@ -76,6 +76,17 @@ def test_file_round_trip(tmp_path):
         MINIMAL_LINEAR.replace('[1, 0]', '[1, .nan]'),  # nan entry
         MINIMAL_LINEAR.replace('[1, 0]', '[-.inf, 0]'),  # infinite entry
         MINIMAL_NONLINEAR.replace('"-x2"', '.inf'),  # infinite rhs
+        "meta: {n: 2, interval: [0, 1]}\nlinear: 5\n",  # linear section not a mapping
+        "meta: {n: 2, interval: [0, 1]}\nlinear:\n  segments: [5]\n",  # segment not a mapping
+        "meta: {n: 2}\nnonlinear: [1]\n",  # nonlinear section not a mapping
+        MINIMAL_LINEAR.replace("    - t_start: 0.0\n      t_end", "    - t_end"),  # no t_start
+        MINIMAL_LINEAR.replace("n: 2", "n: abc"),  # n not a number
+        MINIMAL_LINEAR.replace("interval: [0.0, 1.0]", "interval: [0.0, 1.0], period: abc"),
+        MINIMAL_LINEAR.replace("[0.0, 1.0]", "[0.0, 0.5, 1.0]"),  # three-number interval
+        MINIMAL_NONLINEAR + "  domain_box: [[0], [0, 1]]\n",  # one-number box entry
+        MINIMAL_LINEAR.replace("t_start: 0.0", "t_start: .nan"),  # nan segment start
+        MINIMAL_NONLINEAR.replace("period: 1.0", "period: .nan"),  # nan nonlinear period
+        MINIMAL_NONLINEAR.replace("period: 1.0", "period: -1.0"),  # negative nonlinear period
     ],
 )
 def test_malformed_specs(text):

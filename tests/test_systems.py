@@ -17,7 +17,14 @@ from tpds import (
     random_tridiagonal_cooperative,
     shipped,
 )
-from tpds.errors import DimensionMismatch, EmptySegments, NonFiniteInput, OutOfInterval, SpecFileError
+from tpds.errors import (
+    DimensionMismatch,
+    EmptySegments,
+    InvalidArgument,
+    NonFiniteInput,
+    OutOfInterval,
+    SpecFileError,
+)
 from tpds.systems import SystemClass, _membership, offdiag_min
 
 
@@ -121,7 +128,7 @@ def test_negative_minor_witness():
     B = A.T.copy()
     out_t = negative_minor_witness(B, 1, 3)
     assert out_t is not None and out_t[3] < 0
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         negative_minor_witness(A, 2, 1)
 
 
@@ -300,6 +307,28 @@ def test_membership_matches_per_entry_reference(As):
         # the stacked kernel answers each slice as the single-matrix calls do
         assert bool(bad[k].any()) is not ref.in_M(A)
         assert float(low[k]).hex() == float(ref.offdiag_min(A)).hex()
+
+
+@pytest.mark.parametrize("grid", [-1, 2.5, True, "10", None])
+def test_classify_time_varying_grid_must_be_an_integer_at_least_0(grid):
+    sys = TimeVaryingSystem.constant([[0.0, 1.0], [1.0, 0.0]], (0.0, 1.0))
+    with pytest.raises(InvalidArgument, match="grid must be an integer >= 0"):
+        classify_time_varying(sys, grid=grid)
+    assert classify_time_varying(sys, grid=np.int64(3)).verdict == "TPDS"
+
+
+@pytest.mark.parametrize(
+    "A, i, j",
+    [
+        (np.ones((3, 4)), 3, 1),  # not square
+        (np.ones(3), 3, 1),  # not a matrix
+        (np.eye(3), 5, 1),  # i beyond n
+        (np.eye(3), 0, 2),  # i below 1: read row -1 and answered
+    ],
+)
+def test_negative_minor_witness_rejects_bad_shapes_and_indices(A, i, j):
+    with pytest.raises(DimensionMismatch):
+        negative_minor_witness(A, i, j)
 
 
 @pytest.mark.parametrize("grid", [0, 1])

@@ -6,6 +6,7 @@ import pytest
 import signvar_reference as ref
 from tpds import totalpos
 from tpds import (
+    GEBFactorization,
     classify,
     column_set_equivalence,
     geb_factorize,
@@ -21,6 +22,7 @@ from tpds import (
 )
 from tpds.errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NotTN,
     NotTridiagonal,
     PivotBreakdown,
@@ -279,13 +281,40 @@ def test_geb_residual_is_that_of_the_product_from_the_identity():
         assert fact.residual_error.hex() == want.hex()
 
 
+BAD_SHAPES = {
+    "classify-0x0": lambda: classify(np.zeros((0, 0))),
+    "geb_factorize-0x0": lambda: geb_factorize(np.zeros((0, 0))),
+    "oscillatory_spectrum-0x0": lambda: oscillatory_spectrum(np.zeros((0, 0))),
+    "column_set_equivalence-vector": lambda: column_set_equivalence(np.ones(3)),
+    "svdp_check-vector": lambda: svdp_check(np.ones(3), np.ones(3)),
+    "svdp_check-column-x": lambda: svdp_check(np.eye(3), np.ones((3, 1))),
+    "strong_svdp_holds-vector": lambda: strong_svdp_holds(np.ones(3)),
+    "strong_svdp_holds-0x0": lambda: strong_svdp_holds(np.zeros((0, 0))),
+    "minor-vector": lambda: minor(np.ones(3), (1,), (1,)),
+    "is_geb-vector": lambda: is_geb(np.ones(3)),
+    "is_geb-0x0": lambda: is_geb(np.zeros((0, 0))),
+    "product-empty": lambda: GEBFactorization().product(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_bad_shapes_raise_dimension_mismatch(case):
+    with pytest.raises(DimensionMismatch):
+        BAD_SHAPES[case]()
+
+
+def test_is_geb_rejects_non_finite_entries():
+    with pytest.raises(NonFiniteInput):
+        is_geb(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
 def test_ordered_spectrum_checks_both_counts_of_each_eigenvector():
     # eigenvector 2 is (1, -1, 0): one sign change, but two once its zero
     # end entry may take either sign
     V = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [1.0, 0.0, 1.0]])
     M = V @ np.diag([3.0, 2.0, 1.0]) @ np.linalg.inv(V)
     with pytest.raises(SpectralViolation, match=r"eigenvector 2 has sign counts \(1, 2\), expected 1"):
-        totalpos._ordered_spectrum(M, SpectralViolation, 1e-8, 1e-8)
+        totalpos._ordered_spectrum(M)
 
 
 def test_sampled_products_round_as_one_vector_at_a_time(monkeypatch):
