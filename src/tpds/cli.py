@@ -75,37 +75,32 @@ def cmd_compound(args):
     return EXIT_OK
 
 
-def _linear_grid(sys_obj, experiment, override=None):
-    a, b = sys_obj.interval
-    npts = int(override or experiment.get("grid", 1000))
-    return np.linspace(a, b, npts)
+def _linear_grid(spec, override=None):
+    a, b = spec.system.interval
+    return np.linspace(a, b, override or spec.setting("grid", 1000))
 
 
 def cmd_simulate(args):
     spec = specfile.load(args.spec)
-    step = args.step or spec.experiment.get("step")
+    step = args.step or spec.setting("step")
     if spec.kind == "linear":
-        z0 = args.z0 or spec.experiment.get("z0")
+        z0 = args.z0 or spec.setting("z0")
         if z0 is None:
             raise SpecFileError("no initial condition: pass --z0 or set experiment.z0")
-        grid = _linear_grid(spec.system, spec.experiment, args.grid)
+        grid = _linear_grid(spec, args.grid)
         verdict = classify_time_varying(spec.system, grid=200)
-        traj = simulate_linear(
-            spec.system, np.asarray(z0, dtype=float), grid, step=step,
-            tpds=verdict.is_TPDS,
-        )
+        traj = simulate_linear(spec.system, z0, grid, step=step, tpds=verdict.is_TPDS)
         rec = transition_matrix(spec.system, grid[0], grid[-1], step=step)
         suspect = rec.suspect
     else:
-        x0 = args.z0 or spec.experiment.get("x0")
+        x0 = args.z0 or spec.setting("x0")
         if x0 is None:
             raise SpecFileError("no initial condition: pass --z0 or set experiment.x0")
-        horizon = args.horizon or spec.experiment.get("horizon")
+        horizon = args.horizon or spec.setting("horizon")
         if horizon is None:
             raise SpecFileError("no horizon: pass --horizon or set experiment.horizon")
-        npts = int(args.grid or spec.experiment.get("grid", 1000))
-        grid = np.linspace(0.0, float(horizon), npts)
-        run = simulate_nonlinear(spec.system, np.asarray(x0, dtype=float), grid, step=step)
+        grid = np.linspace(0.0, horizon, args.grid or spec.setting("grid", 1000))
+        run = simulate_nonlinear(spec.system, x0, grid, step=step)
         # the sign-variation story lives on z = f(t, x(t)), so that is what
         # gets written for nonlinear systems
         traj = run.derivative
@@ -135,13 +130,10 @@ def cmd_entrain(args):
     spec = specfile.load(args.spec)
     if spec.kind != "nonlinear":
         raise SpecFileError("entrain needs a nonlinear periodic spec")
-    x0 = args.x0 or spec.experiment.get("x0")
+    x0 = args.x0 or spec.setting("x0")
     if x0 is None:
         raise SpecFileError("no initial condition: pass --x0 or set experiment.x0")
-    res = poincare_analysis(
-        spec.system, np.asarray(x0, dtype=float),
-        max_iters=args.max_iters, tol=args.tol, step=args.step,
-    )
+    res = poincare_analysis(spec.system, x0, max_iters=args.max_iters, tol=args.tol, step=args.step)
     print(f"detected_period {res.detected_period}")
     tail = res.residuals[-5:]
     print("residual tail " + " ".join(f"{r:.3e}" for r in tail))
@@ -157,8 +149,7 @@ def _write_rows(path, header, rows):
 
 def _figure_sigma_switched(outdir):
     spec = specfile.shipped("switched")
-    z0 = np.asarray(spec.experiment["z0"], dtype=float)
-    traj = simulate_linear(spec.system, z0, _linear_grid(spec.system, spec.experiment), tpds=True)
+    traj = simulate_linear(spec.system, spec.setting("z0"), _linear_grid(spec), tpds=True)
     traj.to_csv(os.path.join(outdir, "sigma_switched.csv"))
     flagged = zip(traj.times, traj.sigma_minus, traj.in_V_flags)
     rows = [(f"{t:.10g}", sm) for t, sm, ok in flagged if ok]
@@ -184,7 +175,7 @@ def _figure_floquet_sinusoidal(outdir):
 
 def _figure_takac(outdir):
     spec = specfile.shipped("takac")
-    res = poincare_analysis(spec.system, np.asarray(spec.experiment["x0"], dtype=float))
+    res = poincare_analysis(spec.system, spec.setting("x0"))
     rows = [
         [k]
         + [f"{v:.10g}" for v in x]

@@ -10,8 +10,12 @@ Grammar (radians throughout)::
 
 Recognized functions: sin cos tan sinh cosh tanh exp log sqrt abs.
 
-Coefficients are evaluated only through ``compile_fn``, which turns a whole
-scalar, vector or matrix of them into one checked Python function.
+Coefficients are evaluated only through generated Python code:
+``compile_fn`` turns a whole scalar, vector or matrix of them into one
+checked function, and ``compile_stepper`` turns the right-hand side of
+x' = f(t, x) into one checked RK4 stepper that inlines every entry at each
+stage. Both emit the same code for an expression (``_pycode``) and are
+defined by the same helper (``_define``).
 """
 
 from __future__ import annotations
@@ -205,6 +209,14 @@ def _literal(v):
     return repr(v) if math.isfinite(v) else f"_float({repr(v)!r})"
 
 
+def _integral(expr):
+    """True for a literal integer exponent such as 3 or -1: a real base
+    raised to it is always real."""
+    if isinstance(expr, Neg):
+        return _integral(expr.operand)
+    return isinstance(expr, Num) and math.isfinite(expr.value) and expr.value == int(expr.value)
+
+
 def _pycode(expr):
     if isinstance(expr, (int, float)):
         return _literal(float(expr))
@@ -215,6 +227,8 @@ def _pycode(expr):
     if isinstance(expr, Neg):
         return f"(-{_pycode(expr.operand)})"
     if isinstance(expr, BinOp):
+        if expr.op == "^" and _integral(expr.right):
+            return f"(({_pycode(expr.left)}) ** {_pycode(expr.right)})"
         if expr.op == "^":
             return f"_pow({_pycode(expr.left)}, {_pycode(expr.right)})"
         return f"({_pycode(expr.left)} {expr.op} {_pycode(expr.right)})"
@@ -232,6 +246,43 @@ def _pow(a, b):
 
 def _names(entry):
     return set() if isinstance(entry, (int, float)) else variables(entry)
+
+
+def _bound_names(entries, n, u):
+    """The variables that the entries and the input u use. One outside t,
+    x1..xn (with n) and u (with an input, itself over t alone) raises
+    UnboundVariable."""
+    used = set().union(*map(_names, entries))
+    allowed = {"t"}
+    if n is not None:
+        allowed |= {f"x{k}" for k in range(1, n + 1)}
+    u_names = set()
+    if u is not None:
+        allowed.add("u")
+        u_names = _names(u)
+    unbound = (used - allowed) | (u_names - {"t"})
+    if unbound:
+        raise UnboundVariable(f"variables {sorted(unbound)} not bound")
+    return used | u_names
+
+
+def _define(signature, prologue, body, **env):
+    """Define ``def signature:`` by exec: the prologue lines, then the body
+    lines inside a wrapper that re-raises a ValueError, ZeroDivisionError or
+    OverflowError as DomainError. Body lines may carry their own further
+    indentation. ``env`` adds names to the function's globals."""
+    source = (
+        f"def {signature}:\n"
+        + "".join(f"    {line}\n" for line in prologue)
+        + "    try:\n"
+        + "".join(f"        {line}\n" for line in body)
+        + "    except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
+        + "        raise DomainError(str(exc)) from exc\n"
+    )
+    namespace = {f"_fn_{name}": fn for name, fn in FUNCTIONS.items()}
+    namespace.update(_pow=_pow, _float=float, DomainError=DomainError, **env)
+    exec(source, namespace)
+    return namespace[signature[: signature.index("(")]]
 
 
 def compile_fn(coeff, n=None, u=None):
@@ -261,18 +312,7 @@ def compile_fn(coeff, n=None, u=None):
         cells = {(i, j): e for i, row in enumerate(coeff) for j, e in enumerate(row)}
     else:
         shape, cells = (len(coeff),), {(i,): e for i, e in enumerate(coeff)}
-    used = set().union(*map(_names, cells.values()))
-    allowed = {"t"}
-    if n is not None:
-        allowed |= {f"x{k}" for k in range(1, n + 1)}
-    u_names = set()
-    if u is not None:
-        allowed.add("u")
-        u_names = _names(u)
-    unbound = (used - allowed) | (u_names - {"t"})
-    if unbound:
-        raise UnboundVariable(f"variables {sorted(unbound)} not bound")
-    used |= u_names
+    used = _bound_names(cells.values(), n, u)
 
     lines = ["t = float(t)"] if "t" in used else []
     lines += [f"{v} = float(x[{int(v[1:]) - 1}])" for v in sorted(used - {"t", "u"})]
@@ -291,16 +331,59 @@ def compile_fn(coeff, n=None, u=None):
             else:
                 lines.append(f"A[{', '.join(map(str, idx))}] = {_pycode(e)}")
         lines.append("return A")
-    source = (
-        f"def coefficient(t{', x' if n is not None else ''}):\n    try:\n"
-        + "".join(f"        {line}\n" for line in lines)
-        + "    except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
-        + "        raise DomainError(str(exc)) from exc\n"
+    signature = f"coefficient(t{', x' if n is not None else ''})"
+    return _define(signature, [], lines, _base=base)
+
+
+def compile_stepper(rhs, n, u=None):
+    """Compile the right-hand side of x' = f(t, x) into one RK4 stepper.
+
+    ``rhs`` holds the n entries of f (numbers or ASTs over t, x1..xn and,
+    with the input ``u``, u). The result is ``advance(y, t, h, nsteps)``:
+    nsteps classical RK4 steps of size h from state y at time t, returned
+    as a float array. It makes the same floating-point operations in the
+    same order as RK4 over ``compile_fn(rhs, n, u)`` with numpy arrays, so
+    its result is bit-identical, but it keeps the state and the stage
+    values a, b, c, d as Python floats and inlines every entry at each
+    stage. u is evaluated once per stage time: at t, at t + h/2 (shared by
+    the two middle stages) and at t + h. The domain rules and errors are
+    those of ``compile_fn``. A y that does not hold n entries raises
+    ValueError when the stepper unpacks it.
+    """
+    used = _bound_names(rhs, n, u)
+    ks = range(1, n + 1)
+    states = sorted(int(v[1:]) for v in used - {"t", "u"})
+    codes = [_pycode(e) for e in rhs]
+
+    def stage(out, time, offset):
+        # out1..outn at stage time `time` (None: the previous stage's t and
+        # u) and state x_k = y_k + offset; s is the time at the step's start
+        lines = []
+        if time is not None and "t" in used:
+            lines.append(f"t = {time}")
+        if time is not None and u is not None:
+            lines.append(f"u = {_pycode(u)}")
+        lines += [f"x{k} = y{k}{offset.format(k=k)}" for k in states]
+        return lines + [f"{out}{k} = {code}" for k, code in zip(ks, codes)]
+
+    loop = (
+        stage("a", "s", "")
+        + stage("b", "s + h2", " + h2 * a{k}")
+        + stage("c", None, " + h2 * b{k}")
+        + stage("d", "s + h", " + h * c{k}")
+        + [f"y{k} = y{k} + h6 * (a{k} + 2 * b{k} + 2 * c{k} + d{k})" for k in ks]
+        + ["s += h"]
     )
-    env = {f"_fn_{name}": fn for name, fn in FUNCTIONS.items()}
-    env.update(_pow=_pow, _float=float, _base=base, DomainError=DomainError)
-    exec(source, env)
-    return env["coefficient"]
+    prologue = [
+        f"{', '.join(f'y{k}' for k in ks)}, = map(float, y)",
+        "s = float(t)",
+        "h = float(h)",
+        "h2 = h / 2",
+        "h6 = h / 6",
+    ]
+    body = ["for _ in range(nsteps):"] + [f"    {line}" for line in loop]
+    body.append(f"return _array([{', '.join(f'y{k}' for k in ks)}])")
+    return _define("advance(y, t, h, nsteps)", prologue, body, _array=np.array)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -15,6 +15,7 @@ import numpy as np
 
 from .compound import add_compound, mult_compound
 from .errors import (
+    DimensionMismatch,
     IntegrationSuspect,
     MonotonicityViolation,
     NoApplicablePair,
@@ -51,22 +52,45 @@ def _checked_grid(grid, interval=None):
     return grid
 
 
-def _rk4_span(f, y, t0, t1, step):
-    """Integrate y' = f(t, y) over [t0, t1] with steps of at most `step`."""
+def _rk4_span(advance, y, t0, t1, step):
+    """Integrate y over [t0, t1] by RK4 with steps of at most `step`.
+
+    This is the one step-count rule: the span is cut into
+    ceil(length / step - 1e-12) equal steps, which ``advance(y, t0, h,
+    nsteps)`` takes. The stepper is ``_rk4_steps(f)`` for a linear flow and
+    ``NonlinearSystem.stepper`` (generated by ``exprlang.compile_stepper``)
+    for a nonlinear one, which gives the floats of ``_rk4_steps(sys.f)``.
+    """
     length = t1 - t0
     if length <= 0:
         return y
     nsteps = max(1, math.ceil(length / step - 1e-12))
-    h = length / nsteps
-    t = t0
-    for _ in range(nsteps):
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + (h / 2) * k1)
-        k3 = f(t + h / 2, y + (h / 2) * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return y
+    return advance(y, t0, length / nsteps, nsteps)
+
+
+def _rk4_steps(f):
+    """The generic RK4 stepper for y' = f(t, y), y any numpy array."""
+
+    def advance(y, t, h, nsteps):
+        for _ in range(nsteps):
+            k1 = f(t, y)
+            k2 = f(t + h / 2, y + (h / 2) * k1)
+            k3 = f(t + h / 2, y + (h / 2) * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+        return y
+
+    return advance
+
+
+def _checked_state(x0, n, name):
+    """The initial state as a float array; one that is not a vector of n
+    entries raises DimensionMismatch."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise DimensionMismatch(f"{name} must hold {n} entries, got shape {x0.shape}")
+    return x0
 
 
 def _spans(sys, t0, t1):
@@ -98,7 +122,7 @@ def _integrate_piecewise(sys, y0, t0, t1, step, matfun):
                 last[:] = t, matfun(t, seg)
             return last[1] @ v
 
-        y = _rk4_span(f, y, lo, hi, step)
+        y = _rk4_span(_rk4_steps(f), y, lo, hi, step)
     return y
 
 
@@ -145,7 +169,8 @@ def transition_matrix(sys, t0, t, step=None):
     det_phi = float(np.linalg.det(phi))
     log_det = 0.0
     for lo, hi, seg in _spans(sys, t0, t):
-        log_det = _rk4_span(lambda s, _, seg=seg: traces[seg, s], log_det, lo, hi, step)
+        trace = _rk4_steps(lambda s, _, seg=seg: traces[seg, s])
+        log_det = _rk4_span(trace, log_det, lo, hi, step)
     det_pred = float(np.exp(log_det))
     if not math.isfinite(det_pred):
         raise IntegrationSuspect(
@@ -225,11 +250,12 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     must be non-increasing sample to sample and at most n-1 exceptional
     clusters of non-V samples may occur. A grid that is empty, non-finite
     or decreasing, or leaves [a, b] by more than segment_index's 1e-12,
-    raises OutOfInterval, a non-finite z0 NonFiniteInput, and a state that
+    raises OutOfInterval, a z0 that is not a vector of n entries
+    DimensionMismatch, a non-finite z0 NonFiniteInput, and a state that
     turns non-finite on the way (a stiff or overflowing system at this step)
     IntegrationSuspect.
     """
-    z0 = np.asarray(z0, dtype=float)
+    z0 = _checked_state(z0, sys.n, "z0")
     if not np.any(z0):
         raise TrivialSolution("z0 = 0 yields the trivial solution")
     if not np.isfinite(z0).all():

@@ -1,7 +1,13 @@
-"""Nonlinear simulation, eventual monotonicity, and Poincare-map analysis."""
+"""Nonlinear simulation, eventual monotonicity, and Poincare-map analysis.
+
+Trajectories are integrated by ``integrate._rk4_span`` with the system's
+generated RK4 stepper (``exprlang.compile_stepper``); f and the Jacobian
+are called only at the samples.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +22,7 @@ from .errors import (
     SpecFileError,
     TrivialSolution,
 )
-from .integrate import Trajectory, _checked_grid, _rk4_span
+from .integrate import Trajectory, _checked_grid, _checked_state, _rk4_span
 from .systems import in_M_plus
 
 FD_JAC_REL_STEP = 1e-6
@@ -32,6 +38,7 @@ class NonlinearSystem:
     The input u(t), when given, is evaluated once per call of f or jac. A
     variable outside t, x1..xn and u (u only with an input) raises
     UnboundVariable here; an out-of-domain evaluation raises DomainError.
+    The RK4 stepper that integrates it is compiled on first use.
     """
 
     n: int
@@ -59,6 +66,12 @@ class NonlinearSystem:
             if self.jacobian is not None
             else None
         )
+
+    @functools.cached_property
+    def stepper(self):
+        """``advance(y, t, h, nsteps)`` for ``integrate._rk4_span``: RK4 steps
+        with f inlined, bit-identical to ``_rk4_steps(self.f)``."""
+        return exprlang.compile_stepper(self.rhs, self.n, self.input)
 
     @property
     def uses_finite_difference_jacobian(self):
@@ -100,10 +113,11 @@ def simulate_nonlinear(sys, x0, grid, step=None):
     Jacobian samples are tested for M+ membership along the run; when they
     leave the class the sign-count assertions do not apply and the flag in
     the result says so. A grid that is empty, non-finite or decreasing
-    raises OutOfInterval.
+    raises OutOfInterval, and an x0 that is not a vector of n entries
+    DimensionMismatch.
     """
     grid = _checked_grid(grid)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _checked_state(x0, sys.n, "x0")
     if not sys.in_box(x0):
         raise LeftDomain("initial condition outside the domain box", grid[0])
     if step is None:
@@ -113,7 +127,7 @@ def simulate_nonlinear(sys, x0, grid, step=None):
     jac_ok = in_M_plus(sys.jac(grid[0], x0))
     x = x0
     for t0, t1 in zip(grid, grid[1:]):
-        x = _rk4_span(sys.f, x, t0, t1, step)
+        x = _rk4_span(sys.stepper, x, t0, t1, step)
         if not sys.in_box(x):
             raise LeftDomain("trajectory left the domain box", float(t1))
         xs.append(x)
@@ -122,15 +136,22 @@ def simulate_nonlinear(sys, x0, grid, step=None):
     return NonlinearRun(Trajectory(grid, np.array(xs)), Trajectory(grid, np.array(zs)), jac_ok)
 
 
+@functools.cache
+def _gauss_legendre():
+    """The nodes and weights of GAUSS_LEGENDRE_POINTS-point Gauss-Legendre,
+    mapped from [-1, 1] to [0, 1]. Computed once, on first use: importing
+    numpy.polynomial costs ~4 ms and ~1.6 MB, which every ``import tpds``
+    would otherwise pay."""
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_POINTS)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
 def line_integral_jacobian(sys, t, a, b):
     """Gauss-Legendre average of J(t, .) along the segment from b to a."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_POINTS)
-    r = 0.5 * (nodes + 1.0)  # map to [0, 1]
-    w = 0.5 * weights
     J = np.zeros((sys.n, sys.n))
-    for ri, wi in zip(r, w):
+    for ri, wi in zip(*_gauss_legendre()):
         J += wi * sys.jac(t, ri * a + (1 - ri) * b)
     return J
 
@@ -189,18 +210,20 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
     detected_period is the smallest q <= q_max whose iterate residuals
     ||x((k+q)T) - x(kT)|| stay below tol for PERSISTENCE consecutive k at
     the tail of the run; q = 1 certifies entrainment at this resolution.
+    Each iterate is one ``_rk4_span`` over a period. An x0 that is not a
+    vector of n entries raises DimensionMismatch.
     """
     if sys.period is None:
         raise NotPeriodic("system carries no period")
     T = sys.period
-    x = np.asarray(x0, dtype=float)
+    x = _checked_state(x0, sys.n, "x0")
     if not sys.in_box(x):
         raise LeftDomain("initial condition outside the domain box", 0.0)
     if step is None:
         step = 1e-3 * T
     iterates = [x]
     for k in range(max_iters):
-        x = _rk4_span(sys.f, x, k * T, (k + 1) * T, step)
+        x = _rk4_span(sys.stepper, x, k * T, (k + 1) * T, step)
         if not sys.in_box(x):
             raise LeftDomain("trajectory left the domain box", (k + 1) * T)
         iterates.append(x)

@@ -39,6 +39,16 @@ class SystemSpec:
     def kind(self):
         return "linear" if isinstance(self.system, TimeVaryingSystem) else "nonlinear"
 
+    def setting(self, key, default=None):
+        """experiment[key] converted as the commands use it, or default when
+        absent: z0 and x0 a list of finite numbers, grid a positive integer,
+        horizon a finite number and step a positive one. A value that does
+        not convert raises SpecFileError."""
+        raw = self.experiment.get(key)
+        if raw is None:
+            return default
+        return _SETTINGS[key](raw, f"experiment.{key}")
+
 
 def _number(raw, what):
     """raw as a finite float: a YAML number, or a string such as 1e-3 that
@@ -50,6 +60,27 @@ def _number(raw, what):
     if isinstance(raw, bool) or not math.isfinite(value):
         raise SpecFileError(f"{what} must be a finite number, got {raw!r}")
     return value
+
+
+def _positive(raw, what):
+    value = _number(raw, what)
+    if value <= 0:
+        raise SpecFileError(f"{what} must be positive, got {raw!r}")
+    return value
+
+
+def _count(raw, what):
+    value = _positive(raw, what)
+    if value != int(value):
+        raise SpecFileError(f"{what} must be a positive integer, got {raw!r}")
+    return int(value)
+
+
+def _vector(raw, what):
+    return [_number(v, f"an entry of {what}") for v in _typed(raw, list, what)]
+
+
+_SETTINGS = {"z0": _vector, "x0": _vector, "grid": _count, "horizon": _number, "step": _positive}
 
 
 def _typed(raw, kind, what):

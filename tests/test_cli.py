@@ -136,6 +136,39 @@ def test_simulate_malformed_spec_exits_2(tmp_path, capsys):
     assert "a segment must be a dict" in capsys.readouterr().err
 
 
+LINEAR_SPEC = (
+    "meta: {name: lin, n: 2, interval: [0, 1]}\n"
+    "linear:\n  segments:\n    - {t_start: 0, t_end: 1, matrix: [[-1, 1], [1, -1]]}\n"
+)
+NONLINEAR_SPEC = 'meta: {name: nl, n: 3, period: 1.0}\nnonlinear:\n  rhs: ["-x1", "-x2", "-x3"]\n'
+BAD_EXPERIMENTS = {
+    "simulate-z0": ("simulate", LINEAR_SPEC, "{z0: abc}", "experiment.z0"),
+    "simulate-z0-entry": ("simulate", LINEAR_SPEC, "{z0: [abc, 1]}", "experiment.z0"),
+    "simulate-grid": ("simulate", LINEAR_SPEC, "{z0: [1, -1], grid: abc}", "experiment.grid"),
+    "simulate-grid-fraction": ("simulate", LINEAR_SPEC, "{z0: [1, -1], grid: 2.5}", "experiment.grid"),
+    "simulate-step": ("simulate", LINEAR_SPEC, "{z0: [1, -1], step: abc}", "experiment.step"),
+    "simulate-step-zero": ("simulate", LINEAR_SPEC, "{z0: [1, -1], step: 0}", "experiment.step"),
+    "simulate-x0": ("simulate", NONLINEAR_SPEC, "{x0: abc, horizon: 1}", "experiment.x0"),
+    "simulate-x0-entry": ("simulate", NONLINEAR_SPEC, "{x0: [abc, 1, 2], horizon: 1}", "experiment.x0"),
+    "simulate-horizon": ("simulate", NONLINEAR_SPEC, "{x0: [0, 1, 2], horizon: abc}", "experiment.horizon"),
+    "simulate-nonlinear-grid": ("simulate", NONLINEAR_SPEC, "{x0: [0, 1, 2], horizon: 1, grid: abc}", "experiment.grid"),
+    "entrain-x0": ("entrain", NONLINEAR_SPEC, "{x0: abc}", "experiment.x0"),
+    "entrain-x0-entry": ("entrain", NONLINEAR_SPEC, "{x0: [abc, 1, 2]}", "experiment.x0"),
+    "entrain-x0-nan": ("entrain", NONLINEAR_SPEC, "{x0: [.nan, 1, 2]}", "experiment.x0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EXPERIMENTS))
+def test_malformed_experiment_value_exits_2(tmp_path, capsys, case):
+    # these used to end in a bare ValueError with exit 1
+    command, system, experiment, key = BAD_EXPERIMENTS[case]
+    path = tmp_path / "bad.spec"
+    path.write_text(system + f"experiment: {experiment}\n")
+    extra = ["--out", str(tmp_path / "x.csv")] if command == "simulate" else []
+    assert cli.main([command, str(path)] + extra) == 2
+    assert key in capsys.readouterr().err
+
+
 NON_FINITE_SPECS = {
     "nan": ("[[-1, 1], [1, .nan]]", 2),
     "overflow": ('[[-1, "t * 1e308 * 10"], [1, -1]]', 3),

@@ -23,6 +23,7 @@ from tpds import (
     transition_matrix,
 )
 from tpds.errors import (
+    DimensionMismatch,
     IntegrationSuspect,
     MonotonicityViolation,
     NoApplicablePair,
@@ -30,7 +31,7 @@ from tpds.errors import (
     OutOfInterval,
     TrivialSolution,
 )
-from tpds.integrate import CLUSTER_GAP, TRAJ_ZERO_REL_TOL, _rk4_span, _spans, default_step
+from tpds.integrate import CLUSTER_GAP, TRAJ_ZERO_REL_TOL, _rk4_span, _rk4_steps, _spans, default_step
 
 
 def cosh_exact(t0, t):
@@ -185,7 +186,7 @@ def integrate_unmemoised(sys, y0, t0, t1, step, matfun):
     """_integrate_piecewise with four coefficient evaluations per RK4 step."""
     y = y0
     for lo, hi, seg in _spans(sys, t0, t1):
-        y = _rk4_span(lambda t, v, seg=seg: matfun(t, seg) @ v, y, lo, hi, step)
+        y = _rk4_span(_rk4_steps(lambda t, v, seg=seg: matfun(t, seg) @ v), y, lo, hi, step)
     return y
 
 
@@ -275,6 +276,13 @@ def test_simulate_linear_grid_empty_non_finite_or_not_a_sequence_raises(grid):
     sys = TimeVaryingSystem.constant([[-1.0, 1.0], [1.0, -1.0]], (0.0, 1.0))
     with pytest.raises(OutOfInterval, match="nonempty, finite, nondecreasing"):
         simulate_linear(sys, [1.0, 0.0], grid)
+
+
+@pytest.mark.parametrize("z0", [[1.0], [1.0, 0.0, 2.0], [[1.0, 0.0]], 1.0], ids=["short", "long", "nested", "scalar"])
+def test_simulate_linear_rejects_a_state_of_the_wrong_length(z0):
+    sys = shipped("cosh2").system
+    with pytest.raises(DimensionMismatch, match="z0 must hold 2 entries"):
+        simulate_linear(sys, z0, [0.0, 1.0])
 
 
 def test_simulate_linear_grid_within_slack_and_repeated_points():

@@ -13,6 +13,7 @@ from tpds import (
 )
 from tpds.errors import (
     AssumptionViolated,
+    DimensionMismatch,
     LeftDomain,
     NoConvergence,
     NotPeriodic,
@@ -93,6 +94,19 @@ def test_simulate_nonlinear_grid_rule(grid):
     with pytest.raises(OutOfInterval, match="nonempty, finite, nondecreasing"):
         simulate_nonlinear(sys, [1.0, 2.0], grid)
     assert simulate_nonlinear(sys, [1.0, 2.0], [0.2, 0.2, 0.5]).state.states.shape == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "x0",
+    [[0.1], [0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]], 0.1],
+    ids=["one", "two", "four", "nested", "scalar"],
+)
+def test_wrong_length_initial_state_raises_dimension_mismatch(demo, x0):
+    # checked before any integration: it used to leak an IndexError from f
+    with pytest.raises(DimensionMismatch, match="x0 must hold 3 entries"):
+        simulate_nonlinear(demo, x0, [0.0, 1.0])
+    with pytest.raises(DimensionMismatch, match="x0 must hold 3 entries"):
+        poincare_analysis(demo, x0)
 
 
 def test_autonomous_sigma_of_derivative_non_increasing():
