@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 malformed input file, 3 assertion/analysis failure,
-4 numerical-consistency suspect. The output directory for generated files
-defaults to the current directory and can be overridden with the
-``TPDS_OUTDIR`` environment variable or ``--outdir``.
+Exit codes: 0 success, 2 malformed input file or option value, 3
+assertion/analysis failure, 4 numerical-consistency suspect. The output
+directory for generated files defaults to the current directory and can be
+overridden with the ``TPDS_OUTDIR`` environment variable or ``--outdir``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -19,6 +20,7 @@ from . import matio, specfile
 from .compound import add_compound, mult_compound
 from .errors import (
     IntegrationSuspect,
+    InvalidArgument,
     SpecFileError,
     TpdsError,
     UnknownFigure,
@@ -75,19 +77,33 @@ def cmd_compound(args):
     return EXIT_OK
 
 
-def _linear_grid(spec, override=None):
+def _option(args, name, spec, default=None):
+    """The value of --name if given, else the spec's experiment setting (or
+    default). A given value that is not a positive finite number raises
+    InvalidArgument (exit 2); --grid is an integer by its parser."""
+    value = getattr(args, name)
+    if value is None:
+        return spec.setting(name, default)
+    if not (value > 0 and math.isfinite(value)):
+        what = "integer" if isinstance(value, int) else "finite number"
+        raise InvalidArgument(f"--{name} must be a positive {what}, got {value}")
+    return value
+
+
+def _linear_grid(spec, points=None):
     a, b = spec.system.interval
-    return np.linspace(a, b, override or spec.setting("grid", 1000))
+    return np.linspace(a, b, spec.setting("grid", 1000) if points is None else points)
 
 
 def cmd_simulate(args):
     spec = specfile.load(args.spec)
-    step = args.step or spec.setting("step")
+    step = _option(args, "step", spec)
+    points = _option(args, "grid", spec, 1000)
     if spec.kind == "linear":
         z0 = args.z0 or spec.setting("z0")
         if z0 is None:
             raise SpecFileError("no initial condition: pass --z0 or set experiment.z0")
-        grid = _linear_grid(spec, args.grid)
+        grid = _linear_grid(spec, points)
         verdict = classify_time_varying(spec.system, grid=200)
         traj = simulate_linear(spec.system, z0, grid, step=step, tpds=verdict.is_TPDS)
         rec = transition_matrix(spec.system, grid[0], grid[-1], step=step)
@@ -96,10 +112,10 @@ def cmd_simulate(args):
         x0 = args.z0 or spec.setting("x0")
         if x0 is None:
             raise SpecFileError("no initial condition: pass --z0 or set experiment.x0")
-        horizon = args.horizon or spec.setting("horizon")
+        horizon = _option(args, "horizon", spec)
         if horizon is None:
             raise SpecFileError("no horizon: pass --horizon or set experiment.horizon")
-        grid = np.linspace(0.0, horizon, args.grid or spec.setting("grid", 1000))
+        grid = np.linspace(0.0, horizon, points)
         run = simulate_nonlinear(spec.system, x0, grid, step=step)
         # the sign-variation story lives on z = f(t, x(t)), so that is what
         # gets written for nonlinear systems
@@ -271,7 +287,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFileError, OSError) as exc:
+    except (SpecFileError, InvalidArgument, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except IntegrationSuspect as exc:

@@ -83,22 +83,25 @@ def add_compound(A, p):
     Entry (alpha|beta) is the trace over alpha when alpha == beta, the
     signed entry (-1)^(l+m) a_{i_l j_m} when the tuples differ in exactly
     one index, and zero otherwise. Each trace is summed left to right from
-    0, as Python's ``sum`` does.
+    0, as Python's ``sum`` does. A (..., n, n) stack of matrices gives the
+    stack of their compounds as ``entries``.
     """
-    A = _check_square(A)
-    n = A.shape[0]
+    A = np.asarray(A, dtype=float)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionMismatch("compound requires a square matrix or a stack of them")
+    n = A.shape[-1]
     if not 1 <= p <= n:
         raise OrderOutOfRange(f"order {p} outside 1..{n}")
     labels, diag, dst, rows, cols, sign = _add_compound_map(n, p)
     m = len(labels)
-    d = A.diagonal()
+    d = A.diagonal(axis1=-2, axis2=-1)
     trace = 0.0
     for k in range(p):
-        trace = trace + d[diag[:, k]]
-    out = np.zeros(m * m)
-    out[:: m + 1] = trace
-    out[dst] = A[rows, cols] * sign
-    return CompoundMatrix(n, p, out.reshape(m, m), list(labels))
+        trace = trace + d[..., diag[:, k]]
+    out = np.zeros(A.shape[:-2] + (m * m,))
+    out[..., :: m + 1] = trace
+    out[..., dst] = A[..., rows, cols] * sign
+    return CompoundMatrix(n, p, out.reshape(A.shape[:-2] + (m, m)), list(labels))
 
 
 def is_metzler(A):

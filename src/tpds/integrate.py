@@ -1,8 +1,12 @@
 """Fixed-step RK4 transition matrices and sign-variation tracking.
 
 Steps land exactly on segment boundaries so that discontinuous (switched)
-coefficient matrices are integrated segment by segment; determinants are
-cross-checked against the exponential of the integrated trace.
+coefficient matrices are integrated segment by segment. A linear flow is
+integrated by batched propagators: A(t) is evaluated on the whole stage
+grid by one array call per segment, each step's RK4 propagator is built by
+stacked matmul, and the propagators are multiplied in step order, in long
+double. Determinants are cross-checked against the exponential of the
+integrated trace.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .compound import add_compound, mult_compound
 from .errors import (
     DimensionMismatch,
     IntegrationSuspect,
+    InvalidArgument,
     MonotonicityViolation,
     NoApplicablePair,
     NonFiniteInput,
@@ -29,6 +34,7 @@ DET_REL_TOL = 1e-6
 COMPOUND_REL_TOL = 1e-5
 TRAJ_ZERO_REL_TOL = 1e-8
 CLUSTER_GAP = 3
+CHUNK_STEPS = 256  # RK4 steps whose propagators are built at once, to bound memory
 
 
 def default_step(sys):
@@ -52,36 +58,33 @@ def _checked_grid(grid, interval=None):
     return grid
 
 
-def _rk4_span(advance, y, t0, t1, step):
-    """Integrate y over [t0, t1] by RK4 with steps of at most `step`.
+def _step_count(length, step):
+    """The one step-count rule: a span of this length is cut into
+    ceil(length / step - 1e-12) equal steps, at least one. A step that is
+    not a positive finite number raises InvalidArgument."""
+    if not (step > 0 and math.isfinite(step)):
+        raise InvalidArgument(f"step must be a positive finite number, got {step}")
+    return max(1, math.ceil(length / step - 1e-12))
 
-    This is the one step-count rule: the span is cut into
-    ceil(length / step - 1e-12) equal steps, which ``advance(y, t0, h,
-    nsteps)`` takes. The stepper is ``_rk4_steps(f)`` for a linear flow and
-    ``NonlinearSystem.stepper`` (generated by ``exprlang.compile_stepper``)
-    for a nonlinear one, which gives the floats of ``_rk4_steps(sys.f)``.
-    """
+
+def _linear_step(sys, step):
+    """The step of a linear integration: default_step when None, else the
+    given one, checked by the step-count rule even where no span needs it."""
+    if step is None:
+        return default_step(sys)
+    _step_count(0.0, step)
+    return step
+
+
+def _rk4_span(advance, y, t0, t1, step):
+    """Integrate y over [t0, t1] by RK4 in _step_count equal steps, which
+    ``advance(y, t0, h, nsteps)`` takes: ``NonlinearSystem.stepper``,
+    generated by ``exprlang.compile_stepper``."""
     length = t1 - t0
+    nsteps = _step_count(length, step)
     if length <= 0:
         return y
-    nsteps = max(1, math.ceil(length / step - 1e-12))
     return advance(y, t0, length / nsteps, nsteps)
-
-
-def _rk4_steps(f):
-    """The generic RK4 stepper for y' = f(t, y), y any numpy array."""
-
-    def advance(y, t, h, nsteps):
-        for _ in range(nsteps):
-            k1 = f(t, y)
-            k2 = f(t + h / 2, y + (h / 2) * k1)
-            k3 = f(t + h / 2, y + (h / 2) * k2)
-            k4 = f(t + h, y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-        return y
-
-    return advance
 
 
 def _checked_state(x0, n, name):
@@ -93,41 +96,127 @@ def _checked_state(x0, n, name):
     return x0
 
 
-def _spans(sys, t0, t1):
-    """Split [t0, t1] at interior segment boundaries, tagged by segment index."""
-    cuts = [t0] + sys.boundaries_between(t0, t1) + [t1]
-    spans = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo <= 0:
-            continue
-        seg = sys.segment_index(0.5 * (lo + hi))
-        spans.append((lo, hi, seg))
-    return spans
+class _Spans:
+    """The RK4 steps between consecutive grid points, as spans of equal steps.
 
-
-def _integrate_piecewise(sys, y0, t0, t1, step, matfun):
-    """Integrate y' = matfun(t, seg) @ y segment by segment.
-
-    matfun is evaluated once per distinct stage time: RK4's k2 and k3 share
-    t + h/2, and k4's t + h is the next step's k1 time (``t += h`` gives the
-    same float), so a one-entry memo keyed on t leaves 2 evaluations per
-    step plus one at the start of each span.
+    Each grid interval is cut at the interior segment boundaries that lie
+    more than 1e-14 inside it into spans, each tagged by the segment that
+    holds its midpoint (``segment_index``), and each span into _step_count
+    equal steps. A span of N steps of size h from lo has the 2N + 1 stage
+    times lo + k h / 2, k = 0..2N: the even ones start and end steps, the
+    odd ones are the midpoints that RK4's two middle stages share. Per
+    span: ``lo``, ``h``, ``count`` (of steps), ``segment`` and
+    ``interval`` (of the grid), spans in time order. Nothing here grows
+    with the number of steps; ``products`` lays the steps out a block at a
+    time.
     """
-    y = y0
-    for lo, hi, seg in _spans(sys, t0, t1):
-        last = [None, None]  # the latest stage time and matfun's value there
 
-        def f(t, v):
-            if t != last[0]:
-                last[:] = t, matfun(t, seg)
-            return last[1] @ v
+    def __init__(self, sys, grid, step):
+        grid = np.asarray(grid, dtype=float)
+        lo, hi = grid[:-1, None], grid[1:, None]
+        bounds = np.array([seg.t_end for seg in sys.segments[:-1]])
+        inside = (lo + 1e-14 < bounds) & (bounds < hi - 1e-14)
+        cuts = np.concatenate([lo, np.where(inside, bounds, np.nan), hi], axis=1)
+        kept = ~np.isnan(cuts)
+        cuts, row = cuts[kept], np.nonzero(kept)[0]
+        pair = (row[:-1] == row[1:]) & (cuts[1:] > cuts[:-1])
+        self.lo, hi, self.interval = cuts[:-1][pair], cuts[1:][pair], row[:-1][pair]
+        mids = (0.5 * (self.lo + hi)).tolist()
+        self.segment = np.array([sys.segment_index(t) for t in mids], dtype=int)
+        lengths = (hi - self.lo).tolist()
+        self.count = np.array([_step_count(x, step) for x in lengths], dtype=int)
+        self.h = (hi - self.lo) / self.count
+        self.intervals = len(grid) - 1
 
-        y = _rk4_span(_rk4_steps(f), y, lo, hi, step)
-    return y
+    def products(self, sys, p=None):
+        """Each grid interval's transition matrix for the flow with
+        coefficients C = A, or the p-th additive compound of A given p, and
+        the integral of tr C over each interval by Simpson's rule over the
+        same values of C, which is RK4 on the trace.
+
+        Each step's propagator is P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), and
+        an interval's transition matrix is the product of its steps' P in
+        step order. The intervals are multiplied side by side, in blocks of
+        about CHUNK_STEPS steps: per block, C is evaluated at the block's
+        stage times (a step's start is the step before's end, so a span of
+        N steps takes 2N + 1 evaluations), the increments P - I are built
+        as stacks, and those of intervals with fewer steps are padded with
+        zeros, which are exact identity factors. So memory is bounded by the
+        block, whatever the number of steps.
+
+        The increments and the running products are long double, and each
+        product is rounded to double once. Products in double came out 2-13
+        ulps from an RK4 loop in long double, and the determinant of an
+        ill-conditioned Phi, which the Liouville check reads, moves by
+        1e-6 to 1e-4 per ulp of its entries: enough to flip that check
+        either way. Where long double is double, this is double."""
+        m = sys.n if p is None else math.comb(sys.n, p)
+        lanes = self.intervals
+        total = np.zeros(lanes, dtype=int)
+        np.add.at(total, self.interval, self.count)
+        offset = np.cumsum(total) - total  # each interval's first step
+        span_first = np.cumsum(self.count) - self.count  # each span's first step
+        width = max(1, CHUNK_STEPS // max(1, lanes))
+        phi = np.tile(np.eye(m, dtype=np.longdouble), (lanes, 1, 1))
+        integral = np.zeros(lanes)
+        end = np.empty((lanes, m, m))  # C at the end of each interval's last step so far
+        most = total.max(initial=0)
+        for k0 in range(0, most, width):
+            pos = k0 + np.arange(min(width, most - k0))
+            real = pos < total[:, None]
+            lane, col = np.nonzero(real)  # interval by interval, steps in order
+            span = np.searchsorted(span_first, offset[lane] + pos[col], side="right") - 1
+            j = offset[lane] + pos[col] - span_first[span]
+            # stage points 2j, 2j + 1, 2j + 2 of each step's span; a start
+            # is evaluated only for a span's first step
+            k = 2 * j[:, None] + np.arange(3)
+            fresh = np.ones(k.shape, dtype=bool)
+            fresh[:, 0] = j == 0
+            at = np.broadcast_to(span[:, None], k.shape)[fresh]
+            C = np.empty(k.shape + (m, m))
+            C[fresh] = _coefficients(sys, k[fresh] * (self.h[at] / 2) + self.lo[at], self.segment[at], p)
+            within = np.flatnonzero((j > 0) & (col > 0))
+            C[within, 0] = C[within - 1, 2]
+            carried = (j > 0) & (col == 0)
+            C[carried, 0] = end[lane[carried]]
+            last = np.flatnonzero(np.diff(lane, append=lanes))
+            end[lane[last]] = C[last, 2]
+            h = self.h[span]
+            D = np.zeros(real.shape + (m, m), dtype=np.longdouble)
+            D[real] = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None])
+            for Dk in D.swapaxes(0, 1):  # each factor applied as RK4 adds its increment
+                phi = phi + Dk @ phi
+            tr = C.trace(axis1=2, axis2=3)
+            integral += np.bincount(lane, (h / 6) * (tr[:, 0] + 4 * tr[:, 1] + tr[:, 2]), lanes)
+        return phi.astype(float), integral
 
 
-def _segment_matrix(sys):
-    return lambda t, seg: sys.segments[seg].matrix_at(t)
+def _coefficients(sys, times, segment, p):
+    """A, or its p-th additive compound given p, at each time: one array
+    ``matrix_at`` call per segment."""
+    A = np.empty((len(times), sys.n, sys.n))
+    for seg in np.unique(segment).tolist():
+        at = segment == seg
+        A[at] = sys.segments[seg].matrix_at(times[at])
+    return A if p is None else add_compound(A, p).entries
+
+
+def _increments(C0, Cm, C1, h):
+    """P - I for RK4's propagators P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), from
+    the coefficients C0, Cm, C1 at each step's start, midpoint and end:
+    K1 = C0, K2 = Cm (I + h/2 K1), K3 = Cm (I + h/2 K2) and K4 = C1 (I + h
+    K3). The first-order part h/6 (C0 + 4 Cm + C1) is summed in long double;
+    the rest, about h ||C|| times smaller, is taken in double and added to
+    it."""
+    X2 = (h / 2) * (Cm @ C0)  # K2 - Cm
+    X3 = (h / 2) * (Cm @ (Cm + X2))  # K3 - Cm
+    X4 = h * (C1 @ (Cm + X3))  # K4 - C1
+    D = C0.astype(np.longdouble)
+    D += 4 * Cm
+    D += C1
+    D *= h.astype(np.longdouble) / 6
+    D += (h / 6) * (2 * X2 + 2 * X3 + X4)
+    return D
 
 
 @dataclass
@@ -143,35 +232,29 @@ class TransitionRecord:
 def transition_matrix(sys, t0, t, step=None):
     """Transition matrix Phi(t, t0) of z' = A(s) z by fixed-step RK4.
 
-    det Phi is compared with exp of the integral of tr A (Abel-Jacobi-
-    Liouville), taken by the same RK4 steps over the Phi pass's values of
-    tr A(s); a relative mismatch beyond 1e-6 marks the record as suspect.
-    A non-finite Phi (a non-finite A(t), or a step too large for ||A(t)||)
-    or predicted determinant raises IntegrationSuspect.
+    The steps follow the one step-count rule per segment span (_Spans).
+    A is evaluated once per stage time, 2N + 1 times for a span of N steps,
+    by one array ``matrix_at`` call per segment and block of steps; the
+    steps' propagators are built as stacks and multiplied in step order. det Phi is compared with
+    exp of the integral of tr A (Abel-Jacobi-Liouville), taken by Simpson's
+    rule over the same stage values of tr A, which is RK4 on the trace; a
+    relative mismatch beyond 1e-6 marks the record as suspect. A non-finite
+    Phi (a non-finite A(t), or a step too large for ||A(t)||) or predicted
+    determinant raises IntegrationSuspect, and a step that is not a positive
+    finite number InvalidArgument.
     """
     a, b = sys.interval
     if not (a <= t0 <= t <= b):
         raise OutOfInterval(f"need a <= t0 <= t <= b, got t0={t0}, t={t}")
-    if step is None:
-        step = default_step(sys)
-    traces = {}  # (segment, s) -> tr A(s) at each stage time of the Phi pass
-
-    def matrix(s, seg):
-        A = sys.segments[seg].matrix_at(s)
-        traces[seg, s] = A.trace()
-        return A
-
-    phi = _integrate_piecewise(sys, np.eye(sys.n), t0, t, step, matrix)
+    step = _linear_step(sys, step)
+    phi, integral = _Spans(sys, [t0, t], step).products(sys)
+    phi = phi[0]
     if not np.isfinite(phi).all():
         raise IntegrationSuspect(
             f"Phi({t}, {t0}) has a non-finite entry at step {step:.3g}"
         )
     det_phi = float(np.linalg.det(phi))
-    log_det = 0.0
-    for lo, hi, seg in _spans(sys, t0, t):
-        trace = _rk4_steps(lambda s, _, seg=seg: traces[seg, s])
-        log_det = _rk4_span(trace, log_det, lo, hi, step)
-    det_pred = float(np.exp(log_det))
+    det_pred = float(np.exp(integral[0]))
     if not math.isfinite(det_pred):
         raise IntegrationSuspect(
             f"predicted det Phi({t}, {t0}) = exp(integral of trace A) is {det_pred}"
@@ -246,13 +329,18 @@ class Trajectory:
 def simulate_linear(sys, z0, grid, step=None, tpds=False):
     """Integrate z' = A(t) z on the given sample grid with sign bookkeeping.
 
+    Each grid interval's transition matrix is built as in transition_matrix
+    (CHUNK_STEPS intervals side by side) and applies to the state at its
+    start.
+
     With tpds=True the monotonicity contract is enforced: s_plus and s_minus
     must be non-increasing sample to sample and at most n-1 exceptional
     clusters of non-V samples may occur. A grid that is empty, non-finite
     or decreasing, or leaves [a, b] by more than segment_index's 1e-12,
     raises OutOfInterval, a z0 that is not a vector of n entries
-    DimensionMismatch, a non-finite z0 NonFiniteInput, and a state that
-    turns non-finite on the way (a stiff or overflowing system at this step)
+    DimensionMismatch, a non-finite z0 NonFiniteInput, a step that is not a
+    positive finite number InvalidArgument, and a state that turns
+    non-finite on the way (a stiff or overflowing system at this step)
     IntegrationSuspect.
     """
     z0 = _checked_state(z0, sys.n, "z0")
@@ -261,14 +349,13 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     if not np.isfinite(z0).all():
         raise NonFiniteInput(f"z0 {z0.tolist()} has a non-finite entry")
     grid = _checked_grid(grid, sys.interval)
-    if step is None:
-        step = default_step(sys)
-    states = [z0]
-    z = z0
-    for t_prev, t_next in zip(grid, grid[1:]):
-        z = _integrate_piecewise(sys, z, t_prev, t_next, step, _segment_matrix(sys))
-        states.append(z)
-    states = np.array(states)
+    step = _linear_step(sys, step)
+    states = np.empty((len(grid), sys.n))
+    states[0] = z = z0
+    for g0 in range(0, len(grid) - 1, CHUNK_STEPS):  # bounds the span layout's memory
+        phis, _ = _Spans(sys, grid[g0 : g0 + CHUNK_STEPS + 1], step).products(sys)
+        for k, phi in enumerate(phis, g0 + 1):
+            states[k] = z = phi.dot(z)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         t = float(grid[np.argmin(finite)])
@@ -294,21 +381,14 @@ def compound_transition(sys, p, t0, t, step=None):
     """p-th compound of the transition matrix via the compound dynamics.
 
     Integrates the C(n,p)-dimensional system driven by the additive compound
-    of A(s) and cross-asserts against the multiplicative compound of the
-    directly integrated transition matrix, to COMPOUND_REL_TOL.
+    of A(s), taken over each block's stack of A at the stage times, with
+    the propagators of transition_matrix, and cross-asserts against the
+    multiplicative compound of the directly integrated transition matrix,
+    to COMPOUND_REL_TOL.
     """
-    if step is None:
-        step = default_step(sys)
-    m = len(mult_compound(np.eye(sys.n), p).index_map)
-    Y = _integrate_piecewise(
-        sys,
-        np.eye(m),
-        t0,
-        t,
-        step,
-        lambda s, seg: add_compound(sys.segments[seg].matrix_at(s), p).entries,
-    )
+    step = _linear_step(sys, step)
     direct = mult_compound(transition_matrix(sys, t0, t, step).phi, p).entries
+    Y = _Spans(sys, [t0, t], step).products(sys, p)[0][0]
     denom = max(np.linalg.norm(direct), 1e-300)
     rel = np.linalg.norm(Y - direct) / denom
     if rel > COMPOUND_REL_TOL:

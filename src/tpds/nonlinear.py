@@ -70,7 +70,8 @@ class NonlinearSystem:
     @functools.cached_property
     def stepper(self):
         """``advance(y, t, h, nsteps)`` for ``integrate._rk4_span``: RK4 steps
-        with f inlined, bit-identical to ``_rk4_steps(self.f)``."""
+        with f inlined, bit-identical to the classical RK4 loop over the
+        numpy arrays of ``self.f``."""
         return exprlang.compile_stepper(self.rhs, self.n, self.input)
 
     @property

@@ -8,7 +8,7 @@ verified by dense sampling, with the sampling density part of the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,7 +89,18 @@ class Segment:
     def __post_init__(self):
         self._matrix = exprlang.compile_fn(self.entries)
 
+    @cached_property
+    def _matrices(self):
+        # the array form, compiled on first use so that loading a spec
+        # costs no more than the scalar form
+        return exprlang._compile_array(self.entries, self._matrix)
+
     def matrix_at(self, t):
+        """A(t) at one time, or the (m, n, n) stack of A at a 1-d array of
+        m times, with the floats and errors of A at each time in turn
+        (``exprlang._compile_array``)."""
+        if np.ndim(t):
+            return self._matrices(t)
         return self._matrix(t)
 
 
@@ -249,9 +260,10 @@ def classify_time_varying(sys, grid=1000):
     """Sampled TNDS/TPDS verdict for a time-varying system.
 
     Each segment is sampled half-open on `grid` points (the open interval's
-    endpoints are excluded from strictness checks). TNDS requires every
-    sample in M; TPDS additionally requires every off-diagonal sample at or
-    above DEFAULT_DELTA_FLOOR. This is a sampled verification of an
+    endpoints are excluded from strictness checks), by one array
+    ``matrix_at`` call, which gives the floats of A at each sample. TNDS
+    requires every sample in M; TPDS additionally requires every
+    off-diagonal sample at or above DEFAULT_DELTA_FLOOR. This is a sampled verification of an
     almost-everywhere condition; no measure-zero claims are made. A grid
     that is not an integer >= 0 raises InvalidArgument, a non-finite sample
     NonFiniteInput, and a grid that puts no sample inside (a, b)
@@ -260,17 +272,17 @@ def classify_time_varying(sys, grid=1000):
     if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 0:
         raise InvalidArgument(f"grid must be an integer >= 0, got {grid!r}")
     a, b = sys.interval
-    n = sys.n
     ts, mats = [], []
     for seg in sys.segments:
         seg_ts = np.linspace(seg.t_start, seg.t_end, grid, endpoint=False)
         seg_ts = seg_ts[seg_ts > a]
-        ts.append(seg_ts)
-        mats.extend(seg.matrix_at(t) for t in seg_ts)
+        if seg_ts.size:
+            ts.append(seg_ts)
+            mats.append(seg.matrix_at(seg_ts))
     if not mats:  # no segment, or a grid too coarse to reach inside (a, b)
         raise EmptySegments(f"no sample lies inside ({a}, {b}) at grid={grid}")
     ts = np.concatenate(ts)
-    As = np.array(mats).reshape(len(ts), n, n)
+    As = np.concatenate(mats)
     finite = np.isfinite(As).all(axis=(1, 2))
     if not finite.all():
         t = float(ts[np.argmin(finite)])

@@ -208,3 +208,39 @@ def test_simulate_stiff_spec_exits_4(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x.csv")]) == 4
     assert "non-finite" in capsys.readouterr().err
+
+
+BAD_OPTIONS = {
+    "grid-negative": ("takac", ["--grid", "-5"], "--grid must be a positive integer, got -5"),
+    "grid-zero": ("cosh2", ["--grid", "0"], "--grid must be a positive integer, got 0"),
+    "step-zero": ("cosh2", ["--step", "0"], "--step must be a positive finite number, got 0.0"),
+    "step-negative": ("takac", ["--step", "-1"], "--step must be a positive finite number, got -1.0"),
+    "step-nan": ("cosh2", ["--step", "nan"], "--step must be a positive finite number, got nan"),
+    "horizon-zero": ("takac", ["--horizon", "0"], "--horizon must be a positive finite number, got 0.0"),
+    "horizon-inf": ("takac", ["--horizon", "inf"], "--horizon must be a positive finite number, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
+def test_simulate_bad_numeric_option_exits_2(tmp_path, capsys, case):
+    # --grid -5 used to end in numpy's bare ValueError (exit 1), and --grid 0,
+    # --step 0 and --horizon 0 fell back to the spec's values
+    name, option, message = BAD_OPTIONS[case]
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", spec_path(tmp_path, name), "--out", str(out)] + option) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["floquet", "entrain"])
+def test_bad_step_exits_2(tmp_path, capsys, command):
+    name = "sinusoidal2" if command == "floquet" else "entrain_demo"
+    assert cli.main([command, spec_path(tmp_path, name), "--step", "-0.5"]) == 2
+    assert capsys.readouterr().err == "error: step must be a positive finite number, got -0.5\n"
+
+
+def test_simulate_numeric_options_override_the_spec(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = ["simulate", spec_path(tmp_path, "cosh2"), "--out", str(out), "--grid", "7", "--step", "0.01"]
+    assert cli.main(args) == 0
+    assert len(out.read_text().splitlines()) == 8

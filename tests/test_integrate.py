@@ -31,7 +31,7 @@ from tpds.errors import (
     OutOfInterval,
     TrivialSolution,
 )
-from tpds.integrate import CLUSTER_GAP, TRAJ_ZERO_REL_TOL, _rk4_span, _rk4_steps, _spans, default_step
+from tpds.integrate import CLUSTER_GAP, TRAJ_ZERO_REL_TOL, default_step
 
 
 def cosh_exact(t0, t):
@@ -182,36 +182,10 @@ def test_trajectory_from_states():
     assert traj.zero_tols == [1e-8] * 8
 
 
-def integrate_unmemoised(sys, y0, t0, t1, step, matfun):
-    """_integrate_piecewise with four coefficient evaluations per RK4 step."""
-    y = y0
-    for lo, hi, seg in _spans(sys, t0, t1):
-        y = _rk4_span(_rk4_steps(lambda t, v, seg=seg: matfun(t, seg) @ v), y, lo, hi, step)
-    return y
-
-
 def linear_systems():
     shipped_linear = [shipped(name) for name in shipped_names()]
     systems = [spec.system for spec in shipped_linear if spec.kind == "linear"]
     return systems + [random_tpds_system(n, rng=n) for n in range(2, 7)]
-
-
-def test_memoised_integration_matches_unmemoised():
-    for sys in linear_systems():
-        a, b = sys.interval
-        step = default_step(sys)
-        A = lambda t, seg: sys.segments[seg].matrix_at(t)
-        C = lambda t, seg: add_compound(sys.segments[seg].matrix_at(t), 2).entries
-        z0 = np.arange(1.0, sys.n + 1) * (-1.0) ** np.arange(sys.n)
-        cases = [
-            (np.eye(sys.n), a, b, A),
-            (z0, a + 0.3 * (b - a), a + 0.7 * (b - a), A),
-            (np.eye(len(add_compound(np.eye(sys.n), 2).index_map)), a, a + 0.2 * (b - a), C),
-        ]
-        for y0, t0, t1, matfun in cases:
-            got = integrate._integrate_piecewise(sys, y0, t0, t1, step, matfun)
-            want = integrate_unmemoised(sys, y0, t0, t1, step, matfun)
-            assert got.tobytes() == want.tobytes(), sys.name
 
 
 def trajectory_reference(times, states):
@@ -300,19 +274,21 @@ def test_trajectory_non_finite_row_raises():
 def test_one_coefficient_evaluation_per_stage_time(monkeypatch):
     """RK4 evaluates A(t) at t, t + h/2 and t + h only, and t + h is the next
     step's t; the Liouville integral reuses the traces of those evaluations.
-    So a one-segment transition_matrix of N steps evaluates A 2 N + 1 times
-    in all, where a second quadrature of the trace made it 4 N + 2."""
+    So a one-segment transition_matrix of N steps evaluates A at 2 N + 1
+    stage times in all (one array call), where a second quadrature of the
+    trace made it 4 N + 2; compound_transition takes the additive compound
+    of A at the same 2 N + 1 times."""
     sys = random_tpds_system(3, rng=0)
     nsteps, T = 100, np.pi / 2
     count = {"A": 0, "compound": 0}
     matrix_at = Segment.matrix_at
 
     def counting_matrix_at(self, t):
-        count["A"] += 1
+        count["A"] += np.size(t)
         return matrix_at(self, t)
 
     def counting_add_compound(A, p):
-        count["compound"] += 1
+        count["compound"] += np.size(A) // (A.shape[-1] * A.shape[-2])
         return add_compound(A, p)
 
     monkeypatch.setattr(Segment, "matrix_at", counting_matrix_at)

@@ -1,9 +1,9 @@
 """The generated RK4 stepper against the generic one over the compiled rhs.
 
 ``NonlinearSystem.stepper`` (``exprlang.compile_stepper``) must give the
-floats of ``integrate._rk4_steps(sys.f)`` bit for bit, raise the same
-DomainError where a stage leaves the domain, and so leave every nonlinear
-result unchanged.
+floats of the generic stepper ``rk4_steps(sys.f)`` bit for bit, raise the
+same DomainError where a stage leaves the domain, and so leave every
+nonlinear result unchanged.
 """
 
 import math
@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from integrate_reference import rk4_steps
 from tpds import NonlinearSystem, exprlang, poincare_analysis, shipped, simulate_nonlinear
 from tpds.errors import DomainError, LeftDomain
 from tpds.exprlang import BinOp, Call, Neg, Num, Var, parse
-from tpds.integrate import _rk4_span, _rk4_steps
+from tpds.integrate import _rk4_span
 
 
 def hexes(y):
@@ -33,15 +34,15 @@ def outcome(thunk):
 
 def both(sys, y, t, h, nsteps):
     generated = outcome(lambda: sys.stepper(np.array(y, dtype=float), t, h, nsteps))
-    generic = outcome(lambda: _rk4_steps(sys.f)(np.array(y, dtype=float), t, h, nsteps))
+    generic = outcome(lambda: rk4_steps(sys.f)(np.array(y, dtype=float), t, h, nsteps))
     return generated, generic
 
 
 def with_generic_stepper(sys):
-    """A copy of sys that integrates with _rk4_steps(f), as before the
+    """A copy of sys that integrates with rk4_steps(f), as before the
     stepper was generated."""
     ref = NonlinearSystem(sys.n, sys.rhs, sys.input, sys.jacobian, sys.period, sys.domain_box, sys.name)
-    ref.stepper = _rk4_steps(ref.f)
+    ref.stepper = rk4_steps(ref.f)
     return ref
 
 
@@ -54,7 +55,7 @@ def test_shipped_stepper_bit_identical(name):
         t0, t1 = sorted(rng.uniform(0.0, 7.0, 2))
         step = rng.uniform(1e-3, 0.05)
         got = _rk4_span(sys.stepper, y, t0, t1, step)
-        ref = _rk4_span(_rk4_steps(sys.f), y, t0, t1, step)
+        ref = _rk4_span(rk4_steps(sys.f), y, t0, t1, step)
         assert got.dtype == float and got.shape == (sys.n,)
         assert hexes(got) == hexes(ref)
 
