@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 
@@ -72,22 +71,19 @@ def cmd_check(args):
 def cmd_compound(args):
     A = matio.load(args.matrix)
     op = add_compound if args.additive else mult_compound
-    C = op(np.asarray(A, dtype=float), args.p)
+    C = op(A, args.p)
     sys.stdout.write(matio.dumps(C.entries))
     return EXIT_OK
 
 
 def _option(args, name, spec, default=None):
     """The value of --name if given, else the spec's experiment setting (or
-    default). A given value that is not a positive finite number raises
-    InvalidArgument (exit 2); --grid is an integer by its parser."""
+    default), either way converted by the one converter of that setting
+    (``specfile._SETTINGS``); a value it rejects exits 2."""
     value = getattr(args, name)
     if value is None:
         return spec.setting(name, default)
-    if not (value > 0 and math.isfinite(value)):
-        what = "integer" if isinstance(value, int) else "finite number"
-        raise InvalidArgument(f"--{name} must be a positive {what}, got {value}")
-    return value
+    return specfile._SETTINGS[name](value, f"--{name}")
 
 
 def _linear_grid(spec, points=None):
@@ -99,24 +95,22 @@ def cmd_simulate(args):
     spec = specfile.load(args.spec)
     step = _option(args, "step", spec)
     points = _option(args, "grid", spec, 1000)
+    horizon = _option(args, "horizon", spec)
+    key = "z0" if spec.kind == "linear" else "x0"
+    z0 = spec.setting(key) if args.z0 is None else specfile._vector(args.z0, "--z0")
+    if z0 is None:
+        raise SpecFileError(f"no initial condition: pass --z0 or set experiment.{key}")
     if spec.kind == "linear":
-        z0 = args.z0 or spec.setting("z0")
-        if z0 is None:
-            raise SpecFileError("no initial condition: pass --z0 or set experiment.z0")
         grid = _linear_grid(spec, points)
         verdict = classify_time_varying(spec.system, grid=200)
         traj = simulate_linear(spec.system, z0, grid, step=step, tpds=verdict.is_TPDS)
         rec = transition_matrix(spec.system, grid[0], grid[-1], step=step)
         suspect = rec.suspect
     else:
-        x0 = args.z0 or spec.setting("x0")
-        if x0 is None:
-            raise SpecFileError("no initial condition: pass --z0 or set experiment.x0")
-        horizon = _option(args, "horizon", spec)
         if horizon is None:
             raise SpecFileError("no horizon: pass --horizon or set experiment.horizon")
         grid = np.linspace(0.0, horizon, points)
-        run = simulate_nonlinear(spec.system, x0, grid, step=step)
+        run = simulate_nonlinear(spec.system, z0, grid, step=step)
         # the sign-variation story lives on z = f(t, x(t)), so that is what
         # gets written for nonlinear systems
         traj = run.derivative
@@ -146,10 +140,13 @@ def cmd_entrain(args):
     spec = specfile.load(args.spec)
     if spec.kind != "nonlinear":
         raise SpecFileError("entrain needs a nonlinear periodic spec")
-    x0 = args.x0 or spec.setting("x0")
+    x0 = _option(args, "x0", spec)
     if x0 is None:
         raise SpecFileError("no initial condition: pass --x0 or set experiment.x0")
-    res = poincare_analysis(spec.system, x0, max_iters=args.max_iters, tol=args.tol, step=args.step)
+    # command-line values only: the spec does not set these two
+    max_iters = specfile._count(args.max_iters, "--max-iters")
+    tol = specfile._positive(args.tol, "--tol")
+    res = poincare_analysis(spec.system, x0, max_iters=max_iters, tol=tol, step=args.step)
     print(f"detected_period {res.detected_period}")
     tail = res.residuals[-5:]
     print("residual tail " + " ".join(f"{r:.3e}" for r in tail))

@@ -13,8 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, OrderOutOfRange
-from .totalpos import _minors
+from .errors import DimensionMismatch, OrderOutOfRange
+from .totalpos import _as_matrix, _minors
 
 
 def index_subsets(n, p):
@@ -35,16 +35,10 @@ class CompoundMatrix:
         return self.entries[i, j]
 
 
-def _check_square(A):
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch("compound requires a square matrix")
-    return A
-
-
 def mult_compound(A, p):
-    """Matrix of all p x p minors of A, lexicographically ordered."""
-    A = _check_square(A)
+    """Matrix of all p x p minors of A, lexicographically ordered; A is
+    checked by ``totalpos._as_matrix``."""
+    A = _as_matrix(A, "mult_compound")
     n = A.shape[0]
     if not 1 <= p <= n:
         raise OrderOutOfRange(f"order {p} outside 1..{n}")
@@ -105,17 +99,15 @@ def add_compound(A, p):
 
 
 def is_metzler(A):
-    """Nonnegative off the diagonal. A non-square A raises DimensionMismatch,
-    a nan or infinite entry NonFiniteInput."""
-    A = _check_square(A)
-    if not np.isfinite(A).all():
-        raise NonFiniteInput("is_metzler: the matrix has a nan or infinite entry")
+    """Nonnegative off the diagonal. Anything but a nonempty square matrix
+    raises DimensionMismatch, a nan or infinite entry NonFiniteInput."""
+    A = _as_matrix(A, "is_metzler")
     return bool(np.all((A >= 0) | np.eye(*A.shape, dtype=bool)))
 
 
 def metzler_compound_profile(A):
     """Metzler status of every additive compound of A, as (order, bool) pairs;
     checked as in is_metzler."""
-    A = _check_square(A)
+    A = _as_matrix(A, "metzler_compound_profile")
     n = A.shape[0]
     return [(p, is_metzler(add_compound(A, p).entries)) for p in range(1, n + 1)]

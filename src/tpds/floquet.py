@@ -8,12 +8,13 @@ import numpy as np
 
 from .errors import (
     BandViolation,
+    DimensionMismatch,
     FloquetViolation,
     LeadingCoefficientZero,
     NotPeriodic,
     SpectralViolation,
 )
-from .integrate import simulate_linear, transition_matrix
+from .integrate import _checked_grid, simulate_linear, transition_matrix
 from .totalpos import _ordered_spectrum
 
 SAMPLES_PER_PERIOD = 200
@@ -57,17 +58,19 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
     """
     n = fd.monodromy.shape[0]
     if isinstance(coeffs, dict):
-        cvec = np.zeros(n)
-        for k, c in coeffs.items():
-            cvec[k - 1] = c
-    else:
-        cvec = np.zeros(n)
-        cvec[: len(coeffs)] = coeffs
+        if not set(coeffs) <= set(range(1, n + 1)):
+            raise DimensionMismatch(f"mode numbers must lie in 1..{n}, got {list(coeffs)}")
+        coeffs = [coeffs.get(k, 0.0) for k in range(1, n + 1)]
+    if np.ndim(coeffs) != 1 or len(coeffs) > n:
+        raise DimensionMismatch(f"expected at most {n} coefficients, got {coeffs!r}")
+    cvec = np.zeros(n)
+    cvec[: len(coeffs)] = coeffs
     nz = np.flatnonzero(cvec)
     if nz.size == 0:
         raise LeadingCoefficientZero("all coefficients are zero")
     i, j = nz[0] + 1, nz[-1] + 1
     z0 = fd.eigvecs @ cvec
+    _checked_grid([0.0, horizon], sys.interval)
     nsamples = max(2, int(SAMPLES_PER_PERIOD * horizon / fd.period))
     grid = np.linspace(0.0, horizon, nsamples)
     traj = simulate_linear(sys, z0, grid, step=step, tpds=True)

@@ -11,9 +11,9 @@ integrated trace.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from sys import maxsize
 
 import numpy as np
 
@@ -24,11 +24,10 @@ from .errors import (
     InvalidArgument,
     MonotonicityViolation,
     NoApplicablePair,
-    NonFiniteInput,
     OutOfInterval,
     TrivialSolution,
 )
-from .signvar import v_counts
+from .signvar import _check_finite, v_counts
 
 DET_REL_TOL = 1e-6
 COMPOUND_REL_TOL = 1e-5
@@ -38,8 +37,7 @@ CHUNK_STEPS = 256  # RK4 steps whose propagators are built at once, to bound mem
 
 
 def default_step(sys):
-    a, b = sys.interval
-    return 1e-3 * (b - a)
+    return _checked_step(None, *sys.interval)
 
 
 def _checked_grid(grid, interval=None):
@@ -58,20 +56,31 @@ def _checked_grid(grid, interval=None):
     return grid
 
 
+def _checked_count(count, name):
+    """The one sample-count rule: an integer >= 0, else InvalidArgument."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise InvalidArgument(f"{name} must be an integer >= 0, got {count!r}")
+    return count
+
+
 def _step_count(length, step):
     """The one step-count rule: a span of this length is cut into
     ceil(length / step - 1e-12) equal steps, at least one. A step that is
-    not a positive finite number raises InvalidArgument."""
+    not a positive finite number, or so small that the count passes
+    maxsize (no array indexes more steps), raises InvalidArgument."""
     if not (step > 0 and math.isfinite(step)):
         raise InvalidArgument(f"step must be a positive finite number, got {step}")
-    return max(1, math.ceil(length / step - 1e-12))
+    count = float(length) / float(step) - 1e-12  # Python floats: inf, not a numpy warning
+    if not count <= maxsize:
+        raise InvalidArgument(f"step {step} is too small for a span of {length}")
+    return max(1, math.ceil(count))
 
 
-def _linear_step(sys, step):
-    """The step of a linear integration: default_step when None, else the
-    given one, checked by the step-count rule even where no span needs it."""
+def _checked_step(step, a, b):
+    """The one step rule: 1e-3 of the span [a, b] when step is None, else the
+    given step, checked by the step-count rule even where no span needs it."""
     if step is None:
-        return default_step(sys)
+        return 1e-3 * (b - a)
     _step_count(0.0, step)
     return step
 
@@ -79,20 +88,23 @@ def _linear_step(sys, step):
 def _rk4_span(advance, y, t0, t1, step):
     """Integrate y over [t0, t1] by RK4 in _step_count equal steps, which
     ``advance(y, t0, h, nsteps)`` takes: ``NonlinearSystem.stepper``,
-    generated by ``exprlang.compile_stepper``."""
+    generated by ``exprlang.compile_stepper``. An empty span leaves y as it
+    is."""
     length = t1 - t0
-    nsteps = _step_count(length, step)
     if length <= 0:
         return y
+    nsteps = _step_count(length, step)
     return advance(y, t0, length / nsteps, nsteps)
 
 
 def _checked_state(x0, n, name):
     """The initial state as a float array; one that is not a vector of n
-    entries raises DimensionMismatch."""
+    entries raises DimensionMismatch, and one with a nan or infinite entry
+    NonFiniteInput."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise DimensionMismatch(f"{name} must hold {n} entries, got shape {x0.shape}")
+    _check_finite(x0, name)
     return x0
 
 
@@ -128,6 +140,7 @@ class _Spans:
         self.h = (hi - self.lo) / self.count
         self.intervals = len(grid) - 1
 
+    @np.errstate(over="ignore", invalid="ignore")  # the callers raise on a non-finite result
     def products(self, sys, p=None):
         """Each grid interval's transition matrix for the flow with
         coefficients C = A, or the p-th additive compound of A given p, and
@@ -246,15 +259,16 @@ def transition_matrix(sys, t0, t, step=None):
     a, b = sys.interval
     if not (a <= t0 <= t <= b):
         raise OutOfInterval(f"need a <= t0 <= t <= b, got t0={t0}, t={t}")
-    step = _linear_step(sys, step)
+    step = _checked_step(step, *sys.interval)
     phi, integral = _Spans(sys, [t0, t], step).products(sys)
     phi = phi[0]
     if not np.isfinite(phi).all():
         raise IntegrationSuspect(
             f"Phi({t}, {t0}) has a non-finite entry at step {step:.3g}"
         )
-    det_phi = float(np.linalg.det(phi))
-    det_pred = float(np.exp(integral[0]))
+    with np.errstate(over="ignore", divide="ignore"):  # a singular or huge Phi is suspect below
+        det_phi = float(np.linalg.det(phi))
+        det_pred = float(np.exp(integral[0]))
     if not math.isfinite(det_pred):
         raise IntegrationSuspect(
             f"predicted det Phi({t}, {t0}) = exp(integral of trace A) is {det_pred}"
@@ -286,10 +300,7 @@ class Trajectory:
 
     def __post_init__(self):
         y = np.asarray(self.states, dtype=float)
-        finite = np.isfinite(y).all(axis=1)
-        if not finite.all():
-            bad = y[np.argmin(finite)].tolist()
-            raise NonFiniteInput(f"vector {bad} has a non-finite entry")
+        _check_finite(y)
         mag = np.abs(y)
         tols = TRAJ_ZERO_REL_TOL * np.maximum.accumulate(mag.max(axis=1))
         S = np.sign(y).astype(int)
@@ -311,19 +322,14 @@ class Trajectory:
         return self.states.shape[1]
 
     def to_csv(self, path):
+        """t to 10 significant digits, the state's entries to 12, the two
+        counts and the V flag, one row per sample; comma-separated, CRLF."""
+        names = ["t"] + [f"z{i + 1}" for i in range(self.n)] + ["s_minus", "s_plus", "in_V"]
+        row = "%.10g" + ",%.12g" * self.n + ",%d,%d,%d\r\n"
+        flags = zip(self.sigma_minus, self.sigma_plus, self.in_V_flags)
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["t"]
-                + [f"z{i + 1}" for i in range(self.n)]
-                + ["s_minus", "s_plus", "in_V"]
-            )
-            for k, t in enumerate(self.times):
-                w.writerow(
-                    [f"{t:.10g}"]
-                    + [f"{v:.12g}" for v in self.states[k]]
-                    + [self.sigma_minus[k], self.sigma_plus[k], int(self.in_V_flags[k])]
-                )
+            fh.write(",".join(names) + "\r\n")
+            fh.writelines(row % (t, *z, *f) for t, z, f in zip(self.times, self.states.tolist(), flags))
 
 
 def simulate_linear(sys, z0, grid, step=None, tpds=False):
@@ -346,16 +352,15 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     z0 = _checked_state(z0, sys.n, "z0")
     if not np.any(z0):
         raise TrivialSolution("z0 = 0 yields the trivial solution")
-    if not np.isfinite(z0).all():
-        raise NonFiniteInput(f"z0 {z0.tolist()} has a non-finite entry")
     grid = _checked_grid(grid, sys.interval)
-    step = _linear_step(sys, step)
+    step = _checked_step(step, *sys.interval)
     states = np.empty((len(grid), sys.n))
     states[0] = z = z0
     for g0 in range(0, len(grid) - 1, CHUNK_STEPS):  # bounds the span layout's memory
         phis, _ = _Spans(sys, grid[g0 : g0 + CHUNK_STEPS + 1], step).products(sys)
-        for k, phi in enumerate(phis, g0 + 1):
-            states[k] = z = phi.dot(z)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises below
+            for k, phi in enumerate(phis, g0 + 1):
+                states[k] = z = phi.dot(z)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         t = float(grid[np.argmin(finite)])
@@ -386,7 +391,7 @@ def compound_transition(sys, p, t0, t, step=None):
     multiplicative compound of the directly integrated transition matrix,
     to COMPOUND_REL_TOL.
     """
-    step = _linear_step(sys, step)
+    step = _checked_step(step, *sys.interval)
     direct = mult_compound(transition_matrix(sys, t0, t, step).phi, p).entries
     Y = _Spans(sys, [t0, t], step).products(sys, p)[0][0]
     denom = max(np.linalg.norm(direct), 1e-300)

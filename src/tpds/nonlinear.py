@@ -22,7 +22,7 @@ from .errors import (
     SpecFileError,
     TrivialSolution,
 )
-from .integrate import Trajectory, _checked_grid, _checked_state, _rk4_span
+from .integrate import Trajectory, _checked_count, _checked_grid, _checked_state, _checked_step, _rk4_span
 from .systems import in_M_plus
 
 FD_JAC_REL_STEP = 1e-6
@@ -114,15 +114,16 @@ def simulate_nonlinear(sys, x0, grid, step=None):
     Jacobian samples are tested for M+ membership along the run; when they
     leave the class the sign-count assertions do not apply and the flag in
     the result says so. A grid that is empty, non-finite or decreasing
-    raises OutOfInterval, and an x0 that is not a vector of n entries
-    DimensionMismatch.
+    raises OutOfInterval, an x0 that is not a vector of n entries
+    DimensionMismatch, one with a nan or inf entry NonFiniteInput, and a
+    step that is not a positive finite number InvalidArgument, all before
+    any step. The default step is 1e-3 of the grid's span.
     """
     grid = _checked_grid(grid)
     x0 = _checked_state(x0, sys.n, "x0")
+    step = _checked_step(step, grid[0], grid[-1])
     if not sys.in_box(x0):
         raise LeftDomain("initial condition outside the domain box", grid[0])
-    if step is None:
-        step = 1e-3 * (grid[-1] - grid[0])
     xs = [x0]
     zs = [sys.f(grid[0], x0)]
     jac_ok = in_M_plus(sys.jac(grid[0], x0))
@@ -149,8 +150,8 @@ def _gauss_legendre():
 
 def line_integral_jacobian(sys, t, a, b):
     """Gauss-Legendre average of J(t, .) along the segment from b to a."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _checked_state(a, sys.n, "a")
+    b = _checked_state(b, sys.n, "b")
     J = np.zeros((sys.n, sys.n))
     for ri, wi in zip(*_gauss_legendre()):
         J += wi * sys.jac(t, ri * a + (1 - ri) * b)
@@ -163,13 +164,16 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
     Requires the line-integral Jacobian between the two solutions to stay in
     M+ on a (t, r) sample grid; otherwise the underlying theory does not
     apply and AssumptionViolated is raised. Equal starts raise
-    TrivialSolution: their difference is zero throughout.
+    TrivialSolution: their difference is zero throughout. The starts are
+    checked as simulate_nonlinear's x0 is, the horizon as the end of a grid
+    from 0, and samples must be an integer >= 0 (InvalidArgument).
     """
-    a0 = np.asarray(a0, dtype=float)
-    b0 = np.asarray(b0, dtype=float)
+    a0 = _checked_state(a0, sys.n, "a0")
+    b0 = _checked_state(b0, sys.n, "b0")
     if np.array_equal(a0, b0):
         raise TrivialSolution("initial conditions must differ")
-    grid = np.linspace(0.0, horizon, samples)
+    _checked_grid([0.0, horizon])  # a finite horizon >= 0
+    grid = np.linspace(0.0, horizon, _checked_count(samples, "samples"))
     run_a = simulate_nonlinear(sys, a0, grid, step)
     run_b = simulate_nonlinear(sys, b0, grid, step)
 
@@ -211,17 +215,18 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
     detected_period is the smallest q <= q_max whose iterate residuals
     ||x((k+q)T) - x(kT)|| stay below tol for PERSISTENCE consecutive k at
     the tail of the run; q = 1 certifies entrainment at this resolution.
-    Each iterate is one ``_rk4_span`` over a period. An x0 that is not a
-    vector of n entries raises DimensionMismatch.
+    Each iterate is one ``_rk4_span`` over a period, in steps of 1e-3 T
+    by default. An x0 that is not a vector of n entries raises
+    DimensionMismatch, one with a nan or inf entry NonFiniteInput, and a
+    step that is not a positive finite number InvalidArgument.
     """
     if sys.period is None:
         raise NotPeriodic("system carries no period")
     T = sys.period
     x = _checked_state(x0, sys.n, "x0")
+    step = _checked_step(step, 0.0, T)
     if not sys.in_box(x):
         raise LeftDomain("initial condition outside the domain box", 0.0)
-    if step is None:
-        step = 1e-3 * T
     iterates = [x]
     for k in range(max_iters):
         x = _rk4_span(sys.stepper, x, k * T, (k + 1) * T, step)

@@ -20,7 +20,7 @@ def _sign_rows(Y, zero_tol=None):
     """-1/0/+1 signs of a float array of any leading shape, and which rows
     are finite. A row with a nan or inf entry gets all-zero signs; the
     caller decides whether and when it raises."""
-    if zero_tol is not None and zero_tol < 0:
+    if zero_tol is not None and not zero_tol >= 0:
         raise InvalidArgument("zero_tol must be nonnegative")
     tol = DEFAULT_FLOAT_TOL if zero_tol is None else zero_tol
     Y = np.asarray(Y, dtype=float)
@@ -31,20 +31,29 @@ def _sign_rows(Y, zero_tol=None):
     return S, finite[..., 0]
 
 
+def _check_finite(Y, name="vector"):
+    """The one finiteness rule for vectors: the first row of Y (its last
+    axis) with a nan or inf entry raises NonFiniteInput, naming it."""
+    finite = np.isfinite(Y).all(axis=-1)
+    if not finite.all():
+        row = Y.reshape(-1, Y.shape[-1])[np.argmin(finite.ravel())]
+        raise NonFiniteInput(f"{name} {row.tolist()} has a non-finite entry")
+
+
 def signs(y, zero_tol=None):
     """Classify entries into -1/0/+1 using the zero tolerance.
 
     The default is a 1e-9 absolute tolerance, which classifies integer
     input exactly. A nan or infinite entry has no sign count and raises
     NonFiniteInput, anything but a nonempty vector DimensionMismatch and a
-    negative zero_tol InvalidArgument.
+    zero_tol that is negative or nan InvalidArgument.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise DimensionMismatch("expected a nonempty vector")
     s, finite = _sign_rows(y, zero_tol)
     if not finite:
-        raise NonFiniteInput(f"vector {y.tolist()} has a non-finite entry")
+        _check_finite(y)
     return s
 
 

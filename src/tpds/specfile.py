@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from sys import maxsize
 
 import yaml
 
@@ -42,45 +43,42 @@ class SystemSpec:
     def setting(self, key, default=None):
         """experiment[key] converted as the commands use it, or default when
         absent: z0 and x0 a list of finite numbers, grid a positive integer,
-        horizon a finite number and step a positive one. A value that does
-        not convert raises SpecFileError."""
+        horizon and step positive finite numbers. A value that does not
+        convert raises SpecFileError. The CLI's options of the same names go
+        through the same converters (``_SETTINGS``)."""
         raw = self.experiment.get(key)
         if raw is None:
             return default
         return _SETTINGS[key](raw, f"experiment.{key}")
 
 
-def _number(raw, what):
-    """raw as a finite float: a YAML number, or a string such as 1e-3 that
-    YAML 1.1 leaves unparsed. Anything else raises SpecFileError."""
+def _number(raw, what, kind="a finite number", ok=math.isfinite):
+    """raw as a float of this kind: a YAML number, or a string such as 1e-3
+    that YAML 1.1 leaves unparsed. Anything else raises SpecFileError
+    "<what> must be <kind>, got <raw>"."""
     try:
         value = float(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecFileError(f"{what} must be a number, got {raw!r}") from exc
-    if isinstance(raw, bool) or not math.isfinite(value):
-        raise SpecFileError(f"{what} must be a finite number, got {raw!r}")
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if isinstance(raw, bool) or not ok(value):
+        raise SpecFileError(f"{what} must be {kind}, got {raw!r}")
     return value
 
 
 def _positive(raw, what):
-    value = _number(raw, what)
-    if value <= 0:
-        raise SpecFileError(f"{what} must be positive, got {raw!r}")
-    return value
+    return _number(raw, what, "a positive finite number", lambda v: 0 < v < math.inf)
 
 
 def _count(raw, what):
-    value = _positive(raw, what)
-    if value != int(value):
-        raise SpecFileError(f"{what} must be a positive integer, got {raw!r}")
-    return int(value)
+    # no array holds more than maxsize entries
+    return int(_number(raw, what, "a positive integer", lambda v: 0 < v <= maxsize and v == int(v)))
 
 
 def _vector(raw, what):
     return [_number(v, f"an entry of {what}") for v in _typed(raw, list, what)]
 
 
-_SETTINGS = {"z0": _vector, "x0": _vector, "grid": _count, "horizon": _number, "step": _positive}
+_SETTINGS = {"z0": _vector, "x0": _vector, "grid": _count, "horizon": _positive, "step": _positive}
 
 
 def _typed(raw, kind, what):

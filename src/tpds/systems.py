@@ -16,11 +16,12 @@ from . import exprlang
 from .errors import (
     DimensionMismatch,
     EmptySegments,
-    InvalidArgument,
     NonFiniteInput,
     OutOfInterval,
     SpecFileError,
 )
+from .integrate import _checked_count
+from .totalpos import _as_matrix
 
 PERIOD_CHECK_TOL = 1e-10
 DEFAULT_DELTA_FLOOR = 1e-6  # smallest sampled off-diagonal entry a TPDS verdict accepts
@@ -49,13 +50,9 @@ def _membership(As):
 
 
 def _checked_membership(A, name):
-    """_membership of one nonempty square finite matrix, the minimum a float."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-        raise DimensionMismatch(f"{name} expects a nonempty square matrix")
-    if not np.isfinite(A).all():
-        raise NonFiniteInput(f"{name}: the matrix has a nan or infinite entry")
-    bad, low = _membership(A)
+    """_membership of one matrix checked by ``totalpos._as_matrix``, the
+    minimum a float."""
+    bad, low = _membership(_as_matrix(A, name))
     return bad, float(low)
 
 
@@ -157,17 +154,9 @@ class TimeVaryingSystem:
     def matrix_at(self, t):
         return self.segments[self.segment_index(t)].matrix_at(t)
 
-    def boundaries_between(self, t0, t1):
-        """Interior segment boundaries in (t0, t1), for exact integrator landing."""
-        pts = []
-        for seg in self.segments[:-1]:
-            if t0 + 1e-14 < seg.t_end < t1 - 1e-14:
-                pts.append(seg.t_end)
-        return pts
-
     @classmethod
     def constant(cls, A, interval=(0.0, 10.0), period=None, name=""):
-        A = np.asarray(A, dtype=float)
+        A = _as_matrix(A, "TimeVaryingSystem.constant")
         entries = [[float(v) for v in row] for row in A]
         a, b = interval
         return cls(
@@ -204,8 +193,8 @@ def classify_constant(A):
     NonFiniteInput, and anything but a nonempty square matrix
     DimensionMismatch.
     """
-    A = np.asarray(A, dtype=float)
-    bad, low = _checked_membership(A, "classify_constant")
+    A = _as_matrix(A, "classify_constant")
+    bad, low = _membership(A)
     if bad.any():
         violations = [
             (None, f"a[{i + 1},{j + 1}]={A[i, j]} {'nonzero' if abs(i - j) > 1 else 'negative'}")
@@ -213,7 +202,7 @@ def classify_constant(A):
         ]
         return SystemClass("neither", None, violations)
     if low > 0:
-        return SystemClass("TPDS", low, [])
+        return SystemClass("TPDS", float(low), [])
     return SystemClass("TNDS_only", None, [])
 
 
@@ -222,20 +211,15 @@ def negative_minor_witness(A, i, j):
 
     Indices are 1-based. Returns (t, rows, cols, value) or None. For i > j+1
     the minor sits on rows {k,i}, columns {j,k} with j < k < i; the j > i+1
-    case is the transpose picture. A non-square A, or i, j outside 1..n or
-    with |i - j| <= 1, raises DimensionMismatch, a nan or infinite entry
-    NonFiniteInput.
+    case is the transpose picture. A is checked by ``totalpos._as_matrix``;
+    i, j outside 1..n or with |i - j| <= 1 raise DimensionMismatch.
     """
     from scipy.linalg import expm  # here, so that `import tpds` loads no scipy
 
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch("negative_minor_witness expects a square matrix")
+    A = _as_matrix(A, "negative_minor_witness")
     n = A.shape[0]
     if not (1 <= i <= n and 1 <= j <= n and abs(i - j) > 1):
         raise DimensionMismatch(f"need 1 <= i, j <= {n} and |i - j| > 1, got i={i}, j={j}")
-    if not np.isfinite(A).all():
-        raise NonFiniteInput("negative_minor_witness: the matrix has a nan or infinite entry")
     t_scale = 1.0 / max(1.0, np.abs(A).max())
     if i > j + 1:
         ks = range(j + 1, i)
@@ -269,8 +253,7 @@ def classify_time_varying(sys, grid=1000):
     NonFiniteInput, and a grid that puts no sample inside (a, b)
     EmptySegments.
     """
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 0:
-        raise InvalidArgument(f"grid must be an integer >= 0, got {grid!r}")
+    _checked_count(grid, "grid")
     a, b = sys.interval
     ts, mats = [], []
     for seg in sys.segments:

@@ -22,7 +22,7 @@ from .errors import (
     SpectralViolation,
     ZeroVector,
 )
-from .signvar import _sign_rows, sign_counts, signs
+from .signvar import _check_finite, _sign_rows, sign_counts, signs
 
 EXHAUSTIVE_LIMIT = 10
 MINOR_REL_TOL = 1e-10
@@ -33,11 +33,14 @@ SVDP_CHUNK = 4096  # vectors drawn and counted per batch in strong_svdp_holds
 
 
 def _as_matrix(A, name, square=True):
-    """A as a nonempty 2-d float array, square unless told otherwise;
-    anything else raises DimensionMismatch."""
+    """The one matrix rule: A as a nonempty 2-d float array, square and
+    finite unless told otherwise. Any other shape raises DimensionMismatch,
+    and a nan or infinite entry of a square matrix NonFiniteInput."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0 or (square and A.shape[0] != A.shape[1]):
         raise DimensionMismatch(f"{name} expects a nonempty {'square ' if square else ''}matrix")
+    if square and not np.isfinite(A).all():
+        raise NonFiniteInput(f"{name}: the matrix has a nan or infinite entry")
     return A
 
 
@@ -249,8 +252,6 @@ def classify(A):
     """
     A = _as_matrix(A, "classify")
     n = A.shape[0]
-    if not np.isfinite(A).all():
-        raise NonFiniteInput("classify: the matrix has a nan or infinite entry")
     nonpositive = _tp_refutation(A)
     if nonpositive is None:
         return Classification(True, True, True, True, None, Certificate("initial minors"))
@@ -283,31 +284,22 @@ def classify(A):
     return Classification(is_tn, False, is_ssr, is_osc, witness, certificate)
 
 
-def _tridiagonal_parts(A):
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NotTridiagonal("matrix is not square")
-    i = np.arange(A.shape[0])
-    if np.any(A[np.abs(i[:, None] - i) > 1] != 0):
-        raise NotTridiagonal("nonzero entry outside the three central diagonals")
-    a = np.diag(A)
-    b = np.diag(A, 1)
-    c = np.diag(A, -1)
-    return a, b, c
-
-
 def is_dominant_tridiagonal_TN(A):
     """Diagonal-dominance test a_i >= b_i + c_{i-1} for tridiagonal matrices.
 
     Sufficient for TN, not necessary: True certifies a TN matrix, False
-    says nothing. Nothing is enumerated. A nan or infinite entry raises
-    NonFiniteInput; a non-square input or an entry outside the three
-    central diagonals raises NotTridiagonal.
+    says nothing. Nothing is enumerated. Anything but a nonempty square
+    matrix, or an entry outside the three central diagonals, raises
+    NotTridiagonal, and a nan or infinite entry NonFiniteInput.
     """
-    A = np.asarray(A, dtype=float)
-    if not np.isfinite(A).all():
-        raise NonFiniteInput("is_dominant_tridiagonal_TN: the matrix has a nan or infinite entry")
-    a, b, c = _tridiagonal_parts(A)
+    try:
+        A = _as_matrix(A, "is_dominant_tridiagonal_TN")
+    except DimensionMismatch as exc:
+        raise NotTridiagonal(str(exc)) from exc
+    i = np.arange(A.shape[0])
+    if np.any(A[np.abs(i[:, None] - i) > 1] != 0):
+        raise NotTridiagonal("nonzero entry outside the three central diagonals")
+    a, b, c = np.diag(A), np.diag(A, 1), np.diag(A, -1)
     n = len(a)
     if np.any(b < 0) or np.any(c < 0):
         return False
@@ -339,8 +331,6 @@ def is_geb(F):
     square matrix raises DimensionMismatch, a nan or inf entry
     NonFiniteInput."""
     F = _as_matrix(F, "is_geb")
-    if not np.isfinite(F).all():
-        raise NonFiniteInput("is_geb: the matrix has a nan or infinite entry")
     tol = GEB_ZERO_TOL
     off = F.copy()
     np.fill_diagonal(off, 0.0)
@@ -414,7 +404,7 @@ def oscillatory_spectrum(A):
     (unit norm, first nonzero entry positive) must show exactly k-1 sign
     changes under both counts.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_matrix(A, "oscillatory_spectrum")
     if not classify(A).is_oscillatory:
         raise SpectralViolation("input did not classify as oscillatory")
     vals, vecs = _ordered_spectrum(A)
@@ -474,8 +464,8 @@ def _first_failure(Y, finite, fails):
     time, a row with a nan or inf entry before the first failing row raises
     NonFiniteInput."""
     bad = np.flatnonzero(~finite | fails)
-    if bad.size and not finite[bad[0]]:
-        raise NonFiniteInput(f"vector {Y[bad[0]].tolist()} has a non-finite entry")
+    if bad.size:
+        _check_finite(Y[: bad[0] + 1])
     return bool(bad.size)
 
 

@@ -30,9 +30,14 @@ def rk4_steps(f):
     return advance
 
 
+def boundaries_between(sys, t0, t1):
+    """Interior segment boundaries in (t0, t1), for exact integrator landing."""
+    return [seg.t_end for seg in sys.segments[:-1] if t0 + 1e-14 < seg.t_end < t1 - 1e-14]
+
+
 def spans(sys, t0, t1):
     """Split [t0, t1] at interior segment boundaries, tagged by segment index."""
-    cuts = [t0] + sys.boundaries_between(t0, t1) + [t1]
+    cuts = [t0] + boundaries_between(sys, t0, t1) + [t1]
     return [(lo, hi, sys.segment_index(0.5 * (lo + hi))) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 0]
 
 

@@ -170,6 +170,41 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert first[5:] == ["3", "3", "1"]
 
 
+def csv_writer_bytes(traj, path):
+    """The trajectory CSV as csv.writer wrote it, with per-value f-strings."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t"] + [f"z{i + 1}" for i in range(traj.n)] + ["s_minus", "s_plus", "in_V"])
+        for k, t in enumerate(traj.times):
+            w.writerow(
+                [f"{t:.10g}"]
+                + [f"{v:.12g}" for v in traj.states[k]]
+                + [traj.sigma_minus[k], traj.sigma_plus[k], int(traj.in_V_flags[k])]
+            )
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", [n for n in shipped_names() if shipped(n).kind == "linear"])
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path, name):
+    # to_csv formats each row with one %-format string; the bytes are those
+    # csv.writer wrote from f-strings, at each spec's own experiment
+    spec = shipped(name)
+    a, b = spec.system.interval
+    grid = np.linspace(a, b, spec.setting("grid", 1000))
+    traj = simulate_linear(spec.system, spec.setting("z0"), grid)
+    traj.to_csv(tmp_path / "fast.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == csv_writer_bytes(traj, tmp_path / "ref.csv")
+
+
+def test_trajectory_csv_formats_extreme_values_as_csv_writer_did(tmp_path):
+    states = np.array([[1e308, -5e-324, 0.0], [-0.0, 1.23456789012345e-300, 7.0]])
+    traj = Trajectory(np.array([5e-324, 1e308]), states)
+    traj.to_csv(tmp_path / "fast.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == csv_writer_bytes(traj, tmp_path / "ref.csv")
+
+
 def test_trajectory_from_states():
     # [1, 0] and [0, 1] lie off V; samples 1, 2 and 4 are under CLUSTER_GAP
     # apart and form one cluster, sample 7 starts the next

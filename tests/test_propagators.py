@@ -264,3 +264,9 @@ def test_array_form_is_compiled_on_first_use():
     assert "_matrices" not in vars(seg)
     assert seg.matrix_at(np.array([0.0, 1.0])).shape == (2, 3, 3)
     assert "_matrices" in vars(seg)
+
+
+def test_boundaries_between_lists_the_interior_segment_boundaries():
+    sys = shipped("switched").system
+    assert ref.boundaries_between(sys, 0.0, 1.0) == [0.25, 0.5]
+    assert ref.boundaries_between(sys, 0.3, 0.4) == []

@@ -80,8 +80,6 @@ def test_switched_segments():
     assert sys.segment_index(0.3) == 1
     assert sys.segment_index(0.9) == 2
     assert sys.segment_index(1.0) == 2  # right endpoint belongs to the last segment
-    assert sys.boundaries_between(0.0, 1.0) == [0.25, 0.5]
-    assert sys.boundaries_between(0.3, 0.4) == []
     with pytest.raises(OutOfInterval):
         sys.segment_index(1.5)
     # middle segment is t on the off-diagonals
