@@ -86,9 +86,13 @@ def _option(args, name, spec, default=None):
     return specfile._SETTINGS[name](value, f"--{name}")
 
 
-def _linear_grid(spec, points=None):
-    a, b = spec.system.interval
-    return np.linspace(a, b, spec.setting("grid", 1000) if points is None else points)
+def _grid(a, b, points):
+    """points samples from a to b; a count too large to allocate raises
+    SpecFileError."""
+    try:
+        return np.linspace(a, b, points)
+    except MemoryError:
+        raise SpecFileError(f"a grid of {points} samples cannot be allocated") from None
 
 
 def cmd_simulate(args):
@@ -100,16 +104,15 @@ def cmd_simulate(args):
     z0 = spec.setting(key) if args.z0 is None else specfile._vector(args.z0, "--z0")
     if z0 is None:
         raise SpecFileError(f"no initial condition: pass --z0 or set experiment.{key}")
+    if spec.kind != "linear" and horizon is None:
+        raise SpecFileError("no horizon: pass --horizon or set experiment.horizon")
+    grid = _grid(*(spec.system.interval if spec.kind == "linear" else (0.0, horizon)), points)
     if spec.kind == "linear":
-        grid = _linear_grid(spec, points)
         verdict = classify_time_varying(spec.system, grid=200)
         traj = simulate_linear(spec.system, z0, grid, step=step, tpds=verdict.is_TPDS)
         rec = transition_matrix(spec.system, grid[0], grid[-1], step=step)
         suspect = rec.suspect
     else:
-        if horizon is None:
-            raise SpecFileError("no horizon: pass --horizon or set experiment.horizon")
-        grid = np.linspace(0.0, horizon, points)
         run = simulate_nonlinear(spec.system, z0, grid, step=step)
         # the sign-variation story lives on z = f(t, x(t)), so that is what
         # gets written for nonlinear systems
@@ -162,7 +165,8 @@ def _write_rows(path, header, rows):
 
 def _figure_sigma_switched(outdir):
     spec = specfile.shipped("switched")
-    traj = simulate_linear(spec.system, spec.setting("z0"), _linear_grid(spec), tpds=True)
+    grid = _grid(*spec.system.interval, spec.setting("grid", 1000))
+    traj = simulate_linear(spec.system, spec.setting("z0"), grid, tpds=True)
     traj.to_csv(os.path.join(outdir, "sigma_switched.csv"))
     flagged = zip(traj.times, traj.sigma_minus, traj.in_V_flags)
     rows = [(f"{t:.10g}", sm) for t, sm, ok in flagged if ok]

@@ -295,24 +295,29 @@ def _bound_names(entries, n, u):
     return used | u_names
 
 
-def _define(signature, prologue, body, **env):
+def _define(signature, prologue, body, at=None, **env):
     """Define ``def signature:`` by exec: the prologue lines, then the body
-    lines inside a wrapper that re-raises a ValueError, ZeroDivisionError or
-    OverflowError as DomainError. Body lines may carry their own further
+    lines inside a wrapper that re-raises a ValueError, ZeroDivisionError,
+    OverflowError or DomainError (a non-real power) as DomainError. Given
+    ``at``, an f-string fragment over the function's locals such as
+    ``"at t = {t}"``, the message names the function and that place before
+    the original message. Body lines may carry their own further
     indentation. ``env`` adds names to the function's globals."""
+    name = signature[: signature.index("(")]
+    message = "str(exc)" if at is None else f'f"{name} {at}: {{exc}}"'
     source = (
         f"def {signature}:\n"
         + "".join(f"    {line}\n" for line in prologue)
         + "    try:\n"
         + "".join(f"        {line}\n" for line in body)
-        + "    except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
-        + "        raise DomainError(str(exc)) from exc\n"
+        + "    except (ValueError, ZeroDivisionError, OverflowError, DomainError) as exc:\n"
+        + f"        raise DomainError({message}) from exc\n"
     )
     namespace = {f"_fn_{name}": fn for name, fn in FUNCTIONS.items()}
     namespace.update(_pow=_pow, _float=float, DomainError=DomainError)
     namespace.update(env)
     exec(source, namespace)
-    return namespace[signature[: signature.index("(")]]
+    return namespace[name]
 
 
 def _cells(coeff):
@@ -356,8 +361,9 @@ def compile_fn(coeff, n=None, u=None):
     hold whatever numeric type the caller passes: ``^`` raises DomainError
     on a complex result, and a ValueError, ZeroDivisionError or
     OverflowError (log or sqrt out of domain, division by zero, overflow)
-    is re-raised as DomainError. A variable outside the allowed set raises
-    UnboundVariable here, at compile time.
+    is re-raised as DomainError; either message is prefixed by
+    "coefficient at t = ...". A variable outside the allowed set raises UnboundVariable
+    here, at compile time.
     """
     shape, cells = _cells(coeff)
     used = _bound_names(cells.values(), n, u)
@@ -374,7 +380,7 @@ def compile_fn(coeff, n=None, u=None):
         base = np.zeros(shape)
         lines += ["A = _base.copy()", *_fill(cells, base, "A[{}]"), "return A"]
     signature = f"coefficient(t{', x' if n is not None else ''})"
-    return _define(signature, [], lines, _base=base)
+    return _define(signature, [], lines, at="at t = {t}", _base=base)
 
 
 def _compile_array(coeff, scalar):
@@ -424,8 +430,9 @@ def compile_stepper(rhs, n, u=None):
     values a, b, c, d as Python floats and inlines every entry at each
     stage. u is evaluated once per stage time: at t, at t + h/2 (shared by
     the two middle stages) and at t + h. The domain rules and errors are
-    those of ``compile_fn``. A y that does not hold n entries raises
-    ValueError when the stepper unpacks it.
+    those of ``compile_fn``, but a DomainError's message names the step by
+    its start ("advance in the RK4 step from t = ..."). A y that does not
+    hold n entries raises ValueError when the stepper unpacks it.
     """
     used = _bound_names(rhs, n, u)
     ks = range(1, n + 1)
@@ -460,7 +467,8 @@ def compile_stepper(rhs, n, u=None):
     ]
     body = ["for _ in range(nsteps):"] + [f"    {line}" for line in loop]
     body.append(f"return _array([{', '.join(f'y{k}' for k in ks)}])")
-    return _define("advance(y, t, h, nsteps)", prologue, body, _array=np.array)
+    at = "in the RK4 step from t = {s}"
+    return _define("advance(y, t, h, nsteps)", prologue, body, at=at, _array=np.array)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

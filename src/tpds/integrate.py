@@ -78,9 +78,14 @@ def _step_count(length, step):
 
 def _checked_step(step, a, b):
     """The one step rule: 1e-3 of the span [a, b] when step is None, else the
-    given step, checked by the step-count rule even where no span needs it."""
+    given step, checked by the step-count rule even where no span needs it.
+    A default that underflows to 0 on a nonempty span raises
+    InvalidArgument."""
     if step is None:
-        return 1e-3 * (b - a)
+        step = 1e-3 * (b - a)
+        if b > a and not step > 0:
+            raise InvalidArgument(f"the default step, 1e-3 x the span {b - a}, underflows to 0; pass a step")
+        return step
     _step_count(0.0, step)
     return step
 

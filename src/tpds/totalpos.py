@@ -119,8 +119,10 @@ class Certificate:
     """What decided a classification.
 
     ``rule`` is "initial minors" when the exact test certified TP, so that
-    no minor was enumerated, or "exhaustive" when it refuted TP and every
-    minor was enumerated for TN, SSR and the witness. ``nonpositive`` is
+    no minor was enumerated, or "exhaustive" when it refuted TP and the
+    minors were enumerated for TN, SSR and the witness, order by order
+    until TN and SSR are both refuted, or to n. ``orders`` is the highest
+    order enumerated (None when none was). ``nonpositive`` is
     what refuted TP: ``("entry", (i,), (j,), sign)`` for the first entry
     <= 0 in row-major order, or ``(matrix, rows, cols, sign)`` for the
     first initial minor <= 0 of ``matrix`` ("A" or "A^T"), 1-based, where
@@ -131,6 +133,7 @@ class Certificate:
     rule: str
     nonpositive: tuple | None = None
     det_sign: int | None = None
+    orders: int | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -237,18 +240,21 @@ def classify(A):
     TP is exact on the stored floats: every entry must be positive and every
     initial minor of A and of A^T, computed in integer arithmetic, must be
     positive (Gasca-Pena). A certified matrix is also TN, SSR and
-    oscillatory, and nothing is enumerated. Otherwise all sum_k C(n,k)^2
-    minors are enumerated in batches, one order at a time, each against the
-    zero threshold MINOR_REL_TOL times the product of its rows' max-norms:
-    TN means no minor below -thr, SSR that every order's minors are beyond
-    thr and share one sign. The witness is the first minor below -thr with
-    the orders ascending and, within an order, row subsets outer and column
-    subsets inner, both lexicographic. Oscillation follows Gantmacher-Krein:
-    TN, super- and subdiagonal entries positive, and det A > 0, its sign
-    exact. A nan or infinite entry raises NonFiniteInput, anything but a
-    nonempty square matrix DimensionMismatch. The enumeration is
-    capped at n = EXHAUSTIVE_LIMIT: a larger matrix that is not certified TP
-    raises SizeLimitExceeded.
+    oscillatory, and nothing is enumerated. Otherwise the minors are
+    enumerated in batches, order by order until TN and SSR are both
+    refuted, or to n, each against the zero threshold MINOR_REL_TOL times
+    the product of its rows' max-norms: TN means no minor below -thr, SSR
+    that every order's minors are beyond thr and share one sign. The
+    witness is the first minor below -thr with the orders ascending and,
+    within an order, row subsets outer and column subsets inner, both
+    lexicographic. It is set by the time TN is refuted, so the orders left
+    out could change no field of the result. Oscillation follows
+    Gantmacher-Krein: TN, super- and subdiagonal entries positive, and
+    det A > 0, its sign exact. A nan or infinite entry raises
+    NonFiniteInput, and so does a minor or threshold of an enumerated order
+    that overflows; anything but a nonempty square matrix raises
+    DimensionMismatch. The enumeration is capped at n = EXHAUSTIVE_LIMIT: a
+    larger matrix that is not certified TP raises SizeLimitExceeded.
     """
     A = _as_matrix(A, "classify")
     n = A.shape[0]
@@ -275,12 +281,14 @@ def classify(A):
         zero = np.abs(d) <= thr
         if zero.any() or not ((d > 0).all() or (d < 0).all()):
             is_ssr = False
+        if not (is_tn or is_ssr):
+            break
 
     det_sign = None
     if is_tn and (np.diag(A, 1) > 0).all() and (np.diag(A, -1) > 0).all():
         det_sign = _det_sign(_dyadic_integers(A))
     is_osc = det_sign == 1
-    certificate = Certificate("exhaustive", nonpositive, det_sign)
+    certificate = Certificate("exhaustive", nonpositive, det_sign, orders=k)
     return Classification(is_tn, False, is_ssr, is_osc, witness, certificate)
 
 

@@ -15,7 +15,17 @@ from math import lcm
 
 import numpy as np
 
-from tpds.totalpos import MINOR_REL_TOL, Classification
+from tpds.totalpos import (
+    MINOR_REL_TOL,
+    Certificate,
+    Classification,
+    _as_matrix,
+    _det_sign,
+    _dyadic_integers,
+    _minors,
+    _subsets,
+    _tp_refutation,
+)
 
 
 def _irreducible(A, tol=0.0):
@@ -104,6 +114,37 @@ def classify(A):
                     full_det_nonzero = True
     is_osc = is_tn and full_det_nonzero and _irreducible(A)
     return Classification(is_tn, is_tp, is_ssr, is_osc, witness)
+
+
+def classify_full(A):
+    """``tpds.classify`` with every order enumerated, as it was before it
+    stopped at the first order after which TN and SSR are both refuted:
+    the same TP certificate, minors, thresholds, witness order and exact
+    determinant sign, and a NonFiniteInput from a minor of any order that
+    overflows."""
+    A = _as_matrix(A, "classify")
+    n = A.shape[0]
+    nonpositive = _tp_refutation(A)
+    if nonpositive is None:
+        return Classification(True, True, True, True, None, Certificate("initial minors"))
+    is_tn = is_ssr = True
+    witness = None
+    for k in range(1, n + 1):
+        d, thr = _minors(A, k)
+        below = np.argwhere(d < -thr)
+        if len(below):
+            is_tn = False
+            if witness is None:
+                r, c = below[0]
+                alpha, beta = (tuple(int(i) + 1 for i in s) for s in _subsets(n, k)[[r, c]])
+                witness = (alpha, beta, float(d[r, c]))
+        if (np.abs(d) <= thr).any() or not ((d > 0).all() or (d < 0).all()):
+            is_ssr = False
+    det_sign = None
+    if is_tn and (np.diag(A, 1) > 0).all() and (np.diag(A, -1) > 0).all():
+        det_sign = _det_sign(_dyadic_integers(A))
+    certificate = Certificate("exhaustive", nonpositive, det_sign, orders=n)
+    return Classification(is_tn, False, is_ssr, det_sign == 1, witness, certificate)
 
 
 def exact_minors(A):

@@ -244,3 +244,28 @@ def test_simulate_numeric_options_override_the_spec(tmp_path, capsys):
     args = ["simulate", spec_path(tmp_path, "cosh2"), "--out", str(out), "--grid", "7", "--step", "0.01"]
     assert cli.main(args) == 0
     assert len(out.read_text().splitlines()) == 8
+
+
+@pytest.mark.parametrize("name, where", [("cosh2", "option"), ("takac", "option"), ("cosh2", "spec")])
+def test_simulate_unallocatable_grid_exits_2(tmp_path, capsys, name, where):
+    # a 10^15-sample grid used to end in numpy's bare MemoryError (exit 1)
+    out = tmp_path / "x.csv"
+    if where == "option":
+        args = [spec_path(tmp_path, name), "--grid", "1000000000000000"]
+    else:
+        spec = specfile.shipped(name)
+        spec.experiment["grid"] = 10**15
+        specfile.save(spec, tmp_path / "huge.spec")
+        args = [str(tmp_path / "huge.spec")]
+    assert cli.main(["simulate", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: a grid of 1000000000000000 samples cannot be allocated\n"
+    assert not out.exists()
+
+
+def test_simulate_overflow_names_the_stepper_and_the_step(tmp_path, capsys):
+    # the message used to be the bare "(34, 'Numerical result out of range')"
+    out = tmp_path / "x.csv"
+    args = ["simulate", spec_path(tmp_path, "takac"), "--horizon", "1e308", "--out", str(out)]
+    assert cli.main(args) == 3
+    err = capsys.readouterr().err
+    assert err == "DomainError: advance in the RK4 step from t = 0.0: (34, 'Numerical result out of range')\n"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minor_reference as ref
 from tpds import (
@@ -79,6 +81,79 @@ def test_classification_matches_reference(family):
         assert witnesses  # the first-negative-minor order is exercised
     if family == "tp":
         assert threshold_misses  # the threshold defect is exercised
+
+
+FAMILIES = dict(GENERATORS, neg_tp=lambda n, rng: -random_tp(n, rng=rng))
+
+
+def _same_as_full_enumeration(A):
+    """classify(A) against the full enumeration on every field and on the
+    certificate's rule, nonpositive and det_sign; returns the certificate."""
+    got, want = classify(A), ref.classify_full(A)
+    assert got == want  # the verdicts and the witness; the certificate is not compared
+    cert, full = got.certificate, want.certificate
+    assert (cert.rule, cert.nonpositive, cert.det_sign) == (full.rule, full.nonpositive, full.det_sign)
+    return cert
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_classify_matches_the_full_enumeration(family):
+    """Stopping once TN and SSR are both refuted changes no field: the
+    witness is the first negative minor in ascending order either way."""
+    stopped = 0
+    for n in range(2, 10):
+        A = FAMILIES[family](n, rng=1400 + n)
+        cert = _same_as_full_enumeration(A)
+        if cert.rule == "initial minors":
+            assert cert.orders is None
+        else:
+            assert 1 <= cert.orders <= n
+            stopped += cert.orders < n
+    # TN matrices need every order; the other families exercise the stop,
+    # neg_tp from n = 7 on at a later order than 1 (its first zero minor)
+    assert bool(stopped) == (family not in ("tp", "tn")), stopped
+
+
+ENTRIES = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0, 1e200, 1e-300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(ENTRIES, min_size=n * n, max_size=n * n)))
+def test_classify_matches_the_full_enumeration_on_small_matrices(entries):
+    A = np.array(entries).reshape((round(len(entries) ** 0.5),) * 2)
+    try:
+        ref.classify_full(A)
+    except NonFiniteInput:
+        # a later order overflows; classify either stops before it, with
+        # TN and SSR refuted, or overflows too
+        try:
+            got = classify(A)
+        except NonFiniteInput:
+            return
+        assert not (got.is_TN or got.is_SSR) and got.certificate.orders < len(A)
+        return
+    _same_as_full_enumeration(A)
+
+
+def test_orders_enumerated():
+    # random entries of both signs refute TN and SSR at order 1; a TN
+    # matrix needs every order
+    assert classify(random_nonsingular(9, rng=14)).certificate.orders == 1
+    for n in (3, 6, 9):
+        cls = classify(random_tn(n, rng=14))
+        assert cls.is_TN and not cls.is_TP and cls.certificate.orders == n
+
+
+def test_order_one_refutation_returns_before_an_overflowing_order():
+    # order 2 overflows (1e400), which used to raise NonFiniteInput; order 1
+    # has already refuted TN (the -1) and SSR (mixed signs)
+    A = [[1e200, -1.0], [1e200, 1e200]]
+    with pytest.raises(NonFiniteInput):
+        ref.classify_full(A)
+    cls = classify(A)
+    assert cls == Classification(False, False, False, False, ((1,), (2,), -1.0))
+    assert cls.certificate == Certificate("exhaustive", ("entry", (1,), (2,), -1))
+    assert cls.certificate.orders == 1
 
 
 def test_mult_compound_matches_reference_at_n10():

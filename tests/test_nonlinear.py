@@ -14,6 +14,7 @@ from tpds import (
 from tpds.errors import (
     AssumptionViolated,
     DimensionMismatch,
+    InvalidArgument,
     LeftDomain,
     NoConvergence,
     NotPeriodic,
@@ -176,3 +177,21 @@ def test_poincare_requires_period():
     sys = NonlinearSystem(n=1, rhs=[exprlang.parse("-x1")])
     with pytest.raises(NotPeriodic):
         poincare_analysis(sys, [0.5])
+
+
+def test_default_step_that_underflows_is_named():
+    # the default 1e-3 T of a 5e-324 period is 0.0, and the error used to
+    # read as if the caller had passed step 0.0
+    sys = NonlinearSystem(n=1, rhs=[exprlang.parse("-x1")], period=5e-324)
+    message = "the default step, 1e-3 x the span 5e-324, underflows to 0; pass a step"
+    with pytest.raises(InvalidArgument) as err:
+        poincare_analysis(sys, [0.5])
+    assert str(err.value) == message
+    with pytest.raises(InvalidArgument) as err:
+        simulate_nonlinear(sys, [0.5], [0.0, 5e-324])
+    assert str(err.value) == message
+    with pytest.raises(InvalidArgument) as err:
+        poincare_analysis(sys, [0.5], step=0.0)
+    assert str(err.value) == "step must be a positive finite number, got 0.0"
+    # an empty span needs no step, default or not
+    assert simulate_nonlinear(sys, [0.5], [0.0, 0.0]).state.states.shape == (2, 1)

@@ -32,9 +32,26 @@ def outcome(thunk):
         return ("DomainError", str(exc))
 
 
+def naming_the_step(advance):
+    """``advance`` one step at a time, with the DomainError of the compiled
+    f named as the generated stepper names it: by the start of the failing
+    step, then the message of the error that f re-raised."""
+
+    def stepwise(y, t, h, nsteps):
+        for _ in range(nsteps):
+            try:
+                y = advance(y, t, h, 1)
+            except DomainError as exc:
+                raise DomainError(f"advance in the RK4 step from t = {t}: {exc.__cause__}") from exc
+            t += h
+        return y
+
+    return stepwise
+
+
 def both(sys, y, t, h, nsteps):
     generated = outcome(lambda: sys.stepper(np.array(y, dtype=float), t, h, nsteps))
-    generic = outcome(lambda: rk4_steps(sys.f)(np.array(y, dtype=float), t, h, nsteps))
+    generic = outcome(lambda: naming_the_step(rk4_steps(sys.f))(np.array(y, dtype=float), t, h, nsteps))
     return generated, generic
 
 
@@ -91,6 +108,19 @@ def test_out_of_domain_stage_raises_on_both_paths(rhs, y):
     generated, generic = both(NonlinearSystem(2, [parse(e) for e in rhs]), y, 0.0, 0.1, 3)
     assert generated[0] == "DomainError"
     assert generated == generic
+
+
+def test_domain_error_names_the_function_and_the_time():
+    # both used to give the bare "math domain error"; the generic stepper
+    # fails in f at the stage time 0.05 of the step from 0.0
+    sys = NonlinearSystem(2, [parse("-1"), parse("log(x1)")])
+    y = np.array([0.01, 0.0])
+    with pytest.raises(DomainError) as err:
+        sys.stepper(y, 0.0, 0.1, 3)
+    assert str(err.value) == "advance in the RK4 step from t = 0.0: math domain error"
+    with pytest.raises(DomainError) as err:
+        rk4_steps(sys.f)(y, 0.0, 0.1, 3)
+    assert str(err.value) == "coefficient at t = 0.05: math domain error"
 
 
 def test_left_domain_at_the_same_sample():
