@@ -16,7 +16,9 @@ class DimensionMismatch(TpdsError):
 
 class InvalidArgument(TpdsError):
     """An argument value outside the ones a call accepts: a negative zero
-    tolerance, a sample count that is not an integer >= 0."""
+    tolerance, a count that is not an integer >= its least value (0 for a
+    grid, 1 for samples or iterates), a step or tolerance that is not a
+    positive finite number."""
 
 
 class NonFiniteInput(TpdsError):

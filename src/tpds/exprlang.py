@@ -12,8 +12,10 @@ Recognized functions: sin cos tan sinh cosh tanh exp log sqrt abs.
 
 Coefficients are evaluated only through generated Python code:
 ``compile_fn`` turns a whole scalar, vector or matrix of them into one
-checked function, ``_compile_array`` gives a function of t alone its
-counterpart over a 1-d array of times, and ``compile_stepper`` turns the
+checked function of t, or of t and x. ``_compile_array`` gives that
+function its counterpart over a stack of points: a 1-d array of times, and
+with x a matching (m, n) array of states, as for the Jacobians of
+``nonlinear.eventual_monotonicity``. ``compile_stepper`` turns the
 right-hand side of x' = f(t, x) into one checked RK4 stepper that inlines
 every entry at each stage. All of them emit the same code for an
 expression (``_pycode``) and are defined by the same helper (``_define``).
@@ -383,26 +385,36 @@ def compile_fn(coeff, n=None, u=None):
     return _define(signature, [], lines, at="at t = {t}", _base=base)
 
 
-def _compile_array(coeff, scalar):
-    """The array form of ``scalar``, which is ``compile_fn(coeff)`` for a
-    coefficient over t alone.
+def _compile_array(coeff, scalar, n=None, u=None):
+    """The array form of ``scalar``, which is ``compile_fn(coeff, n, u)``.
 
-    It takes a 1-d array of m times and returns the m values stacked, shape
-    (m,) + the coefficient's shape, from one numpy evaluation of each entry.
-    Its floats are those of the scalar function at each time. numpy's
-    arithmetic and sqrt are correctly rounded, as Python's are, and its sin
-    and cos gave math's floats on every point tried. Its exp, sinh, cosh,
-    tanh, tan, log and power differ from math's by 1 ulp on 0.1-26 % of
-    points, so those are applied entry by entry through math's and
-    Python's. When numpy raises a divide, overflow or invalid flag, or an
-    entry-by-entry function raises, the times are evaluated one by one by
-    the scalar function instead. The DomainError (the first in time order)
-    and the silent inf or nan of Python float arithmetic are therefore those
-    of the scalar function.
+    Without ``n`` it takes a 1-d array of m times. With ``n`` it takes the
+    m times and an (m, n) array of states, binds xk to the column
+    x[:, k - 1] and evaluates the input u once over the times. Either way it
+    returns the m values stacked, shape (m,) + the coefficient's shape, from
+    one numpy evaluation of each entry. Its floats are those of the scalar
+    function at each point. numpy's arithmetic and sqrt are correctly
+    rounded, as Python's are, and its sin and cos gave math's floats on
+    every point tried. Its exp, sinh, cosh, tanh, tan, log and power differ
+    from math's by 1 ulp on 0.1-26 % of points, so those are applied entry
+    by entry through math's and Python's. When numpy raises a divide,
+    overflow or invalid flag, or an entry-by-entry function raises, the
+    points are evaluated one by one by the scalar function instead. The
+    DomainError (the first in point order) and the silent inf or nan of
+    Python float arithmetic are therefore those of the scalar function.
     """
     shape, cells = _cells(coeff)
     base = np.zeros(shape)
-    evaluate = ["A = _empty(stacked)", "A[...] = _base"]
+    prologue = ["t = _array(t, dtype=float)", "stacked = (len(t),) + _base.shape"]
+    evaluate, fallback = [], "_scalar(s) for s in t.tolist()"
+    if n is not None:
+        used = _bound_names(cells.values(), n, u)
+        prologue.insert(1, "x = _array(x, dtype=float)")
+        evaluate += [f"{v} = x[:, {int(v[1:]) - 1}]" for v in sorted(used - {"t", "u"})]
+        if u is not None:
+            evaluate.append(f"u = {_pycode(u, array=True)}")
+        fallback = "_scalar(s, y) for s, y in zip(t.tolist(), x)"
+    evaluate += ["A = _empty(stacked)", "A[...] = _base"]
     evaluate += _fill(cells, base, "A[:, {}]" if shape else "A[:]", array=True)
     body = [
         "with _errstate(divide='raise', over='raise', invalid='raise'):",
@@ -411,11 +423,11 @@ def _compile_array(coeff, scalar):
         "        return A",
         "    except _FALLBACK:",
         "        pass",
-        "return _array([_scalar(s) for s in t.tolist()], dtype=float).reshape(stacked)",
+        f"return _array([{fallback}], dtype=float).reshape(stacked)",
     ]
-    prologue = ["t = _array(t, dtype=float)", "stacked = (len(t),) + _base.shape"]
+    signature = f"coefficient(t{', x' if n is not None else ''})"
     env = dict(_ARRAY_FUNCTIONS, _errstate=np.errstate, _empty=np.empty, _array=np.array)
-    return _define("coefficient(t)", prologue, body, _base=base, _scalar=scalar, _FALLBACK=_FALLBACK, **env)
+    return _define(signature, prologue, body, _base=base, _scalar=scalar, _FALLBACK=_FALLBACK, **env)
 
 
 def compile_stepper(rhs, n, u=None):

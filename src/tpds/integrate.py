@@ -56,11 +56,23 @@ def _checked_grid(grid, interval=None):
     return grid
 
 
-def _checked_count(count, name):
-    """The one sample-count rule: an integer >= 0, else InvalidArgument."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-        raise InvalidArgument(f"{name} must be an integer >= 0, got {count!r}")
+def _checked_count(count, name, least=0):
+    """The one count rule: an integer >= least, else InvalidArgument."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
+        raise InvalidArgument(f"{name} must be an integer >= {least}, got {count!r}")
     return count
+
+
+def _checked_positive(value, name):
+    """The one positive-number rule: a positive finite number, else
+    InvalidArgument."""
+    try:
+        ok = value > 0 and math.isfinite(value)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidArgument(f"{name} must be a positive finite number, got {value}")
+    return value
 
 
 def _step_count(length, step):
@@ -68,8 +80,7 @@ def _step_count(length, step):
     ceil(length / step - 1e-12) equal steps, at least one. A step that is
     not a positive finite number, or so small that the count passes
     maxsize (no array indexes more steps), raises InvalidArgument."""
-    if not (step > 0 and math.isfinite(step)):
-        raise InvalidArgument(f"step must be a positive finite number, got {step}")
+    _checked_positive(step, "step")
     count = float(length) / float(step) - 1e-12  # Python floats: inf, not a numpy warning
     if not count <= maxsize:
         raise InvalidArgument(f"step {step} is too small for a span of {length}")

@@ -106,6 +106,48 @@ def test_a_nan_initial_state_raises_before_any_step(sys):
         tpds.eventual_monotonicity(sys, x0, [0.1] * sys.n, 1.0, samples=5)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"q_max": 2.5}, "q_max must be an integer >= 1, got 2.5"),
+        ({"q_max": 0}, "q_max must be an integer >= 1, got 0"),
+        ({"max_iters": -3}, "max_iters must be an integer >= 1, got -3"),
+        ({"max_iters": 0}, "max_iters must be an integer >= 1, got 0"),
+        ({"tol": 0}, "tol must be a positive finite number, got 0"),
+        ({"tol": NAN}, "tol must be a positive finite number, got nan"),
+        ({"tol": -1e-6}, "tol must be a positive finite number, got -1e-06"),
+        ({"tol": "1e-6"}, "tol must be a positive finite number, got 1e-6"),
+    ],
+)
+def test_poincare_counts_and_tolerance_raise_before_any_iterate(monkeypatch, kwargs, message):
+    # q_max=2.5 raised a bare TypeError; the others ran up to 100 iterates
+    # and ended in NoConvergence ("no period <= 0 detected ...")
+    def no_iterate(*args):
+        raise AssertionError("iterated")
+
+    monkeypatch.setattr(tpds.nonlinear, "_rk4_span", no_iterate)
+    with pytest.raises(InvalidArgument) as err:
+        tpds.poincare_analysis(DEMO, OK_X, **kwargs)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("t", [NAN, INF, -INF])
+def test_a_non_finite_line_integral_time_raises_naming_t(t):
+    # nan gave a J with a nan diagonal, inf a DomainError
+    takac = tpds.shipped("takac").system
+    with pytest.raises(NonFiniteInput, match=r"^t \[.*\] has a non-finite entry$"):
+        line_integral_jacobian(takac, t, [1.0, 0.0, -1.0, 0.0], [1.0, 0.1, -1.0, 0.0])
+
+
+def test_zero_samples_raise_invalid_argument():
+    # raised OutOfInterval about the empty grid the count made
+    with pytest.raises(InvalidArgument) as err:
+        tpds.eventual_monotonicity(DEMO, OK_X, [0.2, 0.2, 0.3], 1.0, samples=0)
+    assert str(err.value) == "samples must be an integer >= 1, got 0"
+    # one sample, at t = 0, is the least grid
+    assert tpds.eventual_monotonicity(DEMO, OK_X, [0.05, 0.2, 0.3], 1.0, samples=1) == (0.0, 1)
+
+
 def test_a_bad_step_raises_even_where_no_span_needs_one():
     # returned a one-sample trajectory
     with pytest.raises(InvalidArgument, match="step must be a positive finite number, got -1"):

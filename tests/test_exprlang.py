@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from expr_reference import evaluate
-from tpds import NonlinearSystem, Segment
+from test_stepper import exprs
+from tpds import NonlinearSystem, Segment, exprlang
 from tpds.errors import (
     DimensionMismatch,
     DomainError,
@@ -200,3 +201,87 @@ def test_arithmetic_identities(a, b, c):
 def test_left_associativity():
     assert run("8 - 4 - 2") == 2.0
     assert run("8 / 4 / 2") == 1.0
+
+
+# -- the (t, x) array form ------------------------------------------------
+
+STATE_ENTRIES = [
+    ["tanh(x1) * x2 - u", "exp(x1 - x2) + t", "log(x1 ^ 2 + 1) * sqrt(abs(x2) + t ^ 2)"],
+    ["(x1 - 0.3) ^ 2 - x2 ^ 3", "(abs(x2) + 1) ^ 1.5 / (x1 ^ 2 + 2)", "sinh(x1) * cosh(x2) * u ^ -2"],
+]
+STATE_INPUT = "2 + sin(3 * t) + cos(t) ^ 2"
+
+
+def state_forms(entries, n, u=None):
+    """compile_fn over t, x1..xn and u, and its array form."""
+    entries = [[parse(e) if isinstance(e, str) else e for e in row] for row in entries]
+    u = None if u is None else parse(u)
+    scalar = compile_fn(entries, n, u)
+    return scalar, exprlang._compile_array(entries, scalar, n, u)
+
+
+def pointwise(scalar, t, x):
+    """The scalar function at each point, or its first DomainError."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.array([scalar(s, y) for s, y in zip(t, x)])
+    except DomainError as exc:
+        return str(exc)
+
+
+def stacked(array, t, x):
+    try:
+        with np.errstate(all="ignore"):
+            return array(t, x)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_state_array_form_gives_the_scalar_floats():
+    scalar, array = state_forms(STATE_ENTRIES, 2, STATE_INPUT)
+    rng = np.random.default_rng(15)
+    t = rng.uniform(-5.0, 5.0, 4000)
+    x = rng.uniform(-3.0, 3.0, (4000, 2))
+    got = array(t, x)
+    assert got.shape == (4000, 2, 3)
+    assert got.tobytes() == pointwise(scalar, t, x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["log(x1)", "sqrt(1.5 - x2)", "1 / (x1 - x2)", "x1 ^ 0.5", "exp(1000 * x2)", "x2 ^ 1100", "u * log(1 - x2)"],
+)
+def test_state_array_form_raises_the_first_scalar_domain_error(entry):
+    # each entry leaves its domain at some of the points; the array form
+    # falls back to the points one by one and fails where they first fail
+    scalar, array = state_forms([[entry, "tanh(x1)"]], 2, "t - 1")
+    t = np.linspace(-1.0, 2.0, 13)
+    x = np.stack([np.linspace(2.0, -1.0, 13), np.linspace(-0.5, 3.0, 13)], axis=1)
+    x[4, 1] = x[4, 0]  # x1 == x2 at one point
+    want = pointwise(scalar, t, x)
+    assert isinstance(want, str) and want.startswith("coefficient at t = ")
+    assert not want.startswith("coefficient at t = -1.0")  # not the first point
+    assert stacked(array, t, x) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(exprs(["t", "u", "x1", "x2"]), st.floats(-2.0, 2.0)), min_size=2, max_size=2),
+    exprs(["t"]),
+    st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=30),
+)
+def test_state_array_form_matches_the_scalar_form(entries, u, points):
+    # the same values (nan and inf included) or the same first DomainError;
+    # sin and cos are numpy's, which may differ from math's by an ulp
+    scalar = compile_fn(entries, 2, u)
+    array = exprlang._compile_array(entries, scalar, 2, u)
+    t = np.array([p[0] for p in points])
+    x = np.array([p[1:] for p in points])
+    got, want = stacked(array, t, x), pointwise(scalar, t, x)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.shape == want.shape == (len(points), 2)
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    close = np.isfinite(want) & (np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+    assert np.all(same | close)
