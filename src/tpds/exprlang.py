@@ -14,8 +14,8 @@ Coefficients are evaluated only through generated Python code:
 ``compile_fn`` turns a whole scalar, vector or matrix of them into one
 checked function of t, or of t and x. ``_compile_array`` gives that
 function its counterpart over a stack of points: a 1-d array of times, and
-with x a matching (m, n) array of states, as for the Jacobians of
-``nonlinear.eventual_monotonicity``. ``compile_stepper`` turns the
+with x a matching (m, n) array of states, as for the stacked f and J of
+``nonlinear.NonlinearSystem``. ``compile_stepper`` turns the
 right-hand side of x' = f(t, x) into one checked RK4 stepper that inlines
 every entry at each stage. All of them emit the same code for an
 expression (``_pycode``) and are defined by the same helper (``_define``).

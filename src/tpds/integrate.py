@@ -36,10 +36,6 @@ CLUSTER_GAP = 3
 CHUNK_STEPS = 256  # RK4 steps whose propagators are built at once, to bound memory
 
 
-def default_step(sys):
-    return _checked_step(None, *sys.interval)
-
-
 def _checked_grid(grid, interval=None):
     """The sample grid as a float array. It must be a nonempty, finite,
     nondecreasing sequence and, given an interval [a, b], lie within it up
@@ -113,13 +109,14 @@ def _rk4_span(advance, y, t0, t1, step):
     return advance(y, t0, length / nsteps, nsteps)
 
 
-def _checked_state(x0, n, name):
-    """The initial state as a float array; one that is not a vector of n
-    entries raises DimensionMismatch, and one with a nan or infinite entry
-    NonFiniteInput."""
+def _checked_state(x0, n, name, m=None):
+    """The initial state, or given m an (m, n) stack of states, as a float
+    array; any other shape raises DimensionMismatch, and a nan or infinite
+    entry NonFiniteInput, naming the first row that holds one."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise DimensionMismatch(f"{name} must hold {n} entries, got shape {x0.shape}")
+    if x0.shape != ((n,) if m is None else (m, n)):
+        what = f"{n} entries" if m is None else f"{m} states of {n} entries"
+        raise DimensionMismatch(f"{name} must hold {what}, got shape {x0.shape}")
     _check_finite(x0, name)
     return x0
 

@@ -1,11 +1,10 @@
 """Nonlinear simulation, eventual monotonicity, and Poincare-map analysis.
 
-Trajectories are integrated by ``integrate._rk4_span`` with the system's
-generated RK4 stepper (``exprlang.compile_stepper``), one grid interval at
-a time (``_states``). ``simulate_nonlinear`` calls f and the Jacobian at
-each sample. ``eventual_monotonicity`` integrates the states alone and
-evaluates the Jacobian at all the points of its check in one stacked call
-(``NonlinearSystem._jacobians``), through the array forms of f and J
+Every run is one loop, ``_states``: one span of ``integrate._rk4_span``
+with the system's generated RK4 stepper (``exprlang.compile_stepper``)
+between consecutive times, the states alone. f and J are then taken as
+stacks, by calls of ``NonlinearSystem.f`` or ``jac`` on (m,) times and
+(m, n) states, through the array forms of f and J
 (``exprlang._compile_array``), compiled on first use.
 """
 
@@ -27,6 +26,7 @@ from .errors import (
     TrivialSolution,
 )
 from .integrate import (
+    CHUNK_STEPS,
     Trajectory,
     _checked_count,
     _checked_grid,
@@ -36,7 +36,7 @@ from .integrate import (
     _rk4_span,
 )
 from .signvar import _check_finite
-from .systems import _membership, in_M_plus
+from .systems import _first_outside_M_plus
 
 FD_JAC_REL_STEP = 1e-6
 GAUSS_LEGENDRE_POINTS = 16
@@ -48,10 +48,14 @@ PERSISTENCE = 5  # consecutive small residuals that make poincare_analysis detec
 class NonlinearSystem:
     """x' = f(t, x), its right-hand side and Jacobian compiled at construction.
 
-    The input u(t), when given, is evaluated once per call of f or jac. A
-    variable outside t, x1..xn and u (u only with an input) raises
-    UnboundVariable here; an out-of-domain evaluation raises DomainError.
-    The RK4 stepper that integrates it is compiled on first use.
+    ``f`` and ``jac`` take one time t and state x or, as ``Segment.matrix_at``
+    does, a 1-d array of m times and an (m, n) array of states, and return
+    the (m, n) or (m, n, n) stack: at each point the floats and the first
+    DomainError, in point order, of the scalar f (J at one point is its
+    stack of one). x goes through ``integrate._checked_state``. The input
+    u(t), when given, is evaluated once per time. A variable outside t,
+    x1..xn and u (u only with an input) raises UnboundVariable here. The
+    stacked forms and the RK4 stepper are compiled on first use.
     """
 
     n: int
@@ -92,24 +96,27 @@ class NonlinearSystem:
         return self.jacobian is None
 
     def f(self, t, x):
-        return self._f(t, x)
+        if np.ndim(t):
+            return self._values(t, _checked_state(x, self.n, "x", len(t)))
+        return self._f(t, _checked_state(x, self.n, "x"))
 
     def jac(self, t, x):
-        if self._jac is not None:
-            return self._jac(t, x)
-        f = lambda xs: np.array([self.f(t, y) for y in xs.tolist()])
-        return _central_differences(f, np.array(x, dtype=float)[None])[0]
+        if np.ndim(t):
+            return self._jacobians(t, _checked_state(x, self.n, "x", len(t)))
+        return self._jacobians([t], _checked_state(x, self.n, "x")[None])[0]
+
+    @functools.cached_property
+    def _values(self):
+        """f over a stack of points (``exprlang._compile_array``)."""
+        return exprlang._compile_array(self.rhs, self._f, self.n, self.input)
 
     @functools.cached_property
     def _jacobians(self):
-        """``J(t, x)``: the (m, n, n) stack of J at m times t and (m, n)
-        states x, with the floats and the first DomainError of ``jac`` at
-        each point in turn. Compiled on first use (``exprlang._compile_array``),
-        so that loading a spec costs no more than the scalar forms."""
+        """J over a stack of points: the array form of the analytic J, or
+        central differences over ``_values``."""
         if self._jac is not None:
             return exprlang._compile_array(self.jacobian, self._jac, self.n, self.input)
-        f = exprlang._compile_array(self.rhs, self._f, self.n, self.input)
-        return lambda t, x: _central_differences(lambda xs: f(np.repeat(t, 2 * self.n), xs), x)
+        return functools.partial(_central_differences, self._values)
 
     def in_box(self, x):
         if self.domain_box is None:
@@ -117,12 +124,11 @@ class NonlinearSystem:
         return all(lo - 1e-12 <= v <= hi + 1e-12 for v, (lo, hi) in zip(x, self.domain_box))
 
 
-def _central_differences(f, x):
-    """The one finite-difference Jacobian rule, over a leading axis: J at
-    the (m, n) states x by central differences with the scale-aware step
-    FD_JAC_REL_STEP * max(1, |x_j|). ``f`` maps a (k, n) array of states to
-    the (k, n) values of f there; it is called once, on the states
-    x +- h_j e_j in the order point, j, + before -."""
+def _central_differences(f, t, x):
+    """The one finite-difference Jacobian rule: J at m times t and (m, n)
+    states x by central differences with the scale-aware step
+    FD_JAC_REL_STEP * max(1, |x_j|), from one call of the stacked f on the
+    states x +- h_j e_j, in the order point, j, + before -."""
     m, n = x.shape
     h = FD_JAC_REL_STEP * np.fmax(1.0, np.abs(x))  # fmax: max(1.0, nan) is 1.0
     # each point's 2n copies in a row of 2n * n entries: entry j of copy 2j
@@ -130,7 +136,7 @@ def _central_differences(f, x):
     xs = np.repeat(x, 2 * n, axis=0).reshape(m, 2 * n * n)
     xs[:, :: 2 * n + 1] += h
     xs[:, n :: 2 * n + 1] -= h
-    fs = f(xs.reshape(-1, n)).reshape(m, n, 2, n)
+    fs = f(np.repeat(t, 2 * n), xs.reshape(-1, n)).reshape(m, n, 2, n)
     return ((fs[:, :, 0] - fs[:, :, 1]) / (2 * h)[:, :, None]).transpose(0, 2, 1)
 
 
@@ -141,42 +147,47 @@ class NonlinearRun:
     jacobian_in_M_plus: bool
 
 
-def _states(sys, x0, grid, step):
-    """Yield (t, x) at each sample of the grid, x0 first: one span of the
-    system's RK4 stepper per grid interval. A state outside the domain box
-    raises LeftDomain at its sample, before it is yielded."""
+def _states(sys, x0, times, step):
+    """Yield (t, x) at each of the times, a nonempty iterable read lazily,
+    x0 at the first: one span of the system's RK4 stepper between each two.
+    A state outside the domain box raises LeftDomain at its time instead."""
+    times = iter(times)
+    t0 = next(times)
     if not sys.in_box(x0):
-        raise LeftDomain("initial condition outside the domain box", grid[0])
-    yield grid[0], x0
+        raise LeftDomain("initial condition outside the domain box", t0)
+    yield t0, x0
     x = x0
-    for t0, t1 in zip(grid, grid[1:]):
+    for t1 in times:
         x = _rk4_span(sys.stepper, x, t0, t1, step)
         if not sys.in_box(x):
             raise LeftDomain("trajectory left the domain box", float(t1))
         yield t1, x
+        t0 = t1
 
 
 def simulate_nonlinear(sys, x0, grid, step=None):
     """Integrate x' = f(t, x) and track sign variation of z(t) = f(t, x(t)).
 
-    Jacobian samples are tested for M+ membership along the run; when they
-    leave the class the sign-count assertions do not apply and the flag in
-    the result says so. A grid that is empty, non-finite or decreasing
-    raises OutOfInterval, an x0 that is not a vector of n entries
-    DimensionMismatch, one with a nan or inf entry NonFiniteInput, and a
-    step that is not a positive finite number InvalidArgument, all before
-    any step. The default step is 1e-3 of the grid's span.
+    The states are integrated alone, then f taken in one stacked call and
+    J in blocks of CHUNK_STEPS samples up to the first block with a J out
+    of M+ (a nan or inf J there raises NonFiniteInput), where the
+    sign-count assertions stop applying; the flag in the result says so. A
+    grid that is empty, non-finite or decreasing raises OutOfInterval, an
+    x0 that is not a vector of n entries DimensionMismatch, one with a nan
+    or inf entry NonFiniteInput, and a step that is not a positive finite
+    number InvalidArgument, all before any step. The default step is 1e-3
+    of the grid's span.
     """
     grid = _checked_grid(grid)
     x0 = _checked_state(x0, sys.n, "x0")
     step = _checked_step(step, grid[0], grid[-1])
-    xs, zs = [], []
-    jac_ok = True
-    for t, x in _states(sys, x0, grid, step):
-        xs.append(x)
-        zs.append(sys.f(t, x))
-        jac_ok = jac_ok and in_M_plus(sys.jac(t, x))
-    return NonlinearRun(Trajectory(grid, np.array(xs)), Trajectory(grid, np.array(zs)), jac_ok)
+    xs = np.array([x for _, x in _states(sys, x0, grid, step)])
+    zs = sys.f(grid, xs)
+    jac_ok = all(
+        _first_outside_M_plus(sys.jac(grid[k : k + CHUNK_STEPS], xs[k : k + CHUNK_STEPS])) is None
+        for k in range(0, len(grid), CHUNK_STEPS)
+    )
+    return NonlinearRun(Trajectory(grid, xs), Trajectory(grid, zs), jac_ok)
 
 
 @functools.cache
@@ -193,13 +204,13 @@ def _line_integrals(sys, t, a, b, rs=()):
     """J at the points r a + (1 - r) b for each r in rs, then the
     Gauss-Legendre average of J along the segment from b to a, for m times
     t and (m, n) states a and b: an (m, len(rs) + 1, n, n) stack from one
-    ``_jacobians`` call, the points in the order time, rs, nodes. The
+    stacked ``jac`` call, the points in the order time, rs, nodes. The
     average is summed in node order."""
     nodes, weights = _gauss_legendre()
     r = np.concatenate([rs, nodes])[:, None]
     m, k, n = len(t), len(r), sys.n
     points = r * a[:, None] + (1 - r) * b[:, None]
-    J = sys._jacobians(np.repeat(t, k), points.reshape(-1, n)).reshape(m, k, n, n)
+    J = sys.jac(np.repeat(t, k), points.reshape(-1, n)).reshape(m, k, n, n)
     average = np.zeros((m, n, n))
     for i, w in enumerate(weights, start=len(rs)):
         average += w * J[:, i]
@@ -228,10 +239,10 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
     The two runs integrate the states alone, on the span loop of
     simulate_nonlinear. At every (samples // 25)-th sample the check takes J
     at R_GRID points r a + (1 - r) b and the line integral, all in one
-    stacked Jacobian call, and tests M+ on them in one ``_membership``
-    call. The first failure in time order, the R_GRID points before the
-    line integral, is the one reported; a nan or infinite J raises
-    NonFiniteInput there, as ``in_M_plus`` does.
+    stacked ``jac`` call, and tests M+ on them at once
+    (``_first_outside_M_plus``). The first failure in time order, the
+    R_GRID points before the line integral, is the one reported; a nan or
+    infinite J raises NonFiniteInput there, as ``in_M_plus`` does.
     """
     a0 = _checked_state(a0, sys.n, "a0")
     b0 = _checked_state(b0, sys.n, "b0")
@@ -241,19 +252,15 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
     grid = np.linspace(0.0, horizon, _checked_count(samples, "samples", least=1))
     step = _checked_step(step, grid[0], grid[-1])
     xa = np.array([x for _, x in _states(sys, a0, grid, step)])
-    _check_finite(xa)  # as simulate_nonlinear's Trajectory of the states does
+    _check_finite(xa)  # as a Trajectory of the states does
     xb = np.array([x for _, x in _states(sys, b0, grid, step)])
     _check_finite(xb)
 
     ks = np.arange(0, samples, max(1, samples // 25))
     rs = np.linspace(0.0, 1.0, R_GRID)
-    J = _line_integrals(sys, grid[ks], xa[ks], xb[ks], rs)
-    finite = np.isfinite(J).all(axis=(-2, -1))
-    bad, low = _membership(J)
-    failed = ~finite | bad.any(axis=(-2, -1)) | ~(low > 0)
-    if failed.any():
-        k, i = np.argwhere(failed)[0]
-        in_M_plus(J[k, i])  # a nan or inf entry raises NonFiniteInput
+    failed = _first_outside_M_plus(_line_integrals(sys, grid[ks], xa[ks], xb[ks], rs))
+    if failed is not None:
+        k, i = failed
         t = grid[ks[k]]
         if i < R_GRID:
             raise AssumptionViolated(f"Jacobian leaves M+ at t={t:.4g}, r={rs[i]:.3g}")
@@ -285,28 +292,23 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
     detected_period is the smallest q <= q_max whose iterate residuals
     ||x((k+q)T) - x(kT)|| stay below tol for PERSISTENCE consecutive k at
     the tail of the run; q = 1 certifies entrainment at this resolution.
-    Each iterate is one ``_rk4_span`` over a period, in steps of 1e-3 T
-    by default. An x0 that is not a vector of n entries raises
-    DimensionMismatch, one with a nan or inf entry NonFiniteInput, and a
-    step or tol that is not a positive finite number, or a max_iters or
-    q_max that is not an integer >= 1, InvalidArgument, all before any
-    iterate.
+    The iterates are ``_states`` at kT, k = 0..max_iters, read lazily: one
+    ``_rk4_span`` over a period each, in steps of 1e-3 T by default. An x0
+    that is not a vector of n entries raises DimensionMismatch, one with a
+    nan or inf entry NonFiniteInput, and a step or tol that is not a
+    positive finite number, or a max_iters or q_max that is not an integer
+    >= 1, InvalidArgument, all before any iterate.
     """
     if sys.period is None:
         raise NotPeriodic("system carries no period")
     T = sys.period
-    x = _checked_state(x0, sys.n, "x0")
+    x0 = _checked_state(x0, sys.n, "x0")
     step = _checked_step(step, 0.0, T)
     _checked_count(max_iters, "max_iters", least=1)
     _checked_count(q_max, "q_max", least=1)
     _checked_positive(tol, "tol")
-    if not sys.in_box(x):
-        raise LeftDomain("initial condition outside the domain box", 0.0)
-    iterates = [x]
-    for k in range(max_iters):
-        x = _rk4_span(sys.stepper, x, k * T, (k + 1) * T, step)
-        if not sys.in_box(x):
-            raise LeftDomain("trajectory left the domain box", (k + 1) * T)
+    iterates = []
+    for _, x in _states(sys, x0, (k * T for k in range(max_iters + 1)), step):
         iterates.append(x)
         q = _detect_period(iterates, q_max, tol)
         if q is not None:

@@ -49,6 +49,17 @@ def _membership(As):
     return bad, np.where(sup < sub, sup, sub)
 
 
+def _first_outside_M_plus(As):
+    """The index, in C order, of the first matrix of a (..., n, n) stack
+    outside M+, or None; a nan or inf entry there raises as in_M_plus."""
+    bad, low = _membership(As)
+    failed = ~np.isfinite(As).all(axis=(-2, -1)) | bad.any(axis=(-2, -1)) | ~(low > 0)
+    if failed.any():
+        first = np.unravel_index(np.argmax(failed), failed.shape)
+        in_M_plus(As[first])  # a nan or inf entry raises NonFiniteInput
+        return first
+
+
 def _checked_membership(A, name):
     """_membership of one matrix checked by ``totalpos._as_matrix``, the
     minimum a float."""

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from tpds.integrate import _checked_grid, _rk4_span, default_step
+from tpds.integrate import _checked_grid, _checked_step, _rk4_span
 
 
 def rk4_steps(f):
@@ -54,13 +54,13 @@ def segment_matrix(sys):
 
 
 def transition(sys, t0, t, step=None):
-    step = default_step(sys) if step is None else step
+    step = _checked_step(None, *sys.interval) if step is None else step
     return integrate_piecewise(sys, np.eye(sys.n), t0, t, step, segment_matrix(sys))
 
 
 def states(sys, z0, grid, step=None):
     """The states of simulate_linear, one grid interval after another."""
-    step = default_step(sys) if step is None else step
+    step = _checked_step(None, *sys.interval) if step is None else step
     grid = _checked_grid(grid, sys.interval)
     out = [np.asarray(z0, dtype=float)]
     for lo, hi in zip(grid, grid[1:]):
@@ -78,7 +78,7 @@ def transition_long_double(sys, t0, t, step=None):
     with the stage times lo + k h / 2 of ``tpds.integrate`` (times by
     repeated addition, as ``rk4_steps`` takes them, differ by ulps and move
     Phi by more than the rounding this reference measures)."""
-    step = default_step(sys) if step is None else step
+    step = _checked_step(None, *sys.interval) if step is None else step
     (seg,) = {sys.segment_index(0.5 * (t0 + t))}
     nsteps = max(1, math.ceil((t - t0) / step - 1e-12))
     h = (t - t0) / nsteps

@@ -1,21 +1,31 @@
-"""The per-sample loop of ``eventual_monotonicity`` before it integrated the
-states alone and took its Jacobians in one stacked call; kept as the test
+"""The per-sample loops of ``simulate_nonlinear`` and ``eventual_monotonicity``
+before they integrated the states alone and took f and J in stacked calls,
+and the scalar J before it was the stack at one point; kept as the test
 reference.
 
-``simulate_nonlinear`` here calls f and the Jacobian at every sample, as
-the library's does. ``eventual_monotonicity`` runs it twice and then, at
-every (samples // 25)-th sample, evaluates J point by point at the
-R_GRID points r a + (1 - r) b and the Gauss-Legendre average of J,
-testing each for M+ as it goes. ``line_integral_jacobian`` is the point
-by point sum.
+``simulate_nonlinear`` here integrates one grid interval at a time and
+calls the scalar f and J at every sample, testing J for M+ until the first
+failure. ``eventual_monotonicity`` runs it twice and then, at every
+(samples // 25)-th sample, evaluates J point by point at the R_GRID
+points r a + (1 - r) b and the Gauss-Legendre average of J, testing each
+for M+ as it goes. ``line_integral_jacobian`` is the point by point sum.
+``jac`` is the scalar J: the compiled analytic J, or central differences
+over the compiled scalar f, one perturbed state at a time.
 """
 
 import numpy as np
 
 from tpds.errors import AssumptionViolated, LeftDomain, NoMonotoneTail, TrivialSolution
 from tpds.integrate import Trajectory, _checked_count, _checked_grid, _checked_state, _checked_step, _rk4_span
-from tpds.nonlinear import R_GRID, NonlinearRun, _gauss_legendre
+from tpds.nonlinear import R_GRID, NonlinearRun, _central_differences, _gauss_legendre
 from tpds.systems import in_M_plus
+
+
+def jac(sys, t, x):
+    if sys._jac is not None:
+        return sys._jac(t, x)
+    f = lambda ts, xs: np.array([sys._f(s, y) for s, y in zip(ts.tolist(), xs.tolist())])
+    return _central_differences(f, [t], np.array(x, dtype=float)[None])[0]
 
 
 def simulate_nonlinear(sys, x0, grid, step=None):

@@ -106,6 +106,33 @@ def test_a_nan_initial_state_raises_before_any_step(sys):
         tpds.eventual_monotonicity(sys, x0, [0.1] * sys.n, 1.0, samples=5)
 
 
+@pytest.mark.parametrize("method", ["f", "jac"])
+@pytest.mark.parametrize("sys", [DEMO, FREE], ids=["analytic", "fd"])
+def test_f_and_jac_take_a_state_or_a_stack_by_the_state_rule(sys, method):
+    # a wrong-length state leaked a bare IndexError from the compiled f or J
+    call, n = getattr(sys, method), sys.n
+    t = np.zeros(2)
+    for args, shape in [
+        ((0.0, [0.1] * (n - 1)), f"{n} entries, got shape ({n - 1},)"),
+        ((0.0, [[0.1] * n]), f"{n} entries, got shape (1, {n})"),
+        ((t, np.zeros((2, n + 1))), f"2 states of {n} entries, got shape (2, {n + 1})"),
+        ((t, np.zeros((3, n))), f"2 states of {n} entries, got shape (3, {n})"),
+        ((t, np.zeros((2, n, 1))), f"2 states of {n} entries, got shape (2, {n}, 1)"),
+    ]:
+        with pytest.raises(DimensionMismatch) as err:
+            call(*args)
+        assert str(err.value) == f"x must hold {shape}"
+    x = np.full((2, n), 0.1)
+    x[1, -1] = -INF
+    for args, row in [((0.0, [NAN] + [0.1] * (n - 1)), [NAN] + [0.1] * (n - 1)), ((t, x), x[1].tolist())]:
+        with pytest.raises(NonFiniteInput) as err:
+            call(*args)
+        assert str(err.value) == f"x {row} has a non-finite entry"
+    stack = call(t, np.full((2, n), 0.1))
+    assert stack.shape == (2, n) + ((n,) if method == "jac" else ())
+    assert stack[1].tobytes() == call(0.0, [0.1] * n).tobytes()
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [

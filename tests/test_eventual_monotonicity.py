@@ -17,7 +17,7 @@ import nonlinear_reference as ref
 from tpds import NonlinearSystem, eventual_monotonicity, shipped
 from tpds.errors import TpdsError
 from tpds.exprlang import parse
-from tpds.nonlinear import line_integral_jacobian
+from tpds.nonlinear import GAUSS_LEGENDRE_POINTS, R_GRID, line_integral_jacobian
 
 DEMO = shipped("entrain_demo").system
 DEMO_FD = NonlinearSystem(DEMO.n, DEMO.rhs, DEMO.input, None, DEMO.period, DEMO.domain_box, "entrain_demo_fd")
@@ -109,27 +109,32 @@ def test_a_non_finite_jacobian_on_the_check_grid_raises_as_in_m_plus_does():
 
 @pytest.mark.parametrize("sys", [DEMO, DEMO_FD, TAKAC], ids=["analytic", "fd", "takac"])
 def test_the_stacked_jacobians_are_those_of_jac(sys):
+    # jac over a stack, and at one point, against the scalar J it replaced
     rng = np.random.default_rng(15)
     t = rng.uniform(-10.0, 10.0, 2000)
     x = rng.uniform(-3.0, 3.0, (2000, sys.n))
-    got = sys._jacobians(t, x)
+    got = sys.jac(t, x)
     assert got.shape == (2000, sys.n, sys.n)
+    assert got.tobytes() == np.array([ref.jac(sys, s, y) for s, y in zip(t, x)]).tobytes()
     assert got.tobytes() == np.array([sys.jac(s, y) for s, y in zip(t, x)]).tobytes()
     for s, a, b in zip(t[:50], x[:50], x[50:100]):
         assert line_integral_jacobian(sys, s, a, b).tobytes() == ref.line_integral_jacobian(sys, s, a, b).tobytes()
 
 
 def test_one_stacked_jacobian_and_no_calls_of_f_or_jac(monkeypatch):
+    # no call of f, and one of jac: the stacked one, over all the points
     calls = []
     for name in ("f", "jac"):
         method = getattr(NonlinearSystem, name)
-        monkeypatch.setattr(NonlinearSystem, name, lambda self, *args, name=name, method=method: calls.append(name) or method(self, *args))
+        monkeypatch.setattr(
+            NonlinearSystem, name, lambda self, t, x, name=name, method=method: calls.append((name, np.shape(t))) or method(self, t, x)
+        )
     for sys in (DEMO, DEMO_FD):
         stack = sys._jacobians
         monkeypatch.setitem(vars(sys), "_jacobians", lambda t, x, stack=stack: calls.append("stack") or stack(t, x))
         calls.clear()
         eventual_monotonicity(sys, [0.5, -0.5, 1.0], [0.4, -0.5, 1.0], 2 * np.pi, samples=100, step=0.025)
-        assert calls == ["stack"]
+        assert calls == [("jac", (25 * (R_GRID + GAUSS_LEGENDRE_POINTS),)), "stack"]
 
 
 def test_the_stacked_form_is_compiled_on_first_use():
@@ -183,9 +188,10 @@ def test_f_undefined_at_a_sample_is_seen_by_the_stepper_or_not_at_all():
 
 
 def test_a_blow_up_is_named_by_the_state_not_by_its_jacobian():
-    # the loop tested J at the first non-finite sample while J was still
-    # in M+; the stack checks the states first, as Trajectory does
+    # the loop's f checks the first non-finite sample, named x (before f
+    # checked its state, J was tested there and named the matrix); the
+    # stack checks the states first, as Trajectory does
     sys = system(["x1 * x1 * x1 + 0.1 * x2", "0.1 * x1 - x2"], [["3 * x1 * x1", 0.1], [0.1, -1]])
     got, want = both(sys, [3.0, 0.5], [2.9, 0.4], 5.0, 50, 0.01)
-    assert want == ("NonFiniteInput", "in_M_plus: the matrix has a nan or infinite entry")
+    assert want == ("NonFiniteInput", "x [nan, nan] has a non-finite entry")
     assert got == ("NonFiniteInput", "vector [nan, nan] has a non-finite entry")

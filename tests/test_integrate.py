@@ -31,7 +31,7 @@ from tpds.errors import (
     OutOfInterval,
     TrivialSolution,
 )
-from tpds.integrate import CLUSTER_GAP, TRAJ_ZERO_REL_TOL, default_step
+from tpds.integrate import CLUSTER_GAP, TRAJ_ZERO_REL_TOL, _checked_step
 
 
 def cosh_exact(t0, t):
@@ -87,7 +87,7 @@ def test_determinant_suspect_flag_on_coarse_step():
 
 def test_default_step_scales_with_interval():
     sys = shipped("cosh2").system
-    assert default_step(sys) == pytest.approx(2e-3)
+    assert _checked_step(None, *sys.interval) == pytest.approx(2e-3)
 
 
 def test_trivial_solution_rejected():
@@ -250,7 +250,7 @@ def test_trajectory_matches_per_sample_reference():
     for sys in linear_systems()[:4]:
         grid = np.linspace(*sys.interval, 120)
         z0 = np.ones(sys.n) * (-1.0) ** np.arange(sys.n)
-        runs.append(simulate_linear(sys, z0, grid, step=default_step(sys) * 4))
+        runs.append(simulate_linear(sys, z0, grid, step=_checked_step(None, *sys.interval) * 4))
     for n in (5, 5, 5, 5, 5, 1, 1):
         states = rng.choice([-2.0, -1e-9, -0.0, 0.0, 1e-12, 3.0], size=(60, n))
         runs.append(Trajectory(np.linspace(0.0, 1.0, 60), states * rng.uniform(0.5, 2.0, (60, 1))))

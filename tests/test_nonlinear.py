@@ -1,5 +1,7 @@
 """Tests for nonlinear simulation, monotonicity and period detection."""
 
+from sys import maxsize
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,27 @@ def test_poincare_at_equilibrium():
     res = poincare_analysis(sys, [0.0, 0.0])
     assert res.detected_period == 1
     assert max(res.residuals) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_poincare_reads_its_iterate_times_lazily(demo):
+    # an array of kT for k = 0..maxsize would raise MemoryError
+    res = poincare_analysis(demo, [0.5, -0.5, 1.0], max_iters=maxsize)
+    assert res.detected_period == 1
+
+
+def test_poincare_box_exit_is_reported_at_its_iterate_time():
+    # x1 = t leaves [0, 2] at the third iterate, t = 3 T = 2.1
+    sys = NonlinearSystem(n=1, rhs=[exprlang.parse("1")], period=0.7, domain_box=[(0.0, 2.0)])
+    with pytest.raises(LeftDomain) as err:
+        poincare_analysis(sys, [0.0])
+    assert str(err.value) == "trajectory left the domain box"
+    assert err.value.time == (2 + 1) * 0.7
+    with pytest.raises(NoConvergence):
+        poincare_analysis(sys, [0.0], max_iters=2)
+    with pytest.raises(LeftDomain) as err:
+        poincare_analysis(sys, [2.5])
+    assert str(err.value) == "initial condition outside the domain box"
+    assert err.value.time == 0.0
 
 
 def test_poincare_requires_period():

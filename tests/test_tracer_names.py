@@ -59,3 +59,24 @@ def test_traced_linear_run_counts_layers():
     assert summary["integrate.calls"] == 1
     assert tpds.compound_transition.__module__ == "tpds.integrate"
     assert not hasattr(tpds.compound_transition, "__wrapped__")
+
+
+def test_traced_nonlinear_run_counts_layers():
+    import tpds
+
+    demo = tpds.shipped("entrain_demo").system
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        tracer.verdict("simulate_nonlinear")
+        tpds.simulate_nonlinear(demo, [0.5, -0.5, 1.0], np.linspace(0.0, 2.0, 21))
+        tracer.verdict("poincare_analysis")
+        tpds.poincare_analysis(demo, [0.5, -0.5, 1.0], step=0.05)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["nonlinear.f_evals"] > 0
+    assert summary["nonlinear.jac_evals"] > 0
+    assert summary["nonlinear.poincare_iterates"] > 0
