@@ -25,7 +25,7 @@ from .errors import (
     UnknownFigure,
 )
 from .floquet import floquet, floquet_mode_evolution
-from .integrate import simulate_linear, transition_matrix
+from .integrate import _grid, simulate_linear, transition_matrix
 from .nonlinear import poincare_analysis, simulate_nonlinear
 from .systems import classify_constant, classify_time_varying, in_M, in_M_plus
 from .totalpos import classify, oscillatory_spectrum
@@ -84,15 +84,6 @@ def _option(args, name, spec, default=None):
     if value is None:
         return spec.setting(name, default)
     return specfile._SETTINGS[name](value, f"--{name}")
-
-
-def _grid(a, b, points):
-    """points samples from a to b; a count too large to allocate raises
-    SpecFileError."""
-    try:
-        return np.linspace(a, b, points)
-    except MemoryError:
-        raise SpecFileError(f"a grid of {points} samples cannot be allocated") from None
 
 
 def cmd_simulate(args):

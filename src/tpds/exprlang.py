@@ -12,9 +12,9 @@ Recognized functions: sin cos tan sinh cosh tanh exp log sqrt abs.
 
 Coefficients are evaluated only through generated Python code:
 ``compile_fn`` turns a whole scalar, vector or matrix of them into one
-checked function of t, or of t and x. ``_compile_array`` gives that
-function its counterpart over a stack of points: a 1-d array of times, and
-with x a matching (m, n) array of states, as for the stacked f and J of
+checked function of t, or of t and x, that takes one point or a stack of
+them: a 1-d array of times and, with x, a matching (m, n) array of states,
+as for ``Segment.matrix_at`` and the f and J of
 ``nonlinear.NonlinearSystem``. ``compile_stepper`` turns the
 right-hand side of x' = f(t, x) into one checked RK4 stepper that inlines
 every entry at each stage. All of them emit the same code for an
@@ -23,6 +23,7 @@ expression (``_pycode``) and are defined by the same helper (``_define``).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -223,7 +224,7 @@ def _integral(expr):
 
 def _pycode(expr, array=False):
     """Python source for the expression. With ``array`` an integral power
-    is ``_ipow(a, k)``, which the array form applies entry by entry, rather
+    is ``_ipow(a, k)``, which the stack form applies entry by entry, rather
     than a bare ``**``."""
     if isinstance(expr, (int, float)):
         return _literal(float(expr))
@@ -264,13 +265,13 @@ def _entrywise(fn):
     return apply
 
 
-# The array form's functions: numpy's where it gives the floats of math's
+# The stack form's functions: numpy's where it gives the floats of math's
 # (sin, cos, sqrt, abs), math's and Python's entry by entry elsewhere (see
-# _compile_array).
+# compile_fn).
 _ARRAY_FUNCTIONS = {f"_fn_{name}": _entrywise(fn) for name, fn in FUNCTIONS.items()}
 _ARRAY_FUNCTIONS.update(_fn_sin=np.sin, _fn_cos=np.cos, _fn_sqrt=np.sqrt, _fn_abs=np.abs)
 _ARRAY_FUNCTIONS.update(_pow=_entrywise(_pow), _ipow=_entrywise(operator.pow))
-# what sends the array form to its point-by-point fallback: a numpy flag
+# what sends the stack form to its point-by-point fallback: a numpy flag
 # raised as FloatingPointError, or an exception of an entry-by-entry function
 _FALLBACK = (ArithmeticError, ValueError, DomainError)
 
@@ -350,7 +351,7 @@ def _fill(cells, base, target, array=False):
 
 
 def compile_fn(coeff, n=None, u=None):
-    """Compile a coefficient into one checked function.
+    """Compile a coefficient into one checked function of a point or a stack.
 
     ``coeff`` is a number or AST (the function returns a float), a sequence
     of them (a 1-d array) or a sequence of equal-length sequences (a 2-d
@@ -359,13 +360,29 @@ def compile_fn(coeff, n=None, u=None):
     ``f(t, x)`` over t and x1..xn, plus u when the input ``u`` (an AST over
     t) is given; u is then evaluated once per call, before the entries.
 
-    Each variable is bound as a Python float, so the real-domain semantics
-    hold whatever numeric type the caller passes: ``^`` raises DomainError
-    on a complex result, and a ValueError, ZeroDivisionError or
-    OverflowError (log or sqrt out of domain, division by zero, overflow)
-    is re-raised as DomainError; either message is prefixed by
-    "coefficient at t = ...". A variable outside the allowed set raises UnboundVariable
-    here, at compile time.
+    At one time t (and state x), a generated point form binds each
+    variable as a Python float, so the real-domain semantics hold whatever
+    numeric type the caller passes: ``^`` raises DomainError on a complex
+    result, and a ValueError, ZeroDivisionError or OverflowError (log or
+    sqrt out of domain, division by zero, overflow) is re-raised as
+    DomainError; either message is prefixed by "coefficient at t = ...". A
+    variable outside the allowed set raises UnboundVariable here, at
+    compile time. The caller checks t and x.
+
+    At a 1-d array of m times (and an (m, n) array of states, xk bound to
+    the column x[:, k - 1], u evaluated once over the times), a generated
+    stack form, compiled on the first such call, returns the m values
+    stacked, shape (m,) + the coefficient's shape, from one numpy
+    evaluation of each entry. Its floats are those of the point form at
+    each point. numpy's arithmetic and sqrt are correctly rounded, as
+    Python's are, and its sin and cos gave math's floats on every point
+    tried. Its exp, sinh, cosh, tanh, tan, log and power differ from math's
+    by 1 ulp on 0.1-26 % of points, so those are applied entry by entry
+    through math's and Python's. When numpy raises a divide, overflow or
+    invalid flag, or an entry-by-entry function raises, the points are
+    evaluated one by one by the point form instead. The DomainError (the
+    first in point order) and the silent inf or nan of Python float
+    arithmetic are therefore those of the point form.
     """
     shape, cells = _cells(coeff)
     used = _bound_names(cells.values(), n, u)
@@ -382,38 +399,26 @@ def compile_fn(coeff, n=None, u=None):
         base = np.zeros(shape)
         lines += ["A = _base.copy()", *_fill(cells, base, "A[{}]"), "return A"]
     signature = f"coefficient(t{', x' if n is not None else ''})"
-    return _define(signature, [], lines, at="at t = {t}", _base=base)
+    point = _define(signature, [], lines, at="at t = {t}", _base=base)
+    stack = functools.cache(lambda: _stack_form(signature, shape, cells, used, n, u, point))
+
+    def coefficient(t, *x):
+        return stack()(t, *x) if np.ndim(t) else point(t, *x)
+
+    return coefficient
 
 
-def _compile_array(coeff, scalar, n=None, u=None):
-    """The array form of ``scalar``, which is ``compile_fn(coeff, n, u)``.
-
-    Without ``n`` it takes a 1-d array of m times. With ``n`` it takes the
-    m times and an (m, n) array of states, binds xk to the column
-    x[:, k - 1] and evaluates the input u once over the times. Either way it
-    returns the m values stacked, shape (m,) + the coefficient's shape, from
-    one numpy evaluation of each entry. Its floats are those of the scalar
-    function at each point. numpy's arithmetic and sqrt are correctly
-    rounded, as Python's are, and its sin and cos gave math's floats on
-    every point tried. Its exp, sinh, cosh, tanh, tan, log and power differ
-    from math's by 1 ulp on 0.1-26 % of points, so those are applied entry
-    by entry through math's and Python's. When numpy raises a divide,
-    overflow or invalid flag, or an entry-by-entry function raises, the
-    points are evaluated one by one by the scalar function instead. The
-    DomainError (the first in point order) and the silent inf or nan of
-    Python float arithmetic are therefore those of the scalar function.
-    """
-    shape, cells = _cells(coeff)
+def _stack_form(signature, shape, cells, used, n, u, point):
+    """The stack form of compile_fn's coefficient over its point form."""
     base = np.zeros(shape)
     prologue = ["t = _array(t, dtype=float)", "stacked = (len(t),) + _base.shape"]
-    evaluate, fallback = [], "_scalar(s) for s in t.tolist()"
+    evaluate, fallback = [], "_point(s) for s in t.tolist()"
     if n is not None:
-        used = _bound_names(cells.values(), n, u)
         prologue.insert(1, "x = _array(x, dtype=float)")
         evaluate += [f"{v} = x[:, {int(v[1:]) - 1}]" for v in sorted(used - {"t", "u"})]
         if u is not None:
             evaluate.append(f"u = {_pycode(u, array=True)}")
-        fallback = "_scalar(s, y) for s, y in zip(t.tolist(), x)"
+        fallback = "_point(s, y) for s, y in zip(t.tolist(), x)"
     evaluate += ["A = _empty(stacked)", "A[...] = _base"]
     evaluate += _fill(cells, base, "A[:, {}]" if shape else "A[:]", array=True)
     body = [
@@ -425,9 +430,8 @@ def _compile_array(coeff, scalar, n=None, u=None):
         "        pass",
         f"return _array([{fallback}], dtype=float).reshape(stacked)",
     ]
-    signature = f"coefficient(t{', x' if n is not None else ''})"
     env = dict(_ARRAY_FUNCTIONS, _errstate=np.errstate, _empty=np.empty, _array=np.array)
-    return _define(signature, prologue, body, _base=base, _scalar=scalar, _FALLBACK=_FALLBACK, **env)
+    return _define(signature, prologue, body, _base=base, _point=point, _FALLBACK=_FALLBACK, **env)
 
 
 def compile_stepper(rhs, n, u=None):

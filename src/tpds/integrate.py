@@ -24,6 +24,7 @@ from .errors import (
     InvalidArgument,
     MonotonicityViolation,
     NoApplicablePair,
+    OrderOutOfRange,
     OutOfInterval,
     TrivialSolution,
 )
@@ -50,6 +51,15 @@ def _checked_grid(grid, interval=None):
         where = "" if interval is None else f" within [{interval[0]}, {interval[1]}]"
         raise OutOfInterval(f"the grid must be a nonempty, finite, nondecreasing sequence{where}")
     return grid
+
+
+def _grid(a, b, points, endpoint=True):
+    """points samples from a to b (``np.linspace``); a count too large to
+    allocate raises InvalidArgument."""
+    try:
+        return np.linspace(a, b, points, endpoint=endpoint)
+    except MemoryError:
+        raise InvalidArgument(f"a grid of {points} samples cannot be allocated") from None
 
 
 def _checked_count(count, name, least=0):
@@ -119,6 +129,16 @@ def _checked_state(x0, n, name, m=None):
         raise DimensionMismatch(f"{name} must hold {what}, got shape {x0.shape}")
     _check_finite(x0, name)
     return x0
+
+
+def _checked_times(t):
+    """The one time rule: a real number, as is, or a 1-d array of them, as
+    floats. Other shapes raise DimensionMismatch, nan or inf NonFiniteInput."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise DimensionMismatch(f"t must be one time or a 1-d array of times, got shape {times.shape}")
+    _check_finite(times.reshape(-1, 1), "t")
+    return times if times.ndim else t
 
 
 class _Spans:
@@ -402,8 +422,11 @@ def compound_transition(sys, p, t0, t, step=None):
     of A(s), taken over each block's stack of A at the stage times, with
     the propagators of transition_matrix, and cross-asserts against the
     multiplicative compound of the directly integrated transition matrix,
-    to COMPOUND_REL_TOL.
+    to COMPOUND_REL_TOL. A p that is not an integer in 1..n raises
+    InvalidArgument or OrderOutOfRange before any step.
     """
+    if _checked_count(p, "p", least=1) > sys.n:
+        raise OrderOutOfRange(f"order {p} outside 1..{sys.n}")
     step = _checked_step(step, *sys.interval)
     direct = mult_compound(transition_matrix(sys, t0, t, step).phi, p).entries
     Y = _Spans(sys, [t0, t], step).products(sys, p)[0][0]

@@ -4,8 +4,7 @@ Every run is one loop, ``_states``: one span of ``integrate._rk4_span``
 with the system's generated RK4 stepper (``exprlang.compile_stepper``)
 between consecutive times, the states alone. f and J are then taken as
 stacks, by calls of ``NonlinearSystem.f`` or ``jac`` on (m,) times and
-(m, n) states, through the array forms of f and J
-(``exprlang._compile_array``), compiled on first use.
+(m, n) states (``exprlang.compile_fn``).
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import numpy as np
 from . import exprlang
 from .errors import (
     AssumptionViolated,
+    DimensionMismatch,
     LeftDomain,
     NoConvergence,
     NoMonotoneTail,
@@ -33,6 +33,7 @@ from .integrate import (
     _checked_positive,
     _checked_state,
     _checked_step,
+    _checked_times,
     _rk4_span,
 )
 from .signvar import _check_finite
@@ -51,11 +52,11 @@ class NonlinearSystem:
     ``f`` and ``jac`` take one time t and state x or, as ``Segment.matrix_at``
     does, a 1-d array of m times and an (m, n) array of states, and return
     the (m, n) or (m, n, n) stack: at each point the floats and the first
-    DomainError, in point order, of the scalar f (J at one point is its
-    stack of one). x goes through ``integrate._checked_state``. The input
-    u(t), when given, is evaluated once per time. A variable outside t,
-    x1..xn and u (u only with an input) raises UnboundVariable here. The
-    stacked forms and the RK4 stepper are compiled on first use.
+    DomainError, in point order, of f at that point (J at one point is its
+    stack of one). t goes through ``integrate._checked_times``, x through
+    ``_checked_state``. The input u(t), when given, is evaluated once per
+    time. A variable outside t, x1..xn and u (u only with an input) raises
+    UnboundVariable here. The RK4 stepper is compiled on first use.
     """
 
     n: int
@@ -83,6 +84,7 @@ class NonlinearSystem:
             if self.jacobian is not None
             else None
         )
+        self._jacobians = self._jac or functools.partial(_central_differences, self._f)
 
     @functools.cached_property
     def stepper(self):
@@ -96,27 +98,13 @@ class NonlinearSystem:
         return self.jacobian is None
 
     def f(self, t, x):
-        if np.ndim(t):
-            return self._values(t, _checked_state(x, self.n, "x", len(t)))
-        return self._f(t, _checked_state(x, self.n, "x"))
+        t = _checked_times(t)
+        return self._f(t, _checked_state(x, self.n, "x", *np.shape(t)))
 
     def jac(self, t, x):
-        if np.ndim(t):
-            return self._jacobians(t, _checked_state(x, self.n, "x", len(t)))
-        return self._jacobians([t], _checked_state(x, self.n, "x")[None])[0]
-
-    @functools.cached_property
-    def _values(self):
-        """f over a stack of points (``exprlang._compile_array``)."""
-        return exprlang._compile_array(self.rhs, self._f, self.n, self.input)
-
-    @functools.cached_property
-    def _jacobians(self):
-        """J over a stack of points: the array form of the analytic J, or
-        central differences over ``_values``."""
-        if self._jac is not None:
-            return exprlang._compile_array(self.jacobian, self._jac, self.n, self.input)
-        return functools.partial(_central_differences, self._values)
+        t = _checked_times(t)
+        x = _checked_state(x, self.n, "x", *np.shape(t))
+        return self._jacobians(np.reshape(t, -1), x.reshape(-1, self.n)).reshape(x.shape + (self.n,))
 
     def in_box(self, x):
         if self.domain_box is None:
@@ -218,9 +206,10 @@ def _line_integrals(sys, t, a, b, rs=()):
 
 
 def line_integral_jacobian(sys, t, a, b):
-    """Gauss-Legendre average of J(t, .) along the segment from b to a. A
-    nan or infinite t raises NonFiniteInput."""
-    _check_finite(np.array([t], dtype=float), "t")
+    """Gauss-Legendre average of J(t, .) along the segment from b to a at
+    one time t, which ``jac`` checks by ``integrate._checked_times``."""
+    if np.ndim(t):
+        raise DimensionMismatch(f"t must be one time, got shape {np.shape(t)}")
     a = _checked_state(a, sys.n, "a")
     b = _checked_state(b, sys.n, "b")
     return _line_integrals(sys, [t], a[None], b[None])[0, 0]

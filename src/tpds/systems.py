@@ -8,7 +8,7 @@ verified by dense sampling, with the sampling density part of the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     OutOfInterval,
     SpecFileError,
 )
-from .integrate import _checked_count
+from .integrate import _checked_count, _checked_times, _grid
 from .totalpos import _as_matrix
 
 PERIOD_CHECK_TOL = 1e-10
@@ -97,19 +97,11 @@ class Segment:
     def __post_init__(self):
         self._matrix = exprlang.compile_fn(self.entries)
 
-    @cached_property
-    def _matrices(self):
-        # the array form, compiled on first use so that loading a spec
-        # costs no more than the scalar form
-        return exprlang._compile_array(self.entries, self._matrix)
-
     def matrix_at(self, t):
         """A(t) at one time, or the (m, n, n) stack of A at a 1-d array of
-        m times, with the floats and errors of A at each time in turn
-        (``exprlang._compile_array``)."""
-        if np.ndim(t):
-            return self._matrices(t)
-        return self._matrix(t)
+        m times, with the floats and errors of A at each time in turn. t
+        goes through ``integrate._checked_times``."""
+        return self._matrix(_checked_times(t))
 
 
 @dataclass
@@ -155,7 +147,7 @@ class TimeVaryingSystem:
 
     def segment_index(self, t):
         a, b = self.interval
-        if t < a - 1e-12 or t > b + 1e-12:
+        if not a - 1e-12 <= t <= b + 1e-12:  # nan too
             raise OutOfInterval(f"t={t} outside ({a}, {b})")
         for k, seg in enumerate(self.segments):
             if seg.t_start - 1e-12 <= t < seg.t_end:
@@ -260,15 +252,15 @@ def classify_time_varying(sys, grid=1000):
     requires every sample in M; TPDS additionally requires every
     off-diagonal sample at or above DEFAULT_DELTA_FLOOR. This is a sampled verification of an
     almost-everywhere condition; no measure-zero claims are made. A grid
-    that is not an integer >= 0 raises InvalidArgument, a non-finite sample
-    NonFiniteInput, and a grid that puts no sample inside (a, b)
-    EmptySegments.
+    that is not an integer >= 0, or too large to allocate, raises
+    InvalidArgument, a non-finite sample NonFiniteInput, and a grid that
+    puts no sample inside (a, b) EmptySegments.
     """
     _checked_count(grid, "grid")
     a, b = sys.interval
     ts, mats = [], []
     for seg in sys.segments:
-        seg_ts = np.linspace(seg.t_start, seg.t_end, grid, endpoint=False)
+        seg_ts = _grid(seg.t_start, seg.t_end, grid, endpoint=False)
         seg_ts = seg_ts[seg_ts > a]
         if seg_ts.size:
             ts.append(seg_ts)

@@ -25,6 +25,8 @@ from tpds.errors import (
     InvalidArgument,
     NonFiniteInput,
     NotTridiagonal,
+    OrderOutOfRange,
+    OutOfInterval,
     SpecFileError,
     TpdsError,
 )
@@ -131,6 +133,78 @@ def test_f_and_jac_take_a_state_or_a_stack_by_the_state_rule(sys, method):
     stack = call(t, np.full((2, n), 0.1))
     assert stack.shape == (2, n) + ((n,) if method == "jac" else ())
     assert stack[1].tobytes() == call(0.0, [0.1] * n).tobytes()
+
+
+@pytest.mark.parametrize("method", ["f", "jac"])
+@pytest.mark.parametrize("sys", [DEMO, FREE], ids=["analytic", "fd"])
+def test_f_and_jac_take_a_time_or_a_stack_by_the_time_rule(sys, method):
+    # a (2, 1) t leaked a bare TypeError from f and gave a stack from jac; a
+    # nan t was evaluated silently
+    call, n = getattr(sys, method), sys.n
+    with pytest.raises(DimensionMismatch) as err:
+        call(np.zeros((2, 1)), np.zeros((2, n)))
+    assert str(err.value) == "t must be one time or a 1-d array of times, got shape (2, 1)"
+    for t, x in [(NAN, [0.1] * n), (INF, [0.1] * n), ([0.0, NAN], np.full((2, n), 0.1))]:
+        with pytest.raises(NonFiniteInput) as err:
+            call(t, x)
+        assert str(err.value) == f"t [{float(np.ravel(t)[-1])}] has a non-finite entry"
+    # t is checked before x
+    with pytest.raises(NonFiniteInput, match=r"^t \[nan\]"):
+        call(NAN, [NAN] * (n - 1))
+
+
+def test_a_segment_takes_a_time_or_a_stack_by_the_time_rule():
+    # [[0.1]] gave a (1, n, n) stack; nan gave A(nan)
+    seg = tpds.shipped("switched").system.segments[0]
+    with pytest.raises(DimensionMismatch, match=r"got shape \(1, 1\)$"):
+        seg.matrix_at([[0.1]])
+    for t in (NAN, -INF, [0.1, NAN]):
+        with pytest.raises(NonFiniteInput, match=r"^t \[-?(nan|inf)\] has a non-finite entry$"):
+            seg.matrix_at(t)
+    assert seg.matrix_at([]).shape == (0,) + seg.matrix_at(0.1).shape
+
+
+def test_a_nan_time_is_outside_the_interval():
+    # the comparisons with nan were all False, so nan fell through to the
+    # last segment and matrix_at gave its A
+    switched = tpds.shipped("switched").system
+    for call in (switched.segment_index, switched.matrix_at):
+        with pytest.raises(OutOfInterval, match=r"^t=nan outside"):
+            call(NAN)
+
+
+def test_a_line_integral_takes_one_time():
+    # raised "x must hold 32 states of 3 entries"
+    with pytest.raises(DimensionMismatch) as err:
+        line_integral_jacobian(DEMO, [1.0, 2.0], OK_X, [0.2, 0.1, 0.3])
+    assert str(err.value) == "t must be one time, got shape (2,)"
+
+
+@pytest.mark.parametrize(
+    "p, error, message",
+    [
+        (1.5, InvalidArgument, "p must be an integer >= 1, got 1.5"),
+        (True, InvalidArgument, "p must be an integer >= 1, got True"),
+        (0, InvalidArgument, "p must be an integer >= 1, got 0"),
+        (3, OrderOutOfRange, "order 3 outside 1..2"),
+    ],
+)
+def test_compound_transition_checks_p_before_any_step(monkeypatch, p, error, message):
+    # 1.5 leaked a bare TypeError after a whole integration; True ran as 1
+    def no_step(*args, **kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(tpds.integrate, "transition_matrix", no_step)
+    with pytest.raises(error) as err:
+        tpds.compound_transition(COSH2, p, 0.0, 2.0)
+    assert str(err.value) == message
+
+
+def test_a_grid_too_large_to_allocate_is_an_invalid_argument():
+    # numpy's bare MemoryError ("Unable to allocate 7.11 PiB"); 10**15 fails
+    # before anything is allocated
+    with pytest.raises(InvalidArgument, match=r"^a grid of 1000000000000000 samples cannot be allocated$"):
+        tpds.classify_time_varying(COSH2, grid=10**15)
 
 
 @pytest.mark.parametrize(

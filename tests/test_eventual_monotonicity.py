@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nonlinear_reference as ref
-from tpds import NonlinearSystem, eventual_monotonicity, shipped
+from tpds import NonlinearSystem, eventual_monotonicity, exprlang, shipped
 from tpds.errors import TpdsError
 from tpds.exprlang import parse
 from tpds.nonlinear import GAUSS_LEGENDRE_POINTS, R_GRID, line_integral_jacobian
@@ -137,11 +137,17 @@ def test_one_stacked_jacobian_and_no_calls_of_f_or_jac(monkeypatch):
         assert calls == [("jac", (25 * (R_GRID + GAUSS_LEGENDRE_POINTS),)), "stack"]
 
 
-def test_the_stacked_form_is_compiled_on_first_use():
+def test_the_stacked_form_is_compiled_on_first_use(monkeypatch):
+    # none when the system is built, J's on the first stacked call, none after
+    built = []
+    build = exprlang._stack_form
+    monkeypatch.setattr(exprlang, "_stack_form", lambda *args: built.append(args) or build(*args))
     sys = NonlinearSystem(DEMO.n, DEMO.rhs, DEMO.input, DEMO.jacobian)
-    assert "_jacobians" not in vars(sys)
+    assert not built
     eventual_monotonicity(sys, [0.5, -0.5, 1.0], [0.4, -0.5, 1.0], 1.0, samples=5)
-    assert "_jacobians" in vars(sys)
+    assert len(built) == 1
+    eventual_monotonicity(sys, [0.5, -0.5, 1.0], [0.4, -0.5, 1.0], 1.0, samples=5)
+    assert len(built) == 1
 
 
 # -- where the loop and the stack part: each pinned as loop -> stack ----------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from expr_reference import evaluate
 from test_stepper import exprs
-from tpds import NonlinearSystem, Segment, exprlang
+from tpds import NonlinearSystem, Segment
 from tpds.errors import (
     DimensionMismatch,
     DomainError,
@@ -203,7 +203,7 @@ def test_left_associativity():
     assert run("8 / 4 / 2") == 1.0
 
 
-# -- the (t, x) array form ------------------------------------------------
+# -- the (t, x) stack form ------------------------------------------------
 
 STATE_ENTRIES = [
     ["tanh(x1) * x2 - u", "exp(x1 - x2) + t", "log(x1 ^ 2 + 1) * sqrt(abs(x2) + t ^ 2)"],
@@ -213,11 +213,12 @@ STATE_INPUT = "2 + sin(3 * t) + cos(t) ^ 2"
 
 
 def state_forms(entries, n, u=None):
-    """compile_fn over t, x1..xn and u, and its array form."""
+    """compile_fn over t, x1..xn and u, twice: for the point calls of
+    ``pointwise`` and the stacked call of ``stacked``."""
     entries = [[parse(e) if isinstance(e, str) else e for e in row] for row in entries]
     u = None if u is None else parse(u)
-    scalar = compile_fn(entries, n, u)
-    return scalar, exprlang._compile_array(entries, scalar, n, u)
+    coefficient = compile_fn(entries, n, u)
+    return coefficient, coefficient
 
 
 def pointwise(scalar, t, x):
@@ -273,8 +274,7 @@ def test_state_array_form_raises_the_first_scalar_domain_error(entry):
 def test_state_array_form_matches_the_scalar_form(entries, u, points):
     # the same values (nan and inf included) or the same first DomainError;
     # sin and cos are numpy's, which may differ from math's by an ulp
-    scalar = compile_fn(entries, 2, u)
-    array = exprlang._compile_array(entries, scalar, 2, u)
+    scalar = array = compile_fn(entries, 2, u)  # called at points, then on the stack
     t = np.array([p[0] for p in points])
     x = np.array([p[1:] for p in points])
     got, want = stacked(array, t, x), pointwise(scalar, t, x)

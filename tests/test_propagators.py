@@ -1,7 +1,7 @@
 """The batched RK4 propagators of ``tpds.integrate`` against the per-step
-loop they replaced (``integrate_reference``), and the array form of
+loop they replaced (``integrate_reference``), and the stack form of
 ``Segment.matrix_at`` that evaluates A on their stage grid against the
-scalar form.
+point form.
 
 The propagators are built and multiplied in another order of operations
 than the loop, and in long double, so results agree with the loop in
@@ -258,12 +258,17 @@ def test_silent_overflow_is_kept_and_flagged():
         transition_matrix(TimeVaryingSystem(2, (0.0, 1.0), [seg]), 0.0, 1.0)
 
 
-def test_array_form_is_compiled_on_first_use():
-    sys = shipped("schwarz3").system
-    seg = sys.segments[0]
-    assert "_matrices" not in vars(seg)
+def test_array_form_is_compiled_on_first_use(monkeypatch):
+    # none when the spec loads, one on the first stacked call, none after
+    built = []
+    build = exprlang._stack_form
+    monkeypatch.setattr(exprlang, "_stack_form", lambda *args: built.append(args) or build(*args))
+    seg = shipped("schwarz3").system.segments[0]
+    assert not built
     assert seg.matrix_at(np.array([0.0, 1.0])).shape == (2, 3, 3)
-    assert "_matrices" in vars(seg)
+    assert len(built) == 1
+    seg.matrix_at(np.array([2.0, 3.0]))
+    assert len(built) == 1
 
 
 def test_boundaries_between_lists_the_interior_segment_boundaries():

@@ -55,6 +55,7 @@ def test_traced_linear_run_counts_layers():
         tracer.uninstall()
     summary = tracer.summary()
     assert summary["systems.A_evals"] > 0
+    assert summary["exprlang.evals"] > 0  # the stacked A calls, through compile_fn's function
     assert summary["compound.calls"] > 0
     assert summary["integrate.calls"] == 1
     assert tpds.compound_transition.__module__ == "tpds.integrate"
@@ -64,10 +65,10 @@ def test_traced_linear_run_counts_layers():
 def test_traced_nonlinear_run_counts_layers():
     import tpds
 
-    demo = tpds.shipped("entrain_demo").system
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
+        demo = tpds.shipped("entrain_demo").system  # loaded as the benchmark worker does, after install
         tracer.enabled = True
         tracer.verdict("simulate_nonlinear")
         tpds.simulate_nonlinear(demo, [0.5, -0.5, 1.0], np.linspace(0.0, 2.0, 21))
@@ -80,3 +81,4 @@ def test_traced_nonlinear_run_counts_layers():
     assert summary["nonlinear.f_evals"] > 0
     assert summary["nonlinear.jac_evals"] > 0
     assert summary["nonlinear.poincare_iterates"] > 0
+    assert summary["exprlang.evals"] > 0  # the stacked f and J calls
