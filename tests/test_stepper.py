@@ -1,7 +1,8 @@
 """The generated RK4 stepper against the generic one over the compiled rhs.
 
 ``NonlinearSystem.stepper`` (``exprlang.compile_stepper``) must give the
-floats of the generic stepper ``rk4_steps(sys.f)`` bit for bit, raise the
+floats of the generic stepper ``rk4_steps`` over ``exprlang.compile_fn``
+(the rhs that ``sys.f`` runs after checking t and x) bit for bit, raise the
 same DomainError where a stage leaves the domain, and so leave every
 nonlinear result unchanged.
 """
@@ -50,8 +51,12 @@ def naming_the_step(advance):
 
 
 def both(sys, y, t, h, nsteps):
+    # the generic stepper runs over compile_fn, which, like the generated
+    # stepper, takes a stage state that overflowed to inf or nan as it is;
+    # sys.f would raise NonFiniteInput on it
+    compiled = exprlang.compile_fn(sys.rhs, sys.n, sys.input)
     generated = outcome(lambda: sys.stepper(np.array(y, dtype=float), t, h, nsteps))
-    generic = outcome(lambda: naming_the_step(rk4_steps(sys.f))(np.array(y, dtype=float), t, h, nsteps))
+    generic = outcome(lambda: naming_the_step(rk4_steps(compiled))(np.array(y, dtype=float), t, h, nsteps))
     return generated, generic
 
 
