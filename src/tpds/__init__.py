@@ -4,7 +4,8 @@ The package covers sign-variation counts (s_minus / s_plus / sigma),
 total-positivity classification and bidiagonal factorization, compound
 matrices, TNDS/TPDS classification of linear time-varying systems, RK4
 transition-matrix integration with sign-variation tracking, Floquet
-analysis of periodic systems, and nonlinear entrainment experiments.
+analysis of periodic systems, and nonlinear entrainment experiments,
+integrated with error control by default.
 """
 
 from . import errors

@@ -144,6 +144,7 @@ def cmd_entrain(args):
     print(f"detected_period {res.detected_period}")
     tail = res.residuals[-5:]
     print("residual tail " + " ".join(f"{r:.3e}" for r in tail))
+    print(f"steps {res.accepted_steps} rejected {res.rejected_steps}")
     return EXIT_OK
 
 
@@ -247,7 +248,12 @@ def build_parser():
     p = sub.add_parser("simulate", help="integrate a system spec and write the trajectory CSV")
     p.add_argument("spec")
     p.add_argument("--z0", type=_float_list)
-    p.add_argument("--step", type=float)
+    p.add_argument(
+        "--step",
+        type=float,
+        help="fixed RK4 step; by default 1e-3 of the interval for a linear spec, "
+        "and error-controlled (Dormand-Prince 5(4)) for a nonlinear one",
+    )
     p.add_argument("--grid", type=int)
     p.add_argument("--horizon", type=float)
     p.add_argument("--out")
@@ -264,7 +270,7 @@ def build_parser():
     p.add_argument("--x0", type=_float_list)
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--step", type=float)
+    p.add_argument("--step", type=float, help="fixed RK4 step; by default error-controlled (Dormand-Prince 5(4))")
     p.set_defaults(func=cmd_entrain)
 
     p = sub.add_parser("reproduce", help="write figure-backing data files")

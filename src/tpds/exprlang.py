@@ -16,9 +16,10 @@ checked function of t, or of t and x, that takes one point or a stack of
 them: a 1-d array of times and, with x, a matching (m, n) array of states,
 as for ``Segment.matrix_at`` and the f and J of
 ``nonlinear.NonlinearSystem``. ``compile_stepper`` turns the
-right-hand side of x' = f(t, x) into one checked RK4 stepper that inlines
-every entry at each stage. All of them emit the same code for an
-expression (``_pycode``) and are defined by the same helper (``_define``).
+right-hand side of x' = f(t, x) into one checked run loop, fixed-step RK4
+or error-controlled Dormand-Prince 5(4), whose stages inline every entry.
+All of them emit the same code for an expression (``_pycode``) and are
+defined by the same helper (``_define``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     ExprSyntaxError,
+    IntegrationSuspect,
+    LeftDomain,
     UnboundVariable,
     UnknownIdentifier,
 )
@@ -434,57 +437,203 @@ def _stack_form(signature, shape, cells, used, n, u, point):
     return _define(signature, prologue, body, _base=base, _point=point, _FALLBACK=_FALLBACK, **env)
 
 
-def compile_stepper(rhs, n, u=None):
-    """Compile the right-hand side of x' = f(t, x) into one RK4 stepper.
+# Dormand and Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980): the
+# stage times c, the stage weights a (the last row gives the fifth-order
+# solution, whose f is the next step's first stage) and the weights e of
+# the error estimate, the fifth- less the fourth-order solution
+_DP5_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP5_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP5_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def compile_stepper(rhs, n, u=None, box=None, adaptive=False):
+    """Compile the right-hand side of x' = f(t, x) into one run loop.
 
     ``rhs`` holds the n entries of f (numbers or ASTs over t, x1..xn and,
-    with the input ``u``, u). The result is ``advance(y, t, h, nsteps)``:
-    nsteps classical RK4 steps of size h from state y at time t, returned
-    as a float array. It makes the same floating-point operations in the
-    same order as RK4 over ``compile_fn(rhs, n, u)`` with numpy arrays, so
-    its result is bit-identical, but it keeps the state and the stage
-    values a, b, c, d as Python floats and inlines every entry at each
-    stage. u is evaluated once per stage time: at t, at t + h/2 (shared by
-    the two middle stages) and at t + h. The domain rules and errors are
-    those of ``compile_fn``, but a DomainError's message names the step by
-    its start ("advance in the RK4 step from t = ..."). A y that does not
-    hold n entries raises ValueError when the stepper unpacks it.
+    with the input ``u``, u); ``box``, when given, the (lo, hi) of each
+    coordinate. The loop is a generator over a nonempty iterable of
+    nondecreasing times, read lazily. It yields the state at each time as a
+    float array, the start y at the first, and keeps the state, the stage
+    values and the step size as Python floats from one time to the next,
+    with every entry of f inlined at each stage and u evaluated once per
+    stage time. Before each yield it stores the accepted and rejected steps
+    so far in ``tally[0]`` and ``tally[1]``. A state more than 1e-12
+    outside the box raises LeftDomain at its time ("initial condition
+    outside the domain box", "trajectory left the domain box").
+
+    Without ``adaptive`` it is ``advance(y, times, step, tally)``: classical
+    RK4 in ``integrate._step_count(t1 - t0, step)`` equal steps between
+    consecutive times t0 < t1. It makes the floating-point operations of
+    RK4 over ``compile_fn(rhs, n, u)`` with numpy arrays in the same order,
+    so its states are bit-identical to that loop's.
+
+    With ``adaptive`` it is ``advance(y, times, tally)``: Dormand-Prince
+    5(4) steps with the first stage taken from the last (FSAL), each
+    accepted when the RMS norm of its error estimate, scaled per entry by
+    ATOL + RTOL max(|y|, |y + dy|) (``integrate``), is at most 1. The
+    first step size follows Hairer, Norsett and Wanner (Solving ODEs I,
+    II.4), and each next one is the step's h times min(5, max(0.2,
+    0.9 err^(-1/5))), at most h after a rejection. A step that would end
+    within 1 % of its h before the next time is stretched or cut to land
+    exactly on that time; the step size it was cut from carries on past it.
+    A non-finite error estimate, a step size no larger than 16 eps |t|, or
+    more than MAX_STEPS steps between two times raises IntegrationSuspect
+    naming t.
+
+    The domain rules and errors are those of ``compile_fn``, but a
+    DomainError's message names the step by its start ("advance in the RK4
+    step from t = ...", "advance in the DP5 step from t = ..."). A y that
+    does not hold n entries raises ValueError when the loop unpacks it.
     """
+    from .integrate import ATOL, MAX_STEPS, RTOL, _step_count
+
     used = _bound_names(rhs, n, u)
     ks = range(1, n + 1)
     states = sorted(int(v[1:]) for v in used - {"t", "u"})
     codes = [_pycode(e) for e in rhs]
+    ys = ", ".join(f"y{k}" for k in ks)
 
-    def stage(out, time, offset):
-        # out1..outn at stage time `time` (None: the previous stage's t and
-        # u) and state x_k = y_k + offset; s is the time at the step's start
+    def stage(out, time, state):
+        # out1..outn: f at the time `time` (None: the previous stage's t and
+        # u) and the state x_k = state.format(k=k)
         lines = []
         if time is not None and "t" in used:
             lines.append(f"t = {time}")
         if time is not None and u is not None:
             lines.append(f"u = {_pycode(u)}")
-        lines += [f"x{k} = y{k}{offset.format(k=k)}" for k in states]
+        lines += [f"x{k} = {state.format(k=k)}" for k in states]
         return lines + [f"{out}{k} = {code}" for k, code in zip(ks, codes)]
 
-    loop = (
-        stage("a", "s", "")
-        + stage("b", "s + h2", " + h2 * a{k}")
-        + stage("c", None, " + h2 * b{k}")
-        + stage("d", "s + h", " + h * c{k}")
-        + [f"y{k} = y{k} + h6 * (a{k} + 2 * b{k} + 2 * c{k} + d{k})" for k in ks]
-        + ["s += h"]
-    )
-    prologue = [
-        f"{', '.join(f'y{k}' for k in ks)}, = map(float, y)",
-        "s = float(t)",
-        "h = float(h)",
-        "h2 = h / 2",
-        "h6 = h / 6",
+    def check_box(message, time):
+        if box is None:
+            return []
+        inside = " and ".join(
+            f"{_literal(lo - 1e-12)} <= y{k} <= {_literal(hi + 1e-12)}" for k, (lo, hi) in zip(ks, box)
+        )
+        return [f"if not ({inside}):", f"    raise _LeftDomain({message!r}, {time})"]
+
+    prologue = [f"{ys}, = map(float, y)", "times = iter(times)", "s = float(next(times))"]
+    head = check_box("initial condition outside the domain box", "s") + [
+        "accepted = rejected = 0",
+        f"yield _array([{ys}])",
     ]
-    body = ["for _ in range(nsteps):"] + [f"    {line}" for line in loop]
-    body.append(f"return _array([{', '.join(f'y{k}' for k in ks)}])")
-    at = "in the RK4 step from t = {s}"
-    return _define("advance(y, t, h, nsteps)", prologue, body, at=at, _array=np.array)
+    tail = check_box("trajectory left the domain box", "float(t1)") + [
+        "tally[0] = accepted",
+        "tally[1] = rejected",
+        f"yield _array([{ys}])",
+    ]
+    if not adaptive:
+        rk4 = (
+            stage("a", "s", "y{k}")
+            + stage("b", "s + h2", "y{k} + h2 * a{k}")
+            + stage("c", None, "y{k} + h2 * b{k}")
+            + stage("d", "s + h", "y{k} + h * c{k}")
+            + [f"y{k} = y{k} + h6 * (a{k} + 2 * b{k} + 2 * c{k} + d{k})" for k in ks]
+            + ["s += h"]
+        )
+        span = [
+            "length = t1 - t0",
+            "if length > 0:",
+            "    nsteps = _step_count(length, step)",
+            "    s = float(t0)",
+            "    h = float(length / nsteps)",
+            "    h2 = h / 2",
+            "    h6 = h / 6",
+            "    for _ in range(nsteps):",
+            *_indent(rk4, 2),
+            "    accepted += nsteps",
+        ]
+        prologue.append("t0 = s")
+        body = head + ["for t1 in times:", *_indent(span + tail + ["t0 = t1"])]
+        signature, at = "advance(y, times, step, tally)", "in the RK4 step from t = {s}"
+    else:
+        span = ["t1 = float(t1)"] + _dp5_span(stage, ks, ATOL, RTOL, MAX_STEPS)
+        body = head + ["h = None", "grow = 5.0", "for t1 in times:", *_indent(span + tail)]
+        signature, at = "advance(y, times, tally)", "in the DP5 step from t = {s}"
+    env = dict(_array=np.array, _step_count=_step_count, _sqrt=math.sqrt, _inf=math.inf)
+    env.update(_LeftDomain=LeftDomain, _IntegrationSuspect=IntegrationSuspect)
+    return _define(signature, prologue, body, at=at, **env)
+
+
+def _dp5_span(stage, ks, atol, rtol, max_steps):
+    """The lines of compile_stepper's adaptive loop that take the state y
+    from s to t1: the first step size, once, then at most max_steps
+    Dormand-Prince steps under the step-size controller."""
+    n = len(ks)
+    scale = lambda k, v: f"({v} / ({_literal(atol)} + {_literal(rtol)} * abs(y{k})))"
+    rms = lambda term: f"_sqrt(({' + '.join(f'{term(k)} * {term(k)}' for k in ks)}) / {n})"
+
+    def combine(weights, stages, k):
+        return " + ".join(f"{_literal(w)} * {g}{k}" for w, g in zip(weights, stages) if w)
+
+    names = [f"k{j}_" for j in range(1, 8)]
+    # Hairer, Norsett and Wanner, II.4: the first step size from the norms
+    # of y, of f and of an explicit Euler step's change in f
+    first = (
+        stage(names[0], "s", "y{k}")
+        + [
+            f"d0 = {rms(lambda k: scale(k, f'y{k}'))}",
+            f"d1 = {rms(lambda k: scale(k, f'k1_{k}'))}",
+            "h = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6",
+        ]
+        + stage("k2_", "s + h", "y{k} + h * k1_{k}")
+        + [
+            # h is 0 only after an infinite d1, where d2 is taken as infinite
+            f"d2 = {rms(lambda k: scale(k, f'(k2_{k} - k1_{k})'))} / h if h else _inf",
+            "dm = max(d1, d2)",
+            "h = min(100 * h, (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h * 1e-3))",
+        ]
+    )
+    step = [
+        "if not h > 3.552713678800501e-15 * abs(s):  # 16 eps |t|",
+        '    raise _IntegrationSuspect(f"the DP5 step size {h!r} is below 16 eps |t| at t = {s!r}")',
+        "if accepted + rejected >= limit:",
+        f'    raise _IntegrationSuspect(f"the DP5 run takes more than {max_steps} steps from t = {{t0!r}} to t = {{t1!r}}")',
+        "last = s + 1.01 * h >= t1",
+        "hh = t1 - s if last else h",
+        "te = t1 if last else s + hh",
+    ]
+    for j, (c, weights) in enumerate(zip(_DP5_C, _DP5_A), start=1):
+        time = "te" if c == 1.0 else f"s + {_literal(c)} * hh"
+        state = "y{k} + hh * (" + combine(weights, names, "{k}") + ")"
+        if j < 6:
+            step += stage(names[j], time, state)
+        else:  # the fifth-order solution w, and f there at the same time te
+            step += [f"w{k} = {state.format(k=k)}" for k in ks] + stage(names[6], None, "w{k}")
+    step += [
+        f"q{k} = hh * ({combine(_DP5_E, names, k)}) / ({_literal(atol)} + {_literal(rtol)} * max(abs(y{k}), abs(w{k})))"
+        for k in ks
+    ]
+    step += [
+        f"err = {rms(lambda k: f'q{k}')}",
+        "if not err < _inf:",
+        '    raise _IntegrationSuspect(f"the DP5 error estimate is {err} in the step from t = {s!r}")',
+        "fac = min(grow, max(0.2, 0.9 * max(err, 1e-4) ** -0.2))",
+        "if err <= 1.0:",
+        "    accepted += 1",
+        "    s = te",
+        *(f"    y{k} = w{k}" for k in ks),
+        *(f"    k1_{k} = k7_{k}" for k in ks),
+        "    h = max(h, hh * fac) if last else hh * fac",
+        "    grow = 5.0",
+        "else:",
+        "    rejected += 1",
+        "    h = hh * fac",
+        "    grow = 1.0",
+    ]
+    head = ["if h is None and s < t1:", *_indent(first), "t0 = s", f"limit = accepted + rejected + {max_steps}"]
+    return head + ["while s < t1:", *_indent(step)]
+
+
+def _indent(lines, depth=1):
+    return [("    " * depth) + line for line in lines]
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -1,4 +1,5 @@
-"""Fixed-step RK4 transition matrices and sign-variation tracking.
+"""Fixed-step RK4 transition matrices and sign-variation tracking, and the
+rules that every integration shares.
 
 Steps land exactly on segment boundaries so that discontinuous (switched)
 coefficient matrices are integrated segment by segment. A linear flow is
@@ -6,7 +7,10 @@ integrated by batched propagators: A(t) is evaluated on the whole stage
 grid by one array call per segment, each step's RK4 propagator is built by
 stacked matmul, and the propagators are multiplied in step order, in long
 double. Determinants are cross-checked against the exponential of the
-integrated trace.
+integrated trace. A nonlinear run is one loop generated per system
+(``exprlang.compile_stepper``): explicit RK4 steps by the step-count rule
+here, or, by default, Dormand-Prince 5(4) steps controlled to RTOL and
+ATOL.
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ COMPOUND_REL_TOL = 1e-5
 TRAJ_ZERO_REL_TOL = 1e-8
 CLUSTER_GAP = 3
 CHUNK_STEPS = 256  # RK4 steps whose propagators are built at once, to bound memory
+# the local error tolerances of a nonlinear run without an explicit step:
+# each Dormand-Prince step keeps its error estimate within ATOL + RTOL |x|
+RTOL = 1e-10
+ATOL = 1e-10
+MAX_STEPS = 100_000  # per interval between two of a run's times, as in Hairer's DOPRI5
 
 
 def _checked_grid(grid, interval=None):
@@ -97,7 +106,8 @@ def _checked_step(step, a, b):
     """The one step rule: 1e-3 of the span [a, b] when step is None, else the
     given step, checked by the step-count rule even where no span needs it.
     A default that underflows to 0 on a nonempty span raises
-    InvalidArgument."""
+    InvalidArgument. Linear flows take it; a nonlinear run takes an explicit
+    step alone, and is error-controlled without one."""
     if step is None:
         step = 1e-3 * (b - a)
         if b > a and not step > 0:
@@ -107,23 +117,33 @@ def _checked_step(step, a, b):
     return step
 
 
-def _rk4_span(advance, y, t0, t1, step):
-    """Integrate y over [t0, t1] by RK4 in _step_count equal steps, which
-    ``advance(y, t0, h, nsteps)`` takes: ``NonlinearSystem.stepper``,
-    generated by ``exprlang.compile_stepper``. An empty span leaves y as it
-    is."""
-    length = t1 - t0
-    if length <= 0:
-        return y
-    nsteps = _step_count(length, step)
-    return advance(y, t0, length / nsteps, nsteps)
+def _rk4_span(run):
+    """The state at the next time of a nonlinear run loop
+    (``exprlang.compile_stepper``). ``poincare_analysis`` reads its iterates
+    through it, one period each; per-layer tracing (``perfbench/tracer.py``)
+    counts the iterates by this name, which it has kept from the fixed RK4
+    span it once took."""
+    return next(run)
+
+
+def _real_array(value, name):
+    """value as a float array; complex or non-numeric input raises
+    InvalidArgument."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind != "c":
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidArgument(f"{name} must hold real numbers, got {value!r}")
 
 
 def _checked_state(x0, n, name, m=None):
     """The initial state, or given m an (m, n) stack of states, as a float
-    array; any other shape raises DimensionMismatch, and a nan or infinite
-    entry NonFiniteInput, naming the first row that holds one."""
-    x0 = np.asarray(x0, dtype=float)
+    array. Complex or non-numeric entries raise InvalidArgument, any other
+    shape DimensionMismatch, and a nan or infinite entry NonFiniteInput,
+    naming the first row that holds one."""
+    x0 = _real_array(x0, name)
     if x0.shape != ((n,) if m is None else (m, n)):
         what = f"{n} entries" if m is None else f"{m} states of {n} entries"
         raise DimensionMismatch(f"{name} must hold {what}, got shape {x0.shape}")
@@ -131,12 +151,21 @@ def _checked_state(x0, n, name, m=None):
     return x0
 
 
+def _time_array(t, stack):
+    """t as a float array of no dimension or, given stack, of one. Complex
+    or non-numeric input raises InvalidArgument, another shape
+    DimensionMismatch."""
+    times = _real_array(t, "t")
+    if times.ndim > stack:
+        what = "one time or a 1-d array of times" if stack else "one time"
+        raise DimensionMismatch(f"t must be {what}, got shape {times.shape}")
+    return times
+
+
 def _checked_times(t):
     """The one time rule: a real number, as is, or a 1-d array of them, as
-    floats. Other shapes raise DimensionMismatch, nan or inf NonFiniteInput."""
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise DimensionMismatch(f"t must be one time or a 1-d array of times, got shape {times.shape}")
+    floats (``_time_array``), all finite: nan or inf raises NonFiniteInput."""
+    times = _time_array(t, stack=True)
     _check_finite(times.reshape(-1, 1), "t")
     return times if times.ndim else t
 

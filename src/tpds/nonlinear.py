@@ -1,10 +1,12 @@
 """Nonlinear simulation, eventual monotonicity, and Poincare-map analysis.
 
-Every run is one loop, ``_states``: one span of ``integrate._rk4_span``
-with the system's generated RK4 stepper (``exprlang.compile_stepper``)
-between consecutive times, the states alone. f and J are then taken as
-stacks, by calls of ``NonlinearSystem.f`` or ``jac`` on (m,) times and
-(m, n) states (``exprlang.compile_fn``).
+Every run iterates one loop generated for its system
+(``exprlang.compile_stepper``, through ``NonlinearSystem._run``), which
+yields the state at each of its times, the states alone: Dormand-Prince
+5(4) steps controlled to ``integrate.RTOL`` and ``ATOL`` by default, or
+RK4 steps of an explicit step. f and J are then taken as stacks, by calls
+of ``NonlinearSystem.f`` or ``jac`` on (m,) times and (m, n) states
+(``exprlang.compile_fn``).
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import numpy as np
 from . import exprlang
 from .errors import (
     AssumptionViolated,
-    DimensionMismatch,
-    LeftDomain,
     NoConvergence,
     NoMonotoneTail,
     NotPeriodic,
@@ -35,6 +35,7 @@ from .integrate import (
     _checked_step,
     _checked_times,
     _rk4_span,
+    _time_array,
 )
 from .signvar import _check_finite
 from .systems import _first_outside_M_plus
@@ -56,7 +57,7 @@ class NonlinearSystem:
     stack of one). t goes through ``integrate._checked_times``, x through
     ``_checked_state``. The input u(t), when given, is evaluated once per
     time. A variable outside t, x1..xn and u (u only with an input) raises
-    UnboundVariable here. The RK4 stepper is compiled on first use.
+    UnboundVariable here. The run loops are compiled on first use.
     """
 
     n: int
@@ -87,11 +88,21 @@ class NonlinearSystem:
         self._jacobians = self._jac or functools.partial(_central_differences, self._f)
 
     @functools.cached_property
-    def stepper(self):
-        """``advance(y, t, h, nsteps)`` for ``integrate._rk4_span``: RK4 steps
-        with f inlined, bit-identical to the classical RK4 loop over the
-        numpy arrays of ``self.f``."""
-        return exprlang.compile_stepper(self.rhs, self.n, self.input)
+    def _rk4_loop(self):
+        return exprlang.compile_stepper(self.rhs, self.n, self.input, self.domain_box)
+
+    @functools.cached_property
+    def _dp5_loop(self):
+        return exprlang.compile_stepper(self.rhs, self.n, self.input, self.domain_box, adaptive=True)
+
+    def _run(self, x0, times, step, tally):
+        """The run loop from x0 over the times: RK4 steps of an explicit
+        step, else Dormand-Prince steps under error control. Each loop is
+        compiled on its first use; the tally gets the accepted and rejected
+        steps."""
+        if step is None:
+            return self._dp5_loop(x0, times, tally)
+        return self._rk4_loop(x0, times, step, tally)
 
     @property
     def uses_finite_difference_jacobian(self):
@@ -107,6 +118,8 @@ class NonlinearSystem:
         return self._jacobians(np.reshape(t, -1), x.reshape(-1, self.n)).reshape(x.shape + (self.n,))
 
     def in_box(self, x):
+        """The box rule of the run loops: each entry within 1e-12 of its
+        (lo, hi)."""
         if self.domain_box is None:
             return True
         return all(lo - 1e-12 <= v <= hi + 1e-12 for v, (lo, hi) in zip(x, self.domain_box))
@@ -133,24 +146,14 @@ class NonlinearRun:
     state: Trajectory
     derivative: Trajectory
     jacobian_in_M_plus: bool
+    accepted_steps: int = field(default=0, compare=False)
+    rejected_steps: int = field(default=0, compare=False)
 
 
-def _states(sys, x0, times, step):
-    """Yield (t, x) at each of the times, a nonempty iterable read lazily,
-    x0 at the first: one span of the system's RK4 stepper between each two.
-    A state outside the domain box raises LeftDomain at its time instead."""
-    times = iter(times)
-    t0 = next(times)
-    if not sys.in_box(x0):
-        raise LeftDomain("initial condition outside the domain box", t0)
-    yield t0, x0
-    x = x0
-    for t1 in times:
-        x = _rk4_span(sys.stepper, x, t0, t1, step)
-        if not sys.in_box(x):
-            raise LeftDomain("trajectory left the domain box", float(t1))
-        yield t1, x
-        t0 = t1
+def _checked_run_step(step):
+    """None, for an error-controlled run, or an explicit RK4 step checked by
+    the step rule."""
+    return None if step is None else _checked_step(step, 0.0, 0.0)
 
 
 def simulate_nonlinear(sys, x0, grid, step=None):
@@ -163,19 +166,20 @@ def simulate_nonlinear(sys, x0, grid, step=None):
     grid that is empty, non-finite or decreasing raises OutOfInterval, an
     x0 that is not a vector of n entries DimensionMismatch, one with a nan
     or inf entry NonFiniteInput, and a step that is not a positive finite
-    number InvalidArgument, all before any step. The default step is 1e-3
-    of the grid's span.
+    number InvalidArgument, all before any step. Without a step the run is
+    error-controlled (Dormand-Prince 5(4) to ``integrate.RTOL`` and
+    ``ATOL``); the result records its accepted and rejected steps.
     """
     grid = _checked_grid(grid)
     x0 = _checked_state(x0, sys.n, "x0")
-    step = _checked_step(step, grid[0], grid[-1])
-    xs = np.array([x for _, x in _states(sys, x0, grid, step)])
+    tally = [0, 0]
+    xs = np.array(list(sys._run(x0, grid, _checked_run_step(step), tally)))
     zs = sys.f(grid, xs)
     jac_ok = all(
         _first_outside_M_plus(sys.jac(grid[k : k + CHUNK_STEPS], xs[k : k + CHUNK_STEPS])) is None
         for k in range(0, len(grid), CHUNK_STEPS)
     )
-    return NonlinearRun(Trajectory(grid, xs), Trajectory(grid, zs), jac_ok)
+    return NonlinearRun(Trajectory(grid, xs), Trajectory(grid, zs), jac_ok, *tally)
 
 
 @functools.cache
@@ -207,9 +211,9 @@ def _line_integrals(sys, t, a, b, rs=()):
 
 def line_integral_jacobian(sys, t, a, b):
     """Gauss-Legendre average of J(t, .) along the segment from b to a at
-    one time t, which ``jac`` checks by ``integrate._checked_times``."""
-    if np.ndim(t):
-        raise DimensionMismatch(f"t must be one time, got shape {np.shape(t)}")
+    one time t (``integrate._time_array``), which ``jac`` checks by
+    ``integrate._checked_times``."""
+    _time_array(t, stack=False)
     a = _checked_state(a, sys.n, "a")
     b = _checked_state(b, sys.n, "b")
     return _line_integrals(sys, [t], a[None], b[None])[0, 0]
@@ -225,7 +229,7 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
     checked as simulate_nonlinear's x0 is, the horizon as the end of a grid
     from 0, and samples must be an integer >= 1 (InvalidArgument).
 
-    The two runs integrate the states alone, on the span loop of
+    The two runs integrate the states alone, on the run loop of
     simulate_nonlinear. At every (samples // 25)-th sample the check takes J
     at R_GRID points r a + (1 - r) b and the line integral, all in one
     stacked ``jac`` call, and tests M+ on them at once
@@ -239,10 +243,10 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
         raise TrivialSolution("initial conditions must differ")
     _checked_grid([0.0, horizon])  # a finite horizon >= 0
     grid = np.linspace(0.0, horizon, _checked_count(samples, "samples", least=1))
-    step = _checked_step(step, grid[0], grid[-1])
-    xa = np.array([x for _, x in _states(sys, a0, grid, step)])
+    step = _checked_run_step(step)
+    xa = np.array(list(sys._run(a0, grid, step, [0, 0])))
     _check_finite(xa)  # as a Trajectory of the states does
-    xb = np.array([x for _, x in _states(sys, b0, grid, step)])
+    xb = np.array(list(sys._run(b0, grid, step, [0, 0])))
     _check_finite(xb)
 
     ks = np.arange(0, samples, max(1, samples // 25))
@@ -273,6 +277,8 @@ class PoincareResult:
     iterates: np.ndarray  # x(kT) rows
     detected_period: int | None
     residuals: list = field(default_factory=list)
+    accepted_steps: int = field(default=0, compare=False)
+    rejected_steps: int = field(default=0, compare=False)
 
 
 def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
@@ -281,29 +287,35 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
     detected_period is the smallest q <= q_max whose iterate residuals
     ||x((k+q)T) - x(kT)|| stay below tol for PERSISTENCE consecutive k at
     the tail of the run; q = 1 certifies entrainment at this resolution.
-    The iterates are ``_states`` at kT, k = 0..max_iters, read lazily: one
-    ``_rk4_span`` over a period each, in steps of 1e-3 T by default. An x0
-    that is not a vector of n entries raises DimensionMismatch, one with a
-    nan or inf entry NonFiniteInput, and a step or tol that is not a
-    positive finite number, or a max_iters or q_max that is not an integer
-    >= 1, InvalidArgument, all before any iterate.
+    The iterates are the states of one run loop at kT, k = 0..max_iters,
+    the times read lazily and the states through ``integrate._rk4_span``
+    one at a time: Dormand-Prince steps controlled to ``integrate.RTOL``
+    and ``ATOL`` by default, landing on each kT, or RK4 steps of an
+    explicit step. The result records the accepted and rejected steps up
+    to the last iterate. An x0 that is not a vector of n entries raises
+    DimensionMismatch, one with a nan or inf entry NonFiniteInput, and a
+    step or tol that is not a positive finite number, or a max_iters or
+    q_max that is not an integer >= 1, InvalidArgument, all before any
+    iterate.
     """
     if sys.period is None:
         raise NotPeriodic("system carries no period")
     T = sys.period
     x0 = _checked_state(x0, sys.n, "x0")
-    step = _checked_step(step, 0.0, T)
+    step = _checked_run_step(step)
     _checked_count(max_iters, "max_iters", least=1)
     _checked_count(q_max, "q_max", least=1)
     _checked_positive(tol, "tol")
+    tally = [0, 0]
+    run = sys._run(x0, (k * T for k in range(max_iters + 1)), step, tally)
     iterates = []
-    for _, x in _states(sys, x0, (k * T for k in range(max_iters + 1)), step):
-        iterates.append(x)
+    for _ in range(max_iters + 1):
+        iterates.append(_rk4_span(run))
         q = _detect_period(iterates, q_max, tol)
         if q is not None:
             arr = np.array(iterates)
             res = [float(np.linalg.norm(arr[m + q] - arr[m])) for m in range(len(arr) - q)]
-            return PoincareResult(arr, q, res)
+            return PoincareResult(arr, q, res, *tally)
     raise NoConvergence(f"no period <= {q_max} detected within {max_iters} iterates")
 
 

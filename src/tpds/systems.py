@@ -20,7 +20,7 @@ from .errors import (
     OutOfInterval,
     SpecFileError,
 )
-from .integrate import _checked_count, _checked_times, _grid
+from .integrate import _checked_count, _checked_times, _grid, _time_array
 from .totalpos import _as_matrix
 
 PERIOD_CHECK_TOL = 1e-10
@@ -146,7 +146,12 @@ class TimeVaryingSystem:
                 raise SpecFileError(f"A(t) != A(t+T) at t={t}")
 
     def segment_index(self, t):
+        """The index of the segment that holds one time t, checked by
+        ``integrate._time_array`` (an array of times raises
+        DimensionMismatch); a nan or infinite t is outside the interval."""
         a, b = self.interval
+        if not isinstance(t, float):  # a Python or numpy float is one real time
+            t = float(_time_array(t, stack=False))
         if not a - 1e-12 <= t <= b + 1e-12:  # nan too
             raise OutOfInterval(f"t={t} outside ({a}, {b})")
         for k, seg in enumerate(self.segments):

@@ -1,8 +1,10 @@
 """The per-step RK4 loop that integrated linear flows before the batched
-propagators of ``tpds.integrate``; kept as the test reference.
+propagators of ``tpds.integrate``, and nonlinear runs before the generated
+run loop; kept as the test reference.
 
-``rk4_steps(f)`` is the generic stepper for y' = f(t, y), y any numpy
-array, for ``tpds.integrate._rk4_span``. The linear references below cut
+``rk4_steps(f)`` is the generic stepper ``advance(y, t, h, nsteps)`` for
+y' = f(t, y), y any numpy array, and ``rk4_span`` takes [t0, t1] by it in
+``integrate._step_count`` equal steps. The linear references below cut
 [t0, t1] at segment boundaries span by span and take each span by that
 stepper, with A evaluated four times per step.
 """
@@ -11,7 +13,8 @@ import math
 
 import numpy as np
 
-from tpds.integrate import _checked_grid, _checked_step, _rk4_span
+from tpds.errors import DomainError
+from tpds.integrate import _checked_grid, _checked_step, _step_count
 
 
 def rk4_steps(f):
@@ -30,6 +33,33 @@ def rk4_steps(f):
     return advance
 
 
+def rk4_span(advance, y, t0, t1, step):
+    """Integrate y over [t0, t1] in _step_count equal steps, which
+    ``advance(y, t0, h, nsteps)`` takes. An empty span leaves y as it is."""
+    length = t1 - t0
+    if length <= 0:
+        return y
+    nsteps = _step_count(length, step)
+    return advance(y, t0, length / nsteps, nsteps)
+
+
+def naming_the_step(advance):
+    """``advance`` one step at a time, with the DomainError of the compiled
+    f named as the generated run loop names it: by the start of the failing
+    step, then the message of the error that f re-raised."""
+
+    def stepwise(y, t, h, nsteps):
+        for _ in range(nsteps):
+            try:
+                y = advance(y, t, h, 1)
+            except DomainError as exc:
+                raise DomainError(f"advance in the RK4 step from t = {t}: {exc.__cause__}") from exc
+            t += h
+        return y
+
+    return stepwise
+
+
 def boundaries_between(sys, t0, t1):
     """Interior segment boundaries in (t0, t1), for exact integrator landing."""
     return [seg.t_end for seg in sys.segments[:-1] if t0 + 1e-14 < seg.t_end < t1 - 1e-14]
@@ -45,7 +75,7 @@ def integrate_piecewise(sys, y0, t0, t1, step, matfun):
     """y' = matfun(t, seg) @ y over [t0, t1], span by span."""
     y = y0
     for lo, hi, seg in spans(sys, t0, t1):
-        y = _rk4_span(rk4_steps(lambda t, v, seg=seg: matfun(t, seg) @ v), y, lo, hi, step)
+        y = rk4_span(rk4_steps(lambda t, v, seg=seg: matfun(t, seg) @ v), y, lo, hi, step)
     return y
 
 

@@ -173,6 +173,40 @@ def test_a_nan_time_is_outside_the_interval():
             call(NAN)
 
 
+@pytest.mark.parametrize("t", [1j, "abc", np.array([0.1j])], ids=["complex", "text", "complex-array"])
+def test_a_complex_or_non_numeric_time_is_an_invalid_argument(t):
+    # a bare TypeError (1j) or ValueError ("abc"); a complex array was cast
+    # to its real part with a ComplexWarning
+    switched = tpds.shipped("switched").system
+    for call in (switched.segments[0].matrix_at, switched.matrix_at, lambda t: DEMO.f(t, OK_X)):
+        with pytest.raises(InvalidArgument) as err:
+            call(t)
+        assert str(err.value) == f"t must hold real numbers, got {t!r}"
+
+
+@pytest.mark.parametrize("x", [["a", "b", "c"], [1j, 0.2, 0.3], "abc"], ids=["text", "complex", "string"])
+def test_a_complex_or_non_numeric_state_is_an_invalid_argument(x):
+    # a bare ValueError or TypeError from the float conversion
+    for call, name in [
+        (lambda: DEMO.f(0.0, x), "x"),
+        (lambda: DEMO.jac(0.0, x), "x"),
+        (lambda: tpds.simulate_nonlinear(DEMO, x, [0.0, 1.0]), "x0"),
+        (lambda: tpds.poincare_analysis(DEMO, x, max_iters=2), "x0"),
+    ]:
+        with pytest.raises(InvalidArgument) as err:
+            call()
+        assert str(err.value) == f"{name} must hold real numbers, got {x!r}"
+
+
+def test_a_system_takes_one_time_by_the_time_rule():
+    # a bare ValueError ("The truth value of an array ... is ambiguous")
+    switched = tpds.shipped("switched").system
+    for call in (switched.segment_index, switched.matrix_at):
+        with pytest.raises(DimensionMismatch) as err:
+            call(np.array([0.1, 0.2]))
+        assert str(err.value) == "t must be one time, got shape (2,)"
+
+
 def test_a_line_integral_takes_one_time():
     # raised "x must hold 32 states of 3 entries"
     with pytest.raises(DimensionMismatch) as err:
@@ -271,7 +305,8 @@ def test_a_step_too_small_to_count_raises(step):
 
 
 def test_the_default_step_of_an_empty_span_is_not_checked():
-    # a grid of one repeated time has a default step of 0; it raised InvalidArgument
+    # a grid of one repeated time has no span to step; it raised
+    # InvalidArgument when its default step was 1e-3 of that span, 0
     run = tpds.simulate_nonlinear(DEMO, [0.1, 0.2, 0.3], [0.0, 0.0])
     assert np.array_equal(run.state.states, [[0.1, 0.2, 0.3]] * 2)
 

@@ -96,6 +96,8 @@ def test_entrain_command(tmp_path, capsys):
     assert cli.main(["entrain", spec]) == 0
     out = capsys.readouterr().out
     assert "detected_period 1" in out
+    # the steps of the error-controlled run, after the residual tail
+    assert out.splitlines()[2] == "steps 1411 rejected 0"
 
 
 def test_reproduce_idempotent(tmp_path, capsys):
@@ -263,9 +265,16 @@ def test_simulate_unallocatable_grid_exits_2(tmp_path, capsys, name, where):
 
 
 def test_simulate_overflow_names_the_stepper_and_the_step(tmp_path, capsys):
-    # the message used to be the bare "(34, 'Numerical result out of range')"
+    # the message used to be the bare "(34, 'Numerical result out of range')";
+    # 1e305 was the default step, 1e-3 of the span, before a nonlinear run
+    # was error-controlled by default
     out = tmp_path / "x.csv"
     args = ["simulate", spec_path(tmp_path, "takac"), "--horizon", "1e308", "--out", str(out)]
-    assert cli.main(args) == 3
+    assert cli.main(args + ["--step", "1e305"]) == 3
     err = capsys.readouterr().err
     assert err == "DomainError: advance in the RK4 step from t = 0.0: (34, 'Numerical result out of range')\n"
+    # the error-controlled run keeps its steps small and gives up on the
+    # first interval of 1e305
+    assert cli.main(args) == 4
+    err = capsys.readouterr().err
+    assert err == "numerical suspect: the DP5 run takes more than 100000 steps from t = 0.0 to t = 1.001001001001001e+305\n"

@@ -1,5 +1,6 @@
 """Tests for nonlinear simulation, monotonicity and period detection."""
 
+import dataclasses
 from sys import maxsize
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 
 from tpds import (
     NonlinearSystem,
+    TimeVaryingSystem,
     eventual_monotonicity,
     exprlang,
     poincare_analysis,
     shipped,
     simulate_nonlinear,
+    transition_matrix,
 )
 from tpds.errors import (
     AssumptionViolated,
@@ -162,6 +165,12 @@ def test_demo_entrains(demo):
     res = poincare_analysis(demo, [0.5, -0.5, 1.0])
     assert res.detected_period == 1
     assert res.residuals[-1] < 1e-6
+    # 12 periods of about 118 error-controlled steps each; the counts are
+    # diagnostics, outside the result's equality
+    assert (res.accepted_steps, res.rejected_steps) == (1411, 0)
+    assert res == dataclasses.replace(res, accepted_steps=0, rejected_steps=1)
+    run = simulate_nonlinear(demo, [0.5, -0.5, 1.0], np.linspace(0.0, 1.0, 3), step=0.1)
+    assert (run.accepted_steps, run.rejected_steps) == (10, 0)
 
 
 def test_poincare_at_equilibrium():
@@ -203,16 +212,18 @@ def test_poincare_requires_period():
 
 
 def test_default_step_that_underflows_is_named():
-    # the default 1e-3 T of a 5e-324 period is 0.0, and the error used to
-    # read as if the caller had passed step 0.0
-    sys = NonlinearSystem(n=1, rhs=[exprlang.parse("-x1")], period=5e-324)
+    # the default 1e-3 of a 5e-324 span is 0.0, and the error used to read
+    # as if the caller had passed step 0.0. A linear flow still has that
+    # default; a nonlinear run without a step is error-controlled, and
+    # lands on each time whatever its span.
     message = "the default step, 1e-3 x the span 5e-324, underflows to 0; pass a step"
+    tiny = TimeVaryingSystem.constant([[-1.0]], interval=(0.0, 5e-324))
     with pytest.raises(InvalidArgument) as err:
-        poincare_analysis(sys, [0.5])
+        transition_matrix(tiny, 0.0, 5e-324)
     assert str(err.value) == message
-    with pytest.raises(InvalidArgument) as err:
-        simulate_nonlinear(sys, [0.5], [0.0, 5e-324])
-    assert str(err.value) == message
+    sys = NonlinearSystem(n=1, rhs=[exprlang.parse("-x1")], period=5e-324)
+    assert poincare_analysis(sys, [0.5]).detected_period == 1
+    assert simulate_nonlinear(sys, [0.5], [0.0, 5e-324]).state.states.tolist() == [[0.5], [0.5]]
     with pytest.raises(InvalidArgument) as err:
         poincare_analysis(sys, [0.5], step=0.0)
     assert str(err.value) == "step must be a positive finite number, got 0.0"
