@@ -28,7 +28,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -419,9 +419,12 @@ def _stack_form(signature, shape, cells, used, n, u, point):
     if n is not None:
         prologue.insert(1, "x = _array(x, dtype=float)")
         evaluate += [f"{v} = x[:, {int(v[1:]) - 1}]" for v in sorted(used - {"t", "u"})]
-        if u is not None:
-            evaluate.append(f"u = {_pycode(u, array=True)}")
         fallback = "_point(s, y) for s, y in zip(t.tolist(), x)"
+    shared, rename = _common(([] if u is None else [u]) + list(cells.values()))
+    if u is not None:
+        shared.append(f"u = {_pycode(rename(u), array=True)}")
+    cells = {idx: rename(e) for idx, e in cells.items()}
+    evaluate += shared
     evaluate += ["A = _empty(stacked)", "A[...] = _base"]
     evaluate += _fill(cells, base, "A[:, {}]" if shape else "A[:]", array=True)
     body = [
@@ -435,6 +438,47 @@ def _stack_form(signature, shape, cells, used, n, u, point):
     ]
     env = dict(_ARRAY_FUNCTIONS, _errstate=np.errstate, _empty=np.empty, _array=np.array)
     return _define(signature, prologue, body, _base=base, _point=point, _FALLBACK=_FALLBACK, **env)
+
+
+def _common(exprs):
+    """Common subexpressions of the stack form: a list of assignments and a
+    function that renames. Each Call, BinOp or Neg over a variable whose
+    code occurs more than once in exprs is renamed ``_s<k>``, and the
+    function appends its assignment, from its own renamed parts, the first
+    time it meets it. So renaming exprs in the order given lists each
+    assignment after those it uses (post-order) and before its first use.
+    Subexpressions are keyed by their code, not by node equality, under
+    which Num(0.0) and Num(-0.0) are equal."""
+    counts = {}
+
+    def compound(e):
+        return isinstance(e, (Neg, BinOp, Call)) and bool(_names(e))
+
+    def count(e):
+        if compound(e):
+            key = _pycode(e, array=True)
+            counts[key] = counts.get(key, 0) + 1
+            if counts[key] == 1:  # the parts of a repeat are counted once
+                for f in fields(e):
+                    count(getattr(e, f.name))
+
+    for e in exprs:
+        count(e)
+    shared, names = [], {}
+
+    def rename(e):
+        if not compound(e):
+            return e
+        key = _pycode(e, array=True)
+        if key not in names:
+            e = type(e)(*(rename(getattr(e, f.name)) for f in fields(e)))
+            if counts[key] == 1:
+                return e
+            names[key] = f"_s{len(names)}"
+            shared.append(f"{names[key]} = {_pycode(e, array=True)}")
+        return Var(names[key])
+
+    return shared, rename
 
 
 # Dormand and Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980): the

@@ -5,8 +5,9 @@ Steps land exactly on segment boundaries so that discontinuous (switched)
 coefficient matrices are integrated segment by segment. A linear flow is
 integrated by batched propagators: A(t) is evaluated on the whole stage
 grid by one array call per segment, each step's RK4 propagator is built by
-stacked matmul, and the propagators are multiplied in step order, in long
-double. Determinants are cross-checked against the exponential of the
+stacked matmul, and the propagators are multiplied in long double:
+pairwise within each block of steps, and the blocks in step order.
+Determinants are cross-checked against the exponential of the
 integrated trace. A nonlinear run is one loop generated per system
 (``exprlang.compile_stepper``): explicit RK4 steps by the step-count rule
 here, or, by default, Dormand-Prince 5(4) steps controlled to RTOL and
@@ -49,8 +50,9 @@ MAX_STEPS = 100_000  # per interval between two of a run's times, as in Hairer's
 def _checked_grid(grid, interval=None):
     """The sample grid as a float array. It must be a nonempty, finite,
     nondecreasing sequence and, given an interval [a, b], lie within it up
-    to segment_index's 1e-12; anything else raises OutOfInterval."""
-    grid = np.asarray(grid, dtype=float)
+    to segment_index's 1e-12; anything else raises OutOfInterval, and a
+    complex or non-numeric entry InvalidArgument (``_real_array``)."""
+    grid = _real_array(grid, "grid")
     ok = grid.ndim == 1 and grid.size > 0 and np.isfinite(grid).all()
     ok = ok and bool(np.all(np.diff(grid) >= 0))
     if ok and interval is not None:
@@ -151,14 +153,14 @@ def _checked_state(x0, n, name, m=None):
     return x0
 
 
-def _time_array(t, stack):
+def _time_array(t, stack, name="t"):
     """t as a float array of no dimension or, given stack, of one. Complex
     or non-numeric input raises InvalidArgument, another shape
-    DimensionMismatch."""
-    times = _real_array(t, "t")
+    DimensionMismatch, either naming the argument."""
+    times = _real_array(t, name)
     if times.ndim > stack:
         what = "one time or a 1-d array of times" if stack else "one time"
-        raise DimensionMismatch(f"t must be {what}, got shape {times.shape}")
+        raise DimensionMismatch(f"{name} must be {what}, got shape {times.shape}")
     return times
 
 
@@ -210,21 +212,31 @@ class _Spans:
         same values of C, which is RK4 on the trace.
 
         Each step's propagator is P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), and
-        an interval's transition matrix is the product of its steps' P in
-        step order. The intervals are multiplied side by side, in blocks of
-        about CHUNK_STEPS steps: per block, C is evaluated at the block's
-        stage times (a step's start is the step before's end, so a span of
-        N steps takes 2N + 1 evaluations), the increments P - I are built
-        as stacks, and those of intervals with fewer steps are padded with
-        zeros, which are exact identity factors. So memory is bounded by the
-        block, whatever the number of steps.
+        an interval's transition matrix is the product of its steps' P,
+        later steps on the left. The intervals are multiplied side by side,
+        in blocks of about CHUNK_STEPS steps: per block, C is evaluated at
+        the block's stage times (a step's start is the step before's end,
+        so a span of N steps takes 2N + 1 evaluations), the increments
+        P - I are built as stacks, and those of intervals with fewer steps
+        are padded with zeros, which are exact identity factors. So memory
+        is bounded by the block, whatever the number of steps.
 
-        The increments and the running products are long double, and each
-        product is rounded to double once. Products in double came out 2-13
-        ulps from an RK4 loop in long double, and the determinant of an
-        ill-conditioned Phi, which the Liouville check reads, moves by
-        1e-6 to 1e-4 per ulp of its entries: enough to flip that check
-        either way. Where long double is double, this is double."""
+        Within a block the factors are multiplied pairwise, in increment
+        form: consecutive factors I + A, then I + B, make I + (A + B + B A),
+        and an odd count is padded with one zero increment. So a block of w
+        steps takes ceil(log2 w) stacked products rather than w in a row,
+        and its rounding error grows with log2 w rather than w (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+        section 4.2). Each block's product then multiplies the product of
+        the blocks before it, in step order.
+
+        The increments and the products are long double, and each
+        interval's product is rounded to double once. Products in double
+        came out 2-13 ulps from an RK4 loop in long double, and the
+        determinant of an ill-conditioned Phi, which the Liouville check
+        reads, moves by 1e-6 to 1e-4 per ulp of its entries: enough to flip
+        that check either way. Where long double is double, this is
+        double."""
         m = sys.n if p is None else math.comb(sys.n, p)
         lanes = self.intervals
         total = np.zeros(lanes, dtype=int)
@@ -259,8 +271,12 @@ class _Spans:
             h = self.h[span]
             D = np.zeros(real.shape + (m, m), dtype=np.longdouble)
             D[real] = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None])
-            for Dk in D.swapaxes(0, 1):  # each factor applied as RK4 adds its increment
-                phi = phi + Dk @ phi
+            while D.shape[1] > 1:  # (I + B)(I + A) = I + (A + B + B A), pairwise
+                if D.shape[1] % 2:
+                    D = np.concatenate([D, np.zeros_like(D[:, :1])], axis=1)
+                A, B = D[:, 0::2], D[:, 1::2]
+                D = A + B + B @ A
+            phi = phi + D[:, 0] @ phi
             tr = C.trace(axis1=2, axis2=3)
             integral += np.bincount(lane, (h / 6) * (tr[:, 0] + 4 * tr[:, 1] + tr[:, 2]), lanes)
         return phi.astype(float), integral
@@ -310,16 +326,21 @@ def transition_matrix(sys, t0, t, step=None):
     The steps follow the one step-count rule per segment span (_Spans).
     A is evaluated once per stage time, 2N + 1 times for a span of N steps,
     by one array ``matrix_at`` call per segment and block of steps; the
-    steps' propagators are built as stacks and multiplied in step order. det Phi is compared with
-    exp of the integral of tr A (Abel-Jacobi-Liouville), taken by Simpson's
-    rule over the same stage values of tr A, which is RK4 on the trace; a
-    relative mismatch beyond 1e-6 marks the record as suspect. A non-finite
-    Phi (a non-finite A(t), or a step too large for ||A(t)||) or predicted
-    determinant raises IntegrationSuspect, and a step that is not a positive
-    finite number InvalidArgument.
+    steps' propagators are built as stacks and multiplied pairwise within
+    each block, and the blocks in step order (``_Spans.products``). det Phi
+    is compared with exp of the integral of tr A (Abel-Jacobi-Liouville),
+    taken by Simpson's rule over the same stage values of tr A, which is
+    RK4 on the trace; a relative mismatch beyond 1e-6 marks the record as
+    suspect. A non-finite Phi (a non-finite A(t), or a step too large for
+    ||A(t)||) or predicted determinant raises IntegrationSuspect, and a
+    step that is not a positive finite number InvalidArgument. t0 and t
+    must each be one real time, else InvalidArgument or DimensionMismatch,
+    with a <= t0 <= t <= b, else OutOfInterval.
     """
+    t0 = float(_time_array(t0, stack=False, name="t0"))
+    t = float(_time_array(t, stack=False))
     a, b = sys.interval
-    if not (a <= t0 <= t <= b):
+    if not (a <= t0 <= t <= b):  # nan too
         raise OutOfInterval(f"need a <= t0 <= t <= b, got t0={t0}, t={t}")
     step = _checked_step(step, *sys.interval)
     phi, integral = _Spans(sys, [t0, t], step).products(sys)
@@ -452,7 +473,8 @@ def compound_transition(sys, p, t0, t, step=None):
     the propagators of transition_matrix, and cross-asserts against the
     multiplicative compound of the directly integrated transition matrix,
     to COMPOUND_REL_TOL. A p that is not an integer in 1..n raises
-    InvalidArgument or OrderOutOfRange before any step.
+    InvalidArgument or OrderOutOfRange before any step, and t0 and t are
+    checked by transition_matrix before its first step.
     """
     if _checked_count(p, "p", least=1) > sys.n:
         raise OrderOutOfRange(f"order {p} outside 1..{sys.n}")

@@ -198,13 +198,39 @@ def test_a_complex_or_non_numeric_state_is_an_invalid_argument(x):
         assert str(err.value) == f"{name} must hold real numbers, got {x!r}"
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tpds.simulate_nonlinear(DEMO, OK_X, ["a", "b"]), "grid must hold real numbers, got ['a', 'b']"),
+        (lambda: tpds.simulate_nonlinear(DEMO, OK_X, [0, 1j]), "grid must hold real numbers, got [0, 1j]"),
+        (lambda: tpds.simulate_linear(COSH2, [1.0, 0.0], [0, 1j]), "grid must hold real numbers, got [0, 1j]"),
+        (lambda: tpds.transition_matrix(COSH2, 0.0, 1j), "t must hold real numbers, got 1j"),
+        (lambda: tpds.transition_matrix(COSH2, "abc", 1.0), "t0 must hold real numbers, got 'abc'"),
+        (lambda: tpds.compound_transition(COSH2, 1, 0.0, 1j), "t must hold real numbers, got 1j"),
+        (
+            lambda: tpds.eventual_monotonicity(DEMO, OK_X, [0.2, 0.2, 0.3], horizon="abc"),
+            "grid must hold real numbers, got [0.0, 'abc']",
+        ),
+    ],
+)
+def test_a_complex_or_non_numeric_grid_or_end_time_is_an_invalid_argument(call, message):
+    # a bare ValueError ("could not convert string to float") or TypeError
+    # ("'<=' not supported"), from the grid's float conversion or the
+    # interval test
+    with pytest.raises(InvalidArgument) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_a_system_takes_one_time_by_the_time_rule():
     # a bare ValueError ("The truth value of an array ... is ambiguous")
     switched = tpds.shipped("switched").system
-    for call in (switched.segment_index, switched.matrix_at):
+    for call in (switched.segment_index, switched.matrix_at, lambda t: tpds.transition_matrix(switched, 0.0, t)):
         with pytest.raises(DimensionMismatch) as err:
             call(np.array([0.1, 0.2]))
         assert str(err.value) == "t must be one time, got shape (2,)"
+    with pytest.raises(DimensionMismatch, match=r"^t0 must be one time, got shape \(2,\)$"):
+        tpds.compound_transition(switched, 2, [0.1, 0.2], 0.5)
 
 
 def test_a_line_integral_takes_one_time():

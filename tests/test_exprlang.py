@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from expr_reference import evaluate
 from test_stepper import exprs
-from tpds import NonlinearSystem, Segment
+from tpds import NonlinearSystem, Segment, exprlang
 from tpds.errors import (
     DimensionMismatch,
     DomainError,
@@ -17,7 +17,7 @@ from tpds.errors import (
     UnboundVariable,
     UnknownIdentifier,
 )
-from tpds.exprlang import Num, compile_fn, parse, pretty, variables
+from tpds.exprlang import BinOp, Call, Neg, Num, compile_fn, parse, pretty, variables
 
 
 def run(src, t=0.0, x=None, u=None):
@@ -272,17 +272,64 @@ def test_state_array_form_raises_the_first_scalar_domain_error(entry):
     st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=30),
 )
 def test_state_array_form_matches_the_scalar_form(entries, u, points):
-    # the same values (nan and inf included) or the same first DomainError;
-    # sin and cos are numpy's, which may differ from math's by an ulp
-    scalar = array = compile_fn(entries, 2, u)  # called at points, then on the stack
+    assert_stack_is_pointwise(compile_fn(entries, 2, u), points, 2)
+
+
+def assert_stack_is_pointwise(coefficient, points, width):
+    """The same values (nan and inf included) at the (t, x1, x2) points,
+    called on the stack and point by point, or the same first DomainError;
+    sin and cos are numpy's, which may differ from math's by an ulp."""
     t = np.array([p[0] for p in points])
     x = np.array([p[1:] for p in points])
-    got, want = stacked(array, t, x), pointwise(scalar, t, x)
+    got, want = stacked(coefficient, t, x), pointwise(coefficient, t, x)
     if isinstance(want, str):
         assert got == want
         return
-    assert got.shape == want.shape == (len(points), 2)
+    assert got.shape == want.shape == (len(points), width)
     same = (got == want) | (np.isnan(got) & np.isnan(want))
     with np.errstate(invalid="ignore"):  # inf - inf where both are the same inf, which `same` holds
         close = np.isfinite(want) & (np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
     assert np.all(same | close)
+
+
+# -- subexpressions shared by a stack form's entries -------------------------
+
+SHARED = ["sin(t) + exp(t)", "sin(t) * exp(t) - exp(t)", "exp(t) ^ 2 / (1 + sin(t))", "cos(sin(t))"]
+
+
+def test_a_shared_subexpression_is_evaluated_once_with_the_point_floats(monkeypatch):
+    # exp is applied entry by entry through math's, once for the stack
+    calls = []
+    exp = exprlang._ARRAY_FUNCTIONS["_fn_exp"]
+    monkeypatch.setitem(exprlang._ARRAY_FUNCTIONS, "_fn_exp", lambda a: calls.append(a) or exp(a))
+    coefficient = compile_fn([[parse(e) for e in SHARED[:2]], [parse(e) for e in SHARED[2:]]])
+    t = np.linspace(-3.0, 3.0, 513)
+    got = coefficient(t)
+    assert len(calls) == 1
+    assert got.tobytes() == np.array([coefficient(s) for s in t.tolist()]).tobytes()
+
+
+def test_shared_subexpressions_keep_the_point_forms_domain_error():
+    coefficient = compile_fn([parse(e) for e in SHARED + ["log(t - 2) * sin(t)", "exp(t) + log(t - 2)"]])
+    t = np.linspace(3.0, -3.0, 13)  # log(t - 2) fails from t = 2, the third point
+    with pytest.raises(DomainError) as point:
+        for s in t.tolist():
+            coefficient(s)
+    with pytest.raises(DomainError) as stack:
+        coefficient(t)
+    assert str(point.value) == "coefficient at t = 2.0: math domain error"
+    assert str(stack.value) == str(point.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    exprs(["t", "u", "x1", "x2"]),
+    exprs(["t", "u", "x1", "x2"]),
+    exprs(["t"]),
+    st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=30),
+)
+def test_entries_that_share_parts_match_the_point_form(a, b, u, points):
+    # a and b in several entries, nested in each other, and u's parts in
+    # the entries: their shared parts are named once, before first use
+    entries = [BinOp("+", a, b), Neg(a), BinOp("*", b, Call("sin", a)), BinOp("-", u, a)]
+    assert_stack_is_pointwise(compile_fn(entries, 2, BinOp("*", u, u)), points, 4)

@@ -4,12 +4,14 @@ loop they replaced (``integrate_reference``), and the stack form of
 point form.
 
 The propagators are built and multiplied in another order of operations
-than the loop, and in long double, so results agree with the loop in
-double to a tolerance, not bit for bit: a transition matrix to 1e-13 of
-its norm, and a trajectory state to 1e-12 of ||Phi(t, t0)|| ||z0||. With
-the loop in long double, Phi agrees to within an ulp. Entrywise closeness of states does not hold: ``schwarz3``'s growing
-mode amplifies rounding differences like exp(1.73 t), far beyond the size
-of its decaying components.
+than the loop (pairwise within each block of steps), and in long double,
+so results agree with the loop in double to a tolerance, not bit for bit:
+a transition matrix to 1e-13 of its norm, and a trajectory state to 1e-12
+of ||Phi(t, t0)|| ||z0||. With the loop in long double, Phi agrees to
+within an ulp of each entry over a period, and of its largest entry over
+any number of steps. Entrywise closeness of states does not hold:
+``schwarz3``'s growing mode amplifies rounding differences like
+exp(1.73 t), far beyond the size of its decaying components.
 """
 
 import math
@@ -37,7 +39,9 @@ from tpds import (
     transition_matrix,
 )
 from tpds.errors import DomainError, IntegrationSuspect, InvalidArgument
-from tpds.integrate import CHUNK_STEPS, _checked_step
+from tpds.integrate import CHUNK_STEPS, _checked_step, _Spans
+
+LONG_DOUBLE_IS_DOUBLE = np.finfo(np.longdouble).eps == np.finfo(float).eps
 
 
 def close_phi(got, want, rel=1e-13):
@@ -71,15 +75,53 @@ def test_propagators_match_the_loop_reference(sys):
     assert close_phi(compound_transition(sys, 2, a, t1), want)
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="long double is double here")
+@pytest.mark.skipif(LONG_DOUBLE_IS_DOUBLE, reason="long double is double here")
+@pytest.mark.parametrize("seed", [0, 100, 200, 300])
 @pytest.mark.parametrize("n", range(2, 7))
-def test_phi_is_the_long_double_rk4_product_rounded(n):
+def test_phi_is_the_long_double_rk4_product_rounded(n, seed):
     # products in double were 2-13 ulps off, and det Phi, which the
     # Liouville check reads, moves by 1e-6 to 1e-4 per ulp at these n
-    sys = random_tpds_system(n, rng=n)
+    sys = random_tpds_system(n, rng=n + seed)
     want = ref.transition_long_double(sys, 0.0, 2 * np.pi).astype(float)
     got = transition_matrix(sys, 0.0, 2 * np.pi).phi
     assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
+def within_an_ulp_of_the_largest_entry(got, want):
+    # over a few steps Phi is near I, and its small off-diagonal entries
+    # carry the double-precision part of each increment (_increments):
+    # up to 3 ulps of themselves, at the parent of the pairwise product too
+    return np.all(np.abs(got - want) <= np.spacing(np.abs(want).max()))
+
+
+@pytest.mark.skipif(LONG_DOUBLE_IS_DOUBLE, reason="long double is double here")
+@pytest.mark.parametrize("count", [1, 2, 3, 255, 256, 257, int(2.5 * CHUNK_STEPS)])
+def test_one_span_of_any_step_count(count):
+    # one block that pairs evenly at every level, or leaves an odd factor
+    # at some level, or a block filled exactly, or more than one block
+    sys = random_tpds_system(4, rng=count)
+    step = 2 * np.pi / 1000
+    t = count * step
+    got = transition_matrix(sys, 0.0, t, step).phi
+    assert close_phi(got, ref.transition(sys, 0.0, t, step))
+    assert within_an_ulp_of_the_largest_entry(got, ref.transition_long_double(sys, 0.0, t, step).astype(float))
+
+
+@pytest.mark.skipif(LONG_DOUBLE_IS_DOUBLE, reason="long double is double here")
+def test_intervals_side_by_side_with_uneven_step_counts():
+    # 37 intervals take blocks of 256 // 37 = 6 steps each, which pair as
+    # 6 -> 3 -> 4 (one zero increment) -> 2 -> 1; the intervals of 1, 2, 3
+    # and 5 steps are padded, and those of 17 and 61 take several blocks
+    sys = random_tpds_system(3, rng=7)
+    step = 2 * np.pi / 1000
+    counts = np.random.default_rng(8).permutation([1, 2, 3, 5, 17, 61] * 6 + [2])
+    grid = np.concatenate([[0.0], np.cumsum(counts) * step])
+    spans = _Spans(sys, grid, step)
+    assert spans.count.tolist() == counts.tolist()
+    phis, _ = spans.products(sys)
+    for phi, lo, hi in zip(phis, grid, grid[1:]):
+        assert close_phi(phi, ref.transition(sys, lo, hi, step))
+        assert within_an_ulp_of_the_largest_entry(phi, ref.transition_long_double(sys, lo, hi, step).astype(float))
 
 
 def test_span_of_more_than_two_chunks():

@@ -1,7 +1,10 @@
 """Tests for the YAML system-spec format."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
+import yaml
 
 from tpds import specfile
 from tpds.errors import SpecFileError
@@ -91,6 +94,22 @@ def test_file_round_trip(tmp_path):
 )
 def test_malformed_specs(text):
     with pytest.raises(SpecFileError):
+        specfile.loads(text)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="pyyaml was built without libyaml")
+@pytest.mark.parametrize("name", specfile.shipped_names())
+def test_libyaml_gives_the_pure_python_document(name):
+    # repr tells 1 from 1.0, which == does not
+    text = (resources.files("tpds") / "specs" / f"{name}.spec").read_text()
+    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("text", ["meta: [1", "meta: {n: 2}\n---\nmeta: {n: 3}", "meta: \x00", "meta: \ud800"])
+def test_malformed_yaml_is_a_spec_file_error(text):
+    # libyaml encodes the text as UTF-8 first, and a lone surrogate raised
+    # a bare UnicodeEncodeError there
+    with pytest.raises(SpecFileError, match="^invalid YAML: "):
         specfile.loads(text)
 
 
