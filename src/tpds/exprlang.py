@@ -16,8 +16,9 @@ checked function of t, or of t and x, that takes one point or a stack of
 them: a 1-d array of times and, with x, a matching (m, n) array of states,
 as for ``Segment.matrix_at`` and the f and J of
 ``nonlinear.NonlinearSystem``. ``compile_stepper`` turns the
-right-hand side of x' = f(t, x) into one checked run loop, fixed-step RK4
-or error-controlled Dormand-Prince 5(4), whose stages inline every entry.
+right-hand side of x' = f(t, x) into one checked run function, whose step
+picks its loop, fixed-step RK4 or error-controlled Dormand-Prince 5(4),
+and whose stages inline every entry.
 All of them emit the same code for an expression (``_pycode``) and are
 defined by the same helper (``_define``).
 """
@@ -41,6 +42,7 @@ from .errors import (
     UnboundVariable,
     UnknownIdentifier,
 )
+from .integrate import ATOL, MAX_STEPS, RTOL, _step_count
 
 FUNCTIONS = {
     "sin": math.sin,
@@ -497,48 +499,57 @@ _DP5_A = (
 _DP5_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def compile_stepper(rhs, n, u=None, box=None, adaptive=False):
-    """Compile the right-hand side of x' = f(t, x) into one run loop.
+def compile_stepper(rhs, n, u=None, box=None):
+    """Compile the right-hand side of x' = f(t, x) into one run function,
+    ``advance(y, times, step, tally)``, whose step picks its loop, each
+    generated and compiled on its first run. ``rhs`` holds the n entries of
+    f (numbers or ASTs over t, x1..xn and, with the input ``u``, u); ``box``,
+    when given, the (lo, hi) of each coordinate. A run is a generator over a
+    nonempty iterable of nondecreasing times, read lazily. It yields the
+    state at each time as a float array, the start y at the first, and keeps
+    the state, the stage values and the step size as Python floats from one
+    time to the next, with every entry of f inlined at each stage and u
+    evaluated once per stage time. Before each yield it stores the accepted
+    and rejected steps so far in ``tally[0]`` and ``tally[1]``. A state more
+    than 1e-12 outside the box raises LeftDomain at its time ("initial
+    condition outside the domain box", "trajectory left the domain box").
 
-    ``rhs`` holds the n entries of f (numbers or ASTs over t, x1..xn and,
-    with the input ``u``, u); ``box``, when given, the (lo, hi) of each
-    coordinate. The loop is a generator over a nonempty iterable of
-    nondecreasing times, read lazily. It yields the state at each time as a
-    float array, the start y at the first, and keeps the state, the stage
-    values and the step size as Python floats from one time to the next,
-    with every entry of f inlined at each stage and u evaluated once per
-    stage time. Before each yield it stores the accepted and rejected steps
-    so far in ``tally[0]`` and ``tally[1]``. A state more than 1e-12
-    outside the box raises LeftDomain at its time ("initial condition
-    outside the domain box", "trajectory left the domain box").
+    With a number ``step`` the loop takes classical RK4 in
+    ``integrate._step_count(t1 - t0, step)`` equal steps between times
+    t0 < t1, with the floating-point operations of RK4 over
+    ``compile_fn(rhs, n, u)`` on numpy arrays in the same order: the same
+    states, bit for bit.
 
-    Without ``adaptive`` it is ``advance(y, times, step, tally)``: classical
-    RK4 in ``integrate._step_count(t1 - t0, step)`` equal steps between
-    consecutive times t0 < t1. It makes the floating-point operations of
-    RK4 over ``compile_fn(rhs, n, u)`` with numpy arrays in the same order,
-    so its states are bit-identical to that loop's.
-
-    With ``adaptive`` it is ``advance(y, times, tally)``: Dormand-Prince
-    5(4) steps with the first stage taken from the last (FSAL), each
-    accepted when the RMS norm of its error estimate, scaled per entry by
-    ATOL + RTOL max(|y|, |y + dy|) (``integrate``), is at most 1. The
-    first step size follows Hairer, Norsett and Wanner (Solving ODEs I,
-    II.4), and each next one is the step's h times min(5, max(0.2,
-    0.9 err^(-1/5))), at most h after a rejection. A step that would end
-    within 1 % of its h before the next time is stretched or cut to land
-    exactly on that time; the step size it was cut from carries on past it.
-    A non-finite error estimate, a step size no larger than 16 eps |t|, or
-    more than MAX_STEPS steps between two times raises IntegrationSuspect
-    naming t.
+    With ``step=None`` it takes Dormand-Prince 5(4) steps with the first
+    stage taken from the last (FSAL), each accepted when the RMS norm of
+    its error estimate, scaled per entry by ATOL + RTOL max(|y|, |y + dy|)
+    (``integrate``), is at most 1. The first step size follows Hairer,
+    Norsett and Wanner (Solving ODEs I, II.4), and each next one is the
+    step's h times min(5, max(0.2, 0.9 err^(-1/5))), at most h after a
+    rejection. A step that would end within 1 % of its h before the next
+    time is stretched or cut to land exactly on that time; the step size it
+    was cut from carries on past it. A non-finite error estimate, a step
+    size no larger than 16 eps |t|, or more than MAX_STEPS steps between
+    two times raises IntegrationSuspect naming t.
 
     The domain rules and errors are those of ``compile_fn``, but a
     DomainError's message names the step by its start ("advance in the RK4
-    step from t = ...", "advance in the DP5 step from t = ..."). A y that
-    does not hold n entries raises ValueError when the loop unpacks it.
+    step from t = ...", "advance in the DP5 step from t = ...") and an
+    unbound variable raises here. A y that does not hold n entries raises
+    ValueError when the loop unpacks it.
     """
-    from .integrate import ATOL, MAX_STEPS, RTOL, _step_count
-
     used = _bound_names(rhs, n, u)
+    loop = functools.cache(lambda adaptive: _run_loop(rhs, n, u, box, used, adaptive))
+
+    def advance(y, times, step, tally):
+        return loop(step is None)(y, times, step, tally)
+
+    return advance
+
+
+def _run_loop(rhs, n, u, box, used, adaptive):
+    """compile_stepper's loop for one mode: Dormand-Prince given adaptive, else RK4."""
+    signature = "advance(y, times, step, tally)"  # DomainError messages name it
     ks = range(1, n + 1)
     states = sorted(int(v[1:]) for v in used - {"t", "u"})
     codes = [_pycode(e) for e in rhs]
@@ -564,54 +575,46 @@ def compile_stepper(rhs, n, u=None, box=None, adaptive=False):
         return [f"if not ({inside}):", f"    raise _LeftDomain({message!r}, {time})"]
 
     prologue = [f"{ys}, = map(float, y)", "times = iter(times)", "s = float(next(times))"]
-    head = check_box("initial condition outside the domain box", "s") + [
-        "accepted = rejected = 0",
-        f"yield _array([{ys}])",
-    ]
-    tail = check_box("trajectory left the domain box", "float(t1)") + [
-        "tally[0] = accepted",
-        "tally[1] = rejected",
-        f"yield _array([{ys}])",
-    ]
-    if not adaptive:
-        rk4 = (
-            stage("a", "s", "y{k}")
-            + stage("b", "s + h2", "y{k} + h2 * a{k}")
-            + stage("c", None, "y{k} + h2 * b{k}")
-            + stage("d", "s + h", "y{k} + h * c{k}")
-            + [f"y{k} = y{k} + h6 * (a{k} + 2 * b{k} + 2 * c{k} + d{k})" for k in ks]
-            + ["s += h"]
-        )
-        span = [
-            "length = t1 - t0",
-            "if length > 0:",
-            "    nsteps = _step_count(length, step)",
-            "    s = float(t0)",
-            "    h = float(length / nsteps)",
-            "    h2 = h / 2",
-            "    h6 = h / 6",
-            "    for _ in range(nsteps):",
-            *_indent(rk4, 2),
-            "    accepted += nsteps",
-        ]
-        prologue.append("t0 = s")
-        body = head + ["for t1 in times:", *_indent(span + tail + ["t0 = t1"])]
-        signature, at = "advance(y, times, step, tally)", "in the RK4 step from t = {s}"
-    else:
-        span = ["t1 = float(t1)"] + _dp5_span(stage, ks, ATOL, RTOL, MAX_STEPS)
-        body = head + ["h = None", "grow = 5.0", "for t1 in times:", *_indent(span + tail)]
-        signature, at = "advance(y, times, tally)", "in the DP5 step from t = {s}"
+    head = check_box("initial condition outside the domain box", "s")
+    head += ["accepted = rejected = 0", f"yield _array([{ys}])"]
+    tail = check_box("trajectory left the domain box", "float(t1)")
+    tail += ["tally[0] = accepted", "tally[1] = rejected", f"yield _array([{ys}])"]
     env = dict(_array=np.array, _step_count=_step_count, _sqrt=math.sqrt, _inf=math.inf)
     env.update(_LeftDomain=LeftDomain, _IntegrationSuspect=IntegrationSuspect)
-    return _define(signature, prologue, body, at=at, **env)
+    if adaptive:
+        span = ["t1 = float(t1)"] + _dp5_span(stage, ks)
+        body = head + ["h = None", "grow = 5.0", "for t1 in times:", *_indent(span + tail)]
+        return _define(signature, prologue, body, at="in the DP5 step from t = {s}", **env)
+    rk4 = (
+        stage("a", "s", "y{k}")
+        + stage("b", "s + h2", "y{k} + h2 * a{k}")
+        + stage("c", None, "y{k} + h2 * b{k}")
+        + stage("d", "s + h", "y{k} + h * c{k}")
+        + [f"y{k} = y{k} + h6 * (a{k} + 2 * b{k} + 2 * c{k} + d{k})" for k in ks]
+        + ["s += h"]
+    )
+    span = [
+        "length = t1 - t0",
+        "if length > 0:",
+        "    nsteps = _step_count(length, step)",
+        "    s = float(t0)",
+        "    h = float(length / nsteps)",
+        "    h2 = h / 2",
+        "    h6 = h / 6",
+        "    for _ in range(nsteps):",
+        *_indent(rk4, 2),
+        "    accepted += nsteps",
+    ]
+    body = head + ["for t1 in times:", *_indent(span + tail + ["t0 = t1"])]
+    return _define(signature, prologue + ["t0 = s"], body, at="in the RK4 step from t = {s}", **env)
 
 
-def _dp5_span(stage, ks, atol, rtol, max_steps):
-    """The lines of compile_stepper's adaptive loop that take the state y
-    from s to t1: the first step size, once, then at most max_steps
-    Dormand-Prince steps under the step-size controller."""
+def _dp5_span(stage, ks):
+    """The lines of compile_stepper's Dormand-Prince loop that take the
+    state y from s to t1: the first step size, once, then at most MAX_STEPS
+    steps under the step-size controller, to ATOL and RTOL."""
     n = len(ks)
-    scale = lambda k, v: f"({v} / ({_literal(atol)} + {_literal(rtol)} * abs(y{k})))"
+    scale = lambda k, v: f"({v} / ({_literal(ATOL)} + {_literal(RTOL)} * abs(y{k})))"
     rms = lambda term: f"_sqrt(({' + '.join(f'{term(k)} * {term(k)}' for k in ks)}) / {n})"
 
     def combine(weights, stages, k):
@@ -639,7 +642,7 @@ def _dp5_span(stage, ks, atol, rtol, max_steps):
         "if not h > 3.552713678800501e-15 * abs(s):  # 16 eps |t|",
         '    raise _IntegrationSuspect(f"the DP5 step size {h!r} is below 16 eps |t| at t = {s!r}")',
         "if accepted + rejected >= limit:",
-        f'    raise _IntegrationSuspect(f"the DP5 run takes more than {max_steps} steps from t = {{t0!r}} to t = {{t1!r}}")',
+        f'    raise _IntegrationSuspect(f"the DP5 run takes more than {MAX_STEPS} steps from t = {{t0!r}} to t = {{t1!r}}")',
         "last = s + 1.01 * h >= t1",
         "hh = t1 - s if last else h",
         "te = t1 if last else s + hh",
@@ -652,7 +655,7 @@ def _dp5_span(stage, ks, atol, rtol, max_steps):
         else:  # the fifth-order solution w, and f there at the same time te
             step += [f"w{k} = {state.format(k=k)}" for k in ks] + stage(names[6], None, "w{k}")
     step += [
-        f"q{k} = hh * ({combine(_DP5_E, names, k)}) / ({_literal(atol)} + {_literal(rtol)} * max(abs(y{k}), abs(w{k})))"
+        f"q{k} = hh * ({combine(_DP5_E, names, k)}) / ({_literal(ATOL)} + {_literal(RTOL)} * max(abs(y{k}), abs(w{k})))"
         for k in ks
     ]
     step += [
@@ -672,7 +675,7 @@ def _dp5_span(stage, ks, atol, rtol, max_steps):
         "    h = hh * fac",
         "    grow = 1.0",
     ]
-    head = ["if h is None and s < t1:", *_indent(first), "t0 = s", f"limit = accepted + rejected + {max_steps}"]
+    head = ["if h is None and s < t1:", *_indent(first), "t0 = s", f"limit = accepted + rejected + {MAX_STEPS}"]
     return head + ["while s < t1:", *_indent(step)]
 
 

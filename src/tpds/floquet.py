@@ -14,7 +14,7 @@ from .errors import (
     NotPeriodic,
     SpectralViolation,
 )
-from .integrate import _checked_grid, simulate_linear, transition_matrix
+from .integrate import _checked_horizon, simulate_linear, transition_matrix
 from .totalpos import _ordered_spectrum
 
 SAMPLES_PER_PERIOD = 200
@@ -54,7 +54,7 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
     sequence c_1..c_n. With i [j] the lowest [highest] mode carrying a
     nonzero coefficient, the sampled count must stay in [i-1, j-1] (at most
     j-i exceptional clusters) and settle at i-1 over the last 10% of the
-    horizon.
+    horizon, which ``integrate._checked_horizon`` checks against the interval.
     """
     n = fd.monodromy.shape[0]
     if isinstance(coeffs, dict):
@@ -70,7 +70,7 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
         raise LeadingCoefficientZero("all coefficients are zero")
     i, j = nz[0] + 1, nz[-1] + 1
     z0 = fd.eigvecs @ cvec
-    _checked_grid([0.0, horizon], sys.interval)
+    horizon = _checked_horizon(horizon, sys.interval)
     nsamples = max(2, int(SAMPLES_PER_PERIOD * horizon / fd.period))
     grid = np.linspace(0.0, horizon, nsamples)
     traj = simulate_linear(sys, z0, grid, step=step, tpds=True)

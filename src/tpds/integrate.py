@@ -6,12 +6,13 @@ coefficient matrices are integrated segment by segment. A linear flow is
 integrated by batched propagators: A(t) is evaluated on the whole stage
 grid by one array call per segment, each step's RK4 propagator is built by
 stacked matmul, and the propagators are multiplied in long double:
-pairwise within each block of steps, and the blocks in step order.
+pairwise within each block of steps, and the blocks in step order. One
+function, ``_transitions``, lays out and multiplies the steps of a grid.
 Determinants are cross-checked against the exponential of the
-integrated trace. A nonlinear run is one loop generated per system
-(``exprlang.compile_stepper``): explicit RK4 steps by the step-count rule
-here, or, by default, Dormand-Prince 5(4) steps controlled to RTOL and
-ATOL.
+integrated trace. A nonlinear run is the one run function compiled per
+system (``exprlang.compile_stepper``), whose step picks its loop: explicit
+RK4 steps by the step-count rule here, or, without a step,
+Dormand-Prince 5(4) steps controlled to RTOL and ATOL.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     OutOfInterval,
     TrivialSolution,
 )
-from .signvar import _check_finite, v_counts
+from .signvar import _check_finite, _checked_count, v_counts
 
 DET_REL_TOL = 1e-6
 COMPOUND_REL_TOL = 1e-5
@@ -64,6 +65,19 @@ def _checked_grid(grid, interval=None):
     return grid
 
 
+def _checked_horizon(horizon, interval=None):
+    """The end of a run from t = 0 as a float: a finite number >= 0 with,
+    given an interval, [0, horizon] within it up to segment_index's 1e-12.
+    A complex or non-numeric value raises InvalidArgument (``_real_array``),
+    anything else OutOfInterval, naming the horizon with the value given."""
+    value = _real_array(horizon, "horizon")
+    a, b = interval or (0.0, math.inf)
+    if not (value.ndim == 0 and math.isfinite(value) and a - 1e-12 <= 0.0 <= value <= b + 1e-12):
+        where = f" within [{a}, {b}]" if interval else ""
+        raise OutOfInterval(f"horizon must be a finite time >= 0{where}, got {horizon!r}")
+    return float(value)
+
+
 def _grid(a, b, points, endpoint=True):
     """points samples from a to b (``np.linspace``); a count too large to
     allocate raises InvalidArgument."""
@@ -71,13 +85,6 @@ def _grid(a, b, points, endpoint=True):
         return np.linspace(a, b, points, endpoint=endpoint)
     except MemoryError:
         raise InvalidArgument(f"a grid of {points} samples cannot be allocated") from None
-
-
-def _checked_count(count, name, least=0):
-    """The one count rule: an integer >= least, else InvalidArgument."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
-        raise InvalidArgument(f"{name} must be an integer >= {least}, got {count!r}")
-    return count
 
 
 def _checked_positive(value, name):
@@ -106,17 +113,16 @@ def _step_count(length, step):
 
 def _checked_step(step, a, b):
     """The one step rule: 1e-3 of the span [a, b] when step is None, else the
-    given step, checked by the step-count rule even where no span needs it.
-    A default that underflows to 0 on a nonempty span raises
-    InvalidArgument. Linear flows take it; a nonlinear run takes an explicit
-    step alone, and is error-controlled without one."""
+    given step, a positive finite number (``_checked_positive``) even where
+    no span needs it. A default that underflows to 0 on a nonempty span
+    raises InvalidArgument. Linear flows take it; a nonlinear run takes an
+    explicit step alone, and is error-controlled without one."""
     if step is None:
         step = 1e-3 * (b - a)
         if b > a and not step > 0:
             raise InvalidArgument(f"the default step, 1e-3 x the span {b - a}, underflows to 0; pass a step")
         return step
-    _step_count(0.0, step)
-    return step
+    return _checked_positive(step, "step")
 
 
 def _rk4_span(run):
@@ -172,114 +178,97 @@ def _checked_times(t):
     return times if times.ndim else t
 
 
-class _Spans:
-    """The RK4 steps between consecutive grid points, as spans of equal steps.
+@np.errstate(over="ignore", invalid="ignore")  # the callers raise on a non-finite result
+def _transitions(sys, grid, step, p=None):
+    """Each interval's transition matrix, over a grid of at least two
+    points, for the flow with coefficients C = A, or the p-th additive
+    compound of A given p, and the integral of tr C over each interval by
+    Simpson's rule over the same values of C, which is RK4 on the trace.
 
-    Each grid interval is cut at the interior segment boundaries that lie
-    more than 1e-14 inside it into spans, each tagged by the segment that
-    holds its midpoint (``segment_index``), and each span into _step_count
-    equal steps. A span of N steps of size h from lo has the 2N + 1 stage
-    times lo + k h / 2, k = 0..2N: the even ones start and end steps, the
-    odd ones are the midpoints that RK4's two middle stages share. Per
-    span: ``lo``, ``h``, ``count`` (of steps), ``segment`` and
-    ``interval`` (of the grid), spans in time order. Nothing here grows
-    with the number of steps; ``products`` lays the steps out a block at a
-    time.
-    """
+    Each grid interval is cut into spans at the interior segment boundaries
+    more than 1e-14 inside it, each span tagged by the segment that holds
+    its midpoint (one ``TimeVaryingSystem._segments_at`` search for all of
+    them) and cut into _step_count equal steps. A span of N steps of size h
+    from lo has the 2N + 1 stage times lo + k h / 2, k = 0..2N: the even
+    ones start and end steps, the odd ones are the midpoints that RK4's two
+    middle stages share.
 
-    def __init__(self, sys, grid, step):
-        grid = np.asarray(grid, dtype=float)
-        lo, hi = grid[:-1, None], grid[1:, None]
-        bounds = np.array([seg.t_end for seg in sys.segments[:-1]])
-        inside = (lo + 1e-14 < bounds) & (bounds < hi - 1e-14)
-        cuts = np.concatenate([lo, np.where(inside, bounds, np.nan), hi], axis=1)
-        kept = ~np.isnan(cuts)
-        cuts, row = cuts[kept], np.nonzero(kept)[0]
-        pair = (row[:-1] == row[1:]) & (cuts[1:] > cuts[:-1])
-        self.lo, hi, self.interval = cuts[:-1][pair], cuts[1:][pair], row[:-1][pair]
-        mids = (0.5 * (self.lo + hi)).tolist()
-        self.segment = np.array([sys.segment_index(t) for t in mids], dtype=int)
-        lengths = (hi - self.lo).tolist()
-        self.count = np.array([_step_count(x, step) for x in lengths], dtype=int)
-        self.h = (hi - self.lo) / self.count
-        self.intervals = len(grid) - 1
+    Each step's propagator is P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), and an
+    interval's transition matrix is the product of its steps' P, later
+    steps on the left. The intervals are multiplied side by side, in blocks
+    of about CHUNK_STEPS steps, so memory is bounded by the block: per
+    block, C is evaluated at the block's stage times, the increments P - I
+    are built as stacks, and those of intervals with fewer steps are padded
+    with zeros, which are exact identity factors. Within a block the
+    factors are multiplied pairwise, in increment form: I + A, then I + B,
+    make I + (A + B + B A), and an odd count is padded with one zero
+    increment. So a block of w steps takes ceil(log2 w) stacked products,
+    and its rounding error grows with log2 w rather than w (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    section 4.2). Each block's product then multiplies the product of the
+    blocks before it, in step order.
 
-    @np.errstate(over="ignore", invalid="ignore")  # the callers raise on a non-finite result
-    def products(self, sys, p=None):
-        """Each grid interval's transition matrix for the flow with
-        coefficients C = A, or the p-th additive compound of A given p, and
-        the integral of tr C over each interval by Simpson's rule over the
-        same values of C, which is RK4 on the trace.
-
-        Each step's propagator is P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), and
-        an interval's transition matrix is the product of its steps' P,
-        later steps on the left. The intervals are multiplied side by side,
-        in blocks of about CHUNK_STEPS steps: per block, C is evaluated at
-        the block's stage times (a step's start is the step before's end,
-        so a span of N steps takes 2N + 1 evaluations), the increments
-        P - I are built as stacks, and those of intervals with fewer steps
-        are padded with zeros, which are exact identity factors. So memory
-        is bounded by the block, whatever the number of steps.
-
-        Within a block the factors are multiplied pairwise, in increment
-        form: consecutive factors I + A, then I + B, make I + (A + B + B A),
-        and an odd count is padded with one zero increment. So a block of w
-        steps takes ceil(log2 w) stacked products rather than w in a row,
-        and its rounding error grows with log2 w rather than w (Higham,
-        Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
-        section 4.2). Each block's product then multiplies the product of
-        the blocks before it, in step order.
-
-        The increments and the products are long double, and each
-        interval's product is rounded to double once. Products in double
-        came out 2-13 ulps from an RK4 loop in long double, and the
-        determinant of an ill-conditioned Phi, which the Liouville check
-        reads, moves by 1e-6 to 1e-4 per ulp of its entries: enough to flip
-        that check either way. Where long double is double, this is
-        double."""
-        m = sys.n if p is None else math.comb(sys.n, p)
-        lanes = self.intervals
-        total = np.zeros(lanes, dtype=int)
-        np.add.at(total, self.interval, self.count)
-        offset = np.cumsum(total) - total  # each interval's first step
-        span_first = np.cumsum(self.count) - self.count  # each span's first step
-        width = max(1, CHUNK_STEPS // max(1, lanes))
-        phi = np.tile(np.eye(m, dtype=np.longdouble), (lanes, 1, 1))
-        integral = np.zeros(lanes)
-        end = np.empty((lanes, m, m))  # C at the end of each interval's last step so far
-        most = total.max(initial=0)
-        for k0 in range(0, most, width):
-            pos = k0 + np.arange(min(width, most - k0))
-            real = pos < total[:, None]
-            lane, col = np.nonzero(real)  # interval by interval, steps in order
-            span = np.searchsorted(span_first, offset[lane] + pos[col], side="right") - 1
-            j = offset[lane] + pos[col] - span_first[span]
-            # stage points 2j, 2j + 1, 2j + 2 of each step's span; a start
-            # is evaluated only for a span's first step
-            k = 2 * j[:, None] + np.arange(3)
-            fresh = np.ones(k.shape, dtype=bool)
-            fresh[:, 0] = j == 0
-            at = np.broadcast_to(span[:, None], k.shape)[fresh]
-            C = np.empty(k.shape + (m, m))
-            C[fresh] = _coefficients(sys, k[fresh] * (self.h[at] / 2) + self.lo[at], self.segment[at], p)
-            within = np.flatnonzero((j > 0) & (col > 0))
-            C[within, 0] = C[within - 1, 2]
-            carried = (j > 0) & (col == 0)
-            C[carried, 0] = end[lane[carried]]
-            last = np.flatnonzero(np.diff(lane, append=lanes))
-            end[lane[last]] = C[last, 2]
-            h = self.h[span]
-            D = np.zeros(real.shape + (m, m), dtype=np.longdouble)
-            D[real] = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None])
-            while D.shape[1] > 1:  # (I + B)(I + A) = I + (A + B + B A), pairwise
-                if D.shape[1] % 2:
-                    D = np.concatenate([D, np.zeros_like(D[:, :1])], axis=1)
-                A, B = D[:, 0::2], D[:, 1::2]
-                D = A + B + B @ A
-            phi = phi + D[:, 0] @ phi
-            tr = C.trace(axis1=2, axis2=3)
-            integral += np.bincount(lane, (h / 6) * (tr[:, 0] + 4 * tr[:, 1] + tr[:, 2]), lanes)
-        return phi.astype(float), integral
+    The increments and the products are long double, and each interval's
+    product is rounded to double once: products in double came out 2-13
+    ulps from an RK4 loop in long double, and the determinant of an
+    ill-conditioned Phi, which the Liouville check reads, moves by 1e-6 to
+    1e-4 per ulp of its entries. Where long double is double, this is
+    double."""
+    grid = np.asarray(grid, dtype=float)
+    lo, hi = grid[:-1, None], grid[1:, None]
+    bounds = sys._ends
+    inside = (lo + 1e-14 < bounds) & (bounds < hi - 1e-14)
+    cuts = np.concatenate([lo, np.where(inside, bounds, np.nan), hi], axis=1)
+    kept = ~np.isnan(cuts)
+    cuts, row = cuts[kept], np.nonzero(kept)[0]
+    pair = (row[:-1] == row[1:]) & (cuts[1:] > cuts[:-1])
+    starts, ends, interval = cuts[:-1][pair], cuts[1:][pair], row[:-1][pair]
+    segment = sys._segments_at(0.5 * (starts + ends))
+    count = np.array([_step_count(x, step) for x in (ends - starts).tolist()], dtype=int)
+    span_h = (ends - starts) / count
+    m = sys.n if p is None else math.comb(sys.n, p)
+    lanes = len(grid) - 1
+    total = np.zeros(lanes, dtype=int)
+    np.add.at(total, interval, count)
+    offset = np.cumsum(total) - total  # each interval's first step
+    span_first = np.cumsum(count) - count  # each span's first step
+    width = max(1, CHUNK_STEPS // lanes)
+    phi = np.tile(np.eye(m, dtype=np.longdouble), (lanes, 1, 1))
+    integral = np.zeros(lanes)
+    end = np.empty((lanes, m, m))  # C at the end of each interval's last step so far
+    most = total.max()
+    for k0 in range(0, most, width):
+        pos = k0 + np.arange(min(width, most - k0))
+        real = pos < total[:, None]
+        lane, col = np.nonzero(real)  # interval by interval, steps in order
+        span = np.searchsorted(span_first, offset[lane] + pos[col], side="right") - 1
+        j = offset[lane] + pos[col] - span_first[span]
+        # stage points 2j, 2j + 1, 2j + 2 of each step's span; a start
+        # is evaluated only for a span's first step
+        k = 2 * j[:, None] + np.arange(3)
+        fresh = np.ones(k.shape, dtype=bool)
+        fresh[:, 0] = j == 0
+        at = np.broadcast_to(span[:, None], k.shape)[fresh]
+        C = np.empty(k.shape + (m, m))
+        C[fresh] = _coefficients(sys, k[fresh] * (span_h[at] / 2) + starts[at], segment[at], p)
+        within = np.flatnonzero((j > 0) & (col > 0))
+        C[within, 0] = C[within - 1, 2]
+        carried = (j > 0) & (col == 0)
+        C[carried, 0] = end[lane[carried]]
+        last = np.flatnonzero(np.diff(lane, append=lanes))
+        end[lane[last]] = C[last, 2]
+        h = span_h[span]
+        D = np.zeros(real.shape + (m, m), dtype=np.longdouble)
+        D[real] = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None])
+        while D.shape[1] > 1:  # (I + B)(I + A) = I + (A + B + B A), pairwise
+            if D.shape[1] % 2:
+                D = np.concatenate([D, np.zeros_like(D[:, :1])], axis=1)
+            A, B = D[:, 0::2], D[:, 1::2]
+            D = A + B + B @ A
+        phi = phi + D[:, 0] @ phi
+        tr = C.trace(axis1=2, axis2=3)
+        integral += np.bincount(lane, (h / 6) * (tr[:, 0] + 4 * tr[:, 1] + tr[:, 2]), lanes)
+    return phi.astype(float), integral
 
 
 def _coefficients(sys, times, segment, p):
@@ -323,11 +312,11 @@ class TransitionRecord:
 def transition_matrix(sys, t0, t, step=None):
     """Transition matrix Phi(t, t0) of z' = A(s) z by fixed-step RK4.
 
-    The steps follow the one step-count rule per segment span (_Spans).
+    The steps follow the one step-count rule per segment span.
     A is evaluated once per stage time, 2N + 1 times for a span of N steps,
     by one array ``matrix_at`` call per segment and block of steps; the
     steps' propagators are built as stacks and multiplied pairwise within
-    each block, and the blocks in step order (``_Spans.products``). det Phi
+    each block, and the blocks in step order (``_transitions``). det Phi
     is compared with exp of the integral of tr A (Abel-Jacobi-Liouville),
     taken by Simpson's rule over the same stage values of tr A, which is
     RK4 on the trace; a relative mismatch beyond 1e-6 marks the record as
@@ -343,7 +332,7 @@ def transition_matrix(sys, t0, t, step=None):
     if not (a <= t0 <= t <= b):  # nan too
         raise OutOfInterval(f"need a <= t0 <= t <= b, got t0={t0}, t={t}")
     step = _checked_step(step, *sys.interval)
-    phi, integral = _Spans(sys, [t0, t], step).products(sys)
+    phi, integral = _transitions(sys, [t0, t], step)
     phi = phi[0]
     if not np.isfinite(phi).all():
         raise IntegrationSuspect(
@@ -440,7 +429,7 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     states = np.empty((len(grid), sys.n))
     states[0] = z = z0
     for g0 in range(0, len(grid) - 1, CHUNK_STEPS):  # bounds the span layout's memory
-        phis, _ = _Spans(sys, grid[g0 : g0 + CHUNK_STEPS + 1], step).products(sys)
+        phis, _ = _transitions(sys, grid[g0 : g0 + CHUNK_STEPS + 1], step)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises below
             for k, phi in enumerate(phis, g0 + 1):
                 states[k] = z = phi.dot(z)
@@ -480,7 +469,7 @@ def compound_transition(sys, p, t0, t, step=None):
         raise OrderOutOfRange(f"order {p} outside 1..{sys.n}")
     step = _checked_step(step, *sys.interval)
     direct = mult_compound(transition_matrix(sys, t0, t, step).phi, p).entries
-    Y = _Spans(sys, [t0, t], step).products(sys, p)[0][0]
+    Y = _transitions(sys, [t0, t], step, p)[0][0]
     denom = max(np.linalg.norm(direct), 1e-300)
     rel = np.linalg.norm(Y - direct) / denom
     if rel > COMPOUND_REL_TOL:

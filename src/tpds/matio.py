@@ -22,9 +22,13 @@ from .errors import SpecFileError
 
 def _parse_entry(tok):
     try:
-        return int(tok)
+        value = int(tok)
     except ValueError:
         pass
+    else:
+        if not -(2**63) <= value < 2**63:
+            raise SpecFileError(f"integer matrix entry {tok!r} is outside int64")
+        return value
     try:
         value = float(tok)
     except ValueError as exc:
@@ -39,9 +43,9 @@ def loads(text):
     if not lines:
         raise SpecFileError("empty matrix file")
     header = lines[0].split()
-    if len(header) != 2:
-        raise SpecFileError(f"expected 'rows cols' header, got {lines[0]!r}")
-    rows, cols = (int(h) for h in header)
+    if len(header) != 2 or not all(h.isdecimal() and int(h) > 0 for h in header):
+        raise SpecFileError(f"expected a 'rows cols' header of two positive integers, got {lines[0]!r}")
+    rows, cols = map(int, header)
     entries = []
     for ln in lines[1:]:
         entries.extend(_parse_entry(tok) for tok in ln.split())

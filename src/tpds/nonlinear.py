@@ -1,10 +1,10 @@
 """Nonlinear simulation, eventual monotonicity, and Poincare-map analysis.
 
-Every run iterates one loop generated for its system
-(``exprlang.compile_stepper``, through ``NonlinearSystem._run``), which
-yields the state at each of its times, the states alone: Dormand-Prince
-5(4) steps controlled to ``integrate.RTOL`` and ``ATOL`` by default, or
-RK4 steps of an explicit step. f and J are then taken as stacks, by calls
+Every run iterates the one run function compiled for its system
+(``exprlang.compile_stepper``, held as ``NonlinearSystem._run``), which
+yields the state at each of its times, the states alone. The step picks
+the loop: Dormand-Prince 5(4) steps controlled to ``integrate.RTOL`` and
+``ATOL`` without one, RK4 steps of an explicit step. f and J are then taken as stacks, by calls
 of ``NonlinearSystem.f`` or ``jac`` on (m,) times and (m, n) states
 (``exprlang.compile_fn``).
 """
@@ -28,16 +28,15 @@ from .errors import (
 from .integrate import (
     CHUNK_STEPS,
     Trajectory,
-    _checked_count,
     _checked_grid,
+    _checked_horizon,
     _checked_positive,
     _checked_state,
-    _checked_step,
     _checked_times,
     _rk4_span,
     _time_array,
 )
-from .signvar import _check_finite
+from .signvar import _check_finite, _checked_count
 from .systems import _first_outside_M_plus
 
 FD_JAC_REL_STEP = 1e-6
@@ -57,7 +56,8 @@ class NonlinearSystem:
     stack of one). t goes through ``integrate._checked_times``, x through
     ``_checked_state``. The input u(t), when given, is evaluated once per
     time. A variable outside t, x1..xn and u (u only with an input) raises
-    UnboundVariable here. The run loops are compiled on first use.
+    UnboundVariable here. ``_run`` is the system's run function
+    (``exprlang.compile_stepper``), whose loops compile on their first run.
     """
 
     n: int
@@ -86,23 +86,7 @@ class NonlinearSystem:
             else None
         )
         self._jacobians = self._jac or functools.partial(_central_differences, self._f)
-
-    @functools.cached_property
-    def _rk4_loop(self):
-        return exprlang.compile_stepper(self.rhs, self.n, self.input, self.domain_box)
-
-    @functools.cached_property
-    def _dp5_loop(self):
-        return exprlang.compile_stepper(self.rhs, self.n, self.input, self.domain_box, adaptive=True)
-
-    def _run(self, x0, times, step, tally):
-        """The run loop from x0 over the times: RK4 steps of an explicit
-        step, else Dormand-Prince steps under error control. Each loop is
-        compiled on its first use; the tally gets the accepted and rejected
-        steps."""
-        if step is None:
-            return self._dp5_loop(x0, times, tally)
-        return self._rk4_loop(x0, times, step, tally)
+        self._run = exprlang.compile_stepper(self.rhs, self.n, self.input, self.domain_box)
 
     @property
     def uses_finite_difference_jacobian(self):
@@ -151,9 +135,9 @@ class NonlinearRun:
 
 
 def _checked_run_step(step):
-    """None, for an error-controlled run, or an explicit RK4 step checked by
-    the step rule."""
-    return None if step is None else _checked_step(step, 0.0, 0.0)
+    """None, for an error-controlled run, or an explicit RK4 step, a
+    positive finite number."""
+    return None if step is None else _checked_positive(step, "step")
 
 
 def simulate_nonlinear(sys, x0, grid, step=None):
@@ -226,8 +210,9 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
     M+ on a (t, r) sample grid; otherwise the underlying theory does not
     apply and AssumptionViolated is raised. Equal starts raise
     TrivialSolution: their difference is zero throughout. The starts are
-    checked as simulate_nonlinear's x0 is, the horizon as the end of a grid
-    from 0, and samples must be an integer >= 1 (InvalidArgument).
+    checked as simulate_nonlinear's x0 is, the horizon by
+    ``integrate._checked_horizon``, and samples must be an integer >= 1
+    (InvalidArgument).
 
     The two runs integrate the states alone, on the run loop of
     simulate_nonlinear. At every (samples // 25)-th sample the check takes J
@@ -241,8 +226,7 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
     b0 = _checked_state(b0, sys.n, "b0")
     if np.array_equal(a0, b0):
         raise TrivialSolution("initial conditions must differ")
-    _checked_grid([0.0, horizon])  # a finite horizon >= 0
-    grid = np.linspace(0.0, horizon, _checked_count(samples, "samples", least=1))
+    grid = np.linspace(0.0, _checked_horizon(horizon), _checked_count(samples, "samples", least=1))
     step = _checked_run_step(step)
     xa = np.array(list(sys._run(a0, grid, step, [0, 0])))
     _check_finite(xa)  # as a Trajectory of the states does

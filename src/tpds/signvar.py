@@ -20,7 +20,11 @@ def _sign_rows(Y, zero_tol=None):
     """-1/0/+1 signs of a float array of any leading shape, and which rows
     are finite. A row with a nan or inf entry gets all-zero signs; the
     caller decides whether and when it raises."""
-    if zero_tol is not None and not zero_tol >= 0:
+    try:
+        bad = zero_tol is not None and not zero_tol >= 0
+    except (TypeError, ValueError):  # a string, or an array of tolerances
+        bad = True
+    if bad:
         raise InvalidArgument("zero_tol must be nonnegative")
     tol = DEFAULT_FLOAT_TOL if zero_tol is None else zero_tol
     Y = np.asarray(Y, dtype=float)
@@ -38,6 +42,13 @@ def _check_finite(Y, name="vector"):
     if not finite.all():
         row = Y.reshape(-1, Y.shape[-1])[np.argmin(finite.ravel())]
         raise NonFiniteInput(f"{name} {row.tolist()} has a non-finite entry")
+
+
+def _checked_count(count, name, least=0):
+    """The one count rule: an integer >= least, else InvalidArgument."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
+        raise InvalidArgument(f"{name} must be an integer >= {least}, got {count!r}")
+    return count
 
 
 def signs(y, zero_tol=None):

@@ -20,7 +20,8 @@ from .errors import (
     OutOfInterval,
     SpecFileError,
 )
-from .integrate import _checked_count, _checked_times, _grid, _time_array
+from .integrate import _checked_times, _grid, _time_array
+from .signvar import _checked_count
 from .totalpos import _as_matrix
 
 PERIOD_CHECK_TOL = 1e-10
@@ -128,6 +129,7 @@ class TimeVaryingSystem:
             if len(seg.entries) != self.n or any(len(r) != self.n for r in seg.entries):
                 raise SpecFileError("segment entries have wrong dimension")
         self.segments = segs
+        self._ends = np.array([seg.t_end for seg in segs[:-1]])  # the boundaries inside (a, b)
         if self.period is not None:
             self._check_period()
 
@@ -146,18 +148,20 @@ class TimeVaryingSystem:
                 raise SpecFileError(f"A(t) != A(t+T) at t={t}")
 
     def segment_index(self, t):
-        """The index of the segment that holds one time t, checked by
-        ``integrate._time_array`` (an array of times raises
-        DimensionMismatch); a nan or infinite t is outside the interval."""
+        """The index of the segment that holds one time t (``_segments_at``).
+        t is checked by ``integrate._time_array`` (an array of times raises
+        DimensionMismatch) and must lie within 1e-12 of [a, b], nan and inf
+        outside, else OutOfInterval."""
         a, b = self.interval
-        if not isinstance(t, float):  # a Python or numpy float is one real time
-            t = float(_time_array(t, stack=False))
+        t = float(_time_array(t, stack=False))
         if not a - 1e-12 <= t <= b + 1e-12:  # nan too
             raise OutOfInterval(f"t={t} outside ({a}, {b})")
-        for k, seg in enumerate(self.segments):
-            if seg.t_start - 1e-12 <= t < seg.t_end:
-                return k
-        return len(self.segments) - 1
+        return int(self._segments_at(t))
+
+    def _segments_at(self, times):
+        """The one segment rule, one search over the segment ends: a time
+        belongs to the first segment that ends after it, else to the last."""
+        return self._ends.searchsorted(times, side="right")
 
     def matrix_at(self, t):
         return self.segments[self.segment_index(t)].matrix_at(t)

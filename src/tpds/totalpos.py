@@ -22,7 +22,7 @@ from .errors import (
     SpectralViolation,
     ZeroVector,
 )
-from .signvar import _check_finite, _sign_rows, sign_counts, signs
+from .signvar import _check_finite, _checked_count, _sign_rows, sign_counts, signs
 
 EXHAUSTIVE_LIMIT = 10
 MINOR_REL_TOL = 1e-10
@@ -497,9 +497,10 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     For U in R^{n x m} (m < n, full column rank) checks (a) whether all
     order-m minors are nonzero with one sign and (b) whether s+(Uc) <= m-1
     for `trials` random nonzero coefficient vectors, drawn as one
-    (trials, m) array and counted at once.
+    (trials, m) array and counted at once; trials must be an integer >= 1.
     """
     U = _as_matrix(U, "column_set_equivalence", square=False)
+    _checked_count(trials, "trials", least=1)
     n, m = U.shape
     if not 1 <= m < n:
         raise DimensionMismatch("need at least one column and strictly fewer columns than rows")
@@ -509,7 +510,7 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     same_sign = bool(np.all(np.abs(d) > thr) and (np.all(d > 0) or np.all(d < 0)))
     rng = np.random.default_rng(rng)
 
-    C = rng.standard_normal((max(trials, 0), m))
+    C = rng.standard_normal((trials, m))
     zero = ~C.any(axis=1)
     while zero.any():  # every coefficient vector must be nonzero
         C[zero] = rng.standard_normal((int(zero.sum()), m))
@@ -527,9 +528,10 @@ def strong_svdp_holds(A, rng=None, vectors_per_pattern=20, zero_tol=None):
     Enumerates every nonzero sign pattern in {-1,0,+1}^n and draws random
     magnitudes for the nonzero slots, pattern by pattern, SVDP_CHUNK
     vectors per batch. Returns False after the first batch that holds a
-    violating vector.
+    violating vector. vectors_per_pattern must be an integer >= 1.
     """
     A = _as_matrix(A, "strong_svdp_holds", square=False)
+    _checked_count(vectors_per_pattern, "vectors_per_pattern", least=1)
     n = A.shape[1]
     rng = np.random.default_rng(rng)
     patterns = np.stack(

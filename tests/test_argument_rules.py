@@ -209,7 +209,7 @@ def test_a_complex_or_non_numeric_state_is_an_invalid_argument(x):
         (lambda: tpds.compound_transition(COSH2, 1, 0.0, 1j), "t must hold real numbers, got 1j"),
         (
             lambda: tpds.eventual_monotonicity(DEMO, OK_X, [0.2, 0.2, 0.3], horizon="abc"),
-            "grid must hold real numbers, got [0.0, 'abc']",
+            "horizon must hold real numbers, got 'abc'",
         ),
     ],
 )
@@ -307,6 +307,65 @@ def test_zero_samples_raise_invalid_argument():
     assert str(err.value) == "samples must be an integer >= 1, got 0"
     # one sample, at t = 0, is the least grid
     assert tpds.eventual_monotonicity(DEMO, OK_X, [0.05, 0.2, 0.3], 1.0, samples=1) == (0.0, 1)
+
+
+SINUSOIDAL2 = tpds.shipped("sinusoidal2").system
+
+
+@pytest.mark.parametrize(
+    "horizon, error, message",
+    [
+        ("abc", InvalidArgument, "horizon must hold real numbers, got 'abc'"),
+        (-1, OutOfInterval, "horizon must be a finite time >= 0, got -1"),
+        (NAN, OutOfInterval, "horizon must be a finite time >= 0, got nan"),
+        (INF, OutOfInterval, "horizon must be a finite time >= 0, got inf"),
+        ([1.0, 2.0], OutOfInterval, "horizon must be a finite time >= 0, got [1.0, 2.0]"),
+    ],
+)
+def test_the_horizon_is_named_with_the_value_given(horizon, error, message):
+    # these named a grid [0.0, horizon] that the caller never passed
+    with pytest.raises(error) as err:
+        tpds.eventual_monotonicity(DEMO, OK_X, [0.2, 0.2, 0.3], horizon=horizon)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("horizon", [-1, NAN, 1e9])
+def test_the_floquet_horizon_is_named_with_the_value_given(horizon):
+    fd = tpds.floquet(SINUSOIDAL2, step=0.05)
+    with pytest.raises(OutOfInterval) as err:
+        tpds.floquet_mode_evolution(SINUSOIDAL2, fd, {1: 1.0}, horizon=horizon)
+    b = SINUSOIDAL2.interval[1]
+    assert str(err.value) == f"horizon must be a finite time >= 0 within [0.0, {b}], got {horizon!r}"
+    with pytest.raises(InvalidArgument, match=r"^horizon must hold real numbers, got 'abc'$"):
+        tpds.floquet_mode_evolution(SINUSOIDAL2, fd, {1: 1.0}, horizon="abc")
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, True])
+def test_a_sampled_check_draws_at_least_one_vector(count):
+    # 0 and -1 answered True from no vector at all, 2.5 leaked a bare
+    # TypeError; B = [[1, -1], [1, 1]] fails the strong bound
+    B = np.array([[1.0, -1.0], [1.0, 1.0]])
+    with pytest.raises(InvalidArgument) as err:
+        tpds.strong_svdp_holds(B, rng=0, vectors_per_pattern=count)
+    assert str(err.value) == f"vectors_per_pattern must be an integer >= 1, got {count!r}"
+    assert tpds.strong_svdp_holds(B, rng=0) is False
+    U = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(InvalidArgument) as err:
+        tpds.column_set_equivalence(U, trials=count, rng=0)
+    assert str(err.value) == f"trials must be an integer >= 1, got {count!r}"
+    assert tpds.column_set_equivalence(U, trials=1, rng=0) == (True, True)
+
+
+@pytest.mark.parametrize("zero_tol", ["a", -1.0, NAN, np.array([0.1, 0.2])])
+def test_a_zero_tolerance_that_is_not_a_nonnegative_number_is_an_invalid_argument(zero_tol):
+    # "a" leaked a bare TypeError ("'>=' not supported"), an array a bare
+    # ValueError ("truth value ... is ambiguous")
+    for call in (
+        lambda: tpds.signs([1.0, -2.0], zero_tol=zero_tol),
+        lambda: tpds.svdp_check(np.eye(2), [1.0, -2.0], zero_tol=zero_tol),
+    ):
+        with pytest.raises(InvalidArgument, match=r"^zero_tol must be nonnegative$"):
+            call()
 
 
 def test_a_bad_step_raises_even_where_no_span_needs_one():

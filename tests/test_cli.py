@@ -45,6 +45,15 @@ def test_check_malformed_file_exits_2(tmp_path, capsys):
     assert cli.main(["check", str(tmp_path / "missing.mat")]) == 2
 
 
+@pytest.mark.parametrize("text", ["2.5 2\n1 2 3 4\n", "2 2\n1 99999999999999999999\n3 4\n"])
+def test_check_bad_header_or_int64_overflow_exits_2(tmp_path, capsys, text):
+    # a bare ValueError or OverflowError: a traceback and exit 1
+    bad = tmp_path / "bad.mat"
+    bad.write_text(text)
+    assert cli.main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_compound_additive(osc_file, capsys):
     assert cli.main(["compound", osc_file, "2", "--additive"]) == 0
     out = capsys.readouterr().out

@@ -39,11 +39,31 @@ def test_entries_may_span_lines():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "2\n1 2", "2 2\n1 2 3", "2 2\n1 2 3 4 5", "2 2\n1 2 3 x"],
+    [
+        "",
+        "2\n1 2",
+        "2 2\n1 2 3",
+        "2 2\n1 2 3 4 5",
+        "2 2\n1 2 3 x",
+        # a bare ValueError from the header, an OverflowError from int64
+        "a b\n1 2",
+        "2.5 2\n1 2 3 4",
+        "-2 -3\n1 2 3 4 5 6",
+        "0 2\n",
+        "2 2\n1 99999999999999999999\n3 4",
+        "1 1\n-9223372036854775809",
+    ],
 )
 def test_malformed_files(bad):
     with pytest.raises(SpecFileError):
         matio.loads(bad)
+
+
+def test_the_int64_range_is_kept_exact():
+    A = matio.loads("1 2\n-9223372036854775808 9223372036854775807")
+    assert A.dtype == np.int64 and A.tolist() == [[-(2**63), 2**63 - 1]]
+    with pytest.raises(SpecFileError, match=r"^integer matrix entry '9223372036854775808' is outside int64$"):
+        matio.loads("1 1\n9223372036854775808")
 
 
 def test_file_round_trip(tmp_path):

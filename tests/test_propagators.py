@@ -39,7 +39,7 @@ from tpds import (
     transition_matrix,
 )
 from tpds.errors import DomainError, IntegrationSuspect, InvalidArgument
-from tpds.integrate import CHUNK_STEPS, _checked_step, _Spans
+from tpds.integrate import CHUNK_STEPS, _checked_step, _step_count, _transitions
 
 LONG_DOUBLE_IS_DOUBLE = np.finfo(np.longdouble).eps == np.finfo(float).eps
 
@@ -116,9 +116,8 @@ def test_intervals_side_by_side_with_uneven_step_counts():
     step = 2 * np.pi / 1000
     counts = np.random.default_rng(8).permutation([1, 2, 3, 5, 17, 61] * 6 + [2])
     grid = np.concatenate([[0.0], np.cumsum(counts) * step])
-    spans = _Spans(sys, grid, step)
-    assert spans.count.tolist() == counts.tolist()
-    phis, _ = spans.products(sys)
+    assert [_step_count(hi - lo, step) for lo, hi in zip(grid, grid[1:])] == counts.tolist()
+    phis, _ = _transitions(sys, grid, step)
     for phi, lo, hi in zip(phis, grid, grid[1:]):
         assert close_phi(phi, ref.transition(sys, lo, hi, step))
         assert within_an_ulp_of_the_largest_entry(phi, ref.transition_long_double(sys, lo, hi, step).astype(float))

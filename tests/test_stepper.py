@@ -1,7 +1,8 @@
 """The generated run loops against their references.
 
-``NonlinearSystem._run`` iterates the loop that ``exprlang.compile_stepper``
-generates for the system. With an explicit step it must give the floats of
+``NonlinearSystem._run`` is the run function that
+``exprlang.compile_stepper`` returns for the system, whose step picks the
+loop it runs. With an explicit step it must give the floats of
 the generic RK4 stepper ``rk4_steps`` over ``exprlang.compile_fn`` (the rhs
 that ``sys.f`` runs after checking t and x) bit for bit, span by span
 (``integrate_reference.rk4_span``); without one, those of the plain-Python
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import nonlinear_reference as ref
 from integrate_reference import naming_the_step, rk4_span, rk4_steps
-from tpds import NonlinearSystem, cli, exprlang, poincare_analysis, shipped, simulate_nonlinear
+from tpds import NonlinearSystem, cli, exprlang, poincare_analysis, shipped, simulate_nonlinear, specfile
 from tpds.errors import DomainError, IntegrationSuspect, LeftDomain, TpdsError
 from tpds.exprlang import BinOp, Call, Neg, Num, Var, parse
 
@@ -148,16 +149,28 @@ def test_a_loop_rejects_a_state_of_the_wrong_length():
 
 
 def test_each_loop_is_compiled_on_first_use(monkeypatch):
+    # the loops compiled, by mode: "RK4" or "DP5" from the step named in
+    # their DomainError messages
     compiled = []
-    compile_stepper = exprlang.compile_stepper
-    monkeypatch.setattr(exprlang, "compile_stepper", lambda *args, **kw: compiled.append(kw) or compile_stepper(*args, **kw))
+    define = exprlang._define
+
+    def counting(signature, *args, **kw):
+        if signature.startswith("advance("):
+            compiled.append(kw["at"].split()[2])
+        return define(signature, *args, **kw)
+
+    monkeypatch.setattr(exprlang, "_define", counting)
+    specfile.loads(specfile.dumps(shipped("entrain_demo")))
     sys = system(["-x1"], period=1.0)
     assert not compiled
     poincare_analysis(sys, [0.5])
     poincare_analysis(sys, [0.5])
-    assert compiled == [{"adaptive": True}]
+    assert compiled == ["DP5"]
     simulate_nonlinear(sys, [0.5], [0.0, 1.0], step=0.1)
-    assert compiled == [{"adaptive": True}, {}]
+    simulate_nonlinear(sys, [0.5], [0.0, 1.0], step=0.2)
+    assert compiled == ["DP5", "RK4"]
+    simulate_nonlinear(sys, [0.5], [0.0, 1.0])
+    assert compiled == ["DP5", "RK4"]
 
 
 def test_the_adaptive_loop_lands_on_every_time_and_carries_its_step_size():

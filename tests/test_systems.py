@@ -88,6 +88,21 @@ def test_switched_segments():
     assert B[0, 0] == 0.0
 
 
+def test_a_time_just_before_a_late_first_segment_belongs_to_it():
+    # the first segment starts 1e-12 after a, within the tiling slack; a
+    # per-segment scan gave the last segment to -0.5e-12, before it
+    sys = TimeVaryingSystem(
+        2,
+        (0.0, 1.0),
+        [Segment(1e-12, 0.5, [[0.0, 1.0], [1.0, 0.0]]), Segment(0.5, 1.0, [[0.0, 2.0], [2.0, 0.0]])],
+    )
+    assert sys.segment_index(-0.5e-12) == 0
+    assert sys.matrix_at(-0.5e-12)[0, 1] == 1.0
+    assert [sys.segment_index(t) for t in (0.0, 0.25, 0.5, 1.0)] == [0, 0, 1, 1]
+    with pytest.raises(OutOfInterval):
+        sys.segment_index(-2e-12)
+
+
 def test_classify_constant_verdicts():
     rng = np.random.default_rng(0)
     A = random_tridiagonal_cooperative(4, rng)
