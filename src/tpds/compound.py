@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, OrderOutOfRange
+from .signvar import _real_array
 from .totalpos import _as_matrix, _minors
 
 
@@ -78,9 +79,10 @@ def add_compound(A, p):
     signed entry (-1)^(l+m) a_{i_l j_m} when the tuples differ in exactly
     one index, and zero otherwise. Each trace is summed left to right from
     0, as Python's ``sum`` does. A (..., n, n) stack of matrices gives the
-    stack of their compounds as ``entries``.
+    stack of their compounds as ``entries``. A complex or text entry raises
+    InvalidArgument (``signvar._real_array``).
     """
-    A = np.asarray(A, dtype=float)
+    A = _real_array(A, "add_compound: the matrix")
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch("compound requires a square matrix or a stack of them")
     n = A.shape[-1]

@@ -15,6 +15,7 @@ from .errors import (
     SpectralViolation,
 )
 from .integrate import _checked_horizon, simulate_linear, transition_matrix
+from .signvar import _real_array
 from .totalpos import _ordered_spectrum
 
 SAMPLES_PER_PERIOD = 200
@@ -55,16 +56,19 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
     nonzero coefficient, the sampled count must stay in [i-1, j-1] (at most
     j-i exceptional clusters) and settle at i-1 over the last 10% of the
     horizon, which ``integrate._checked_horizon`` checks against the interval.
+    A complex or text coefficient raises InvalidArgument
+    (``signvar._real_array``).
     """
     n = fd.monodromy.shape[0]
     if isinstance(coeffs, dict):
         if not set(coeffs) <= set(range(1, n + 1)):
             raise DimensionMismatch(f"mode numbers must lie in 1..{n}, got {list(coeffs)}")
         coeffs = [coeffs.get(k, 0.0) for k in range(1, n + 1)]
-    if np.ndim(coeffs) != 1 or len(coeffs) > n:
+    values = _real_array(coeffs, "coeffs")
+    if values.ndim != 1 or len(values) > n:
         raise DimensionMismatch(f"expected at most {n} coefficients, got {coeffs!r}")
     cvec = np.zeros(n)
-    cvec[: len(coeffs)] = coeffs
+    cvec[: len(values)] = values
     nz = np.flatnonzero(cvec)
     if nz.size == 0:
         raise LeadingCoefficientZero("all coefficients are zero")

@@ -34,7 +34,7 @@ from .errors import (
     OutOfInterval,
     TrivialSolution,
 )
-from .signvar import _check_finite, _checked_count, v_counts
+from .signvar import _check_finite, _checked_count, _real_array, v_counts
 
 DET_REL_TOL = 1e-6
 COMPOUND_REL_TOL = 1e-5
@@ -132,18 +132,6 @@ def _rk4_span(run):
     counts the iterates by this name, which it has kept from the fixed RK4
     span it once took."""
     return next(run)
-
-
-def _real_array(value, name):
-    """value as a float array; complex or non-numeric input raises
-    InvalidArgument."""
-    try:
-        array = np.asarray(value)
-        if array.dtype.kind != "c":
-            return array.astype(float, copy=False)
-    except (TypeError, ValueError):
-        pass
-    raise InvalidArgument(f"{name} must hold real numbers, got {value!r}")
 
 
 def _checked_state(x0, n, name, m=None):
@@ -250,7 +238,8 @@ def _transitions(sys, grid, step, p=None):
         fresh[:, 0] = j == 0
         at = np.broadcast_to(span[:, None], k.shape)[fresh]
         C = np.empty(k.shape + (m, m))
-        C[fresh] = _coefficients(sys, k[fresh] * (span_h[at] / 2) + starts[at], segment[at], p)
+        A = sys._matrices(k[fresh] * (span_h[at] / 2) + starts[at], segment[at])
+        C[fresh] = A if p is None else add_compound(A, p).entries
         within = np.flatnonzero((j > 0) & (col > 0))
         C[within, 0] = C[within - 1, 2]
         carried = (j > 0) & (col == 0)
@@ -269,16 +258,6 @@ def _transitions(sys, grid, step, p=None):
         tr = C.trace(axis1=2, axis2=3)
         integral += np.bincount(lane, (h / 6) * (tr[:, 0] + 4 * tr[:, 1] + tr[:, 2]), lanes)
     return phi.astype(float), integral
-
-
-def _coefficients(sys, times, segment, p):
-    """A, or its p-th additive compound given p, at each time: one array
-    ``matrix_at`` call per segment."""
-    A = np.empty((len(times), sys.n, sys.n))
-    for seg in np.unique(segment).tolist():
-        at = segment == seg
-        A[at] = sys.segments[seg].matrix_at(times[at])
-    return A if p is None else add_compound(A, p).entries
 
 
 def _increments(C0, Cm, C1, h):
@@ -371,7 +350,7 @@ class Trajectory:
     exceptional_times: list = field(init=False)
 
     def __post_init__(self):
-        y = np.asarray(self.states, dtype=float)
+        y = _real_array(self.states, "states")
         _check_finite(y)
         mag = np.abs(y)
         tols = TRAJ_ZERO_REL_TOL * np.maximum.accumulate(mag.max(axis=1))

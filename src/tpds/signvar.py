@@ -44,6 +44,21 @@ def _check_finite(Y, name="vector"):
         raise NonFiniteInput(f"{name} {row.tolist()} has a non-finite entry")
 
 
+def _real_array(value, name):
+    """The one real-number rule: value as a float array. Complex, text
+    (str or bytes) or other non-numeric input, an object array holding any
+    of these included, raises InvalidArgument, naming the argument."""
+    try:
+        array = np.asarray(value)
+        not_real = (str, bytes, complex, np.complexfloating)  # also inside an object array
+        held = array.dtype.kind == "O" and any(isinstance(v, not_real) for v in array.flat)
+        if array.dtype.kind not in "cSU" and not held:
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidArgument(f"{name} must hold real numbers, got {value!r}")
+
+
 def _checked_count(count, name, least=0):
     """The one count rule: an integer >= least, else InvalidArgument."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
@@ -56,10 +71,11 @@ def signs(y, zero_tol=None):
 
     The default is a 1e-9 absolute tolerance, which classifies integer
     input exactly. A nan or infinite entry has no sign count and raises
-    NonFiniteInput, anything but a nonempty vector DimensionMismatch and a
-    zero_tol that is negative or nan InvalidArgument.
+    NonFiniteInput, anything but a nonempty vector DimensionMismatch, and
+    a complex or text entry (``_real_array``) or a zero_tol that is
+    negative or nan InvalidArgument.
     """
-    y = np.asarray(y, dtype=float)
+    y = _real_array(y, "vector")
     if y.ndim != 1 or y.size < 1:
         raise DimensionMismatch("expected a nonempty vector")
     s, finite = _sign_rows(y, zero_tol)

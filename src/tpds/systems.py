@@ -20,9 +20,9 @@ from .errors import (
     OutOfInterval,
     SpecFileError,
 )
-from .integrate import _checked_times, _grid, _time_array
+from .integrate import _checked_times, _grid, _time_array, transition_matrix
 from .signvar import _checked_count
-from .totalpos import _as_matrix
+from .totalpos import _as_matrix, minor
 
 PERIOD_CHECK_TOL = 1e-10
 DEFAULT_DELTA_FLOOR = 1e-6  # smallest sampled off-diagonal entry a TPDS verdict accepts
@@ -134,18 +134,24 @@ class TimeVaryingSystem:
             self._check_period()
 
     def _check_period(self):
+        """A(t) == A(t + T) at up to 100 times t, by one ``_matrices`` call at t0, t0 + T, t1,
+        ...: the first failing t raises NonFiniteInput for a nan or inf entry, else SpecFileError."""
         a, b = self.interval
         T = self.period
         if not T > 0:
             raise SpecFileError("period must be positive")
         ts = np.linspace(a, b - T, 100)
         ts = ts[(ts > a) & (ts + T < b)]
-        for t in ts:
-            now, later = self.matrix_at(t), self.matrix_at(t + T)
-            if not (np.isfinite(now).all() and np.isfinite(later).all()):
-                raise NonFiniteInput(f"A(t) or A(t+T) has a non-finite entry at t={t}")
-            if np.max(np.abs(now - later)) > PERIOD_CHECK_TOL:
-                raise SpecFileError(f"A(t) != A(t+T) at t={t}")
+        times = np.column_stack([ts, ts + T]).ravel()
+        pairs = self._matrices(times, self._segments_at(times)).reshape(len(ts), 2, self.n**2)
+        finite = np.isfinite(pairs).all(axis=(1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pair raises first
+            failed = ~finite | (np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1) > PERIOD_CHECK_TOL)
+        if failed.any():
+            k = np.argmax(failed)
+            if not finite[k]:
+                raise NonFiniteInput(f"A(t) or A(t+T) has a non-finite entry at t={float(ts[k])}")
+            raise SpecFileError(f"A(t) != A(t+T) at t={float(ts[k])}")
 
     def segment_index(self, t):
         """The index of the segment that holds one time t (``_segments_at``).
@@ -163,7 +169,17 @@ class TimeVaryingSystem:
         belongs to the first segment that ends after it, else to the last."""
         return self._ends.searchsorted(times, side="right")
 
+    def _matrices(self, times, segment):
+        """A at a 1-d array of times, each tagged by its segment's index: one array
+        ``Segment.matrix_at`` call per segment, in segment order (DomainError's too)."""
+        A = np.empty((len(times), self.n, self.n))
+        for seg in np.flatnonzero(np.bincount(segment)).tolist():  # np.unique imports numpy.ma
+            at = segment == seg
+            A[at] = self.segments[seg].matrix_at(times[at])
+        return A
+
     def matrix_at(self, t):
+        """A at one time t, from the segment that holds it (``segment_index``)."""
         return self.segments[self.segment_index(t)].matrix_at(t)
 
     @classmethod
@@ -223,32 +239,27 @@ def negative_minor_witness(A, i, j):
 
     Indices are 1-based. Returns (t, rows, cols, value) or None. For i > j+1
     the minor sits on rows {k,i}, columns {j,k} with j < k < i; the j > i+1
-    case is the transpose picture. A is checked by ``totalpos._as_matrix``;
-    i, j outside 1..n or with |i - j| <= 1 raise DimensionMismatch.
+    case is the transpose picture. exp(s tau A), s = 1 / max(1, max |a_ij|),
+    is ``transition_matrix`` of the constant sA to each tau in WITNESS_T_GRID.
+    A is checked by ``totalpos._as_matrix``; i, j outside 1..n or with
+    |i - j| <= 1 raise DimensionMismatch.
     """
-    from scipy.linalg import expm  # here, so that `import tpds` loads no scipy
-
     A = _as_matrix(A, "negative_minor_witness")
     n = A.shape[0]
     if not (1 <= i <= n and 1 <= j <= n and abs(i - j) > 1):
         raise DimensionMismatch(f"need 1 <= i, j <= {n} and |i - j| > 1, got i={i}, j={j}")
     t_scale = 1.0 / max(1.0, np.abs(A).max())
     if i > j + 1:
-        ks = range(j + 1, i)
-        pick = lambda k: ((k, i), (j, k))
+        picks = [((k, i), (j, k)) for k in range(j + 1, i)]
     else:
-        ks = range(i + 1, j)
-        pick = lambda k: ((i, k), (k, j))
+        picks = [((i, k), (k, j)) for k in range(i + 1, j)]
+    constant = TimeVaryingSystem.constant(A * t_scale, (0.0, WITNESS_T_GRID[0]))
     for t in WITNESS_T_GRID:
-        U = expm(A * t * t_scale)
-        for k in ks:
-            rows, cols = pick(k)
-            m = (
-                U[rows[0] - 1, cols[0] - 1] * U[rows[1] - 1, cols[1] - 1]
-                - U[rows[0] - 1, cols[1] - 1] * U[rows[1] - 1, cols[0] - 1]
-            )
+        U = transition_matrix(constant, 0.0, t).phi
+        for rows, cols in picks:
+            m = minor(U, rows, cols)
             if m < 0:
-                return (t * t_scale, rows, cols, float(m))
+                return (t * t_scale, rows, cols, m)
     return None
 
 

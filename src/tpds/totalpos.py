@@ -22,7 +22,7 @@ from .errors import (
     SpectralViolation,
     ZeroVector,
 )
-from .signvar import _check_finite, _checked_count, _sign_rows, sign_counts, signs
+from .signvar import _check_finite, _checked_count, _real_array, _sign_rows, sign_counts, signs
 
 EXHAUSTIVE_LIMIT = 10
 MINOR_REL_TOL = 1e-10
@@ -34,9 +34,11 @@ SVDP_CHUNK = 4096  # vectors drawn and counted per batch in strong_svdp_holds
 
 def _as_matrix(A, name, square=True):
     """The one matrix rule: A as a nonempty 2-d float array, square and
-    finite unless told otherwise. Any other shape raises DimensionMismatch,
-    and a nan or infinite entry of a square matrix NonFiniteInput."""
-    A = np.asarray(A, dtype=float)
+    finite unless told otherwise. A complex or text entry raises
+    InvalidArgument (``signvar._real_array``), any other shape
+    DimensionMismatch, and a nan or infinite entry of a square matrix
+    NonFiniteInput."""
+    A = _real_array(A, f"{name}: the matrix")
     if A.ndim != 2 or A.size == 0 or (square and A.shape[0] != A.shape[1]):
         raise DimensionMismatch(f"{name} expects a nonempty {'square ' if square else ''}matrix")
     if square and not np.isfinite(A).all():
@@ -480,7 +482,7 @@ def _first_failure(Y, finite, fails):
 def svdp_check(A, x, zero_tol=None):
     """Evaluate the variation-diminishing inequality s+(Ax) <= s-(x)."""
     A = _as_matrix(A, "svdp_check", square=False)
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, "x")
     if not np.any(x != 0):
         raise ZeroVector("svdp_check requires a nonzero vector")
     if x.ndim != 1 or A.shape[1] != x.shape[0]:

@@ -1,11 +1,12 @@
 """The per-entry loops that decided M / M+ membership before the one stacked
-``tpds.systems._membership`` kernel; kept as the test reference, with the
-tolerance knobs at the only value they were ever given (zero)."""
+``tpds.systems._membership`` kernel, kept as the test reference with the
+tolerance knobs at the only value they were ever given (zero), and the
+per-time loop of the period check before it took one stacked evaluation."""
 
 import numpy as np
 
-from tpds.errors import DimensionMismatch, NonFiniteInput
-from tpds.systems import SystemClass
+from tpds.errors import DimensionMismatch, NonFiniteInput, SpecFileError
+from tpds.systems import PERIOD_CHECK_TOL, SystemClass
 
 
 def in_M(A):
@@ -64,3 +65,22 @@ def classify_constant(A):
                     violations.append((None, f"a[{i + 1},{j + 1}]={A[i, j]} negative"))
     return SystemClass(verdict, delta, violations)
 
+
+
+def check_period(sys):
+    """A(t) == A(t + T) at up to 100 times, two scalar ``matrix_at`` calls
+    at each, checked time by time (the overflow of a finite difference
+    reads as inf, as before, without numpy's warning)."""
+    a, b = sys.interval
+    T = sys.period
+    if not T > 0:
+        raise SpecFileError("period must be positive")
+    ts = np.linspace(a, b - T, 100)
+    ts = ts[(ts > a) & (ts + T < b)]
+    for t in ts:
+        now, later = sys.matrix_at(t), sys.matrix_at(t + T)
+        if not (np.isfinite(now).all() and np.isfinite(later).all()):
+            raise NonFiniteInput(f"A(t) or A(t+T) has a non-finite entry at t={t}")
+        with np.errstate(over="ignore"):
+            if np.max(np.abs(now - later)) > PERIOD_CHECK_TOL:
+                raise SpecFileError(f"A(t) != A(t+T) at t={t}")

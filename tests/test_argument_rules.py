@@ -10,6 +10,7 @@ the CLI, and a malformed argument must end in a TpdsError (exit 2, 3 or
 4), never in a bare exception or a verdict.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -220,6 +221,62 @@ def test_a_complex_or_non_numeric_grid_or_end_time_is_an_invalid_argument(call, 
     with pytest.raises(InvalidArgument) as err:
         call()
     assert str(err.value) == message
+
+
+@functools.cache
+def sinusoidal():
+    system = tpds.shipped("sinusoidal2").system
+    return system, tpds.floquet(system)
+
+
+COMPLEX_MATRIX = np.array([[2 + 1j, 1], [1, 2]])
+TEXT_OR_COMPLEX = {
+    # numeric strings were read as numbers and gave plausible answers
+    "time-text": (lambda: tpds.transition_matrix(COSH2, "0", "1"), "t0", "'0'"),
+    "grid-text": (lambda: tpds.simulate_linear(COSH2, [1.0, 0.0], ["0", "0.5"]), "grid", "['0', '0.5']"),
+    "s_minus-text": (lambda: tpds.s_minus(["1", "-1"]), "vector", "['1', '-1']"),
+    "in_V-text": (lambda: tpds.in_V(["1", "-1"]), "vector", "['1', '-1']"),
+    "classify-text": (lambda: tpds.classify([["2", "1"], ["1", "2"]]), "classify: the matrix", "[['2', '1'], ['1', '2']]"),
+    "svdp-text": (lambda: tpds.svdp_check(np.eye(2), ["1", "0"]), "x", "['1', '0']"),
+    "states-text": (lambda: tpds.integrate.Trajectory(np.array([0.0, 1.0]), [["1", "0"], ["0", "1"]]), "states", "[['1', '0'], ['0', '1']]"),
+    "coeffs-text": (lambda: tpds.floquet_mode_evolution(*sinusoidal(), ["1", "0"], horizon=1.0), "coeffs", "['1', '0']"),
+    "object-text": (lambda: tpds.s_plus(np.array(["1", 2.0], dtype=object)), "vector", "array(['1', 2.0], dtype=object)"),
+    "bytes": (lambda: tpds.sigma(np.array([b"1", b"2"])), "vector", "array([b'1', b'2'], dtype='|S1')"),
+    # a complex array was cast to its real part with a ComplexWarning
+    "classify-complex": (lambda: tpds.classify(COMPLEX_MATRIX), "classify: the matrix", repr(COMPLEX_MATRIX)),
+    "in_M-complex": (lambda: in_M(COMPLEX_MATRIX), "in_M: the matrix", repr(COMPLEX_MATRIX)),
+    "s_minus-complex": (lambda: tpds.s_minus(np.array([1 + 1j, -1])), "vector", repr(np.array([1 + 1j, -1]))),
+    "sigma-complex": (lambda: tpds.sigma(np.array([1 + 1j, -1])), "vector", repr(np.array([1 + 1j, -1]))),
+    "add_compound-complex": (lambda: add_compound(COMPLEX_MATRIX, 1), "add_compound: the matrix", repr(COMPLEX_MATRIX)),
+    "constant-complex": (
+        lambda: TimeVaryingSystem.constant(COMPLEX_MATRIX),
+        "TimeVaryingSystem.constant: the matrix",
+        repr(COMPLEX_MATRIX),
+    ),
+    "object-complex": (
+        lambda: tpds.s_minus(np.array([np.complex64(1), 1.0], dtype=object)),
+        "vector",
+        repr(np.array([np.complex64(1), 1.0], dtype=object)),
+    ),
+    # a complex list leaked a bare TypeError
+    "classify-complex-list": (lambda: tpds.classify([[2 + 1j, 1], [1, 2]]), "classify: the matrix", "[[(2+1j), 1], [1, 2]]"),
+    "coeffs-complex-list": (lambda: tpds.floquet_mode_evolution(*sinusoidal(), [1j, 0], horizon=1.0), "coeffs", "[1j, 0]"),
+}
+
+
+@pytest.mark.parametrize("call, name, given", TEXT_OR_COMPLEX.values(), ids=TEXT_OR_COMPLEX.keys())
+def test_text_and_complex_input_is_not_read_as_real_numbers(call, name, given):
+    with pytest.raises(InvalidArgument) as err:
+        call()
+    assert str(err.value) == f"{name} must hold real numbers, got {given}"
+
+
+def test_int_bool_and_float_arrays_convert_as_before():
+    assert tpds.s_minus(np.array([1, -1])) == tpds.s_minus([1.0, -1.0]) == 1
+    assert tpds.s_plus(np.array([True, False, True])) == 2
+    assert tpds.classify(np.array([[2, 1], [1, 2]])).is_TP
+    assert add_compound(np.array([[1, 2], [3, 4]]), 2).entries.tolist() == [[5.0]]
+    assert in_M(np.array([[True, True], [True, False]]))
 
 
 def test_a_system_takes_one_time_by_the_time_rule():

@@ -299,14 +299,30 @@ def test_silent_overflow_is_kept_and_flagged():
         transition_matrix(TimeVaryingSystem(2, (0.0, 1.0), [seg]), 0.0, 1.0)
 
 
-def test_array_form_is_compiled_on_first_use(monkeypatch):
-    # none when the spec loads, one on the first stacked call, none after
+def _compilations(monkeypatch, name):
+    """The first segment of a shipped spec, loaded while counting the stack
+    forms compiled, and the list that records them."""
     built = []
     build = exprlang._stack_form
     monkeypatch.setattr(exprlang, "_stack_form", lambda *args: built.append(args) or build(*args))
-    seg = shipped("schwarz3").system.segments[0]
-    assert not built
+    return shipped(name).system.segments[0], built
+
+
+def test_array_form_is_compiled_on_first_use(monkeypatch):
+    # the periodic schwarz3's first stacked call is its period check, at
+    # load; none after that
+    seg, built = _compilations(monkeypatch, "schwarz3")
+    assert len(built) == 1
     assert seg.matrix_at(np.array([0.0, 1.0])).shape == (2, 3, 3)
+    seg.matrix_at(np.array([2.0, 3.0]))
+    assert len(built) == 1
+
+
+def test_array_form_of_a_spec_without_period_is_compiled_on_first_stacked_call(monkeypatch):
+    # none when the spec loads, one on the first stacked call, none after
+    seg, built = _compilations(monkeypatch, "cosh2")
+    assert not built
+    assert seg.matrix_at(np.array([0.0, 1.0])).shape == (2, 2, 2)
     assert len(built) == 1
     seg.matrix_at(np.array([2.0, 3.0]))
     assert len(built) == 1

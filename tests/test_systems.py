@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 import systems_reference as ref
 from tpds import (
     Segment,
+    exprlang,
     TimeVaryingSystem,
     classify_constant,
     classify_time_varying,
@@ -19,12 +21,15 @@ from tpds import (
 )
 from tpds.errors import (
     DimensionMismatch,
+    DomainError,
     EmptySegments,
     InvalidArgument,
     NonFiniteInput,
     OutOfInterval,
     SpecFileError,
+    TpdsError,
 )
+from tpds import systems
 from tpds.systems import SystemClass, _membership, offdiag_min
 
 
@@ -67,11 +72,76 @@ def test_system_validation():
 
 
 def test_period_check_rejects_aperiodic_entries():
-    from tpds import exprlang
-
     entries = [[0.0, exprlang.parse("t")], [1.0, 0.0]]
     with pytest.raises(SpecFileError):
         TimeVaryingSystem(2, (0.0, 10.0), [Segment(0.0, 10.0, entries)], period=1.0)
+
+
+def _with_period(pieces, period):
+    """A system of the given (t_start, t_end, entries) pieces, entries as
+    expression strings or floats, built without a period and then given
+    one, so that its period check has not run yet."""
+    parse = lambda e: e if isinstance(e, float) else exprlang.parse(e)
+    segments = [Segment(lo, hi, [[parse(e) for e in row] for row in entries]) for lo, hi, entries in pieces]
+    sys = TimeVaryingSystem(len(pieces[0][2]), (pieces[0][0], pieces[-1][1]), segments)
+    sys.period = period
+    return sys
+
+
+def _outcome(check):
+    try:
+        check()
+    except TpdsError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+OSCILLATING = [["cos(t)", "1 + sin(t)"], ["2 + cos(t)", "sin(t)"]]
+ON, OFF = [[-1.0, 1.0], [1.0, -1.0]], [[-2.0, 0.5], [0.5, -2.0]]
+SWITCHED = [(k / 2, (k + 1) / 2, ON if k % 2 else OFF) for k in range(8)]  # period 1 on (0, 4)
+PERIOD_CASES = {
+    "periodic": ([(0.0, 20.0, OSCILLATING)], 2 * np.pi, None),
+    "switched-periodic": (SWITCHED, 1.0, None),
+    "aperiodic": ([(0.0, 10.0, [["t", 1.0], [1.0, 0.0]])], 1.0, SpecFileError),
+    "switched-aperiodic": (SWITCHED[:-1] + [(3.5, 4.0, OFF)], 1.0, SpecFileError),
+    "nan-in-a-later-segment": ([(0.0, 5.0, ON), (5.0, 10.0, [[np.nan, 1.0], [1.0, 0.0]])], 2.0, NonFiniteInput),
+    # Python's float product overflows to inf without an error where cos(t) > -0.2
+    "silent-overflow": ([(0.0, 20.0, [["1e308 * (2 + cos(t))", 1.0], [1.0, 0.0]])], 2 * np.pi, NonFiniteInput),
+    "domain-error": ([(0.0, 10.0, [["sqrt(t - 3)", 1.0], [1.0, 0.0]])], 1.0, DomainError),
+    "domain-error-in-a-later-segment": ([(0.0, 5.0, ON), (5.0, 10.0, [["sqrt(-t)", 1.0], [1.0, 0.0]])], 2.0, DomainError),
+    "interval-equals-period": ([(0.0, 1.0, [["t", 1.0], [1.0, 0.0]])], 1.0, None),
+}
+
+
+@pytest.mark.parametrize("pieces, period, error", PERIOD_CASES.values(), ids=PERIOD_CASES.keys())
+def test_stacked_period_check_decides_as_the_per_time_loop(pieces, period, error):
+    # no error, or the same error class and message, so at the same t
+    sys = _with_period(pieces, period)
+    expected = _outcome(lambda: ref.check_period(sys))
+    assert (expected and expected[0]) is error
+    assert _outcome(sys._check_period) == expected
+
+
+def test_period_check_raises_the_first_domain_error_in_segment_order():
+    # the loop met sqrt(-t) at t + T = 6.04 (in the second segment) before
+    # sqrt(1 - t) failed in the first one at t = 1.01
+    first, second = [["sqrt(1 - t)", 1.0], [1.0, 0.0]], [["sqrt(-t)", 1.0], [1.0, 0.0]]
+    sys = _with_period([(0.0, 5.0, first), (5.0, 10.0, second)], 6.0)
+    with pytest.raises(DomainError, match=r"^coefficient at t = 6\.040404040404041: math domain error$"):
+        ref.check_period(sys)
+    with pytest.raises(DomainError, match=r"^coefficient at t = 1\.0101010101010102: math domain error$"):
+        sys._check_period()
+
+
+def test_period_check_evaluates_every_sample_before_checking_any():
+    # A(t) is inf for t < 1.2, and sqrt(5 - t) fails for t > 5: the loop
+    # stopped at the first inf, the stacked check meets the domain error
+    entries = [["1e308 * (3 - t)", 1.0], [1.0, "sqrt(5 - t)"]]
+    sys = _with_period([(0.0, 10.0, entries)], 1.0)
+    with pytest.raises(NonFiniteInput, match=r"^A\(t\) or A\(t\+T\) has a non-finite entry at t=0\.09090909090909091$"):
+        ref.check_period(sys)
+    with pytest.raises(DomainError, match=r"^coefficient at t = 5\.090909090909091: math domain error$"):
+        sys._check_period()
 
 
 def test_switched_segments():
@@ -143,6 +213,43 @@ def test_negative_minor_witness():
     assert out_t is not None and out_t[3] < 0
     with pytest.raises(DimensionMismatch):
         negative_minor_witness(A, 2, 1)
+
+
+def test_witness_propagators_match_expm(monkeypatch):
+    # every Phi the witness takes from transition_matrix, against scipy's
+    # expm: A with its largest entry at a31 > 0 stops at the first time
+    # tried, A in M tries all four
+    seen = []
+    take = systems.transition_matrix
+    monkeypatch.setattr(systems, "transition_matrix", lambda *args: seen.append(take(*args)) or seen[-1])
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        n = int(rng.integers(3, 8))
+        A = rng.standard_normal((n, n)) * 10 ** rng.uniform(-2, 3)
+        if trial % 2:
+            A = np.triu(np.tril(A, 1), -1)
+            A[np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)] **= 2
+        else:
+            A[2, 0] = np.abs(A).max()
+        seen.clear()
+        out = negative_minor_witness(A, 3, 1)
+        assert (out is None) == bool(trial % 2)
+        assert len(seen) == (4 if trial % 2 else 1)
+        scale = 1.0 / max(1.0, np.abs(A).max())
+        for rec, tau in zip(seen, systems.WITNESS_T_GRID):
+            assert rec.t0 == 0.0 and rec.t == tau
+            expected = expm(A * scale * tau)
+            assert np.abs(rec.phi - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("big", [1e300, 1.7e308])
+def test_negative_minor_witness_of_a_huge_matrix(big):
+    # the times shrink with 1 / max |a_ij|; Phi is taken for the scaled
+    # matrix, whose RK4 stages would overflow unscaled
+    A = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.5, 1.0, -1.0]])
+    t, rows, cols, value = negative_minor_witness(A * big, 3, 1)
+    assert (rows, cols) == ((2, 3), (1, 2)) and t == pytest.approx(0.1 / big, rel=1e-15)
+    assert value == pytest.approx(negative_minor_witness(A, 3, 1)[3], rel=1e-13)
 
 
 def test_classify_time_varying_verdicts():
