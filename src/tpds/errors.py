@@ -64,6 +64,10 @@ class ExprSyntaxError(TpdsError):
         self.position = position
 
 
+class ExprTooDeep(TpdsError):
+    """An expression nested deeper than ``exprlang.MAX_DEPTH`` levels."""
+
+
 class UnknownIdentifier(TpdsError):
     pass
 

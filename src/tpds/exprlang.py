@@ -8,7 +8,8 @@ Grammar (radians throughout)::
     power  :=  atom ('^' unary)?          # right-associative, binds above unary minus
     atom   :=  number | 't' | 'u' | 'x<k>' | func '(' expr ')' | '(' expr ')'
 
-Recognized functions: sin cos tan sinh cosh tanh exp log sqrt abs.
+Recognized functions: sin cos tan sinh cosh tanh exp log sqrt abs. An
+expression nests at most MAX_DEPTH levels deep.
 
 Coefficients are evaluated only through generated Python code:
 ``compile_fn`` turns a whole scalar, vector or matrix of them into one
@@ -37,6 +38,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     ExprSyntaxError,
+    ExprTooDeep,
     IntegrationSuspect,
     LeftDomain,
     UnboundVariable,
@@ -56,6 +58,13 @@ FUNCTIONS = {
     "sqrt": math.sqrt,
     "abs": abs,
 }
+
+# The deepest an expression may nest. The parser counts a level for each
+# parenthesis, function call, unary minus and exponent it descends into, and
+# the tree one for each node on a path from its root; beyond MAX_DEPTH either
+# raises ExprTooDeep. A tree of 100 levels generates code with at most 199
+# nested parentheses, where Python's parser stops at 200.
+MAX_DEPTH = 100
 
 _VAR_RE = re.compile(r"^(t|u|x[1-9][0-9]*)$")
 _TOKEN_RE = re.compile(
@@ -116,6 +125,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0  # the unary calls open: each nesting passes one
 
     def peek(self):
         return self.tokens[self.i]
@@ -158,11 +168,17 @@ class _Parser:
                 return node
 
     def unary(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            _too_deep()
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -195,8 +211,30 @@ class _Parser:
 
 
 def parse(source):
-    """Parse an expression string into an immutable AST."""
-    return _Parser(source).parse()
+    """Parse an expression string into an immutable AST. An expression that
+    nests deeper than MAX_DEPTH raises ExprTooDeep."""
+    return _checked_depth(_Parser(source).parse())
+
+
+def _too_deep():
+    raise ExprTooDeep(f"the expression nests too deeply (more than {MAX_DEPTH} levels)")
+
+
+def _checked_depth(expr):
+    """expr, once no path from its root passes more than MAX_DEPTH nodes,
+    else ExprTooDeep; walked with a stack of its own, not by recursion."""
+    stack = [(expr, 1)]
+    while stack:
+        e, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            _too_deep()
+        if isinstance(e, BinOp):
+            stack += [(e.left, depth + 1), (e.right, depth + 1)]
+        elif isinstance(e, Neg):
+            stack.append((e.operand, depth + 1))
+        elif isinstance(e, Call):
+            stack.append((e.arg, depth + 1))
+    return expr
 
 
 def variables(expr):
@@ -288,7 +326,10 @@ def _names(entry):
 def _bound_names(entries, n, u):
     """The variables that the entries and the input u use. One outside t,
     x1..xn (with n) and u (with an input, itself over t alone) raises
-    UnboundVariable."""
+    UnboundVariable, and an entry or input nested deeper than MAX_DEPTH
+    ExprTooDeep."""
+    for e in (*entries, u):
+        _checked_depth(e)
     used = set().union(*map(_names, entries))
     allowed = {"t"}
     if n is not None:

@@ -10,39 +10,18 @@ from __future__ import annotations
 import numpy as np
 
 from .systems import Segment, TimeVaryingSystem
-
-
-def _eb_lower(n, i, m):
-    L = np.eye(n)
-    L[i, i - 1] = m
-    return L
-
-
-def _eb_upper(n, i, m):
-    U = np.eye(n)
-    U[i - 1, i] = m
-    return U
+from .totalpos import GEBFactorization, _eb
 
 
 def _eb_product(n, lower_params, diag, upper_params):
-    """Full-elimination-order product: lower factors, diagonal, upper factors.
-
-    Parameter lists follow the column-by-column, bottom-up elimination order
-    produced by the bidiagonal factorization, reversed for reconstruction.
-    """
-    A = np.eye(n)
-    k = 0
-    for j in range(n - 1):
-        for i in range(n - 1, j, -1):
-            A = A @ _eb_lower(n, i, lower_params[k])
-            k += 1
-    A = A @ np.diag(diag)
-    k = 0
-    for j in range(n - 1):
-        for i in range(n - 1, j, -1):
-            A = A @ _eb_upper(n, i, upper_params[k])
-            k += 1
-    return A
+    """Lower factors, diagonal, upper factors (``totalpos._eb``), multiplied
+    by ``GEBFactorization.product``. Both parameter lists take row i's
+    factor, with its parameter at (i, i - 1) or (i - 1, i), in Neville
+    elimination's order: columns left to right, each bottom-up."""
+    rows = [i for j in range(n - 1) for i in range(n - 1, j, -1)]
+    lower = [_eb(n, i, i - 1, m) for i, m in zip(rows, lower_params)]
+    upper = [_eb(n, i - 1, i, m) for i, m in zip(rows, upper_params)]
+    return GEBFactorization(lower + [np.diag(diag)] + upper).product()
 
 
 def random_tp(n, rng=None):

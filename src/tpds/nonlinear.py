@@ -33,6 +33,7 @@ from .integrate import (
     _checked_positive,
     _checked_state,
     _checked_times,
+    _grid,
     _rk4_span,
     _time_array,
 )
@@ -212,7 +213,7 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
     TrivialSolution: their difference is zero throughout. The starts are
     checked as simulate_nonlinear's x0 is, the horizon by
     ``integrate._checked_horizon``, and samples must be an integer >= 1
-    (InvalidArgument).
+    that ``integrate._grid`` can allocate (InvalidArgument).
 
     The two runs integrate the states alone, on the run loop of
     simulate_nonlinear. At every (samples // 25)-th sample the check takes J
@@ -226,7 +227,7 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
     b0 = _checked_state(b0, sys.n, "b0")
     if np.array_equal(a0, b0):
         raise TrivialSolution("initial conditions must differ")
-    grid = np.linspace(0.0, _checked_horizon(horizon), _checked_count(samples, "samples", least=1))
+    grid = _grid(0.0, _checked_horizon(horizon), _checked_count(samples, "samples", least=1))
     step = _checked_run_step(step)
     xa = np.array(list(sys._run(a0, grid, step, [0, 0])))
     _check_finite(xa)  # as a Trajectory of the states does

@@ -47,9 +47,14 @@ def _check_finite(Y, name="vector"):
 def _real_array(value, name):
     """The one real-number rule: value as a float array. Complex, text
     (str or bytes) or other non-numeric input, an object array holding any
-    of these included, raises InvalidArgument, naming the argument."""
+    of these included, raises InvalidArgument, naming the argument. Ragged
+    nesting, which numpy cannot shape into an array, raises
+    DimensionMismatch, naming it too."""
     try:
         array = np.asarray(value)
+    except ValueError:  # "the requested array has an inhomogeneous shape"
+        raise DimensionMismatch(f"{name} has a ragged shape, got {value!r}") from None
+    try:
         not_real = (str, bytes, complex, np.complexfloating)  # also inside an object array
         held = array.dtype.kind == "O" and any(isinstance(v, not_real) for v in array.flat)
         if array.dtype.kind not in "cSU" and not held:

@@ -267,10 +267,11 @@ def classify_time_varying(sys, grid=1000):
     """Sampled TNDS/TPDS verdict for a time-varying system.
 
     Each segment is sampled half-open on `grid` points (the open interval's
-    endpoints are excluded from strictness checks), by one array
-    ``matrix_at`` call, which gives the floats of A at each sample. TNDS
-    requires every sample in M; TPDS additionally requires every
-    off-diagonal sample at or above DEFAULT_DELTA_FLOOR. This is a sampled verification of an
+    endpoints are excluded from strictness checks), each sample tagged by
+    the segment whose grid made it, and A is read at all of them by one
+    ``TimeVaryingSystem._matrices`` call. TNDS requires every sample in M;
+    TPDS additionally requires every off-diagonal sample at or above
+    DEFAULT_DELTA_FLOOR. This is a sampled verification of an
     almost-everywhere condition; no measure-zero claims are made. A grid
     that is not an integer >= 0, or too large to allocate, raises
     InvalidArgument, a non-finite sample NonFiniteInput, and a grid that
@@ -278,17 +279,12 @@ def classify_time_varying(sys, grid=1000):
     """
     _checked_count(grid, "grid")
     a, b = sys.interval
-    ts, mats = [], []
-    for seg in sys.segments:
-        seg_ts = _grid(seg.t_start, seg.t_end, grid, endpoint=False)
-        seg_ts = seg_ts[seg_ts > a]
-        if seg_ts.size:
-            ts.append(seg_ts)
-            mats.append(seg.matrix_at(seg_ts))
-    if not mats:  # no segment, or a grid too coarse to reach inside (a, b)
+    ts = np.array([_grid(seg.t_start, seg.t_end, grid, endpoint=False) for seg in sys.segments]).ravel()
+    inside = ts > a
+    if not inside.any():  # no segment, or a grid too coarse to reach inside (a, b)
         raise EmptySegments(f"no sample lies inside ({a}, {b}) at grid={grid}")
-    ts = np.concatenate(ts)
-    As = np.concatenate(mats)
+    ts = ts[inside]
+    As = sys._matrices(ts, np.arange(len(sys.segments)).repeat(grid)[inside])
     finite = np.isfinite(As).all(axis=(1, 2))
     if not finite.all():
         t = float(ts[np.argmin(finite)])

@@ -321,6 +321,14 @@ def is_dominant_tridiagonal_TN(A):
     return True
 
 
+def _eb(n, i, j, m):
+    """The n x n identity with m at (i, j), 0-based: an elementary
+    bidiagonal factor when |i - j| == 1."""
+    E = np.eye(n)
+    E[i, j] = m
+    return E
+
+
 @dataclass
 class GEBFactorization:
     factors: list = field(default_factory=list)
@@ -387,9 +395,7 @@ def geb_factorize(A):
                     raise PivotBreakdown(f"negative multiplier {m} (input not TN?)")
                 M[i, :] -= m * M[i - 1, :]
                 M[i, j] = 0.0
-                L = np.eye(n)
-                L[i, i - 1] = max(m, 0.0)
-                factors.append(L)
+                factors.append(_eb(n, i, i - 1, max(m, 0.0)))
         return factors, M
 
     lower, U = neville_lower(A)

@@ -317,11 +317,39 @@ def test_compound_transition_checks_p_before_any_step(monkeypatch, p, error, mes
     assert str(err.value) == message
 
 
-def test_a_grid_too_large_to_allocate_is_an_invalid_argument():
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tpds.classify_time_varying(COSH2, grid=10**15),
+        lambda: tpds.eventual_monotonicity(DEMO, OK_X, [0.2, 0.2, 0.3], 1.0, samples=10**15),
+    ],
+    ids=["classify_time_varying", "eventual_monotonicity"],
+)
+def test_a_grid_too_large_to_allocate_is_an_invalid_argument(call):
     # numpy's bare MemoryError ("Unable to allocate 7.11 PiB"); 10**15 fails
     # before anything is allocated
     with pytest.raises(InvalidArgument, match=r"^a grid of 1000000000000000 samples cannot be allocated$"):
-        tpds.classify_time_varying(COSH2, grid=10**15)
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tpds.classify([[1, 2], [3]]), "classify: the matrix has a ragged shape, got [[1, 2], [3]]"),
+        (lambda: tpds.s_minus([1, [2, 3]]), "vector has a ragged shape, got [1, [2, 3]]"),
+        (
+            lambda: tpds.simulate_linear(COSH2, [1.0, 0.0], [0.0, [0.5, 1.0]]),
+            "grid has a ragged shape, got [0.0, [0.5, 1.0]]",
+        ),
+    ],
+    ids=["matrix", "vector", "grid"],
+)
+def test_ragged_input_is_a_dimension_mismatch(call, message):
+    # the entries are real numbers; InvalidArgument "must hold real numbers"
+    # named the wrong fault
+    with pytest.raises(DimensionMismatch) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

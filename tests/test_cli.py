@@ -147,6 +147,23 @@ def test_simulate_malformed_spec_exits_2(tmp_path, capsys):
     assert "a segment must be a dict" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [" + ".join(["t"] * 250), " + ".join(["t"] * 1200), "(" * 400 + "1" + ")" * 400, "-" * 2000 + "1"],
+    ids=["sum-250", "sum-1200", "parens-400", "minus-2000"],
+)
+def test_simulate_too_deep_an_entry_exits_2(tmp_path, capsys, entry):
+    # a bare SyntaxError (too many nested parentheses) or RecursionError: exit 1
+    path = tmp_path / "deep.spec"
+    path.write_text(
+        "meta: {name: deep, n: 2, interval: [0, 1]}\n"
+        f"linear:\n  segments:\n    - {{t_start: 0, t_end: 1, matrix: [[-1, '{entry}'], [1, -1]]}}\n"
+        "experiment: {z0: [1, -1], grid: 20}\n"
+    )
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.endswith("the expression nests too deeply (more than 100 levels)\n")
+
+
 LINEAR_SPEC = (
     "meta: {name: lin, n: 2, interval: [0, 1]}\n"
     "linear:\n  segments:\n    - {t_start: 0, t_end: 1, matrix: [[-1, 1], [1, -1]]}\n"

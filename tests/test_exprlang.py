@@ -13,11 +13,12 @@ from tpds.errors import (
     DimensionMismatch,
     DomainError,
     ExprSyntaxError,
+    ExprTooDeep,
     TpdsError,
     UnboundVariable,
     UnknownIdentifier,
 )
-from tpds.exprlang import BinOp, Call, Neg, Num, compile_fn, parse, pretty, variables
+from tpds.exprlang import MAX_DEPTH, BinOp, Call, Neg, Num, Var, compile_fn, compile_stepper, parse, pretty, variables
 
 
 def run(src, t=0.0, x=None, u=None):
@@ -333,3 +334,63 @@ def test_entries_that_share_parts_match_the_point_form(a, b, u, points):
     # the entries: their shared parts are named once, before first use
     entries = [BinOp("+", a, b), Neg(a), BinOp("*", b, Call("sin", a)), BinOp("-", u, a)]
     assert_stack_is_pointwise(compile_fn(entries, 2, BinOp("*", u, u)), points, 4)
+
+
+# Each of these once ended in a bare exception: a SyntaxError "too many
+# nested parentheses" from compiling the generated code (250 terms), or a
+# RecursionError in variables (1200 terms) or in the parser.
+DEEP_SOURCES = {
+    "sum-250": " + ".join(["t"] * 250),
+    "sum-1200": " + ".join(["t"] * 1200),
+    "parens-400": "(" * 400 + "1" + ")" * 400,
+    "minus-2000": "-" * 2000 + "1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SOURCES))
+def test_an_expression_that_nests_too_deeply_raises_a_typed_error(name):
+    with pytest.raises(ExprTooDeep, match=r"^the expression nests too deeply \(more than 100 levels\)$"):
+        parse(DEEP_SOURCES[name])
+
+
+def _chain(depth, leaf, link):
+    """A left-nested tree with `depth` nodes on its longest path."""
+    for _ in range(depth - 1):
+        leaf = link(leaf)
+    return leaf
+
+
+@pytest.mark.parametrize(
+    "link",
+    [
+        lambda e: BinOp("+", e, Var("t")),
+        lambda e: BinOp("^", e, Num(2.0)),  # ((e) ** 2.0): two parentheses a level
+        lambda e: Neg(e),
+        lambda e: Call("exp", e),
+    ],
+    ids=["sum", "integral-power", "minus", "call"],
+)
+def test_compile_takes_every_tree_up_to_max_depth_and_refuses_one_deeper(link):
+    leaf = Num(math.inf)  # _float('inf'): one more parenthesis at the bottom
+    deepest = _chain(MAX_DEPTH, leaf, link)
+    assert MAX_DEPTH == 100
+    with np.errstate(all="ignore"):
+        compile_fn(deepest)(0.5)
+        compile_fn([[deepest]])(np.array([0.5, 1.5]))
+    run = compile_stepper([deepest], 1)
+    for step in (0.1, None):  # the first state comes once the loop has compiled
+        assert next(run([1.0], [0.0, 1.0], step, [0, 0])).tolist() == [1.0]
+    too_deep = link(deepest)
+    for build in (compile_fn, lambda e: compile_stepper([e], 1), lambda e: compile_fn(Num(1.0), 1, u=e)):
+        with pytest.raises(ExprTooDeep):
+            build(too_deep)
+
+
+def test_parse_counts_parentheses_minus_signs_and_the_tree_alike():
+    for source in ("(" * 99 + "t" + ")" * 99, "-" * 99 + "t", " + ".join(["t"] * 100), "2 ^ " * 99 + "t"):
+        parse(source)
+    for source in ("(" * 100 + "t" + ")" * 100, "-" * 100 + "t", " + ".join(["t"] * 101), "2 ^ " * 100 + "t"):
+        with pytest.raises(ExprTooDeep):
+            parse(source)
+    # an expression at the limit compiles
+    assert compile_fn(parse(" + ".join(["t"] * 100)))(1.0) == 100.0

@@ -83,6 +83,26 @@ def test_no_library_module_imports_scipy():
     assert len(os.listdir(root)) > 10 and not found
 
 
+def test_only_the_system_reads_a_segments_matrix():
+    # one A(t) reader: every other caller goes through TimeVaryingSystem
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tpds")
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "matrix_at":
+            callers.add(scope)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                visit(ast.parse(fh.read(), name), "")
+    assert callers == {"TimeVaryingSystem._matrices", "TimeVaryingSystem.matrix_at"}
+
+
 def test_nonlinear_cli_runs_load_no_scipy_and_ignore_python_O(tmp_path):
     # entrain (error-controlled and fixed-step) and a nonlinear simulate,
     # and a blow-up that must still exit 4 when asserts are stripped

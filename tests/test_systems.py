@@ -327,6 +327,20 @@ def test_classify_time_varying_matches_per_sample_reference():
         (system([0.0, 1.0, "0.1 * cos(t)"], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]), "neither"),
         (system([0.0, 1.0], [-5e-324, 0.0]), "neither"),
         (system(["t"]), "TPDS"),
+        # the second segment starts 5e-13 before the first ends, within the
+        # tiling tolerance: its first sample, t - 4 < 0 there, is its own,
+        # though segment_index would give that time to the first segment
+        (
+            TimeVaryingSystem(
+                2,
+                (0.0, 10.0),
+                [
+                    Segment(0.0, 4.0, [[0.0, 1.0], [1.0, 0.0]]),
+                    Segment(4.0 - 5e-13, 10.0, [[0.0, exprlang.parse("t - 4")], [1.0, 0.0]]),
+                ],
+            ),
+            "neither",
+        ),
     ]
     for sys, verdict in cases:
         for grid in (7, 1000):
