@@ -23,7 +23,8 @@ class InvalidArgument(TpdsError):
 
 class NonFiniteInput(TpdsError):
     """A nan or infinite value: a vector entry given to a sign count, or a
-    minor that came out non-finite from a non-finite matrix entry or overflow."""
+    minor that came out non-finite from a non-finite matrix entry or overflow.
+    Also a Python int too large for a float."""
 
 
 class SizeLimitExceeded(TpdsError):

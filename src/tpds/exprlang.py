@@ -212,18 +212,22 @@ class _Parser:
 
 def parse(source):
     """Parse an expression string into an immutable AST. An expression that
-    nests deeper than MAX_DEPTH raises ExprTooDeep."""
-    return _checked_depth(_Parser(source).parse())
+    nests deeper than MAX_DEPTH raises ExprTooDeep (``variables``)."""
+    tree = _Parser(source).parse()
+    variables(tree)
+    return tree
 
 
 def _too_deep():
     raise ExprTooDeep(f"the expression nests too deeply (more than {MAX_DEPTH} levels)")
 
 
-def _checked_depth(expr):
-    """expr, once no path from its root passes more than MAX_DEPTH nodes,
-    else ExprTooDeep; walked with a stack of its own, not by recursion."""
-    stack = [(expr, 1)]
+def variables(expr):
+    """Set of variable names referenced by the expression, walked with a
+    stack of its own, not by recursion: a path from the root that passes
+    more than MAX_DEPTH nodes raises ExprTooDeep, and anything but a node
+    TypeError."""
+    names, stack = set(), [(expr, 1)]
     while stack:
         e, depth = stack.pop()
         if depth > MAX_DEPTH:
@@ -234,22 +238,11 @@ def _checked_depth(expr):
             stack.append((e.operand, depth + 1))
         elif isinstance(e, Call):
             stack.append((e.arg, depth + 1))
-    return expr
-
-
-def variables(expr):
-    """Set of variable names referenced by the expression."""
-    if isinstance(expr, Num):
-        return set()
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Neg):
-        return variables(expr.operand)
-    if isinstance(expr, BinOp):
-        return variables(expr.left) | variables(expr.right)
-    if isinstance(expr, Call):
-        return variables(expr.arg)
-    raise TypeError(f"not an expression node: {expr!r}")
+        elif isinstance(e, Var):
+            names.add(e.name)
+        elif not isinstance(e, Num):
+            raise TypeError(f"not an expression node: {e!r}")
+    return names
 
 
 def _literal(v):
@@ -327,9 +320,7 @@ def _bound_names(entries, n, u):
     """The variables that the entries and the input u use. One outside t,
     x1..xn (with n) and u (with an input, itself over t alone) raises
     UnboundVariable, and an entry or input nested deeper than MAX_DEPTH
-    ExprTooDeep."""
-    for e in (*entries, u):
-        _checked_depth(e)
+    ExprTooDeep (``variables``)."""
     used = set().union(*map(_names, entries))
     allowed = {"t"}
     if n is not None:
@@ -727,30 +718,36 @@ def _indent(lines, depth=1):
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
-def pretty(expr, parent_prec=0):
-    """Render an AST back to source that reparses to an identical tree."""
+def pretty(expr):
+    """Render an AST back to source that reparses to an identical tree. A
+    tree deeper than MAX_DEPTH raises ExprTooDeep (``variables``) before
+    any rendering."""
+    variables(expr)
+    return _render(expr, 0)
+
+
+def _render(expr, parent_prec):
     if isinstance(expr, Num):
         return _fmt_num(expr.value)
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Call):
-        return f"{expr.func}({pretty(expr.arg)})"
+        return f"{expr.func}({_render(expr.arg, 0)})"
     if isinstance(expr, Neg):
-        inner = pretty(expr.operand, _PREC["neg"])
+        inner = _render(expr.operand, _PREC["neg"])
         text = f"-{inner}"
         return f"({text})" if parent_prec > _PREC["neg"] else text
     if isinstance(expr, BinOp):
         prec = _PREC[expr.op]
         # left-assoc for + - * /: right child needs a bump; ^ is the mirror case
         if expr.op == "^":
-            left = pretty(expr.left, prec + 1)
-            right = pretty(expr.right, prec)
+            left = _render(expr.left, prec + 1)
+            right = _render(expr.right, prec)
         else:
-            left = pretty(expr.left, prec)
-            right = pretty(expr.right, prec + 1)
+            left = _render(expr.left, prec)
+            right = _render(expr.right, prec + 1)
         text = f"{left} {expr.op} {right}"
         return f"({text})" if parent_prec > prec else text
-    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def _fmt_num(v):

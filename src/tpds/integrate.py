@@ -48,17 +48,23 @@ ATOL = 1e-10
 MAX_STEPS = 100_000  # per interval between two of a run's times, as in Hairer's DOPRI5
 
 
+def _within(interval, lo, hi):
+    """The one interval rule: lo <= hi, both in [a, b] up to 1e-12, the
+    tolerance to which segments tile the interval. nan is outside."""
+    a, b = interval
+    return a - 1e-12 <= lo <= hi <= b + 1e-12
+
+
 def _checked_grid(grid, interval=None):
     """The sample grid as a float array. It must be a nonempty, finite,
-    nondecreasing sequence and, given an interval [a, b], lie within it up
-    to segment_index's 1e-12; anything else raises OutOfInterval, and a
-    complex or non-numeric entry InvalidArgument (``_real_array``)."""
+    nondecreasing sequence and, given an interval, lie within it
+    (``_within``); anything else raises OutOfInterval, and a complex or
+    non-numeric entry InvalidArgument (``_real_array``)."""
     grid = _real_array(grid, "grid")
     ok = grid.ndim == 1 and grid.size > 0 and np.isfinite(grid).all()
     ok = ok and bool(np.all(np.diff(grid) >= 0))
     if ok and interval is not None:
-        a, b = interval
-        ok = a - 1e-12 <= grid[0] and grid[-1] <= b + 1e-12
+        ok = _within(interval, grid[0], grid[-1])
     if not ok:
         where = "" if interval is None else f" within [{interval[0]}, {interval[1]}]"
         raise OutOfInterval(f"the grid must be a nonempty, finite, nondecreasing sequence{where}")
@@ -67,12 +73,12 @@ def _checked_grid(grid, interval=None):
 
 def _checked_horizon(horizon, interval=None):
     """The end of a run from t = 0 as a float: a finite number >= 0 with,
-    given an interval, [0, horizon] within it up to segment_index's 1e-12.
-    A complex or non-numeric value raises InvalidArgument (``_real_array``),
-    anything else OutOfInterval, naming the horizon with the value given."""
+    given an interval, [0, horizon] within it (``_within``). A complex or
+    non-numeric value raises InvalidArgument (``_real_array``), anything
+    else OutOfInterval, naming the horizon with the value given."""
     value = _real_array(horizon, "horizon")
     a, b = interval or (0.0, math.inf)
-    if not (value.ndim == 0 and math.isfinite(value) and a - 1e-12 <= 0.0 <= value <= b + 1e-12):
+    if not (value.ndim == 0 and math.isfinite(value) and _within((a, b), 0.0, value)):
         where = f" within [{a}, {b}]" if interval else ""
         raise OutOfInterval(f"horizon must be a finite time >= 0{where}, got {horizon!r}")
     return float(value)
@@ -176,17 +182,18 @@ def _transitions(sys, grid, step, p=None):
     Each grid interval is cut into spans at the interior segment boundaries
     more than 1e-14 inside it, each span tagged by the segment that holds
     its midpoint (one ``TimeVaryingSystem._segments_at`` search for all of
-    them) and cut into _step_count equal steps. A span of N steps of size h
-    from lo has the 2N + 1 stage times lo + k h / 2, k = 0..2N: the even
-    ones start and end steps, the odd ones are the midpoints that RK4's two
-    middle stages share.
+    them) and cut into _step_count equal steps. Step j of size h from lo
+    has the stage times lo + k h / 2, k = 2j, 2j + 1, 2j + 2: its start, the
+    midpoint that RK4's two middle stages share, and its end, which is the
+    next step's start by the same expression.
 
     Each step's propagator is P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), and an
     interval's transition matrix is the product of its steps' P, later
     steps on the left. The intervals are multiplied side by side, in blocks
     of about CHUNK_STEPS steps, so memory is bounded by the block: per
-    block, C is evaluated at the block's stage times, the increments P - I
-    are built as stacks, and those of intervals with fewer steps are padded
+    block, C is evaluated at the three stage times of each of its steps
+    (one ``TimeVaryingSystem._matrices`` call), the increments P - I are
+    built as stacks, and those of intervals with fewer steps are padded
     with zeros, which are exact identity factors. Within a block the
     factors are multiplied pairwise, in increment form: I + A, then I + B,
     make I + (A + B + B A), and an odd count is padded with one zero
@@ -194,7 +201,8 @@ def _transitions(sys, grid, step, p=None):
     and its rounding error grows with log2 w rather than w (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
     section 4.2). Each block's product then multiplies the product of the
-    blocks before it, in step order.
+    blocks before it, in step order; the products and the trace integrals
+    are all that pass from block to block.
 
     The increments and the products are long double, and each interval's
     product is rounded to double once: products in double came out 2-13
@@ -223,7 +231,6 @@ def _transitions(sys, grid, step, p=None):
     width = max(1, CHUNK_STEPS // lanes)
     phi = np.tile(np.eye(m, dtype=np.longdouble), (lanes, 1, 1))
     integral = np.zeros(lanes)
-    end = np.empty((lanes, m, m))  # C at the end of each interval's last step so far
     most = total.max()
     for k0 in range(0, most, width):
         pos = k0 + np.arange(min(width, most - k0))
@@ -231,22 +238,10 @@ def _transitions(sys, grid, step, p=None):
         lane, col = np.nonzero(real)  # interval by interval, steps in order
         span = np.searchsorted(span_first, offset[lane] + pos[col], side="right") - 1
         j = offset[lane] + pos[col] - span_first[span]
-        # stage points 2j, 2j + 1, 2j + 2 of each step's span; a start
-        # is evaluated only for a span's first step
-        k = 2 * j[:, None] + np.arange(3)
-        fresh = np.ones(k.shape, dtype=bool)
-        fresh[:, 0] = j == 0
-        at = np.broadcast_to(span[:, None], k.shape)[fresh]
-        C = np.empty(k.shape + (m, m))
-        A = sys._matrices(k[fresh] * (span_h[at] / 2) + starts[at], segment[at])
-        C[fresh] = A if p is None else add_compound(A, p).entries
-        within = np.flatnonzero((j > 0) & (col > 0))
-        C[within, 0] = C[within - 1, 2]
-        carried = (j > 0) & (col == 0)
-        C[carried, 0] = end[lane[carried]]
-        last = np.flatnonzero(np.diff(lane, append=lanes))
-        end[lane[last]] = C[last, 2]
         h = span_h[span]
+        k = 2 * j[:, None] + np.arange(3)  # each step's stage points 2j, 2j + 1, 2j + 2
+        A = sys._matrices((k * (h[:, None] / 2) + starts[span, None]).ravel(), segment[span].repeat(3))
+        C = (A if p is None else add_compound(A, p).entries).reshape(-1, 3, m, m)
         D = np.zeros(real.shape + (m, m), dtype=np.longdouble)
         D[real] = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None])
         while D.shape[1] > 1:  # (I + B)(I + A) = I + (A + B + B A), pairwise
@@ -292,23 +287,23 @@ def transition_matrix(sys, t0, t, step=None):
     """Transition matrix Phi(t, t0) of z' = A(s) z by fixed-step RK4.
 
     The steps follow the one step-count rule per segment span.
-    A is evaluated once per stage time, 2N + 1 times for a span of N steps,
-    by one array ``matrix_at`` call per segment and block of steps; the
-    steps' propagators are built as stacks and multiplied pairwise within
-    each block, and the blocks in step order (``_transitions``). det Phi
-    is compared with exp of the integral of tr A (Abel-Jacobi-Liouville),
-    taken by Simpson's rule over the same stage values of tr A, which is
-    RK4 on the trace; a relative mismatch beyond 1e-6 marks the record as
-    suspect. A non-finite Phi (a non-finite A(t), or a step too large for
-    ||A(t)||) or predicted determinant raises IntegrationSuspect, and a
-    step that is not a positive finite number InvalidArgument. t0 and t
-    must each be one real time, else InvalidArgument or DimensionMismatch,
-    with a <= t0 <= t <= b, else OutOfInterval.
+    A is evaluated at each step's three stage times, 3N times for a span of
+    N steps, by one array ``matrix_at`` call per segment and block of
+    steps; the steps' propagators are built as stacks and multiplied
+    pairwise within each block, and the blocks in step order
+    (``_transitions``). det Phi is compared with exp of the integral of
+    tr A (Abel-Jacobi-Liouville), taken by Simpson's rule over the same
+    stage values of tr A, which is RK4 on the trace; a relative mismatch
+    beyond 1e-6 marks the record as suspect. A non-finite Phi (a
+    non-finite A(t), or a step too large for ||A(t)||) or predicted
+    determinant raises IntegrationSuspect, and a step that is not a
+    positive finite number InvalidArgument. t0 and t must each be one real
+    time, else InvalidArgument or DimensionMismatch, with t0 <= t, both in
+    [a, b] up to 1e-12 (``_within``), else OutOfInterval.
     """
     t0 = float(_time_array(t0, stack=False, name="t0"))
     t = float(_time_array(t, stack=False))
-    a, b = sys.interval
-    if not (a <= t0 <= t <= b):  # nan too
+    if not _within(sys.interval, t0, t):
         raise OutOfInterval(f"need a <= t0 <= t <= b, got t0={t0}, t={t}")
     step = _checked_step(step, *sys.interval)
     phi, integral = _transitions(sys, [t0, t], step)
@@ -393,7 +388,7 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     With tpds=True the monotonicity contract is enforced: s_plus and s_minus
     must be non-increasing sample to sample and at most n-1 exceptional
     clusters of non-V samples may occur. A grid that is empty, non-finite
-    or decreasing, or leaves [a, b] by more than segment_index's 1e-12,
+    or decreasing, or leaves [a, b] by more than 1e-12 (``_within``),
     raises OutOfInterval, a z0 that is not a vector of n entries
     DimensionMismatch, a non-finite z0 NonFiniteInput, a step that is not a
     positive finite number InvalidArgument, and a state that turns

@@ -49,7 +49,8 @@ def _real_array(value, name):
     (str or bytes) or other non-numeric input, an object array holding any
     of these included, raises InvalidArgument, naming the argument. Ragged
     nesting, which numpy cannot shape into an array, raises
-    DimensionMismatch, naming it too."""
+    DimensionMismatch, and a Python int too large for a float
+    NonFiniteInput, as an infinite entry does, naming it too."""
     try:
         array = np.asarray(value)
     except ValueError:  # "the requested array has an inhomogeneous shape"
@@ -59,6 +60,8 @@ def _real_array(value, name):
         held = array.dtype.kind == "O" and any(isinstance(v, not_real) for v in array.flat)
         if array.dtype.kind not in "cSU" and not held:
             return array.astype(float, copy=False)
+    except OverflowError:  # "int too large to convert to float"
+        raise NonFiniteInput(f"{name} has an entry too large for a float") from None
     except (TypeError, ValueError):
         pass
     raise InvalidArgument(f"{name} must hold real numbers, got {value!r}")

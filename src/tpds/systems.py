@@ -20,7 +20,7 @@ from .errors import (
     OutOfInterval,
     SpecFileError,
 )
-from .integrate import _checked_times, _grid, _time_array, transition_matrix
+from .integrate import _checked_times, _grid, _time_array, _within, transition_matrix
 from .signvar import _checked_count
 from .totalpos import _as_matrix, minor
 
@@ -156,11 +156,11 @@ class TimeVaryingSystem:
     def segment_index(self, t):
         """The index of the segment that holds one time t (``_segments_at``).
         t is checked by ``integrate._time_array`` (an array of times raises
-        DimensionMismatch) and must lie within 1e-12 of [a, b], nan and inf
-        outside, else OutOfInterval."""
+        DimensionMismatch) and must lie in [a, b] (``integrate._within``),
+        nan and inf outside, else OutOfInterval."""
         a, b = self.interval
         t = float(_time_array(t, stack=False))
-        if not a - 1e-12 <= t <= b + 1e-12:  # nan too
+        if not _within((a, b), t, t):
             raise OutOfInterval(f"t={t} outside ({a}, {b})")
         return int(self._segments_at(t))
 

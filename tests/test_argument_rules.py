@@ -352,6 +352,28 @@ def test_ragged_input_is_a_dimension_mismatch(call, message):
     assert str(err.value) == message
 
 
+SWITCHED = tpds.shipped("switched").system
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tpds.classify([[10**400]]), "classify: the matrix has an entry too large for a float"),
+        (lambda: tpds.s_minus([10**400, 1]), "vector has an entry too large for a float"),
+        (
+            lambda: tpds.simulate_linear(SWITCHED, [10**400, 1, 1, 1], [0.0, 1.0]),
+            "z0 has an entry too large for a float",
+        ),
+    ],
+    ids=["matrix", "vector", "state"],
+)
+def test_an_int_too_large_for_a_float_is_a_non_finite_input(call, message):
+    # numpy's astype(float) of the object array raised a bare OverflowError
+    with pytest.raises(NonFiniteInput) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [

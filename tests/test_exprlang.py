@@ -394,3 +394,21 @@ def test_parse_counts_parentheses_minus_signs_and_the_tree_alike():
             parse(source)
     # an expression at the limit compiles
     assert compile_fn(parse(" + ".join(["t"] * 100)))(1.0) == 100.0
+
+
+def test_variables_and_pretty_walk_a_tree_of_any_depth_without_recursion():
+    # both recursed, and a 3,000-term sum gave a bare RecursionError
+    huge = _chain(3000, Var("t"), lambda e: BinOp("+", e, Var("x1")))
+    for walk in (variables, pretty):
+        with pytest.raises(ExprTooDeep, match=r"^the expression nests too deeply \(more than 100 levels\)$"):
+            walk(huge)
+    deepest = _chain(MAX_DEPTH, Var("t"), lambda e: BinOp("+", e, Var("x1")))
+    assert variables(deepest) == {"t", "x1"}
+    assert parse(pretty(deepest)) == deepest
+
+
+@pytest.mark.parametrize("expr", [5, "t", None, BinOp("+", Var("t"), 2.0), Neg(Call("sin", [Var("t")]))])
+def test_variables_and_pretty_refuse_what_is_not_a_node(expr):
+    for walk in (variables, pretty):
+        with pytest.raises(TypeError, match="^not an expression node: "):
+            walk(expr)

@@ -1,5 +1,7 @@
 """Tests for monodromy analysis of periodic systems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from tpds import (
     shipped,
     transition_matrix,
 )
-from tpds.errors import FloquetViolation, LeadingCoefficientZero, NotPeriodic
+from tpds.errors import BandViolation, FloquetViolation, LeadingCoefficientZero, NotPeriodic
 
 TWO_PI = 2 * np.pi
 
@@ -110,6 +112,21 @@ def test_mode_evolution_rejects_zero_coefficients(sinusoidal):
         floquet_mode_evolution(sys, fd, {}, horizon=fd.period)
     with pytest.raises(LeadingCoefficientZero):
         floquet_mode_evolution(sys, fd, [0.0, 0.0], horizon=fd.period)
+
+
+def test_mode_evolution_outside_the_band_raises(sinusoidal):
+    # the eigenvector columns swapped: "mode 1" is the one with a sign change
+    sys, fd = sinusoidal
+    swapped = dataclasses.replace(fd, eigvecs=fd.eigvecs[:, ::-1])
+    with pytest.raises(BandViolation, match=r"sign count left the band \[0, 0\] at t=\[0\.0, "):
+        floquet_mode_evolution(sys, swapped, {1: 1.0}, horizon=fd.period)
+
+
+def test_mode_evolution_that_does_not_settle_raises(sinusoidal):
+    # a dominant mode 1 of weight 1e-30 has not overtaken mode 2 within 2 periods
+    sys, fd = sinusoidal
+    with pytest.raises(BandViolation, match=r"^terminal sign count \{1\} != \{0\}$"):
+        floquet_mode_evolution(sys, fd, {1: 1e-30, 2: 1.0}, horizon=2 * fd.period)
 
 
 def test_random_periodic_tpds_invariants():

@@ -298,6 +298,11 @@ def test_simulate_linear_grid_within_slack_and_repeated_points():
     sys = TimeVaryingSystem.constant([[-1.0, 1.0], [1.0, -1.0]], (0.0, 1.0))
     traj = simulate_linear(sys, [1.0, 0.0], [-1e-13, 0.5, 0.5, 1.0 + 1e-13])
     assert np.array_equal(traj.states[1], traj.states[2])
+    # transition_matrix takes the same slack; a strict a <= t0 <= t <= b
+    # raised OutOfInterval on the span that simulate_linear integrated
+    for t0, t in [(-1e-13, 1.0), (0.0, 1.0 + 1e-13), (-1e-13, 1.0 + 1e-13)]:
+        phi = transition_matrix(sys, t0, t).phi
+        assert np.allclose(phi @ [1.0, 0.0], traj.states[-1], rtol=1e-12, atol=0)
 
 
 def test_trajectory_non_finite_row_raises():
@@ -306,20 +311,14 @@ def test_trajectory_non_finite_row_raises():
         Trajectory(np.arange(3.0), states)
 
 
-def test_one_coefficient_evaluation_per_stage_time(monkeypatch):
-    """RK4 evaluates A(t) at t, t + h/2 and t + h only, and t + h is the next
-    step's t; the Liouville integral reuses the traces of those evaluations.
-    So a one-segment transition_matrix of N steps evaluates A at 2 N + 1
-    stage times in all (one array call), where a second quadrature of the
-    trace made it 4 N + 2; compound_transition takes the additive compound
-    of A at the same 2 N + 1 times."""
-    sys = random_tpds_system(3, rng=0)
-    nsteps, T = 100, np.pi / 2
-    count = {"A": 0, "compound": 0}
+def _count_coefficients(monkeypatch):
+    """Record the times of every ``Segment.matrix_at`` call and the number
+    of matrices whose additive compound ``_transitions`` takes."""
+    calls, count = [], {"compound": 0}
     matrix_at = Segment.matrix_at
 
     def counting_matrix_at(self, t):
-        count["A"] += np.size(t)
+        calls.append(np.array(t, dtype=float).ravel())
         return matrix_at(self, t)
 
     def counting_add_compound(A, p):
@@ -328,10 +327,49 @@ def test_one_coefficient_evaluation_per_stage_time(monkeypatch):
 
     monkeypatch.setattr(Segment, "matrix_at", counting_matrix_at)
     monkeypatch.setattr(integrate, "add_compound", counting_add_compound)
+    return calls, count
+
+
+def test_three_coefficient_evaluations_per_step(monkeypatch):
+    """RK4 evaluates A(t) at t, t + h/2 and t + h, and each step reads its
+    own three: a one-segment transition_matrix of N steps takes A at 3 N
+    times (one array call), which are the 2 N + 1 stage times lo + k h / 2,
+    a step's end read again as the next step's start. The Liouville
+    integral reuses the traces of those values, where a second quadrature
+    would make it 6 N, and compound_transition takes the additive compound
+    of A at the same 3 N times."""
+    sys = random_tpds_system(3, rng=0)
+    nsteps, T = 100, np.pi / 2
+    calls, count = _count_coefficients(monkeypatch)
     transition_matrix(sys, 0.0, T, step=T / nsteps)
-    assert count["A"] == 2 * nsteps + 1
+    assert len(calls) == 1 and calls[0].size == 3 * nsteps
+    assert np.array_equal(np.unique(calls[0]), np.arange(2 * nsteps + 1) * (T / nsteps / 2) + 0.0)
     compound_transition(sys, 2, 0.0, T, step=T / nsteps)
-    assert count["compound"] == 2 * nsteps + 1
+    assert count["compound"] == 3 * nsteps
+    assert np.array_equal(calls[2], calls[0])  # the compound's own run, after the direct one
+
+
+def test_a_grid_of_many_intervals_reads_each_step_as_one_interval_does(monkeypatch):
+    """simulate_linear lays out CHUNK_STEPS intervals side by side, so each
+    block holds one step of each interval; the steps read A at the times
+    that each interval's own transition_matrix reads, and the states follow
+    those transition matrices."""
+    sys = shipped("switched").system
+    grid = np.linspace(0.0, 1.0, integrate.CHUNK_STEPS + 46)  # no point on a segment end
+    pieces = np.diff(np.union1d(grid, sys._ends))
+    steps = sum(integrate._step_count(x, 1e-3) for x in pieces.tolist())  # at the default step
+    z0 = np.array([1.0, -1.0, 2.0, 0.5])
+    calls, _ = _count_coefficients(monkeypatch)
+    states = simulate_linear(sys, z0, grid).states
+    lanes = np.sort(np.concatenate(calls))
+    calls.clear()
+    z, want = z0, [z0]
+    for t0, t in zip(grid[:-1], grid[1:]):
+        want.append(z := transition_matrix(sys, t0, t).phi @ z)
+    alone = np.sort(np.concatenate(calls))
+    assert lanes.size == 3 * steps
+    assert np.array_equal(lanes, alone)
+    assert np.allclose(states, want, rtol=1e-13, atol=0)
 
 
 STIFF = [[-1000.0, 1.0], [1.0, -1000.0]]
