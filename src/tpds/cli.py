@@ -144,7 +144,10 @@ def cmd_entrain(args):
     print(f"detected_period {res.detected_period}")
     tail = res.residuals[-5:]
     print("residual tail " + " ".join(f"{r:.3e}" for r in tail))
-    print(f"steps {res.accepted_steps} rejected {res.rejected_steps}")
+    steps = f"steps {res.accepted_steps} rejected {res.rejected_steps}"
+    if res.largest_error is not None:  # an error-controlled run
+        steps += f" largest_error {res.largest_error:.3e}"
+    print(steps)
     return EXIT_OK
 
 
@@ -252,7 +255,7 @@ def build_parser():
         "--step",
         type=float,
         help="fixed RK4 step; by default 1e-3 of the interval for a linear spec, "
-        "and error-controlled (Dormand-Prince 5(4)) for a nonlinear one",
+        "and error-controlled (DOP853) for a nonlinear one",
     )
     p.add_argument("--grid", type=int)
     p.add_argument("--horizon", type=float)
@@ -270,7 +273,7 @@ def build_parser():
     p.add_argument("--x0", type=_float_list)
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--step", type=float, help="fixed RK4 step; by default error-controlled (Dormand-Prince 5(4))")
+    p.add_argument("--step", type=float, help="fixed RK4 step; by default error-controlled (DOP853)")
     p.set_defaults(func=cmd_entrain)
 
     p = sub.add_parser("reproduce", help="write figure-backing data files")

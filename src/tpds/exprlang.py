@@ -18,8 +18,8 @@ them: a 1-d array of times and, with x, a matching (m, n) array of states,
 as for ``Segment.matrix_at`` and the f and J of
 ``nonlinear.NonlinearSystem``. ``compile_stepper`` turns the
 right-hand side of x' = f(t, x) into one checked run function, whose step
-picks its loop, fixed-step RK4 or error-controlled Dormand-Prince 5(4),
-and whose stages inline every entry.
+picks its loop, fixed-step RK4 or error-controlled DOP853, and whose
+stages inline every entry.
 All of them emit the same code for an expression (``_pycode``) and are
 defined by the same helper (``_define``).
 """
@@ -515,20 +515,140 @@ def _common(exprs):
     return shared, rename
 
 
-# Dormand and Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980): the
-# stage times c, the stage weights a (the last row gives the fifth-order
-# solution, whose f is the next step's first stage) and the weights e of
-# the error estimate, the fifth- less the fourth-order solution
-_DP5_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP5_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand and Prince's DOP853 (Hairer, Norsett and Wanner, Solving ODEs I,
+# II.10, and their published code dop853.f): the times c of stages 2..12,
+# the weights a of stages 2..12, the weights b of the eighth-order
+# solution, whose f is the next step's first stage, and the weights of its
+# two error estimates, the fifth-order e5 and the third-order e3 = b - bhh
+_DOP853_C = (
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
 )
-_DP5_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DOP853_A = (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (
+        2.41365134159266685502369798665e-1,
+        0.0,
+        -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ),
+    (
+        3.7037037037037037037037037037e-2,
+        0.0,
+        0.0,
+        1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1,
+    ),
+    (
+        3.7109375e-2,
+        0.0,
+        0.0,
+        1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2,
+        -1.7578125e-2,
+    ),
+    (
+        3.70920001185047927108779319836e-2,
+        0.0,
+        0.0,
+        1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1,
+        -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3,
+    ),
+    (
+        6.24110958716075717114429577812e-1,
+        0.0,
+        0.0,
+        -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1,
+        2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1,
+        -4.34898841810699588477366255144e1,
+    ),
+    (
+        4.77662536438264365890433908527e-1,
+        0.0,
+        0.0,
+        -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1,
+        2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1,
+        -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2,
+    ),
+    (
+        -9.3714243008598732571704021658e-1,
+        0.0,
+        0.0,
+        5.18637242884406370830023853209,
+        1.09143734899672957818500254654,
+        -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1,
+        2.27394870993505042818970056734e1,
+        2.49360555267965238987089396762,
+        -3.0467644718982195003823669022,
+    ),
+    (
+        2.27331014751653820792359768449,
+        0.0,
+        0.0,
+        -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444,
+        -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1,
+        -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258,
+        1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ),
+)
+_DOP853_B = (
+    5.42937341165687622380535766363e-2,
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    4.45031289275240888144113950566,
+    1.89151789931450038304281599044,
+    -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+)
+_DOP853_E5 = (
+    0.1312004499419488073250102996e-1,
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    -0.1225156446376204440720569753e1,
+    -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e1,
+    -0.3503288487499736816886487290,
+    0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+)
+# bhh1, bhh2 and bhh3, the third-order weights of stages 1, 9 and 12
+_DOP853_BHH = {
+    0: 0.244094488188976377952755905512,
+    8: 0.733846688281611857341361741547,
+    11: 0.220588235294117647058823529412e-1,
+}
+_DOP853_E3 = tuple(b - _DOP853_BHH.get(i, 0.0) for i, b in enumerate(_DOP853_B))
 
 
 def compile_stepper(rhs, n, u=None, box=None):
@@ -550,23 +670,32 @@ def compile_stepper(rhs, n, u=None, box=None):
     ``integrate._step_count(t1 - t0, step)`` equal steps between times
     t0 < t1, with the floating-point operations of RK4 over
     ``compile_fn(rhs, n, u)`` on numpy arrays in the same order: the same
-    states, bit for bit.
+    states, bit for bit. It leaves ``tally[2]`` as it is.
 
-    With ``step=None`` it takes Dormand-Prince 5(4) steps with the first
-    stage taken from the last (FSAL), each accepted when the RMS norm of
-    its error estimate, scaled per entry by ATOL + RTOL max(|y|, |y + dy|)
-    (``integrate``), is at most 1. The first step size follows Hairer,
-    Norsett and Wanner (Solving ODEs I, II.4), and each next one is the
-    step's h times min(5, max(0.2, 0.9 err^(-1/5))), at most h after a
-    rejection. A step that would end within 1 % of its h before the next
-    time is stretched or cut to land exactly on that time; the step size it
-    was cut from carries on past it. A non-finite error estimate, a step
-    size no larger than 16 eps |t|, or more than MAX_STEPS steps between
-    two times raises IntegrationSuspect naming t.
+    With ``step=None`` it takes steps of Dormand and Prince's DOP853, the
+    eighth-order pair of Hairer, Norsett and Wanner (Solving ODEs I, II.10):
+    12 stages, the last one's f at the new state taken as the next step's
+    first (FSAL) once the step is accepted. A step of size h is accepted
+    when its error estimate |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n) is at
+    most 1, where e5^2 and e3^2 are the sums of squares of the fifth- and
+    third-order estimates, scaled per entry by ATOL + RTOL max(|y|, |y + dy|)
+    (``integrate``). ``tally[2]`` holds the largest estimate of an accepted
+    step so far (0.0 before the first). The first step size follows II.4
+    with the exponent 1/8, and each next one is the step's h times
+    min(6, max(0.333, 0.9 err^(-1/8))), at most h after a rejection. A step
+    that would end within 1 % of its h before the next time is stretched or
+    cut to land exactly on that time; the step size it was cut from carries
+    on past it. A non-finite error estimate, a step size no larger than
+    16 eps |t| or than RTOL (t - t0), or more than MAX_STEPS steps between
+    two times raises IntegrationSuspect naming t. t0 is the run's first
+    time: the run places its solution in time only to about RTOL (t - t0),
+    so at a finite-time blow-up the second bound gives up before the
+    singularity, where the first would give up at the numerical solution's
+    own, which lies past it when the method's error delays the blow-up.
 
     The domain rules and errors are those of ``compile_fn``, but a
     DomainError's message names the step by its start ("advance in the RK4
-    step from t = ...", "advance in the DP5 step from t = ...") and an
+    step from t = ...", "advance in the DOP853 step from t = ...") and an
     unbound variable raises here. A y that does not hold n entries raises
     ValueError when the loop unpacks it.
     """
@@ -580,7 +709,7 @@ def compile_stepper(rhs, n, u=None, box=None):
 
 
 def _run_loop(rhs, n, u, box, used, adaptive):
-    """compile_stepper's loop for one mode: Dormand-Prince given adaptive, else RK4."""
+    """compile_stepper's loop for one mode: DOP853 given adaptive, else RK4."""
     signature = "advance(y, times, step, tally)"  # DomainError messages name it
     ks = range(1, n + 1)
     states = sorted(int(v[1:]) for v in used - {"t", "u"})
@@ -614,9 +743,10 @@ def _run_loop(rhs, n, u, box, used, adaptive):
     env = dict(_array=np.array, _step_count=_step_count, _sqrt=math.sqrt, _inf=math.inf)
     env.update(_LeftDomain=LeftDomain, _IntegrationSuspect=IntegrationSuspect)
     if adaptive:
-        span = ["t1 = float(t1)"] + _dp5_span(stage, ks)
-        body = head + ["h = None", "grow = 5.0", "for t1 in times:", *_indent(span + tail)]
-        return _define(signature, prologue, body, at="in the DP5 step from t = {s}", **env)
+        span = ["t1 = float(t1)"] + _dop853_span(stage, ks)
+        tail.insert(-1, "tally[2] = largest")
+        body = head + ["start = s", "h = None", "grow = 6.0", "largest = 0.0", "for t1 in times:", *_indent(span + tail)]
+        return _define(signature, prologue, body, at="in the DOP853 step from t = {s}", **env)
     rk4 = (
         stage("a", "s", "y{k}")
         + stage("b", "s + h2", "y{k} + h2 * a{k}")
@@ -641,18 +771,19 @@ def _run_loop(rhs, n, u, box, used, adaptive):
     return _define(signature, prologue + ["t0 = s"], body, at="in the RK4 step from t = {s}", **env)
 
 
-def _dp5_span(stage, ks):
-    """The lines of compile_stepper's Dormand-Prince loop that take the
-    state y from s to t1: the first step size, once, then at most MAX_STEPS
-    steps under the step-size controller, to ATOL and RTOL."""
+def _dop853_span(stage, ks):
+    """The lines of compile_stepper's DOP853 loop that take the state y
+    from s to t1: the first step size, once, then at most MAX_STEPS steps
+    under the step-size controller, to ATOL and RTOL."""
     n = len(ks)
     scale = lambda k, v: f"({v} / ({_literal(ATOL)} + {_literal(RTOL)} * abs(y{k})))"
-    rms = lambda term: f"_sqrt(({' + '.join(f'{term(k)} * {term(k)}' for k in ks)}) / {n})"
+    squares = lambda term: " + ".join(f"{term(k)} * {term(k)}" for k in ks)
+    rms = lambda term: f"_sqrt(({squares(term)}) / {n})"
 
     def combine(weights, stages, k):
         return " + ".join(f"{_literal(w)} * {g}{k}" for w, g in zip(weights, stages) if w)
 
-    names = [f"k{j}_" for j in range(1, 8)]
+    names = [f"k{j}_" for j in range(1, 13)]
     # Hairer, Norsett and Wanner, II.4: the first step size from the norms
     # of y, of f and of an explicit Euler step's change in f
     first = (
@@ -667,41 +798,45 @@ def _dp5_span(stage, ks):
             # h is 0 only after an infinite d1, where d2 is taken as infinite
             f"d2 = {rms(lambda k: scale(k, f'(k2_{k} - k1_{k})'))} / h if h else _inf",
             "dm = max(d1, d2)",
-            "h = min(100 * h, (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h * 1e-3))",
+            "h = min(100 * h, (0.01 / dm) ** 0.125 if dm > 1e-15 else max(1e-6, h * 1e-3))",
         ]
     )
     step = [
         "if not h > 3.552713678800501e-15 * abs(s):  # 16 eps |t|",
-        '    raise _IntegrationSuspect(f"the DP5 step size {h!r} is below 16 eps |t| at t = {s!r}")',
+        '    raise _IntegrationSuspect(f"the DOP853 step size {h!r} is below 16 eps |t| at t = {s!r}")',
+        f"if not h > {_literal(RTOL)} * (s - start):  # RTOL (t - t0)",
+        '    raise _IntegrationSuspect(f"the DOP853 step size {h!r} is below RTOL (t - t0) at t = {s!r}")',
         "if accepted + rejected >= limit:",
-        f'    raise _IntegrationSuspect(f"the DP5 run takes more than {MAX_STEPS} steps from t = {{t0!r}} to t = {{t1!r}}")',
+        f'    raise _IntegrationSuspect(f"the DOP853 run takes more than {MAX_STEPS} steps from t = {{t0!r}} to t = {{t1!r}}")',
         "last = s + 1.01 * h >= t1",
         "hh = t1 - s if last else h",
         "te = t1 if last else s + hh",
     ]
-    for j, (c, weights) in enumerate(zip(_DP5_C, _DP5_A), start=1):
+    for j, (c, weights) in enumerate(zip(_DOP853_C, _DOP853_A), start=1):
         time = "te" if c == 1.0 else f"s + {_literal(c)} * hh"
-        state = "y{k} + hh * (" + combine(weights, names, "{k}") + ")"
-        if j < 6:
-            step += stage(names[j], time, state)
-        else:  # the fifth-order solution w, and f there at the same time te
-            step += [f"w{k} = {state.format(k=k)}" for k in ks] + stage(names[6], None, "w{k}")
+        step += stage(names[j], time, "y{k} + hh * (" + combine(weights, names, "{k}") + ")")
+    # the eighth-order solution w, and its two error estimates scaled
+    step += [f"w{k} = y{k} + hh * ({combine(_DOP853_B, names, k)})" for k in ks]
+    step += [f"sk{k} = {_literal(ATOL)} + {_literal(RTOL)} * max(abs(y{k}), abs(w{k}))" for k in ks]
+    step += [f"p{k} = ({combine(_DOP853_E5, names, k)}) / sk{k}" for k in ks]
+    step += [f"q{k} = ({combine(_DOP853_E3, names, k)}) / sk{k}" for k in ks]
     step += [
-        f"q{k} = hh * ({combine(_DP5_E, names, k)}) / ({_literal(ATOL)} + {_literal(RTOL)} * max(abs(y{k}), abs(w{k})))"
-        for k in ks
-    ]
-    step += [
-        f"err = {rms(lambda k: f'q{k}')}",
-        "if not err < _inf:",
-        '    raise _IntegrationSuspect(f"the DP5 error estimate is {err} in the step from t = {s!r}")',
-        "fac = min(grow, max(0.2, 0.9 * max(err, 1e-4) ** -0.2))",
+        f"e5 = {squares(lambda k: f'p{k}')}",
+        f"den = (e5 + 0.01 * ({squares(lambda k: f'q{k}')})) * {n}",
+        "if not den < _inf:",
+        '    raise _IntegrationSuspect(f"the DOP853 error estimate is {den} in the step from t = {s!r}")',
+        "err = abs(hh) * e5 / _sqrt(den) if den else 0.0",
+        "fac = min(grow, max(0.333, 0.9 * max(err, 1e-10) ** -0.125))",
         "if err <= 1.0:",
         "    accepted += 1",
+        "    largest = max(largest, err)",
+        # f at (te, w), where the twelfth stage left t and u, is the next
+        # step's first stage
+        *_indent(stage(names[0], None, "w{k}")),
         "    s = te",
         *(f"    y{k} = w{k}" for k in ks),
-        *(f"    k1_{k} = k7_{k}" for k in ks),
         "    h = max(h, hh * fac) if last else hh * fac",
-        "    grow = 5.0",
+        "    grow = 6.0",
         "else:",
         "    rejected += 1",
         "    h = hh * fac",

@@ -11,8 +11,8 @@ function, ``_transitions``, lays out and multiplies the steps of a grid.
 Determinants are cross-checked against the exponential of the
 integrated trace. A nonlinear run is the one run function compiled per
 system (``exprlang.compile_stepper``), whose step picks its loop: explicit
-RK4 steps by the step-count rule here, or, without a step,
-Dormand-Prince 5(4) steps controlled to RTOL and ATOL.
+RK4 steps by the step-count rule here, or, without a step, DOP853 steps
+controlled to RTOL and ATOL.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ TRAJ_ZERO_REL_TOL = 1e-8
 CLUSTER_GAP = 3
 CHUNK_STEPS = 256  # RK4 steps whose propagators are built at once, to bound memory
 # the local error tolerances of a nonlinear run without an explicit step:
-# each Dormand-Prince step keeps its error estimate within ATOL + RTOL |x|
+# each DOP853 step keeps its error estimate within ATOL + RTOL |x|
 RTOL = 1e-10
 ATOL = 1e-10
-MAX_STEPS = 100_000  # per interval between two of a run's times, as in Hairer's DOPRI5
+MAX_STEPS = 100_000  # per interval between two of a run's times, as in Hairer's DOP853
 
 
 def _within(interval, lo, hi):
@@ -59,8 +59,9 @@ def _checked_grid(grid, interval=None):
     """The sample grid as a float array. It must be a nonempty, finite,
     nondecreasing sequence and, given an interval, lie within it
     (``_within``); anything else raises OutOfInterval, and a complex or
-    non-numeric entry InvalidArgument (``_real_array``)."""
-    grid = _real_array(grid, "grid")
+    non-numeric entry InvalidArgument (``_real_array``). An int too large
+    for a float is the inf it rounds to."""
+    grid = _real_array(grid, "grid", rounded=True)
     ok = grid.ndim == 1 and grid.size > 0 and np.isfinite(grid).all()
     ok = ok and bool(np.all(np.diff(grid) >= 0))
     if ok and interval is not None:
@@ -75,12 +76,14 @@ def _checked_horizon(horizon, interval=None):
     """The end of a run from t = 0 as a float: a finite number >= 0 with,
     given an interval, [0, horizon] within it (``_within``). A complex or
     non-numeric value raises InvalidArgument (``_real_array``), anything
-    else OutOfInterval, naming the horizon with the value given."""
-    value = _real_array(horizon, "horizon")
+    else OutOfInterval, naming the horizon with the value given. An int too
+    large for a float is the inf it rounds to, and named so."""
+    value = _real_array(horizon, "horizon", rounded=True)
     a, b = interval or (0.0, math.inf)
     if not (value.ndim == 0 and math.isfinite(value) and _within((a, b), 0.0, value)):
         where = f" within [{a}, {b}]" if interval else ""
-        raise OutOfInterval(f"horizon must be a finite time >= 0{where}, got {horizon!r}")
+        shown = horizon if value.ndim or math.isfinite(value) else float(value)
+        raise OutOfInterval(f"horizon must be a finite time >= 0{where}, got {shown!r}")
     return float(value)
 
 
@@ -154,10 +157,11 @@ def _checked_state(x0, n, name, m=None):
 
 
 def _time_array(t, stack, name="t"):
-    """t as a float array of no dimension or, given stack, of one. Complex
-    or non-numeric input raises InvalidArgument, another shape
+    """t as a float array of no dimension or, given stack, of one, where an
+    int too large for a float is the +-inf it rounds to. Complex or
+    non-numeric input raises InvalidArgument, another shape
     DimensionMismatch, either naming the argument."""
-    times = _real_array(t, name)
+    times = _real_array(t, name, rounded=True)
     if times.ndim > stack:
         what = "one time or a 1-d array of times" if stack else "one time"
         raise DimensionMismatch(f"{name} must be {what}, got shape {times.shape}")

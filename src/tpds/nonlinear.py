@@ -3,10 +3,10 @@
 Every run iterates the one run function compiled for its system
 (``exprlang.compile_stepper``, held as ``NonlinearSystem._run``), which
 yields the state at each of its times, the states alone. The step picks
-the loop: Dormand-Prince 5(4) steps controlled to ``integrate.RTOL`` and
-``ATOL`` without one, RK4 steps of an explicit step. f and J are then taken as stacks, by calls
-of ``NonlinearSystem.f`` or ``jac`` on (m,) times and (m, n) states
-(``exprlang.compile_fn``).
+the loop: DOP853 steps controlled to ``integrate.RTOL`` and ``ATOL``
+without one, RK4 steps of an explicit step. f and J are then taken as
+stacks, by calls of ``NonlinearSystem.f`` or ``jac`` on (m,) times and
+(m, n) states (``exprlang.compile_fn``).
 """
 
 from __future__ import annotations
@@ -133,6 +133,7 @@ class NonlinearRun:
     jacobian_in_M_plus: bool
     accepted_steps: int = field(default=0, compare=False)
     rejected_steps: int = field(default=0, compare=False)
+    largest_error: float | None = field(default=None, compare=False)  # None for RK4
 
 
 def _checked_run_step(step):
@@ -152,12 +153,13 @@ def simulate_nonlinear(sys, x0, grid, step=None):
     x0 that is not a vector of n entries DimensionMismatch, one with a nan
     or inf entry NonFiniteInput, and a step that is not a positive finite
     number InvalidArgument, all before any step. Without a step the run is
-    error-controlled (Dormand-Prince 5(4) to ``integrate.RTOL`` and
-    ``ATOL``); the result records its accepted and rejected steps.
+    error-controlled (DOP853 to ``integrate.RTOL`` and ``ATOL``); the
+    result records its accepted and rejected steps and the largest scaled
+    error estimate of an accepted step (None for RK4 steps).
     """
     grid = _checked_grid(grid)
     x0 = _checked_state(x0, sys.n, "x0")
-    tally = [0, 0]
+    tally = [0, 0, None]
     xs = np.array(list(sys._run(x0, grid, _checked_run_step(step), tally)))
     zs = sys.f(grid, xs)
     jac_ok = all(
@@ -229,9 +231,9 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
         raise TrivialSolution("initial conditions must differ")
     grid = _grid(0.0, _checked_horizon(horizon), _checked_count(samples, "samples", least=1))
     step = _checked_run_step(step)
-    xa = np.array(list(sys._run(a0, grid, step, [0, 0])))
+    xa = np.array(list(sys._run(a0, grid, step, [0, 0, None])))
     _check_finite(xa)  # as a Trajectory of the states does
-    xb = np.array(list(sys._run(b0, grid, step, [0, 0])))
+    xb = np.array(list(sys._run(b0, grid, step, [0, 0, None])))
     _check_finite(xb)
 
     ks = np.arange(0, samples, max(1, samples // 25))
@@ -264,6 +266,7 @@ class PoincareResult:
     residuals: list = field(default_factory=list)
     accepted_steps: int = field(default=0, compare=False)
     rejected_steps: int = field(default=0, compare=False)
+    largest_error: float | None = field(default=None, compare=False)  # None for RK4
 
 
 def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
@@ -274,14 +277,15 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
     the tail of the run; q = 1 certifies entrainment at this resolution.
     The iterates are the states of one run loop at kT, k = 0..max_iters,
     the times read lazily and the states through ``integrate._rk4_span``
-    one at a time: Dormand-Prince steps controlled to ``integrate.RTOL``
-    and ``ATOL`` by default, landing on each kT, or RK4 steps of an
-    explicit step. The result records the accepted and rejected steps up
-    to the last iterate. An x0 that is not a vector of n entries raises
-    DimensionMismatch, one with a nan or inf entry NonFiniteInput, and a
-    step or tol that is not a positive finite number, or a max_iters or
-    q_max that is not an integer >= 1, InvalidArgument, all before any
-    iterate.
+    one at a time: DOP853 steps controlled to ``integrate.RTOL`` and
+    ``ATOL`` by default, landing on each kT, or RK4 steps of an explicit
+    step. The result records the accepted and rejected steps up to the
+    last iterate and, for DOP853, the largest scaled error estimate of an
+    accepted step (``exprlang.compile_stepper``). An x0 that is not a
+    vector of n entries raises DimensionMismatch, one with a nan or inf
+    entry NonFiniteInput, and a step or tol that is not a positive finite
+    number, or a max_iters or q_max that is not an integer >= 1,
+    InvalidArgument, all before any iterate.
     """
     if sys.period is None:
         raise NotPeriodic("system carries no period")
@@ -291,7 +295,7 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
     _checked_count(max_iters, "max_iters", least=1)
     _checked_count(q_max, "q_max", least=1)
     _checked_positive(tol, "tol")
-    tally = [0, 0]
+    tally = [0, 0, None]
     run = sys._run(x0, (k * T for k in range(max_iters + 1)), step, tally)
     iterates = []
     for _ in range(max_iters + 1):

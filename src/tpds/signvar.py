@@ -44,13 +44,16 @@ def _check_finite(Y, name="vector"):
         raise NonFiniteInput(f"{name} {row.tolist()} has a non-finite entry")
 
 
-def _real_array(value, name):
+def _real_array(value, name, rounded=False):
     """The one real-number rule: value as a float array. Complex, text
     (str or bytes) or other non-numeric input, an object array holding any
     of these included, raises InvalidArgument, naming the argument. Ragged
     nesting, which numpy cannot shape into an array, raises
     DimensionMismatch, and a Python int too large for a float
-    NonFiniteInput, as an infinite entry does, naming it too."""
+    NonFiniteInput, as an infinite entry does, naming it too. Given
+    ``rounded``, as for a time, a grid or a horizon, such an int reads as
+    the +-inf it rounds to instead, so that the caller's own rule for an
+    infinite value names it."""
     try:
         array = np.asarray(value)
     except ValueError:  # "the requested array has an inhomogeneous shape"
@@ -59,12 +62,22 @@ def _real_array(value, name):
         not_real = (str, bytes, complex, np.complexfloating)  # also inside an object array
         held = array.dtype.kind == "O" and any(isinstance(v, not_real) for v in array.flat)
         if array.dtype.kind not in "cSU" and not held:
-            return array.astype(float, copy=False)
-    except OverflowError:  # "int too large to convert to float"
-        raise NonFiniteInput(f"{name} has an entry too large for a float") from None
+            try:
+                return array.astype(float, copy=False)
+            except OverflowError:  # "int too large to convert to float"
+                if not rounded:
+                    raise NonFiniteInput(f"{name} has an entry too large for a float") from None
+            return np.array([_rounded(v) for v in array.flat], dtype=float).reshape(array.shape)
     except (TypeError, ValueError):
         pass
     raise InvalidArgument(f"{name} must hold real numbers, got {value!r}")
+
+
+def _rounded(v):
+    try:
+        return float(v)
+    except OverflowError:
+        return np.inf if v > 0 else -np.inf
 
 
 def _checked_count(count, name, least=0):

@@ -374,6 +374,43 @@ def test_an_int_too_large_for_a_float_is_a_non_finite_input(call, message):
     assert str(err.value) == message
 
 
+COSH2 = tpds.shipped("cosh2").system
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda big: tpds.simulate_linear(COSH2, [1, 0], [0, big]),
+            r"the grid must be a nonempty, finite, nondecreasing sequence within \[0\.0, 2\.0\]",
+        ),
+        (
+            lambda big: tpds.simulate_nonlinear(DEMO, OK_X, [0, big]),
+            r"the grid must be a nonempty, finite, nondecreasing sequence",
+        ),
+        (lambda big: tpds.transition_matrix(COSH2, 0.0, big), r"need a <= t0 <= t <= b, got t0=0\.0, t=inf"),
+        (lambda big: tpds.transition_matrix(COSH2, -big, 1.0), r"need a <= t0 <= t <= b, got t0=-inf, t=1\.0"),
+        (
+            lambda big: tpds.eventual_monotonicity(DEMO, OK_X, [0.2, 0.2, 0.3], big),
+            r"horizon must be a finite time >= 0, got inf",
+        ),
+        (lambda big: COSH2.matrix_at(big), r"t=inf outside \(0\.0, 2\.0\)"),
+    ],
+    ids=["linear-grid", "nonlinear-grid", "t", "t0", "horizon", "matrix_at"],
+)
+def test_an_int_too_large_for_a_float_is_a_time_out_of_the_interval(call, message):
+    # a grid, a horizon or a time reads such an int as the inf it rounds
+    # to, and raises what inf raises; the grid, t and horizon cases raised
+    # NonFiniteInput "... has an entry too large for a float"
+    for big in (10**400, 10**5000, INF):
+        with pytest.raises(OutOfInterval, match=f"^{message}$"):
+            call(big)
+    # NonlinearSystem.f names an infinite t by the time rule
+    for big in (10**400, INF):
+        with pytest.raises(NonFiniteInput, match=r"^t \[inf\] has a non-finite entry$"):
+            DEMO.f(big, OK_X)
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [

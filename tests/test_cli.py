@@ -105,8 +105,12 @@ def test_entrain_command(tmp_path, capsys):
     assert cli.main(["entrain", spec]) == 0
     out = capsys.readouterr().out
     assert "detected_period 1" in out
-    # the steps of the error-controlled run, after the residual tail
-    assert out.splitlines()[2] == "steps 1411 rejected 0"
+    # the steps of the error-controlled run, after the residual tail, and
+    # the largest scaled error estimate of an accepted step
+    assert out.splitlines()[2] == "steps 267 rejected 36 largest_error 7.754e-01"
+    # an explicit step runs RK4, which has no error estimate to report
+    assert cli.main(["entrain", spec, "--step", "0.02"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "steps 3780 rejected 0"
 
 
 def test_reproduce_idempotent(tmp_path, capsys):
@@ -303,4 +307,4 @@ def test_simulate_overflow_names_the_stepper_and_the_step(tmp_path, capsys):
     # first interval of 1e305
     assert cli.main(args) == 4
     err = capsys.readouterr().err
-    assert err == "numerical suspect: the DP5 run takes more than 100000 steps from t = 0.0 to t = 1.001001001001001e+305\n"
+    assert err == "numerical suspect: the DOP853 run takes more than 100000 steps from t = 0.0 to t = 1.001001001001001e+305\n"

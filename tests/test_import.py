@@ -110,6 +110,8 @@ def test_nonlinear_cli_runs_load_no_scipy_and_ignore_python_O(tmp_path):
     (tmp_path / "opt").mkdir()
     plain = run(NONLINEAR_CLI, cwd=tmp_path / "plain")
     assert plain == run(NONLINEAR_CLI, "-O", cwd=tmp_path / "opt")
-    entrain = r"detected_period {} residual tail( \S+){{5}} steps \d+ rejected \d+ 0"
-    pattern = " ".join([entrain.format(1), entrain.format(2), r"wrote takac.csv \(50 samples\) 0 [0-9a-f]{64} 4 \[\]"])
+    # the error-controlled run also prints its largest error estimate
+    entrain = r"detected_period {} residual tail( \S+){{5}} steps \d+ rejected \d+{} 0"
+    entrain = [entrain.format(1, r" largest_error \S+"), entrain.format(2, "")]
+    pattern = " ".join(entrain + [r"wrote takac.csv \(50 samples\) 0 [0-9a-f]{64} 4 \[\]"])
     assert re.fullmatch(pattern, " ".join(plain))

@@ -165,12 +165,20 @@ def test_demo_entrains(demo):
     res = poincare_analysis(demo, [0.5, -0.5, 1.0])
     assert res.detected_period == 1
     assert res.residuals[-1] < 1e-6
-    # 12 periods of about 118 error-controlled steps each; the counts are
-    # diagnostics, outside the result's equality
-    assert (res.accepted_steps, res.rejected_steps) == (1411, 0)
-    assert res == dataclasses.replace(res, accepted_steps=0, rejected_steps=1)
+    # 12 periods of about 22 error-controlled steps each, and the largest
+    # scaled error estimate of an accepted step; these are diagnostics,
+    # outside the result's equality
+    assert (res.accepted_steps, res.rejected_steps) == (267, 36)
+    assert 0.5 < res.largest_error <= 1.0
+    assert res == dataclasses.replace(res, accepted_steps=0, rejected_steps=1, largest_error=None)
+    run = simulate_nonlinear(demo, [0.5, -0.5, 1.0], np.linspace(0.0, 1.0, 3))
+    assert run.accepted_steps > 0 and 0.0 < run.largest_error <= 1.0
+    assert run == dataclasses.replace(run, largest_error=None)
+    # RK4 steps have no error estimate
     run = simulate_nonlinear(demo, [0.5, -0.5, 1.0], np.linspace(0.0, 1.0, 3), step=0.1)
-    assert (run.accepted_steps, run.rejected_steps) == (10, 0)
+    assert (run.accepted_steps, run.rejected_steps, run.largest_error) == (10, 0, None)
+    res = poincare_analysis(demo, [0.5, -0.5, 1.0], step=0.05)
+    assert res.rejected_steps == 0 and res.largest_error is None
 
 
 def test_poincare_at_equilibrium():

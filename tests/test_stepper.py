@@ -6,8 +6,8 @@ loop it runs. With an explicit step it must give the floats of
 the generic RK4 stepper ``rk4_steps`` over ``exprlang.compile_fn`` (the rhs
 that ``sys.f`` runs after checking t and x) bit for bit, span by span
 (``integrate_reference.rk4_span``); without one, those of the plain-Python
-Dormand-Prince loop ``nonlinear_reference.dp5_run``, with the same accepted
-and rejected steps. Both must raise the same DomainError where a stage
+DOP853 loop ``nonlinear_reference.dop853_run``, with the same accepted and
+rejected steps and the same largest error estimate. Both must raise the same DomainError where a stage
 leaves the domain, the same LeftDomain at the same sample, and the same
 IntegrationSuspect where the error control gives up.
 """
@@ -41,7 +41,7 @@ def outcome(thunk):
 
 def both(sys, y, times, step=None):
     """The generated loop's states and tally, and the reference's."""
-    tallies = [[0, 0], [0, 0]]
+    tallies = [[0, 0, None], [0, 0, None]]
     generated = outcome(lambda: list(sys._run(np.array(y, dtype=float), times, step, tallies[0])))
     reference = outcome(lambda: list(ref.run(sys, y, times, step, tallies[1])))
     return (generated, tallies[0]), (reference, tallies[1])
@@ -59,7 +59,7 @@ def test_shipped_spans_bit_identical(name):
         y = rng.uniform(-1.5, 1.5, sys.n)
         t0, t1 = sorted(rng.uniform(0.0, 7.0, 2))
         step = rng.uniform(1e-3, 0.05)
-        got = list(sys._run(y, [t0, t1], step, [0, 0]))[-1]
+        got = list(sys._run(y, [t0, t1], step, [0, 0, None]))[-1]
         want = rk4_span(rk4_steps(sys.f), y, t0, t1, step)
         assert got.dtype == float and got.shape == (sys.n,)
         assert hexes(got) == hexes(want)
@@ -73,17 +73,21 @@ def test_poincare_and_simulation_bit_identical(name, step):
     sys = shipped(name).system
     x0 = shipped(name).experiment["x0"]
     got = poincare_analysis(sys, x0, step=step)
-    tally = [0, 0]
+    tally = [0, 0, None]
     times = [k * sys.period for k in range(len(got.iterates))]
     want = list(ref.run(sys, x0, times, step, tally))
     assert [hexes(x) for x in got.iterates] == [hexes(x) for x in want]
-    assert [got.accepted_steps, got.rejected_steps] == tally
+    assert [got.accepted_steps, got.rejected_steps, got.largest_error] == tally
     grid = np.linspace(0.0, 2 * math.pi, 40)
     got, want = simulate_nonlinear(sys, x0, grid, step), ref.simulate_nonlinear(sys, x0, grid, step)
     assert got.state.states.tobytes() == want.state.states.tobytes()
     assert got.derivative.states.tobytes() == want.derivative.states.tobytes()
     assert got.jacobian_in_M_plus == want.jacobian_in_M_plus
-    assert (got.accepted_steps, got.rejected_steps) == (want.accepted_steps, want.rejected_steps)
+    assert (got.accepted_steps, got.rejected_steps, got.largest_error) == (
+        want.accepted_steps,
+        want.rejected_steps,
+        want.largest_error,
+    )
 
 
 @pytest.mark.parametrize("step", [None, 0.1])
@@ -110,11 +114,11 @@ def test_domain_error_names_the_function_and_the_time():
     sys = system(["-1", "log(x1)"])
     y = np.array([0.01, 0.0])
     with pytest.raises(DomainError) as err:
-        list(sys._run(y, [0.0, 0.3], 0.1, [0, 0]))
+        list(sys._run(y, [0.0, 0.3], 0.1, [0, 0, None]))
     assert str(err.value) == "advance in the RK4 step from t = 0.0: math domain error"
     with pytest.raises(DomainError) as err:
-        list(sys._run(y, [0.0, 0.3], None, [0, 0]))
-    assert re.fullmatch(r"advance in the DP5 step from t = \S+: math domain error", str(err.value))
+        list(sys._run(y, [0.0, 0.3], None, [0, 0, None]))
+    assert re.fullmatch(r"advance in the DOP853 step from t = \S+: math domain error", str(err.value))
     with pytest.raises(DomainError) as err:
         rk4_steps(sys.f)(y, 0.0, 0.1, 3)
     assert str(err.value) == "coefficient at t = 0.05: math domain error"
@@ -145,11 +149,11 @@ def test_a_loop_rejects_a_state_of_the_wrong_length():
     sys = shipped("entrain_demo").system
     for step in (None, 0.1):
         with pytest.raises(ValueError):
-            next(sys._run(np.zeros(2), [0.0, 1.0], step, [0, 0]))
+            next(sys._run(np.zeros(2), [0.0, 1.0], step, [0, 0, None]))
 
 
 def test_each_loop_is_compiled_on_first_use(monkeypatch):
-    # the loops compiled, by mode: "RK4" or "DP5" from the step named in
+    # the loops compiled, by mode: "RK4" or "DOP853" from the step named in
     # their DomainError messages
     compiled = []
     define = exprlang._define
@@ -165,28 +169,28 @@ def test_each_loop_is_compiled_on_first_use(monkeypatch):
     assert not compiled
     poincare_analysis(sys, [0.5])
     poincare_analysis(sys, [0.5])
-    assert compiled == ["DP5"]
+    assert compiled == ["DOP853"]
     simulate_nonlinear(sys, [0.5], [0.0, 1.0], step=0.1)
     simulate_nonlinear(sys, [0.5], [0.0, 1.0], step=0.2)
-    assert compiled == ["DP5", "RK4"]
+    assert compiled == ["DOP853", "RK4"]
     simulate_nonlinear(sys, [0.5], [0.0, 1.0])
-    assert compiled == ["DP5", "RK4"]
+    assert compiled == ["DOP853", "RK4"]
 
 
 def test_the_adaptive_loop_lands_on_every_time_and_carries_its_step_size():
     # x' = -x: the states at the samples are those of exp(-t) to within the
     # tolerance, and samples closer than the step size take a step each
     sys = system(["-x1"])
-    tally = [0, 0]
+    tally = [0, 0, None]
     grid = [0.0, 1e-9, 2e-9, 0.5, 3.0, 3.0, 7.5]
     states = np.array(list(sys._run(np.array([1.0]), grid, None, tally)))[:, 0]
     assert np.abs(states - np.exp(-np.array(grid))).max() < 1e-9
     assert states[4] == states[5]
-    coarse = [0, 0]
+    coarse = [0, 0, None]
     list(sys._run(np.array([1.0]), [0.0, 7.5], None, coarse))
     # the two sub-nanosecond samples cost a step each and the landings on
     # 0.5 and 3.0 at most one more each: the step size after a cut step is
-    # the one it was cut from, not its own (108 steps against 105)
+    # the one it was cut from, not its own (21 steps against 18)
     assert tally[0] <= coarse[0] + 4 and tally[1] == coarse[1] == 0
 
 
@@ -200,7 +204,24 @@ def test_the_adaptive_loop_against_dop853(name):
     grid = np.linspace(0.0, sys.period, 9)
     got = simulate_nonlinear(sys, x0, grid).state.states
     want = solve_ivp(sys.f, (0.0, sys.period), x0, t_eval=grid, method="DOP853", rtol=1e-13, atol=1e-13).y.T
-    assert np.abs(got - want).max() < 1e-9
+    assert np.abs(got - want).max() < 1e-10
+
+
+def test_only_the_error_controlled_loop_records_its_largest_error_estimate():
+    sys = system(["-x1"])
+    tally = [0, 0, "untouched"]
+    list(sys._run(np.array([1.0]), [0.0, 1.0], 0.1, tally))
+    assert tally == [10, 0, "untouched"]
+    # DOP853 stores the largest estimate of an accepted step, 0.0 before any
+    tally = [0, 0, None]
+    runs = sys._run(np.array([1.0]), [0.0, 0.0, 1.0, 2.0], None, tally)
+    next(runs), next(runs)
+    assert tally == [0, 0, 0.0]
+    next(runs)
+    first = tally[2]
+    assert tally[0] > 0 and 0.0 < first <= 1.0
+    next(runs)
+    assert first <= tally[2] <= 1.0
 
 
 def test_a_finite_time_blow_up_raises_naming_t():
@@ -213,12 +234,25 @@ def test_a_finite_time_blow_up_raises_naming_t():
     assert 0.99 < t <= 1.0
 
 
+@pytest.mark.parametrize("grid", [[5.0, 7.0], [5.0, 5.5, 5.99, 5.999999, 7.0]])
+def test_a_blow_up_gives_up_before_the_singularity_from_any_start(grid):
+    # DOP853's own solution of x' = x^2 blows up after 1 / x0; the bound
+    # RTOL (t - t0) counts from the run's first time, not from zero or from
+    # the last sample, so the run gives up before t0 + 1 on any grid
+    sys = system(["x1 * x1"])
+    generated, reference = both(sys, [1.0], grid)
+    assert generated == reference
+    kind, message = generated[0]
+    t = float(re.fullmatch(r"the DOP853 step size \S+ is below RTOL \(t - t0\) at t = (\S+)", message).group(1))
+    assert kind == "IntegrationSuspect" and 5.99 < t <= 6.0
+
+
 def test_a_non_finite_error_estimate_raises_naming_t():
     # 1e300 x2 overflows once x2 > 1.8e8, and inf - inf is nan: the first
     # stage past that makes the estimate nan; a nan norm used to be
     # rejected again and again
     sys = system(["1e300 * x2 - 1e300 * x2", "1e10"])
-    with pytest.raises(IntegrationSuspect, match=r"^the DP5 error estimate is nan in the step from t = \S+$"):
+    with pytest.raises(IntegrationSuspect, match=r"^the DOP853 error estimate is nan in the step from t = \S+$"):
         simulate_nonlinear(sys, [0.0, 0.0], [0.0, 1.0])
     generated, reference = both(sys, [0.0, 0.0], [0.0, 1.0])
     assert generated == reference
@@ -228,7 +262,7 @@ def test_a_blow_up_exits_4(tmp_path, capsys):
     spec = tmp_path / "blowup.spec"
     spec.write_text('meta: {name: blowup, n: 1}\nnonlinear: {rhs: ["x1 * x1"]}\nexperiment: {x0: [1.0], horizon: 2.0}\n')
     assert cli.main(["simulate", str(spec), "--out", str(tmp_path / "out.csv")]) == 4
-    assert "numerical suspect: the DP5" in capsys.readouterr().err
+    assert "numerical suspect: the DOP853" in capsys.readouterr().err
 
 
 def test_integral_exponent_is_a_bare_power():
@@ -274,14 +308,14 @@ def test_random_rhs_rk4_bit_identical(rhs, u, y, t, h, nsteps):
     sys = NonlinearSystem(N, rhs, input=u)
     compiled = exprlang.compile_fn(sys.rhs, sys.n, sys.input)
     t1 = t + nsteps * h
-    generated = outcome(lambda: list(sys._run(np.array(y), [t, t1], h, [0, 0]))[-1:])
+    generated = outcome(lambda: list(sys._run(np.array(y), [t, t1], h, [0, 0, None]))[-1:])
     generic = outcome(lambda: [rk4_span(naming_the_step(rk4_steps(compiled)), np.array(y), t, t1, h)])
     assert generated == generic
 
 
 @settings(max_examples=150, deadline=None)
 @given(RHS, exprs(["t"]), STATES, st.floats(-3.0, 3.0), st.lists(st.floats(0.0, 0.3), min_size=1, max_size=4))
-def test_random_rhs_dp5_bit_identical(rhs, u, y, t, gaps):
+def test_random_rhs_dop853_bit_identical(rhs, u, y, t, gaps):
     # the states, the accepted and rejected steps, or the error, at the
     # times t + the running sums of the gaps
     times = list(np.cumsum([t] + gaps))
