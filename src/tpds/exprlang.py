@@ -21,7 +21,8 @@ right-hand side of x' = f(t, x) into one checked run function, whose step
 picks its loop, fixed-step RK4 or error-controlled DOP853, and whose
 stages inline every entry.
 All of them emit the same code for an expression (``_pycode``) and are
-defined by the same helper (``_define``).
+defined by the same helper (``_define``), which compiles each distinct
+generated source once per process.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ FUNCTIONS = {
 # raises ExprTooDeep. A tree of 100 levels generates code with at most 199
 # nested parentheses, where Python's parser stops at 200.
 MAX_DEPTH = 100
+
+# The distinct generated sources whose code objects ``_define`` keeps, the
+# least recently used dropped first. A nonlinear system's f and J, their
+# stack forms and its two run loops are six; the largest, the DOP853 loop of
+# the 4-state ``takac``, is a 20 KB source and a 35 KB code object, so a full
+# cache of such loops would hold about 7 MB.
+CODE_CACHE_SIZE = 128
 
 _VAR_RE = re.compile(r"^(t|u|x[1-9][0-9]*)$")
 _TOKEN_RE = re.compile(
@@ -335,6 +343,13 @@ def _bound_names(entries, n, u):
     return used | u_names
 
 
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _code(source):
+    """The code object of one generated source, compiled once per process
+    for each of the last CODE_CACHE_SIZE distinct sources."""
+    return compile(source, "<string>", "exec")
+
+
 def _define(signature, prologue, body, at=None, **env):
     """Define ``def signature:`` by exec: the prologue lines, then the body
     lines inside a wrapper that re-raises a ValueError, ZeroDivisionError,
@@ -342,7 +357,14 @@ def _define(signature, prologue, body, at=None, **env):
     ``at``, an f-string fragment over the function's locals such as
     ``"at t = {t}"``, the message names the function and that place before
     the original message. Body lines may carry their own further
-    indentation. ``env`` adds names to the function's globals."""
+    indentation. ``env`` adds names to the function's globals.
+
+    The source is compiled through ``_code``, keyed by its exact text, so
+    a source generated again in the same process (a spec loaded twice, or
+    two coefficients that differ only in the constants baked into
+    ``_base``) reuses its code object. Each call still executes it in a
+    fresh namespace, so every function gets its own globals (``env``) and
+    runs the bytecode a fresh compile would give."""
     name = signature[: signature.index("(")]
     message = "str(exc)" if at is None else f'f"{name} {at}: {{exc}}"'
     source = (
@@ -356,7 +378,7 @@ def _define(signature, prologue, body, at=None, **env):
     namespace = {f"_fn_{name}": fn for name, fn in FUNCTIONS.items()}
     namespace.update(_pow=_pow, _float=float, DomainError=DomainError)
     namespace.update(env)
-    exec(source, namespace)
+    exec(_code(source), namespace)
     return namespace[name]
 
 
@@ -404,7 +426,9 @@ def compile_fn(coeff, n=None, u=None):
     sqrt out of domain, division by zero, overflow) is re-raised as
     DomainError; either message is prefixed by "coefficient at t = ...". A
     variable outside the allowed set raises UnboundVariable here, at
-    compile time. The caller checks t and x.
+    compile time. The caller checks t and x. Constant entries are not part
+    of the generated source, so coefficients that differ only in them share
+    one compiled code object (``_define``), each with its own constants.
 
     At a 1-d array of m times (and an (m, n) array of states, xk bound to
     the column x[:, k - 1], u evaluated once over the times), a generated
@@ -654,7 +678,9 @@ _DOP853_E3 = tuple(b - _DOP853_BHH.get(i, 0.0) for i, b in enumerate(_DOP853_B))
 def compile_stepper(rhs, n, u=None, box=None):
     """Compile the right-hand side of x' = f(t, x) into one run function,
     ``advance(y, times, step, tally)``, whose step picks its loop, each
-    generated and compiled on its first run. ``rhs`` holds the n entries of
+    generated on its first run and compiled once per process for each
+    distinct source (``_define``): the same rhs built again, as when a spec
+    is loaded twice, reuses the compiled loop. ``rhs`` holds the n entries of
     f (numbers or ASTs over t, x1..xn and, with the input ``u``, u); ``box``,
     when given, the (lo, hi) of each coordinate. A run is a generator over a
     nonempty iterable of nondecreasing times, read lazily. It yields the

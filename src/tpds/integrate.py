@@ -34,7 +34,7 @@ from .errors import (
     OutOfInterval,
     TrivialSolution,
 )
-from .signvar import _check_finite, _checked_count, _real_array, v_counts
+from .signvar import _check_finite, _checked_count, _real_array, _shown, v_counts
 
 DET_REL_TOL = 1e-6
 COMPOUND_REL_TOL = 1e-5
@@ -76,14 +76,15 @@ def _checked_horizon(horizon, interval=None):
     """The end of a run from t = 0 as a float: a finite number >= 0 with,
     given an interval, [0, horizon] within it (``_within``). A complex or
     non-numeric value raises InvalidArgument (``_real_array``), anything
-    else OutOfInterval, naming the horizon with the value given. An int too
-    large for a float is the inf it rounds to, and named so."""
+    else OutOfInterval, naming the horizon with the value given
+    (``signvar._shown``). An int too large for a float is the inf it rounds
+    to, and named so."""
     value = _real_array(horizon, "horizon", rounded=True)
     a, b = interval or (0.0, math.inf)
     if not (value.ndim == 0 and math.isfinite(value) and _within((a, b), 0.0, value)):
         where = f" within [{a}, {b}]" if interval else ""
         shown = horizon if value.ndim or math.isfinite(value) else float(value)
-        raise OutOfInterval(f"horizon must be a finite time >= 0{where}, got {shown!r}")
+        raise OutOfInterval(f"horizon must be a finite time >= 0{where}, got {_shown(shown)}")
     return float(value)
 
 

@@ -9,6 +9,8 @@ All of them, and every batched caller, count with ``sign_counts``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, NonFiniteInput, NotInV
@@ -47,7 +49,8 @@ def _check_finite(Y, name="vector"):
 def _real_array(value, name, rounded=False):
     """The one real-number rule: value as a float array. Complex, text
     (str or bytes) or other non-numeric input, an object array holding any
-    of these included, raises InvalidArgument, naming the argument. Ragged
+    of these included, raises InvalidArgument, naming the argument and its
+    value (``_shown``, which also names an int of any length). Ragged
     nesting, which numpy cannot shape into an array, raises
     DimensionMismatch, and a Python int too large for a float
     NonFiniteInput, as an infinite entry does, naming it too. Given
@@ -57,7 +60,7 @@ def _real_array(value, name, rounded=False):
     try:
         array = np.asarray(value)
     except ValueError:  # "the requested array has an inhomogeneous shape"
-        raise DimensionMismatch(f"{name} has a ragged shape, got {value!r}") from None
+        raise DimensionMismatch(f"{name} has a ragged shape, got {_shown(value)}") from None
     try:
         not_real = (str, bytes, complex, np.complexfloating)  # also inside an object array
         held = array.dtype.kind == "O" and any(isinstance(v, not_real) for v in array.flat)
@@ -70,7 +73,31 @@ def _real_array(value, name, rounded=False):
             return np.array([_rounded(v) for v in array.flat], dtype=float).reshape(array.shape)
     except (TypeError, ValueError):
         pass
-    raise InvalidArgument(f"{name} must hold real numbers, got {value!r}")
+    raise InvalidArgument(f"{name} must hold real numbers, got {_shown(value)}")
+
+
+def _shown(value):
+    """repr(value) for an error message, where an int too long for a
+    string (Python refuses more than ``sys.get_int_max_str_digits()``
+    digits, 4,300 by default), also inside a list, tuple or array, is shown
+    as ``<int of N digits>`` (``<negative int of N digits>``), so that
+    naming a value never raises."""
+    try:
+        return repr(value)
+    except ValueError:  # "Exceeds the limit (4300 digits) for integer string conversion"
+        pass
+    if isinstance(value, int):
+        digits = int(value.bit_length() * math.log10(2))  # at most the digit count
+        while abs(value) >= 10**digits:
+            digits += 1
+        return f"<{'negative ' if value < 0 else ''}int of {digits} digits>"
+    if isinstance(value, np.ndarray):
+        return f"array({_shown(value.tolist())}, dtype={value.dtype})"
+    if isinstance(value, list):
+        return f"[{', '.join(map(_shown, value))}]"
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_shown, value))}{',' if len(value) == 1 else ''})"
+    return f"<{type(value).__name__}>"
 
 
 def _rounded(v):
@@ -83,7 +110,7 @@ def _rounded(v):
 def _checked_count(count, name, least=0):
     """The one count rule: an integer >= least, else InvalidArgument."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
-        raise InvalidArgument(f"{name} must be an integer >= {least}, got {count!r}")
+        raise InvalidArgument(f"{name} must be an integer >= {least}, got {_shown(count)}")
     return count
 
 

@@ -412,6 +412,45 @@ def test_an_int_too_large_for_a_float_is_a_time_out_of_the_interval(call, messag
 
 
 @pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: tpds.classify([[10**5000, "a"]]),
+            InvalidArgument,
+            "classify: the matrix must hold real numbers, got [[<int of 5001 digits>, 'a']]",
+        ),
+        (
+            lambda: tpds.classify([[10**5000, 1], [2]]),
+            DimensionMismatch,
+            "classify: the matrix has a ragged shape, got [[<int of 5001 digits>, 1], [2]]",
+        ),
+        (
+            lambda: tpds.s_minus(np.array([-(10**4300), "a"], dtype=object)),
+            InvalidArgument,
+            "vector must hold real numbers, got array([<negative int of 4301 digits>, 'a'], dtype=object)",
+        ),
+        (
+            lambda: tpds.eventual_monotonicity(DEMO, OK_X, [0.2, 0.2, 0.3], [10**5000]),
+            OutOfInterval,
+            "horizon must be a finite time >= 0, got [<int of 5001 digits>]",
+        ),
+        (
+            lambda: tpds.poincare_analysis(DEMO, OK_X, max_iters=-(10**5000)),
+            InvalidArgument,
+            "max_iters must be an integer >= 1, got <negative int of 5001 digits>",
+        ),
+    ],
+    ids=["not-real", "ragged", "object-array", "horizon-list", "count"],
+)
+def test_an_int_too_long_for_a_string_is_named_by_its_digits(call, error, message):
+    # naming such an int by repr raised a bare ValueError ("Exceeds the
+    # limit (4300 digits) for integer string conversion")
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "kwargs, message",
     [
         ({"q_max": 2.5}, "q_max must be an integer >= 1, got 2.5"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tpds import cli, matio, specfile
+from tpds import cli, exprlang, matio, specfile
 from tpds.compound import add_compound
 
 OSC = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
@@ -111,6 +111,34 @@ def test_entrain_command(tmp_path, capsys):
     # an explicit step runs RK4, which has no error estimate to report
     assert cli.main(["entrain", spec, "--step", "0.02"]) == 0
     assert capsys.readouterr().out.splitlines()[2] == "steps 3780 rejected 0"
+
+
+# the steps line of `tpds entrain` on each shipped nonlinear spec
+ENTRAIN_STEPS = {
+    "entrain_demo": "steps 267 rejected 36 largest_error 7.754e-01",
+    "takac": "steps 271 rejected 48 largest_error 9.723e-01",
+}
+
+
+@pytest.mark.parametrize("name", [n for n in specfile.shipped_names() if specfile.shipped(n).kind == "nonlinear"])
+def test_entrain_twice_in_one_process_prints_the_same_and_compiles_once(name, tmp_path, capsys, monkeypatch):
+    # the second load of the spec generates the same sources, whose code
+    # exprlang compiled on the first (or an earlier) run in this process
+    spec = spec_path(tmp_path, name)
+    compiled = []
+
+    def counted(source, *args):
+        compiled.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(exprlang, "compile", counted, raising=False)
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["entrain", spec]) == 0
+        outputs.append((capsys.readouterr().out, len(compiled)))
+    (first, compiles), (second, total) = outputs
+    assert first == second and first.splitlines()[2] == ENTRAIN_STEPS[name]
+    assert total == compiles
 
 
 def test_reproduce_idempotent(tmp_path, capsys):

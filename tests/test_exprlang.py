@@ -412,3 +412,96 @@ def test_variables_and_pretty_refuse_what_is_not_a_node(expr):
     for walk in (variables, pretty):
         with pytest.raises(TypeError, match="^not an expression node: "):
             walk(expr)
+
+
+@pytest.fixture()
+def compiled(monkeypatch):
+    """From an empty cache on: the sources that exprlang compiles, the code
+    object that ``_define`` executes for each function it defines, and the
+    cached helper itself."""
+    cached = exprlang._code
+    record = {"sources": [], "executed": [], "cache": cached}
+    cached.cache_clear()
+
+    def counted(source, *args):
+        record["sources"].append(source)
+        return compile(source, *args)
+
+    def executed(source):
+        record["executed"].append(cached(source))
+        return record["executed"][-1]
+
+    monkeypatch.setattr(exprlang, "compile", counted, raising=False)
+    monkeypatch.setattr(exprlang, "_code", executed)
+    return record
+
+
+def _runs(advance, y, times):
+    """The states and tallies of a DOP853 and an RK4 run of one run function."""
+    out = []
+    for step in (None, 0.1):
+        tally = [0, 0, None]
+        states = [float(v).hex() for state in advance(y, times, step, tally) for v in state]
+        out.append((states, tally))
+    return out
+
+
+def test_a_coefficient_or_stepper_built_twice_is_compiled_once(compiled):
+    entries = [[parse("sin(t) * x1"), parse("x2 / 3")], [1.0, parse("t - x1")]]
+    t, x = np.array([0.5, 1.5]), np.array([[1.0, 2.0], [3.0, 4.0]])
+    values = []
+    for _ in range(2):
+        f = compile_fn(entries, 2)
+        values.append([f(0.5, x[0]).tolist(), f(t, x).tolist()])
+    assert values[0] == values[1]
+    assert len(compiled["sources"]) == 2  # the point form and the stack form
+    rhs = [parse("x2"), parse("cos(t) - x1")]
+    runs = [_runs(compile_stepper(rhs, 2), [1.0, 0.0], [0.0, 1.0, 2.0]) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert len(compiled["sources"]) == 4  # and the two run loops, once each
+
+
+def test_the_rk4_and_dop853_loops_of_one_system_are_two_entries(compiled):
+    advance = compile_stepper([parse("-x1 * t")], 1)
+    first = _runs(advance, [1.0], [0.0, 0.5])
+    loops = compiled["sources"]
+    assert len(loops) == 2 and loops[0] != loops[1]
+    assert all(source.startswith("def advance(y, times, step, tally):") for source in loops)
+    info = compiled["cache"].cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    # a second run of each mode reuses its loop, and a rebuilt system both
+    again = compile_stepper([parse("-x1 * t")], 1)
+    assert _runs(advance, [1.0], [0.0, 0.5]) == _runs(again, [1.0], [0.0, 0.5]) == first
+    info = compiled["cache"].cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+
+
+def test_coefficients_that_differ_only_in_a_constant_share_code_but_not_values(compiled):
+    sin_t, quarter_t = parse("sin(t)"), parse("t / 4")
+    f, g = (compile_fn([[sin_t, c], [2.0, quarter_t]]) for c in (1.0, 5.0))
+    t = np.array([0.25, 0.5, 1.0])
+    for h, c in ((f, 1.0), (g, 5.0)):
+        want = [[[math.sin(s), c], [2.0, s / 4]] for s in t.tolist()]
+        assert h(0.5).tolist() == want[1]
+        assert h(t).tolist() == want
+    # f's point form, g's, f's stack form, g's: one code object for each form
+    point_f, point_g, stack_f, stack_g = compiled["executed"]
+    assert point_f is point_g and stack_f is stack_g and point_f is not stack_f
+    assert len(compiled["sources"]) == 2
+
+
+def test_a_domain_error_from_cached_code_names_its_own_function_and_time(compiled):
+    log = parse("log(t - 1)")
+    for c, t in ((2.0, 0.5), (3.0, 0.25)):
+        h = compile_fn([[log, c]])
+        message = rf"^coefficient at t = {t}: math domain error$"
+        with pytest.raises(DomainError, match=message):
+            h(t)
+        with pytest.raises(DomainError, match=message):  # the first point that fails
+            h(np.array([2.0, t, 0.125]))
+    for t0 in (0.5, 0.25):
+        advance = compile_stepper([log], 1)
+        for step, method in ((None, "DOP853"), (0.1, "RK4")):
+            with pytest.raises(DomainError, match=rf"^advance in the {method} step from t = {t0}: math domain error$"):
+                list(advance([1.0], [t0, 2.0], step, [0, 0, None]))
+    assert len(compiled["sources"]) == 4  # the point and stack forms and the two loops

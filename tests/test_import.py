@@ -103,6 +103,27 @@ def test_only_the_system_reads_a_segments_matrix():
     assert callers == {"TimeVaryingSystem._matrices", "TimeVaryingSystem.matrix_at"}
 
 
+def test_only_exprlang_define_compiles_and_executes_code():
+    # one expression compiler: every generated function is defined by
+    # _define, which compiles through its cached helper _code
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tpds")
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in {"compile", "exec", "eval"}:
+            callers.add((node.func.id, scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                visit(ast.parse(fh.read(), name), name[:-3])
+    assert callers == {("compile", "exprlang._code"), ("exec", "exprlang._define")}
+
+
 def test_nonlinear_cli_runs_load_no_scipy_and_ignore_python_O(tmp_path):
     # entrain (error-controlled and fixed-step) and a nonlinear simulate,
     # and a blow-up that must still exit 4 when asserts are stripped
