@@ -56,6 +56,9 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
     nonzero coefficient, the sampled count must stay in [i-1, j-1] (at most
     j-i exceptional clusters) and settle at i-1 over the last 10% of the
     horizon, which ``integrate._checked_horizon`` checks against the interval.
+    The samples are SAMPLES_PER_PERIOD intervals per period and the
+    endpoint, so a horizon of k periods lays out 200 k + 1 samples on a
+    grid that repeats mod T, where ``simulate_linear`` integrates one period.
     A complex or text coefficient raises InvalidArgument
     (``signvar._real_array``).
     """
@@ -75,7 +78,7 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
     i, j = nz[0] + 1, nz[-1] + 1
     z0 = fd.eigvecs @ cvec
     horizon = _checked_horizon(horizon, sys.interval)
-    nsamples = max(2, int(SAMPLES_PER_PERIOD * horizon / fd.period))
+    nsamples = max(2, round(SAMPLES_PER_PERIOD * horizon / fd.period) + 1)
     grid = np.linspace(0.0, horizon, nsamples)
     traj = simulate_linear(sys, z0, grid, step=step, tpds=True)
     lo, hi = i - 1, j - 1

@@ -7,7 +7,9 @@ integrated by batched propagators: A(t) is evaluated on the whole stage
 grid by one array call per segment, each step's RK4 propagator is built by
 stacked matmul, and the propagators are multiplied in long double:
 pairwise within each block of steps, and the blocks in step order. One
-function, ``_transitions``, lays out and multiplies the steps of a grid.
+function, ``_transitions``, lays out and multiplies the steps of a grid,
+and a run on a grid that repeats mod the system's period integrates its
+first period only (``_period_intervals``).
 Determinants are cross-checked against the exponential of the
 integrated trace. A nonlinear run is the one run function compiled per
 system (``exprlang.compile_stepper``), whose step picks its loop: explicit
@@ -17,9 +19,9 @@ controlled to RTOL and ATOL.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from sys import maxsize
 
 import numpy as np
 
@@ -45,7 +47,9 @@ CHUNK_STEPS = 256  # RK4 steps whose propagators are built at once, to bound mem
 # each DOP853 step keeps its error estimate within ATOL + RTOL |x|
 RTOL = 1e-10
 ATOL = 1e-10
-MAX_STEPS = 100_000  # per interval between two of a run's times, as in Hairer's DOP853
+# the most steps a run takes between two of its times, as in Hairer's
+# DOP853, and the most equal steps the step-count rule cuts one span into
+MAX_STEPS = 100_000
 
 
 def _within(interval, lo, hi):
@@ -112,12 +116,12 @@ def _checked_positive(value, name):
 def _step_count(length, step):
     """The one step-count rule: a span of this length is cut into
     ceil(length / step - 1e-12) equal steps, at least one. A step that is
-    not a positive finite number, or so small that the count passes
-    maxsize (no array indexes more steps), raises InvalidArgument."""
+    not a positive finite number, or so small that the span takes more
+    than MAX_STEPS steps, raises InvalidArgument before any step."""
     _checked_positive(step, "step")
     count = float(length) / float(step) - 1e-12  # Python floats: inf, not a numpy warning
-    if not count <= maxsize:
-        raise InvalidArgument(f"step {step} is too small for a span of {length}")
+    if not count <= MAX_STEPS:
+        raise InvalidArgument(f"step {step} is too small for a span of {length}: it takes more than {MAX_STEPS} steps")
     return max(1, math.ceil(count))
 
 
@@ -383,12 +387,48 @@ class Trajectory:
             fh.writelines(row % (t, *z, *f) for t, z, f in zip(self.times, self.states.tolist(), flags))
 
 
+def _interval_transitions(sys, grid, step):
+    """Each interval's transition matrix over a grid of at least two points,
+    in order, from ``_transitions`` over CHUNK_STEPS intervals at a time,
+    which bounds the span layout's memory."""
+    for g0 in range(0, len(grid) - 1, CHUNK_STEPS):
+        yield from _transitions(sys, grid[g0 : g0 + CHUNK_STEPS + 1], step)[0]
+
+
+def _period_intervals(sys, grid):
+    """m, the number of intervals of a checked grid in its first period,
+    where every later interval may take the transition matrix of the
+    interval m before it; else None. For a T-periodic system
+    Phi(t + T, s + T) = Phi(t, s), and interval k + m is interval k moved
+    by T, with the same spans, when three things hold: the system has a
+    period T; the grid runs past its first period and repeats mod T,
+    |grid[k + m] - grid[k] - T| <= 1e-12 T for every k; and every segment
+    boundary inside the grid's span lands, moved by T either way, on
+    another boundary (to 1e-12) or on or outside the span's ends."""
+    T = sys.period
+    if T is None:
+        return None
+    m = int(np.searchsorted(grid, grid[0] + T - 1e-12 * T))
+    if not 0 < m < len(grid) - 1 or np.abs(grid[m:] - grid[:-m] - T).max() > 1e-12 * T:
+        return None
+    lo, hi = grid[0], grid[-1]
+    ends = sys._ends
+    moved = ends[(lo < ends) & (ends < hi)] + np.array([[-T], [T]])
+    landed = np.abs(moved[..., None] - ends).min(axis=-1, initial=np.inf) <= 1e-12
+    if not (landed | (moved <= lo + 1e-12) | (moved >= hi - 1e-12)).all():
+        return None
+    return m
+
+
 def simulate_linear(sys, z0, grid, step=None, tpds=False):
     """Integrate z' = A(t) z on the given sample grid with sign bookkeeping.
 
     Each grid interval's transition matrix is built as in transition_matrix
     (CHUNK_STEPS intervals side by side) and applies to the state at its
-    start.
+    start. On a grid that repeats mod the system's period
+    (``_period_intervals``) only the first period's intervals are
+    integrated, and each later interval applies the transition matrix of
+    the interval one period before it.
 
     With tpds=True the monotonicity contract is enforced: s_plus and s_minus
     must be non-increasing sample to sample and at most n-1 exceptional
@@ -405,13 +445,16 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
         raise TrivialSolution("z0 = 0 yields the trivial solution")
     grid = _checked_grid(grid, sys.interval)
     step = _checked_step(step, *sys.interval)
+    m = _period_intervals(sys, grid)
+    if m is None:
+        phis = _interval_transitions(sys, grid, step)
+    else:  # Phi(t + T, s + T) = Phi(t, s): interval k takes the transition of interval k mod m
+        phis = itertools.cycle(list(_interval_transitions(sys, grid[: m + 1], step)))
     states = np.empty((len(grid), sys.n))
     states[0] = z = z0
-    for g0 in range(0, len(grid) - 1, CHUNK_STEPS):  # bounds the span layout's memory
-        phis, _ = _transitions(sys, grid[g0 : g0 + CHUNK_STEPS + 1], step)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises below
-            for k, phi in enumerate(phis, g0 + 1):
-                states[k] = z = phi.dot(z)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises below
+        for k, phi in zip(range(1, len(grid)), phis):
+            states[k] = z = phi.dot(z)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         t = float(grid[np.argmin(finite)])

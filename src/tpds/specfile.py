@@ -126,7 +126,9 @@ def loads(text):
         # libyaml's safe loader where pyyaml was built with it: the same
         # documents, parsed several times faster
         doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml encodes text as UTF-8 first
+    # ValueError: text that libyaml cannot encode as UTF-8, and an int of more
+    # than sys.get_int_max_str_digits() digits, which the loader cannot convert
+    except (yaml.YAMLError, ValueError) as exc:
         raise SpecFileError(f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecFileError("spec document must be a mapping")

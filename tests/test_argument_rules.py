@@ -12,6 +12,8 @@ the CLI, and a malformed argument must end in a TpdsError (exit 2, 3 or
 
 import functools
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from tpds.errors import (
     SpecFileError,
     TpdsError,
 )
+from tpds.integrate import MAX_STEPS, _step_count
 from tpds.nonlinear import NonlinearSystem, line_integral_jacobian
 from tpds.systems import TimeVaryingSystem, in_M, in_M_plus, offdiag_min
 
@@ -557,10 +560,11 @@ def test_a_bad_step_raises_even_where_no_span_needs_one():
         tpds.simulate_nonlinear(DEMO, [0.1, 0.2, 0.3], [0.0], step=-1)
 
 
-@pytest.mark.parametrize("step", [5e-324, 1e-20])
+@pytest.mark.parametrize("step", [5e-324, 1e-20, 1e-12])
 def test_a_step_too_small_to_count_raises(step):
     # length / 5e-324 overflowed to inf and math.ceil raised a bare
-    # OverflowError; 1e20 steps overflowed numpy's int64 step counts
+    # OverflowError; 1e20 steps overflowed numpy's int64 step counts; 1e12
+    # steps were laid out and taken, block by block, with no limit
     calls = [
         lambda: tpds.transition_matrix(COSH2, 0.0, 1.0, step=step),
         lambda: tpds.simulate_linear(COSH2, [1.0, 0.0], [0.0, 1.0], step=step),
@@ -570,6 +574,34 @@ def test_a_step_too_small_to_count_raises(step):
     for call in calls:
         with pytest.raises(InvalidArgument, match=f"step {step} is too small for a span of"):
             call()
+
+
+def test_a_span_takes_at_most_max_steps():
+    assert _step_count(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
+    with pytest.raises(InvalidArgument, match=f"takes more than {MAX_STEPS} steps$"):
+        _step_count(1.0, 1.0 / (MAX_STEPS + 1))
+
+
+def test_a_linear_step_too_small_for_the_budget_exits_2_at_once(tmp_path, capsys):
+    # asked for 10^12 RK4 steps on cosh2's interval
+    start = time.perf_counter()
+    argv = ["simulate", spec_file(tmp_path, "cosh2"), "--step", "1e-12", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "error: step 1e-12 is too small for a span of" in capsys.readouterr().err
+
+
+def test_a_spec_int_too_long_to_convert_is_a_spec_file_error(tmp_path, capsys):
+    # the YAML loader's bare ValueError, "Exceeds the limit (4300 digits)
+    # for integer string conversion", ended tpds simulate in a traceback
+    text = specfile.dumps(tpds.shipped("cosh2"))
+    assert "grid: 500\n" in text
+    path = tmp_path / "long.spec"
+    path.write_text(text.replace("grid: 500", "grid: " + "1" * (sys.get_int_max_str_digits() + 1)))
+    with pytest.raises(SpecFileError, match="^invalid YAML: Exceeds the limit"):
+        specfile.load(path)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid YAML: Exceeds the limit")
 
 
 def test_the_default_step_of_an_empty_span_is_not_checked():

@@ -99,6 +99,17 @@ def test_mode_evolution_pure_modes(sinusoidal):
     assert set(traj2.sigma_minus) == {1}
 
 
+@pytest.mark.parametrize("periods", range(1, 11))
+def test_mode_evolution_samples_each_period_and_the_endpoint(sinusoidal, periods):
+    """SAMPLES_PER_PERIOD intervals of T / 200 per period and the endpoint:
+    200 k + 1 samples over k periods, where int() truncated
+    200 * 10 T / T = 1999.9999999999998 to 1,999 samples and 5 T to 999."""
+    sys, fd = sinusoidal
+    traj = floquet_mode_evolution(sys, fd, {1: 1.0}, horizon=periods * fd.period)
+    assert len(traj.times) == 200 * periods + 1
+    assert np.allclose(np.diff(traj.times), fd.period / 200, rtol=1e-12, atol=0)
+
+
 def test_mode_evolution_mixed(sinusoidal):
     sys, fd = sinusoidal
     traj = floquet_mode_evolution(sys, fd, [1.0, 10.0], horizon=10 * fd.period)

@@ -32,6 +32,7 @@ from tpds.errors import (
     TrivialSolution,
 )
 from tpds.integrate import CLUSTER_GAP, TRAJ_ZERO_REL_TOL, _checked_step
+from tpds.systems import PERIOD_CHECK_TOL
 
 
 def cosh_exact(t0, t):
@@ -399,3 +400,156 @@ def test_stiff_simulation_is_suspect():
         simulate_linear(sys, [1.0, -1.0], grid)
     with pytest.raises(NonFiniteInput, match="z0"):
         simulate_linear(sys, [np.nan, 1.0], grid)
+
+
+# -- one period integrated on a grid that repeats mod T ----------------------
+
+
+def _direct_states(sys, z0, grid, step=None):
+    """simulate_linear's states without reuse: every interval's own
+    transition matrix, CHUNK_STEPS intervals at a time."""
+    step = _checked_step(step, *sys.interval)
+    z = np.asarray(z0, dtype=float)
+    states = [z]
+    for g0 in range(0, len(grid) - 1, integrate.CHUNK_STEPS):
+        for phi in integrate._transitions(sys, grid[g0 : g0 + integrate.CHUNK_STEPS + 1], step)[0]:
+            states.append(z := phi.dot(z))
+    return np.array(states)
+
+
+def _within_running_max(got, want, tol):
+    """Each state within tol of the largest |entry| of want up to it."""
+    running = np.maximum.accumulate(np.abs(want).max(axis=1))
+    return bool(np.all(np.abs(got - want).max(axis=1) <= tol * running))
+
+
+def _periodic(name):
+    """(system, z0, periods) over a whole number of 2 pi periods."""
+    if name.startswith("random"):
+        n = int(name[-1])
+        return random_tpds_system(n, rng=n, interval=(0.0, 6 * np.pi)), (-1.0) ** np.arange(n), 3
+    spec = shipped(name)
+    return spec.system, spec.experiment["z0"], round(spec.system.interval[1] / spec.system.period)
+
+
+def _counting_reads(monkeypatch):
+    """The number of times at which TimeVaryingSystem._matrices reads A, one
+    entry per call."""
+    reads = []
+    matrices = TimeVaryingSystem._matrices
+
+    def counting(self, times, segment):
+        reads.append(len(times))
+        return matrices(self, times, segment)
+
+    monkeypatch.setattr(TimeVaryingSystem, "_matrices", counting)
+    return reads
+
+
+ALTERNATING = [[-1.0, 1.0], [0.5, -1.0]], [[0.0, 2.0], [1.0, 0.0]]
+
+
+def _switched_periodic(ends):
+    """A system on [0, 3] of period 1 that switches between two constant
+    matrices at 0.5 mod 1, with its segments ending at `ends`."""
+    starts = [0.0] + ends
+    segments = [
+        Segment(lo, hi, ALTERNATING[int(2 * (lo % 1.0))]) for lo, hi in zip(starts, ends + [3.0])
+    ]
+    return TimeVaryingSystem(2, (0.0, 3.0), segments, period=1.0)
+
+
+@pytest.mark.parametrize("name", ["sinusoidal2", "schwarz3"] + [f"random{n}" for n in range(2, 7)])
+def test_an_aligned_grid_takes_the_first_period_for_every_period(name):
+    """Phi(t + T, s + T) = Phi(t, s): on a grid of 200 intervals per period
+    the later periods apply the first period's transition matrices, and the
+    states stay within 1e-12 of the running max |z| of a direct run, where
+    running products Phi(T, 0)^k moved schwarz3's by 1.5e-7."""
+    sys, z0, periods = _periodic(name)
+    grid = np.linspace(0.0, periods * sys.period, 200 * periods + 1)
+    assert integrate._period_intervals(sys, grid) == 200
+    got = simulate_linear(sys, z0, grid).states
+    assert _within_running_max(got, _direct_states(sys, z0, grid), 1e-12)
+
+
+def test_a_grid_off_the_period_lattice_is_integrated_interval_by_interval():
+    """Points from the second period on moved by 1e-9 T leave the grid
+    unaligned, and every interval is integrated, bit for bit as without
+    reuse; moved by 1e-13 T they are within the 1e-12 T alignment."""
+    sys = shipped("sinusoidal2").system
+    T = sys.period
+    lattice = np.linspace(0.0, 4 * T, 801)
+    grid = lattice.copy()
+    grid[200:-1] += 1e-9 * T
+    assert integrate._period_intervals(sys, grid) is None
+    got = simulate_linear(sys, [1.0, 0.0], grid).states
+    assert np.array_equal(got, _direct_states(sys, [1.0, 0.0], grid))
+    grid = lattice.copy()
+    grid[200:-1] += 1e-13 * T
+    assert integrate._period_intervals(sys, grid) == 200
+
+
+def test_an_aligned_grid_reads_a_for_one_period(monkeypatch):
+    """10 periods at step 5e-4 T on 200 intervals per period: one period's
+    2,000 steps, each reading A at its three stage times, where the 2,000
+    samples of the spec's own grid read it at each of its 20,000 steps."""
+    sys = shipped("sinusoidal2").system
+    T = sys.period
+    reads = _counting_reads(monkeypatch)
+    simulate_linear(sys, [1.0, 0.0], np.linspace(0.0, 10 * T, 2001), step=5e-4 * T)
+    assert sum(reads) == 3 * 200 * 10
+    reads.clear()
+    simulate_linear(sys, [1.0, 0.0], np.linspace(0.0, 10 * T, 2000), step=5e-4 * T)
+    assert sum(reads) == 3 * 1999 * 11
+
+
+@pytest.mark.parametrize(
+    "ends, reused",
+    [([0.5, 1.0, 1.5, 2.0, 2.5], 40), ([0.5, 1.0, 1.5, 2.0, 2.5, 2.71], None)],
+    ids=["boundaries_repeat", "boundary_2.71_does_not"],
+)
+def test_a_switched_system_is_reused_only_where_its_boundaries_repeat(monkeypatch, ends, reused):
+    """A segment boundary inside the grid's span must land on another one a
+    period either way, or leave the span. 2.71 splits a segment with the
+    same matrix on both sides, so A has period 1 and passes the period
+    check, but the interval [2.7, 2.725] is cut there into two spans and
+    1.71 is no boundary: the run integrates every interval."""
+    sys = _switched_periodic(ends)
+    grid = np.linspace(0.0, 3.0, 121)
+    assert integrate._period_intervals(sys, grid) == reused
+    z0 = [1.0, -0.5]
+    want = _direct_states(sys, z0, grid)
+    reads = _counting_reads(monkeypatch)
+    got = simulate_linear(sys, z0, grid).states
+    run = sum(reads)
+    reads.clear()
+    _direct_states(sys, z0, grid[: (reused or 120) + 1])
+    assert run == sum(reads)
+    if reused is None:
+        assert np.array_equal(got, want)
+    else:
+        assert _within_running_max(got, want, 1e-12)
+
+
+@pytest.mark.parametrize("where", ["diagonal", "one_entry"])
+def test_reuse_on_a_system_periodic_only_to_the_period_check_tolerance(where):
+    """sinusoidal2 with a drift 0.99 PERIOD_CHECK_TOL t / T added, on its
+    diagonal or to one entry, passes the period check, yet A(t + kT) - A(t)
+    grows as k 1e-10. The transitions of period k then differ from the
+    first period's by about k 1e-10 T ||Phi||, and over K periods the
+    states stay within n 1e-10 T K (K - 1) / 2 of the running max of a
+    direct run (2.8e-8 and 1.5e-8 of the bound 5.7e-8 here)."""
+    T, K = 2 * np.pi, 10
+    drift = f"{0.99 * PERIOD_CHECK_TOL} * t / {T!r}"
+    if where == "diagonal":
+        matrix = [[drift, "1 + sin(t)"], ["1 + sin(t)", drift]]
+    else:
+        matrix = [["0", f"1 + sin(t) + {drift}"], ["1 + sin(t)", "0"]]
+    entries = [[exprlang.parse(e) for e in row] for row in matrix]
+    sys = TimeVaryingSystem(2, (0.0, K * T), [Segment(0.0, K * T, entries)], period=T)
+    grid = np.linspace(0.0, K * T, 200 * K + 1)
+    assert integrate._period_intervals(sys, grid) == 200
+    got = simulate_linear(sys, [1.0, 0.0], grid).states
+    want = _direct_states(sys, [1.0, 0.0], grid)
+    assert not _within_running_max(got, want, 1e-12)
+    assert _within_running_max(got, want, sys.n * PERIOD_CHECK_TOL * T * K * (K - 1) / 2)
