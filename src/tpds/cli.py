@@ -27,7 +27,7 @@ from .errors import (
 from .floquet import floquet, floquet_mode_evolution
 from .integrate import _grid, simulate_linear, transition_matrix
 from .nonlinear import poincare_analysis, simulate_nonlinear
-from .systems import classify_constant, classify_time_varying, in_M, in_M_plus
+from .systems import classify_time_varying, in_M, in_M_plus
 from .totalpos import classify, oscillatory_spectrum
 
 EXIT_OK = 0

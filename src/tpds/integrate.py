@@ -188,10 +188,10 @@ def _transitions(sys, grid, step, p=None):
     compound of A given p, and the integral of tr C over each interval by
     Simpson's rule over the same values of C, which is RK4 on the trace.
 
-    Each grid interval is cut into spans at the interior segment boundaries
-    more than 1e-14 inside it, each span tagged by the segment that holds
-    its midpoint (one ``TimeVaryingSystem._segments_at`` search for all of
-    them) and cut into _step_count equal steps. Step j of size h from lo
+    The system lays out the spans (``TimeVaryingSystem._spans``): each grid
+    interval cut at the interior segment boundaries more than 1e-14 inside
+    it, each span tagged by the segment that holds its midpoint. Each span
+    is cut into _step_count equal steps. Step j of size h from lo
     has the stage times lo + k h / 2, k = 2j, 2j + 1, 2j + 2: its start, the
     midpoint that RK4's two middle stages share, and its end, which is the
     next step's start by the same expression.
@@ -220,15 +220,7 @@ def _transitions(sys, grid, step, p=None):
     1e-4 per ulp of its entries. Where long double is double, this is
     double."""
     grid = np.asarray(grid, dtype=float)
-    lo, hi = grid[:-1, None], grid[1:, None]
-    bounds = sys._ends
-    inside = (lo + 1e-14 < bounds) & (bounds < hi - 1e-14)
-    cuts = np.concatenate([lo, np.where(inside, bounds, np.nan), hi], axis=1)
-    kept = ~np.isnan(cuts)
-    cuts, row = cuts[kept], np.nonzero(kept)[0]
-    pair = (row[:-1] == row[1:]) & (cuts[1:] > cuts[:-1])
-    starts, ends, interval = cuts[:-1][pair], cuts[1:][pair], row[:-1][pair]
-    segment = sys._segments_at(0.5 * (starts + ends))
+    starts, ends, interval, segment = sys._spans(grid)
     count = np.array([_step_count(x, step) for x in (ends - starts).tolist()], dtype=int)
     span_h = (ends - starts) / count
     m = sys.n if p is None else math.comb(sys.n, p)
@@ -400,22 +392,15 @@ def _period_intervals(sys, grid):
     where every later interval may take the transition matrix of the
     interval m before it; else None. For a T-periodic system
     Phi(t + T, s + T) = Phi(t, s), and interval k + m is interval k moved
-    by T, with the same spans, when three things hold: the system has a
-    period T; the grid runs past its first period and repeats mod T,
-    |grid[k + m] - grid[k] - T| <= 1e-12 T for every k; and every segment
-    boundary inside the grid's span lands, moved by T either way, on
-    another boundary (to 1e-12) or on or outside the span's ends."""
-    T = sys.period
-    if T is None:
+    by T, with the same spans, when the system's segment ends repeat mod T
+    (``TimeVaryingSystem._repeats``, decided once by its period check) and
+    the grid runs past its first period and repeats mod T,
+    |grid[k + m] - grid[k] - T| <= 1e-12 T for every k."""
+    if not sys._repeats:
         return None
+    T = sys.period
     m = int(np.searchsorted(grid, grid[0] + T - 1e-12 * T))
     if not 0 < m < len(grid) - 1 or np.abs(grid[m:] - grid[:-m] - T).max() > 1e-12 * T:
-        return None
-    lo, hi = grid[0], grid[-1]
-    ends = sys._ends
-    moved = ends[(lo < ends) & (ends < hi)] + np.array([[-T], [T]])
-    landed = np.abs(moved[..., None] - ends).min(axis=-1, initial=np.inf) <= 1e-12
-    if not (landed | (moved <= lo + 1e-12) | (moved >= hi - 1e-12)).all():
         return None
     return m
 

@@ -130,28 +130,39 @@ class TimeVaryingSystem:
                 raise SpecFileError("segment entries have wrong dimension")
         self.segments = segs
         self._ends = np.array([seg.t_end for seg in segs[:-1]])  # the boundaries inside (a, b)
+        self._repeats = False  # set by _check_period
         if self.period is not None:
             self._check_period()
 
     def _check_period(self):
         """A(t) == A(t + T) at up to 100 times t, by one ``_matrices`` call at t0, t0 + T, t1,
-        ...: the first failing t raises NonFiniteInput for a nan or inf entry, else SpecFileError."""
+        ...: the first failing t raises NonFiniteInput for a nan or inf entry, else SpecFileError.
+        Then the same at each segment's midpoint and at each midpoint moved back by T, by a
+        second call, which catches a segment narrower than the 100 times' spacing. Then
+        ``_repeats`` records, once, whether every segment end inside (a, b), moved by T either
+        way, lands on another end (to 1e-12) or on or outside [a, b]: only then is
+        Phi(t + T, s + T) = Phi(t, s) on every grid, spans and all."""
         a, b = self.interval
         T = self.period
         if not T > 0:
             raise SpecFileError("period must be positive")
-        ts = np.linspace(a, b - T, 100)
-        ts = ts[(ts > a) & (ts + T < b)]
-        times = np.column_stack([ts, ts + T]).ravel()
-        pairs = self._matrices(times, self._segments_at(times)).reshape(len(ts), 2, self.n**2)
-        finite = np.isfinite(pairs).all(axis=(1, 2))
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pair raises first
-            failed = ~finite | (np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1) > PERIOD_CHECK_TOL)
-        if failed.any():
-            k = np.argmax(failed)
-            if not finite[k]:
-                raise NonFiniteInput(f"A(t) or A(t+T) has a non-finite entry at t={float(ts[k])}")
-            raise SpecFileError(f"A(t) != A(t+T) at t={float(ts[k])}")
+        mids = np.array([0.5 * (seg.t_start + seg.t_end) for seg in self.segments])
+        for ts in (np.linspace(a, b - T, 100), np.concatenate([mids, mids - T])):
+            ts = ts[(ts > a) & (ts + T < b)]
+            times = np.column_stack([ts, ts + T]).ravel()
+            pairs = self._matrices(times, self._segments_at(times)).reshape(len(ts), 2, self.n**2)
+            finite = np.isfinite(pairs).all(axis=(1, 2))
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pair raises first
+                failed = ~finite | (np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1) > PERIOD_CHECK_TOL)
+            if failed.any():
+                k = np.argmax(failed)
+                if not finite[k]:
+                    raise NonFiniteInput(f"A(t) or A(t+T) has a non-finite entry at t={float(ts[k])}")
+                raise SpecFileError(f"A(t) != A(t+T) at t={float(ts[k])}")
+        lattice = np.concatenate([[a], self._ends, [b]])
+        moved = np.clip(self._ends + np.array([[-T], [T]]), a, b)  # an end moved outside lands on a or b
+        near = np.clip(lattice.searchsorted(moved)[..., None] - [1, 0], 0, len(lattice) - 1)  # a point either side
+        self._repeats = bool((np.abs(lattice[near] - moved[..., None]).min(axis=-1) <= 1e-12).all())
 
     def segment_index(self, t):
         """The index of the segment that holds one time t (``_segments_at``).
@@ -168,6 +179,21 @@ class TimeVaryingSystem:
         """The one segment rule, one search over the segment ends: a time
         belongs to the first segment that ends after it, else to the last."""
         return self._ends.searchsorted(times, side="right")
+
+    def _spans(self, grid):
+        """The spans of a float grid of at least two points, as (starts, ends, interval,
+        segment): each interval is cut at the segment ends more than 1e-14 inside it, empty
+        pieces are dropped, and each span is tagged by its interval's index and by the
+        segment that holds its midpoint (one ``_segments_at`` search for all of them)."""
+        lo, hi = grid[:-1, None], grid[1:, None]
+        bounds = self._ends
+        inside = (lo + 1e-14 < bounds) & (bounds < hi - 1e-14)
+        cuts = np.concatenate([lo, np.where(inside, bounds, np.nan), hi], axis=1)
+        kept = ~np.isnan(cuts)
+        cuts, row = cuts[kept], np.nonzero(kept)[0]
+        pair = (row[:-1] == row[1:]) & (cuts[1:] > cuts[:-1])
+        starts, ends, interval = cuts[:-1][pair], cuts[1:][pair], row[:-1][pair]
+        return starts, ends, interval, self._segments_at(0.5 * (starts + ends))
 
     def _matrices(self, times, segment):
         """A at a 1-d array of times, each tagged by its segment's index: one array

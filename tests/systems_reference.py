@@ -68,14 +68,16 @@ def classify_constant(A):
 
 
 def check_period(sys):
-    """A(t) == A(t + T) at up to 100 times, two scalar ``matrix_at`` calls
-    at each, checked time by time (the overflow of a finite difference
-    reads as inf, as before, without numpy's warning)."""
+    """A(t) == A(t + T) at up to 100 times, then at each segment's midpoint
+    and at each midpoint moved back by T, two scalar ``matrix_at`` calls at
+    each, checked time by time (the overflow of a finite difference reads
+    as inf, as before, without numpy's warning)."""
     a, b = sys.interval
     T = sys.period
     if not T > 0:
         raise SpecFileError("period must be positive")
-    ts = np.linspace(a, b - T, 100)
+    mids = np.array([0.5 * (seg.t_start + seg.t_end) for seg in sys.segments])
+    ts = np.concatenate([np.linspace(a, b - T, 100), mids, mids - T])
     ts = ts[(ts > a) & (ts + T < b)]
     for t in ts:
         now, later = sys.matrix_at(t), sys.matrix_at(t + T)

@@ -247,6 +247,20 @@ def test_simulate_non_finite_spec_exit_code(tmp_path, capsys, name):
     assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x.csv")]) == code
 
 
+def test_floquet_spec_with_a_window_off_its_period_exits_2(tmp_path, capsys):
+    # [1, 1.001) breaks period 1 between the period check's 100 times
+    path = tmp_path / "window.spec"
+    path.write_text(
+        "meta: {name: window, n: 2, interval: [0, 3], period: 1}\n"
+        "linear:\n  segments:\n"
+        "    - {t_start: 0, t_end: 1, matrix: [[-1, 1], [0.5, -1]]}\n"
+        "    - {t_start: 1, t_end: 1.001, matrix: [[0, 2], [1, 0]]}\n"
+        "    - {t_start: 1.001, t_end: 3, matrix: [[-1, 1], [0.5, -1]]}\n"
+    )
+    assert cli.main(["floquet", str(path)]) == 2
+    assert "A(t) != A(t+T) at t=1.0005" in capsys.readouterr().err
+
+
 def test_floquet_stiff_spec_exits_4(tmp_path, capsys):
     path = tmp_path / "stiff.spec"
     path.write_text(

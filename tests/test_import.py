@@ -103,6 +103,42 @@ def test_only_the_system_reads_a_segments_matrix():
     assert callers == {"TimeVaryingSystem._matrices", "TimeVaryingSystem.matrix_at"}
 
 
+def test_only_the_system_reads_its_segment_lattice():
+    # one owner of the segment ends: the integrator asks the system for its
+    # spans and for whether they repeat mod T
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tpds")
+    readers = set()
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            readers |= {
+                (name, node.attr)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in {"_ends", "_segments_at"}
+            }
+    assert readers == {("systems.py", "_ends"), ("systems.py", "_segments_at")}
+
+
+def test_no_library_module_imports_a_name_it_never_reads():
+    # __init__ imports to re-export
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tpds")
+    unread = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            imported = {
+                alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+            }
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [(name, n) for n in sorted(imported - read)]
+    assert len(os.listdir(root)) > 10 and not unread
+
+
 def test_only_exprlang_define_compiles_and_executes_code():
     # one expression compiler: every generated function is defined by
     # _define, which compiles through its cached helper _code

@@ -1,5 +1,7 @@
 """Tests for transition-matrix integration and sign-variation tracking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -529,6 +531,51 @@ def test_a_switched_system_is_reused_only_where_its_boundaries_repeat(monkeypatc
         assert np.array_equal(got, want)
     else:
         assert _within_running_max(got, want, 1e-12)
+
+
+def test_a_boundary_that_does_not_repeat_stops_reuse_on_every_grid():
+    """The system decides once, over [a, b], whether its boundaries repeat:
+    2.71 does not, so a grid on [0, 2.5], which never meets it, is
+    integrated interval by interval too, bit for bit as without reuse."""
+    sys = _switched_periodic([0.5, 1.0, 1.5, 2.0, 2.5, 2.71])
+    grid = np.linspace(0.0, 2.5, 101)
+    assert integrate._period_intervals(sys, grid) is None
+    z0 = [1.0, -0.5]
+    assert np.array_equal(simulate_linear(sys, z0, grid).states, _direct_states(sys, z0, grid))
+
+
+def test_a_period_set_after_construction_is_not_reused():
+    """The period check, and with it the decision that the boundaries
+    repeat, runs when the system is built: a period given afterwards leaves
+    every interval integrated."""
+    sys = TimeVaryingSystem.constant(ALTERNATING[0], (0.0, 3.0))
+    sys.period = 1.0
+    grid = np.linspace(0.0, 3.0, 31)
+    assert integrate._period_intervals(sys, grid) is None
+    z0 = [1.0, -0.5]
+    assert np.array_equal(simulate_linear(sys, z0, grid).states, _direct_states(sys, z0, grid))
+
+
+def test_many_boundaries_are_matched_mod_the_period_in_bounded_memory():
+    """2,000 constant segments of period 1 over 20 periods: the period check
+    and the reuse rule stay under 10 MB of traced memory (an all-pairs
+    difference of the boundaries would take 128 MB), and a grid of 100
+    intervals per period still takes its first period's."""
+    ends = [k / 100 for k in range(1, 2000)]
+    pieces = enumerate(zip([0.0] + ends, ends + [20.0]))
+    segments = [Segment(lo, hi, ALTERNATING[k % 100 // 50]) for k, (lo, hi) in pieces]
+    sys = TimeVaryingSystem(2, (0.0, 20.0), segments)
+    sys.period = 1.0
+    grid = np.linspace(0.0, 20.0, 2001)
+    tracemalloc.start()
+    try:
+        sys._check_period()
+        m = integrate._period_intervals(sys, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert m == 100
 
 
 @pytest.mark.parametrize("where", ["diagonal", "one_entry"])

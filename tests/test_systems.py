@@ -110,6 +110,8 @@ PERIOD_CASES = {
     "domain-error": ([(0.0, 10.0, [["sqrt(t - 3)", 1.0], [1.0, 0.0]])], 1.0, DomainError),
     "domain-error-in-a-later-segment": ([(0.0, 5.0, ON), (5.0, 10.0, [["sqrt(-t)", 1.0], [1.0, 0.0]])], 2.0, DomainError),
     "interval-equals-period": ([(0.0, 1.0, [["t", 1.0], [1.0, 0.0]])], 1.0, None),
+    # OFF on a window between the 100 times: only its midpoint, 1.0005, sees it
+    "switched-narrow-window": ([(0.0, 1.0, ON), (1.0, 1.001, OFF), (1.001, 3.0, ON)], 1.0, SpecFileError),
 }
 
 
