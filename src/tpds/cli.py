@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -230,6 +231,10 @@ def _float_list(text):
 
 
 def build_parser():
+    """A new parser for the ``tpds`` command line, with one subcommand per
+    ``cmd_*`` function. ``main`` parses with one built once per process
+    (``_parser``), so a caller that extends the parser returned here does
+    not change what ``main`` parses."""
     ap = argparse.ArgumentParser(
         prog="tpds",
         description="Sign-variation analysis of totally positive differential systems.",
@@ -284,8 +289,18 @@ def build_parser():
     return ap
 
 
+# one parser per process, built on the first main call rather than at
+# import; reuse is safe because parse_args keeps no state between calls
+# (its defaults are immutable, and --z0/--x0 build a new list per parse)
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one ``tpds`` command line (``sys.argv[1:]`` when argv is None)
+    and return its exit code; argparse exits 2 on a malformed one. Every
+    call after the first reuses the parser (``_parser``), so an in-process
+    caller pays for its verdict, not for building six subparsers."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpecFileError, InvalidArgument, OSError) as exc:

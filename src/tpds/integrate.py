@@ -125,6 +125,19 @@ def _step_count(length, step):
     return max(1, math.ceil(count))
 
 
+def _step_counts(lengths, step):
+    """``_step_count`` of each span in a float array of lengths, by one
+    array operation with the same float arithmetic; a span over MAX_STEPS
+    raises the scalar rule's InvalidArgument, naming the first such span."""
+    _checked_positive(step, "step")
+    with np.errstate(over="ignore"):  # inf counts as over budget, as in _step_count
+        counts = lengths / float(step) - 1e-12
+    over = ~(counts <= MAX_STEPS)
+    if over.any():
+        _step_count(float(lengths[over.argmax()]), step)
+    return np.maximum(np.ceil(counts), 1).astype(int)
+
+
 def _checked_step(step, a, b):
     """The one step rule: 1e-3 of the span [a, b] when step is None, else the
     given step, a positive finite number (``_checked_positive``) even where
@@ -191,7 +204,8 @@ def _transitions(sys, grid, step, p=None):
     The system lays out the spans (``TimeVaryingSystem._spans``): each grid
     interval cut at the interior segment boundaries more than 1e-14 inside
     it, each span tagged by the segment that holds its midpoint. Each span
-    is cut into _step_count equal steps. Step j of size h from lo
+    is cut into _step_count equal steps, counted for all spans at once
+    (``_step_counts``). Step j of size h from lo
     has the stage times lo + k h / 2, k = 2j, 2j + 1, 2j + 2: its start, the
     midpoint that RK4's two middle stages share, and its end, which is the
     next step's start by the same expression.
@@ -221,7 +235,7 @@ def _transitions(sys, grid, step, p=None):
     double."""
     grid = np.asarray(grid, dtype=float)
     starts, ends, interval, segment = sys._spans(grid)
-    count = np.array([_step_count(x, step) for x in (ends - starts).tolist()], dtype=int)
+    count = _step_counts(ends - starts, step)
     span_h = (ends - starts) / count
     m = sys.n if p is None else math.comb(sys.n, p)
     lanes = len(grid) - 1

@@ -38,7 +38,7 @@ from .integrate import (
     _time_array,
 )
 from .signvar import _check_finite, _checked_count
-from .systems import _first_outside_M_plus
+from .systems import _checked_period, _first_outside_M_plus
 
 FD_JAC_REL_STEP = 1e-6
 GAUSS_LEGENDRE_POINTS = 16
@@ -78,8 +78,8 @@ class NonlinearSystem:
             raise SpecFileError("jacobian dimension mismatch")
         if self.domain_box is not None and len(self.domain_box) != self.n:
             raise SpecFileError("domain box dimension mismatch")
-        if self.period is not None and not self.period > 0:
-            raise SpecFileError("period must be positive")
+        if self.period is not None:
+            _checked_period(self.period)
         self._f = exprlang.compile_fn(self.rhs, self.n, self.input)
         self._jac = (
             exprlang.compile_fn(self.jacobian, self.n, self.input)

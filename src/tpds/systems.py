@@ -16,11 +16,12 @@ from . import exprlang
 from .errors import (
     DimensionMismatch,
     EmptySegments,
+    InvalidArgument,
     NonFiniteInput,
     OutOfInterval,
     SpecFileError,
 )
-from .integrate import _checked_times, _grid, _time_array, _within, transition_matrix
+from .integrate import _checked_positive, _checked_times, _grid, _time_array, _within, transition_matrix
 from .signvar import _checked_count
 from .totalpos import _as_matrix, minor
 
@@ -105,6 +106,15 @@ class Segment:
         return self._matrix(_checked_times(t))
 
 
+def _checked_period(period):
+    """The one period rule, of linear and nonlinear systems alike: a positive
+    finite number (``integrate._checked_positive``), else SpecFileError."""
+    try:
+        return _checked_positive(period, "period")
+    except InvalidArgument as exc:
+        raise SpecFileError(str(exc)) from None
+
+
 @dataclass
 class TimeVaryingSystem:
     n: int
@@ -135,8 +145,9 @@ class TimeVaryingSystem:
             self._check_period()
 
     def _check_period(self):
-        """A(t) == A(t + T) at up to 100 times t, by one ``_matrices`` call at t0, t0 + T, t1,
-        ...: the first failing t raises NonFiniteInput for a nan or inf entry, else SpecFileError.
+        """T must pass ``_checked_period``. Then A(t) == A(t + T) at up to 100 times t, by one
+        ``_matrices`` call at t0, t0 + T, t1, ...: the first failing t raises NonFiniteInput for a
+        nan or inf entry, else SpecFileError.
         Then the same at each segment's midpoint and at each midpoint moved back by T, by a
         second call, which catches a segment narrower than the 100 times' spacing. Then
         ``_repeats`` records, once, whether every segment end inside (a, b), moved by T either
@@ -144,8 +155,7 @@ class TimeVaryingSystem:
         Phi(t + T, s + T) = Phi(t, s) on every grid, spans and all."""
         a, b = self.interval
         T = self.period
-        if not T > 0:
-            raise SpecFileError("period must be positive")
+        _checked_period(T)
         mids = np.array([0.5 * (seg.t_start + seg.t_end) for seg in self.segments])
         for ts in (np.linspace(a, b - T, 100), np.concatenate([mids, mids - T])):
             ts = ts[(ts > a) & (ts + T < b)]

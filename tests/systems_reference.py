@@ -3,6 +3,8 @@
 tolerance knobs at the only value they were ever given (zero), and the
 per-time loop of the period check before it took one stacked evaluation."""
 
+import math
+
 import numpy as np
 
 from tpds.errors import DimensionMismatch, NonFiniteInput, SpecFileError
@@ -74,8 +76,8 @@ def check_period(sys):
     as inf, as before, without numpy's warning)."""
     a, b = sys.interval
     T = sys.period
-    if not T > 0:
-        raise SpecFileError("period must be positive")
+    if not (T > 0 and math.isfinite(T)):
+        raise SpecFileError(f"period must be a positive finite number, got {T}")
     mids = np.array([0.5 * (seg.t_start + seg.t_end) for seg in sys.segments])
     ts = np.concatenate([np.linspace(a, b - T, 100), mids, mids - T])
     ts = ts[(ts > a) & (ts + T < b)]

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import tpds
 from tpds import cli, matio, specfile
@@ -33,7 +33,7 @@ from tpds.errors import (
     SpecFileError,
     TpdsError,
 )
-from tpds.integrate import MAX_STEPS, _step_count
+from tpds.integrate import MAX_STEPS, _step_count, _step_counts
 from tpds.nonlinear import NonlinearSystem, line_integral_jacobian
 from tpds.systems import TimeVaryingSystem, in_M, in_M_plus, offdiag_min
 
@@ -580,6 +580,48 @@ def test_a_span_takes_at_most_max_steps():
     assert _step_count(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
     with pytest.raises(InvalidArgument, match=f"takes more than {MAX_STEPS} steps$"):
         _step_count(1.0, 1.0 / (MAX_STEPS + 1))
+
+
+def _counts(count):
+    try:
+        return count()
+    except InvalidArgument as exc:
+        return str(exc)
+
+
+@st.composite
+def spans(draw):
+    """A step and span lengths: 0, subnormal, arbitrary, and exact and
+    one-ulp-off multiples of the step, a few steps long or at MAX_STEPS."""
+    step = draw(st.floats(1e-6, 10.0) | st.sampled_from([5e-324, 1e-5, 1.0 / MAX_STEPS]))
+    multiple = (st.integers(0, 4) | st.integers(MAX_STEPS - 1, MAX_STEPS + 1)).map(lambda k: k * step)
+    near = multiple.flatmap(lambda x: st.sampled_from([math.nextafter(x, 0.0), math.nextafter(x, INF)]))
+    length = st.sampled_from([0.0, 5e-324]) | st.floats(0.0, 1e3) | multiple | near
+    return step, draw(st.lists(length, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans())
+@example((1.0 / MAX_STEPS, [0.5, 1.0]))
+@example((1.0 / (MAX_STEPS + 1), [0.5, 1.0, 2.0]))
+def test_the_array_step_counts_are_the_scalar_rule(case):
+    # the same counts, or the same InvalidArgument naming the first span
+    # over MAX_STEPS
+    step, lengths = case
+    expected = _counts(lambda: [_step_count(x, step) for x in lengths])
+    assert _counts(lambda: _step_counts(np.array(lengths), step).tolist()) == expected
+
+
+@pytest.mark.parametrize("period", [INF, NAN, 0.0, -1.0, "1"])
+def test_a_period_is_a_positive_finite_number_for_both_system_kinds(period):
+    # period=inf raised numpy's RuntimeWarning from the period check's grid
+    # on a linear system, and built a nonlinear one, whose poincare_analysis
+    # then ended in NoConvergence at nan times
+    message = f"^period must be a positive finite number, got {period}$"
+    with pytest.raises(SpecFileError, match=message):
+        TimeVaryingSystem.constant(np.eye(2), (0.0, 2.0), period=period)
+    with pytest.raises(SpecFileError, match=message):
+        NonlinearSystem(n=2, rhs=FREE.rhs, period=period)
 
 
 def test_a_linear_step_too_small_for_the_budget_exits_2_at_once(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,15 @@ from tpds.compound import add_compound
 OSC = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
 
 
-@pytest.fixture()
-def osc_file(tmp_path):
+def osc_path(tmp_path):
     path = tmp_path / "osc.mat"
     matio.dump(OSC, path)
     return str(path)
+
+
+@pytest.fixture()
+def osc_file(tmp_path):
+    return osc_path(tmp_path)
 
 
 def spec_path(tmp_path, name):
@@ -350,3 +356,73 @@ def test_simulate_overflow_names_the_stepper_and_the_step(tmp_path, capsys):
     assert cli.main(args) == 4
     err = capsys.readouterr().err
     assert err == "numerical suspect: the DOP853 run takes more than 100000 steps from t = 0.0 to t = 1.001001001001001e+305\n"
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def _call(argv, capsys, parse=None):
+    """(exit code, stdout, stderr) of cli.main(argv), or, given parse, of
+    the argparse error that parse(argv) exits with."""
+    if parse is None:
+        code = cli.main(argv)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        code = exc.value.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _written(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+# a good command line per subcommand; --z0 and --x0 go through their list
+# converter on each parse
+REPEATED = {
+    "check": lambda tmp: ["check", osc_path(tmp)],
+    "compound": lambda tmp: ["compound", osc_path(tmp), "2", "--additive"],
+    "simulate": lambda tmp: ["simulate", spec_path(tmp, "cosh2"), "--z0", "1,0.5", "--grid", "50", "--out", str(tmp / "out" / "run.csv")],
+    "floquet": lambda tmp: ["floquet", spec_path(tmp, "sinusoidal2")],
+    "entrain": lambda tmp: ["entrain", spec_path(tmp, "entrain_demo"), "--x0", "0.1,0.2,0.3"],
+    "reproduce": lambda tmp: ["reproduce", "spectrum-tp3", "--outdir", str(tmp / "out")],
+}
+
+
+@pytest.mark.parametrize("command", REPEATED)
+def test_each_command_twice_in_one_process_prints_and_writes_the_same(command, tmp_path, capsys):
+    # the first call builds the parser, the second reuses it; an argparse
+    # error between them (an unknown subcommand, a missing argument) leaves
+    # it as it was, and prints what a fresh parser prints
+    (tmp_path / "out").mkdir()
+    argv = REPEATED[command](tmp_path)
+    cli._parser.cache_clear()
+    first = _call(argv, capsys)
+    written = _written(tmp_path / "out")
+    for bad in (["no-such-command"], [command]):
+        fresh = _call(bad, capsys, parse=cli.build_parser().parse_args)
+        assert fresh[0] == 2 and fresh[2].startswith("usage: tpds")
+        assert _call(bad, capsys, parse=cli.main) == fresh
+    assert _call(argv, capsys) == first
+    assert _written(tmp_path / "out") == written
+    assert first[0] == 0 and (first[1] or written)
+
+
+def test_main_builds_its_parser_once_per_process(osc_file, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    assert cli.main(["check", osc_file]) == 0
+    assert built[0] == "tpds" and len(built) == 1 + len(REPEATED)  # tpds and each subcommand
+    assert cli.main(["check", osc_file]) == 0
+    assert len(built) == 1 + len(REPEATED)
+    # build_parser makes a new parser each time, so extending one does not
+    # change what main parses
+    assert cli.build_parser() is not cli._parser()

@@ -1,7 +1,8 @@
 """The library never loads scipy: no module under ``src/tpds`` imports it,
 `import tpds` and the negative-minor witness load none, and neither do the
 nonlinear CLI runs, which print the same under ``python -O``. scipy is a
-dependency of the tests and ``perfbench/`` alone."""
+dependency of the tests and ``perfbench/`` alone. Importing ``tpds.cli``
+builds no argparse parser: ``cli.main`` builds it on its first call."""
 
 import ast
 import os
@@ -47,6 +48,27 @@ def run(script, *flags, cwd=None):
     )
     assert out.returncode == 0, out.stderr
     return out.stdout.split()
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser, tpds and one per subcommand, is built on main's first
+    # call; the count after _parser() shows the counter sees it
+    script = textwrap.dedent(
+        """
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
+        import tpds.cli
+        print(len(built))
+        tpds.cli._parser()
+        print(len(built))
+        """
+    )
+    assert run(script) == ["0", "7"]
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "python-O"])

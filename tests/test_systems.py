@@ -112,6 +112,8 @@ PERIOD_CASES = {
     "interval-equals-period": ([(0.0, 1.0, [["t", 1.0], [1.0, 0.0]])], 1.0, None),
     # OFF on a window between the 100 times: only its midpoint, 1.0005, sees it
     "switched-narrow-window": ([(0.0, 1.0, ON), (1.0, 1.001, OFF), (1.001, 3.0, ON)], 1.0, SpecFileError),
+    # raised numpy's RuntimeWarning from the grid of the 100 times
+    "infinite-period": (SWITCHED, np.inf, SpecFileError),
 }
 
 
