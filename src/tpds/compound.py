@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, OrderOutOfRange
-from .signvar import _real_array
+from .signvar import _checked_count, _real_array
 from .totalpos import _as_matrix, _minors
 
 
@@ -36,13 +36,20 @@ class CompoundMatrix:
         return self.entries[i, j]
 
 
+def _checked_order(p, n):
+    """The one compound-order rule: p an integer >= 1 (InvalidArgument
+    otherwise, a bool or a float included) and at most n (OrderOutOfRange
+    otherwise)."""
+    if _checked_count(p, "p", least=1) > n:
+        raise OrderOutOfRange(f"order {p} outside 1..{n}")
+
+
 def mult_compound(A, p):
     """Matrix of all p x p minors of A, lexicographically ordered; A is
-    checked by ``totalpos._as_matrix``."""
+    checked by ``totalpos._as_matrix`` and p by ``_checked_order``."""
     A = _as_matrix(A, "mult_compound")
     n = A.shape[0]
-    if not 1 <= p <= n:
-        raise OrderOutOfRange(f"order {p} outside 1..{n}")
+    _checked_order(p, n)
     return CompoundMatrix(n, p, _minors(A, p)[0], index_subsets(n, p))
 
 
@@ -80,14 +87,14 @@ def add_compound(A, p):
     one index, and zero otherwise. Each trace is summed left to right from
     0, as Python's ``sum`` does. A (..., n, n) stack of matrices gives the
     stack of their compounds as ``entries``. A complex or text entry raises
-    InvalidArgument (``signvar._real_array``).
+    InvalidArgument (``signvar._real_array``), and p is checked by
+    ``_checked_order``.
     """
     A = _real_array(A, "add_compound: the matrix")
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch("compound requires a square matrix or a stack of them")
     n = A.shape[-1]
-    if not 1 <= p <= n:
-        raise OrderOutOfRange(f"order {p} outside 1..{n}")
+    _checked_order(p, n)
     labels, diag, dst, rows, cols, sign = _add_compound_map(n, p)
     m = len(labels)
     d = A.diagonal(axis1=-2, axis2=-1)

@@ -25,18 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compound import add_compound, mult_compound
+from .compound import _checked_order, add_compound, mult_compound
 from .errors import (
     DimensionMismatch,
     IntegrationSuspect,
     InvalidArgument,
     MonotonicityViolation,
     NoApplicablePair,
-    OrderOutOfRange,
     OutOfInterval,
     TrivialSolution,
 )
-from .signvar import _check_finite, _checked_count, _real_array, _shown, v_counts
+from .signvar import _check_finite, _real_array, _shown, v_counts
 
 DET_REL_TOL = 1e-6
 COMPOUND_REL_TOL = 1e-5
@@ -483,11 +482,11 @@ def compound_transition(sys, p, t0, t, step=None):
     the propagators of transition_matrix, and cross-asserts against the
     multiplicative compound of the directly integrated transition matrix,
     to COMPOUND_REL_TOL. A p that is not an integer in 1..n raises
-    InvalidArgument or OrderOutOfRange before any step, and t0 and t are
-    checked by transition_matrix before its first step.
+    InvalidArgument or OrderOutOfRange (``compound._checked_order``) before
+    any step, and t0 and t are checked by transition_matrix before its
+    first step.
     """
-    if _checked_count(p, "p", least=1) > sys.n:
-        raise OrderOutOfRange(f"order {p} outside 1..{sys.n}")
+    _checked_order(p, sys.n)
     step = _checked_step(step, *sys.interval)
     direct = mult_compound(transition_matrix(sys, t0, t, step).phi, p).entries
     Y = _transitions(sys, [t0, t], step, p)[0][0]

@@ -7,12 +7,14 @@ the usual mathematical convention A(alpha|beta).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     NonFiniteInput,
     NotTN,
     NotTridiagonal,
@@ -22,7 +24,7 @@ from .errors import (
     SpectralViolation,
     ZeroVector,
 )
-from .signvar import _check_finite, _checked_count, _real_array, _sign_rows, sign_counts, signs
+from .signvar import _check_finite, _checked_count, _real_array, _shown, _sign_rows, sign_counts, signs
 
 EXHAUSTIVE_LIMIT = 10
 MINOR_REL_TOL = 1e-10
@@ -46,9 +48,13 @@ def _as_matrix(A, name, square=True):
     return A
 
 
+@lru_cache(maxsize=64)
 def _subsets(n, k):
-    """Lexicographically ordered k-subsets of range(n), one per row."""
-    return np.array(list(combinations(range(n), k)), dtype=np.intp)
+    """Lexicographically ordered k-subsets of range(n), one per row; cached
+    and read-only, since every caller of one (n, k) shares the table."""
+    table = np.array(list(combinations(range(n), k)), dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
 def _minors(A, k):
@@ -57,60 +63,71 @@ def _minors(A, k):
     Returns ``(d, thr)``, both C(m,k) x C(n,k) for an m x n matrix A: row
     subsets in lexicographic order down the first axis, column subsets in
     lexicographic order along the second. ``thr`` is MINOR_REL_TOL times
-    the product of the submatrix's row max-norms. Submatrices are gathered
-    and evaluated MINOR_CHUNK at a time; orders up to 3 use closed forms,
-    higher orders a stacked LU determinant. Raises NonFiniteInput when a
-    minor or threshold comes out nan or infinite, from a non-finite entry
-    of A or from overflow.
+    the product of the submatrix's row max-norms, taken left to right.
+    ``A[:, cols]`` and its row max-norms are gathered once per order;
+    minors are then evaluated in batches of whole row subsets, each batch
+    about MINOR_CHUNK minors, or one row subset when there are more column
+    subsets than that, as a strided (rows, cols, k, k) view of the
+    gathered rows. Raises NonFiniteInput when a minor or threshold comes
+    out nan or infinite, from a non-finite entry of A or from overflow.
     """
     rows = _subsets(A.shape[0], k)
     cols = _subsets(A.shape[1], k)
-    ncols = len(cols)
-    total = len(rows) * ncols
-    # rowmax[i, c]: max-norm of row i of A restricted to column subset c
-    rowmax = np.abs(A)[:, cols].max(axis=2)
-    d = np.empty(total)
-    thr = np.empty(total)
+    sub = A[:, cols]  # sub[i, c, j] = A[i, cols[c, j]]
+    rowmax = np.abs(sub).max(axis=2)  # max-norm of row i over column subset c
+    d = np.empty((len(rows), len(cols)))
+    batch = max(1, MINOR_CHUNK // len(cols))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
-        for start in range(0, total, MINOR_CHUNK):
-            r, c = np.divmod(np.arange(start, min(start + MINOR_CHUNK, total)), ncols)
-            ri = rows[r]
-            out = slice(start, start + len(r))
-            d[out] = _stacked_det(A[ri[:, :, None], cols[c][:, None, :]])
-            norms = rowmax[ri, c[:, None]]
-            scale = norms[:, 0]
-            for i in range(1, k):
-                scale = scale * norms[:, i]
-            thr[out] = MINOR_REL_TOL * scale
+        for start in range(0, len(rows), batch):
+            r = rows[start : start + batch]
+            d[start : start + len(r)] = _stacked_det(sub[r].transpose(0, 2, 1, 3))
+        scale = rowmax[rows[:, 0]]
+        for i in range(1, k):
+            scale = scale * rowmax[rows[:, i]]
+        thr = MINOR_REL_TOL * scale
     if not (np.isfinite(d).all() and np.isfinite(thr).all()):
         raise NonFiniteInput(f"an order-{k} minor or its threshold is nan or infinite")
-    return d.reshape(-1, ncols), thr.reshape(-1, ncols)
+    return d, thr
 
 
 def _stacked_det(s):
+    """Determinants of a (..., k, k) stack: closed forms up to k = 3, the
+    same products and sums as the scalar formulas, and LU
+    (``np.linalg.det``) above; ``_minors`` is the one caller."""
     k = s.shape[-1]
     if k == 1:
-        return s[:, 0, 0]
+        return s[..., 0, 0]
     if k == 2:
-        return s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+        return s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
     if k == 3:
         return (
-            s[:, 0, 0] * (s[:, 1, 1] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 1])
-            - s[:, 0, 1] * (s[:, 1, 0] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 0])
-            + s[:, 0, 2] * (s[:, 1, 0] * s[:, 2, 1] - s[:, 1, 1] * s[:, 2, 0])
+            s[..., 0, 0] * (s[..., 1, 1] * s[..., 2, 2] - s[..., 1, 2] * s[..., 2, 1])
+            - s[..., 0, 1] * (s[..., 1, 0] * s[..., 2, 2] - s[..., 1, 2] * s[..., 2, 0])
+            + s[..., 0, 2] * (s[..., 1, 0] * s[..., 2, 1] - s[..., 1, 1] * s[..., 2, 0])
         )
     return np.linalg.det(s)
 
 
 def minor(A, alpha, beta):
-    """Determinant of the submatrix selected by 1-based index tuples."""
+    """Determinant of the submatrix selected by 1-based index tuples.
+
+    Each index must be an integer >= 1, not a bool (InvalidArgument, by
+    the count rule, otherwise), and the tuples equally long, nonempty,
+    strictly increasing and within the matrix (DimensionMismatch
+    otherwise).
+    """
     A = _as_matrix(A, "minor", square=False)
-    alpha = tuple(alpha)
-    beta = tuple(beta)
+    try:
+        alpha = tuple(alpha)
+        beta = tuple(beta)
+    except TypeError:
+        raise InvalidArgument(f"minor: index tuples must be sequences, got {_shown(alpha)}, {_shown(beta)}") from None
     if len(alpha) != len(beta) or not alpha:
         raise DimensionMismatch("index tuples must be nonempty and equally long")
     for idx, bound in ((alpha, A.shape[0]), (beta, A.shape[1])):
-        if list(idx) != sorted(set(idx)) or idx[0] < 1 or idx[-1] > bound:
+        for i in idx:
+            _checked_count(i, "a minor index", least=1)
+        if list(idx) != sorted(set(idx)) or idx[-1] > bound:
             raise DimensionMismatch(f"bad index tuple {idx}")
     sub = A[np.ix_([i - 1 for i in alpha], [j - 1 for j in beta])]
     return float(_minors(sub, len(alpha))[0][0, 0])
@@ -347,7 +364,8 @@ def is_geb(F):
     """Structural check: diagonal plus at most one first-off-diagonal entry,
     all of them nonnegative, up to GEB_ZERO_TOL. Anything but a nonempty
     square matrix raises DimensionMismatch, a nan or inf entry
-    NonFiniteInput."""
+    NonFiniteInput. ``geb_factorize`` does not call it: its factors pass
+    by construction, which the tests check with it."""
     F = _as_matrix(F, "is_geb")
     tol = GEB_ZERO_TOL
     off = F.copy()
@@ -367,8 +385,13 @@ def geb_factorize(A):
 
     Returns lower bidiagonal factors, then a diagonal factor, then upper
     bidiagonal factors, whose ordered product reconstructs the input. No
-    pivoting is performed; a zero pivot above a nonzero entry is a breakdown.
-    The input is checked as in classify.
+    pivoting is performed; a zero pivot above a nonzero entry, or a
+    multiplier below -GEB_ZERO_TOL, is a breakdown. The input is checked as
+    in classify. Every factor is GEB by construction, so ``is_geb`` is not
+    run on them: a nan or infinite multiplier or pivot raises
+    NonFiniteInput, and a pivot below -GEB_ZERO_TOL PivotBreakdown, checked
+    factor by factor in the order of the product, with the messages
+    ``is_geb`` gives.
     """
     A = _as_matrix(A, "geb_factorize")
     n = A.shape[0]
@@ -376,11 +399,11 @@ def geb_factorize(A):
         raise NotTN("geb_factorize requires a TN input")
 
     def neville_lower(M):
-        # Returns factors [L_i(m), ...] and the reduced matrix R with
-        # M = factors[0] @ factors[1] @ ... @ R, eliminating below-diagonal
-        # entries column by column, bottom-up.
+        # Returns factors [L_i(m), ...], their multipliers m and the reduced
+        # matrix R with M = factors[0] @ factors[1] @ ... @ R, eliminating
+        # below-diagonal entries column by column, bottom-up.
         M = M.copy()
-        factors = []
+        factors, multipliers = [], []
         for j in range(n - 1):
             for i in range(n - 1, j, -1):
                 if abs(M[i, j]) <= GEB_ZERO_TOL:
@@ -395,20 +418,26 @@ def geb_factorize(A):
                     raise PivotBreakdown(f"negative multiplier {m} (input not TN?)")
                 M[i, :] -= m * M[i - 1, :]
                 M[i, j] = 0.0
-                factors.append(_eb(n, i, i - 1, max(m, 0.0)))
-        return factors, M
+                multipliers.append(max(m, 0.0))
+                factors.append(_eb(n, i, i - 1, multipliers[-1]))
+        return factors, multipliers, M
 
-    lower, U = neville_lower(A)
-    upper_t, Rt = neville_lower(U.T)
-    diag = np.diag(np.diag(Rt.copy()))
+    lower, lower_m, U = neville_lower(A)
+    upper_t, upper_m, Rt = neville_lower(U.T)
+    pivots = np.diag(Rt)
     upper = [F.T for F in reversed(upper_t)]
-    factors = lower + [diag] + upper
+    factors = lower + [np.diag(pivots)] + upper
 
     fact = GEBFactorization(factors)
     denom = max(np.linalg.norm(A), 1e-300)
     fact.residual_error = float(np.linalg.norm(fact.product() - A) / denom)
-    for F in factors:
-        if not is_geb(F):
+    # a bidiagonal factor is a unit diagonal with one multiplier >= 0 beside
+    # it, the diagonal factor holds the pivots: only a non-finite value or a
+    # negative pivot can make a factor fail is_geb
+    for values in (lower_m, pivots, upper_m):
+        if not np.isfinite(values).all():
+            raise NonFiniteInput("is_geb: the matrix has a nan or infinite entry")
+        if np.less(values, -GEB_ZERO_TOL).any():
             raise PivotBreakdown("produced a non-GEB factor")
     return fact
 

@@ -27,8 +27,9 @@ import numpy as np
 
 from integrate_reference import naming_the_step, rk4_span, rk4_steps
 from tpds.errors import AssumptionViolated, DomainError, IntegrationSuspect, LeftDomain, NoMonotoneTail, TrivialSolution
-from tpds.integrate import ATOL, MAX_STEPS, RTOL, Trajectory, _checked_count, _checked_grid, _checked_state, _checked_step, _step_count
+from tpds.integrate import ATOL, MAX_STEPS, RTOL, Trajectory, _checked_grid, _checked_state, _checked_step, _step_count
 from tpds.nonlinear import R_GRID, NonlinearRun, _central_differences, _gauss_legendre
+from tpds.signvar import _checked_count
 from tpds.systems import in_M_plus
 
 # DOP853, from the coefficients of Hairer's published dop853.f (c2..c12,

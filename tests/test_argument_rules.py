@@ -320,6 +320,45 @@ def test_compound_transition_checks_p_before_any_step(monkeypatch, p, error, mes
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("op", [mult_compound, add_compound], ids=["mult_compound", "add_compound"])
+@pytest.mark.parametrize(
+    "p, error, message",
+    [
+        (2.5, InvalidArgument, "p must be an integer >= 1, got 2.5"),
+        ("2", InvalidArgument, "p must be an integer >= 1, got '2'"),
+        (True, InvalidArgument, "p must be an integer >= 1, got True"),
+        (0, InvalidArgument, "p must be an integer >= 1, got 0"),
+        (3, OrderOutOfRange, "order 3 outside 1..2"),
+    ],
+)
+def test_a_compound_order_follows_the_compound_transition_rule(op, p, error, message):
+    # 2.5 and "2" leaked a bare TypeError, True ran as order True
+    with pytest.raises(error) as err:
+        op(np.eye(2), p)
+    assert str(err.value) == message
+    assert op(np.eye(2), np.int64(2)).order == 2
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, error, message",
+    [
+        ((1.5, 2), (1, 2), InvalidArgument, "a minor index must be an integer >= 1, got 1.5"),
+        ([1, 2], "12", InvalidArgument, "a minor index must be an integer >= 1, got '1'"),
+        ((True,), (1,), InvalidArgument, "a minor index must be an integer >= 1, got True"),
+        ((1, 2), (0, 1), InvalidArgument, "a minor index must be an integer >= 1, got 0"),
+        (1, (1,), InvalidArgument, "minor: index tuples must be sequences, got 1, (1,)"),
+        ((1, 3), (1, 2), DimensionMismatch, "bad index tuple (1, 3)"),
+    ],
+)
+def test_a_minor_index_is_an_integer_from_1(alpha, beta, error, message):
+    # (1.5, 2) leaked a bare IndexError, "12" a bare TypeError
+    A = np.array([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(error) as err:
+        tpds.minor(A, alpha, beta)
+    assert str(err.value) == message
+    assert tpds.minor(A, np.array([1, 2]), (np.int64(1), 2)) == -2.0
+
+
 @pytest.mark.parametrize(
     "call",
     [

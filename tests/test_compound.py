@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 import compound_reference as ref
 from tpds import add_compound, index_subsets, is_metzler, metzler_compound_profile, mult_compound
-from tpds.errors import DimensionMismatch, NonFiniteInput, OrderOutOfRange
+from tpds.errors import DimensionMismatch, InvalidArgument, NonFiniteInput, OrderOutOfRange
 
 
 def expected_add_compound_3(a):
@@ -156,12 +156,15 @@ def test_is_metzler_rejects_a_vector():
 
 
 def test_order_out_of_range():
+    # an order below 1 is not a count (the rule compound_transition keeps);
+    # it raised OrderOutOfRange before the order had one rule
     A = np.eye(3)
-    for bad in (0, 4, -1):
-        with pytest.raises(OrderOutOfRange):
-            mult_compound(A, bad)
-        with pytest.raises(OrderOutOfRange):
-            add_compound(A, bad)
+    for op in (mult_compound, add_compound):
+        with pytest.raises(OrderOutOfRange, match=r"^order 4 outside 1\.\.3$"):
+            op(A, 4)
+        for bad in (0, -1):
+            with pytest.raises(InvalidArgument, match=f"^p must be an integer >= 1, got {bad}$"):
+                op(A, bad)
 
 
 def test_add_compound_matches_reference_loop():

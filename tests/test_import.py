@@ -2,7 +2,10 @@
 `import tpds` and the negative-minor witness load none, and neither do the
 nonlinear CLI runs, which print the same under ``python -O``. scipy is a
 dependency of the tests and ``perfbench/`` alone. Importing ``tpds.cli``
-builds no argparse parser: ``cli.main`` builds it on its first call."""
+builds no argparse parser: ``cli.main`` builds it on its first call. The
+AST scans pin one owner for each shared kernel or reader: the minor
+kernel, the segment lattice, the expression compiler, and ``is_geb`` as a
+test oracle only."""
 
 import ast
 import os
@@ -180,6 +183,29 @@ def test_only_exprlang_define_compiles_and_executes_code():
             with open(os.path.join(root, name)) as fh:
                 visit(ast.parse(fh.read(), name), name[:-3])
     assert callers == {("compile", "exprlang._code"), ("exec", "exprlang._define")}
+
+
+def test_one_minor_kernel_and_no_geb_recheck():
+    # _minors is the one caller of the stacked determinant; is_geb stays
+    # public, a test oracle that no library module calls
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tpds")
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in {"_stacked_det", "is_geb"}:
+                callers.add((name, scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                visit(ast.parse(fh.read(), name), name[:-3])
+    assert callers == {("_stacked_det", "totalpos._minors")}
 
 
 def test_nonlinear_cli_runs_load_no_scipy_and_ignore_python_O(tmp_path):

@@ -1,5 +1,8 @@
 """The batched minor kernel against the per-minor reference, and its input checks."""
 
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from tpds import (
     random_tridiagonal_cooperative,
 )
 from tpds.errors import NonFiniteInput
-from tpds.totalpos import MINOR_CHUNK, Certificate, Classification, _minors
+from tpds.totalpos import MINOR_CHUNK, Certificate, Classification, _minors, _subsets
 
 GENERATORS = {
     "tp": random_tp,
@@ -51,6 +54,50 @@ def test_minors_and_thresholds_are_bit_identical(A):
         assert d.shape == d_ref.shape
         assert _bits(d) == _bits(d_ref), k
         assert _bits(thr) == _bits(thr_ref), k
+
+
+@pytest.mark.parametrize(
+    "A, per_batch",
+    [(random_nonsingular(10, rng=15), 4), (np.random.default_rng(16).standard_normal((5, 14)), 1)],
+    ids=["ns10", "rect5x14"],
+)
+def test_order_5_minors_are_bit_identical_whatever_the_batch(A, per_batch):
+    # ns10: C(10,5) = 252 column subsets, so 4 whole row subsets a batch;
+    # rect5x14: C(14,5) = 2002 > MINOR_CHUNK, so one row subset a batch
+    ncols = comb(A.shape[1], 5)
+    assert max(1, MINOR_CHUNK // ncols) == per_batch
+    d, thr = _minors(A, 5)
+    d_ref, thr_ref = ref.minors(A, 5)
+    assert d.shape == d_ref.shape == (comb(len(A), 5), ncols)
+    assert _bits(d) == _bits(d_ref)
+    assert _bits(thr) == _bits(thr_ref)
+
+
+def test_the_cached_index_tables_are_read_only():
+    table = _subsets(6, 3)
+    assert _subsets(6, 3) is table and table.shape == (20, 3)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 5
+    assert table[0].tolist() == [0, 1, 2] and table[-1].tolist() == [3, 4, 5]
+
+
+def test_classify_at_n10_holds_a_bounded_batch():
+    # every order of a TN matrix is enumerated; order 5 has 252^2 minors,
+    # whose d and thr take 0.5 MB each. Batches of whole row subsets keep
+    # the peak near a few of those, where gathering every order-5
+    # submatrix at once would hold 25 entries a minor (12.7 MB).
+    A = random_tn(10, rng=7)
+    classify(A)
+    one_output = comb(10, 5) ** 2 * 8
+    tracemalloc.start()
+    try:
+        cls = classify(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cls.is_TN and cls.certificate.orders == 10
+    assert peak < 8 * one_output, peak
 
 
 @pytest.mark.parametrize("family", sorted(GENERATORS))

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import geb_reference
 import signvar_reference as ref
 from tpds import totalpos
 from tpds import (
@@ -28,6 +31,7 @@ from tpds.errors import (
     PivotBreakdown,
     RankDeficient,
     SizeLimitExceeded,
+    TpdsError,
     SpectralViolation,
     ZeroVector,
 )
@@ -134,6 +138,58 @@ def test_geb_pivot_breakdown():
     assert classify(A).is_TN
     with pytest.raises(PivotBreakdown):
         geb_factorize(A)
+
+
+def _geb_outcome(factorize, A):
+    """The factors and residual, bit for bit, or the error type and message."""
+    try:
+        with np.errstate(all="ignore"):  # an overflowing elimination is a case under test
+            fact = factorize(np.array(A, dtype=float))
+    except TpdsError as exc:
+        return type(exc), str(exc)
+    return fact.residual_error.hex(), [(F.shape, F.tobytes()) for F in fact.factors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([random_tn, random_tp]), st.integers(2, 7), st.integers(0, 2**32 - 1))
+def test_every_geb_factor_passes_is_geb(gen, n, seed):
+    # is_geb no longer runs inside geb_factorize: its factors are GEB by
+    # construction, which this checks, and the residual is the per-factor
+    # loop's bit for bit
+    A = gen(n, rng=seed)
+    fact = geb_factorize(A)
+    assert 1 <= len(fact.factors) <= n * (n - 1) + 1
+    assert all(is_geb(F) for F in fact.factors)
+    assert _geb_outcome(geb_factorize, A) == _geb_outcome(geb_reference.geb_factorize, A)
+
+
+GEB_ENTRIES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 1 - 1e-11, 1e-11, 1e-13, 1e-200, 1e100, 1e150, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(GEB_ENTRIES, min_size=n * n, max_size=n * n)))
+def test_geb_factorize_matches_the_per_factor_loop(entries):
+    A = np.array(entries).reshape((round(len(entries) ** 0.5),) * 2)
+    assert _geb_outcome(geb_factorize, A) == _geb_outcome(geb_reference.geb_factorize, A)
+
+
+@pytest.mark.parametrize(
+    "A, error, message",
+    [
+        # the lower multiplier 1e300 / 1e-11 overflows
+        ([[1e-11, 0.0], [1e300, 1.0]], NonFiniteInput, "is_geb: the matrix has a nan or infinite entry"),
+        # TN within the threshold, but the second pivot is -1e-11
+        ([[1.0, 1.0], [1.0, 1 - 1e-11]], PivotBreakdown, "produced a non-GEB factor"),
+        # an infinite lower multiplier, and a pivot of -inf: the lower
+        # factor comes first, and is_geb checks finiteness before signs
+        ([[1e-11, 1e-200], [1e300, -0.0]], NonFiniteInput, "is_geb: the matrix has a nan or infinite entry"),
+        # finite lower factors, a nan pivot and an infinite upper multiplier
+        ([[1e-11, 1e300], [-0.0, 1e-200]], NonFiniteInput, "is_geb: the matrix has a nan or infinite entry"),
+    ],
+)
+def test_a_bad_multiplier_or_pivot_raises_as_the_per_factor_loop(A, error, message):
+    assert classify(A).is_TN
+    assert _geb_outcome(geb_factorize, A) == _geb_outcome(geb_reference.geb_factorize, A) == (error, message)
 
 
 def test_oscillatory_spectrum_fixture():
