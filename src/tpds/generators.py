@@ -9,8 +9,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgument
+from .signvar import _checked_count, _shown
 from .systems import Segment, TimeVaryingSystem
 from .totalpos import GEBFactorization, _eb
+
+
+def _checked_size(n):
+    """The size rule of every generator: an integer >= 1 (the count rule,
+    ``signvar._checked_count``) for which numpy can lay out an n x n float
+    matrix; a size it cannot allocate raises InvalidArgument, as
+    ``integrate._grid`` does for a grid."""
+    _checked_count(n, "n", least=1)
+    try:
+        np.empty((n, n))
+    except (MemoryError, ValueError):  # "Maximum allowed dimension exceeded", "array is too big"
+        raise InvalidArgument(f"an n x n matrix of n = {_shown(n)} cannot be allocated") from None
+    return n
 
 
 def _eb_product(n, lower_params, diag, upper_params):
@@ -26,6 +41,7 @@ def _eb_product(n, lower_params, diag, upper_params):
 
 def random_tp(n, rng=None):
     """Random totally positive matrix (all EB parameters in [0.3, 2))."""
+    _checked_size(n)
     rng = np.random.default_rng(rng)
     m = n * (n - 1) // 2
     return _eb_product(
@@ -38,6 +54,7 @@ def random_tp(n, rng=None):
 
 def random_tn(n, rng=None):
     """Random totally nonnegative matrix (EB parameters zeroed at rate 0.4)."""
+    _checked_size(n)
     rng = np.random.default_rng(rng)
     m = n * (n - 1) // 2
 
@@ -51,6 +68,7 @@ def random_tn(n, rng=None):
 
 def random_nonsingular(n, rng=None):
     """Random dense standard-normal matrix with condition number below 1e6."""
+    _checked_size(n)
     rng = np.random.default_rng(rng)
     while True:
         A = rng.standard_normal((n, n))
@@ -60,6 +78,7 @@ def random_nonsingular(n, rng=None):
 
 def random_tridiagonal_cooperative(n, rng=None):
     """Random constant matrix in M+ (off-diagonals in [0.5, 1.5))."""
+    _checked_size(n)
     rng = np.random.default_rng(rng)
     A = np.diag(rng.uniform(-1.0, 1.0, n))
     for i in range(n - 1):
@@ -75,6 +94,7 @@ def random_tpds_system(n, rng=None, interval=(0.0, 2 * np.pi)):
     with the off-diagonal constants large enough that the entry stays at or
     above 0.5 for all t.
     """
+    _checked_size(n)
     from . import exprlang
 
     rng = np.random.default_rng(rng)

@@ -5,11 +5,14 @@ Steps land exactly on segment boundaries so that discontinuous (switched)
 coefficient matrices are integrated segment by segment. A linear flow is
 integrated by batched propagators: A(t) is evaluated on the whole stage
 grid by one array call per segment, each step's RK4 propagator is built by
-stacked matmul, and the propagators are multiplied in long double:
-pairwise within each block of steps, and the blocks in step order. One
-function, ``_transitions``, lays out and multiplies the steps of a grid,
-and a run on a grid that repeats mod the system's period integrates its
-first period only (``_period_intervals``).
+stacked matmul, and the propagators are multiplied pairwise within each
+block of steps, and the blocks in step order. One function,
+``_transitions``, lays out and multiplies the steps of a grid, in double
+unless its caller asks for long double: ``transition_matrix`` does, since
+its Liouville check reads the determinant of Phi, and trajectories and
+the compound flow, which read no determinant, do not. A run on a grid
+that repeats mod the system's period integrates its first period only
+(``_period_intervals``).
 Determinants are cross-checked against the exponential of the
 integrated trace. A nonlinear run is the one run function compiled per
 system (``exprlang.compile_stepper``), whose step picks its loop: explicit
@@ -35,7 +38,7 @@ from .errors import (
     OutOfInterval,
     TrivialSolution,
 )
-from .signvar import _check_finite, _real_array, _shown, v_counts
+from .signvar import _check_finite, _real_array, _rounded, _shown, v_counts
 
 DET_REL_TOL = 1e-6
 COMPOUND_REL_TOL = 1e-5
@@ -102,10 +105,15 @@ def _grid(a, b, points, endpoint=True):
 
 def _checked_positive(value, name):
     """The one positive-number rule: a positive finite number, else
-    InvalidArgument."""
-    try:
-        ok = value > 0 and math.isfinite(value)
-    except TypeError:
+    InvalidArgument. A bool, or an array of one or more dimensions, is not
+    one, and an int too large for a float is the +-inf it rounds to, and
+    named so."""
+    try:  # a float is a number at once: a nonlinear RK4 run checks its step per sample
+        ok = isinstance(value, float) or not isinstance(value, (bool, np.bool_)) and getattr(value, "ndim", 0) == 0
+        ok = ok and math.isfinite(value) and value > 0
+    except OverflowError:  # "int too large to convert to float"
+        value, ok = _rounded(value), False
+    except (TypeError, ValueError):
         ok = False
     if not ok:
         raise InvalidArgument(f"{name} must be a positive finite number, got {value}")
@@ -194,7 +202,7 @@ def _checked_times(t):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the callers raise on a non-finite result
-def _transitions(sys, grid, step, p=None):
+def _transitions(sys, grid, step, p=None, dtype=float):
     """Each interval's transition matrix, over a grid of at least two
     points, for the flow with coefficients C = A, or the p-th additive
     compound of A given p, and the integral of tr C over each interval by
@@ -226,12 +234,12 @@ def _transitions(sys, grid, step, p=None):
     blocks before it, in step order; the products and the trace integrals
     are all that pass from block to block.
 
-    The increments and the products are long double, and each interval's
-    product is rounded to double once: products in double came out 2-13
-    ulps from an RK4 loop in long double, and the determinant of an
-    ill-conditioned Phi, which the Liouville check reads, moves by 1e-6 to
-    1e-4 per ulp of its entries. Where long double is double, this is
-    double."""
+    The increments and the products are in dtype, double or long double,
+    and each interval's product is rounded to double once. Only a caller
+    that reads det Phi asks for long double (``transition_matrix``): the
+    products in double come out 2-13 ulps from an RK4 loop in long double,
+    which moves the determinant of an ill-conditioned Phi by 1e-6 to 1e-4
+    per ulp. Where long double is double, both are double."""
     grid = np.asarray(grid, dtype=float)
     starts, ends, interval, segment = sys._spans(grid)
     count = _step_counts(ends - starts, step)
@@ -243,7 +251,7 @@ def _transitions(sys, grid, step, p=None):
     offset = np.cumsum(total) - total  # each interval's first step
     span_first = np.cumsum(count) - count  # each span's first step
     width = max(1, CHUNK_STEPS // lanes)
-    phi = np.tile(np.eye(m, dtype=np.longdouble), (lanes, 1, 1))
+    phi = np.tile(np.eye(m, dtype=dtype), (lanes, 1, 1))
     integral = np.zeros(lanes)
     most = total.max()
     for k0 in range(0, most, width):
@@ -256,8 +264,8 @@ def _transitions(sys, grid, step, p=None):
         k = 2 * j[:, None] + np.arange(3)  # each step's stage points 2j, 2j + 1, 2j + 2
         A = sys._matrices((k * (h[:, None] / 2) + starts[span, None]).ravel(), segment[span].repeat(3))
         C = (A if p is None else add_compound(A, p).entries).reshape(-1, 3, m, m)
-        D = np.zeros(real.shape + (m, m), dtype=np.longdouble)
-        D[real] = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None])
+        D = np.zeros(real.shape + (m, m), dtype=dtype)
+        D[real] = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None], dtype)
         while D.shape[1] > 1:  # (I + B)(I + A) = I + (A + B + B A), pairwise
             if D.shape[1] % 2:
                 D = np.concatenate([D, np.zeros_like(D[:, :1])], axis=1)
@@ -266,23 +274,23 @@ def _transitions(sys, grid, step, p=None):
         phi = phi + D[:, 0] @ phi
         tr = C.trace(axis1=2, axis2=3)
         integral += np.bincount(lane, (h / 6) * (tr[:, 0] + 4 * tr[:, 1] + tr[:, 2]), lanes)
-    return phi.astype(float), integral
+    return phi.astype(float, copy=False), integral
 
 
-def _increments(C0, Cm, C1, h):
+def _increments(C0, Cm, C1, h, dtype):
     """P - I for RK4's propagators P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), from
     the coefficients C0, Cm, C1 at each step's start, midpoint and end:
     K1 = C0, K2 = Cm (I + h/2 K1), K3 = Cm (I + h/2 K2) and K4 = C1 (I + h
-    K3). The first-order part h/6 (C0 + 4 Cm + C1) is summed in long double;
-    the rest, about h ||C|| times smaller, is taken in double and added to
-    it."""
+    K3). The first-order part h/6 (C0 + 4 Cm + C1) is summed in dtype,
+    double or long double (``_transitions``); the rest, about h ||C|| times
+    smaller, is taken in double and added to it."""
     X2 = (h / 2) * (Cm @ C0)  # K2 - Cm
     X3 = (h / 2) * (Cm @ (Cm + X2))  # K3 - Cm
     X4 = h * (C1 @ (Cm + X3))  # K4 - C1
-    D = C0.astype(np.longdouble)
+    D = C0.astype(dtype)
     D += 4 * Cm
     D += C1
-    D *= h.astype(np.longdouble) / 6
+    D *= h.astype(dtype) / 6
     D += (h / 6) * (2 * X2 + 2 * X3 + X4)
     return D
 
@@ -300,7 +308,9 @@ class TransitionRecord:
 def transition_matrix(sys, t0, t, step=None):
     """Transition matrix Phi(t, t0) of z' = A(s) z by fixed-step RK4.
 
-    The steps follow the one step-count rule per segment span.
+    The steps follow the one step-count rule per segment span, and the
+    propagators are multiplied in long double, the one flow that asks for
+    it: the Liouville check below reads det Phi.
     A is evaluated at each step's three stage times, 3N times for a span of
     N steps, by one array ``matrix_at`` call per segment and block of
     steps; the steps' propagators are built as stacks and multiplied
@@ -320,7 +330,10 @@ def transition_matrix(sys, t0, t, step=None):
     if not _within(sys.interval, t0, t):
         raise OutOfInterval(f"need a <= t0 <= t <= b, got t0={t0}, t={t}")
     step = _checked_step(step, *sys.interval)
-    phi, integral = _transitions(sys, [t0, t], step)
+    # long double: det Phi, which the Liouville check reads, moves by 1e-6
+    # to 1e-4 per ulp of an ill-conditioned Phi's entries, and products in
+    # double are 2-13 ulps off the RK4 loop in long double
+    phi, integral = _transitions(sys, [t0, t], step, dtype=np.longdouble)
     phi = phi[0]
     if not np.isfinite(phi).all():
         raise IntegrationSuspect(
@@ -422,7 +435,8 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     """Integrate z' = A(t) z on the given sample grid with sign bookkeeping.
 
     Each grid interval's transition matrix is built as in transition_matrix
-    (CHUNK_STEPS intervals side by side) and applies to the state at its
+    (CHUNK_STEPS intervals side by side), but multiplied in double, since a
+    trajectory reads no determinant, and applies to the state at its
     start. On a grid that repeats mod the system's period
     (``_period_intervals``) only the first period's intervals are
     integrated, and each later interval applies the transition matrix of
@@ -479,9 +493,10 @@ def compound_transition(sys, p, t0, t, step=None):
 
     Integrates the C(n,p)-dimensional system driven by the additive compound
     of A(s), taken over each block's stack of A at the stage times, with
-    the propagators of transition_matrix, and cross-asserts against the
+    the propagators of transition_matrix multiplied in double (the compound
+    flow reads no determinant), and cross-asserts against the
     multiplicative compound of the directly integrated transition matrix,
-    to COMPOUND_REL_TOL. A p that is not an integer in 1..n raises
+    in long double as transition_matrix takes it, to COMPOUND_REL_TOL. A p that is not an integer in 1..n raises
     InvalidArgument or OrderOutOfRange (``compound._checked_order``) before
     any step, and t0 and t are checked by transition_matrix before its
     first step.

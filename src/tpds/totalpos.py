@@ -391,7 +391,8 @@ def geb_factorize(A):
     run on them: a nan or infinite multiplier or pivot raises
     NonFiniteInput, and a pivot below -GEB_ZERO_TOL PivotBreakdown, checked
     factor by factor in the order of the product, with the messages
-    ``is_geb`` gives.
+    ``is_geb`` gives. The overflow that leads to a non-finite factor gives
+    no numpy warning.
     """
     A = _as_matrix(A, "geb_factorize")
     n = A.shape[0]
@@ -422,15 +423,16 @@ def geb_factorize(A):
                 factors.append(_eb(n, i, i - 1, multipliers[-1]))
         return factors, multipliers, M
 
-    lower, lower_m, U = neville_lower(A)
-    upper_t, upper_m, Rt = neville_lower(U.T)
-    pivots = np.diag(Rt)
-    upper = [F.T for F in reversed(upper_t)]
-    factors = lower + [np.diag(pivots)] + upper
+    with np.errstate(all="ignore"):  # a multiplier that overflows raises NonFiniteInput below
+        lower, lower_m, U = neville_lower(A)
+        upper_t, upper_m, Rt = neville_lower(U.T)
+        pivots = np.diag(Rt)
+        upper = [F.T for F in reversed(upper_t)]
+        factors = lower + [np.diag(pivots)] + upper
 
-    fact = GEBFactorization(factors)
-    denom = max(np.linalg.norm(A), 1e-300)
-    fact.residual_error = float(np.linalg.norm(fact.product() - A) / denom)
+        fact = GEBFactorization(factors)
+        denom = max(np.linalg.norm(A), 1e-300)
+        fact.residual_error = float(np.linalg.norm(fact.product() - A) / denom)
     # a bidiagonal factor is a unit diagonal with one multiplier >= 0 beside
     # it, the diagonal factor holds the pivots: only a non-finite value or a
     # negative pivot can make a factor fail is_geb

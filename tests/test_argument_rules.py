@@ -12,6 +12,7 @@ the CLI, and a malformed argument must end in a TpdsError (exit 2, 3 or
 
 import functools
 import math
+import re
 import sys
 import time
 
@@ -661,6 +662,62 @@ def test_a_period_is_a_positive_finite_number_for_both_system_kinds(period):
         TimeVaryingSystem.constant(np.eye(2), (0.0, 2.0), period=period)
     with pytest.raises(SpecFileError, match=message):
         NonlinearSystem(n=2, rhs=FREE.rhs, period=period)
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [(np.array([0.1, 0.2]), "[0.1 0.2]"), (10**400, "inf"), (-(10**400), "-inf"), (True, "True"), (np.True_, "True")],
+    ids=["array", "int_too_large", "negative_int_too_large", "bool", "numpy_bool"],
+)
+def test_the_positive_number_rule_refuses_arrays_bools_and_ints_too_large_for_a_float(value, shown):
+    # an array of two leaked a bare ValueError (its truth value), 10**400 a
+    # bare OverflowError (math.isfinite), and True was read as 1.0
+    message = f"must be a positive finite number, got {re.escape(shown)}$"
+    calls = [
+        lambda: tpds.transition_matrix(COSH2, 0.0, 1.0, step=value),
+        lambda: tpds.simulate_nonlinear(DEMO, [0.1, 0.2, 0.3], [0.0, 1.0], step=value),
+        lambda: tpds.poincare_analysis(DEMO, [0.1, 0.2, 0.3], tol=value),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument, match=message):
+            call()
+    with pytest.raises(SpecFileError, match=f"^period {message}"):
+        TimeVaryingSystem.constant(np.eye(2), (0.0, 2.0), period=value)
+    with pytest.raises(SpecFileError, match=f"^period {message}"):
+        NonlinearSystem(n=2, rhs=FREE.rhs, period=value)
+
+
+def test_the_positive_number_rule_keeps_every_number_it_took():
+    # a 0-d array and a numpy float pass as they are
+    for value in (0.1, 2, np.float64(0.5), np.array(0.25)):
+        assert tpds.integrate._checked_positive(value, "step") is value
+
+
+GENERATORS = [
+    tpds.random_tp,
+    tpds.random_tn,
+    tpds.random_nonsingular,
+    tpds.random_tridiagonal_cooperative,
+    tpds.random_tpds_system,
+]
+
+
+@pytest.mark.parametrize("make", GENERATORS, ids=lambda make: make.__name__)
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3", -1, 0], ids=repr)
+def test_a_generator_size_is_an_integer_from_1(make, n):
+    # leaked a bare TypeError or ValueError; n = 0 returned a 0 x 0 matrix,
+    # or leaked LinAlgError (random_nonsingular) or ValueError
+    # (random_tpds_system), and random_tpds_system(-1) raised SpecFileError
+    with pytest.raises(InvalidArgument, match=f"^n must be an integer >= 1, got {re.escape(repr(n))}$"):
+        make(n, rng=0)
+
+
+@pytest.mark.parametrize("make", GENERATORS, ids=lambda make: make.__name__)
+def test_a_generator_size_numpy_cannot_allocate_is_an_invalid_argument(make):
+    # numpy refuses the shape before allocating; this leaked its bare
+    # ValueError "Maximum allowed dimension exceeded", or OverflowError
+    with pytest.raises(InvalidArgument, match=f"^an n x n matrix of n = {10**30} cannot be allocated$"):
+        make(10**30, rng=0)
 
 
 def test_a_linear_step_too_small_for_the_budget_exits_2_at_once(tmp_path, capsys):

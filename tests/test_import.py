@@ -208,6 +208,28 @@ def test_one_minor_kernel_and_no_geb_recheck():
     assert callers == {("_stacked_det", "totalpos._minors")}
 
 
+def test_long_double_is_asked_for_only_where_a_determinant_is_read():
+    # transition_matrix's Liouville check reads det Phi; _transitions and
+    # _increments take the dtype it passes, and every other flow multiplies
+    # in their default, double
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tpds")
+    scopes = set()
+
+    def visit(node, scope):
+        if (isinstance(node, ast.Name) and node.id == "longdouble") or (isinstance(node, ast.Attribute) and node.attr == "longdouble"):
+            scopes.add(scope)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                visit(ast.parse(fh.read(), name), name[:-3])
+    assert scopes == {"integrate.transition_matrix"}
+
+
 def test_nonlinear_cli_runs_load_no_scipy_and_ignore_python_O(tmp_path):
     # entrain (error-controlled and fixed-step) and a nonlinear simulate,
     # and a blow-up that must still exit 4 when asserts are stripped

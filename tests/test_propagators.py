@@ -4,12 +4,14 @@ loop they replaced (``integrate_reference``), and the stack form of
 point form.
 
 The propagators are built and multiplied in another order of operations
-than the loop (pairwise within each block of steps), and in long double,
+than the loop (pairwise within each block of steps), in long double for
+transition_matrix and in double for trajectories and the compound flow,
 so results agree with the loop in double to a tolerance, not bit for bit:
 a transition matrix to 1e-13 of its norm, and a trajectory state to 1e-12
-of ||Phi(t, t0)|| ||z0||. With the loop in long double, Phi agrees to
-within an ulp of each entry over a period, and of its largest entry over
-any number of steps. Entrywise closeness of states does not hold:
+of ||Phi(t, t0)|| ||z0||. With the loop in long double, the long-double
+Phi agrees to within an ulp of each entry over a period, and of its
+largest entry over any number of steps; a trajectory in double counts
+signs as the long-double products do. Entrywise closeness of states does not hold:
 ``schwarz3``'s growing mode amplifies rounding differences like
 exp(1.73 t), far beyond the size of its decaying components.
 """
@@ -34,12 +36,13 @@ from tpds import (
     poincare_analysis,
     random_tpds_system,
     shipped,
+    shipped_names,
     simulate_linear,
     simulate_nonlinear,
     transition_matrix,
 )
 from tpds.errors import DomainError, IntegrationSuspect, InvalidArgument
-from tpds.integrate import CHUNK_STEPS, _checked_step, _step_count, _transitions
+from tpds.integrate import CHUNK_STEPS, Trajectory, _checked_step, _step_count, _transitions
 
 LONG_DOUBLE_IS_DOUBLE = np.finfo(np.longdouble).eps == np.finfo(float).eps
 
@@ -117,10 +120,56 @@ def test_intervals_side_by_side_with_uneven_step_counts():
     counts = np.random.default_rng(8).permutation([1, 2, 3, 5, 17, 61] * 6 + [2])
     grid = np.concatenate([[0.0], np.cumsum(counts) * step])
     assert [_step_count(hi - lo, step) for lo, hi in zip(grid, grid[1:])] == counts.tolist()
+    # in double, as simulate_linear multiplies, and in long double, as
+    # transition_matrix does
     phis, _ = _transitions(sys, grid, step)
-    for phi, lo, hi in zip(phis, grid, grid[1:]):
+    long_phis, _ = _transitions(sys, grid, step, dtype=np.longdouble)
+    for phi, long_phi, lo, hi in zip(phis, long_phis, grid, grid[1:]):
         assert close_phi(phi, ref.transition(sys, lo, hi, step))
-        assert within_an_ulp_of_the_largest_entry(phi, ref.transition_long_double(sys, lo, hi, step).astype(float))
+        assert within_an_ulp_of_the_largest_entry(long_phi, ref.transition_long_double(sys, lo, hi, step).astype(float))
+
+
+def long_double_trajectory(sys, z0, grid, step):
+    """simulate_linear's trajectory with each interval's transition matrix
+    multiplied in long double, as transition_matrix multiplies: CHUNK_STEPS
+    intervals at a time, every interval integrated."""
+    phis = [
+        phi
+        for g0 in range(0, len(grid) - 1, CHUNK_STEPS)
+        for phi in _transitions(sys, grid[g0 : g0 + CHUNK_STEPS + 1], step, dtype=np.longdouble)[0]
+    ]
+    states = [np.asarray(z0, dtype=float)]
+    for phi in phis:
+        states.append(phi.dot(states[-1]))
+    return Trajectory(grid, np.array(states))
+
+
+def linear_runs():
+    """(system, z0, grid): every shipped linear spec on its experiment grid,
+    and random TPDS systems of n = 2..6 on 200 samples over a period."""
+    for name in shipped_names():
+        spec = shipped(name)
+        if spec.kind == "linear":
+            a, b = spec.system.interval
+            yield pytest.param(spec.system, spec.experiment["z0"], np.linspace(a, b, spec.experiment["grid"]), id=name)
+    for n in range(2, 7):
+        for seed in range(3):
+            rng = np.random.default_rng(100 * n + seed)
+            z0 = rng.standard_normal(n)
+            yield pytest.param(random_tpds_system(n, rng=rng), z0, np.linspace(0.0, 2 * np.pi, 200), id=f"random{n}-{seed}")
+
+
+@pytest.mark.parametrize("sys, z0, grid", linear_runs())
+def test_trajectories_in_double_count_signs_as_in_long_double(sys, z0, grid):
+    # a trajectory reads no determinant, so simulate_linear multiplies in
+    # double: its sign counts, V flags and exceptional times are those of
+    # the long-double products, and its states within close_states
+    step = _checked_step(None, *sys.interval)
+    got = simulate_linear(sys, z0, grid)
+    want = long_double_trajectory(sys, z0, grid, step)
+    assert got.sigma_minus == want.sigma_minus and got.sigma_plus == want.sigma_plus
+    assert got.in_V_flags == want.in_V_flags and got.exceptional_times == want.exceptional_times
+    assert close_states(sys, got.states, want.states, grid, step)
 
 
 def test_span_of_more_than_two_chunks():

@@ -192,6 +192,14 @@ def test_a_bad_multiplier_or_pivot_raises_as_the_per_factor_loop(A, error, messa
     assert _geb_outcome(geb_factorize, A) == _geb_outcome(geb_reference.geb_factorize, A) == (error, message)
 
 
+def test_an_overflowing_elimination_warns_nothing():
+    # called without np.errstate, so the suite's error::RuntimeWarning filter
+    # turns any numpy warning into a failure: the multiplier 1e300 / 1e-11
+    # overflowed with a RuntimeWarning before the NonFiniteInput
+    with pytest.raises(NonFiniteInput, match="^is_geb: the matrix has a nan or infinite entry$"):
+        geb_factorize([[1e-11, 0.0], [1e300, 1.0]])
+
+
 def test_oscillatory_spectrum_fixture():
     out = oscillatory_spectrum(A_SPECTRAL)
     vals = [lam for lam, _, _ in out]
