@@ -45,7 +45,7 @@ from .errors import (
     UnboundVariable,
     UnknownIdentifier,
 )
-from .integrate import ATOL, MAX_STEPS, RTOL, _step_count
+from .integrate import ATOL, MAX_STEPS, RTOL, _checked_positive, _step_count
 
 FUNCTIONS = {
     "sin": math.sin,
@@ -694,9 +694,13 @@ def compile_stepper(rhs, n, u=None, box=None):
 
     With a number ``step`` the loop takes classical RK4 in
     ``integrate._step_count(t1 - t0, step)`` equal steps between times
-    t0 < t1, with the floating-point operations of RK4 over
-    ``compile_fn(rhs, n, u)`` on numpy arrays in the same order: the same
-    states, bit for bit. It leaves ``tally[2]`` as it is.
+    t0 < t1. The step is checked once, when the run is created
+    (``integrate._checked_positive``): one that is not a positive finite
+    number raises InvalidArgument at the call, before the run's first time
+    is read, and the loop only counts. The steps are taken with the
+    floating-point operations of RK4 over ``compile_fn(rhs, n, u)`` on
+    numpy arrays in the same order: the same states, bit for bit. It
+    leaves ``tally[2]`` as it is.
 
     With ``step=None`` it takes steps of Dormand and Prince's DOP853, the
     eighth-order pair of Hairer, Norsett and Wanner (Solving ODEs I, II.10):
@@ -729,6 +733,8 @@ def compile_stepper(rhs, n, u=None, box=None):
     loop = functools.cache(lambda adaptive: _run_loop(rhs, n, u, box, used, adaptive))
 
     def advance(y, times, step, tally):
+        if step is not None:
+            _checked_positive(step, "step")
         return loop(step is None)(y, times, step, tally)
 
     return advance

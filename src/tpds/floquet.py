@@ -14,7 +14,7 @@ from .errors import (
     NotPeriodic,
     SpectralViolation,
 )
-from .integrate import _checked_horizon, simulate_linear, transition_matrix
+from .integrate import _checked_horizon, _grid, simulate_linear, transition_matrix
 from .signvar import _real_array
 from .totalpos import _ordered_spectrum
 
@@ -59,6 +59,8 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
     The samples are SAMPLES_PER_PERIOD intervals per period and the
     endpoint, so a horizon of k periods lays out 200 k + 1 samples on a
     grid that repeats mod T, where ``simulate_linear`` integrates one period.
+    A horizon whose grid cannot be allocated raises InvalidArgument
+    (``integrate._grid``).
     A complex or text coefficient raises InvalidArgument
     (``signvar._real_array``).
     """
@@ -79,7 +81,7 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
     z0 = fd.eigvecs @ cvec
     horizon = _checked_horizon(horizon, sys.interval)
     nsamples = max(2, round(SAMPLES_PER_PERIOD * horizon / fd.period) + 1)
-    grid = np.linspace(0.0, horizon, nsamples)
+    grid = _grid(0.0, horizon, nsamples)
     traj = simulate_linear(sys, z0, grid, step=step, tpds=True)
     lo, hi = i - 1, j - 1
     band_bad = [

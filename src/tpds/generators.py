@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgument
-from .signvar import _checked_count, _shown
+from .signvar import _allocatable, _checked_count, _shown
 from .systems import Segment, TimeVaryingSystem
 from .totalpos import GEBFactorization, _eb
 
@@ -18,13 +18,11 @@ from .totalpos import GEBFactorization, _eb
 def _checked_size(n):
     """The size rule of every generator: an integer >= 1 (the count rule,
     ``signvar._checked_count``) for which numpy can lay out an n x n float
-    matrix; a size it cannot allocate raises InvalidArgument, as
-    ``integrate._grid`` does for a grid."""
+    matrix (``signvar._allocatable``); a size it cannot allocate raises
+    InvalidArgument, as ``integrate._grid`` does for a grid."""
     _checked_count(n, "n", least=1)
-    try:
-        np.empty((n, n))
-    except (MemoryError, ValueError):  # "Maximum allowed dimension exceeded", "array is too big"
-        raise InvalidArgument(f"an n x n matrix of n = {_shown(n)} cannot be allocated") from None
+    if not _allocatable((n, n)):
+        raise InvalidArgument(f"an n x n matrix of n = {_shown(n)} cannot be allocated")
     return n
 
 

@@ -38,7 +38,7 @@ from .errors import (
     OutOfInterval,
     TrivialSolution,
 )
-from .signvar import _check_finite, _real_array, _rounded, _shown, v_counts
+from .signvar import _allocatable, _check_finite, _real_array, _rounded, _shown, v_counts
 
 DET_REL_TOL = 1e-6
 COMPOUND_REL_TOL = 1e-5
@@ -95,21 +95,23 @@ def _checked_horizon(horizon, interval=None):
 
 
 def _grid(a, b, points, endpoint=True):
-    """points samples from a to b (``np.linspace``); a count too large to
-    allocate raises InvalidArgument."""
-    try:
-        return np.linspace(a, b, points, endpoint=endpoint)
-    except MemoryError:
-        raise InvalidArgument(f"a grid of {points} samples cannot be allocated") from None
+    """points samples from a to b (``np.linspace``). A count numpy cannot
+    allocate (``signvar._allocatable``) raises InvalidArgument, where
+    linspace would leak a bare MemoryError, a ValueError past numpy's size
+    limit, or an IndexError just past 2**63."""
+    if not _allocatable(points):
+        raise InvalidArgument(f"a grid of {_shown(int(points))} samples cannot be allocated")
+    return np.linspace(a, b, points, endpoint=endpoint)
 
 
 def _checked_positive(value, name):
     """The one positive-number rule: a positive finite number, else
     InvalidArgument. A bool, or an array of one or more dimensions, is not
     one, and an int too large for a float is the +-inf it rounds to, and
-    named so."""
-    try:  # a float is a number at once: a nonlinear RK4 run checks its step per sample
-        ok = isinstance(value, float) or not isinstance(value, (bool, np.bool_)) and getattr(value, "ndim", 0) == 0
+    named so. A step passes it once per flow, at the flow's entry
+    (``_checked_step``, ``exprlang.compile_stepper``)."""
+    try:
+        ok = not isinstance(value, (bool, np.bool_)) and getattr(value, "ndim", 0) == 0
         ok = ok and math.isfinite(value) and value > 0
     except OverflowError:  # "int too large to convert to float"
         value, ok = _rounded(value), False
@@ -122,10 +124,10 @@ def _checked_positive(value, name):
 
 def _step_count(length, step):
     """The one step-count rule: a span of this length is cut into
-    ceil(length / step - 1e-12) equal steps, at least one. A step that is
-    not a positive finite number, or so small that the span takes more
-    than MAX_STEPS steps, raises InvalidArgument before any step."""
-    _checked_positive(step, "step")
+    ceil(length / step - 1e-12) equal steps, at least one. The step is one
+    its flow has checked (``_checked_step``, ``exprlang.compile_stepper``);
+    a step so small that the span takes more than MAX_STEPS steps raises
+    InvalidArgument before any step."""
     count = float(length) / float(step) - 1e-12  # Python floats: inf, not a numpy warning
     if not count <= MAX_STEPS:
         raise InvalidArgument(f"step {step} is too small for a span of {length}: it takes more than {MAX_STEPS} steps")
@@ -134,9 +136,9 @@ def _step_count(length, step):
 
 def _step_counts(lengths, step):
     """``_step_count`` of each span in a float array of lengths, by one
-    array operation with the same float arithmetic; a span over MAX_STEPS
-    raises the scalar rule's InvalidArgument, naming the first such span."""
-    _checked_positive(step, "step")
+    array operation with the same float arithmetic, for a checked step
+    (``_checked_step``); a span over MAX_STEPS raises the scalar rule's
+    InvalidArgument, naming the first such span."""
     with np.errstate(over="ignore"):  # inf counts as over budget, as in _step_count
         counts = lengths / float(step) - 1e-12
     over = ~(counts <= MAX_STEPS)
@@ -146,16 +148,18 @@ def _step_counts(lengths, step):
 
 
 def _checked_step(step, a, b):
-    """The one step rule: 1e-3 of the span [a, b] when step is None, else the
-    given step, a positive finite number (``_checked_positive``) even where
-    no span needs it. A default that underflows to 0 on a nonempty span
-    raises InvalidArgument. Linear flows take it; a nonlinear run takes an
-    explicit step alone, and is error-controlled without one."""
+    """The one step rule of a linear flow, checked once, at its entry: 1e-3
+    of the span [a, b] when step is None, else the given step. Either must
+    be a positive finite number (``_checked_positive``) even where no span
+    needs it, so the default of an infinite span, inf, raises
+    InvalidArgument as an explicit inf does; a default that underflows to 0
+    raises its own. ``_transitions`` and the step-count rules then only
+    count. A nonlinear run checks an explicit step alone
+    (``exprlang.compile_stepper``), and is error-controlled without one."""
     if step is None:
         step = 1e-3 * (b - a)
         if b > a and not step > 0:
             raise InvalidArgument(f"the default step, 1e-3 x the span {b - a}, underflows to 0; pass a step")
-        return step
     return _checked_positive(step, "step")
 
 

@@ -4,14 +4,16 @@ Every run iterates the one run function compiled for its system
 (``exprlang.compile_stepper``, held as ``NonlinearSystem._run``), which
 yields the state at each of its times, the states alone. The step picks
 the loop: DOP853 steps controlled to ``integrate.RTOL`` and ``ATOL``
-without one, RK4 steps of an explicit step. f and J are then taken as
-stacks, by calls of ``NonlinearSystem.f`` or ``jac`` on (m,) times and
-(m, n) states (``exprlang.compile_fn``).
+without one, RK4 steps of an explicit step, which the run checks once,
+when it is created. f and J are then taken as stacks, by calls of
+``NonlinearSystem.f`` or ``jac`` on (m,) times and (m, n) states
+(``exprlang.compile_fn``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,12 +138,6 @@ class NonlinearRun:
     largest_error: float | None = field(default=None, compare=False)  # None for RK4
 
 
-def _checked_run_step(step):
-    """None, for an error-controlled run, or an explicit RK4 step, a
-    positive finite number."""
-    return None if step is None else _checked_positive(step, "step")
-
-
 def simulate_nonlinear(sys, x0, grid, step=None):
     """Integrate x' = f(t, x) and track sign variation of z(t) = f(t, x(t)).
 
@@ -152,15 +148,16 @@ def simulate_nonlinear(sys, x0, grid, step=None):
     grid that is empty, non-finite or decreasing raises OutOfInterval, an
     x0 that is not a vector of n entries DimensionMismatch, one with a nan
     or inf entry NonFiniteInput, and a step that is not a positive finite
-    number InvalidArgument, all before any step. Without a step the run is
-    error-controlled (DOP853 to ``integrate.RTOL`` and ``ATOL``); the
-    result records its accepted and rejected steps and the largest scaled
-    error estimate of an accepted step (None for RK4 steps).
+    number InvalidArgument, all before any step: the run checks its step
+    once, when it is created (``exprlang.compile_stepper``). Without a step
+    the run is error-controlled (DOP853 to ``integrate.RTOL`` and
+    ``ATOL``); the result records its accepted and rejected steps and the
+    largest scaled error estimate of an accepted step (None for RK4 steps).
     """
     grid = _checked_grid(grid)
     x0 = _checked_state(x0, sys.n, "x0")
     tally = [0, 0, None]
-    xs = np.array(list(sys._run(x0, grid, _checked_run_step(step), tally)))
+    xs = np.array(list(sys._run(x0, grid, step, tally)))
     zs = sys.f(grid, xs)
     jac_ok = all(
         _first_outside_M_plus(sys.jac(grid[k : k + CHUNK_STEPS], xs[k : k + CHUNK_STEPS])) is None
@@ -230,7 +227,6 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
     if np.array_equal(a0, b0):
         raise TrivialSolution("initial conditions must differ")
     grid = _grid(0.0, _checked_horizon(horizon), _checked_count(samples, "samples", least=1))
-    step = _checked_run_step(step)
     xa = np.array(list(sys._run(a0, grid, step, [0, 0, None])))
     _check_finite(xa)  # as a Trajectory of the states does
     xb = np.array(list(sys._run(b0, grid, step, [0, 0, None])))
@@ -285,18 +281,21 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
     vector of n entries raises DimensionMismatch, one with a nan or inf
     entry NonFiniteInput, and a step or tol that is not a positive finite
     number, or a max_iters or q_max that is not an integer >= 1,
-    InvalidArgument, all before any iterate.
+    InvalidArgument, all before any iterate and in that order: the run is
+    created, and checks its step, right after x0 is checked, over the times
+    kT, k = 0, 1, ..., and the loop over max_iters + 1 iterates bounds it.
+    A q_max beyond the iterates so far costs nothing: each iterate tries
+    only the q that PERSISTENCE residuals can decide (``_detect_period``).
     """
     if sys.period is None:
         raise NotPeriodic("system carries no period")
     T = sys.period
     x0 = _checked_state(x0, sys.n, "x0")
-    step = _checked_run_step(step)
+    tally = [0, 0, None]
+    run = sys._run(x0, (k * T for k in itertools.count()), step, tally)
     _checked_count(max_iters, "max_iters", least=1)
     _checked_count(q_max, "q_max", least=1)
     _checked_positive(tol, "tol")
-    tally = [0, 0, None]
-    run = sys._run(x0, (k * T for k in range(max_iters + 1)), step, tally)
     iterates = []
     for _ in range(max_iters + 1):
         iterates.append(_rk4_span(run))
@@ -309,10 +308,12 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
 
 
 def _detect_period(iterates, q_max, tol):
+    """The smallest q <= q_max whose last PERSISTENCE residuals
+    ||x_(k+q) - x_k|| are all below tol, else None. Only q <=
+    len(iterates) - PERSISTENCE has that many residuals, so no larger q is
+    tried, whatever q_max is."""
     arr = np.array(iterates)
-    for q in range(1, q_max + 1):
-        if len(arr) < q + PERSISTENCE:
-            continue
+    for q in range(1, min(q_max, len(arr) - PERSISTENCE) + 1):
         tail = range(len(arr) - PERSISTENCE - q, len(arr) - q)
         if all(np.linalg.norm(arr[k + q] - arr[k]) < tol for k in tail):
             return q

@@ -107,6 +107,18 @@ def _rounded(v):
         return np.inf if v > 0 else -np.inf
 
 
+def _allocatable(shape):
+    """The one allocation rule: whether numpy can lay out a float array of
+    this shape. ``np.empty`` touches no memory: it refuses a shape past
+    numpy's size limit with ValueError, before allocating, and one past the
+    memory it may ask for with MemoryError."""
+    try:
+        np.empty(shape)
+    except (MemoryError, ValueError):  # "array is too big", "Maximum allowed dimension exceeded"
+        return False
+    return True
+
+
 def _checked_count(count, name, least=0):
     """The one count rule: an integer >= least, else InvalidArgument."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:

@@ -24,7 +24,7 @@ from .errors import (
     SpectralViolation,
     ZeroVector,
 )
-from .signvar import _check_finite, _checked_count, _real_array, _shown, _sign_rows, sign_counts, signs
+from .signvar import _allocatable, _check_finite, _checked_count, _real_array, _shown, _sign_rows, sign_counts, signs
 
 EXHAUSTIVE_LIMIT = 10
 MINOR_REL_TOL = 1e-10
@@ -536,7 +536,9 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     For U in R^{n x m} (m < n, full column rank) checks (a) whether all
     order-m minors are nonzero with one sign and (b) whether s+(Uc) <= m-1
     for `trials` random nonzero coefficient vectors, drawn as one
-    (trials, m) array and counted at once; trials must be an integer >= 1.
+    (trials, m) array and counted at once; trials must be an integer >= 1
+    for which numpy can lay out the (trials, n) images
+    (``signvar._allocatable``), else InvalidArgument.
     """
     U = _as_matrix(U, "column_set_equivalence", square=False)
     _checked_count(trials, "trials", least=1)
@@ -549,6 +551,8 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     same_sign = bool(np.all(np.abs(d) > thr) and (np.all(d > 0) or np.all(d < 0)))
     rng = np.random.default_rng(rng)
 
+    if not _allocatable((trials, n)):
+        raise InvalidArgument(f"{_shown(int(trials))} trials of {n} entries cannot be allocated")
     C = rng.standard_normal((trials, m))
     zero = ~C.any(axis=1)
     while zero.any():  # every coefficient vector must be nonzero
@@ -567,12 +571,16 @@ def strong_svdp_holds(A, rng=None, vectors_per_pattern=20, zero_tol=None):
     Enumerates every nonzero sign pattern in {-1,0,+1}^n and draws random
     magnitudes for the nonzero slots, pattern by pattern, SVDP_CHUNK
     vectors per batch. Returns False after the first batch that holds a
-    violating vector. vectors_per_pattern must be an integer >= 1.
+    violating vector. vectors_per_pattern must be an integer >= 1, and
+    numpy must be able to lay out the 3^n - 1 patterns
+    (``signvar._allocatable``), else InvalidArgument.
     """
     A = _as_matrix(A, "strong_svdp_holds", square=False)
     _checked_count(vectors_per_pattern, "vectors_per_pattern", least=1)
     n = A.shape[1]
     rng = np.random.default_rng(rng)
+    if not _allocatable((3**n - 1, n)):
+        raise InvalidArgument(f"the {3**n - 1} nonzero sign patterns of {n} entries cannot be allocated")
     patterns = np.stack(
         np.meshgrid(*([np.array([-1, 0, 1])] * n), indexing="ij"), axis=-1
     ).reshape(-1, n)

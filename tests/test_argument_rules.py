@@ -1053,3 +1053,126 @@ def test_a_mutated_spec_exits_0_2_3_or_4(tmp_path, case):
     if command == "entrain":
         argv += ["--max-iters", "3"]
     assert cli_code(argv) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("interval", [(0.0, INF), (-1e308, 1e308)], ids=["half_line", "span_overflows"])
+def test_the_default_step_of_an_infinite_interval_is_refused(interval):
+    # 1e-3 (b - a) is inf; were it not checked, one RK4 step per span would
+    # return Phi(1, 0) = [[0.667, 0.333], ...] where exp(A) is [[0.568,
+    # 0.432], ...], since the step-count rules only count. A one-sample
+    # grid, which has no span, raises too, as for an explicit step; it
+    # returned a trajectory
+    sys = TimeVaryingSystem.constant([[-1.0, 1.0], [1.0, -1.0]], interval)
+    calls = [
+        lambda: tpds.transition_matrix(sys, 0.0, 1.0),
+        lambda: tpds.simulate_linear(sys, [1.0, 0.0], [0.0, 1.0]),
+        lambda: tpds.simulate_linear(sys, [1.0, 0.0], [0.0]),
+        lambda: tpds.compound_transition(sys, 1, 0.0, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument, match=r"^step must be a positive finite number, got inf$"):
+            call()
+
+
+STEP_CHECKS = {
+    "transition_matrix": (lambda: tpds.transition_matrix(COSH2, 0.0, 1.0), 1),
+    "simulate_linear": (lambda: tpds.simulate_linear(SWITCHED, [1.0, -1.0, 1.0, -1.0], np.linspace(0.0, 1.0, 2000)), 1),
+    # its own check, then the one of the transition_matrix it runs
+    "compound_transition": (lambda: tpds.compound_transition(COSH2, 1, 0.0, 1.0), 2),
+    "simulate_nonlinear": (lambda: tpds.simulate_nonlinear(DEMO, OK_X, np.linspace(0.0, 2.0, 200), step=0.01), 1),
+    "poincare_analysis": (lambda: tpds.poincare_analysis(DEMO, OK_X, step=0.05), 1),
+    # two runs, one from each start
+    "eventual_monotonicity": (lambda: tpds.eventual_monotonicity(DEMO, OK_X, [0.2, 0.2, 0.3], 1.0, samples=50, step=0.01), 2),
+}
+
+
+@pytest.mark.parametrize("call, checks", STEP_CHECKS.values(), ids=STEP_CHECKS.keys())
+def test_a_flow_checks_its_step_once_at_its_entry(monkeypatch, call, checks):
+    # the step-count rules re-checked the step per span layout (8 times in
+    # a 2,000-sample simulate_linear) and the RK4 loop per sample interval
+    # (200 times in a 200-sample simulate_nonlinear)
+    seen = []
+    rule = tpds.integrate._checked_positive
+
+    def counted(value, name):
+        seen.append(name)
+        return rule(value, name)
+
+    monkeypatch.setattr(tpds.integrate, "_checked_positive", counted)
+    monkeypatch.setattr(tpds.exprlang, "_checked_positive", counted)
+    call()
+    assert seen.count("step") == checks
+
+
+def test_a_run_function_checks_its_step_at_the_call():
+    # the run was a generator that checked its step per sample interval,
+    # after its first state had been yielded
+    def unread():
+        raise AssertionError("read a time")
+        yield
+
+    advance = tpds.exprlang.compile_stepper(FREE.rhs, 2)
+    with pytest.raises(InvalidArgument, match=r"^step must be a positive finite number, got -1.0$"):
+        advance([0.1, 0.2], unread(), -1.0, [0, 0, None])
+
+
+def test_a_huge_q_max_costs_nothing():
+    # each iterate walked q = 1..q_max: 0.70 s at 10**6 on entrain_demo, and
+    # 10**12 did not return
+    expected = tpds.poincare_analysis(DEMO, OK_X)
+    start = time.perf_counter()
+    result = tpds.poincare_analysis(DEMO, OK_X, q_max=10**12)
+    assert time.perf_counter() - start < 2.0
+    assert np.array_equal(result.iterates, expected.iterates)
+    assert (result.detected_period, result.residuals) == (expected.detected_period, expected.residuals)
+    assert (result.accepted_steps, result.rejected_steps, result.largest_error) == (
+        expected.accepted_steps,
+        expected.rejected_steps,
+        expected.largest_error,
+    )
+
+
+COLUMNS = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+# a period-1 system over (0, 1e18), whose horizon of 1e17 periods asks
+# for 2 x 10**19 + 1 samples
+_PERIODIC = TimeVaryingSystem.constant([[-2.0, 1.0], [1.0, -2.0]], (0.0, 1e18), period=1.0)
+LONG_FLOQUET = (_PERIODIC, tpds.floquet(_PERIODIC, step=0.01))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tpds.classify_time_varying(COSH2, grid=10**30), f"a grid of {10**30} samples"),
+        (lambda: tpds.classify_time_varying(COSH2, grid=2**63 + 5), f"a grid of {2**63 + 5} samples"),
+        (
+            lambda: tpds.eventual_monotonicity(DEMO, OK_X, [0.2, 0.2, 0.3], 1.0, samples=10**30),
+            f"a grid of {10**30} samples",
+        ),
+        (lambda: tpds.floquet_mode_evolution(*LONG_FLOQUET, [1.0], 1e17, step=0.01), "a grid of 20000000000000000001 samples"),
+        (lambda: tpds.column_set_equivalence(COLUMNS, trials=10**19), f"{10**19} trials of 3 entries"),
+        (lambda: tpds.column_set_equivalence(COLUMNS, trials=2**62), f"{2**62} trials of 3 entries"),
+        (lambda: tpds.strong_svdp_holds(np.eye(40)), f"the {3**40 - 1} nonzero sign patterns of 40 entries"),
+        (lambda: tpds.strong_svdp_holds(np.eye(70)), f"the {3**70 - 1} nonzero sign patterns of 70 entries"),
+    ],
+    ids=[
+        "classify_time_varying",
+        "classify_time_varying_2**63+5",
+        "eventual_monotonicity",
+        "floquet_mode_evolution",
+        "column_set_equivalence",
+        "column_set_equivalence_2**62",
+        "strong_svdp_holds_40",
+        "strong_svdp_holds_70",
+    ],
+)
+def test_a_size_past_numpys_limit_is_an_invalid_argument(call, message):
+    # numpy refuses each shape before allocating anything, but leaked it:
+    # np.linspace a bare ValueError ("Maximum allowed size exceeded"), or
+    # IndexError at 2**63 + 5, which classify_time_varying reported as
+    # EmptySegments; the random draw a bare ValueError; and the sign-pattern
+    # table RuntimeError (40 dimensions) or ValueError (70). floquet's own
+    # np.linspace leaked MemoryError at 2 x 10**15 samples, and the others
+    # MemoryError at sizes numpy asks the allocator for
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)} cannot be allocated$"):
+        call()
+

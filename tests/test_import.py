@@ -4,8 +4,8 @@ nonlinear CLI runs, which print the same under ``python -O``. scipy is a
 dependency of the tests and ``perfbench/`` alone. Importing ``tpds.cli``
 builds no argparse parser: ``cli.main`` builds it on its first call. The
 AST scans pin one owner for each shared kernel or reader: the minor
-kernel, the segment lattice, the expression compiler, and ``is_geb`` as a
-test oracle only."""
+kernel, the segment lattice, the expression compiler, the step check, and
+``is_geb`` as a test oracle only."""
 
 import ast
 import os
@@ -228,6 +228,36 @@ def test_long_double_is_asked_for_only_where_a_determinant_is_read():
             with open(os.path.join(root, name)) as fh:
                 visit(ast.parse(fh.read(), name), name[:-3])
     assert scopes == {"integrate.transition_matrix"}
+
+
+def test_a_step_is_checked_only_where_a_flow_takes_it():
+    # the linear flows check theirs by _checked_step, a nonlinear run by its
+    # run function when it is created; the step-count rules, the span
+    # layout and the generated RK4 loop only count
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tpds")
+    step_checks, count_checks = set(), set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None) or ""
+            args = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            if name == "_checked_positive" and "step" in args:
+                step_checks.add(scope)
+            if name.startswith("_checked") and scope.split(".")[-1] in {"_step_count", "_step_counts"}:
+                count_checks.add((name, scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                visit(ast.parse(fh.read(), name), name[:-3])
+    assert step_checks == {"integrate._checked_step", "exprlang.compile_stepper.advance"}
+    assert not count_checks
+    with open(os.path.join(root, "nonlinear.py")) as fh:
+        assert "_checked_run_step" not in fh.read()
 
 
 def test_nonlinear_cli_runs_load_no_scipy_and_ignore_python_O(tmp_path):
