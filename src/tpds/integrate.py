@@ -6,7 +6,8 @@ coefficient matrices are integrated segment by segment. A linear flow is
 integrated by batched propagators: A(t) is evaluated on the whole stage
 grid by one array call per segment, each step's RK4 propagator is built by
 stacked matmul, and the propagators are multiplied pairwise within each
-block of steps, and the blocks in step order. One function,
+window of steps, and the windows in step order, several windows to a block
+of stacked matrices. One function,
 ``_transitions``, lays out and multiplies the steps of a grid, in double
 unless its caller asks for long double: ``transition_matrix`` does, since
 its Liouville check reads the determinant of Phi, and trajectories and
@@ -44,7 +45,13 @@ DET_REL_TOL = 1e-6
 COMPOUND_REL_TOL = 1e-5
 TRAJ_ZERO_REL_TOL = 1e-8
 CLUSTER_GAP = 3
-CHUNK_STEPS = 256  # RK4 steps whose propagators are built at once, to bound memory
+# RK4 steps whose propagators one pairwise product multiplies (a window of
+# _transitions, shared by the intervals side by side), and samples per J
+# block of nonlinear's M+ check
+CHUNK_STEPS = 256
+# matrix entries stacked per block of _transitions, which bounds its memory:
+# 256 steps of 6 x 6, so n = 2, 3 and 4 take 9, 4 and 2 windows per block
+BLOCK_ENTRIES = 9216
 # the local error tolerances of a nonlinear run without an explicit step:
 # each DOP853 step keeps its error estimate within ATOL + RTOL |x|
 RTOL = 1e-10
@@ -223,20 +230,31 @@ def _transitions(sys, grid, step, p=None, dtype=float):
 
     Each step's propagator is P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), and an
     interval's transition matrix is the product of its steps' P, later
-    steps on the left. The intervals are multiplied side by side, in blocks
-    of about CHUNK_STEPS steps, so memory is bounded by the block: per
-    block, C is evaluated at the three stage times of each of its steps
-    (one ``TimeVaryingSystem._matrices`` call), the increments P - I are
-    built as stacks, and those of intervals with fewer steps are padded
-    with zeros, which are exact identity factors. Within a block the
-    factors are multiplied pairwise, in increment form: I + A, then I + B,
-    make I + (A + B + B A), and an odd count is padded with one zero
-    increment. So a block of w steps takes ceil(log2 w) stacked products,
-    and its rounding error grows with log2 w rather than w (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
-    section 4.2). Each block's product then multiplies the product of the
-    blocks before it, in step order; the products and the trace integrals
-    are all that pass from block to block.
+    steps on the left. The intervals are multiplied side by side, window
+    by window: a window is max(1, CHUNK_STEPS // intervals) consecutive
+    steps of every interval, and those of intervals with fewer steps are
+    padded with zero increments, which are exact identity factors. Within
+    a window the factors are multiplied pairwise, in increment form:
+    I + A, then I + B, make I + (A + B + B A), and an odd count is padded
+    with one zero increment. So a window of w steps takes ceil(log2 w)
+    stacked products, and its rounding error grows with log2 w rather than
+    w (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, section 4.2). Each window's product then multiplies the product
+    of the windows before it, in step order, and its trace terms, summed
+    in step order (``bincount``), are added to the integral.
+
+    The windows are taken in blocks of as many as BLOCK_ENTRIES stacked
+    matrix entries hold (at least one), which bounds memory: per block, C
+    is evaluated at the three stage times of each of its steps (one
+    ``TimeVaryingSystem._matrices`` call), the increments P - I are built
+    as stacks, and the pairwise products of all its windows are taken at
+    once, a short last window padded with zero increments. So a one-period
+    Phi of 1,000 steps is one block of 4 windows at n = 2 or 3, and 2
+    blocks of 2 at n = 4, and from n = 5 a block is one window. The block
+    changes no float: each window's product, and the order in which the
+    windows and their trace sums are taken, are those of one window per
+    block. The products and the trace integrals are all that pass from
+    block to block.
 
     The increments and the products are in dtype, double or long double,
     and each interval's product is rounded to double once. Only a caller
@@ -254,12 +272,15 @@ def _transitions(sys, grid, step, p=None, dtype=float):
     np.add.at(total, interval, count)
     offset = np.cumsum(total) - total  # each interval's first step
     span_first = np.cumsum(count) - count  # each span's first step
-    width = max(1, CHUNK_STEPS // lanes)
+    width = max(1, CHUNK_STEPS // lanes)  # the steps of a window
+    windows = max(1, BLOCK_ENTRIES // (lanes * width * m * m))  # the windows of a block
     phi = np.tile(np.eye(m, dtype=dtype), (lanes, 1, 1))
     integral = np.zeros(lanes)
     most = total.max()
-    for k0 in range(0, most, width):
-        pos = k0 + np.arange(min(width, most - k0))
+    for k0 in range(0, most, windows * width):
+        cols = min(windows * width, most - k0)
+        w = -(-cols // width)  # a last block's windows, the last of them may be short
+        pos = k0 + np.arange(w * width if w > 1 else cols)
         real = pos < total[:, None]
         lane, col = np.nonzero(real)  # interval by interval, steps in order
         span = np.searchsorted(span_first, offset[lane] + pos[col], side="right") - 1
@@ -270,14 +291,19 @@ def _transitions(sys, grid, step, p=None, dtype=float):
         C = (A if p is None else add_compound(A, p).entries).reshape(-1, 3, m, m)
         D = np.zeros(real.shape + (m, m), dtype=dtype)
         D[real] = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None], dtype)
+        D = D.reshape(lanes * w, -1, m, m)  # a window of an interval per row
         while D.shape[1] > 1:  # (I + B)(I + A) = I + (A + B + B A), pairwise
             if D.shape[1] % 2:
                 D = np.concatenate([D, np.zeros_like(D[:, :1])], axis=1)
             A, B = D[:, 0::2], D[:, 1::2]
             D = A + B + B @ A
-        phi = phi + D[:, 0] @ phi
         tr = C.trace(axis1=2, axis2=3)
-        integral += np.bincount(lane, (h / 6) * (tr[:, 0] + 4 * tr[:, 1] + tr[:, 2]), lanes)
+        terms = (h / 6) * (tr[:, 0] + 4 * tr[:, 1] + tr[:, 2])
+        sums = np.bincount(lane * w + col // width, terms, lanes * w)  # each window's, in step order
+        products = D[:, 0].reshape(lanes, w, m, m)
+        for i in range(w):
+            phi = phi + products[:, i] @ phi
+            integral += sums[i::w]
     return phi.astype(float, copy=False), integral
 
 
@@ -318,8 +344,8 @@ def transition_matrix(sys, t0, t, step=None):
     A is evaluated at each step's three stage times, 3N times for a span of
     N steps, by one array ``matrix_at`` call per segment and block of
     steps; the steps' propagators are built as stacks and multiplied
-    pairwise within each block, and the blocks in step order
-    (``_transitions``). det Phi is compared with exp of the integral of
+    pairwise within each window of CHUNK_STEPS steps, and the windows in
+    step order (``_transitions``). det Phi is compared with exp of the integral of
     tr A (Abel-Jacobi-Liouville), taken by Simpson's rule over the same
     stage values of tr A, which is RK4 on the trace; a relative mismatch
     beyond 1e-6 marks the record as suspect. A non-finite Phi (a
@@ -411,10 +437,22 @@ class Trajectory:
 
 def _interval_transitions(sys, grid, step):
     """Each interval's transition matrix over a grid of at least two points,
-    in order, from ``_transitions`` over CHUNK_STEPS intervals at a time,
-    which bounds the span layout's memory."""
-    for g0 in range(0, len(grid) - 1, CHUNK_STEPS):
-        yield from _transitions(sys, grid[g0 : g0 + CHUNK_STEPS + 1], step)[0]
+    in order, from ``_transitions`` over as many intervals per call as a
+    block of BLOCK_ENTRIES holds one step of, in whole groups of
+    CHUNK_STEPS (2,304 at n = 2, 1,024 at n = 3, 512 at n = 4, 256 from
+    n = 5). Each interval takes the windows it takes in a call of
+    CHUNK_STEPS intervals at a time, so its product, and its floats, are
+    the same: one step in a whole group, and CHUNK_STEPS // r steps among
+    the r < CHUNK_STEPS left over, which go alone where that is more than
+    one step."""
+    lanes = len(grid) - 1
+    per_call = max(1, BLOCK_ENTRIES // (CHUNK_STEPS * sys.n**2)) * CHUNK_STEPS
+    rest = lanes % CHUNK_STEPS
+    cut = lanes - rest if rest and CHUNK_STEPS // rest > 1 else lanes  # where the rest go alone
+    bounds = [*range(0, cut, per_call), cut, lanes]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > lo:
+            yield from _transitions(sys, grid[lo : hi + 1], step)[0]
 
 
 def _period_intervals(sys, grid):
@@ -439,7 +477,8 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     """Integrate z' = A(t) z on the given sample grid with sign bookkeeping.
 
     Each grid interval's transition matrix is built as in transition_matrix
-    (CHUNK_STEPS intervals side by side), but multiplied in double, since a
+    (side by side, up to BLOCK_ENTRIES // n^2 intervals per call,
+    ``_interval_transitions``), but multiplied in double, since a
     trajectory reads no determinant, and applies to the state at its
     start. On a grid that repeats mod the system's period
     (``_period_intervals``) only the first period's intervals are

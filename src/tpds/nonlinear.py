@@ -284,8 +284,10 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
     InvalidArgument, all before any iterate and in that order: the run is
     created, and checks its step, right after x0 is checked, over the times
     kT, k = 0, 1, ..., and the loop over max_iters + 1 iterates bounds it.
-    A q_max beyond the iterates so far costs nothing: each iterate tries
-    only the q that PERSISTENCE residuals can decide (``_detect_period``).
+    Each iterate takes one residual norm per q <= q_max up to the number
+    of iterates before it, and keeps, per q, how many residuals in a row
+    are below tol (``_detect_period``), so a q_max beyond the iterates
+    costs nothing.
     """
     if sys.period is None:
         raise NotPeriodic("system carries no period")
@@ -296,10 +298,10 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
     _checked_count(max_iters, "max_iters", least=1)
     _checked_count(q_max, "q_max", least=1)
     _checked_positive(tol, "tol")
-    iterates = []
+    iterates, runs = [], []
     for _ in range(max_iters + 1):
         iterates.append(_rk4_span(run))
-        q = _detect_period(iterates, q_max, tol)
+        q = _detect_period(iterates, runs, q_max, tol)
         if q is not None:
             arr = np.array(iterates)
             res = [float(np.linalg.norm(arr[m + q] - arr[m])) for m in range(len(arr) - q)]
@@ -307,14 +309,15 @@ def poincare_analysis(sys, x0, max_iters=100, q_max=8, tol=1e-6, step=None):
     raise NoConvergence(f"no period <= {q_max} detected within {max_iters} iterates")
 
 
-def _detect_period(iterates, q_max, tol):
+def _detect_period(iterates, runs, q_max, tol):
     """The smallest q <= q_max whose last PERSISTENCE residuals
-    ||x_(k+q) - x_k|| are all below tol, else None. Only q <=
-    len(iterates) - PERSISTENCE has that many residuals, so no larger q is
-    tried, whatever q_max is."""
-    arr = np.array(iterates)
-    for q in range(1, min(q_max, len(arr) - PERSISTENCE) + 1):
-        tail = range(len(arr) - PERSISTENCE - q, len(arr) - q)
-        if all(np.linalg.norm(arr[k + q] - arr[k]) < tol for k in tail):
-            return q
-    return None
+    ||x_(k+q) - x_k|| are all below tol, else None, once the newest iterate
+    is appended. runs[q - 1], updated in place, counts the residuals of q
+    below tol in a row up to the newest iterate, so each iterate takes one
+    norm per q <= min(q_max, len(iterates) - 1), whatever q_max is."""
+    x = iterates[-1]
+    if len(runs) < min(q_max, len(iterates) - 1):
+        runs.append(0)
+    for q in range(1, len(runs) + 1):
+        runs[q - 1] = runs[q - 1] + 1 if np.linalg.norm(x - iterates[-1 - q]) < tol else 0
+    return next((q for q, run in enumerate(runs, 1) if run >= PERSISTENCE), None)

@@ -565,15 +565,28 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     return same_sign, bound_holds
 
 
+def _sign_patterns(index, n):
+    """The nonzero sign patterns in {-1, 0, +1}^n numbered index, an int
+    array: pattern i is the base-3 number i, first entry most significant,
+    with digits 0, 1, 2 read as -1, 0, +1, counted past the zero pattern
+    (11...1 in base 3). That is the row order of an ij-indexed meshgrid of
+    n axes [-1, 0, 1] without its zero row."""
+    index = index + (index >= (3**n - 1) // 2)
+    return index[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3 - 1
+
+
 def strong_svdp_holds(A, rng=None, vectors_per_pattern=20, zero_tol=None):
     """Randomized verification of s+(Ax) <= s-(x) over all sign patterns.
 
     Enumerates every nonzero sign pattern in {-1,0,+1}^n and draws random
     magnitudes for the nonzero slots, pattern by pattern, SVDP_CHUNK
-    vectors per batch. Returns False after the first batch that holds a
+    vectors per batch, each batch's patterns computed from their numbers
+    (``_sign_patterns``), so no table of the 3^n - 1 patterns is built.
+    Returns False after the first batch that holds a
     violating vector. vectors_per_pattern must be an integer >= 1, and
-    numpy must be able to lay out the 3^n - 1 patterns
-    (``signvar._allocatable``), else InvalidArgument.
+    the 3^n - 1 patterns a table that numpy could lay out
+    (``signvar._allocatable``), else InvalidArgument: a run past that size
+    would not end either.
     """
     A = _as_matrix(A, "strong_svdp_holds", square=False)
     _checked_count(vectors_per_pattern, "vectors_per_pattern", least=1)
@@ -581,14 +594,10 @@ def strong_svdp_holds(A, rng=None, vectors_per_pattern=20, zero_tol=None):
     rng = np.random.default_rng(rng)
     if not _allocatable((3**n - 1, n)):
         raise InvalidArgument(f"the {3**n - 1} nonzero sign patterns of {n} entries cannot be allocated")
-    patterns = np.stack(
-        np.meshgrid(*([np.array([-1, 0, 1])] * n), indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    patterns = patterns[patterns.any(axis=1)]
-    total = len(patterns) * vectors_per_pattern
+    total = (3**n - 1) * vectors_per_pattern
     for start in range(0, total, SVDP_CHUNK):
         rows = np.arange(start, min(start + SVDP_CHUNK, total))
-        X = patterns[rows // vectors_per_pattern] * rng.uniform(0.1, 2.0, size=(len(rows), n))
+        X = _sign_patterns(rows // vectors_per_pattern, n) * rng.uniform(0.1, 2.0, size=(len(rows), n))
         with np.errstate(over="ignore", invalid="ignore"):  # reported by _first_failure
             Y = (A @ X[..., None])[..., 0]  # row by row as A @ x rounds; X @ A.T does not
         Sy, finite = _sign_rows(Y, zero_tol)

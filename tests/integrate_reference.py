@@ -2,6 +2,11 @@
 propagators of ``tpds.integrate``, and nonlinear runs before the generated
 run loop; kept as the test reference.
 
+``windowed_transitions`` is ``integrate._transitions`` as it was before
+its blocks held several product windows: one window of
+max(1, CHUNK_STEPS // intervals) steps per block, the float layout that
+the batched flow keeps.
+
 ``rk4_steps(f)`` is the generic stepper ``advance(y, t, h, nsteps)`` for
 y' = f(t, y), y any numpy array, and ``rk4_span`` takes [t0, t1] by it in
 ``integrate._step_count`` equal steps. The linear references below cut
@@ -14,7 +19,8 @@ import math
 import numpy as np
 
 from tpds.errors import DomainError
-from tpds.integrate import _checked_grid, _checked_step, _step_count
+from tpds.compound import add_compound
+from tpds.integrate import CHUNK_STEPS, _checked_grid, _checked_step, _increments, _step_count, _step_counts
 
 
 def rk4_steps(f):
@@ -124,3 +130,58 @@ def transition_long_double(sys, t0, t, step=None):
         k4 = A1 @ (y + hl * k3)
         y = y + (hl / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return y
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def windowed_transitions(sys, grid, step, p=None, dtype=float):
+    """``integrate._transitions`` with one product window per block: each
+    block takes max(1, CHUNK_STEPS // intervals) steps of every interval,
+    multiplies them pairwise, then into the product of the blocks before
+    it, and adds its trace integral by one ``bincount``."""
+    grid = np.asarray(grid, dtype=float)
+    starts, ends, interval, segment = sys._spans(grid)
+    count = _step_counts(ends - starts, step)
+    span_h = (ends - starts) / count
+    m = sys.n if p is None else math.comb(sys.n, p)
+    lanes = len(grid) - 1
+    total = np.zeros(lanes, dtype=int)
+    np.add.at(total, interval, count)
+    offset = np.cumsum(total) - total  # each interval's first step
+    span_first = np.cumsum(count) - count  # each span's first step
+    width = max(1, CHUNK_STEPS // lanes)
+    phi = np.tile(np.eye(m, dtype=dtype), (lanes, 1, 1))
+    integral = np.zeros(lanes)
+    most = total.max()
+    for k0 in range(0, most, width):
+        pos = k0 + np.arange(min(width, most - k0))
+        real = pos < total[:, None]
+        lane, col = np.nonzero(real)  # interval by interval, steps in order
+        span = np.searchsorted(span_first, offset[lane] + pos[col], side="right") - 1
+        j = offset[lane] + pos[col] - span_first[span]
+        h = span_h[span]
+        k = 2 * j[:, None] + np.arange(3)  # each step's stage points 2j, 2j + 1, 2j + 2
+        A = sys._matrices((k * (h[:, None] / 2) + starts[span, None]).ravel(), segment[span].repeat(3))
+        C = (A if p is None else add_compound(A, p).entries).reshape(-1, 3, m, m)
+        D = np.zeros(real.shape + (m, m), dtype=dtype)
+        D[real] = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None], dtype)
+        while D.shape[1] > 1:  # (I + B)(I + A) = I + (A + B + B A), pairwise
+            if D.shape[1] % 2:
+                D = np.concatenate([D, np.zeros_like(D[:, :1])], axis=1)
+            A, B = D[:, 0::2], D[:, 1::2]
+            D = A + B + B @ A
+        phi = phi + D[:, 0] @ phi
+        tr = C.trace(axis1=2, axis2=3)
+        integral += np.bincount(lane, (h / 6) * (tr[:, 0] + 4 * tr[:, 1] + tr[:, 2]), lanes)
+    return phi.astype(float, copy=False), integral
+
+
+def chunked_transitions(sys, grid, step):
+    """Each interval's transition matrix in double, from
+    ``windowed_transitions`` over CHUNK_STEPS intervals at a time: the
+    layout of ``integrate._interval_transitions`` before it took several
+    groups of intervals per call."""
+    return [
+        phi
+        for g0 in range(0, len(grid) - 1, CHUNK_STEPS)
+        for phi in windowed_transitions(sys, grid[g0 : g0 + CHUNK_STEPS + 1], step)[0]
+    ]

@@ -18,6 +18,9 @@ points r a + (1 - r) b and the Gauss-Legendre average of J, testing each
 for M+ as it goes. ``line_integral_jacobian`` is the point by point sum.
 ``jac`` is the scalar J: the compiled analytic J, or central differences
 over the compiled scalar f, one perturbed state at a time.
+``detect_period`` is ``poincare_analysis``'s period test before it kept a
+run of small residuals per q: every residual of the tail again, over all
+iterates as one array, at each iterate.
 """
 
 import math
@@ -28,7 +31,7 @@ import numpy as np
 from integrate_reference import naming_the_step, rk4_span, rk4_steps
 from tpds.errors import AssumptionViolated, DomainError, IntegrationSuspect, LeftDomain, NoMonotoneTail, TrivialSolution
 from tpds.integrate import ATOL, MAX_STEPS, RTOL, Trajectory, _checked_grid, _checked_state, _checked_step, _step_count
-from tpds.nonlinear import R_GRID, NonlinearRun, _central_differences, _gauss_legendre
+from tpds.nonlinear import PERSISTENCE, R_GRID, NonlinearRun, _central_differences, _gauss_legendre
 from tpds.signvar import _checked_count
 from tpds.systems import in_M_plus
 
@@ -325,3 +328,14 @@ def eventual_monotonicity(sys, a0, b0, horizon, samples=500, step=None):
     if s >= grid[-1]:
         raise NoMonotoneTail("sign still changing at the sampled resolution")
     return s, int(signs[-1])
+
+
+def detect_period(iterates, q_max, tol):
+    """The smallest q <= q_max whose last PERSISTENCE residuals
+    ||x_(k+q) - x_k|| are all below tol, else None."""
+    arr = np.array(iterates)
+    for q in range(1, min(q_max, len(arr) - PERSISTENCE) + 1):
+        tail = range(len(arr) - PERSISTENCE - q, len(arr) - q)
+        if all(np.linalg.norm(arr[k + q] - arr[k]) < tol for k in tail):
+            return q
+    return None

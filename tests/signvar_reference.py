@@ -1,6 +1,7 @@
 """The column-loop dynamic program that computed sign counts before the
 closed-form ``tpds.signvar.sign_counts``; kept as the test reference, with
-per-vector loop references for the batched callers built on it."""
+per-vector loop references for the batched callers built on it, and the
+sign-pattern table that strong_svdp_holds once laid out whole."""
 
 import numpy as np
 
@@ -57,6 +58,16 @@ def column_set_bound_reference(U, trials=200, rng=None, zero_tol=None):
     return True
 
 
+def sign_pattern_table(n):
+    """Every nonzero sign pattern in {-1, 0, +1}^n, one row each, in the
+    order of the grid of n axes [-1, 0, 1]: the whole table that
+    strong_svdp_holds laid out before it computed each batch's patterns."""
+    patterns = np.stack(
+        np.meshgrid(*([np.array([-1, 0, 1])] * n), indexing="ij"), axis=-1
+    ).reshape(-1, n)
+    return patterns[patterns.any(axis=1)]
+
+
 def strong_svdp_reference(A, rng=None, vectors_per_pattern=20, zero_tol=None):
     """The per-vector loop behind strong_svdp_holds: every nonzero sign
     pattern in order, `vectors_per_pattern` magnitude draws each, stop at
@@ -64,12 +75,7 @@ def strong_svdp_reference(A, rng=None, vectors_per_pattern=20, zero_tol=None):
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
     rng = np.random.default_rng(rng)
-    patterns = np.stack(
-        np.meshgrid(*([np.array([-1, 0, 1])] * n), indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    for pat in patterns:
-        if not np.any(pat):
-            continue
+    for pat in sign_pattern_table(n):
         for _ in range(vectors_per_pattern):
             x = pat * rng.uniform(0.1, 2.0, size=n)
             with np.errstate(over="ignore", invalid="ignore"):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import integrate_reference
 import signvar_reference as ref
 from tpds import (
     Segment,
@@ -350,6 +351,23 @@ def test_three_coefficient_evaluations_per_step(monkeypatch):
     compound_transition(sys, 2, 0.0, T, step=T / nsteps)
     assert count["compound"] == 3 * nsteps
     assert np.array_equal(calls[2], calls[0])  # the compound's own run, after the direct one
+
+
+def test_a_period_of_a_small_system_is_one_block(monkeypatch):
+    """A one-period Phi of random_tpds_system(2) at the default step is
+    1,000 steps: one block of windows (up to 9 x CHUNK_STEPS steps at
+    n = 2), so one ``Segment.matrix_at`` call, where blocks of one window
+    took 4. The stage times read are those of the one-window blocks, in
+    the same order."""
+    sys = random_tpds_system(2, rng=0)
+    step = _checked_step(None, *sys.interval)
+    calls, _ = _count_coefficients(monkeypatch)
+    transition_matrix(sys, 0.0, 2 * np.pi)
+    assert len(calls) == 1
+    got = calls.pop()
+    integrate_reference.windowed_transitions(sys, [0.0, 2 * np.pi], step, dtype=np.longdouble)
+    assert len(calls) == 4
+    assert got.tobytes() == np.concatenate(calls).tobytes()
 
 
 def test_a_grid_of_many_intervals_reads_each_step_as_one_interval_does(monkeypatch):

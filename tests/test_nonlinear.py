@@ -5,6 +5,10 @@ from sys import maxsize
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import nonlinear_reference
+from tpds import nonlinear
 
 from tpds import (
     NonlinearSystem,
@@ -196,6 +200,68 @@ def test_poincare_reads_its_iterate_times_lazily(demo):
     # an array of kT for k = 0..maxsize would raise MemoryError
     res = poincare_analysis(demo, [0.5, -0.5, 1.0], max_iters=maxsize)
     assert res.detected_period == 1
+
+
+def detect_each(iterates, q_max, tol):
+    """The library's period test after each iterate, and the reference's."""
+    runs, got, want = [], [], []
+    for k in range(1, len(iterates) + 1):
+        got.append(nonlinear._detect_period(iterates[:k], runs, q_max, tol))
+        want.append(nonlinear_reference.detect_period(iterates[:k], q_max, tol))
+    return got, want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.sampled_from([0.0, 0.3e-6, 0.9e-6, 1e-6, 3e-6]), min_size=1, max_size=40),
+    st.integers(1, 10),
+)
+def test_period_runs_detect_as_the_tail_test(cycle, noise, q_max):
+    # iterates on a cycle of `cycle` states, each off by a noise of about
+    # tol: the residuals of many q cross tol back and forth, so the runs
+    # must restart where the tail test fails
+    states = np.random.default_rng(cycle).standard_normal((cycle, 3))
+    iterates = [states[k % cycle] + eps for k, eps in enumerate(noise)]
+    got, want = detect_each(iterates, q_max, 1e-6)
+    assert got == want
+
+
+def test_period_test_takes_at_most_q_max_norms_per_iterate(monkeypatch):
+    # a jump every 5 iterates leaves one large residual in each tail of 5,
+    # at every q; the tail test re-took up to 5 norms per q per iterate,
+    # over an array of all iterates so far
+    iterates = [np.array([float(k // 5), 0.0]) for k in range(200)]
+    norms = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x: norms.append(1) or norm(x))
+    runs = []
+    for k in range(1, len(iterates) + 1):
+        before = len(norms)
+        assert nonlinear._detect_period(iterates[:k], runs, 8, 1e-6) is None
+        assert len(norms) - before <= 8
+    assert len(norms) == sum(min(8, k) for k in range(200))
+
+
+@pytest.mark.parametrize("name, x0, kwargs", [
+    ("entrain_demo", [0.5, -0.5, 1.0], {}),
+    ("entrain_demo", [0.5, -0.5, 1.0], {"step": 0.05, "tol": 1e-9, "q_max": 3}),
+    ("takac", [1.001, 0.0, -1.0, 0.0], {}),
+    ("takac", [1.001, 0.0, -1.0, 0.0], {"max_iters": 40, "q_max": 1}),
+])
+def test_poincare_result_is_that_of_the_tail_test(monkeypatch, name, x0, kwargs):
+    def outcome():
+        try:
+            res = poincare_analysis(shipped(name).system, x0, **kwargs)
+        except NoConvergence as exc:
+            return str(exc)
+        fields = dataclasses.astuple(res)
+        return res.iterates.tobytes(), *fields[1:]
+
+    got = outcome()
+    tail = lambda iterates, runs, q_max, tol: nonlinear_reference.detect_period(iterates, q_max, tol)
+    monkeypatch.setattr(nonlinear, "_detect_period", tail)
+    assert got == outcome()
 
 
 def test_poincare_box_exit_is_reported_at_its_iterate_time():

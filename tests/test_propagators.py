@@ -42,7 +42,7 @@ from tpds import (
     transition_matrix,
 )
 from tpds.errors import DomainError, IntegrationSuspect, InvalidArgument
-from tpds.integrate import CHUNK_STEPS, Trajectory, _checked_step, _step_count, _transitions
+from tpds.integrate import CHUNK_STEPS, Trajectory, _checked_step, _interval_transitions, _step_count, _transitions
 
 LONG_DOUBLE_IS_DOUBLE = np.finfo(np.longdouble).eps == np.finfo(float).eps
 
@@ -206,6 +206,67 @@ def test_more_intervals_than_a_chunk_with_uneven_step_counts():
     z0 = [1.0, -1.0, 1.0]
     got = simulate_linear(sys, z0, grid, step=step).states
     assert close_states(sys, got, ref.states(sys, z0, grid, step), grid, step)
+
+
+# -- blocks of several windows, the floats of one window per block ----------
+
+UNEVEN = [1, 2, 3, 5, 17, 61]  # steps per interval
+
+
+def layout(kind, lanes, n, seed):
+    """(system, grid, step): lanes intervals of a random TPDS system of n
+    entries, of 1 to 3 times max(1, 700 // lanes) steps each ("even"), so
+    that a few intervals take several windows and blocks, or of UNEVEN
+    step counts in a random order ("uneven"), or of the switched spec
+    (n = 4) over [0.1, 0.9] in at least 600 steps, so that intervals are
+    cut at its segment ends 0.25 and 0.5 ("switched")."""
+    rng = np.random.default_rng(seed)
+    if kind == "switched":
+        return shipped("switched").system, np.linspace(0.1, 0.9, lanes + 1), 0.8 / max(2 * lanes, 600)
+    step = 2 * np.pi / 1000
+    if kind == "uneven":
+        counts = rng.choice(UNEVEN, size=lanes)
+    else:
+        counts = rng.choice([1, 2, 3], size=lanes) * max(1, 700 // lanes)
+    grid = np.concatenate([[0.0], np.cumsum(counts) * step])
+    return random_tpds_system(n, rng=rng, interval=(0.0, max(2 * np.pi, grid[-1]))), grid, step
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["even", "uneven", "switched"]),
+    st.sampled_from([1, 2, 199, 257, 2001]),
+    st.integers(2, 6),
+    st.sampled_from([None, 2]),
+    st.sampled_from([float, np.longdouble]),
+    st.integers(0, 2**32 - 1),
+)
+def test_blocks_of_windows_give_the_floats_of_one_window_per_block(kind, lanes, n, p, dtype, seed):
+    # a block holds up to BLOCK_ENTRIES // (m^2 lanes window) windows of
+    # max(1, CHUNK_STEPS // lanes) steps each; every product window, its
+    # pairwise tree, the order of the windows and each window's trace sum
+    # are those of the one-window blocks, so Phi and the integral are too
+    if kind == "uneven" and lanes > 257:
+        lanes = 257  # 2,001 uneven intervals would take 30,000 steps
+    sys, grid, step = layout(kind, lanes, n, seed)
+    if p is not None and p > sys.n:
+        p = None
+    got = _transitions(sys, grid, step, p, dtype)
+    want = ref.windowed_transitions(sys, grid, step, p, dtype)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("lanes", [1, 128, 129, 255, 256, 257, 300, 385, 1999, 2304, 2561, 4700])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_interval_transitions_give_the_floats_of_a_chunk_per_call(n, lanes):
+    # groups of CHUNK_STEPS intervals (windows of one step) are taken
+    # BLOCK_ENTRIES // (CHUNK_STEPS n^2) at a time; the r intervals left
+    # over join the last call where CHUNK_STEPS // r is one step too, and
+    # else go alone, in windows of CHUNK_STEPS // r steps, as before
+    sys, grid, step = layout("even", lanes, n, seed=lanes)
+    got = np.array(list(_interval_transitions(sys, grid, step)))
+    assert got.tobytes() == np.array(ref.chunked_transitions(sys, grid, step)).tobytes()
 
 
 def peak_bytes(call):

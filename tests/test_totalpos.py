@@ -1,5 +1,7 @@
 """Tests for minor enumeration, classification, factorization and SVDP."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,6 +317,40 @@ def test_strong_svdp_matches_per_vector_loop():
             assert got == outcome(lambda: ref.strong_svdp_reference(A, rng=seed)), (A, seed)
             outcomes.add(got if isinstance(got, bool) else got[0])
     assert outcomes == {False, "NonFiniteInput"}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sign_patterns_from_their_numbers_are_the_table(n):
+    # every batch's patterns, computed from the numbers of its vectors,
+    # are the rows of the whole table that strong_svdp_holds laid out
+    table = ref.sign_pattern_table(n)
+    assert np.array_equal(totalpos._sign_patterns(np.arange(3**n - 1), n), table)
+    rows = np.arange(5, min(5 + totalpos.SVDP_CHUNK, 20 * (3**n - 1)))
+    assert np.array_equal(totalpos._sign_patterns(rows // 20, n), table[rows // 20])
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_strong_svdp_memory_does_not_grow_with_the_patterns(monkeypatch):
+    # the table of the 3^n - 1 patterns took 10.0 MB at n = 10 and 32.8 MB
+    # at n = 11 (its own 4.7 and 15.6 MB, and the meshgrid copies); one
+    # batch of SVDP_CHUNK vectors takes 5.0 MB at n = 10, and 5.5 MB at
+    # n = 11 beside the size check, which lays out the table's shape
+    # untouched (np.empty) and is recorded here instead
+    A = random_tp(11, rng=0)
+    strong_svdp_holds(A[:2, :2], rng=0)
+    assert traced_peak(lambda: strong_svdp_holds(A[:10, :10], rng=0, vectors_per_pattern=1)) < 6e6
+    shapes = []
+    monkeypatch.setattr(totalpos, "_allocatable", lambda shape: shapes.append(shape) or True)
+    assert traced_peak(lambda: strong_svdp_holds(A, rng=0, vectors_per_pattern=1)) < 6e6
+    assert shapes == [(3**11 - 1, 11)]
 
 
 def test_svdp_check_on_non_square_matrices():
