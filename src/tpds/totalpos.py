@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -57,7 +58,7 @@ def _subsets(n, k):
     return table
 
 
-def _minors(A, k):
+def _minors(A, k, lower=None):
     """Every order-k minor of A with its scale-aware zero threshold.
 
     Returns ``(d, thr)``, both C(m,k) x C(n,k) for an m x n matrix A: row
@@ -68,19 +69,29 @@ def _minors(A, k):
     minors are then evaluated in batches of whole row subsets, each batch
     about MINOR_CHUNK minors, or one row subset when there are more column
     subsets than that, as a strided (rows, cols, k, k) view of the
-    gathered rows. Raises NonFiniteInput when a minor or threshold comes
-    out nan or infinite, from a non-finite entry of A or from overflow.
+    gathered rows. ``lower``, when given, maps the orders 2 and 3 to their
+    ``d`` tables of the same square A: an order 4, 5 or 6 with more than
+    MINOR_CHUNK minors (``_by_laplace``) is then one Laplace level over
+    them (``_laplace``) instead of LU. Those values differ from LU's by
+    rounding: within 1e-11 of the threshold's row product in the tests
+    (1e-14 measured), unless LU's own error is larger. They serve for
+    comparisons with ``thr``, and are reported only as ``classify`` says.
+    Raises NonFiniteInput when a minor or threshold comes out nan or
+    infinite, from a non-finite entry of A or from overflow.
     """
     rows = _subsets(A.shape[0], k)
     cols = _subsets(A.shape[1], k)
     sub = A[:, cols]  # sub[i, c, j] = A[i, cols[c, j]]
     rowmax = np.abs(sub).max(axis=2)  # max-norm of row i over column subset c
-    d = np.empty((len(rows), len(cols)))
-    batch = max(1, MINOR_CHUNK // len(cols))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
-        for start in range(0, len(rows), batch):
-            r = rows[start : start + batch]
-            d[start : start + len(r)] = _stacked_det(sub[r].transpose(0, 2, 1, 3))
+        if lower is not None and _by_laplace(A.shape[0], k):
+            d = _laplace(lower, A.shape[0], k)
+        else:
+            d = np.empty((len(rows), len(cols)))
+            batch = max(1, MINOR_CHUNK // len(cols))
+            for start in range(0, len(rows), batch):
+                r = rows[start : start + batch]
+                d[start : start + len(r)] = _stacked_det(sub[r].transpose(0, 2, 1, 3))
         scale = rowmax[rows[:, 0]]
         for i in range(1, k):
             scale = scale * rowmax[rows[:, i]]
@@ -90,10 +101,77 @@ def _minors(A, k):
     return d, thr
 
 
+_LAPLACE_SPLIT = {4: 2, 5: 2, 6: 3}  # order k -> rows p of the first factor of its Laplace terms
+
+
+def _by_laplace(n, k):
+    """Whether ``_minors``, given the lower tables of an n x n matrix,
+    takes its order-k minors from the Laplace level: for k = 4, 5, 6 with
+    more than MINOR_CHUNK minors, where LU costs most; on fewer, a few
+    Laplace terms cost more than LU."""
+    return k in _LAPLACE_SPLIT and comb(n, k) ** 2 > MINOR_CHUNK
+
+
+@lru_cache(maxsize=16)
+def _laplace_index(n, k):
+    """Index tables of the Laplace level of order k over range(n).
+
+    Returns ``(lo, hi, sign)``. Row t of ``lo`` and ``hi`` is the p-subset
+    J = ``_subsets(k, p)[t]`` of positions, p = ``_LAPLACE_SPLIT[k]``, and
+    column s the k-subset ``_subsets(n, k)[s]``: ``lo[t, s]`` is the
+    lexicographic rank of the p entries at J among the p-subsets of
+    range(n), and ``hi[t, s]`` that of the k - p others among the
+    (k - p)-subsets. Row 0 splits off the first p entries. ``sign[t]`` is
+    (-1)^(1 + ... + p + the 1-based positions in J). The ranks come from
+    one 2^n lookup by bitmask; cached and read-only, like ``_subsets``.
+    """
+    p = _LAPLACE_SPLIT[k]
+    positions = _subsets(k, p)
+    bits = 1 << _subsets(n, k)
+    mask_lo = bits.T[positions].sum(axis=1)
+    mask_hi = bits.sum(axis=1) - mask_lo
+    rank = np.zeros(1 << n, dtype=np.intp)
+    for size in (p, k - p):
+        rank[(1 << _subsets(n, size)).sum(axis=1)] = np.arange(comb(n, size))
+    sign = 1 - 2 * ((p * (p - 1) // 2 + positions.sum(axis=1)) % 2)
+    tables = rank[mask_lo], rank[mask_hi], sign
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _laplace(lower, n, k):
+    """Every order-k minor of an n x n matrix from its minors of orders p
+    and k - p (``lower``), by the generalized Laplace expansion along the
+    first p rows of each row subset R, one level deep:
+    det A[R|C] = sum over J of sign(J) d_p[R_lo, C_J] d_(k-p)[R_hi, C minus C_J],
+    terms added in the order of J. Each term is two gathers of whole
+    tables and a product, with no LU; the tables are built column subset
+    by row subset, so that each gather copies whole rows, and transposed
+    at the end."""
+    p = _LAPLACE_SPLIT[k]
+    lo, hi, sign = _laplace_index(n, k)
+    # first[c, r] = d_p[R_lo of row subset r, column p-subset c]; rest likewise
+    first, rest = lower[p][lo[0]].T.copy(), lower[k - p][hi[0]].T.copy()
+    d = first[lo[0]]
+    d *= rest[hi[0]]
+    a, b = np.empty_like(d), np.empty_like(d)
+    for t in range(1, len(sign)):
+        np.take(first, lo[t], axis=0, out=a)
+        np.take(rest, hi[t], axis=0, out=b)
+        a *= b
+        if sign[t] > 0:
+            d += a
+        else:
+            d -= a
+    return d.T.copy()
+
+
 def _stacked_det(s):
     """Determinants of a (..., k, k) stack: closed forms up to k = 3, the
     same products and sums as the scalar formulas, and LU
-    (``np.linalg.det``) above; ``_minors`` is the one caller."""
+    (``np.linalg.det``) above; ``_minors`` is the one caller, for every
+    order it does not take from the Laplace level (``_laplace``)."""
     k = s.shape[-1]
     if k == 1:
         return s[..., 0, 0]
@@ -267,7 +345,16 @@ def classify(A):
     witness is the first minor below -thr with the orders ascending and,
     within an order, row subsets outer and column subsets inner, both
     lexicographic. It is set by the time TN is refuted, so the orders left
-    out could change no field of the result. Oscillation follows
+    out could change no field of the result. The order-2 and order-3
+    tables are kept and passed to ``_minors``, which decides the orders 4
+    to 6 that have more than MINOR_CHUNK minors (n >= 7) from one Laplace
+    level over them instead of LU. Each such value sums at most 20
+    products of closed forms, so its rounding error stays within a few
+    hundred ulps of the threshold's row product, where LU's can exceed the
+    threshold itself on a graded matrix: the two decide alike except on a
+    minor that LU misreads (none among the benchmark's inputs). A witness
+    at such an order reports LU's float on its one submatrix when LU also
+    finds it below -thr, and the Laplace sum otherwise. Oscillation follows
     Gantmacher-Krein: TN, super- and subdiagonal entries positive, and
     det A > 0, its sign exact. A nan or infinite entry raises
     NonFiniteInput, and so does a minor or threshold of an enumerated order
@@ -288,15 +375,22 @@ def classify(A):
     is_tn = True
     is_ssr = True
     witness = None
+    lower = {}
     for k in range(1, n + 1):
-        d, thr = _minors(A, k)
+        d, thr = _minors(A, k, lower)
+        if k <= 3:
+            lower[k] = d
         negative = d < -thr
         if negative.any():
             is_tn = False
             if witness is None:
                 r, c = np.unravel_index(np.argmax(negative), d.shape)
-                alpha, beta = (tuple(int(i) + 1 for i in s) for s in _subsets(n, k)[[r, c]])
-                witness = (alpha, beta, float(d[r, c]))
+                rows, cols = _subsets(n, k)[[r, c]]
+                value = d[r, c]
+                if _by_laplace(n, k):  # LU's value, where LU finds the minor negative too
+                    lu = _minors(A[np.ix_(rows, cols)], k)[0][0, 0]
+                    value = lu if lu < -thr[r, c] else value
+                witness = (tuple(int(i) + 1 for i in rows), tuple(int(j) + 1 for j in cols), float(value))
         zero = np.abs(d) <= thr
         if zero.any() or not ((d > 0).all() or (d < 0).all()):
             is_ssr = False
@@ -584,17 +678,17 @@ def strong_svdp_holds(A, rng=None, vectors_per_pattern=20, zero_tol=None):
     (``_sign_patterns``), so no table of the 3^n - 1 patterns is built.
     Returns False after the first batch that holds a
     violating vector. vectors_per_pattern must be an integer >= 1, and
-    the 3^n - 1 patterns a table that numpy could lay out
-    (``signvar._allocatable``), else InvalidArgument: a run past that size
-    would not end either.
+    the (3^n - 1) x vectors_per_pattern vectors a run draws few enough for
+    numpy to number (``np.intp``), else InvalidArgument, before any draw
+    and with nothing laid out: a run past that size would not end either.
     """
     A = _as_matrix(A, "strong_svdp_holds", square=False)
     _checked_count(vectors_per_pattern, "vectors_per_pattern", least=1)
     n = A.shape[1]
     rng = np.random.default_rng(rng)
-    if not _allocatable((3**n - 1, n)):
-        raise InvalidArgument(f"the {3**n - 1} nonzero sign patterns of {n} entries cannot be allocated")
     total = (3**n - 1) * vectors_per_pattern
+    if total > np.iinfo(np.intp).max:
+        raise InvalidArgument(f"the {3**n - 1} nonzero sign patterns of {n} entries cannot be allocated")
     for start in range(0, total, SVDP_CHUNK):
         rows = np.arange(start, min(start + SVDP_CHUNK, total))
         X = _sign_patterns(rows // vectors_per_pattern, n) * rng.uniform(0.1, 2.0, size=(len(rows), n))

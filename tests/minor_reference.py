@@ -121,7 +121,8 @@ def classify_full(A):
     stopped at the first order after which TN and SSR are both refuted:
     the same TP certificate, minors, thresholds, witness order and exact
     determinant sign, and a NonFiniteInput from a minor of any order that
-    overflows."""
+    overflows. It passes ``_minors`` no lower-order tables, so every order
+    above 3 comes from LU."""
     A = _as_matrix(A, "classify")
     n = A.shape[0]
     nonpositive = _tp_refutation(A)
@@ -168,6 +169,19 @@ def exact_minors(A):
                     value += -term if t % 2 else term
                 minors[rows, cols] = value
     return minors
+
+
+def exact_minor(A, rows, cols):
+    """det A[rows|cols] of the stored floats as a Fraction, 0-based indices,
+    by cofactor expansion along the first row."""
+    M = [[Fraction(x) for x in row] for row in np.asarray(A, dtype=float)[np.ix_(rows, cols)].tolist()]
+
+    def det(M):
+        if len(M) == 1:
+            return M[0][0]
+        return sum((-1) ** j * M[0][j] * det([row[:j] + row[j + 1 :] for row in M[1:]]) for j in range(len(M)) if M[0][j])
+
+    return det(M)
 
 
 def exact_is_tp(A):

@@ -27,6 +27,7 @@ from tpds import (
 )
 from tpds.errors import (
     DimensionMismatch,
+    InvalidArgument,
     NonFiniteInput,
     NotTN,
     NotTridiagonal,
@@ -338,19 +339,37 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_strong_svdp_memory_does_not_grow_with_the_patterns(monkeypatch):
+def test_strong_svdp_memory_does_not_grow_with_the_patterns():
     # the table of the 3^n - 1 patterns took 10.0 MB at n = 10 and 32.8 MB
-    # at n = 11 (its own 4.7 and 15.6 MB, and the meshgrid copies); one
-    # batch of SVDP_CHUNK vectors takes 5.0 MB at n = 10, and 5.5 MB at
-    # n = 11 beside the size check, which lays out the table's shape
-    # untouched (np.empty) and is recorded here instead
+    # at n = 11 (its own 4.7 and 15.6 MB, and the meshgrid copies), and the
+    # size check that laid out its shape untouched (np.empty) 4.7 and
+    # 15.6 MB; one batch of SVDP_CHUNK vectors takes 5.0 MB at n = 10 and
+    # 5.5 MB at n = 11
     A = random_tp(11, rng=0)
     strong_svdp_holds(A[:2, :2], rng=0)
     assert traced_peak(lambda: strong_svdp_holds(A[:10, :10], rng=0, vectors_per_pattern=1)) < 6e6
-    shapes = []
-    monkeypatch.setattr(totalpos, "_allocatable", lambda shape: shapes.append(shape) or True)
     assert traced_peak(lambda: strong_svdp_holds(A, rng=0, vectors_per_pattern=1)) < 6e6
-    assert shapes == [(3**11 - 1, 11)]
+
+
+@pytest.mark.parametrize(
+    "n, count",
+    [(40, 1), (39, 3), (1, 2**62)],
+)
+def test_strong_svdp_refuses_a_run_numpy_cannot_number_before_any_draw(n, count):
+    # 3^40 - 1 vectors, 3 (3^39 - 1) and 2^63 exceed np.intp; nothing is
+    # laid out and the generator is not drawn from
+    A, rng = np.eye(n), np.random.default_rng(0)
+    state = rng.bit_generator.state
+    message = f"^the {3**n - 1} nonzero sign patterns of {n} entries cannot be allocated$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgument, match=message):
+            strong_svdp_holds(A, rng=rng, vectors_per_pattern=count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5, peak
+    assert rng.bit_generator.state == state
 
 
 def test_svdp_check_on_non_square_matrices():
