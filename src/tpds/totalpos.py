@@ -32,6 +32,7 @@ MINOR_REL_TOL = 1e-10
 GEB_ZERO_TOL = 1e-12  # Neville pivots and GEB structure entries this small count as zero
 SPECTRUM_IMAG_TOL, SPECTRUM_ZERO_TOL = 1e-8, 1e-8  # see _ordered_spectrum
 MINOR_CHUNK = 1024  # submatrices gathered and evaluated per batch
+LAPLACE_MIN_MINORS = 128  # an order 2-6 of more minors than this takes the Laplace level
 SVDP_CHUNK = 4096  # vectors drawn and counted per batch in strong_svdp_holds
 
 
@@ -69,10 +70,12 @@ def _minors(A, k, lower=None):
     minors are then evaluated in batches of whole row subsets, each batch
     about MINOR_CHUNK minors, or one row subset when there are more column
     subsets than that, as a strided (rows, cols, k, k) view of the
-    gathered rows. ``lower``, when given, maps the orders 2 and 3 to their
-    ``d`` tables of the same square A: an order 4, 5 or 6 with more than
-    MINOR_CHUNK minors (``_by_laplace``) is then one Laplace level over
-    them (``_laplace``) instead of LU. Those values differ from LU's by
+    gathered rows. ``lower``, when given, maps the orders below k to
+    their ``d`` tables of the same square A: an order 2 to 6 with more
+    than LAPLACE_MIN_MINORS minors (``_by_laplace``) is then one Laplace
+    level over them (``_laplace``) instead of the closed forms or LU. At
+    orders 2 and 3 those are the closed forms' own products and sums, so
+    every float is theirs. At orders 4 to 6 they differ from LU's by
     rounding: within 1e-11 of the threshold's row product in the tests
     (1e-14 measured), unless LU's own error is larger. They serve for
     comparisons with ``thr``, and are reported only as ``classify`` says.
@@ -101,18 +104,22 @@ def _minors(A, k, lower=None):
     return d, thr
 
 
-_LAPLACE_SPLIT = {4: 2, 5: 2, 6: 3}  # order k -> rows p of the first factor of its Laplace terms
+_LAPLACE_SPLIT = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3}  # order k -> rows p of the first factor of its Laplace terms
 
 
 def _by_laplace(n, k):
     """Whether ``_minors``, given the lower tables of an n x n matrix,
-    takes its order-k minors from the Laplace level: for k = 4, 5, 6 with
-    more than MINOR_CHUNK minors, where LU costs most; on fewer, a few
-    Laplace terms cost more than LU."""
-    return k in _LAPLACE_SPLIT and comb(n, k) ** 2 > MINOR_CHUNK
+    takes its order-k minors from the Laplace level: for k = 2 to 6 with
+    more than LAPLACE_MIN_MINORS minors, the measured crossover against
+    LU (n = 6, order 4: 225 minors in 0.6 of LU's time; n = 5, order 4:
+    25 minors in 1.7 times it). So LU keeps orders 7 to 10 and the tables
+    of 25 to 49 minors (n = 5, 6, 7 at orders 4, 5, 6), and the orders 2
+    and 3 of n <= 5 keep the closed forms. Order 2 takes about 1.25 times
+    its closed form's time at n = 6 to 8, 8 to 15 µs a call."""
+    return k in _LAPLACE_SPLIT and comb(n, k) ** 2 > LAPLACE_MIN_MINORS
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _laplace_index(n, k):
     """Index tables of the Laplace level of order k over range(n).
 
@@ -123,7 +130,9 @@ def _laplace_index(n, k):
     range(n), and ``hi[t, s]`` that of the k - p others among the
     (k - p)-subsets. Row 0 splits off the first p entries. ``sign[t]`` is
     (-1)^(1 + ... + p + the 1-based positions in J). The ranks come from
-    one 2^n lookup by bitmask; cached and read-only, like ``_subsets``.
+    one 2^n lookup by bitmask; read-only, like ``_subsets``, and cached for
+    all 22 pairs (n, k) that ``_by_laplace`` takes up to EXHAUSTIVE_LIMIT,
+    so that a process classifying every n from 6 to 10 builds each once.
     """
     p = _LAPLACE_SPLIT[k]
     positions = _subsets(k, p)
@@ -148,7 +157,10 @@ def _laplace(lower, n, k):
     terms added in the order of J. Each term is two gathers of whole
     tables and a product, with no LU; the tables are built column subset
     by row subset, so that each gather copies whole rows, and transposed
-    at the end."""
+    at the end. At p = 1 (orders 2 and 3, ``lower[1]`` holding A's
+    entries) the terms are the products of ``_stacked_det``'s closed
+    forms, added in the same order, so the values are theirs bit for
+    bit, signed zeros included."""
     p = _LAPLACE_SPLIT[k]
     lo, hi, sign = _laplace_index(n, k)
     # first[c, r] = d_p[R_lo of row subset r, column p-subset c]; rest likewise
@@ -345,10 +357,13 @@ def classify(A):
     witness is the first minor below -thr with the orders ascending and,
     within an order, row subsets outer and column subsets inner, both
     lexicographic. It is set by the time TN is refuted, so the orders left
-    out could change no field of the result. The order-2 and order-3
-    tables are kept and passed to ``_minors``, which decides the orders 4
-    to 6 that have more than MINOR_CHUNK minors (n >= 7) from one Laplace
-    level over them instead of LU. Each such value sums at most 20
+    out could change no field of the result; for the same reason an order
+    is tested for TN only while TN stands, and for SSR only while SSR
+    stands. The tables of orders 1 to 3 are kept and passed to
+    ``_minors``, which takes every order 2 to 6 of more than
+    LAPLACE_MIN_MINORS minors (n >= 6) from one Laplace level over them
+    instead of the closed forms or LU; orders 2 and 3 come out bit for bit
+    as the closed forms give them. An order-4 to 6 value sums at most 20
     products of closed forms, so its rounding error stays within a few
     hundred ulps of the threshold's row product, where LU's can exceed the
     threshold itself on a graded matrix: the two decide alike except on a
@@ -380,19 +395,18 @@ def classify(A):
         d, thr = _minors(A, k, lower)
         if k <= 3:
             lower[k] = d
-        negative = d < -thr
-        if negative.any():
-            is_tn = False
-            if witness is None:
+        if is_tn:
+            negative = d < -thr
+            if negative.any():
+                is_tn = False
                 r, c = np.unravel_index(np.argmax(negative), d.shape)
                 rows, cols = _subsets(n, k)[[r, c]]
                 value = d[r, c]
-                if _by_laplace(n, k):  # LU's value, where LU finds the minor negative too
+                if k > 3 and _by_laplace(n, k):  # LU's value, where LU finds the minor negative too
                     lu = _minors(A[np.ix_(rows, cols)], k)[0][0, 0]
                     value = lu if lu < -thr[r, c] else value
                 witness = (tuple(int(i) + 1 for i in rows), tuple(int(j) + 1 for j in cols), float(value))
-        zero = np.abs(d) <= thr
-        if zero.any() or not ((d > 0).all() or (d < 0).all()):
+        if is_ssr and ((np.abs(d) <= thr).any() or not ((d > 0).all() or (d < 0).all())):
             is_ssr = False
         if not (is_tn or is_ssr):
             break
@@ -679,19 +693,24 @@ def strong_svdp_holds(A, rng=None, vectors_per_pattern=20, zero_tol=None):
     Returns False after the first batch that holds a
     violating vector. vectors_per_pattern must be an integer >= 1, and
     the (3^n - 1) x vectors_per_pattern vectors a run draws few enough for
-    numpy to number (``np.intp``), else InvalidArgument, before any draw
-    and with nothing laid out: a run past that size would not end either.
+    numpy to number (``np.intp``), else InvalidArgument naming both counts,
+    before any draw and with nothing laid out: a run past that size would
+    not end either.
     """
     A = _as_matrix(A, "strong_svdp_holds", square=False)
     _checked_count(vectors_per_pattern, "vectors_per_pattern", least=1)
     n = A.shape[1]
     rng = np.random.default_rng(rng)
-    total = (3**n - 1) * vectors_per_pattern
+    patterns, each = 3**n - 1, int(vectors_per_pattern)  # a Python int: an np.int64 product wraps
+    total = patterns * each
     if total > np.iinfo(np.intp).max:
-        raise InvalidArgument(f"the {3**n - 1} nonzero sign patterns of {n} entries cannot be allocated")
+        raise InvalidArgument(
+            f"{_shown(total)} vectors ({_shown(each)} for each of the {_shown(patterns)} nonzero sign patterns"
+            f" of {n} entries) cannot be allocated"
+        )
     for start in range(0, total, SVDP_CHUNK):
         rows = np.arange(start, min(start + SVDP_CHUNK, total))
-        X = _sign_patterns(rows // vectors_per_pattern, n) * rng.uniform(0.1, 2.0, size=(len(rows), n))
+        X = _sign_patterns(rows // each, n) * rng.uniform(0.1, 2.0, size=(len(rows), n))
         with np.errstate(over="ignore", invalid="ignore"):  # reported by _first_failure
             Y = (A @ X[..., None])[..., 0]  # row by row as A @ x rounds; X @ A.T does not
         Sy, finite = _sign_rows(Y, zero_tol)

@@ -1151,8 +1151,14 @@ LONG_FLOQUET = (_PERIODIC, tpds.floquet(_PERIODIC, step=0.01))
         (lambda: tpds.floquet_mode_evolution(*LONG_FLOQUET, [1.0], 1e17, step=0.01), "a grid of 20000000000000000001 samples"),
         (lambda: tpds.column_set_equivalence(COLUMNS, trials=10**19), f"{10**19} trials of 3 entries"),
         (lambda: tpds.column_set_equivalence(COLUMNS, trials=2**62), f"{2**62} trials of 3 entries"),
-        (lambda: tpds.strong_svdp_holds(np.eye(40)), f"the {3**40 - 1} nonzero sign patterns of 40 entries"),
-        (lambda: tpds.strong_svdp_holds(np.eye(70)), f"the {3**70 - 1} nonzero sign patterns of 70 entries"),
+        (
+            lambda: tpds.strong_svdp_holds(np.eye(40)),
+            f"{20 * (3**40 - 1)} vectors (20 for each of the {3**40 - 1} nonzero sign patterns of 40 entries)",
+        ),
+        (
+            lambda: tpds.strong_svdp_holds(np.eye(70)),
+            f"{20 * (3**70 - 1)} vectors (20 for each of the {3**70 - 1} nonzero sign patterns of 70 entries)",
+        ),
     ],
     ids=[
         "classify_time_varying",

@@ -26,6 +26,7 @@ from tpds import totalpos
 from tpds.errors import NonFiniteInput
 from tpds.totalpos import (
     _LAPLACE_SPLIT,
+    LAPLACE_MIN_MINORS,
     MINOR_CHUNK,
     MINOR_REL_TOL,
     Certificate,
@@ -265,11 +266,11 @@ def test_cli_maps_kernel_error_to_assertion_exit(tmp_path):
     assert cli.main(["compound", str(path), "2", "--multiplicative"]) == cli.EXIT_ASSERTION
 
 
-# -- the Laplace level of classify's orders 4 to 6 --------------------------
+# -- the Laplace level of classify's orders 2 to 6 --------------------------
 
 
 def _lower(A):
-    return {p: _minors(A, p)[0] for p in (2, 3)}
+    return {p: _minors(A, p)[0] for p in (1, 2, 3)}
 
 
 def _laplace_orders(n):
@@ -290,12 +291,32 @@ def _lu_count(monkeypatch):
     return seen
 
 
-def test_laplace_covers_the_large_orders_4_to_6():
-    assert [_laplace_orders(n) for n in range(4, 11)] == [[], [], [], [4], [4, 5], [4, 5, 6], [4, 5, 6]]
+def test_laplace_covers_the_large_orders_2_to_6():
+    # more than LAPLACE_MIN_MINORS (128) minors: LU keeps orders 7 to 10
+    # and the tables of 25 to 49 minors (5 x 5 order 4, 6 x 6 order 5,
+    # 7 x 7 order 6), the closed forms orders 2 and 3 of n <= 5 (100 minors)
+    assert LAPLACE_MIN_MINORS == 128
+    assert [_laplace_orders(n) for n in range(2, 11)] == [
+        [], [], [], [], [2, 3, 4], [2, 3, 4, 5], [2, 3, 4, 5, 6], [2, 3, 4, 5, 6], [2, 3, 4, 5, 6]
+    ]
+
+
+def test_a_sweep_over_n_6_to_10_builds_each_laplace_table_once():
+    # 22 pairs (n, k) take the Laplace level at n <= 10; a cache smaller
+    # than that builds every table of the second sweep again
+    pairs = {(n, k) for n in range(6, 11) for k in _laplace_orders(n)}
+    assert len(pairs) == 22
+    matrices = [random_tn(n, rng=3500 + n) for n in range(6, 11)]
+    _laplace_index.cache_clear()
+    for _ in range(2):
+        for A in matrices:
+            assert classify(A).certificate.orders == len(A)
+    info = _laplace_index.cache_info()
+    assert (info.misses, info.currsize) == (22, 22), info
 
 
 def test_the_laplace_index_tables_are_the_ranks_of_the_combinations():
-    for n in range(4, 11):
+    for n in range(2, 11):
         for k in (kk for kk in _LAPLACE_SPLIT if kk <= n):
             p = _LAPLACE_SPLIT[k]
             lo, hi, sign = _laplace_index(n, k)
@@ -325,10 +346,11 @@ LAPLACE_FAMILIES = {
 
 
 @pytest.mark.parametrize("family", sorted(LAPLACE_FAMILIES))
-@pytest.mark.parametrize("n", range(7, 11))
+@pytest.mark.parametrize("n", range(6, 11))
 def test_laplace_minors_are_within_a_tenth_of_the_threshold_of_lu(family, n):
-    # every order the Laplace level takes, against LU on the same minors
-    # (measured: 1e-14 of the row product at most, against 1e-11 here)
+    # every order the Laplace level takes, 2 to 6, against the closed forms
+    # and LU on the same minors (measured: 1e-14 of the row product at
+    # most, against 1e-11 here; orders 2 and 3 are equal)
     for scale in (2.0**-120, 1.0, 2.0**120):
         A = LAPLACE_FAMILIES[family](n, rng=3400 + n) * scale
         lower = _lower(A)
@@ -337,6 +359,41 @@ def test_laplace_minors_are_within_a_tenth_of_the_threshold_of_lu(family, n):
             d_lu, thr_lu = _minors(A, k)
             assert _bits(thr) == _bits(thr_lu)
             assert (np.abs(d - d_lu) <= 1e-11 * (thr / MINOR_REL_TOL)).all(), (family, n, scale, k)
+
+
+SIGNED_ENTRIES = st.sampled_from([-3.0, -1.5, -1.0, -0.7, -0.0, 0.0, 0.1, 0.5, 1.0, 2.0])
+
+
+def _closed_forms_and_laplace(A):
+    """The order-2 and order-3 tables of A by the closed forms and, as
+    classify takes them, from the Laplace level (order 3 over the Laplace
+    level's order 2)."""
+    lower = {1: _minors(A, 1)[0]}
+    for k in (2, 3):
+        assert _by_laplace(len(A), k)
+        lower[k], thr = _minors(A, k, lower)
+        d_closed, thr_closed = _minors(A, k)
+        assert _bits(thr) == _bits(thr_closed)
+        yield k, d_closed, lower[k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(6, 10).flatmap(lambda n: st.lists(SIGNED_ENTRIES, min_size=n * n, max_size=n * n)), st.integers(-120, 120))
+def test_orders_2_and_3_from_the_laplace_level_are_the_closed_forms(entries, power):
+    # the p = 1 terms are _stacked_det's products, added in its order
+    A = np.array(entries).reshape((round(len(entries) ** 0.5),) * 2) * 2.0**power
+    for k, d_closed, d in _closed_forms_and_laplace(A):
+        assert _bits(d) == _bits(d_closed), k
+
+
+def test_the_laplace_level_keeps_the_closed_forms_signed_zeros():
+    # -0.0 on the diagonal and +0.0 elsewhere, or the other way round:
+    # every minor is a zero, of either sign, as the closed forms' products
+    # and differences give it
+    for A in (np.diag(np.full(6, -0.0)), -np.diag(np.full(10, -0.0))):
+        for k, d_closed, d in _closed_forms_and_laplace(A):
+            assert not d.any() and np.signbit(d).any() and not np.signbit(d).all(), k
+            assert _bits(d) == _bits(d_closed), k
 
 
 def _gaussian_kernel(x, y, c):
@@ -356,7 +413,7 @@ def _with_minor_at(B, k, factor):
     return A
 
 
-@pytest.mark.parametrize("n, k", [(7, 4), (8, 5), (9, 6)])
+@pytest.mark.parametrize("n, k", [(6, 4), (7, 4), (7, 5), (8, 5), (8, 6), (9, 6)])
 @pytest.mark.parametrize("factor", [-1.01, -0.99, 0.99, 1.01])
 def test_a_minor_near_its_threshold_is_decided_as_lu_decides_it(n, k, factor):
     # a well-conditioned TP matrix: lowering its entry (1, 1) takes the
@@ -386,27 +443,27 @@ def test_an_overflowing_laplace_order_raises_as_lu_does():
             call()
 
 
-def test_a_tn_classify_at_n8_takes_849_minors_by_lu(monkeypatch):
-    # orders 4 and 5 (4,900 and 3,136 minors) come from the Laplace level;
-    # orders 6 to 8 (784 + 64 + 1) stay on LU
+def test_a_tn_classify_at_n8_takes_65_minors_by_lu(monkeypatch):
+    # orders 4 to 6 (4,900, 3,136 and 784 minors) come from the Laplace
+    # level; orders 7 and 8 (64 + 1) stay on LU
     A = random_tn(8, rng=3602)
     seen = _lu_count(monkeypatch)
     assert classify(A).is_TN
-    assert seen["lu"] == 849
+    assert seen["lu"] == 65
     seen["lu"] = 0
     with patch.dict(_LAPLACE_SPLIT, clear=True):
         assert classify(A).is_TN
     assert seen["lu"] == 8885
 
 
-def _dented(n, rng):
+def _dented(n, rng, k=None):
     """A Gaussian kernel on random increasing nodes with its leading
-    order-k minor, k = 4..6, set to a few thresholds below or above zero:
-    a witness, or a small minor, at a Laplace order."""
+    order-k minor, k = 4..6 unless given, set to a few thresholds below or
+    above zero: a witness, or a small minor, at a Laplace order."""
     g = np.random.default_rng(rng)
     x, y = (np.cumsum(g.uniform(0.5, 1.5, n)) for _ in range(2))
     B = _gaussian_kernel(x, y, g.uniform(0.3, 1.0))
-    return _with_minor_at(B, g.integers(4, 7), g.choice([-1e4, -10.0, -2.0, 2.0, 10.0]))
+    return _with_minor_at(B, g.integers(4, 7) if k is None else k, g.choice([-1e4, -10.0, -2.0, 2.0, 10.0]))
 
 
 CLASSIFY_FAMILIES = dict(LAPLACE_FAMILIES, tp=random_tp)
@@ -437,7 +494,7 @@ def _same_as_lu(A):
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(sorted(CLASSIFY_FAMILIES)),
-    st.integers(7, 10),
+    st.integers(6, 10),
     st.integers(0, 2**32 - 1),
     st.integers(-120, 120),
 )
@@ -453,6 +510,17 @@ def test_witnesses_at_laplace_orders_are_lu_s():
         got = _same_as_lu(_dented(7 + seed % 4, seed))
         orders.add(len(got.witness[0]))
     assert {4, 5, 6} <= orders
+
+
+@pytest.mark.parametrize("n, k", [(6, 4), (7, 5), (8, 6)])
+def test_witnesses_at_the_orders_that_moved_to_laplace_are_lu_s(n, k):
+    # the orders that LU took below MINOR_CHUNK minors and the Laplace
+    # level takes above LAPLACE_MIN_MINORS; a dent of -2, -10 or -1e4
+    # thresholds is the witness, one of +2 or +10 a small positive minor
+    # that leaves the witness to order k + 1
+    assert _by_laplace(n, k) and comb(n, k) ** 2 <= MINOR_CHUNK
+    orders = [len(_same_as_lu(_dented(n, 3700 + seed, k)).witness[0]) for seed in range(12)]
+    assert set(orders) == {k, k + 1}, orders
 
 
 def test_a_graded_minor_that_lu_misreads_is_read_exactly():

@@ -1,5 +1,6 @@
 """Tests for minor enumeration, classification, factorization and SVDP."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -353,17 +354,23 @@ def test_strong_svdp_memory_does_not_grow_with_the_patterns():
 
 @pytest.mark.parametrize(
     "n, count",
-    [(40, 1), (39, 3), (1, 2**62)],
+    [(40, 1), (39, 3), (39, np.int64(3)), (1, 2**62)],
 )
 def test_strong_svdp_refuses_a_run_numpy_cannot_number_before_any_draw(n, count):
     # 3^40 - 1 vectors, 3 (3^39 - 1) and 2^63 exceed np.intp; nothing is
-    # laid out and the generator is not drawn from
+    # laid out and the generator is not drawn from. The count of an
+    # np.int64 is taken as a Python int: their product wrapped to a
+    # negative total, and the run returned True having drawn no vector
     A, rng = np.eye(n), np.random.default_rng(0)
     state = rng.bit_generator.state
-    message = f"^the {3**n - 1} nonzero sign patterns of {n} entries cannot be allocated$"
+    patterns = 3**n - 1
+    message = re.escape(
+        f"{patterns * int(count)} vectors ({count} for each of the {patterns} nonzero sign patterns"
+        f" of {n} entries) cannot be allocated"
+    )
     tracemalloc.start()
     try:
-        with pytest.raises(InvalidArgument, match=message):
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
             strong_svdp_holds(A, rng=rng, vectors_per_pattern=count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
