@@ -1,7 +1,9 @@
 """The column-loop dynamic program that computed sign counts before the
 closed-form ``tpds.signvar.sign_counts``; kept as the test reference, with
 per-vector loop references for the batched callers built on it, and the
-sign-pattern table that strong_svdp_holds once laid out whole."""
+sampled check of s+(Ax) <= s-(x) over every sign pattern that
+strong_svdp_holds ran before it decided the bound by the theorem, now the
+oracle it is tested against."""
 
 import numpy as np
 
@@ -60,8 +62,7 @@ def column_set_bound_reference(U, trials=200, rng=None, zero_tol=None):
 
 def sign_pattern_table(n):
     """Every nonzero sign pattern in {-1, 0, +1}^n, one row each, in the
-    order of the grid of n axes [-1, 0, 1]: the whole table that
-    strong_svdp_holds laid out before it computed each batch's patterns."""
+    order of the grid of n axes [-1, 0, 1]."""
     patterns = np.stack(
         np.meshgrid(*([np.array([-1, 0, 1])] * n), indexing="ij"), axis=-1
     ).reshape(-1, n)
@@ -69,9 +70,10 @@ def sign_pattern_table(n):
 
 
 def strong_svdp_reference(A, rng=None, vectors_per_pattern=20, zero_tol=None):
-    """The per-vector loop behind strong_svdp_holds: every nonzero sign
+    """The sampled oracle of strong_svdp_holds: every nonzero sign
     pattern in order, `vectors_per_pattern` magnitude draws each, stop at
-    the first s+(Ax) > s-(x)."""
+    the first s+(Ax) > s-(x). False is a violation found; True only says
+    that none was drawn."""
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
     rng = np.random.default_rng(rng)

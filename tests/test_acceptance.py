@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from signvar_reference import strong_svdp_reference
 from tpds import (
     add_compound,
     classify,
@@ -34,6 +35,7 @@ from tpds import (
     strong_svdp_holds,
     transition_matrix,
 )
+from tpds.errors import RankDeficient
 
 TWO_PI = 2.0 * np.pi
 
@@ -215,17 +217,20 @@ def test_08_ssr_strong_svdp_equivalence():
         if k % 3 == 0:
             A = random_tp(n, rng)
             if k % 6 == 0:
-                # checkerboard sign flip keeps strict sign regularity
-                D = np.diag([(-1.0) ** i for i in range(n)])
-                A = D @ A @ D * (-1.0) ** (k % 2)
+                # row reversal keeps strict sign regularity: it multiplies
+                # every order-j minor by (-1)^(j(j-1)/2), and negation by (-1)^j
+                A = A[::-1] * (-1.0) ** (k % 12 // 6)
         else:
             A = random_nonsingular(n, rng)
         ssr = classify(A).is_SSR
-        svdp = strong_svdp_holds(A, rng=int(rng.integers(1 << 31)), vectors_per_pattern=6)
-        ok = ok and ssr == svdp
-    # singular matrix: the variation bound holds yet strict sign regularity fails
+        sampled = strong_svdp_reference(A, rng=int(rng.integers(1 << 31)), vectors_per_pattern=6)
+        ok = ok and ssr == sampled == strong_svdp_holds(A)
+    # singular matrix: the variation bound holds yet strict sign regularity
+    # fails, and the theorem, which needs full column rank, does not decide it
     S = np.array([[2.0, 2.0], [1.0, 1.0]])
-    ok = ok and strong_svdp_holds(S, rng=1) and not classify(S).is_SSR
+    ok = ok and strong_svdp_reference(S, rng=1) and not classify(S).is_SSR
+    with pytest.raises(RankDeficient):
+        strong_svdp_holds(S)
     report(8, "strict sign regularity matches enumerated variation bound", ok)
 
 

@@ -4,8 +4,9 @@ nonlinear CLI runs, which print the same under ``python -O``. scipy is a
 dependency of the tests and ``perfbench/`` alone. Importing ``tpds.cli``
 builds no argparse parser: ``cli.main`` builds it on its first call. The
 AST scans pin one owner for each shared kernel or reader: the minor
-kernel, the segment lattice, the expression compiler, the step check, and
-``is_geb`` as a test oracle only."""
+kernel, the strict-sign rule, the segment lattice, the expression
+compiler, the step check, and ``is_geb`` as a test oracle only; and they
+keep sampled verdicts out of the library."""
 
 import ast
 import os
@@ -206,6 +207,52 @@ def test_one_minor_kernel_and_no_geb_recheck():
             with open(os.path.join(root, name)) as fh:
                 visit(ast.parse(fh.read(), name), name[:-3])
     assert callers == {("_stacked_det", "totalpos._minors")}
+
+
+def library_calls(names):
+    """(function name, defining or calling scope) of every definition of
+    and call to one of ``names`` under ``src/tpds``, scopes dotted from the
+    module name."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tpds")
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in names:
+                found.add((name, scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            if node.name in names:
+                found.add(("def " + node.name, scope))
+            scope = f"{scope}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                visit(ast.parse(fh.read(), name), name[:-3])
+    return found
+
+
+def test_one_strict_sign_rule():
+    # every "all minors of an order beyond the threshold, of one sign" test
+    # is the one predicate: classify's SSR test, column_set_equivalence's
+    # common sign, and strong_svdp_holds on a non-square matrix
+    assert library_calls({"_one_strict_sign"}) == {
+        ("def _one_strict_sign", "totalpos"),
+        ("_one_strict_sign", "totalpos.classify"),
+        ("_one_strict_sign", "totalpos.column_set_equivalence"),
+        ("_one_strict_sign", "totalpos.strong_svdp_holds"),
+    }
+
+
+def test_no_sampled_verdict_in_the_library():
+    # the generators draw by design, and column_set_equivalence's sampled
+    # half is a benchmark verdict; every other verdict is decided, not drawn
+    scopes = {scope for _, scope in library_calls({"default_rng"})}
+    assert {scope for scope in scopes if scope.split(".")[0] != "generators"} == {"totalpos.column_set_equivalence"}
+    assert any(scope.startswith("generators.") for scope in scopes)
 
 
 def test_long_double_is_asked_for_only_where_a_determinant_is_read():

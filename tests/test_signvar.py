@@ -38,7 +38,7 @@ NAN_MATRIX = [[2.0, 1.0], [1.0, np.nan]]
         lambda: s_plus([1, -np.inf, 0, 1]),
         lambda: in_V([1, np.nan, -1]),
         lambda: svdp_check(NAN_MATRIX, [1, -1]),
-        lambda: strong_svdp_holds(NAN_MATRIX, rng=0),
+        lambda: strong_svdp_holds(NAN_MATRIX),
     ],
     ids=["s_minus", "s_plus", "in_V", "svdp_check", "strong_svdp_holds"],
 )

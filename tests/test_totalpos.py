@@ -1,12 +1,10 @@
 """Tests for minor enumeration, classification, factorization and SVDP."""
 
-import re
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import geb_reference
 import signvar_reference as ref
@@ -23,12 +21,12 @@ from tpds import (
     random_nonsingular,
     random_tn,
     random_tp,
+    random_tridiagonal_cooperative,
     strong_svdp_holds,
     svdp_check,
 )
 from tpds.errors import (
     DimensionMismatch,
-    InvalidArgument,
     NonFiniteInput,
     NotTN,
     NotTridiagonal,
@@ -240,16 +238,19 @@ def test_svdp_check_basic():
 
 def test_strong_svdp_without_ssr():
     # singular rank-one matrix: the variation bound holds for every vector
-    # even though no minor condition can (2x2 minors all vanish)
+    # even though no minor condition can (2x2 minors all vanish), so the
+    # theorem, which needs full column rank, does not decide it
     A = np.array([[2.0, 2.0], [1.0, 1.0]])
-    assert strong_svdp_holds(A, rng=0)
+    assert ref.strong_svdp_reference(A, rng=0)
     assert not classify(A).is_SSR
+    with pytest.raises(RankDeficient, match=r"^strong_svdp_holds: the 2 x 2 matrix is not SSR and its columns are linearly dependent$"):
+        strong_svdp_holds(A)
 
 
 def test_strong_svdp_on_random_tp():
-    rng = np.random.default_rng(5)
-    A = random_tp(3, rng)
-    assert strong_svdp_holds(A, rng=1, vectors_per_pattern=5)
+    A = random_tp(3, np.random.default_rng(5))
+    assert strong_svdp_holds(A) is True
+    assert strong_svdp_holds(A[:, :2]) is True and strong_svdp_holds(A[:2]) is True  # tall and wide
 
 
 def test_column_set_equivalence_positive_case():
@@ -302,81 +303,125 @@ def test_column_set_bound_matches_per_trial_loop():
     assert seen == {False, "NonFiniteInput"}
 
 
-def test_strong_svdp_matches_per_vector_loop():
-    for seed in range(16):
-        rng = np.random.default_rng([seed, 2])
-        n = int(rng.integers(2, 5))
-        A = [random_tp(n, rng=seed), random_tn(n, rng=seed), random_nonsingular(n, rng=seed)][seed % 3]
-        if seed % 4 == 3:
-            A = np.abs(rng.standard_normal((n + 1, n)))  # not square
-        vpp = [20, 3, 1, 6][seed % 4]
-        got = outcome(lambda: strong_svdp_holds(A, seed, vpp))
-        assert got == outcome(lambda: ref.strong_svdp_reference(A, seed, vpp)), seed
-    outcomes = set()
-    for A in ([[1e308, 1e308], [1.0, 2.0]], [[1e308, -1e308], [1.0, 1.0]]):
-        for seed in range(3):
-            got = outcome(lambda: strong_svdp_holds(A, rng=seed))
-            assert got == outcome(lambda: ref.strong_svdp_reference(A, rng=seed)), (A, seed)
-            outcomes.add(got if isinstance(got, bool) else got[0])
-    assert outcomes == {False, "NonFiniteInput"}
+def svdp_family(name, n, seed):
+    if name == "tp":
+        return random_tp(n, rng=seed)
+    if name == "tn":
+        return random_tn(n, rng=seed)
+    if name == "nonsingular":
+        return random_nonsingular(n, rng=seed)
+    if name == "exp":
+        return expm(random_tridiagonal_cooperative(n, rng=seed))
+    return np.abs(np.random.default_rng(seed).standard_normal((n + 1, n)))  # tall
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_sign_patterns_from_their_numbers_are_the_table(n):
-    # every batch's patterns, computed from the numbers of its vectors,
-    # are the rows of the whole table that strong_svdp_holds laid out
-    table = ref.sign_pattern_table(n)
-    assert np.array_equal(totalpos._sign_patterns(np.arange(3**n - 1), n), table)
-    rows = np.arange(5, min(5 + totalpos.SVDP_CHUNK, 20 * (3**n - 1)))
-    assert np.array_equal(totalpos._sign_patterns(rows // 20, n), table[rows // 20])
+SVDP_VARIANTS = {"A": lambda A: A, "negated": lambda A: -A, "reversed": lambda A: A[::-1]}
 
 
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def dense_violation(A, draws=100_000):
+    """A violating x among seeded normal draws, by the reference counts at
+    the default zero tolerance, or None."""
+    X = np.random.default_rng(0).standard_normal((draws, A.shape[1]))
+    Y = X @ A.T
+    sign = lambda V: np.where(np.abs(V) <= 1e-9, 0, np.sign(V)).astype(int)
+    bad = np.flatnonzero(ref.sign_counts(sign(Y))[1] > ref.sign_counts(sign(X))[0])
+    return X[bad[0]] if bad.size else None
 
 
-def test_strong_svdp_memory_does_not_grow_with_the_patterns():
-    # the table of the 3^n - 1 patterns took 10.0 MB at n = 10 and 32.8 MB
-    # at n = 11 (its own 4.7 and 15.6 MB, and the meshgrid copies), and the
-    # size check that laid out its shape untouched (np.empty) 4.7 and
-    # 15.6 MB; one batch of SVDP_CHUNK vectors takes 5.0 MB at n = 10 and
-    # 5.5 MB at n = 11
-    A = random_tp(11, rng=0)
-    strong_svdp_holds(A[:2, :2], rng=0)
-    assert traced_peak(lambda: strong_svdp_holds(A[:10, :10], rng=0, vectors_per_pattern=1)) < 6e6
-    assert traced_peak(lambda: strong_svdp_holds(A, rng=0, vectors_per_pattern=1)) < 6e6
-
-
-@pytest.mark.parametrize(
-    "n, count",
-    [(40, 1), (39, 3), (39, np.int64(3)), (1, 2**62)],
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(["tp", "tn", "nonsingular", "exp", "tall"]),
+    variant=st.sampled_from(sorted(SVDP_VARIANTS)),
+    n=st.integers(2, 5),
+    seed=st.integers(0, 9),
 )
-def test_strong_svdp_refuses_a_run_numpy_cannot_number_before_any_draw(n, count):
-    # 3^40 - 1 vectors, 3 (3^39 - 1) and 2^63 exceed np.intp; nothing is
-    # laid out and the generator is not drawn from. The count of an
-    # np.int64 is taken as a Python int: their product wrapped to a
-    # negative total, and the run returned True having drawn no vector
-    A, rng = np.eye(n), np.random.default_rng(0)
-    state = rng.bit_generator.state
-    patterns = 3**n - 1
-    message = re.escape(
-        f"{patterns * int(count)} vectors ({count} for each of the {patterns} nonzero sign patterns"
-        f" of {n} entries) cannot be allocated"
+def test_strong_svdp_agrees_with_the_sampled_oracle(name, variant, n, seed):
+    # the rule is never True where the per-vector loop finds a violation,
+    # and False wherever it does; where it is False and the loop finds
+    # none, a minor lies within its threshold or a denser search finds the
+    # violation the loop missed; all 600 inputs the strategy can draw pass
+    A = SVDP_VARIANTS[variant](svdp_family(name, n, seed))
+    got = strong_svdp_holds(A)
+    sampled = ref.strong_svdp_reference(A, rng=seed, vectors_per_pattern=4)
+    assert got is True or got is False
+    assert sampled or not got
+    if got is False and sampled:
+        band = any((np.abs(d) <= thr).any() for d, thr in (totalpos._minors(A, k) for k in range(1, n + 1)))
+        x = None if band else dense_violation(A)
+        assert band or (x is not None and not svdp_check(A, x)[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([-2.0, -1.0, -1e-12, -0.0, 0.0, 1e-12, 1.0, 2.0]), st.sampled_from([0.0, 1e-12, 1.5])),
+        min_size=1,
+        max_size=6,
     )
-    tracemalloc.start()
-    try:
-        with pytest.raises(InvalidArgument, match=f"^{message}$"):
-            strong_svdp_holds(A, rng=rng, vectors_per_pattern=count)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e5, peak
-    assert rng.bit_generator.state == state
+)
+def test_one_strict_sign_decides_as_the_three_tests_it_replaced(pairs):
+    # classify's SSR test and column_set_equivalence's common sign, as they
+    # were written, on minors at, inside and beyond their thresholds
+    d, thr = (np.array([v]) for v in zip(*pairs))
+    ssr = not ((np.abs(d) <= thr).any() or not ((d > 0).all() or (d < 0).all()))
+    same_sign = bool(np.all(np.abs(d) > thr) and (np.all(d > 0) or np.all(d < 0)))
+    assert totalpos._one_strict_sign(d, thr) is ssr is same_sign
+
+
+# (matrix, x): the sampler said True on each, yet x breaks the bound
+SVDP_SAMPLER_MISSES = {
+    "random_nonsingular(2, rng=9)": (random_nonsingular(2, rng=9), [0.32919, 0.94426]),
+    "tall 3x2, rng=5": (svdp_family("tall", 2, 5), [-0.85821, 0.51329]),
+    "tall 3x2, rng=9": (svdp_family("tall", 2, 9), [-0.36816, 0.92976]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SVDP_SAMPLER_MISSES))
+def test_strong_svdp_finds_the_violations_the_sampler_missed(case):
+    A, x = SVDP_SAMPLER_MISSES[case]
+    for B in (A, -A, A[::-1]):
+        s_minus_x, s_plus_y, holds = svdp_check(B, x)
+        assert not holds and s_plus_y == s_minus_x + 1
+        assert ref.strong_svdp_reference(B, rng=0) is True  # the sampler's miss
+        assert strong_svdp_holds(B) is False
+
+
+@pytest.mark.parametrize("n, seed", [(3, 9), (4, 0)])
+def test_a_nonsingular_matrix_with_a_zero_minor_fails_the_bound(n, seed):
+    # an order-2 minor is exactly 0.0, so A is not SSR and, being
+    # nonsingular, fails the bound for some x, though the sampler finds none
+    A = random_tn(n, rng=seed)
+    assert 0.0 in totalpos._minors(A, 2)[0] and np.linalg.matrix_rank(A) == n
+    assert ref.strong_svdp_reference(A, rng=0) is True
+    assert strong_svdp_holds(A) is False
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_strong_svdp_certifies_the_symmetries_of_a_tp_matrix(n):
+    # classify reads most row-reversed random_tp past n = 5 as not SSR,
+    # their tiny minors inside the threshold; each is exactly SSR, and at
+    # n = 12 classify could not enumerate them at all
+    A = random_tp(n, rng=0)
+    for B in (A, -A, A[::-1], -A[::-1]):
+        assert strong_svdp_holds(B) is True
+    if n > totalpos.EXHAUSTIVE_LIMIT:
+        with pytest.raises(SizeLimitExceeded):
+            classify(A[::-1])
+    else:
+        assert not classify(A[::-1]).is_SSR
+
+
+def test_strong_svdp_refusals():
+    with pytest.raises(SizeLimitExceeded):
+        strong_svdp_holds(np.eye(11))  # TN, not TP, and past the enumeration cap
+    with pytest.raises(SizeLimitExceeded, match=r"^11 x 2 matrix; exhaustive enumeration is capped at n=10$"):
+        strong_svdp_holds(np.ones((11, 2)))
+    with pytest.raises(RankDeficient):
+        strong_svdp_holds(np.random.default_rng(0).standard_normal((2, 3)))  # wide and not SSR
+    with pytest.raises(NonFiniteInput, match=r"^an order-2 minor or its threshold is nan or infinite$"):
+        strong_svdp_holds([[1e200, 1e200, 1e200], [1e200, 2e200, 1e200], [1e200, 1e200, 2e200]])
+    assert strong_svdp_holds(np.eye(10)) is False  # nonsingular, zero entries
+    assert strong_svdp_holds([[-3.0]]) is True
 
 
 def test_svdp_check_on_non_square_matrices():
@@ -444,8 +489,8 @@ def test_ordered_spectrum_checks_both_counts_of_each_eigenvector():
 
 
 def test_sampled_products_round_as_one_vector_at_a_time(monkeypatch):
-    """The batched checks form U @ c and A @ x exactly as the per-vector
-    loop did, so a sign at the zero tolerance cannot flip."""
+    """The batched check forms U @ c exactly as the per-trial loop did, so
+    a sign at the zero tolerance cannot flip."""
     seen = []
 
     def spy(Y, zero_tol=None):
@@ -459,8 +504,3 @@ def test_sampled_products_round_as_one_vector_at_a_time(monkeypatch):
     column_set_equivalence(U, trials=500, rng=4)
     draws = np.random.default_rng(4).standard_normal((500, 3))
     assert seen[-1].tobytes() == np.array([U @ c for c in draws]).tobytes()
-    A = rng.standard_normal((4, 3))
-    strong_svdp_holds(A, rng=5, vectors_per_pattern=2)
-    patterns = np.array([p for p in np.ndindex(3, 3, 3) if p != (1, 1, 1)]) - 1
-    X = np.repeat(patterns, 2, axis=0) * np.random.default_rng(5).uniform(0.1, 2.0, (52, 3))
-    assert seen[-2].tobytes() == np.array([A @ x for x in X]).tobytes()
