@@ -32,7 +32,7 @@ MINOR_REL_TOL = 1e-10
 GEB_ZERO_TOL = 1e-12  # Neville pivots and GEB structure entries this small count as zero
 SPECTRUM_IMAG_TOL, SPECTRUM_ZERO_TOL = 1e-8, 1e-8  # see _ordered_spectrum
 MINOR_CHUNK = 1024  # submatrices gathered and evaluated per batch
-LAPLACE_MIN_MINORS = 128  # an order 2-6 of more minors than this takes the Laplace level
+LAPLACE_MIN_MINORS = 128  # an order 3-6 of more minors than this takes the Laplace level
 
 
 def _as_matrix(A, name, square=True, finite=True):
@@ -70,14 +70,14 @@ def _minors(A, k, lower=None):
     about MINOR_CHUNK minors, or one row subset when there are more column
     subsets than that, as a strided (rows, cols, k, k) view of the
     gathered rows. ``lower``, when given, maps the orders below k to
-    their ``d`` tables of the same square A: an order 2 to 6 with more
+    their ``d`` tables of the same square A: an order 3 to 6 with more
     than LAPLACE_MIN_MINORS minors (``_by_laplace``) is then one Laplace
-    level over them (``_laplace``) instead of the closed forms or LU. At
-    orders 2 and 3 those are the closed forms' own products and sums, so
-    every float is theirs. At orders 4 to 6 they differ from LU's by
-    rounding: within 1e-11 of the threshold's row product in the tests
-    (1e-14 measured), unless LU's own error is larger. They serve for
-    comparisons with ``thr``, and are reported only as ``classify`` says.
+    level over them (``_laplace``) instead of the closed form or LU. At
+    order 3 those are the closed form's own products and sums, so every
+    float is the closed form's. At orders 4 to 6 they differ from LU's by rounding:
+    within 1e-11 of the threshold's row product in the tests (1e-14
+    measured), unless LU's own error is larger. They serve for comparisons
+    with ``thr``; ``classify`` reports no float of them.
     Raises NonFiniteInput when a minor or threshold comes out nan or
     infinite, from a non-finite entry of A or from overflow.
     """
@@ -103,18 +103,19 @@ def _minors(A, k, lower=None):
     return d, thr
 
 
-_LAPLACE_SPLIT = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3}  # order k -> rows p of the first factor of its Laplace terms
+_LAPLACE_SPLIT = {3: 1, 4: 2, 5: 2, 6: 3}  # order k -> rows p of the first factor of its Laplace terms
 
 
 def _by_laplace(n, k):
     """Whether ``_minors``, given the lower tables of an n x n matrix,
-    takes its order-k minors from the Laplace level: for k = 2 to 6 with
+    takes its order-k minors from the Laplace level: for k = 3 to 6 with
     more than LAPLACE_MIN_MINORS minors, the measured crossover against
     LU (n = 6, order 4: 225 minors in 0.6 of LU's time; n = 5, order 4:
     25 minors in 1.7 times it). So LU keeps orders 7 to 10 and the tables
-    of 25 to 49 minors (n = 5, 6, 7 at orders 4, 5, 6), and the orders 2
-    and 3 of n <= 5 keep the closed forms. Order 2 takes about 1.25 times
-    its closed form's time at n = 6 to 8, 8 to 15 µs a call."""
+    of 25 to 49 minors (n = 5, 6, 7 at orders 4, 5, 6), and order 3 of
+    n <= 5 keeps the closed form. Order 2 keeps its closed form at every
+    n: the level took 1.24 to 1.29 times its time at n = 6 to 8, for the
+    same floats."""
     return k in _LAPLACE_SPLIT and comb(n, k) ** 2 > LAPLACE_MIN_MINORS
 
 
@@ -130,7 +131,7 @@ def _laplace_index(n, k):
     (k - p)-subsets. Row 0 splits off the first p entries. ``sign[t]`` is
     (-1)^(1 + ... + p + the 1-based positions in J). The ranks come from
     one 2^n lookup by bitmask; read-only, like ``_subsets``, and cached for
-    all 22 pairs (n, k) that ``_by_laplace`` takes up to EXHAUSTIVE_LIMIT,
+    all 17 pairs (n, k) that ``_by_laplace`` takes up to EXHAUSTIVE_LIMIT,
     so that a process classifying every n from 6 to 10 builds each once.
     """
     p = _LAPLACE_SPLIT[k]
@@ -156,10 +157,10 @@ def _laplace(lower, n, k):
     terms added in the order of J. Each term is two gathers of whole
     tables and a product, with no LU; the tables are built column subset
     by row subset, so that each gather copies whole rows, and transposed
-    at the end. At p = 1 (orders 2 and 3, ``lower[1]`` holding A's
-    entries) the terms are the products of ``_stacked_det``'s closed
-    forms, added in the same order, so the values are theirs bit for
-    bit, signed zeros included."""
+    at the end. At p = 1 (order 3, ``lower[1]`` holding A's entries) the
+    terms are the products of ``_stacked_det``'s closed form, added in the
+    same order, so the values are the closed form's bit for bit, signed
+    zeros included."""
     p = _LAPLACE_SPLIT[k]
     lo, hi, sign = _laplace_index(n, k)
     # first[c, r] = d_p[R_lo of row subset r, column p-subset c]; rest likewise
@@ -266,14 +267,16 @@ def _dyadic_integers(A):
     """The entries of A as Python ints, all scaled by one power of two.
 
     Every finite float is a dyadic rational, so one common power-of-two
-    factor makes them all integers; a positive scale leaves every minor's
-    sign unchanged.
+    denominator ``den`` makes them all integers. Returns ``(rows, den)``,
+    rows a list of lists of ints with A = rows / den; a positive scale
+    leaves every minor's sign unchanged, and an order-k minor of A is the
+    integer one over den**k.
     """
     ratios = [x.as_integer_ratio() for x in A.ravel().tolist()]
     den = max((d for _, d in ratios), default=1)
     ints = [num * (den // d) for num, d in ratios]
     n = A.shape[1]
-    return [ints[i : i + n] for i in range(0, len(ints), n)]
+    return [ints[i : i + n] for i in range(0, len(ints), n)], den
 
 
 def _first_nonpositive_initial_minor(M):
@@ -319,7 +322,7 @@ def _tp_refutation(A):
     if bad.size:
         i, j = divmod(int(bad[0]), A.shape[1])
         return ("entry", (i + 1,), (j + 1,), -1 if A[i, j] < 0 else 0)
-    M = _dyadic_integers(A)
+    M, _ = _dyadic_integers(A)
     for name, X in (("A", M), ("A^T", [list(col) for col in zip(*M)])):
         found = _first_nonpositive_initial_minor(X)
         if found is not None:
@@ -329,25 +332,33 @@ def _tp_refutation(A):
     return None
 
 
-def _det_sign(M):
-    """Exact sign of the determinant of a square integer matrix (Bareiss
-    fraction-free elimination with row exchanges)."""
-    M = [row[:] for row in M]
-    n = len(M)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        p = next((r for r in range(k, n) if M[r][k]), None)
+def _exact(A):
+    """Exact rank and determinant of the stored floats of A, any shape.
+
+    One Bareiss fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
+    with row exchanges over ``_dyadic_integers(A)``, columns in order, a
+    column with no nonzero entry in the rows not yet pivoted skipped: each
+    division is exact, and the number of pivots is the rank. Returns
+    ``(rank, num, den)``. For a nonsingular square A, det A = num / den**n,
+    which ``num / den**n`` rounds once (int true division); otherwise num
+    is 0. O(n^3) integer operations, on ints that grow with the order.
+    """
+    M, den = _dyadic_integers(A)
+    m, n = A.shape
+    rank, sign, prev = 0, 1, 1
+    for j in range(n):
+        p = next((i for i in range(rank, m) if M[i][j]), None)
         if p is None:
-            return 0
-        if p != k:
-            M[k], M[p] = M[p], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    last = M[n - 1][n - 1]
-    return sign * ((last > 0) - (last < 0))
+            continue
+        if p != rank:
+            M[rank], M[p], sign = M[p], M[rank], -sign
+        top = M[rank]
+        for row in M[rank + 1 :]:
+            for c in range(j + 1, n):
+                row[c] = (row[c] * top[j] - row[j] * top[c]) // prev
+        prev = top[j]
+        rank += 1
+    return rank, sign * prev if rank == m == n else 0, den
 
 
 def classify(A):
@@ -373,18 +384,19 @@ def classify(A):
     out could change no field of the result; for the same reason an order
     is tested for TN only while TN stands, and for SSR only while SSR
     stands. The tables of orders 1 to 3 are kept and passed to
-    ``_minors``, which takes every order 2 to 6 of more than
+    ``_minors``, which takes every order 3 to 6 of more than
     LAPLACE_MIN_MINORS minors (n >= 6) from one Laplace level over them
-    instead of the closed forms or LU; orders 2 and 3 come out bit for bit
-    as the closed forms give them. An order-4 to 6 value sums at most 20
-    products of closed forms, so its rounding error stays within a few
-    hundred ulps of the threshold's row product, where LU's can exceed the
-    threshold itself on a graded matrix: the two decide alike except on a
-    minor that LU misreads (none among the benchmark's inputs). A witness
-    at such an order reports LU's float on its one submatrix when LU also
-    finds it below -thr, and the Laplace sum otherwise. Oscillation follows
+    instead of the closed forms or LU; order 3 comes out bit for bit as the
+    closed form gives it. An order-4 to 6 value sums at most 20 products
+    of closed forms, so its rounding error stays within a few hundred ulps
+    of the threshold's row product, where LU's can exceed the threshold
+    itself on a graded matrix: the two decide alike except on a minor that
+    LU misreads (none among the benchmark's inputs). The witness value is
+    the exact minor of the stored floats, rounded once: ``_exact`` of its
+    one k x k submatrix, num / den**k, at every order, whichever route
+    decided it. Oscillation follows
     Gantmacher-Krein: TN, super- and subdiagonal entries positive, and
-    det A > 0, its sign exact. A nan or infinite entry raises
+    det A > 0, its sign exact by the same ``_exact``. A nan or infinite entry raises
     NonFiniteInput, and so does a minor or threshold of an enumerated order
     that overflows; anything but a nonempty square matrix raises
     DimensionMismatch. The enumeration is capped at n = EXHAUSTIVE_LIMIT: a
@@ -414,18 +426,16 @@ def classify(A):
                 is_tn = False
                 r, c = np.unravel_index(np.argmax(negative), d.shape)
                 rows, cols = _subsets(n, k)[[r, c]]
-                value = d[r, c]
-                if k > 3 and _by_laplace(n, k):  # LU's value, where LU finds the minor negative too
-                    lu = _minors(A[np.ix_(rows, cols)], k)[0][0, 0]
-                    value = lu if lu < -thr[r, c] else value
-                witness = (tuple(int(i) + 1 for i in rows), tuple(int(j) + 1 for j in cols), float(value))
+                _, num, den = _exact(A[np.ix_(rows, cols)])
+                witness = (tuple(int(i) + 1 for i in rows), tuple(int(j) + 1 for j in cols), num / den**k)
         is_ssr = is_ssr and _one_strict_sign(d, thr)
         if not (is_tn or is_ssr):
             break
 
     det_sign = None
     if is_tn and (np.diag(A, 1) > 0).all() and (np.diag(A, -1) > 0).all():
-        det_sign = _det_sign(_dyadic_integers(A))
+        num = _exact(A)[1]
+        det_sign = (num > 0) - (num < 0)
     is_osc = det_sign == 1
     certificate = Certificate("exhaustive", nonpositive, det_sign, orders=k)
     return Classification(is_tn, False, is_ssr, is_osc, witness, certificate)
@@ -658,7 +668,12 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     for `trials` random nonzero coefficient vectors, drawn as one
     (trials, m) array and counted at once; trials must be an integer >= 1
     for which numpy can lay out the (trials, n) images
-    (``signvar._allocatable``), else InvalidArgument.
+    (``signvar._allocatable``), else InvalidArgument. U reads as of
+    deficient column rank, and raises RankDeficient, exactly when none of
+    its order-m minors lies beyond its zero threshold: the threshold model
+    of (a) itself, read from the same table, so a U whose minors are all
+    within their thresholds raises even if it has full rank in exact
+    arithmetic ([[1, 1], [1, 1 + 1e-12], [0, 0]]).
     """
     U = _as_matrix(U, "column_set_equivalence", square=False, finite=False)
     _checked_count(trials, "trials", least=1)
@@ -666,7 +681,7 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     if not 1 <= m < n:
         raise DimensionMismatch("need at least one column and strictly fewer columns than rows")
     d, thr = _minors(U, m)
-    if np.linalg.matrix_rank(U) < m:
+    if not (np.abs(d) > thr).any():
         raise RankDeficient("columns are linearly dependent")
     same_sign = _one_strict_sign(d, thr)
     rng = np.random.default_rng(rng)
@@ -699,13 +714,13 @@ def strong_svdp_holds(A):
     SSR by its thresholded enumeration, so an uncertified n > EXHAUSTIVE_LIMIT
     raises SizeLimitExceeded. A non-square A takes the same per-order test
     over all its minors, up to max(m, n) = EXHAUSTIVE_LIMIT. SSR returns
-    True. Otherwise A of full column rank (``np.linalg.matrix_rank``)
-    returns False, and any other A, every wide one among them, raises
-    RankDeficient: there the bound can hold without SSR ([[2, 2], [1, 1]]
-    meets it). A minor within its threshold reads as not SSR, so a
-    nonsingular A with such a minor returns False. The matrix must be
-    finite (NonFiniteInput), and an enumerated minor that overflows raises
-    NonFiniteInput too.
+    True. Otherwise A of full column rank, exactly on its stored floats
+    (``_exact``; [[1e308, -1e308], [1, 1]] has it), returns False, and any
+    other A, every wide one among them, raises RankDeficient: there the
+    bound can hold without SSR ([[2, 2], [1, 1]] meets it). A minor within
+    its threshold reads as not SSR, so a nonsingular A with such a minor
+    returns False. The matrix must be finite (NonFiniteInput), and an
+    enumerated minor that overflows raises NonFiniteInput too.
     """
     A = _as_matrix(A, "strong_svdp_holds", square=False)
     m, n = A.shape
@@ -717,6 +732,6 @@ def strong_svdp_holds(A):
         ssr = all(_one_strict_sign(*_minors(A, k)) for k in range(1, min(m, n) + 1))
     if ssr:
         return True
-    if np.linalg.matrix_rank(A) == n:
+    if _exact(A)[0] == n:
         return False
     raise RankDeficient(f"strong_svdp_holds: the {m} x {n} matrix is not SSR and its columns are linearly dependent")

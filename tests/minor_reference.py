@@ -10,6 +10,7 @@ expansion.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -20,8 +21,6 @@ from tpds.totalpos import (
     Certificate,
     Classification,
     _as_matrix,
-    _det_sign,
-    _dyadic_integers,
     _minors,
     _subsets,
     _tp_refutation,
@@ -122,7 +121,9 @@ def classify_full(A):
     the same TP certificate, minors, thresholds, witness order and exact
     determinant sign, and a NonFiniteInput from a minor of any order that
     overflows. It passes ``_minors`` no lower-order tables, so every order
-    above 3 comes from LU."""
+    above 3 comes from LU. The witness value and the determinant sign come
+    from ``exact_rank_det``, rational elimination, not from the library's
+    integer one."""
     A = _as_matrix(A, "classify")
     n = A.shape[0]
     nonpositive = _tp_refutation(A)
@@ -137,13 +138,15 @@ def classify_full(A):
             is_tn = False
             if witness is None:
                 r, c = below[0]
-                alpha, beta = (tuple(int(i) + 1 for i in s) for s in _subsets(n, k)[[r, c]])
-                witness = (alpha, beta, float(d[r, c]))
+                rows, cols = _subsets(n, k)[[r, c]]
+                value = float(exact_rank_det(A[np.ix_(rows, cols)])[1])
+                witness = (tuple(int(i) + 1 for i in rows), tuple(int(j) + 1 for j in cols), value)
         if (np.abs(d) <= thr).any() or not ((d > 0).all() or (d < 0).all()):
             is_ssr = False
     det_sign = None
     if is_tn and (np.diag(A, 1) > 0).all() and (np.diag(A, -1) > 0).all():
-        det_sign = _det_sign(_dyadic_integers(A))
+        det = exact_rank_det(A)[1]
+        det_sign = (det > 0) - (det < 0)
     certificate = Certificate("exhaustive", nonpositive, det_sign, orders=n)
     return Classification(is_tn, False, is_ssr, det_sign == 1, witness, certificate)
 
@@ -173,16 +176,45 @@ def exact_minors(A):
 
 def exact_minor(A, rows, cols):
     """det A[rows|cols] of the stored floats as a Fraction, 0-based indices,
-    by cofactor expansion along the first row."""
+    by cofactor expansion along the first row, each minor of the rows below
+    expanded once (2^k of them at order k)."""
     M = [[Fraction(x) for x in row] for row in np.asarray(A, dtype=float)[np.ix_(rows, cols)].tolist()]
 
-    def det(M):
-        if len(M) == 1:
-            return M[0][0]
-        return sum((-1) ** j * M[0][j] * det([row[:j] + row[j + 1 :] for row in M[1:]]) for j in range(len(M)) if M[0][j])
+    @lru_cache(maxsize=None)
+    def det(i, cols):  # det M[i:, cols]
+        if not cols:
+            return Fraction(1)
+        return sum((-1) ** t * M[i][c] * det(i + 1, cols[:t] + cols[t + 1 :]) for t, c in enumerate(cols) if M[i][c])
 
-    return det(M)
+    return Fraction(det(0, tuple(range(len(M)))))
 
 
 def exact_is_tp(A):
     return all(v > 0 for v in exact_minors(A).values())
+
+
+def exact_rank_det(A):
+    """Rank of the stored floats of A, any shape, and det A as a Fraction
+    when A is square (None otherwise): Gaussian elimination over Fractions,
+    columns in order, the first nonzero entry at or below the pivot row as
+    pivot, a column without one skipped."""
+    M = [[Fraction(x) for x in row] for row in np.asarray(A, dtype=float).tolist()]
+    m, n = len(M), len(M[0])
+    rank, det = 0, Fraction(1)
+    for j in range(n):
+        p = next((i for i in range(rank, m) if M[i][j]), None)
+        if p is None:
+            det = Fraction(0)
+            continue
+        if p != rank:
+            M[rank], M[p] = M[p], M[rank]
+            det = -det
+        pivot = M[rank]
+        det *= pivot[j]
+        for i in range(rank + 1, m):
+            f = M[i][j] / pivot[j]
+            M[i] = [a - f * b for a, b in zip(M[i], pivot)]
+        rank += 1
+        if rank == m:
+            break
+    return rank, det if m == n else None

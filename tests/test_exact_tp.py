@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tpds import (
     random_tridiagonal_cooperative,
 )
 from tpds.errors import NonFiniteInput, SizeLimitExceeded
-from tpds.totalpos import _det_sign, _dyadic_integers
+from tpds.totalpos import _exact
 
 
 def _boundary_tp(n, rng):
@@ -102,10 +103,45 @@ def test_det_sign_is_exact():
         for _ in range(20):
             A = rng.integers(-2, 3, (n, n)).astype(float) * rng.choice([1.0, 0.375, 1e-5])
             want = ref.exact_minors(A)[tuple(range(n)), tuple(range(n))]
-            assert _det_sign(_dyadic_integers(A)) == (want > 0) - (want < 0)
+            num = _exact(A)[1]
+            assert (num > 0) - (num < 0) == (want > 0) - (want < 0)
     # the third row is the sum of the first two, exactly
     A = np.array([[0.5, 1.25, 3.0], [2.0, 0.75, 1.0], [2.5, 2.0, 4.0]])
-    assert _det_sign(_dyadic_integers(A)) == 0
+    assert _exact(A)[:2] == (2, 0)
+
+
+def _low_rank(m, n, rank, rng):
+    """An m x n matrix of small integers, exactly of the given rank (a
+    product of integer factors, each product exact in floats)."""
+    while True:
+        A = rng.integers(-3, 4, (m, rank)) @ rng.integers(-3, 4, (rank, n))
+        if np.linalg.matrix_rank(A) == rank:  # exact for such small integers
+            return A.astype(float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 0.375, 2.0**-1074, 1e-300, 1e300]),
+)
+def test_exact_rank_and_determinant_match_rational_elimination(m, n, data, seed, scale):
+    # full-rank, rank-deficient, wide, tall and square inputs, down to
+    # subnormal entries and up to 1e300, against Fractions
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(0, min(m, n)))
+    A = _low_rank(m, n, rank, rng) * scale if rank else np.zeros((m, n))
+    if data.draw(st.booleans()):  # or dense, of full rank almost surely
+        A = rng.standard_normal((m, n)) * scale
+    got_rank, num, den = _exact(A)
+    want_rank, det = ref.exact_rank_det(A)
+    assert got_rank == want_rank
+    if m == n:
+        assert Fraction(num, den**n) == det
+    else:
+        assert num == 0 and det is None
 
 
 @pytest.mark.parametrize("n", [12, 15])

@@ -1,12 +1,14 @@
 """The library never loads scipy: no module under ``src/tpds`` imports it,
 `import tpds` and the negative-minor witness load none, and neither do the
-nonlinear CLI runs, which print the same under ``python -O``. scipy is a
+nonlinear CLI runs, which print the same under ``python -O``. Importing
+``tpds.cli`` loads neither ``fractions`` nor ``decimal``. scipy is a
 dependency of the tests and ``perfbench/`` alone. Importing ``tpds.cli``
 builds no argparse parser: ``cli.main`` builds it on its first call. The
 AST scans pin one owner for each shared kernel or reader: the minor
-kernel, the strict-sign rule, the segment lattice, the expression
-compiler, the step check, and ``is_geb`` as a test oracle only; and they
-keep sampled verdicts out of the library."""
+kernel, the strict-sign rule, the exact elimination, the segment
+lattice, the expression compiler, the step check, and ``is_geb`` as a
+test oracle only; and they keep sampled verdicts and ``matrix_rank`` out
+of the library."""
 
 import ast
 import os
@@ -78,6 +80,13 @@ def test_importing_the_cli_builds_no_parser():
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "python-O"])
 def test_import_loads_no_scipy(flags):
     assert run(NO_SCIPY, *flags) == ["0"]
+
+
+def test_importing_the_cli_loads_no_fractions_or_decimal():
+    # the exact arithmetic runs on Python ints, and the import is most of
+    # a CLI call's set-up time
+    script = "import sys, tpds.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] in ('fractions', 'decimal')))"
+    assert run(script) == ["[]"]
 
 
 def test_negative_minor_witness_loads_no_scipy():
@@ -244,6 +253,17 @@ def test_one_strict_sign_rule():
         ("_one_strict_sign", "totalpos.classify"),
         ("_one_strict_sign", "totalpos.column_set_equivalence"),
         ("_one_strict_sign", "totalpos.strong_svdp_holds"),
+    }
+
+
+def test_one_exact_elimination_and_no_relative_rank_cutoff():
+    # the witness value, the oscillation sign and strong_svdp_holds' rank
+    # come from the one Bareiss elimination; column_set_equivalence reads
+    # rank from its minor thresholds, and no scope asks matrix_rank
+    assert library_calls({"_exact", "matrix_rank"}) == {
+        ("def _exact", "totalpos"),
+        ("_exact", "totalpos.classify"),
+        ("_exact", "totalpos.strong_svdp_holds"),
     }
 
 

@@ -291,28 +291,29 @@ def _lu_count(monkeypatch):
     return seen
 
 
-def test_laplace_covers_the_large_orders_2_to_6():
+def test_laplace_covers_the_large_orders_3_to_6():
     # more than LAPLACE_MIN_MINORS (128) minors: LU keeps orders 7 to 10
     # and the tables of 25 to 49 minors (5 x 5 order 4, 6 x 6 order 5,
-    # 7 x 7 order 6), the closed forms orders 2 and 3 of n <= 5 (100 minors)
+    # 7 x 7 order 6), the closed forms order 2 at every n and order 3 of
+    # n <= 5 (100 minors)
     assert LAPLACE_MIN_MINORS == 128
     assert [_laplace_orders(n) for n in range(2, 11)] == [
-        [], [], [], [], [2, 3, 4], [2, 3, 4, 5], [2, 3, 4, 5, 6], [2, 3, 4, 5, 6], [2, 3, 4, 5, 6]
+        [], [], [], [], [3, 4], [3, 4, 5], [3, 4, 5, 6], [3, 4, 5, 6], [3, 4, 5, 6]
     ]
 
 
 def test_a_sweep_over_n_6_to_10_builds_each_laplace_table_once():
-    # 22 pairs (n, k) take the Laplace level at n <= 10; a cache smaller
+    # 17 pairs (n, k) take the Laplace level at n <= 10; a cache smaller
     # than that builds every table of the second sweep again
     pairs = {(n, k) for n in range(6, 11) for k in _laplace_orders(n)}
-    assert len(pairs) == 22
+    assert len(pairs) == 17
     matrices = [random_tn(n, rng=3500 + n) for n in range(6, 11)]
     _laplace_index.cache_clear()
     for _ in range(2):
         for A in matrices:
             assert classify(A).certificate.orders == len(A)
     info = _laplace_index.cache_info()
-    assert (info.misses, info.currsize) == (22, 22), info
+    assert (info.misses, info.currsize) == (17, 17), info
 
 
 def test_the_laplace_index_tables_are_the_ranks_of_the_combinations():
@@ -348,9 +349,9 @@ LAPLACE_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(LAPLACE_FAMILIES))
 @pytest.mark.parametrize("n", range(6, 11))
 def test_laplace_minors_are_within_a_tenth_of_the_threshold_of_lu(family, n):
-    # every order the Laplace level takes, 2 to 6, against the closed forms
+    # every order the Laplace level takes, 3 to 6, against the closed form
     # and LU on the same minors (measured: 1e-14 of the row product at
-    # most, against 1e-11 here; orders 2 and 3 are equal)
+    # most, against 1e-11 here; order 3 is equal)
     for scale in (2.0**-120, 1.0, 2.0**120):
         A = LAPLACE_FAMILIES[family](n, rng=3400 + n) * scale
         lower = _lower(A)
@@ -364,36 +365,35 @@ def test_laplace_minors_are_within_a_tenth_of_the_threshold_of_lu(family, n):
 SIGNED_ENTRIES = st.sampled_from([-3.0, -1.5, -1.0, -0.7, -0.0, 0.0, 0.1, 0.5, 1.0, 2.0])
 
 
-def _closed_forms_and_laplace(A):
-    """The order-2 and order-3 tables of A by the closed forms and, as
-    classify takes them, from the Laplace level (order 3 over the Laplace
-    level's order 2)."""
-    lower = {1: _minors(A, 1)[0]}
-    for k in (2, 3):
-        assert _by_laplace(len(A), k)
-        lower[k], thr = _minors(A, k, lower)
-        d_closed, thr_closed = _minors(A, k)
-        assert _bits(thr) == _bits(thr_closed)
-        yield k, d_closed, lower[k]
+def _closed_form_and_laplace(A):
+    """The order-3 table of A by the closed form and, as classify takes
+    it, from the Laplace level over the orders 1 and 2, which come from
+    their closed forms at every n."""
+    lower = _lower(A)
+    assert not _by_laplace(len(A), 2) and _by_laplace(len(A), 3)
+    d, thr = _minors(A, 3, lower)
+    d_closed, thr_closed = _minors(A, 3)
+    assert _bits(thr) == _bits(thr_closed)
+    return d_closed, d
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(6, 10).flatmap(lambda n: st.lists(SIGNED_ENTRIES, min_size=n * n, max_size=n * n)), st.integers(-120, 120))
-def test_orders_2_and_3_from_the_laplace_level_are_the_closed_forms(entries, power):
+def test_order_3_from_the_laplace_level_is_the_closed_form(entries, power):
     # the p = 1 terms are _stacked_det's products, added in its order
     A = np.array(entries).reshape((round(len(entries) ** 0.5),) * 2) * 2.0**power
-    for k, d_closed, d in _closed_forms_and_laplace(A):
-        assert _bits(d) == _bits(d_closed), k
+    d_closed, d = _closed_form_and_laplace(A)
+    assert _bits(d) == _bits(d_closed)
 
 
 def test_the_laplace_level_keeps_the_closed_forms_signed_zeros():
     # -0.0 on the diagonal and +0.0 elsewhere, or the other way round:
-    # every minor is a zero, of either sign, as the closed forms' products
+    # every minor is a zero, of either sign, as the closed form's products
     # and differences give it
     for A in (np.diag(np.full(6, -0.0)), -np.diag(np.full(10, -0.0))):
-        for k, d_closed, d in _closed_forms_and_laplace(A):
-            assert not d.any() and np.signbit(d).any() and not np.signbit(d).all(), k
-            assert _bits(d) == _bits(d_closed), k
+        d_closed, d = _closed_form_and_laplace(A)
+        assert not d.any() and np.signbit(d).any() and not np.signbit(d).all()
+        assert _bits(d) == _bits(d_closed)
 
 
 def _gaussian_kernel(x, y, c):
@@ -418,18 +418,19 @@ def _with_minor_at(B, k, factor):
 def test_a_minor_near_its_threshold_is_decided_as_lu_decides_it(n, k, factor):
     # a well-conditioned TP matrix: lowering its entry (1, 1) takes the
     # leading minors below zero from the highest order down, so the lower
-    # orders stay nonnegative
+    # orders stay nonnegative. The witness is where LU puts it, and its
+    # value the exact minor, which LU's float misses in its eighth digit
+    # at (6, 4)
     A = _with_minor_at(_gaussian_kernel(np.arange(n), np.arange(n), 0.5), k, factor)
     d, thr = _minors(A, k, _lower(A))
     d_lu, _ = _minors(A, k)
     assert d_lu[0, 0] / thr[0, 0] == pytest.approx(factor, abs=1e-6)
     assert np.array_equal(d < -thr, d_lu < -thr)
     assert np.array_equal(np.abs(d) <= thr, np.abs(d_lu) <= thr)
-    got = classify(A)
-    assert got == ref.classify_full(A)
+    got = _same_as_lu(A)
     if factor < -1:
         assert got.witness[:2] == (tuple(range(1, k + 1)),) * 2
-        assert got.witness[2] == d_lu[0, 0]
+        assert got.witness[2] == pytest.approx(d_lu[0, 0], rel=1e-6)
 
 
 def test_an_overflowing_laplace_order_raises_as_lu_does():
@@ -469,12 +470,19 @@ def _dented(n, rng, k=None):
 CLASSIFY_FAMILIES = dict(LAPLACE_FAMILIES, tp=random_tp)
 
 
+def _exact_value(A, witness):
+    """The exact minor a witness names, rounded once to a float."""
+    rows, cols, _ = witness
+    return float(ref.exact_minor(A, [i - 1 for i in rows], [j - 1 for j in cols]))
+
+
 def _same_as_lu(A):
     """classify(A) against the all-LU enumeration and against classify with
-    the Laplace level off, on every field, the witness float, the
+    the Laplace level off, on every field, the witness position, the
     certificate's rule, nonpositive and det_sign, and the order it stopped
-    at. Where a high order overflows, classify_full raises and classify
-    stops first or raises the same error. Returns classify(A)."""
+    at; and its witness value against the exact minor (``exact_minor``),
+    rounded once. Where a high order overflows, classify_full raises and
+    classify stops first or raises the same error. Returns classify(A)."""
     got = _outcome(classify, A)
     with patch.dict(_LAPLACE_SPLIT, clear=True):
         lu = _outcome(classify, A)
@@ -488,6 +496,8 @@ def _same_as_lu(A):
         cert, full_cert = got.certificate, want.certificate
         assert (cert.rule, cert.nonpositive, cert.det_sign) == (full_cert.rule, full_cert.nonpositive, full_cert.det_sign)
     assert got.certificate.orders == lu.certificate.orders
+    if got.witness is not None:
+        assert got.witness[2] == _exact_value(A, got.witness)
     return got
 
 
@@ -503,8 +513,9 @@ def test_classify_with_the_laplace_level_is_classify_with_lu(family, n, seed, po
 
 
 def test_witnesses_at_laplace_orders_are_lu_s():
-    # seeds 0-39 read no minor LU misreads (none of 75 million in seeds
-    # 0-1499 but seed 75); the witnesses sit at orders 4 to 7
+    # the positions are LU's and the values exact: seeds 0-39 read no
+    # minor LU misreads (none of 75 million in seeds 0-1499 but seed 75);
+    # the witnesses sit at orders 4 to 7
     orders = set()
     for seed in range(40):
         got = _same_as_lu(_dented(7 + seed % 4, seed))
@@ -515,12 +526,42 @@ def test_witnesses_at_laplace_orders_are_lu_s():
 @pytest.mark.parametrize("n, k", [(6, 4), (7, 5), (8, 6)])
 def test_witnesses_at_the_orders_that_moved_to_laplace_are_lu_s(n, k):
     # the orders that LU took below MINOR_CHUNK minors and the Laplace
-    # level takes above LAPLACE_MIN_MINORS; a dent of -2, -10 or -1e4
+    # level takes above LAPLACE_MIN_MINORS, the witness at LU's position
+    # with the exact value; a dent of -2, -10 or -1e4
     # thresholds is the witness, one of +2 or +10 a small positive minor
     # that leaves the witness to order k + 1
     assert _by_laplace(n, k) and comb(n, k) ** 2 <= MINOR_CHUNK
     orders = [len(_same_as_lu(_dented(n, 3700 + seed, k)).witness[0]) for seed in range(12)]
     assert set(orders) == {k, k + 1}, orders
+
+
+WITNESS_FAMILIES = {
+    "ns": random_nonsingular,
+    # the zero minors of the EB product, moved off zero by 1 % noise
+    "tn_perturbed": lambda n, rng: random_tn(n, rng=rng) * (1 + 0.01 * np.random.default_rng(rng).standard_normal((n, n))),
+    "dented": lambda n, rng: _dented(n, rng, k=min(n, 2 + rng % 5)),
+}
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from(sorted(WITNESS_FAMILIES)), st.integers(3, 10), st.integers(0, 2**32 - 1))
+def test_every_witness_is_the_exact_minor_rounded_once(family, n, seed):
+    # at every order and by every route: the entries, the closed forms, the
+    # Laplace level and LU
+    A = WITNESS_FAMILIES[family](n, seed)
+    witness = classify(A).witness
+    if witness is not None:
+        assert witness[2] == _exact_value(A, witness) and witness[2] < 0
+
+
+def test_the_witness_families_reach_every_route():
+    # the property's families put witnesses at orders 1 to 7
+    orders = {
+        family: {len(w[0]) for n in range(3, 11) for seed in range(6) if (w := classify(gen(n, seed)).witness)}
+        for family, gen in WITNESS_FAMILIES.items()
+    }
+    assert orders["ns"] == {1} and {2, 3} <= orders["tn_perturbed"], orders
+    assert set(range(2, 8)) <= orders["dented"], orders
 
 
 def test_a_graded_minor_that_lu_misreads_is_read_exactly():
@@ -542,26 +583,7 @@ def test_a_graded_minor_that_lu_misreads_is_read_exactly():
         assert classify(A).witness[:2] == ((1, 2, 9, 10), (6, 8, 9, 10))
     got = classify(A)
     assert got.witness[:2] == ((1, 2, 3, 4, 5, 6),) * 2
-    assert float(ref.exact_minor(A, range(6), range(6))) == pytest.approx(got.witness[2], rel=1e-9)
-
-
-def test_a_witness_that_lu_does_not_find_negative_reports_the_laplace_sum(monkeypatch):
-    # a stand-in LU that reads the one witness submatrix as zero
-    A = _dented(8, 1)
-    want = classify(A)
-    k = len(want.witness[0])
-    assert _by_laplace(8, k)
-    stacked_det = totalpos._stacked_det
-
-    def stand_in(s):
-        return np.zeros(s.shape[:-2]) if s.shape[:-1] == (1, 1, k) else stacked_det(s)
-
-    monkeypatch.setattr(totalpos, "_stacked_det", stand_in)
-    d, thr = _minors(A, k, _lower(A))
-    r, c = (_subsets(8, k).tolist().index([i - 1 for i in w]) for w in want.witness[:2])
-    got = classify(A)
-    assert got.witness[:2] == want.witness[:2]
-    assert got.witness[2] == d[r, c] < -thr[r, c]
+    assert got.witness[2] == float(ref.exact_minor(A, range(6), range(6)))
 
 
 def _outcome(call, A):

@@ -1,5 +1,7 @@
 """Tests for minor enumeration, classification, factorization and SVDP."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import geb_reference
+import minor_reference
 import signvar_reference as ref
 from tpds import totalpos
 from tpds import (
@@ -270,6 +273,27 @@ def test_column_set_equivalence_preconditions():
         column_set_equivalence(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         column_set_equivalence(np.eye(2))
+
+
+def test_the_rank_rules_read_what_a_relative_cutoff_misread():
+    # np.linalg.matrix_rank, whose cutoff is relative to the largest
+    # singular value, read both as of deficient column rank. det A is
+    # exactly twice the float 1e308, so A has full rank and, not SSR, fails the bound; the
+    # order-2 minors of U, 1e300, 2e300 and 1, all lie beyond their
+    # thresholds and share one sign
+    A = [[1e308, -1e308], [1.0, 1.0]]
+    assert minor_reference.exact_rank_det(A) == (2, 2 * Fraction(1e308))
+    assert strong_svdp_holds(A) is False
+    assert column_set_equivalence([[1e300, 1e300], [1, 2], [1, 3]], rng=0) == (True, True)
+
+
+def test_column_set_equivalence_reads_rank_by_the_minor_thresholds():
+    # of full rank exactly, but its one nonzero order-2 minor, about 1e-12,
+    # lies within its threshold of about 1e-10; matrix_rank read rank 2
+    U = [[1.0, 1.0], [1.0, 1.0 + 1e-12], [0.0, 0.0]]
+    assert minor_reference.exact_rank_det(U)[0] == 2
+    with pytest.raises(RankDeficient, match="^columns are linearly dependent$"):
+        column_set_equivalence(U, rng=0)
 
 
 def outcome(call):
