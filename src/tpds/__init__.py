@@ -24,6 +24,7 @@ from .integrate import (
     compound_transition,
     simulate_linear,
     tn_weak_svdp_check,
+    trajectory_record,
     transition_matrix,
 )
 from .nonlinear import (

@@ -26,7 +26,7 @@ from .errors import (
     UnknownFigure,
 )
 from .floquet import floquet, floquet_mode_evolution
-from .integrate import _grid, simulate_linear, transition_matrix
+from .integrate import _grid, simulate_linear, trajectory_record
 from .nonlinear import poincare_analysis, simulate_nonlinear
 from .systems import classify_time_varying, in_M, in_M_plus
 from .totalpos import classify, oscillatory_spectrum
@@ -88,6 +88,11 @@ def _option(args, name, spec, default=None):
 
 
 def cmd_simulate(args):
+    """Write a spec's trajectory with its sign counts to CSV. A linear spec
+    is integrated once, under the TPDS contract when it samples as a TPDS;
+    the determinant flag (exit 4) reads the interval transition matrices
+    that produced the samples (``integrate.trajectory_record``). A
+    nonlinear spec writes z = f(t, x(t))."""
     spec = specfile.load(args.spec)
     step = _option(args, "step", spec)
     points = _option(args, "grid", spec, 1000)
@@ -101,8 +106,7 @@ def cmd_simulate(args):
     grid = _grid(*(spec.system.interval if spec.kind == "linear" else (0.0, horizon)), points)
     if spec.kind == "linear":
         verdict = classify_time_varying(spec.system, grid=200)
-        traj = simulate_linear(spec.system, z0, grid, step=step, tpds=verdict.is_TPDS)
-        rec = transition_matrix(spec.system, grid[0], grid[-1], step=step)
+        traj, rec = trajectory_record(spec.system, z0, grid, step=step, tpds=verdict.is_TPDS)
         suspect = rec.suspect
     else:
         run = simulate_nonlinear(spec.system, z0, grid, step=step)

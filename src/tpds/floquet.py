@@ -84,19 +84,15 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
     grid = _grid(0.0, horizon, nsamples)
     traj = simulate_linear(sys, z0, grid, step=step, tpds=True)
     lo, hi = i - 1, j - 1
-    band_bad = [
-        float(t)
-        for t, ok, sm, sp in zip(grid, traj.in_V_flags, traj.sigma_minus, traj.sigma_plus)
-        if ok and not (lo <= sm <= hi)
-    ]
+    sm, ok = np.array(traj.sigma_minus), np.array(traj.in_V_flags)
+    band_bad = grid[ok & ((sm < lo) | (sm > hi))].tolist()
     if band_bad:
         raise BandViolation(f"sign count left the band [{lo}, {hi}] at t={band_bad[:5]}")
     if len(traj.exceptional_times) > j - i:
         raise BandViolation(
             f"{len(traj.exceptional_times)} exceptional clusters exceed j-i={j - i}"
         )
-    tail = grid >= 0.9 * horizon
-    tail_counts = {sm for sm, sel, ok in zip(traj.sigma_minus, tail, traj.in_V_flags) if sel and ok}
+    tail_counts = set(sm[ok & (grid >= 0.9 * horizon)].tolist())
     if tail_counts != {lo}:
         raise BandViolation(f"terminal sign count {tail_counts} != {{{lo}}}")
     return traj

@@ -11,7 +11,10 @@ of stacked matrices. One function,
 ``_transitions``, lays out and multiplies the steps of a grid, in double
 unless its caller asks for long double: ``transition_matrix`` does, since
 its Liouville check reads the determinant of Phi, and trajectories and
-the compound flow, which read no determinant, do not. A run on a grid
+both routes of the compound flow, which read no determinant, do not. The
+flag of ``tpds simulate`` multiplies the interval transition matrices of
+its trajectory in long double (``trajectory_record``), and integrates
+nothing twice. A run on a grid
 that repeats mod the system's period integrates its first period only
 (``_period_intervals``).
 Determinants are cross-checked against the exponential of the
@@ -23,7 +26,6 @@ controlled to RTOL and ATOL.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +54,8 @@ CHUNK_STEPS = 256
 # matrix entries stacked per block of _transitions, which bounds its memory:
 # 256 steps of 6 x 6, so n = 2, 3 and 4 take 9, 4 and 2 windows per block
 BLOCK_ENTRIES = 9216
+# rows of a trajectory that Trajectory.to_csv formats and writes at a time
+CSV_BLOCK_ROWS = 256
 # the local error tolerances of a nonlinear run without an explicit step:
 # each DOP853 step keeps its error estimate within ATOL + RTOL |x|
 RTOL = 1e-10
@@ -248,9 +252,13 @@ def _transitions(sys, grid, step, p=None, dtype=float):
     is evaluated at the three stage times of each of its steps (one
     ``TimeVaryingSystem._matrices`` call), the increments P - I are built
     as stacks, and the pairwise products of all its windows are taken at
-    once, a short last window padded with zero increments. So a one-period
-    Phi of 1,000 steps is one block of 4 windows at n = 2 or 3, and 2
-    blocks of 2 at n = 4, and from n = 5 a block is one window. The block
+    once, a short last window padded with zero increments. A block whose
+    steps fill every slot keeps its increments as built; only a block
+    with empty slots lays them out among zero increments. Each interval
+    starts from its first window's product, I + P, with no product by I.
+    So a one-period Phi of 1,000 steps is one block of 4 windows at n = 2
+    or 3, and 2 blocks of 2 at n = 4, and from n = 5 a block is one
+    window. The block
     changes no float: each window's product, and the order in which the
     windows and their trace sums are taken, are those of one window per
     block. The products and the trace integrals are all that pass from
@@ -289,8 +297,11 @@ def _transitions(sys, grid, step, p=None, dtype=float):
         k = 2 * j[:, None] + np.arange(3)  # each step's stage points 2j, 2j + 1, 2j + 2
         A = sys._matrices((k * (h[:, None] / 2) + starts[span, None]).ravel(), segment[span].repeat(3))
         C = (A if p is None else add_compound(A, p).entries).reshape(-1, 3, m, m)
-        D = np.zeros(real.shape + (m, m), dtype=dtype)
-        D[real] = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None], dtype)
+        D = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None], dtype)
+        if not real.all():  # the steps take their slots among zero increments, exact identity factors
+            slots = np.zeros(real.shape + (m, m), dtype=dtype)
+            slots[real] = D
+            D = slots
         D = D.reshape(lanes * w, -1, m, m)  # a window of an interval per row
         while D.shape[1] > 1:  # (I + B)(I + A) = I + (A + B + B A), pairwise
             if D.shape[1] % 2:
@@ -302,7 +313,7 @@ def _transitions(sys, grid, step, p=None, dtype=float):
         sums = np.bincount(lane * w + col // width, terms, lanes * w)  # each window's, in step order
         products = D[:, 0].reshape(lanes, w, m, m)
         for i in range(w):
-            phi = phi + products[:, i] @ phi
+            phi = phi + (products[:, i] if k0 == i == 0 else products[:, i] @ phi)
             integral += sums[i::w]
     return phi.astype(float, copy=False), integral
 
@@ -335,12 +346,46 @@ class TransitionRecord:
     suspect: bool = False
 
 
+def _checked_span(sys, t0, t):
+    """t0 and t as floats: each one real time, else InvalidArgument or
+    DimensionMismatch, with t0 <= t, both in [a, b] up to 1e-12
+    (``_within``), else OutOfInterval."""
+    t0 = float(_time_array(t0, stack=False, name="t0"))
+    t = float(_time_array(t, stack=False))
+    if not _within(sys.interval, t0, t):
+        raise OutOfInterval(f"need a <= t0 <= t <= b, got t0={t0}, t={t}")
+    return t0, t
+
+
+def _liouville(t0, t, phi, integral, step):
+    """The TransitionRecord of Phi(t, t0), given in double, and of the
+    integral of tr A over [t0, t]: det Phi against exp of the integral
+    (Abel-Jacobi-Liouville), suspect beyond a relative DET_REL_TOL. A
+    non-finite Phi (a non-finite A(t), or a step too large for ||A(t)||) or
+    predicted determinant raises IntegrationSuspect. The one check of
+    ``transition_matrix``, of the flag of ``tpds simulate``
+    (``trajectory_record``) and of ``compound_transition``'s direct route."""
+    if not np.isfinite(phi).all():
+        raise IntegrationSuspect(
+            f"Phi({t}, {t0}) has a non-finite entry at step {step:.3g}"
+        )
+    with np.errstate(over="ignore", divide="ignore"):  # a singular or huge Phi is suspect below
+        det_phi = float(np.linalg.det(phi))
+        det_pred = float(np.exp(integral))
+    if not math.isfinite(det_pred):
+        raise IntegrationSuspect(
+            f"predicted det Phi({t}, {t0}) = exp(integral of trace A) is {det_pred}"
+        )
+    suspect = abs(det_phi - det_pred) > DET_REL_TOL * abs(det_pred)
+    return TransitionRecord(t0, t, phi, det_phi, det_pred, suspect)
+
+
 def transition_matrix(sys, t0, t, step=None):
     """Transition matrix Phi(t, t0) of z' = A(s) z by fixed-step RK4.
 
     The steps follow the one step-count rule per segment span, and the
-    propagators are multiplied in long double, the one flow that asks for
-    it: the Liouville check below reads det Phi.
+    propagators are multiplied in long double, since the Liouville check
+    below reads det Phi.
     A is evaluated at each step's three stage times, 3N times for a span of
     N steps, by one array ``matrix_at`` call per segment and block of
     steps; the steps' propagators are built as stacks and multiplied
@@ -348,36 +393,20 @@ def transition_matrix(sys, t0, t, step=None):
     step order (``_transitions``). det Phi is compared with exp of the integral of
     tr A (Abel-Jacobi-Liouville), taken by Simpson's rule over the same
     stage values of tr A, which is RK4 on the trace; a relative mismatch
-    beyond 1e-6 marks the record as suspect. A non-finite Phi (a
-    non-finite A(t), or a step too large for ||A(t)||) or predicted
+    beyond 1e-6 marks the record as suspect (``_liouville``). A non-finite
+    Phi (a non-finite A(t), or a step too large for ||A(t)||) or predicted
     determinant raises IntegrationSuspect, and a step that is not a
     positive finite number InvalidArgument. t0 and t must each be one real
     time, else InvalidArgument or DimensionMismatch, with t0 <= t, both in
     [a, b] up to 1e-12 (``_within``), else OutOfInterval.
     """
-    t0 = float(_time_array(t0, stack=False, name="t0"))
-    t = float(_time_array(t, stack=False))
-    if not _within(sys.interval, t0, t):
-        raise OutOfInterval(f"need a <= t0 <= t <= b, got t0={t0}, t={t}")
+    t0, t = _checked_span(sys, t0, t)
     step = _checked_step(step, *sys.interval)
     # long double: det Phi, which the Liouville check reads, moves by 1e-6
     # to 1e-4 per ulp of an ill-conditioned Phi's entries, and products in
     # double are 2-13 ulps off the RK4 loop in long double
     phi, integral = _transitions(sys, [t0, t], step, dtype=np.longdouble)
-    phi = phi[0]
-    if not np.isfinite(phi).all():
-        raise IntegrationSuspect(
-            f"Phi({t}, {t0}) has a non-finite entry at step {step:.3g}"
-        )
-    with np.errstate(over="ignore", divide="ignore"):  # a singular or huge Phi is suspect below
-        det_phi = float(np.linalg.det(phi))
-        det_pred = float(np.exp(integral[0]))
-    if not math.isfinite(det_pred):
-        raise IntegrationSuspect(
-            f"predicted det Phi({t}, {t0}) = exp(integral of trace A) is {det_pred}"
-        )
-    suspect = abs(det_phi - det_pred) > DET_REL_TOL * abs(det_pred)
-    return TransitionRecord(t0, t, phi, det_phi, det_pred, suspect)
+    return _liouville(t0, t, phi[0], integral[0], step)
 
 
 @dataclass
@@ -426,33 +455,45 @@ class Trajectory:
 
     def to_csv(self, path):
         """t to 10 significant digits, the state's entries to 12, the two
-        counts and the V flag, one row per sample; comma-separated, CRLF."""
-        names = ["t"] + [f"z{i + 1}" for i in range(self.n)] + ["s_minus", "s_plus", "in_V"]
-        row = "%.10g" + ",%.12g" * self.n + ",%d,%d,%d\r\n"
-        flags = zip(self.sigma_minus, self.sigma_plus, self.in_V_flags)
+        counts and the V flag, one row per sample; comma-separated, CRLF.
+        The rows are laid out as one table of Python numbers and written
+        CSV_BLOCK_ROWS at a time, each block by one format and one write."""
+        n = self.n
+        names = ["t"] + [f"z{i + 1}" for i in range(n)] + ["s_minus", "s_plus", "in_V"]
+        row = "%.10g" + ",%.12g" * n + ",%d,%d,%d\r\n"
+        table = np.empty((len(self.times), n + 4), dtype=object)
+        table[:, 0] = self.times
+        table[:, 1 : n + 1] = self.states
+        table[:, n + 1] = self.sigma_minus
+        table[:, n + 2] = self.sigma_plus
+        table[:, n + 3] = self.in_V_flags
         with open(path, "w", newline="") as fh:
             fh.write(",".join(names) + "\r\n")
-            fh.writelines(row % (t, *z, *f) for t, z, f in zip(self.times, self.states.tolist(), flags))
+            for lo in range(0, len(table), CSV_BLOCK_ROWS):
+                block = table[lo : lo + CSV_BLOCK_ROWS]
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _interval_transitions(sys, grid, step):
-    """Each interval's transition matrix over a grid of at least two points,
-    in order, from ``_transitions`` over as many intervals per call as a
+def _interval_transitions(sys, grid, step, integrals=None):
+    """The (len(grid) - 1, n, n) stack of each interval's transition matrix
+    over a grid, in order, from ``_transitions`` over as many intervals per call as a
     block of BLOCK_ENTRIES holds one step of, in whole groups of
     CHUNK_STEPS (2,304 at n = 2, 1,024 at n = 3, 512 at n = 4, 256 from
     n = 5). Each interval takes the windows it takes in a call of
     CHUNK_STEPS intervals at a time, so its product, and its floats, are
     the same: one step in a whole group, and CHUNK_STEPS // r steps among
     the r < CHUNK_STEPS left over, which go alone where that is more than
-    one step."""
+    one step. Given a list, each call's trace integrals, one per interval,
+    are appended to it."""
     lanes = len(grid) - 1
     per_call = max(1, BLOCK_ENTRIES // (CHUNK_STEPS * sys.n**2)) * CHUNK_STEPS
     rest = lanes % CHUNK_STEPS
     cut = lanes - rest if rest and CHUNK_STEPS // rest > 1 else lanes  # where the rest go alone
     bounds = [*range(0, cut, per_call), cut, lanes]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > lo:
-            yield from _transitions(sys, grid[lo : hi + 1], step)[0]
+    calls = [_transitions(sys, grid[lo : hi + 1], step) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if integrals is not None:
+        integrals += [trace for _, trace in calls]
+    return np.concatenate([phis for phis, _ in calls]) if calls else np.empty((0, sys.n, sys.n))
 
 
 def _period_intervals(sys, grid):
@@ -483,7 +524,9 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     start. On a grid that repeats mod the system's period
     (``_period_intervals``) only the first period's intervals are
     integrated, and each later interval applies the transition matrix of
-    the interval one period before it.
+    the interval one period before it. ``tpds simulate`` reads the
+    Liouville flag of the same run from those matrices and their trace
+    integrals (``trajectory_record``), and integrates nothing more.
 
     With tpds=True the monotonicity contract is enforced: s_plus and s_minus
     must be non-increasing sample to sample and at most n-1 exceptional
@@ -495,20 +538,30 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
     non-finite on the way (a stiff or overflowing system at this step)
     IntegrationSuspect.
     """
+    return _linear_run(sys, z0, grid, step, tpds)[0]
+
+
+def _linear_run(sys, z0, grid, step, tpds):
+    """``simulate_linear``'s trajectory, with the checked step, the stack of
+    the len(grid) - 1 interval transition matrices that produced its
+    samples, cycled on a grid that repeats mod the period, and their trace
+    integrals, cycled alike."""
     z0 = _checked_state(z0, sys.n, "z0")
     if not np.any(z0):
         raise TrivialSolution("z0 = 0 yields the trivial solution")
     grid = _checked_grid(grid, sys.interval)
     step = _checked_step(step, *sys.interval)
     m = _period_intervals(sys, grid)
-    if m is None:
-        phis = _interval_transitions(sys, grid, step)
-    else:  # Phi(t + T, s + T) = Phi(t, s): interval k takes the transition of interval k mod m
-        phis = itertools.cycle(list(_interval_transitions(sys, grid[: m + 1], step)))
+    integrals = [np.zeros(0)]
+    phis = _interval_transitions(sys, grid if m is None else grid[: m + 1], step, integrals)
+    integrals = np.concatenate(integrals)
+    if m is not None:  # Phi(t + T, s + T) = Phi(t, s): interval k takes the transition of interval k mod m
+        cycled = np.arange(len(grid) - 1) % m
+        phis, integrals = phis[cycled], integrals[cycled]
     states = np.empty((len(grid), sys.n))
     states[0] = z = z0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises below
-        for k, phi in zip(range(1, len(grid)), phis):
+        for k, phi in enumerate(phis, 1):
             states[k] = z = phi.dot(z)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
@@ -516,19 +569,38 @@ def simulate_linear(sys, z0, grid, step=None, tpds=False):
         raise IntegrationSuspect(f"the state became non-finite by t={t} from a finite z0")
     traj = Trajectory(grid, states)
     if tpds:
-        sm, sp, clusters = traj.sigma_minus, traj.sigma_plus, traj.exceptional_times
-        bad = [
-            float(grid[k])
-            for k in range(1, len(grid))
-            if sp[k] > sp[k - 1] or sm[k] > sm[k - 1]
-        ]
+        sm, sp = np.array(traj.sigma_minus), np.array(traj.sigma_plus)
+        bad = grid[1:][(np.diff(sp) > 0) | (np.diff(sm) > 0)].tolist()
         if bad:
             raise MonotonicityViolation("sign counts increased along a TPDS run", bad)
+        clusters = traj.exceptional_times
         if len(clusters) > sys.n - 1:
             raise MonotonicityViolation(
                 f"{len(clusters)} exceptional clusters exceed n-1", clusters
             )
-    return traj
+    return traj, step, phis, integrals
+
+
+def trajectory_record(sys, z0, grid, step=None, tpds=False):
+    """``simulate_linear``'s trajectory, with the same arguments and
+    errors, and the TransitionRecord of Phi(grid[-1], grid[0]) that flags
+    it, the determinant check of ``tpds simulate`` (exit 4), from the same
+    run: the interval transition matrices that produced the samples,
+    multiplied pairwise in long double, since the Liouville check reads
+    their determinant, and rounded to double once, against exp of their
+    summed trace integrals (``_liouville``, as in ``transition_matrix``).
+    No interval is integrated twice. The check is made after the
+    trajectory's own, so a raise of ``simulate_linear`` comes first; then
+    a non-finite product or predicted determinant raises
+    IntegrationSuspect."""
+    traj, step, phis, integrals = _linear_run(sys, z0, grid, step, tpds)
+    P = phis.astype(np.longdouble) if len(phis) else np.eye(sys.n, dtype=np.longdouble)[None]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product raises in _liouville
+        while len(P) > 1:  # later intervals on the left
+            pairs = P[1::2] @ P[0 : len(P) - 1 : 2]
+            P = np.concatenate([pairs, P[-1:]]) if len(P) % 2 else pairs
+        phi = P[0].astype(float)
+    return traj, _liouville(float(traj.times[0]), float(traj.times[-1]), phi, integrals.sum(), step)
 
 
 def compound_transition(sys, p, t0, t, step=None):
@@ -539,14 +611,19 @@ def compound_transition(sys, p, t0, t, step=None):
     the propagators of transition_matrix multiplied in double (the compound
     flow reads no determinant), and cross-asserts against the
     multiplicative compound of the directly integrated transition matrix,
-    in long double as transition_matrix takes it, to COMPOUND_REL_TOL. A p that is not an integer in 1..n raises
+    also in double, since the cross-check reads Phi alone, to
+    COMPOUND_REL_TOL. A p that is not an integer in 1..n raises
     InvalidArgument or OrderOutOfRange (``compound._checked_order``) before
-    any step, and t0 and t are checked by transition_matrix before its
-    first step.
+    any step, and t0 and t are checked as transition_matrix checks them
+    (``_checked_span``) before the first step; a non-finite Phi or
+    predicted determinant raises transition_matrix's IntegrationSuspect
+    (``_liouville``).
     """
     _checked_order(p, sys.n)
     step = _checked_step(step, *sys.interval)
-    direct = mult_compound(transition_matrix(sys, t0, t, step).phi, p).entries
+    t0, t = _checked_span(sys, t0, t)
+    phi, integral = _transitions(sys, [t0, t], step)
+    direct = mult_compound(_liouville(t0, t, phi[0], integral[0], step).phi, p).entries
     Y = _transitions(sys, [t0, t], step, p)[0][0]
     denom = max(np.linalg.norm(direct), 1e-300)
     rel = np.linalg.norm(Y - direct) / denom

@@ -207,7 +207,11 @@ class TimeVaryingSystem:
 
     def _matrices(self, times, segment):
         """A at a 1-d array of times, each tagged by its segment's index: one array
-        ``Segment.matrix_at`` call per segment, in segment order (DomainError's too)."""
+        ``Segment.matrix_at`` call per segment, in segment order (DomainError's too).
+        A one-segment system returns its one call's stack as it is; with more
+        segments each call's stack is scattered into place by its mask."""
+        if len(self.segments) == 1:
+            return self.segments[0].matrix_at(times)
         A = np.empty((len(times), self.n, self.n))
         for seg in np.flatnonzero(np.bincount(segment)).tolist():  # np.unique imports numpy.ma
             at = segment == seg

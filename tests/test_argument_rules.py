@@ -315,7 +315,7 @@ def test_compound_transition_checks_p_before_any_step(monkeypatch, p, error, mes
     def no_step(*args, **kwargs):
         raise AssertionError("integrated")
 
-    monkeypatch.setattr(tpds.integrate, "transition_matrix", no_step)
+    monkeypatch.setattr(tpds.integrate, "_transitions", no_step)
     with pytest.raises(error) as err:
         tpds.compound_transition(COSH2, p, 0.0, 2.0)
     assert str(err.value) == message
@@ -1083,8 +1083,8 @@ def test_the_default_step_of_an_infinite_interval_is_refused(interval):
 STEP_CHECKS = {
     "transition_matrix": (lambda: tpds.transition_matrix(COSH2, 0.0, 1.0), 1),
     "simulate_linear": (lambda: tpds.simulate_linear(SWITCHED, [1.0, -1.0, 1.0, -1.0], np.linspace(0.0, 1.0, 2000)), 1),
-    # its own check, then the one of the transition_matrix it runs
-    "compound_transition": (lambda: tpds.compound_transition(COSH2, 1, 0.0, 1.0), 2),
+    # its direct route reads Phi from _transitions, not transition_matrix
+    "compound_transition": (lambda: tpds.compound_transition(COSH2, 1, 0.0, 1.0), 1),
     "simulate_nonlinear": (lambda: tpds.simulate_nonlinear(DEMO, OK_X, np.linspace(0.0, 2.0, 200), step=0.01), 1),
     "poincare_analysis": (lambda: tpds.poincare_analysis(DEMO, OK_X, step=0.05), 1),
     # two runs, one from each start

@@ -1,12 +1,14 @@
 """Tests for monodromy analysis of periodic systems."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
 from tpds import (
     TimeVaryingSystem,
+    Trajectory,
     floquet,
     floquet_mode_evolution,
     random_tpds_system,
@@ -148,3 +150,86 @@ def test_random_periodic_tpds_invariants():
         assert np.all(fd.multipliers > 0)
         assert np.all(np.diff(fd.multipliers) < 0)
         assert fd.sign_counts == [0, 1, 2]
+
+
+def constructed(monkeypatch, states_of):
+    """Make floquet_mode_evolution read the trajectory of states_of(grid)
+    in place of its run."""
+    module = importlib.import_module("tpds.floquet")
+    monkeypatch.setattr(module, "simulate_linear", lambda sys, z0, grid, **kw: Trajectory(grid, states_of(grid)))
+
+
+def test_the_band_check_names_the_first_five_times_outside(sinusoidal, monkeypatch):
+    # V samples with one sign change in the band [0, 0] of mode 1
+    # (three entries, so that a sample outside V, [1, -1, 0] at 10, has a
+    # count outside the band; it is not named)
+    sys, fd = sinusoidal
+    out = [3, 4, 40, 41, 42, 90, 150]
+
+    def states_of(grid):
+        states = np.ones((len(grid), 3))
+        states[out, 1:] = -1.0
+        states[10] = [1.0, -1.0, 0.0]
+        return states
+
+    constructed(monkeypatch, states_of)
+    grid = np.linspace(0.0, fd.period, 201)
+    traj = Trajectory(grid, states_of(grid))
+    want = [float(t) for t, ok, sm in zip(grid, traj.in_V_flags, traj.sigma_minus) if ok and not 0 <= sm <= 0]
+    assert want == grid[out].tolist()
+    with pytest.raises(BandViolation) as err:
+        floquet_mode_evolution(sys, fd, {1: 1.0}, horizon=fd.period)
+    assert str(err.value) == f"sign count left the band [0, 0] at t={want[:5]}"
+
+
+def test_the_cluster_check_counts_samples_outside_v(sinusoidal, monkeypatch):
+    # a zero first entry is outside V; one cluster exceeds j - i = 0
+    sys, fd = sinusoidal
+
+    def states_of(grid):
+        states = np.ones((len(grid), 2))
+        states[[50, 51, 120], 0] = 0.0
+        return states
+
+    constructed(monkeypatch, states_of)
+    with pytest.raises(BandViolation) as err:
+        floquet_mode_evolution(sys, fd, {1: 1.0}, horizon=fd.period)
+    assert str(err.value) == "2 exceptional clusters exceed j-i=0"
+
+
+def test_the_tail_check_reads_the_v_samples_of_the_last_tenth(sinusoidal, monkeypatch):
+    # modes 1 and 2, band [0, 1]: the counts of the last 10 % alternate 1, 0,
+    # and a sample outside V there is not read
+    sys, fd = sinusoidal
+
+    def states_of(grid):
+        states = np.ones((len(grid), 2))
+        tail = np.flatnonzero(grid >= 0.9 * grid[-1])
+        states[tail[::2], 1] = -1.0
+        states[tail[1], 0] = 0.0
+        return states
+
+    constructed(monkeypatch, states_of)
+    grid = np.linspace(0.0, 2 * fd.period, 401)
+    traj = Trajectory(grid, states_of(grid))
+    tail = grid >= 0.9 * grid[-1]
+    want = {sm for sm, sel, ok in zip(traj.sigma_minus, tail, traj.in_V_flags) if sel and ok}
+    assert want == {0, 1}
+    with pytest.raises(BandViolation) as err:
+        floquet_mode_evolution(sys, fd, {1: 1.0, 2: 1.0}, horizon=2 * fd.period)
+    assert str(err.value) == f"terminal sign count {want} != {{0}}"
+
+
+def test_the_tail_check_passes_over_samples_outside_v(sinusoidal, monkeypatch):
+    # every V sample of the last 10 % counts 0; [1, -1, 0] there counts 1
+    # but is outside V, so the run settles at 0
+    sys, fd = sinusoidal
+
+    def states_of(grid):
+        states = np.ones((len(grid), 3))
+        states[-5] = [1.0, -1.0, 0.0]
+        return states
+
+    constructed(monkeypatch, states_of)
+    traj = floquet_mode_evolution(sys, fd, {1: 1.0, 2: 1.0}, horizon=2 * fd.period)
+    assert traj.sigma_minus[-5] == 1 and not traj.in_V_flags[-5]

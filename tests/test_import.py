@@ -6,7 +6,8 @@ dependency of the tests and ``perfbench/`` alone. Importing ``tpds.cli``
 builds no argparse parser: ``cli.main`` builds it on its first call. The
 AST scans pin one owner for each shared kernel or reader: the minor
 kernel, the strict-sign rule, the exact elimination, the segment
-lattice, the expression compiler, the step check, and ``is_geb`` as a
+lattice, the expression compiler, the step check, the Liouville check
+(and the one integration of ``tpds simulate``), and ``is_geb`` as a
 test oracle only; and they keep sampled verdicts and ``matrix_rank`` out
 of the library."""
 
@@ -275,10 +276,8 @@ def test_no_sampled_verdict_in_the_library():
     assert any(scope.startswith("generators.") for scope in scopes)
 
 
-def test_long_double_is_asked_for_only_where_a_determinant_is_read():
-    # transition_matrix's Liouville check reads det Phi; _transitions and
-    # _increments take the dtype it passes, and every other flow multiplies
-    # in their default, double
+def longdouble_scopes():
+    """The scopes under ``src/tpds`` that name ``longdouble``."""
     root = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tpds")
     scopes = set()
 
@@ -294,7 +293,35 @@ def test_long_double_is_asked_for_only_where_a_determinant_is_read():
         if name.endswith(".py"):
             with open(os.path.join(root, name)) as fh:
                 visit(ast.parse(fh.read(), name), name[:-3])
-    assert scopes == {"integrate.transition_matrix"}
+    return scopes
+
+
+def test_long_double_is_asked_for_only_where_a_determinant_is_read():
+    # transition_matrix's Liouville check reads det Phi, and so does the flag
+    # of tpds simulate, which multiplies the interval transition matrices of
+    # its trajectory; _transitions and _increments take the dtype
+    # transition_matrix passes, and every other flow multiplies in their
+    # default, double
+    assert longdouble_scopes() == {"integrate.transition_matrix", "integrate.trajectory_record"}
+
+
+def test_the_compound_cross_check_reads_phi_in_double():
+    # compound_transition's direct route reads Phi alone, to COMPOUND_REL_TOL
+    assert not any(scope.startswith("integrate.compound_transition") for scope in longdouble_scopes())
+    assert ("transition_matrix", "integrate.compound_transition") not in library_calls({"transition_matrix"})
+
+
+def test_tpds_simulate_integrates_once():
+    # the flag reads the interval transition matrices that produced the
+    # samples, through the one Liouville check of transition_matrix
+    calls = library_calls({"transition_matrix", "trajectory_record", "_liouville"})
+    assert not any(scope.startswith("cli.cmd_simulate") for name, scope in calls if name == "transition_matrix")
+    assert ("trajectory_record", "cli.cmd_simulate") in calls
+    assert {scope for name, scope in calls if name == "_liouville"} == {
+        "integrate.transition_matrix",
+        "integrate.trajectory_record",
+        "integrate.compound_transition",
+    }
 
 
 def test_a_step_is_checked_only_where_a_flow_takes_it():

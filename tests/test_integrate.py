@@ -623,3 +623,48 @@ def test_reuse_on_a_system_periodic_only_to_the_period_check_tolerance(where):
     want = _direct_states(sys, [1.0, 0.0], grid)
     assert not _within_running_max(got, want, 1e-12)
     assert _within_running_max(got, want, sys.n * PERIOD_CHECK_TOL * T * K * (K - 1) / 2)
+
+
+def test_a_tpds_run_names_every_sample_whose_count_rose():
+    # the contract's list, against the per-sample comparison of the counts
+    # of the same run without the contract
+    sys = TimeVaryingSystem.constant([[0.0, -1.0], [1.0, 0.0]], (0.0, 10.0))
+    grid = np.linspace(0, 10, 400)
+    traj = simulate_linear(sys, [1.0, 0.5], grid)
+    sm, sp = traj.sigma_minus, traj.sigma_plus
+    want = [float(grid[k]) for k in range(1, len(grid)) if sp[k] > sp[k - 1] or sm[k] > sm[k - 1]]
+    with pytest.raises(MonotonicityViolation) as err:
+        simulate_linear(sys, [1.0, 0.5], grid, tpds=True)
+    assert str(err.value) == "sign counts increased along a TPDS run"
+    assert len(want) > 1 and err.value.times == tuple(want)
+    assert all(type(t) is float for t in err.value.times)
+
+
+def test_a_tpds_run_names_a_rise_of_either_count(monkeypatch):
+    # a constructed run: s_plus alone rises at t = 0.4 (a zero entry), both
+    # counts at t = 0.8
+    states = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, -1.0, 1.0]])
+    monkeypatch.setattr(integrate, "Trajectory", lambda grid, _: Trajectory(grid, states))
+    sys = TimeVaryingSystem.constant(-np.eye(3), (0.0, 1.0))
+    grid = np.linspace(0.0, 1.0, 6)
+    traj = Trajectory(grid, states)
+    sm, sp = traj.sigma_minus, traj.sigma_plus
+    want = [float(grid[k]) for k in range(1, len(grid)) if sp[k] > sp[k - 1] or sm[k] > sm[k - 1]]
+    assert want == [0.4, 0.8] and sp[2] > sp[1] and sm[2] == sm[1]
+    with pytest.raises(MonotonicityViolation) as err:
+        simulate_linear(sys, [1.0, 1.0, 1.0], grid, tpds=True)
+    assert str(err.value) == "sign counts increased along a TPDS run"
+    assert err.value.times == tuple(want)
+
+
+def test_a_tpds_run_with_more_than_n_minus_1_clusters_raises():
+    # n = 1: a state that decays below TRAJ_ZERO_REL_TOL of its start reads
+    # as zero, outside V, and one cluster exceeds n - 1 = 0
+    sys = TimeVaryingSystem.constant([[-30.0]], (0.0, 1.0))
+    grid = np.linspace(0.0, 1.0, 11)
+    traj = simulate_linear(sys, [1.0], grid)
+    assert traj.exceptional_times == [grid[7]]
+    with pytest.raises(MonotonicityViolation) as err:
+        simulate_linear(sys, [1.0], grid, tpds=True)
+    assert str(err.value) == "1 exceptional clusters exceed n-1"
+    assert err.value.times == (grid[7],)
