@@ -14,12 +14,15 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, OrderOutOfRange
-from .signvar import _checked_count, _real_array
+from .signvar import _checked_count, _real_array, _shown
 from .totalpos import _as_matrix, _minors
 
 
 def index_subsets(n, p):
-    """Lexicographically ordered p-subsets of {1..n} (1-based tuples)."""
+    """Lexicographically ordered p-subsets of {1..n} (1-based tuples); n
+    and p go through the count rule (``signvar._checked_count``)."""
+    _checked_count(n, "n")
+    _checked_count(p, "p")
     return [tuple(i + 1 for i in c) for c in combinations(range(n), p)]
 
 
@@ -31,8 +34,12 @@ class CompoundMatrix:
     index_map: list
 
     def entry(self, alpha, beta):
-        i = self.index_map.index(tuple(alpha))
-        j = self.index_map.index(tuple(beta))
+        """Entry (alpha|beta); a label that is not a p-subset of {1..n},
+        in order, raises DimensionMismatch."""
+        try:
+            i, j = self.index_map.index(tuple(alpha)), self.index_map.index(tuple(beta))
+        except ValueError:  # "x is not in list"
+            raise DimensionMismatch(f"no entry ({_shown(alpha)}|{_shown(beta)}) in a compound of order {self.order}") from None
         return self.entries[i, j]
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .signvar import _allocatable, _checked_count, _shown
-from .systems import Segment, TimeVaryingSystem
+from .systems import Segment, TimeVaryingSystem, _checked_interval
 from .totalpos import GEBFactorization, _eb
 
 
@@ -90,9 +90,11 @@ def random_tpds_system(n, rng=None, interval=(0.0, 2 * np.pi)):
 
     Each entry on the three central diagonals is c0 + c1 sin t + c2 cos t,
     with the off-diagonal constants large enough that the entry stays at or
-    above 0.5 for all t.
+    above 0.5 for all t. The interval goes through
+    ``systems._checked_interval``.
     """
     _checked_size(n)
+    a, b = _checked_interval(interval)
     from . import exprlang
 
     rng = np.random.default_rng(rng)
@@ -110,10 +112,9 @@ def random_tpds_system(n, rng=None, interval=(0.0, 2 * np.pi)):
         if i + 1 < n:
             entries[i][i + 1] = smooth_entry(0.5)
             entries[i + 1][i] = smooth_entry(0.5)
-    a, b = interval
     return TimeVaryingSystem(
         n=n,
-        interval=(float(a), float(b)),
-        segments=[Segment(float(a), float(b), entries)],
+        interval=(a, b),
+        segments=[Segment(a, b, entries)],
         period=2 * np.pi if (b - a) >= 2 * np.pi - 1e-12 else None,
     )

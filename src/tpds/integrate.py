@@ -413,11 +413,15 @@ def transition_matrix(sys, t0, t, step=None):
 class Trajectory:
     """Sampled states with their sign counts, V flags and exceptional clusters.
 
-    Everything past (times, states) is computed from them. Each sample's
+    Everything past (times, states) is computed from them. times must
+    have a shape (k,) and states (k, n), n >= 1, else DimensionMismatch.
+    Each sample's
     zero tolerance is TRAJ_ZERO_REL_TOL times the largest |entry| seen up
     to it, and its V flag follows ``in_V`` (``signvar.v_counts``); non-V
     samples less than CLUSTER_GAP samples apart form one exceptional
-    cluster, recorded by the time of its first sample. The
+    cluster, recorded as ``times[k]`` of its first sample k: by one array
+    rule, each non-V sample at least CLUSTER_GAP samples after the one
+    before it, and the first. The
     counts of all samples come from one sign matrix; a sample with a nan or
     inf entry raises NonFiniteInput.
     """
@@ -432,6 +436,9 @@ class Trajectory:
 
     def __post_init__(self):
         y = _real_array(self.states, "states")
+        t = _real_array(self.times, "times").shape
+        if len(t) != 1 or y.shape[:1] != t or y.ndim != 2 or y.shape[1] < 1:
+            raise DimensionMismatch(f"times and states must have shapes (k,) and (k, n), n >= 1, got {t} and {y.shape}")
         _check_finite(y)
         mag = np.abs(y)
         tols = TRAJ_ZERO_REL_TOL * np.maximum.accumulate(mag.max(axis=1))
@@ -442,16 +449,13 @@ class Trajectory:
         self.sigma_minus = sm.tolist()
         self.sigma_plus = sp.tolist()
         self.in_V_flags = in_v.tolist()
-        self.exceptional_times = []
-        last_bad = None
-        for k in np.flatnonzero(~in_v).tolist():
-            if last_bad is None or k - last_bad >= CLUSTER_GAP:
-                self.exceptional_times.append(self.times[k])
-            last_bad = k
+        bad = np.flatnonzero(~in_v)
+        first = bad[np.diff(bad, prepend=-CLUSTER_GAP) >= CLUSTER_GAP]  # a cluster's first sample
+        self.exceptional_times = [self.times[k] for k in first.tolist()]
 
     @property
     def n(self):
-        return self.states.shape[1]
+        return np.shape(self.states)[1]
 
     def to_csv(self, path):
         """t to 10 significant digits, the state's entries to 12, the two
@@ -637,24 +641,22 @@ def compound_transition(sys, p, t0, t, step=None):
 def tn_weak_svdp_check(traj):
     """Strict s_plus drop after the first coordinate leaves zero.
 
-    Scans for samples r with z1(r) ~ 0 followed by the next sample s with
-    z1(s) != 0 and asserts s_plus(z(s)) <= s_plus(z(r)) - 1 for every pair.
+    Pairs each run of samples r with z1(r) ~ 0 (|z1| within the sample's
+    zero tolerance), by its first sample, with the next sample s with
+    z1(s) != 0, from the edges of one ``np.diff`` of the zero flags; a run
+    at the end has no pair. Asserts s_plus(z(s)) <= s_plus(z(r)) - 1 for
+    every pair: the first pair that fails raises MonotonicityViolation with
+    its two times, and no pair at all NoApplicablePair.
     """
-    pairs = []
-    zero_at = None
-    for k, (z, tol) in enumerate(zip(traj.states, traj.zero_tols)):
-        if abs(z[0]) <= tol:
-            if zero_at is None:
-                zero_at = k
-        elif zero_at is not None:
-            pairs.append((zero_at, k))
-            zero_at = None
-    if not pairs:
+    zero = np.abs(np.asarray(traj.states)[:, 0]) <= traj.zero_tols
+    edge = np.diff(zero.astype(np.int8), prepend=0)  # 1 where a zero run starts, -1 just after it
+    s = np.flatnonzero(edge < 0)
+    r = np.flatnonzero(edge > 0)[: len(s)]
+    if not s.size:
         raise NoApplicablePair("first coordinate never returned from zero")
-    for r, s in pairs:
-        if traj.sigma_plus[s] > traj.sigma_plus[r] - 1:
-            raise MonotonicityViolation(
-                "weak variation-diminishing drop failed",
-                [float(traj.times[r]), float(traj.times[s])],
-            )
+    sp = np.asarray(traj.sigma_plus)
+    failed = np.flatnonzero(sp[s] > sp[r] - 1)
+    if failed.size:
+        r, s = r[failed[0]], s[failed[0]]
+        raise MonotonicityViolation("weak variation-diminishing drop failed", [float(traj.times[r]), float(traj.times[s])])
     return True

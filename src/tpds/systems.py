@@ -8,7 +8,6 @@ verified by dense sampling, with the sampling density part of the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,21 +21,12 @@ from .errors import (
     SpecFileError,
 )
 from .integrate import _checked_positive, _checked_times, _grid, _time_array, _within, transition_matrix
-from .signvar import _checked_count
-from .totalpos import _as_matrix, minor
+from .signvar import _checked_count, _real_array, _shown
+from .totalpos import _as_matrix, _bands, minor
 
 PERIOD_CHECK_TOL = 1e-10
 DEFAULT_DELTA_FLOOR = 1e-6  # smallest sampled off-diagonal entry a TPDS verdict accepts
 WITNESS_T_GRID = (1e-1, 1e-2, 1e-3, 1e-4)  # times tried by negative_minor_witness
-
-
-@lru_cache(maxsize=None)
-def _bands(n):
-    """Masks of the far (|i - j| > 1) and near (|i - j| == 1) entries of n x n."""
-    d = abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    far, near = d > 1, d == 1
-    far.flags.writeable = near.flags.writeable = False  # shared through the cache
-    return far, near
 
 
 def _membership(As):
@@ -115,6 +105,16 @@ def _checked_period(period):
         raise SpecFileError(str(exc)) from None
 
 
+def _checked_interval(interval):
+    """The one interval rule: two real numbers (``signvar._real_array``),
+    else InvalidArgument, NonFiniteInput or DimensionMismatch; returned as
+    two floats."""
+    ab = _real_array(interval, "interval")
+    if ab.shape != (2,):
+        raise DimensionMismatch(f"interval must be two numbers (a, b), got {_shown(interval)}")
+    return float(ab[0]), float(ab[1])
+
+
 @dataclass
 class TimeVaryingSystem:
     n: int
@@ -124,7 +124,7 @@ class TimeVaryingSystem:
     name: str = ""
 
     def __post_init__(self):
-        a, b = self.interval
+        a, b = _checked_interval(self.interval)
         if not a < b:
             raise SpecFileError("interval must satisfy a < b")
         if not self.segments:
@@ -226,11 +226,11 @@ class TimeVaryingSystem:
     def constant(cls, A, interval=(0.0, 10.0), period=None, name=""):
         A = _as_matrix(A, "TimeVaryingSystem.constant")
         entries = [[float(v) for v in row] for row in A]
-        a, b = interval
+        a, b = _checked_interval(interval)
         return cls(
             n=A.shape[0],
-            interval=(float(a), float(b)),
-            segments=[Segment(float(a), float(b), entries)],
+            interval=(a, b),
+            segments=[Segment(a, b, entries)],
             period=period,
             name=name,
         )
@@ -281,11 +281,14 @@ def negative_minor_witness(A, i, j):
     the minor sits on rows {k,i}, columns {j,k} with j < k < i; the j > i+1
     case is the transpose picture. exp(s tau A), s = 1 / max(1, max |a_ij|),
     is ``transition_matrix`` of the constant sA to each tau in WITNESS_T_GRID.
-    A is checked by ``totalpos._as_matrix``; i, j outside 1..n or with
-    |i - j| <= 1 raise DimensionMismatch.
+    A is checked by ``totalpos._as_matrix``, and i and j by the count rule
+    (``signvar._checked_count``: an integer >= 0, else InvalidArgument);
+    i, j outside 1..n or with |i - j| <= 1 raise DimensionMismatch.
     """
     A = _as_matrix(A, "negative_minor_witness")
     n = A.shape[0]
+    _checked_count(i, "i")
+    _checked_count(j, "j")
     if not (1 <= i <= n and 1 <= j <= n and abs(i - j) > 1):
         raise DimensionMismatch(f"need 1 <= i, j <= {n} and |i - j| > 1, got i={i}, j={j}")
     t_scale = 1.0 / max(1.0, np.abs(A).max())

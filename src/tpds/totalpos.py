@@ -25,7 +25,7 @@ from .errors import (
     SpectralViolation,
     ZeroVector,
 )
-from .signvar import _allocatable, _check_finite, _checked_count, _real_array, _shown, _sign_rows, sign_counts, signs
+from .signvar import _allocatable, _check_finite, _checked_count, _real_array, _shown, _sign_rows, s_minus, s_plus, sign_counts
 
 EXHAUSTIVE_LIMIT = 10
 MINOR_REL_TOL = 1e-10
@@ -47,6 +47,15 @@ def _as_matrix(A, name, square=True, finite=True):
     if finite and not np.isfinite(A).all():
         raise NonFiniteInput(f"{name}: the matrix has a nan or infinite entry")
     return A
+
+
+@lru_cache(maxsize=None)
+def _bands(n):
+    """Masks of the far (|i - j| > 1) and near (|i - j| == 1) entries of n x n."""
+    d = abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    far, near = d > 1, d == 1
+    far.flags.writeable = near.flags.writeable = False  # shared through the cache
+    return far, near
 
 
 @lru_cache(maxsize=64)
@@ -442,7 +451,8 @@ def classify(A):
 
 
 def is_dominant_tridiagonal_TN(A):
-    """Diagonal-dominance test a_i >= b_i + c_{i-1} for tridiagonal matrices.
+    """Diagonal-dominance test a_i >= b_i + c_{i-1} for tridiagonal matrices,
+    with b_n = c_0 = 0, by one array comparison over the rows.
 
     Sufficient for TN, not necessary: True certifies a TN matrix, False
     says nothing. Nothing is enumerated. Anything but a nonempty square
@@ -453,19 +463,12 @@ def is_dominant_tridiagonal_TN(A):
         A = _as_matrix(A, "is_dominant_tridiagonal_TN")
     except DimensionMismatch as exc:
         raise NotTridiagonal(str(exc)) from exc
-    i = np.arange(A.shape[0])
-    if np.any(A[np.abs(i[:, None] - i) > 1] != 0):
+    if np.any(A[_bands(A.shape[0])[0]] != 0):
         raise NotTridiagonal("nonzero entry outside the three central diagonals")
     a, b, c = np.diag(A), np.diag(A, 1), np.diag(A, -1)
-    n = len(a)
     if np.any(b < 0) or np.any(c < 0):
         return False
-    for i in range(n):
-        bi = b[i] if i < n - 1 else 0.0
-        ci = c[i - 1] if i > 0 else 0.0
-        if a[i] < bi + ci:
-            return False
-    return True
+    return bool(np.all(a >= np.concatenate((b, [0.0])) + np.concatenate(([0.0], c))))
 
 
 def _eb(n, i, j, m):
@@ -623,31 +626,12 @@ def _ordered_spectrum(M):
     return vals, vecs
 
 
-def _svdp_counts(Sx, Sy):
-    """s-(x) and s+(y) of paired sign rows of x and y, from one sign_counts
-    call on both padded with zeros to one length: a trailing zero leaves s-
-    alone and adds exactly one to s+."""
-    n, m = Sx.shape[-1], Sy.shape[-1]
-    L = max(n, m)
-    S = np.zeros((2,) + Sx.shape[:-1] + (L,), dtype=int)
-    S[0, ..., :n] = Sx
-    S[1, ..., :m] = Sy
-    sm, sp = sign_counts(S)
-    return sm[0], sp[1] - (L - m)
-
-
-def _first_failure(Y, finite, fails):
-    """True when some row of Y fails. As when the rows were counted one at a
-    time, a row with a nan or inf entry before the first failing row raises
-    NonFiniteInput."""
-    bad = np.flatnonzero(~finite | fails)
-    if bad.size:
-        _check_finite(Y[: bad[0] + 1])
-    return bool(bad.size)
-
-
 def svdp_check(A, x, zero_tol=None):
-    """Evaluate the variation-diminishing inequality s+(Ax) <= s-(x)."""
+    """Evaluate the variation-diminishing inequality s+(Ax) <= s-(x).
+
+    Returns s_minus(x, zero_tol), s_plus(Ax, zero_tol) and whether the
+    bound holds, as int, int and bool. A non-finite x, then a non-finite
+    Ax, raises NonFiniteInput (``signs``)."""
     A = _as_matrix(A, "svdp_check", square=False, finite=False)
     x = _real_array(x, "x")
     if not np.any(x != 0):
@@ -656,8 +640,8 @@ def svdp_check(A, x, zero_tol=None):
         raise DimensionMismatch("incompatible shapes")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Ax raises in signs
         y = A @ x
-    sin, sout = _svdp_counts(signs(x, zero_tol), signs(y, zero_tol))
-    return int(sin), int(sout), bool(sout <= sin)
+    sin, sout = s_minus(x, zero_tol), s_plus(y, zero_tol)
+    return sin, sout, sout <= sin
 
 
 def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
@@ -666,7 +650,9 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     For U in R^{n x m} (m < n, full column rank) checks (a) whether all
     order-m minors are nonzero with one sign and (b) whether s+(Uc) <= m-1
     for `trials` random nonzero coefficient vectors, drawn as one
-    (trials, m) array and counted at once; trials must be an integer >= 1
+    (trials, m) array and counted by one ``sign_counts`` call. The first
+    row that fails the bound or has a nan or inf entry decides (b): a
+    non-finite one raises NonFiniteInput. trials must be an integer >= 1
     for which numpy can lay out the (trials, n) images
     (``signvar._allocatable``), else InvalidArgument. U reads as of
     deficient column rank, and raises RankDeficient, exactly when none of
@@ -693,11 +679,13 @@ def column_set_equivalence(U, trials=200, rng=None, zero_tol=None):
     while zero.any():  # every coefficient vector must be nonzero
         C[zero] = rng.standard_normal((int(zero.sum()), m))
         zero = ~C.any(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by _first_failure
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row raises below
         Y = (U @ C[..., None])[..., 0]  # row by row as U @ c rounds; C @ U.T does not
     S, finite = _sign_rows(Y, zero_tol)
-    bound_holds = not _first_failure(Y, finite, sign_counts(S)[1] > m - 1)
-    return same_sign, bound_holds
+    bad = np.flatnonzero(~finite | (sign_counts(S)[1] > m - 1))
+    if bad.size:  # a nan or inf row before the first failing one raises
+        _check_finite(Y[: bad[0] + 1])
+    return same_sign, not bad.size
 
 
 def strong_svdp_holds(A):

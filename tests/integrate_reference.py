@@ -12,15 +12,19 @@ y' = f(t, y), y any numpy array, and ``rk4_span`` takes [t0, t1] by it in
 ``integrate._step_count`` equal steps. The linear references below cut
 [t0, t1] at segment boundaries span by span and take each span by that
 stepper, with A evaluated four times per step.
+
+``exceptional_times`` and ``weak_svdp_reference`` are the per-sample
+scans that ``Trajectory`` took its cluster starts by, and
+``tn_weak_svdp_check`` its zero-run pairs, before both became array rules.
 """
 
 import math
 
 import numpy as np
 
-from tpds.errors import DomainError
+from tpds.errors import DomainError, MonotonicityViolation, NoApplicablePair
 from tpds.compound import add_compound
-from tpds.integrate import CHUNK_STEPS, _checked_grid, _checked_step, _increments, _step_count, _step_counts
+from tpds.integrate import CHUNK_STEPS, CLUSTER_GAP, _checked_grid, _checked_step, _increments, _step_count, _step_counts
 
 
 def rk4_steps(f):
@@ -185,3 +189,40 @@ def chunked_transitions(sys, grid, step):
         for g0 in range(0, len(grid) - 1, CHUNK_STEPS)
         for phi in windowed_transitions(sys, grid[g0 : g0 + CHUNK_STEPS + 1], step)[0]
     ]
+
+
+def exceptional_times(times, in_v_flags):
+    """The time of each exceptional cluster's first sample: non-V samples
+    less than CLUSTER_GAP samples apart form one cluster."""
+    clusters, last_bad = [], None
+    for k, in_v in enumerate(in_v_flags):
+        if not in_v:
+            if last_bad is None or k - last_bad >= CLUSTER_GAP:
+                clusters.append(times[k])
+            last_bad = k
+    return clusters
+
+
+def weak_svdp_reference(traj):
+    """tn_weak_svdp_check by its sample loop: each run of samples with
+    |z1| within the zero tolerance, by its first sample r, pairs with the
+    next sample s outside it, and the first pair without
+    s_plus(s) <= s_plus(r) - 1 raises with their two times."""
+    pairs = []
+    zero_at = None
+    for k, (z, tol) in enumerate(zip(traj.states, traj.zero_tols)):
+        if abs(z[0]) <= tol:
+            if zero_at is None:
+                zero_at = k
+        elif zero_at is not None:
+            pairs.append((zero_at, k))
+            zero_at = None
+    if not pairs:
+        raise NoApplicablePair("first coordinate never returned from zero")
+    for r, s in pairs:
+        if traj.sigma_plus[s] > traj.sigma_plus[r] - 1:
+            raise MonotonicityViolation(
+                "weak variation-diminishing drop failed",
+                [float(traj.times[r]), float(traj.times[s])],
+            )
+    return True

@@ -1,9 +1,10 @@
 """The column-loop dynamic program that computed sign counts before the
 closed-form ``tpds.signvar.sign_counts``; kept as the test reference, with
-per-vector loop references for the batched callers built on it, and the
-sampled check of s+(Ax) <= s-(x) over every sign pattern that
-strong_svdp_holds ran before it decided the bound by the theorem, now the
-oracle it is tested against."""
+per-vector loop references for the batched callers built on it, the
+padded count of s-(x) and s+(Ax) that svdp_check made before it called
+s_minus and s_plus, and the sampled check of s+(Ax) <= s-(x) over every
+sign pattern that strong_svdp_holds ran before it decided the bound by
+the theorem, now the oracle it is tested against."""
 
 import numpy as np
 
@@ -39,6 +40,30 @@ def counts(y, zero_tol=None):
     """(s_minus, s_plus) of one vector through the reference."""
     sm, sp = sign_counts(signs(y, zero_tol)[None])
     return int(sm[0]), int(sp[0])
+
+
+def svdp_counts(Sx, Sy):
+    """s-(x) and s+(y) of the sign vectors of x and y, from one
+    ``sign_counts`` call on both padded with zeros to one length: a
+    trailing zero leaves s- alone and adds exactly one to s+."""
+    n, m = len(Sx), len(Sy)
+    L = max(n, m)
+    S = np.zeros((2, L), dtype=int)
+    S[0, :n] = Sx
+    S[1, :m] = Sy
+    sm, sp = sign_counts(S)
+    return sm[0], sp[1] - (L - m)
+
+
+def svdp_check_reference(A, x, zero_tol=None):
+    """svdp_check's counts and verdict by the padded count, x's signs
+    taken (and its finiteness checked) before those of Ax; A and x are
+    taken as already checked."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.asarray(A, dtype=float) @ x
+    sin, sout = svdp_counts(signs(x, zero_tol), signs(y, zero_tol))
+    return int(sin), int(sout), bool(sout <= sin)
 
 
 def column_set_bound_reference(U, trials=200, rng=None, zero_tol=None):

@@ -360,6 +360,88 @@ def test_a_minor_index_is_an_integer_from_1(alpha, beta, error, message):
     assert tpds.minor(A, np.array([1, 2]), (np.int64(1), 2)) == -2.0
 
 
+TRAJECTORY_SHAPES = {
+    # AxisError from the row maxima
+    "1-d states": (lambda: tpds.Trajectory(np.arange(3.0), np.ones(3)), "(3,) and (3,)"),
+    # accepted, each sample a 2 x 2 stack counted as two rows
+    "stack": (lambda: tpds.Trajectory(np.arange(1.0), np.ones((1, 2, 2))), "(1,) and (1, 2, 2)"),
+    # accepted: to_csv wrote the one row at both times, and
+    # tn_weak_svdp_check answered True
+    "one row, two times": (lambda: tpds.Trajectory([0.0, 1.0], [[1.0, 2.0]]), "(2,) and (1, 2)"),
+    # ValueError from the row maxima
+    "no entries": (lambda: tpds.Trajectory(np.arange(2.0), np.ones((2, 0))), "(2,) and (2, 0)"),
+    # accepted, where a cluster time would be a 1-element array
+    "2-d times": (lambda: tpds.Trajectory(np.zeros((2, 1)), np.ones((2, 2))), "(2, 1) and (2, 2)"),
+}
+
+
+@pytest.mark.parametrize("call, shapes", TRAJECTORY_SHAPES.values(), ids=TRAJECTORY_SHAPES.keys())
+def test_a_trajectory_takes_one_state_row_per_time(call, shapes):
+    with pytest.raises(DimensionMismatch) as err:
+        call()
+    assert str(err.value) == f"times and states must have shapes (k,) and (k, n), n >= 1, got {shapes}"
+    # nested lists of that shape are states too (n raised AttributeError)
+    assert tpds.Trajectory([0.0, 1.0], [[1.0], [2.0]]).n == 1
+    assert tpds.Trajectory([], np.empty((0, 2))).exceptional_times == []
+
+
+W = np.array([[-1.0, 0.5, 0.0], [0.5, -1.0, 0.5], [1.0, 0.5, -1.0]])
+TYPED = {
+    # TypeError from range(), and from 1 <= "3"
+    "witness-float": (lambda: tpds.negative_minor_witness(W, 3.0, 1), InvalidArgument, "i must be an integer >= 0, got 3.0"),
+    "witness-text": (lambda: tpds.negative_minor_witness(W, "3", 1), InvalidArgument, "i must be an integer >= 0, got '3'"),
+    # was DimensionMismatch "need 1 <= i, j <= 3 ...", which index 0 still raises
+    "witness-negative": (lambda: tpds.negative_minor_witness(W, 3, -1), InvalidArgument, "j must be an integer >= 0, got -1"),
+    # ValueError "(1, 4) is not in list"
+    "entry-label": (
+        lambda: mult_compound(np.eye(3), 2).entry((1, 4), (1, 2)),
+        DimensionMismatch,
+        "no entry ((1, 4)|(1, 2)) in a compound of order 2",
+    ),
+    "entry-order": (
+        lambda: mult_compound(np.eye(3), 2).entry((1,), (1,)),
+        DimensionMismatch,
+        "no entry ((1,)|(1,)) in a compound of order 2",
+    ),
+    # ValueError "r must be non-negative", and TypeError from range()
+    "index_subsets-p": (lambda: tpds.index_subsets(3, -1), InvalidArgument, "p must be an integer >= 0, got -1"),
+    "index_subsets-n": (lambda: tpds.index_subsets(3.0, 1), InvalidArgument, "n must be an integer >= 0, got 3.0"),
+    # ValueError "could not convert string to float: 'a'", and
+    # "not enough values to unpack"
+    "constant-text": (
+        lambda: TimeVaryingSystem.constant([[1.0]], interval=(0, "a")),
+        InvalidArgument,
+        "interval must hold real numbers, got (0, 'a')",
+    ),
+    "random-text": (
+        lambda: tpds.random_tpds_system(2, interval=(0, "a")),
+        InvalidArgument,
+        "interval must hold real numbers, got (0, 'a')",
+    ),
+    "random-one": (
+        lambda: tpds.random_tpds_system(2, interval=(0,)),
+        DimensionMismatch,
+        "interval must be two numbers (a, b), got (0,)",
+    ),
+    # OverflowError "int too large to convert to float"
+    "constant-huge": (
+        lambda: TimeVaryingSystem.constant([[1.0]], interval=(0, 10**400)),
+        NonFiniteInput,
+        "interval has an entry too large for a float",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", TYPED.values(), ids=TYPED.keys())
+def test_indices_labels_and_intervals_raise_typed_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+    assert tpds.negative_minor_witness(W, np.int64(3), 1)[1:3] == ((2, 3), (1, 2))
+    assert tpds.index_subsets(np.int64(3), 0) == [()]
+    assert TimeVaryingSystem.constant([[1.0]], interval=[0, np.float32(0.5)]).interval == (0.0, 0.5)
+
+
 @pytest.mark.parametrize(
     "call",
     [

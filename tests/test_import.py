@@ -5,11 +5,11 @@ nonlinear CLI runs, which print the same under ``python -O``. Importing
 dependency of the tests and ``perfbench/`` alone. Importing ``tpds.cli``
 builds no argparse parser: ``cli.main`` builds it on its first call. The
 AST scans pin one owner for each shared kernel or reader: the minor
-kernel, the strict-sign rule, the exact elimination, the segment
-lattice, the expression compiler, the step check, the Liouville check
-(and the one integration of ``tpds simulate``), and ``is_geb`` as a
-test oracle only; and they keep sampled verdicts and ``matrix_rank`` out
-of the library."""
+kernel, the sign-count kernel, the strict-sign rule, the exact
+elimination, the segment lattice, the expression compiler, the step
+check, the Liouville check (and the one integration of ``tpds
+simulate``), and ``is_geb`` as a test oracle only; and they keep sampled
+verdicts and ``matrix_rank`` out of the library."""
 
 import ast
 import os
@@ -294,6 +294,25 @@ def longdouble_scopes():
             with open(os.path.join(root, name)) as fh:
                 visit(ast.parse(fh.read(), name), name[:-3])
     return scopes
+
+
+def test_one_sign_count_kernel():
+    # every sign count goes through signvar.sign_counts (or v_counts on top
+    # of it); signs are classified by _sign_rows, by Trajectory with its
+    # per-sample zero tolerance, and by eventual_monotonicity, which tests
+    # where one difference changes sign and counts nothing
+    calls = library_calls({"sign_counts", "sign"})
+    assert {scope for name, scope in calls if name == "def sign_counts"} == {"signvar"}
+    assert {scope for name, scope in calls if name == "sign"} == {
+        "signvar._sign_rows",
+        "integrate.Trajectory.__post_init__",
+        "nonlinear.eventual_monotonicity",
+    }
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tpds")
+    with open(os.path.join(root, "totalpos.py")) as fh:
+        tree = ast.parse(fh.read(), "totalpos.py")
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "classify" in defined and not [name for name in defined if name.endswith("_counts")]
 
 
 def test_long_double_is_asked_for_only_where_a_determinant_is_read():

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import integrate_reference
 import signvar_reference as ref
@@ -272,6 +273,77 @@ def test_trajectory_one_coordinate_zero_state_is_not_in_V():
     assert traj.in_V_flags == [False, True]
     assert traj.exceptional_times == [0.0]
     assert [in_V(z) for z in traj.states] == traj.in_V_flags
+
+
+@st.composite
+def sampled_runs(draw):
+    """(times, states) of up to 30 samples of n = 1..4 entries, with zeros,
+    entries within the running zero tolerance and sign changes; the times a
+    float array, a list of floats or a list of ints."""
+    n = draw(st.integers(1, 4))
+    entries = st.sampled_from([-2.0, -1.0, -1e-12, 0.0, 1e-12, 1.0, 3.0])
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=30))
+    k = len(rows)
+    times = draw(st.sampled_from([0.5 * np.arange(k), [0.5 * i for i in range(k)], list(range(k))]))
+    return times, np.array(rows, dtype=float).reshape(k, n)
+
+
+RUN_EDGES = [
+    ([0.0, 1.0, 2.0], np.ones((3, 2))),  # no non-V sample, and z1 never zero
+    ([0, 1, 2, 3, 4], np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0], [0.0, -1.0]])),  # a zero run at the end
+    (np.arange(4.0), np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0], [1.0, -1.0]])),  # the second pair fails
+    (np.arange(5.0), np.array([[0.0], [1.0], [0.0], [0.0], [-1.0]])),  # n = 1
+    (np.arange(0.0), np.empty((0, 3))),
+]
+
+
+def weak_outcome(call):
+    try:
+        return call()
+    except (MonotonicityViolation, NoApplicablePair) as exc:  # type, message and pair are the outcome
+        return type(exc).__name__, str(exc), getattr(exc, "times", None)
+
+
+def with_edges(test):
+    for times, states in RUN_EDGES:
+        test = example(run=(times, states))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=sampled_runs())
+@with_edges
+def test_cluster_starts_match_the_sample_scan(run):
+    # one array rule gives the scan's cluster starts, as times[k] of the
+    # caller's own element type
+    traj = Trajectory(*run)
+    want = integrate_reference.exceptional_times(run[0], traj.in_V_flags)
+    assert traj.exceptional_times == want
+    assert [type(t) for t in traj.exceptional_times] == [type(t) for t in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=sampled_runs())
+@with_edges
+def test_weak_svdp_pairs_match_the_sample_scan(run):
+    # the edges of one diff pair each zero run with the sample after it:
+    # the same verdict, exception, message and first failing pair
+    traj = Trajectory(*run)
+    assert weak_outcome(lambda: tn_weak_svdp_check(traj)) == weak_outcome(
+        lambda: integrate_reference.weak_svdp_reference(traj)
+    )
+
+
+def test_the_run_edges_reach_every_outcome():
+    outcomes = [weak_outcome(lambda: tn_weak_svdp_check(Trajectory(*run))) for run in RUN_EDGES]
+    assert outcomes == [
+        ("NoApplicablePair", "first coordinate never returned from zero", None),
+        True,
+        ("MonotonicityViolation", "weak variation-diminishing drop failed", (2.0, 3.0)),
+        ("MonotonicityViolation", "weak variation-diminishing drop failed", (0.0, 1.0)),  # s_plus is 0 at n = 1
+        ("NoApplicablePair", "first coordinate never returned from zero", None),
+    ]
+    assert [Trajectory(*run).exceptional_times for run in RUN_EDGES] == [[], [1], [0.0], [0.0], []]
 
 
 @pytest.mark.parametrize("grid", [[0.0, 1.5], [0.5, 0.2], [-1e-9, 0.5], [0.0, np.nan]])

@@ -327,6 +327,59 @@ def test_column_set_bound_matches_per_trial_loop():
     assert seen == {False, "NonFiniteInput"}
 
 
+SIGN_ENTRIES = [-2.0, -1.0, -1e-12, -0.0, 0.0, 1e-12, 1e-3, 1.0, 3.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    data=st.data(),
+    zero_tol=st.sampled_from([None, 0.0, 1e-3, 5.0]),
+)
+def test_svdp_check_matches_the_padded_count(m, n, data, zero_tol):
+    # s_minus(x) and s_plus(Ax) give the padded count's ints and verdict on
+    # every shape, square or not, and raise where it raised: x's nan first,
+    # then a non-finite Ax
+    entries = st.sampled_from(SIGN_ENTRIES + [1e308, -1e308, np.nan])
+    A = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)))
+    x = np.array(data.draw(st.lists(st.sampled_from(SIGN_ENTRIES + [np.nan]), min_size=n, max_size=n)))
+    if not np.any(x != 0):
+        x[0] = 1.0  # a zero x raises ZeroVector before any count
+    got = outcome(lambda: svdp_check(A, x, zero_tol))
+    assert got == outcome(lambda: ref.svdp_check_reference(A, x, zero_tol))
+    if not isinstance(got[0], str):
+        assert [type(v) for v in got] == [int, int, bool]
+
+
+def dominance_loop(A):
+    """is_dominant_tridiagonal_TN's verdict by its row loop, on a checked
+    tridiagonal A."""
+    a, b, c = np.diag(A), np.diag(A, 1), np.diag(A, -1)
+    n = len(a)
+    if np.any(b < 0) or np.any(c < 0):
+        return False
+    for i in range(n):
+        bi = b[i] if i < n - 1 else 0.0
+        ci = c[i - 1] if i > 0 else 0.0
+        if a[i] < bi + ci:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_dominant_tridiagonal_matches_the_row_loop(n, data):
+    # one array comparison, a >= (b, 0) + (0, c), decides as
+    # the loop did, on ties and on sums that round
+    values = st.sampled_from([-1.0, -0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1e16, 2.0])
+    A = np.diag(data.draw(st.lists(values, min_size=n, max_size=n)))
+    if n > 1:
+        A += np.diag(data.draw(st.lists(values, min_size=n - 1, max_size=n - 1)), 1)
+        A += np.diag(data.draw(st.lists(values, min_size=n - 1, max_size=n - 1)), -1)
+    assert is_dominant_tridiagonal_TN(A) is dominance_loop(A)
+
+
 def svdp_family(name, n, seed):
     if name == "tp":
         return random_tp(n, rng=seed)
