@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, OrderOutOfRange
+from .errors import DimensionMismatch, InvalidArgument, OrderOutOfRange
 from .signvar import _checked_count, _real_array, _shown
 from .totalpos import _as_matrix, _minors
 
@@ -34,10 +34,15 @@ class CompoundMatrix:
     index_map: list
 
     def entry(self, alpha, beta):
-        """Entry (alpha|beta); a label that is not a p-subset of {1..n},
-        in order, raises DimensionMismatch."""
+        """Entry (alpha|beta); a label that is not a sequence raises
+        InvalidArgument, as ``minor``'s index tuples do, and one that is not
+        a p-subset of {1..n}, in order, DimensionMismatch."""
         try:
-            i, j = self.index_map.index(tuple(alpha)), self.index_map.index(tuple(beta))
+            alpha, beta = tuple(alpha), tuple(beta)
+        except TypeError:  # "'int' object is not iterable"
+            raise InvalidArgument(f"entry: index tuples must be sequences, got {_shown(alpha)}, {_shown(beta)}") from None
+        try:
+            i, j = self.index_map.index(alpha), self.index_map.index(beta)
         except ValueError:  # "x is not in list"
             raise DimensionMismatch(f"no entry ({_shown(alpha)}|{_shown(beta)}) in a compound of order {self.order}") from None
         return self.entries[i, j]

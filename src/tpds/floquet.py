@@ -14,8 +14,8 @@ from .errors import (
     NotPeriodic,
     SpectralViolation,
 )
-from .integrate import _checked_horizon, _grid, simulate_linear, transition_matrix
-from .signvar import _real_array
+from .integrate import _checked_horizon, _grid, _transition, simulate_linear
+from .signvar import _checked_count, _real_array
 from .totalpos import _ordered_spectrum
 
 SAMPLES_PER_PERIOD = 200
@@ -33,6 +33,10 @@ class FloquetData:
 def floquet(sys, step=None):
     """Monodromy matrix Phi(T, 0) and its ordered spectral data.
 
+    Phi(T, 0) is transition_matrix's, with its checks and raises, but its
+    propagators are multiplied in double (``integrate._transition``):
+    floquet reads eigenvalues and no determinant, so it needs no long
+    double, and its floats are the same wherever long double differs.
     Multipliers must come out real, positive and strictly separated, and
     eigenvector k must carry exactly k-1 sign changes; anything else raises
     FloquetViolation (misclassified system or failed numerics).
@@ -40,7 +44,7 @@ def floquet(sys, step=None):
     if sys.period is None:
         raise NotPeriodic("system carries no period")
     T = sys.period
-    B = transition_matrix(sys, 0.0, T, step).phi
+    B = _transition(sys, 0.0, T, step, float).phi
     try:
         vals, vecs = _ordered_spectrum(B)
     except SpectralViolation as exc:
@@ -52,10 +56,13 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
     """Evolution of z(0) = sum_k c_k p^k with the sign-count band enforced.
 
     `coeffs` maps 1-based mode numbers to coefficients (dict) or is a dense
-    sequence c_1..c_n. With i [j] the lowest [highest] mode carrying a
-    nonzero coefficient, the sampled count must stay in [i-1, j-1] (at most
-    j-i exceptional clusters) and settle at i-1 over the last 10% of the
-    horizon, which ``integrate._checked_horizon`` checks against the interval.
+    sequence c_1..c_n. A mode number is an integer >= 0 by the count rule
+    (``signvar._checked_count``), so True, 1.0 or -1 raises InvalidArgument,
+    and one outside 1..n DimensionMismatch. With i [j] the lowest
+    [highest] mode carrying a nonzero coefficient, the sampled count must
+    stay in [i-1, j-1] (at most j-i exceptional clusters) and settle at i-1
+    over the last 10% of the horizon, which ``integrate._checked_horizon``
+    checks against the interval.
     The samples are SAMPLES_PER_PERIOD intervals per period and the
     endpoint, so a horizon of k periods lays out 200 k + 1 samples on a
     grid that repeats mod T, where ``simulate_linear`` integrates one period.
@@ -66,6 +73,8 @@ def floquet_mode_evolution(sys, fd, coeffs, horizon, step=None):
     """
     n = fd.monodromy.shape[0]
     if isinstance(coeffs, dict):
+        for k in coeffs:
+            _checked_count(k, "mode number")
         if not set(coeffs) <= set(range(1, n + 1)):
             raise DimensionMismatch(f"mode numbers must lie in 1..{n}, got {list(coeffs)}")
         coeffs = [coeffs.get(k, 0.0) for k in range(1, n + 1)]

@@ -10,8 +10,9 @@ window of steps, and the windows in step order, several windows to a block
 of stacked matrices. One function,
 ``_transitions``, lays out and multiplies the steps of a grid, in double
 unless its caller asks for long double: ``transition_matrix`` does, since
-its Liouville check reads the determinant of Phi, and trajectories and
-both routes of the compound flow, which read no determinant, do not. The
+its Liouville check reads the determinant of Phi, and trajectories, the
+monodromy of ``floquet`` and both routes of the compound flow, which read
+no determinant, do not. The
 flag of ``tpds simulate`` multiplies the interval transition matrices of
 its trajectory in long double (``trajectory_record``), and integrates
 nothing twice. A run on a grid
@@ -255,7 +256,9 @@ def _transitions(sys, grid, step, p=None, dtype=float):
     once, a short last window padded with zero increments. A block whose
     steps fill every slot keeps its increments as built; only a block
     with empty slots lays them out among zero increments. Each interval
-    starts from its first window's product, I + P, with no product by I.
+    starts from its first window's product, I + P, with no product by I
+    and I broadcast over the intervals, not tiled; only a grid with no
+    step at all returns a tiled, writable I per interval.
     So a one-period Phi of 1,000 steps is one block of 4 windows at n = 2
     or 3, and 2 blocks of 2 at n = 4, and from n = 5 a block is one
     window. The block
@@ -266,7 +269,8 @@ def _transitions(sys, grid, step, p=None, dtype=float):
 
     The increments and the products are in dtype, double or long double,
     and each interval's product is rounded to double once. Only a caller
-    that reads det Phi asks for long double (``transition_matrix``): the
+    that reads det Phi asks for long double (``transition_matrix``, not
+    ``floquet``, which shares its ``_transition`` in double): the
     products in double come out 2-13 ulps from an RK4 loop in long double,
     which moves the determinant of an ill-conditioned Phi by 1e-6 to 1e-4
     per ulp. Where long double is double, both are double."""
@@ -282,9 +286,10 @@ def _transitions(sys, grid, step, p=None, dtype=float):
     span_first = np.cumsum(count) - count  # each span's first step
     width = max(1, CHUNK_STEPS // lanes)  # the steps of a window
     windows = max(1, BLOCK_ENTRIES // (lanes * width * m * m))  # the windows of a block
-    phi = np.tile(np.eye(m, dtype=dtype), (lanes, 1, 1))
     integral = np.zeros(lanes)
     most = total.max()
+    if not most:  # no steps: each transition matrix is I
+        return np.tile(np.eye(m), (lanes, 1, 1)), integral
     for k0 in range(0, most, windows * width):
         cols = min(windows * width, most - k0)
         w = -(-cols // width)  # a last block's windows, the last of them may be short
@@ -313,7 +318,7 @@ def _transitions(sys, grid, step, p=None, dtype=float):
         sums = np.bincount(lane * w + col // width, terms, lanes * w)  # each window's, in step order
         products = D[:, 0].reshape(lanes, w, m, m)
         for i in range(w):
-            phi = phi + (products[:, i] if k0 == i == 0 else products[:, i] @ phi)
+            phi = (np.eye(m, dtype=dtype) + products[:, i]) if k0 == i == 0 else phi + products[:, i] @ phi
             integral += sums[i::w]
     return phi.astype(float, copy=False), integral
 
@@ -322,17 +327,31 @@ def _increments(C0, Cm, C1, h, dtype):
     """P - I for RK4's propagators P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), from
     the coefficients C0, Cm, C1 at each step's start, midpoint and end:
     K1 = C0, K2 = Cm (I + h/2 K1), K3 = Cm (I + h/2 K2) and K4 = C1 (I + h
-    K3). The first-order part h/6 (C0 + 4 Cm + C1) is summed in dtype,
+    K3). The first-order part h/6 (4 Cm + C0 + C1) is summed in dtype,
     double or long double (``_transitions``); the rest, about h ||C|| times
-    smaller, is taken in double and added to it."""
-    X2 = (h / 2) * (Cm @ C0)  # K2 - Cm
-    X3 = (h / 2) * (Cm @ (Cm + X2))  # K3 - Cm
-    X4 = h * (C1 @ (Cm + X3))  # K4 - C1
-    D = C0.astype(dtype)
-    D += 4 * Cm
+    smaller, h/6 (2 (X2 + X3) + X4) with X2 = K2 - Cm, X3 = K3 - Cm and
+    X4 = K4 - C1, is taken in double and added to it. The stacks are
+    scaled and summed in place, with the floats of the expression written
+    one temporary per operation (``tests/integrate_reference.py``):
+    4 Cm + C0 is C0 + 4 Cm, and 2 (X2 + X3) is 2 X2 + 2 X3, since scaling
+    by 2 commutes with rounding."""
+    X2 = Cm @ C0
+    X2 *= h / 2  # K2 - Cm
+    Y = Cm + X2
+    X3 = Cm @ Y
+    X3 *= h / 2  # K3 - Cm
+    np.add(Cm, X3, out=Y)
+    X4 = C1 @ Y
+    X4 *= h  # K4 - C1
+    D = (4 * Cm).astype(dtype, copy=False)
+    D += C0
     D += C1
     D *= h.astype(dtype) / 6
-    D += (h / 6) * (2 * X2 + 2 * X3 + X4)
+    X2 += X3
+    X2 *= 2
+    X2 += X4
+    X2 *= h / 6
+    D += X2
     return D
 
 
@@ -380,12 +399,26 @@ def _liouville(t0, t, phi, integral, step):
     return TransitionRecord(t0, t, phi, det_phi, det_pred, suspect)
 
 
+def _transition(sys, t0, t, step, dtype):
+    """The TransitionRecord of Phi(t, t0) with its propagators multiplied
+    in dtype (``_transitions``): the span checked (``_checked_span``), then
+    the step (``_checked_step``), and the record, or its raise, from the
+    one Liouville check (``_liouville``). ``transition_matrix`` asks for
+    long double, since it reads det Phi; ``floquet``, which reads the
+    eigenvalues of Phi and no determinant, for double."""
+    t0, t = _checked_span(sys, t0, t)
+    step = _checked_step(step, *sys.interval)
+    phi, integral = _transitions(sys, [t0, t], step, dtype=dtype)
+    return _liouville(t0, t, phi[0], integral[0], step)
+
+
 def transition_matrix(sys, t0, t, step=None):
     """Transition matrix Phi(t, t0) of z' = A(s) z by fixed-step RK4.
 
     The steps follow the one step-count rule per segment span, and the
     propagators are multiplied in long double, since the Liouville check
-    below reads det Phi.
+    below reads det Phi (``_transition``; ``floquet`` takes the same
+    record in double).
     A is evaluated at each step's three stage times, 3N times for a span of
     N steps, by one array ``matrix_at`` call per segment and block of
     steps; the steps' propagators are built as stacks and multiplied
@@ -400,13 +433,10 @@ def transition_matrix(sys, t0, t, step=None):
     time, else InvalidArgument or DimensionMismatch, with t0 <= t, both in
     [a, b] up to 1e-12 (``_within``), else OutOfInterval.
     """
-    t0, t = _checked_span(sys, t0, t)
-    step = _checked_step(step, *sys.interval)
     # long double: det Phi, which the Liouville check reads, moves by 1e-6
     # to 1e-4 per ulp of an ill-conditioned Phi's entries, and products in
     # double are 2-13 ulps off the RK4 loop in long double
-    phi, integral = _transitions(sys, [t0, t], step, dtype=np.longdouble)
-    return _liouville(t0, t, phi[0], integral[0], step)
+    return _transition(sys, t0, t, step, np.longdouble)
 
 
 @dataclass
@@ -549,7 +579,10 @@ def _linear_run(sys, z0, grid, step, tpds):
     """``simulate_linear``'s trajectory, with the checked step, the stack of
     the len(grid) - 1 interval transition matrices that produced its
     samples, cycled on a grid that repeats mod the period, and their trace
-    integrals, cycled alike."""
+    integrals, cycled alike. Each state is its interval's transition
+    matrix times the state before it, one ``dot`` per sample written into
+    its row of the state array: the call and the floats of assigning each
+    product, with no array made per sample."""
     z0 = _checked_state(z0, sys.n, "z0")
     if not np.any(z0):
         raise TrivialSolution("z0 = 0 yields the trivial solution")
@@ -563,10 +596,10 @@ def _linear_run(sys, z0, grid, step, tpds):
         cycled = np.arange(len(grid) - 1) % m
         phis, integrals = phis[cycled], integrals[cycled]
     states = np.empty((len(grid), sys.n))
-    states[0] = z = z0
+    states[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises below
-        for k, phi in enumerate(phis, 1):
-            states[k] = z = phi.dot(z)
+        for phi, z, row in zip(phis, states, states[1:]):
+            phi.dot(z, out=row)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         t = float(grid[np.argmin(finite)])

@@ -13,6 +13,11 @@ y' = f(t, y), y any numpy array, and ``rk4_span`` takes [t0, t1] by it in
 [t0, t1] at segment boundaries span by span and take each span by that
 stepper, with A evaluated four times per step.
 
+``increments`` is ``integrate._increments`` as it was written before it
+scaled and summed its stacks in place, one temporary per operation, and
+``sequential_states`` the state loop of ``integrate._linear_run`` before
+it wrote each state into its row.
+
 ``exceptional_times`` and ``weak_svdp_reference`` are the per-sample
 scans that ``Trajectory`` took its cluster starts by, and
 ``tn_weak_svdp_check`` its zero-run pairs, before both became array rules.
@@ -24,7 +29,7 @@ import numpy as np
 
 from tpds.errors import DomainError, MonotonicityViolation, NoApplicablePair
 from tpds.compound import add_compound
-from tpds.integrate import CHUNK_STEPS, CLUSTER_GAP, _checked_grid, _checked_step, _increments, _step_count, _step_counts
+from tpds.integrate import CHUNK_STEPS, CLUSTER_GAP, _checked_grid, _checked_step, _step_count, _step_counts
 
 
 def rk4_steps(f):
@@ -136,6 +141,32 @@ def transition_long_double(sys, t0, t, step=None):
     return y
 
 
+def increments(C0, Cm, C1, h, dtype):
+    """P - I of each step's RK4 propagator from C at its start, midpoint and
+    end: the first-order part h/6 (C0 + 4 Cm + C1) summed in dtype, the rest
+    h/6 (2 X2 + 2 X3 + X4) in double."""
+    X2 = (h / 2) * (Cm @ C0)  # K2 - Cm
+    X3 = (h / 2) * (Cm @ (Cm + X2))  # K3 - Cm
+    X4 = h * (C1 @ (Cm + X3))  # K4 - C1
+    D = C0.astype(dtype)
+    D += 4 * Cm
+    D += C1
+    D *= h.astype(dtype) / 6
+    D += (h / 6) * (2 * X2 + 2 * X3 + X4)
+    return D
+
+
+def sequential_states(phis, z0):
+    """z0, then each state the transition matrix of its interval applied to
+    the state before it, one ``dot`` per sample; overflow is kept."""
+    states = np.empty((len(phis) + 1, len(z0)))
+    states[0] = z = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, phi in enumerate(phis, 1):
+            states[k] = z = phi.dot(z)
+    return states
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def windowed_transitions(sys, grid, step, p=None, dtype=float):
     """``integrate._transitions`` with one product window per block: each
@@ -167,7 +198,7 @@ def windowed_transitions(sys, grid, step, p=None, dtype=float):
         A = sys._matrices((k * (h[:, None] / 2) + starts[span, None]).ravel(), segment[span].repeat(3))
         C = (A if p is None else add_compound(A, p).entries).reshape(-1, 3, m, m)
         D = np.zeros(real.shape + (m, m), dtype=dtype)
-        D[real] = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None], dtype)
+        D[real] = increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None], dtype)
         while D.shape[1] > 1:  # (I + B)(I + A) = I + (A + B + B A), pairwise
             if D.shape[1] % 2:
                 D = np.concatenate([D, np.zeros_like(D[:, :1])], axis=1)

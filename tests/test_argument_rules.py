@@ -386,6 +386,13 @@ def test_a_trajectory_takes_one_state_row_per_time(call, shapes):
 
 
 W = np.array([[-1.0, 0.5, 0.0], [0.5, -1.0, 0.5], [1.0, 0.5, -1.0]])
+
+
+def mode_evolution(coeffs):
+    si = tpds.shipped("sinusoidal2").system
+    return tpds.floquet_mode_evolution(si, tpds.floquet(si, step=0.05), coeffs, horizon=si.period)
+
+
 TYPED = {
     # TypeError from range(), and from 1 <= "3"
     "witness-float": (lambda: tpds.negative_minor_witness(W, 3.0, 1), InvalidArgument, "i must be an integer >= 0, got 3.0"),
@@ -403,6 +410,23 @@ TYPED = {
         DimensionMismatch,
         "no entry ((1,)|(1,)) in a compound of order 2",
     ),
+    # TypeError "'int' object is not iterable", and "'NoneType' ..."
+    "entry-int": (
+        lambda: mult_compound(np.eye(3), 2).entry(1, 2),
+        InvalidArgument,
+        "entry: index tuples must be sequences, got 1, 2",
+    ),
+    "entry-none": (
+        lambda: mult_compound(np.eye(3), 2).entry(None, None),
+        InvalidArgument,
+        "entry: index tuples must be sequences, got None, None",
+    ),
+    # read as mode 1, since True == 1 and 1.0 == 1 in the set test
+    "mode-bool": (lambda: mode_evolution({True: 1.0}), InvalidArgument, "mode number must be an integer >= 0, got True"),
+    "mode-float": (lambda: mode_evolution({1.0: 1.0}), InvalidArgument, "mode number must be an integer >= 0, got 1.0"),
+    # was DimensionMismatch "mode numbers must lie in 1..2", which mode 0 still raises
+    "mode-negative": (lambda: mode_evolution({-1: 1.0}), InvalidArgument, "mode number must be an integer >= 0, got -1"),
+    "mode-zero": (lambda: mode_evolution({0: 1.0}), DimensionMismatch, "mode numbers must lie in 1..2, got [0]"),
     # ValueError "r must be non-negative", and TypeError from range()
     "index_subsets-p": (lambda: tpds.index_subsets(3, -1), InvalidArgument, "p must be an integer >= 0, got -1"),
     "index_subsets-n": (lambda: tpds.index_subsets(3.0, 1), InvalidArgument, "n must be an integer >= 0, got 3.0"),
@@ -438,6 +462,8 @@ def test_indices_labels_and_intervals_raise_typed_errors(call, error, message):
         call()
     assert str(err.value) == message
     assert tpds.negative_minor_witness(W, np.int64(3), 1)[1:3] == ((2, 3), (1, 2))
+    assert mult_compound(np.eye(3), 2).entry([1, 2], np.array([1, 2])) == 1.0
+    assert len(mode_evolution({np.int64(1): 1.0}).times) == 201
     assert tpds.index_subsets(np.int64(3), 0) == [()]
     assert TimeVaryingSystem.constant([[1.0]], interval=[0, np.float32(0.5)]).interval == (0.0, 0.5)
 

@@ -6,6 +6,7 @@ import importlib
 import numpy as np
 import pytest
 
+from floquet_reference import floquet_long_double
 from tpds import (
     TimeVaryingSystem,
     Trajectory,
@@ -150,6 +151,38 @@ def test_random_periodic_tpds_invariants():
         assert np.all(fd.multipliers > 0)
         assert np.all(np.diff(fd.multipliers) < 0)
         assert fd.sign_counts == [0, 1, 2]
+
+
+def eigenvalue_conditions(B):
+    """kappa_k = ||y_k|| ||x_k|| / |y_k^H x_k| of B's eigenvalues, largest
+    real part first: the factor by which a perturbation of B moves each."""
+    w, X = np.linalg.eig(B)
+    Y = np.linalg.inv(X).conj().T
+    order = np.argsort(-w.real)
+    X, Y = X[:, order], Y[:, order]
+    return np.linalg.norm(X, axis=0) * np.linalg.norm(Y, axis=0) / np.abs(np.sum(Y.conj() * X, axis=0))
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [shipped("schwarz3").system, shipped("sinusoidal2").system]
+    + [random_tpds_system(n, rng=seed) for n in range(2, 7) for seed in range(16)],
+    ids=lambda s: s.name or f"random{s.n}",
+)
+def test_the_double_monodromy_keeps_the_long_double_verdicts(sys):
+    # floquet multiplies the propagators in double; the product in long
+    # double, rounded once, is a few ulps away, so each multiplier moves
+    # by at most its condition number times that, and no verdict moves
+    try:
+        want = floquet_long_double(sys)
+    except FloquetViolation:
+        with pytest.raises(FloquetViolation):
+            floquet(sys)
+        return
+    got = floquet(sys)
+    assert got.sign_counts == want.sign_counts
+    bound = 64 * np.finfo(float).eps * np.linalg.norm(got.monodromy, 2) * eigenvalue_conditions(got.monodromy)
+    assert np.all(np.abs(got.multipliers - want.multipliers) <= bound)
 
 
 def constructed(monkeypatch, states_of):

@@ -332,15 +332,26 @@ def test_the_compound_cross_check_reads_phi_in_double():
 
 def test_tpds_simulate_integrates_once():
     # the flag reads the interval transition matrices that produced the
-    # samples, through the one Liouville check of transition_matrix
+    # samples, through the one Liouville check of transition_matrix, which
+    # it takes from _transition, the record floquet shares
     calls = library_calls({"transition_matrix", "trajectory_record", "_liouville"})
     assert not any(scope.startswith("cli.cmd_simulate") for name, scope in calls if name == "transition_matrix")
     assert ("trajectory_record", "cli.cmd_simulate") in calls
     assert {scope for name, scope in calls if name == "_liouville"} == {
-        "integrate.transition_matrix",
+        "integrate._transition",
         "integrate.trajectory_record",
         "integrate.compound_transition",
     }
+
+
+def test_floquet_takes_the_monodromy_in_double():
+    # floquet reads the eigenvalues of Phi(T, 0) and no determinant, so it
+    # takes the record of transition_matrix's helper in double, not
+    # transition_matrix's in long double
+    calls = library_calls({"transition_matrix", "_transition"})
+    assert not any(scope.startswith("floquet.") for name, scope in calls if name == "transition_matrix")
+    assert {scope for name, scope in calls if name == "_transition"} == {"integrate.transition_matrix", "floquet.floquet"}
+    assert not any(scope.startswith("floquet.") for scope in longdouble_scopes())
 
 
 def test_a_step_is_checked_only_where_a_flow_takes_it():

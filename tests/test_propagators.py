@@ -21,7 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import integrate_reference as ref
 from test_integrate import linear_systems
@@ -42,7 +42,16 @@ from tpds import (
     transition_matrix,
 )
 from tpds.errors import DomainError, IntegrationSuspect, InvalidArgument
-from tpds.integrate import CHUNK_STEPS, Trajectory, _checked_step, _interval_transitions, _step_count, _transitions
+from tpds.integrate import (
+    CHUNK_STEPS,
+    Trajectory,
+    _checked_step,
+    _increments,
+    _interval_transitions,
+    _linear_run,
+    _step_count,
+    _transitions,
+)
 
 LONG_DOUBLE_IS_DOUBLE = np.finfo(np.longdouble).eps == np.finfo(float).eps
 
@@ -255,6 +264,91 @@ def test_blocks_of_windows_give_the_floats_of_one_window_per_block(kind, lanes, 
     want = ref.windowed_transitions(sys, grid, step, p, dtype)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+# entries of C and z0 beside ordinary numbers: signed zeros, subnormals,
+# and magnitudes whose products overflow to inf (and inf - inf to nan)
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+
+
+def special_entries(rng, shape, special, share):
+    """Uniform entries in [-4, 4], each replaced by one of ``special`` with
+    probability ``share``."""
+    x = rng.uniform(-4.0, 4.0, shape)
+    pick = rng.random(shape) < share
+    x[pick] = rng.choice(special, pick.sum())
+    return x
+
+
+def value_bytes(x):
+    """The bytes that hold x's values: an x87 long double takes 10 of the
+    16 bytes numpy lays it out in, and the rest are padding."""
+    width = 10 if x.dtype == np.longdouble and np.finfo(np.longdouble).nmant == 63 else x.dtype.itemsize
+    return np.ascontiguousarray(x).view(np.uint8).reshape(x.size, -1)[:, :width].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4, 5, 6, 10, 15]),
+    st.integers(1, 4),
+    st.sampled_from([float, np.longdouble]),
+    st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_increments_give_the_floats_of_the_expression(m, steps, dtype, share, nan, seed):
+    # scaled and summed in place, with 4 Cm + C0 for C0 + 4 Cm and
+    # 2 (X2 + X3) for 2 X2 + 2 X3, the increments are the expression's,
+    # byte for byte, in double and in long double; C is sliced from a
+    # (steps, 3, m, m) stack, as _transitions slices it
+    rng = np.random.default_rng(seed)
+    C = special_entries(rng, (steps, 3, m, m), SPECIAL + [math.nan] * nan, share)
+    h = rng.uniform(1e-3, 1.0, steps)[:, None, None]
+    with np.errstate(all="ignore"):
+        got = _increments(C[:, 0], C[:, 1], C[:, 2], h, dtype)
+        want = ref.increments(C[:, 0], C[:, 1], C[:, 2], h, dtype)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert value_bytes(got) == value_bytes(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([2, 3, 40, 300]), st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2**32 - 1))
+@example(n=3, samples=300, share=1.0, seed=0)  # schwarz3's growth takes 1e300 past the largest double
+def test_states_written_in_place_are_the_sequential_loop(n, samples, share, seed):
+    # each state is the dot of its interval's transition matrix with the
+    # state before it, written into its row: the same BLAS call as the
+    # loop that assigned each product, so the floats are the same, and a
+    # state that overflows raises with the loop's first non-finite time
+    rng = np.random.default_rng(seed)
+    sys = shipped("schwarz3").system if n == 3 else random_tpds_system(n, rng=rng)  # schwarz3 grows like e^(1.73 t)
+    grid = np.linspace(*sys.interval, samples)
+    z0 = special_entries(rng, n, SPECIAL, share)
+    assume(np.any(z0))
+    step = _checked_step(None, *sys.interval)
+    want = ref.sequential_states(_interval_transitions(sys, grid, step), z0)
+    finite = np.isfinite(want).all(axis=1)
+    if not finite.all():
+        with pytest.raises(IntegrationSuspect) as err:
+            simulate_linear(sys, z0, grid)
+        assert str(err.value) == f"the state became non-finite by t={float(grid[np.argmin(finite)])} from a finite z0"
+        return
+    traj, _, phis, _ = _linear_run(sys, z0, grid, None, False)
+    assert traj.states.tobytes() == ref.sequential_states(phis, z0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [None, 2])
+def test_a_grid_with_no_step_gives_writable_identities(p):
+    # with no step to multiply, _transitions lays out the identities itself
+    sys = shipped("switched").system
+    m = 4 if p is None else 6
+    phi, integral = _transitions(sys, [0.25, 0.25, 0.25], 1e-3, p, np.longdouble)
+    assert phi.dtype == float and phi.shape == (2, m, m) and np.array_equal(phi, np.broadcast_to(np.eye(m), (2, m, m)))
+    assert integral.tobytes() == np.zeros(2).tobytes()
+    phi[0, 0, 0] = 2.0  # writable, and each interval's own
+    assert phi[1, 0, 0] == 1.0
+    rec = transition_matrix(sys, 0.5, 0.5)
+    rec.phi[0, 1] = 3.0
+    assert transition_matrix(sys, 0.5, 0.5).phi[0, 1] == 0.0
 
 
 @pytest.mark.parametrize("lanes", [1, 128, 129, 255, 256, 257, 300, 385, 1999, 2304, 2561, 4700])
