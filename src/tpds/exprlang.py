@@ -22,7 +22,9 @@ picks its loop, fixed-step RK4 or error-controlled DOP853, and whose
 stages inline every entry.
 All of them emit the same code for an expression (``_pycode``) and are
 defined by the same helper (``_define``), which compiles each distinct
-generated source once per process.
+generated source once per process. A run loop's lines are generated once
+per process for each distinct code text (``_loop_lines``), and each
+distinct expression string is parsed once (``parse``).
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ MAX_DEPTH = 100
 # least recently used dropped first. A nonlinear system's f and J, their
 # stack forms and its two run loops are six; the largest, the DOP853 loop of
 # the 4-state ``takac``, is a 20 KB source and a 35 KB code object, so a full
-# cache of such loops would hold about 7 MB.
+# cache of such loops would hold about 7 MB. The same bound holds the run
+# loops' lines (``_loop_lines``, about the source's size each) and the
+# parsed expression strings (``parse``).
 CODE_CACHE_SIZE = 128
 
 _VAR_RE = re.compile(r"^(t|u|x[1-9][0-9]*)$")
@@ -220,7 +224,19 @@ class _Parser:
 
 def parse(source):
     """Parse an expression string into an immutable AST. An expression that
-    nests deeper than MAX_DEPTH raises ExprTooDeep (``variables``)."""
+    nests deeper than MAX_DEPTH raises ExprTooDeep (``variables``).
+
+    Each of the last CODE_CACHE_SIZE distinct sources is parsed once per
+    process (``_parsed``): the same string parsed again, as when a spec is
+    loaded twice, returns the same tree, which is safe to share since its
+    nodes are frozen. A source that fails is not kept, so it raises the
+    same error every time. parse itself stays a plain function, which
+    per-layer tracing (``perfbench/tracer.py``) wraps and counts."""
+    return _parsed(source)
+
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _parsed(source):
     tree = _Parser(source).parse()
     variables(tree)
     return tree
@@ -678,9 +694,12 @@ _DOP853_E3 = tuple(b - _DOP853_BHH.get(i, 0.0) for i, b in enumerate(_DOP853_B))
 def compile_stepper(rhs, n, u=None, box=None):
     """Compile the right-hand side of x' = f(t, x) into one run function,
     ``advance(y, times, step, tally)``, whose step picks its loop, each
-    generated on its first run and compiled once per process for each
-    distinct source (``_define``): the same rhs built again, as when a spec
-    is loaded twice, reuses the compiled loop. ``rhs`` holds the n entries of
+    defined on its first run. Its lines are generated once per process for
+    each distinct code text of the rhs, input, n, box and mode
+    (``_loop_lines``), and its source compiled once per process
+    (``_define``): the same rhs built again, as when a spec is loaded twice,
+    generates nothing and compiles nothing, yet gets a function of its own,
+    with its own globals. ``rhs`` holds the n entries of
     f (numbers or ASTs over t, x1..xn and, with the input ``u``, u); ``box``,
     when given, the (lo, hi) of each coordinate. A run is a generator over a
     nonempty iterable of nondecreasing times, read lazily. It yields the
@@ -741,11 +760,28 @@ def compile_stepper(rhs, n, u=None, box=None):
 
 
 def _run_loop(rhs, n, u, box, used, adaptive):
-    """compile_stepper's loop for one mode: DOP853 given adaptive, else RK4."""
+    """compile_stepper's loop for one mode, DOP853 given adaptive, else RK4:
+    its lines (``_loop_lines``), keyed by the code text they are made of,
+    defined in a fresh namespace (``_define``)."""
+    bounds = None if box is None else tuple((_literal(lo - 1e-12), _literal(hi + 1e-12)) for lo, hi in box)
+    codes = tuple(_pycode(e) for e in rhs)
+    prologue, body = _loop_lines(codes, None if u is None else _pycode(u), n, bounds, tuple(sorted(used)), adaptive)
+    env = dict(_array=np.array, _step_count=_step_count, _sqrt=math.sqrt, _inf=math.inf)
+    env.update(_LeftDomain=LeftDomain, _IntegrationSuspect=IntegrationSuspect)
     signature = "advance(y, times, step, tally)"  # DomainError messages name it
+    at = f"in the {'DOP853' if adaptive else 'RK4'} step from t = {{s}}"
+    return _define(signature, prologue, body, at=at, **env)
+
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _loop_lines(codes, u_code, n, bounds, used, adaptive):
+    """The prologue and body lines of a run loop, generated once per process
+    for each of the last CODE_CACHE_SIZE distinct keys: the code of the rhs
+    entries and of the input (``_pycode``), n, the box bounds as literals
+    (``_literal``), the names used and the mode. The key is code text, not
+    the trees, since Num(0.0) == Num(-0.0) while their code differs."""
     ks = range(1, n + 1)
-    states = sorted(int(v[1:]) for v in used - {"t", "u"})
-    codes = [_pycode(e) for e in rhs]
+    states = sorted(int(v[1:]) for v in used if v not in ("t", "u"))
     ys = ", ".join(f"y{k}" for k in ks)
 
     def stage(out, time, state):
@@ -754,17 +790,15 @@ def _run_loop(rhs, n, u, box, used, adaptive):
         lines = []
         if time is not None and "t" in used:
             lines.append(f"t = {time}")
-        if time is not None and u is not None:
-            lines.append(f"u = {_pycode(u)}")
+        if time is not None and u_code is not None:
+            lines.append(f"u = {u_code}")
         lines += [f"x{k} = {state.format(k=k)}" for k in states]
         return lines + [f"{out}{k} = {code}" for k, code in zip(ks, codes)]
 
     def check_box(message, time):
-        if box is None:
+        if bounds is None:
             return []
-        inside = " and ".join(
-            f"{_literal(lo - 1e-12)} <= y{k} <= {_literal(hi + 1e-12)}" for k, (lo, hi) in zip(ks, box)
-        )
+        inside = " and ".join(f"{lo} <= y{k} <= {hi}" for k, (lo, hi) in zip(ks, bounds))
         return [f"if not ({inside}):", f"    raise _LeftDomain({message!r}, {time})"]
 
     prologue = [f"{ys}, = map(float, y)", "times = iter(times)", "s = float(next(times))"]
@@ -772,13 +806,11 @@ def _run_loop(rhs, n, u, box, used, adaptive):
     head += ["accepted = rejected = 0", f"yield _array([{ys}])"]
     tail = check_box("trajectory left the domain box", "float(t1)")
     tail += ["tally[0] = accepted", "tally[1] = rejected", f"yield _array([{ys}])"]
-    env = dict(_array=np.array, _step_count=_step_count, _sqrt=math.sqrt, _inf=math.inf)
-    env.update(_LeftDomain=LeftDomain, _IntegrationSuspect=IntegrationSuspect)
     if adaptive:
         span = ["t1 = float(t1)"] + _dop853_span(stage, ks)
         tail.insert(-1, "tally[2] = largest")
         body = head + ["start = s", "h = None", "grow = 6.0", "largest = 0.0", "for t1 in times:", *_indent(span + tail)]
-        return _define(signature, prologue, body, at="in the DOP853 step from t = {s}", **env)
+        return tuple(prologue), tuple(body)
     rk4 = (
         stage("a", "s", "y{k}")
         + stage("b", "s + h2", "y{k} + h2 * a{k}")
@@ -800,7 +832,7 @@ def _run_loop(rhs, n, u, box, used, adaptive):
         "    accepted += nsteps",
     ]
     body = head + ["for t1 in times:", *_indent(span + tail + ["t0 = t1"])]
-    return _define(signature, prologue + ["t0 = s"], body, at="in the RK4 step from t = {s}", **env)
+    return (*prologue, "t0 = s"), tuple(body)
 
 
 def _dop853_span(stage, ks):

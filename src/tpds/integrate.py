@@ -35,6 +35,7 @@ import numpy as np
 from .compound import _checked_order, add_compound, mult_compound
 from .errors import (
     DimensionMismatch,
+    DomainError,
     IntegrationSuspect,
     InvalidArgument,
     MonotonicityViolation,
@@ -253,7 +254,13 @@ def _transitions(sys, grid, step, p=None, dtype=float):
     is evaluated at the three stage times of each of its steps (one
     ``TimeVaryingSystem._matrices`` call), the increments P - I are built
     as stacks, and the pairwise products of all its windows are taken at
-    once, a short last window padded with zero increments. A block whose
+    once, a short last window padded with zero increments. The stage times
+    are laid out stage by stage, every step's start, then every midpoint,
+    then every end, so that C at each stage is a contiguous (N, m, m) slice
+    of the one stack, which the increments and the trace read with no
+    copy. Should C raise DomainError, the times are evaluated again in step
+    order, so that the error is that of the first stage time that fails as
+    the flow meets it. A block whose
     steps fill every slot keeps its increments as built; only a block
     with empty slots lays them out among zero increments. Each interval
     starts from its first window's product, I + P, with no product by I
@@ -299,10 +306,15 @@ def _transitions(sys, grid, step, p=None, dtype=float):
         span = np.searchsorted(span_first, offset[lane] + pos[col], side="right") - 1
         j = offset[lane] + pos[col] - span_first[span]
         h = span_h[span]
-        k = 2 * j[:, None] + np.arange(3)  # each step's stage points 2j, 2j + 1, 2j + 2
-        A = sys._matrices((k * (h[:, None] / 2) + starts[span, None]).ravel(), segment[span].repeat(3))
-        C = (A if p is None else add_compound(A, p).entries).reshape(-1, 3, m, m)
-        D = _increments(C[:, 0], C[:, 1], C[:, 2], h[:, None, None], dtype)
+        k = np.arange(3)[:, None] + 2 * j  # the stage points 2j, 2j + 1, 2j + 2 of every step, stage by stage
+        times = k * (h / 2) + starts[span]
+        try:
+            A = sys._matrices(times.ravel(), np.tile(segment[span], 3))
+        except DomainError:  # raise the error of the first stage time that fails in step order
+            sys._matrices(times.T.ravel(), segment[span].repeat(3))
+            raise
+        C = (A if p is None else add_compound(A, p).entries).reshape(3, -1, m, m)
+        D = _increments(C[0], C[1], C[2], h[:, None, None], dtype)
         if not real.all():  # the steps take their slots among zero increments, exact identity factors
             slots = np.zeros(real.shape + (m, m), dtype=dtype)
             slots[real] = D
@@ -314,7 +326,7 @@ def _transitions(sys, grid, step, p=None, dtype=float):
             A, B = D[:, 0::2], D[:, 1::2]
             D = A + B + B @ A
         tr = C.trace(axis1=2, axis2=3)
-        terms = (h / 6) * (tr[:, 0] + 4 * tr[:, 1] + tr[:, 2])
+        terms = (h / 6) * (tr[0] + 4 * tr[1] + tr[2])
         sums = np.bincount(lane * w + col // width, terms, lanes * w)  # each window's, in step order
         products = D[:, 0].reshape(lanes, w, m, m)
         for i in range(w):
@@ -582,7 +594,14 @@ def _linear_run(sys, z0, grid, step, tpds):
     integrals, cycled alike. Each state is its interval's transition
     matrix times the state before it, one ``dot`` per sample written into
     its row of the state array: the call and the floats of assigning each
-    product, with no array made per sample."""
+    product, with no array made per sample.
+
+    With tpds, only n = 1 reaches the raise of more than n - 1 exceptional
+    clusters once the counts do not rise. For n >= 2 a sample lies off V
+    exactly when s_minus < s_plus, and a sample in V lies between two
+    clusters' first samples, so s_plus falls by at least one from each to
+    the next, from at most n - 1 to at least 1. The check stays as safety
+    code."""
     z0 = _checked_state(z0, sys.n, "z0")
     if not np.any(z0):
         raise TrivialSolution("z0 = 0 yields the trivial solution")
@@ -651,14 +670,15 @@ def compound_transition(sys, p, t0, t, step=None):
     also in double, since the cross-check reads Phi alone, to
     COMPOUND_REL_TOL. A p that is not an integer in 1..n raises
     InvalidArgument or OrderOutOfRange (``compound._checked_order``) before
-    any step, and t0 and t are checked as transition_matrix checks them
-    (``_checked_span``) before the first step; a non-finite Phi or
-    predicted determinant raises transition_matrix's IntegrationSuspect
-    (``_liouville``).
+    any step. Then t0 and t are checked (``_checked_span``), then the step
+    (``_checked_step``), in the order of transition_matrix and floquet
+    (``_transition``), so the same bad arguments raise the same error from
+    all three; a non-finite Phi or predicted determinant raises
+    transition_matrix's IntegrationSuspect (``_liouville``).
     """
     _checked_order(p, sys.n)
-    step = _checked_step(step, *sys.interval)
     t0, t = _checked_span(sys, t0, t)
+    step = _checked_step(step, *sys.interval)
     phi, integral = _transitions(sys, [t0, t], step)
     direct = mult_compound(_liouville(t0, t, phi[0], integral[0], step).phi, p).entries
     Y = _transitions(sys, [t0, t], step, p)[0][0]

@@ -321,6 +321,29 @@ def test_compound_transition_checks_p_before_any_step(monkeypatch, p, error, mes
     assert str(err.value) == message
 
 
+PERIODIC_FROM_1 = TimeVaryingSystem.constant([[-1.0, 1.0], [1.0, -1.0]], (1.0, 3.0), period=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tpds.transition_matrix(COSH2, -5.0, 1.0, step=-1.0), "t0=-5.0, t=1.0"),
+        (lambda: tpds.compound_transition(COSH2, 1, -5.0, 1.0, step=-1.0), "t0=-5.0, t=1.0"),
+        # floquet's span is [0, T], outside [1, 3]
+        (lambda: tpds.transition_matrix(PERIODIC_FROM_1, 0.0, 1.0, step=-1.0), "t0=0.0, t=1.0"),
+        (lambda: tpds.compound_transition(PERIODIC_FROM_1, 1, 0.0, 1.0, step=-1.0), "t0=0.0, t=1.0"),
+        (lambda: tpds.floquet(PERIODIC_FROM_1, step=-1.0), "t0=0.0, t=1.0"),
+    ],
+    ids=["transition_matrix", "compound_transition", "transition_matrix_0_T", "compound_transition_0_T", "floquet"],
+)
+def test_the_span_is_checked_before_the_step_by_every_transition(call, message):
+    # compound_transition checked the step first and raised InvalidArgument
+    # where transition_matrix and floquet raised OutOfInterval
+    with pytest.raises(OutOfInterval) as err:
+        call()
+    assert str(err.value) == f"need a <= t0 <= t <= b, got {message}"
+
+
 @pytest.mark.parametrize("op", [mult_compound, add_compound], ids=["mult_compound", "add_compound"])
 @pytest.mark.parametrize(
     "p, error, message",

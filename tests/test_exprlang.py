@@ -505,3 +505,70 @@ def test_a_domain_error_from_cached_code_names_its_own_function_and_time(compile
             with pytest.raises(DomainError, match=rf"^advance in the {method} step from t = {t0}: math domain error$"):
                 list(advance([1.0], [t0, 2.0], step, [0, 0, None]))
     assert len(compiled["sources"]) == 4  # the point and stack forms and the two loops
+
+
+def test_a_stepper_of_the_same_rhs_built_again_generates_no_loop_lines(compiled, monkeypatch):
+    """The run loop's lines are generated once per process for each code
+    text (``_loop_lines``): a system built again generates nothing and
+    compiles nothing, yet ``_define`` still gives it a function of its own,
+    with its own globals, over the one shared code object."""
+    exprlang._loop_lines.cache_clear()
+    spans, defined = [], []
+    dop853_span, define = exprlang._dop853_span, exprlang._define
+
+    def counted_span(*args):
+        spans.append(args)
+        return dop853_span(*args)
+
+    def recorded_define(*args, **kwargs):
+        defined.append(define(*args, **kwargs))
+        return defined[-1]
+
+    monkeypatch.setattr(exprlang, "_dop853_span", counted_span)
+    monkeypatch.setattr(exprlang, "_define", recorded_define)
+    runs = [_runs(compile_stepper([parse("x2"), parse("cos(t) - x1")], 2), [1.0, 0.0], [0.0, 1.0]) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert len(spans) == 1
+    info = exprlang._loop_lines.cache_info()
+    assert (info.hits, info.misses) == (2, 2)  # a DOP853 and an RK4 loop per system
+    assert len(compiled["sources"]) == 2
+    assert len(defined) == 4  # each system's DOP853 loop, then its RK4 loop
+    for f, g in zip(defined[:2], defined[2:]):
+        assert f is not g and f.__globals__ is not g.__globals__ and f.__code__ is g.__code__
+
+
+def test_rhs_that_differ_only_in_the_sign_of_a_zero_generate_two_sources(compiled):
+    """Num(0.0) == Num(-0.0), so the trees are equal, but the lines are keyed
+    by their code: each rhs gets its own source, and its own floats."""
+    plus, minus = ([BinOp("+", Var("x1"), Num(zero))] for zero in (0.0, -0.0))
+    assert plus == minus
+    runs = [_runs(compile_stepper(rhs, 1), [-0.0], [0.0, 0.5]) for rhs in (plus, minus)]
+    dop853, rk4 = compiled["sources"][0::2], compiled["sources"][1::2]
+    assert len(set(dop853)) == len(set(rk4)) == 2
+    assert "(x1 + 0.0)" in rk4[0] and "(x1 + -0.0)" in rk4[1]
+    rk4_states = [states for _, (states, _) in runs]
+    assert rk4_states == [["-0x0.0p+0", "0x0.0p+0"], ["-0x0.0p+0", "-0x0.0p+0"]]  # -0.0 + 0.0 is 0.0
+
+
+@pytest.mark.parametrize("source", ["1 +", "sin(t", "x1 ) 2", "t $ 2", "-" * (MAX_DEPTH + 1) + "t", "y1"])
+def test_a_bad_expression_raises_the_same_error_every_time(source):
+    """A source that fails is not kept by the parse memo: each parse raises
+    again, the same error with the same message."""
+    exprlang._parsed.cache_clear()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(TpdsError) as err:
+            parse(source)
+        raised.append((type(err.value), str(err.value), getattr(err.value, "position", None)))
+    assert raised[0][0] in (ExprSyntaxError, ExprTooDeep, UnknownIdentifier)
+    assert raised == raised[:1] * 3
+    assert exprlang._parsed.cache_info().currsize == 0
+
+
+def test_a_source_parsed_again_is_the_same_frozen_tree():
+    exprlang._parsed.cache_clear()
+    tree = parse("sin(t) * x1 - 2 ^ x2")
+    assert parse("sin(t) * x1 - 2 ^ x2") is tree
+    assert exprlang._parsed.cache_info()[:2] == (1, 1)  # (hits, misses)
+    with pytest.raises(AttributeError):
+        tree.left = Num(1.0)

@@ -1,5 +1,6 @@
 """Tests for transition-matrix integration and sign-variation tracking."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from tpds import (
 )
 from tpds.errors import (
     DimensionMismatch,
+    DomainError,
     IntegrationSuspect,
     MonotonicityViolation,
     NoApplicablePair,
@@ -429,8 +431,10 @@ def test_a_period_of_a_small_system_is_one_block(monkeypatch):
     """A one-period Phi of random_tpds_system(2) at the default step is
     1,000 steps: one block of windows (up to 9 x CHUNK_STEPS steps at
     n = 2), so one ``Segment.matrix_at`` call, where blocks of one window
-    took 4. The stage times read are those of the one-window blocks, in
-    the same order."""
+    took 4. The stage times read are those of the one-window blocks: the
+    block reads them stage by stage (every step's start, then every
+    midpoint, then every end), the one-window reference step by step, and
+    each stage's times, in step order, are the reference's."""
     sys = random_tpds_system(2, rng=0)
     step = _checked_step(None, *sys.interval)
     calls, _ = _count_coefficients(monkeypatch)
@@ -439,7 +443,10 @@ def test_a_period_of_a_small_system_is_one_block(monkeypatch):
     got = calls.pop()
     integrate_reference.windowed_transitions(sys, [0.0, 2 * np.pi], step, dtype=np.longdouble)
     assert len(calls) == 4
-    assert got.tobytes() == np.concatenate(calls).tobytes()
+    want = np.concatenate(calls).reshape(-1, 3)  # a step per row
+    assert got.size == want.size
+    for stage in range(3):
+        assert got.reshape(3, -1)[stage].tobytes() == want[:, stage].tobytes()
 
 
 def test_a_grid_of_many_intervals_reads_each_step_as_one_interval_does(monkeypatch):
@@ -740,3 +747,56 @@ def test_a_tpds_run_with_more_than_n_minus_1_clusters_raises():
         simulate_linear(sys, [1.0], grid, tpds=True)
     assert str(err.value) == "1 exceptional clusters exceed n-1"
     assert err.value.times == (grid[7],)
+
+
+@st.composite
+def non_rising_runs(draw):
+    """States of n = 2..5 entries in {-1, 0, 1} whose s_minus and s_plus
+    never rise: up to 40 rows, each drawn from the sign vectors whose
+    counts do not rise over the row before it."""
+    n = draw(st.integers(2, 5))
+    pool = [(row, ref.counts(np.array(row), 0.0)) for row in itertools.product([-1.0, 0.0, 1.0], repeat=n)]
+    rows, last = [], (n, n)
+    for _ in range(draw(st.integers(0, 40))):
+        row, last = draw(st.sampled_from([(r, c) for r, c in pool if c[0] <= last[0] and c[1] <= last[1]]))
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(states=non_rising_runs())
+@example(states=np.array([[1.0, -1.0, 0.0], [1.0, -1.0, -1.0], [1.0, -1.0, -1.0], [1.0, 1.0, 0.0]]))
+@example(states=np.array([[1, -1, 1, 0], [1, -1, -1, 1], [1, -1, -1, 1], [1, -1, -1, 0], [1, -1, -1, -1], [1, -1, -1, -1], [1, 1, 1, 0]], dtype=float))
+def test_counts_that_never_rise_leave_at_most_n_minus_1_clusters(states):
+    """Why only n = 1 reaches the cluster raise of a TPDS run: for n >= 2 a
+    sample lies off V exactly when s_minus < s_plus (a zero first entry
+    makes s_plus the larger), and a sample in V lies between two cluster
+    starts, so s_plus falls by at least one from each cluster start to the
+    next, from at most n - 1 to at least 1. The examples reach n - 1."""
+    n = states.shape[1]
+    traj = Trajectory(np.arange(float(len(states))), states)
+    sm, sp = np.array(traj.sigma_minus), np.array(traj.sigma_plus)
+    assert not (np.diff(sm) > 0).any() and not (np.diff(sp) > 0).any()
+    assert ((sm < sp) == ~np.array(traj.in_V_flags, dtype=bool)).all()
+    at_starts = [traj.sigma_plus[int(t)] for t in traj.exceptional_times]
+    assert all(a > b for a, b in zip(at_starts, at_starts[1:]))
+    assert all(1 <= v <= n - 1 for v in at_starts)
+    assert len(traj.exceptional_times) <= n - 1
+
+
+@pytest.mark.parametrize(
+    "call, t",
+    [
+        (lambda sys: transition_matrix(sys, 0.0, 2.0), "1.0010000000000001"),
+        (lambda sys: simulate_linear(sys, [1.0], np.linspace(0.0, 2.0, 5)), "1.001"),
+    ],
+)
+def test_a_domain_error_names_the_first_stage_time_that_fails(call, t):
+    """sqrt(1 - t) first fails at the midpoint of the step from t = 1 (one
+    interval, or the third of four); the stage times are read stage by
+    stage, yet the error is not that of the next step's start, t = 1.002,
+    the first start that fails."""
+    seg = Segment(0.0, 2.0, [[exprlang.parse("sqrt(1 - t)")]])
+    with pytest.raises(DomainError) as err:
+        call(TimeVaryingSystem(1, (0.0, 2.0), [seg]))
+    assert str(err.value) == f"coefficient at t = {t}: math domain error"
