@@ -22,8 +22,9 @@ picks its loop, fixed-step RK4 or error-controlled DOP853, and whose
 stages inline every entry.
 All of them emit the same code for an expression (``_pycode``) and are
 defined by the same helper (``_define``), which compiles each distinct
-generated source once per process. A run loop's lines are generated once
-per process for each distinct code text (``_loop_lines``), and each
+generated source once per process. A coefficient's lines
+(``_point_lines``, ``_stack_lines``) and a run loop's (``_loop_lines``)
+are generated once per process for each distinct code text, and each
 distinct expression string is parsed once (``parse``).
 """
 
@@ -33,7 +34,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,9 +74,11 @@ MAX_DEPTH = 100
 # least recently used dropped first. A nonlinear system's f and J, their
 # stack forms and its two run loops are six; the largest, the DOP853 loop of
 # the 4-state ``takac``, is a 20 KB source and a 35 KB code object, so a full
-# cache of such loops would hold about 7 MB. The same bound holds the run
-# loops' lines (``_loop_lines``, about the source's size each) and the
-# parsed expression strings (``parse``).
+# cache of such loops would hold about 7 MB. The same bound holds the
+# generated lines of coefficients and run loops (``_point_lines``,
+# ``_stack_lines``, ``_loop_lines``, about the source's size each), the
+# parsed expression strings (``parse``) and the parsed spec documents
+# (``specfile._document``).
 CODE_CACHE_SIZE = 128
 
 _VAR_RE = re.compile(r"^(t|u|x[1-9][0-9]*)$")
@@ -412,17 +415,30 @@ def _cells(coeff):
     return (len(coeff),), {(i,): e for i, e in enumerate(coeff)}
 
 
-def _fill(cells, base, target, array=False):
-    """Bake the constant cells into base; return one assignment to the
-    target (a format of the cell index) per expression cell, in row-major
-    order."""
-    lines = []
-    for idx, e in cells.items():
-        if isinstance(e, (int, float, Num)):
-            base[idx] = e.value if isinstance(e, Num) else e
-        else:
-            lines.append(f"{target.format(', '.join(map(str, idx)))} = {_pycode(e, array)}")
-    return lines
+@dataclass(frozen=True)
+class _Coded:
+    """An expression cell of compile_fn by its point-form code, which is
+    all that equality and hashing read, with its tree beside it for the
+    stack form to rename. Num(0.0) == Num(-0.0), so trees cannot be the
+    key; their code differs."""
+
+    code: str
+    tree: object = field(compare=False)
+
+
+def _constant(entry):
+    return isinstance(entry, (int, float, Num))
+
+
+def _fill(cells, target, array=False):
+    """One assignment to the target (a format of the cell index) per
+    expression cell, in row-major order; the constant cells are left out,
+    to be baked into ``_base``."""
+    return [
+        f"{target.format(', '.join(map(str, idx)))} = {_pycode(e, array)}"
+        for idx, e in cells.items()
+        if not _constant(e)
+    ]
 
 
 def compile_fn(coeff, n=None, u=None):
@@ -442,16 +458,27 @@ def compile_fn(coeff, n=None, u=None):
     sqrt out of domain, division by zero, overflow) is re-raised as
     DomainError; either message is prefixed by "coefficient at t = ...". A
     variable outside the allowed set raises UnboundVariable here, at
-    compile time. The caller checks t and x. Constant entries are not part
-    of the generated source, so coefficients that differ only in them share
-    one compiled code object (``_define``), each with its own constants.
+    compile time. The caller checks t and x.
+
+    The lines of both forms are generated once per process for each of
+    the last CODE_CACHE_SIZE distinct keys (``_point_lines``,
+    ``_stack_lines``): the shape, each expression cell's code with its
+    index (``_Coded``), which with the shape places the constant cells,
+    the names used, n and the input's code. The key is code text, never
+    the trees, since Num(0.0) == Num(-0.0) while their code differs. An
+    array's constant entries are not part of the key or of the generated
+    source, so coefficients that differ only in them share lines and one
+    compiled code object (``_define``); each still gets functions of its
+    own, in a fresh namespace with its own constants (``_base``). So a
+    coefficient built again, as when a spec is loaded twice, generates
+    nothing and compiles nothing.
 
     At a 1-d array of m times (and an (m, n) array of states, xk bound to
     the column x[:, k - 1], u evaluated once over the times), a generated
-    stack form, compiled on the first such call, returns the m values
-    stacked, shape (m,) + the coefficient's shape, from one numpy
-    evaluation of each entry. Its floats are those of the point form at
-    each point. numpy's arithmetic and sqrt are correctly rounded, as
+    stack form, defined on the first such call (``_stack_form``), returns
+    the m values stacked, shape (m,) + the coefficient's shape, from one
+    numpy evaluation of each entry. Its floats are those of the point form
+    at each point. numpy's arithmetic and sqrt are correctly rounded, as
     Python's are, and its sin and cos gave math's floats on every point
     tried. Its exp, sinh, cosh, tanh, tan, log and power differ from math's
     by 1 ulp on 0.1-26 % of points, so those are applied entry by entry
@@ -462,22 +489,20 @@ def compile_fn(coeff, n=None, u=None):
     arithmetic are therefore those of the point form.
     """
     shape, cells = _cells(coeff)
-    used = _bound_names(cells.values(), n, u)
-    lines = ["t = float(t)"] if "t" in used else []
-    lines += [f"{v} = float(x[{int(v[1:]) - 1}])" for v in sorted(used - {"t", "u"})]
-    if u is not None:
-        lines.append(f"u = {_pycode(u)}")
-    base = None
-    if not shape:
-        lines.append(f"return {_pycode(coeff)}")
-    else:
-        # constants go into a base array; each call copies it and fills
-        # in the expression entries, in row-major order
-        base = np.zeros(shape)
-        lines += ["A = _base.copy()", *_fill(cells, base, "A[{}]"), "return A"]
+    used = tuple(sorted(_bound_names(cells.values(), n, u)))
+    # a scalar's one cell is its return value, constant or not
+    coded = tuple((idx, _Coded(_pycode(e), e)) for idx, e in cells.items() if not shape or not _constant(e))
+    key = (coded, shape, used, n, None if u is None else _Coded(_pycode(u), u))
+    # the constants, baked into a base array: the point form copies it and
+    # the stack form broadcasts it, each then filling in the expression
+    # entries, in row-major order
+    base = np.zeros(shape)
+    for idx, e in cells.items():
+        if _constant(e):
+            base[idx] = e.value if isinstance(e, Num) else e
     signature = f"coefficient(t{', x' if n is not None else ''})"
-    point = _define(signature, [], lines, at="at t = {t}", _base=base)
-    stack = functools.cache(lambda: _stack_form(signature, shape, cells, used, n, u, point))
+    point = _define(signature, [], _point_lines(*key), at="at t = {t}", _base=base)
+    stack = functools.cache(lambda: _stack_form(signature, key, base, point))
 
     def coefficient(t, *x):
         return stack()(t, *x) if np.ndim(t) else point(t, *x)
@@ -485,22 +510,43 @@ def compile_fn(coeff, n=None, u=None):
     return coefficient
 
 
-def _stack_form(signature, shape, cells, used, n, u, point):
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _point_lines(coded, shape, used, n, u):
+    """The body lines of compile_fn's point form, for its key."""
+    lines = ["t = float(t)"] if "t" in used else []
+    lines += [f"{v} = float(x[{int(v[1:]) - 1}])" for v in used if v not in ("t", "u")]
+    if u is not None:
+        lines.append(f"u = {u.code}")
+    if not shape:
+        return (*lines, f"return {coded[0][1].code}")
+    return (*lines, "A = _base.copy()", *_fill({idx: c.tree for idx, c in coded}, "A[{}]"), "return A")
+
+
+def _stack_form(signature, key, base, point):
     """The stack form of compile_fn's coefficient over its point form."""
-    base = np.zeros(shape)
+    env = dict(_ARRAY_FUNCTIONS, _errstate=np.errstate, _empty=np.empty, _array=np.array)
+    return _define(signature, *_stack_lines(*key), _base=base, _point=point, _FALLBACK=_FALLBACK, **env)
+
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _stack_lines(coded, shape, used, n, u):
+    """The prologue and body lines of compile_fn's stack form, for its key:
+    common subexpressions first (``_common``), then the input, then each
+    expression cell over them."""
     prologue = ["t = _array(t, dtype=float)", "stacked = (len(t),) + _base.shape"]
     evaluate, fallback = [], "_point(s) for s in t.tolist()"
     if n is not None:
         prologue.insert(1, "x = _array(x, dtype=float)")
-        evaluate += [f"{v} = x[:, {int(v[1:]) - 1}]" for v in sorted(used - {"t", "u"})]
+        evaluate += [f"{v} = x[:, {int(v[1:]) - 1}]" for v in used if v not in ("t", "u")]
         fallback = "_point(s, y) for s, y in zip(t.tolist(), x)"
-    shared, rename = _common(([] if u is None else [u]) + list(cells.values()))
+    cells = {idx: c.tree for idx, c in coded}
+    shared, rename = _common(([] if u is None else [u.tree]) + list(cells.values()))
     if u is not None:
-        shared.append(f"u = {_pycode(rename(u), array=True)}")
+        shared.append(f"u = {_pycode(rename(u.tree), array=True)}")
     cells = {idx: rename(e) for idx, e in cells.items()}
     evaluate += shared
     evaluate += ["A = _empty(stacked)", "A[...] = _base"]
-    evaluate += _fill(cells, base, "A[:, {}]" if shape else "A[:]", array=True)
+    evaluate += _fill(cells, "A[:, {}]" if shape else "A[:]", array=True)
     body = [
         "with _errstate(divide='raise', over='raise', invalid='raise'):",
         "    try:",
@@ -510,8 +556,7 @@ def _stack_form(signature, shape, cells, used, n, u, point):
         "        pass",
         f"return _array([{fallback}], dtype=float).reshape(stacked)",
     ]
-    env = dict(_ARRAY_FUNCTIONS, _errstate=np.errstate, _empty=np.empty, _array=np.array)
-    return _define(signature, prologue, body, _base=base, _point=point, _FALLBACK=_FALLBACK, **env)
+    return tuple(prologue), tuple(body)
 
 
 def _common(exprs):

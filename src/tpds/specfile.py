@@ -17,6 +17,8 @@ internal form.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -121,15 +123,17 @@ def _render_entry(e):
 def loads(text):
     """Parse a spec document. Every malformed document raises SpecFileError,
     including a TpdsError from building its system (an unbound variable, a
-    wrong row count, a failed period check)."""
-    try:
-        # libyaml's safe loader where pyyaml was built with it: the same
-        # documents, parsed several times faster
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    # ValueError: text that libyaml cannot encode as UTF-8, and an int of more
-    # than sys.get_int_max_str_digits() digits, which the loader cannot convert
-    except (yaml.YAMLError, ValueError) as exc:
-        raise SpecFileError(f"invalid YAML: {exc}") from exc
+    wrong row count, a failed period check).
+
+    The YAML of each of the last CODE_CACHE_SIZE distinct texts (str or
+    bytes) is parsed once per process (``_document``); a stream, whose
+    contents can change, is parsed on every call. The checks and the
+    system are made again on every call, and the system's coefficient code
+    comes from ``exprlang``'s caches. The spec returned is the caller's own: its meta
+    and experiment are deep copies, and its system is built anew, so
+    nothing a caller changes in it reaches the next load. A text that
+    fails to parse is not kept, so it raises the same error every time."""
+    doc = (_document if isinstance(text, (str, bytes)) else _document.__wrapped__)(text)
     if not isinstance(doc, dict):
         raise SpecFileError("spec document must be a mapping")
     meta = doc.get("meta")
@@ -155,7 +159,21 @@ def loads(text):
         raise
     except TpdsError as exc:
         raise SpecFileError(f"{type(exc).__name__}: {exc}") from exc
-    return SystemSpec(dict(meta), system, dict(experiment))
+    return SystemSpec(copy.deepcopy(meta), system, copy.deepcopy(experiment))
+
+
+@functools.lru_cache(maxsize=exprlang.CODE_CACHE_SIZE)
+def _document(text):
+    """The YAML document of a spec text, shared by every load of the same
+    text in the process: ``loads`` reads it and copies what it keeps."""
+    try:
+        # libyaml's safe loader where pyyaml was built with it: the same
+        # documents, parsed several times faster
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    # ValueError: text that libyaml cannot encode as UTF-8, and an int of more
+    # than sys.get_int_max_str_digits() digits, which the loader cannot convert
+    except (yaml.YAMLError, ValueError) as exc:
+        raise SpecFileError(f"invalid YAML: {exc}") from exc
 
 
 def _linear_system(lin, meta, n, name, period):

@@ -519,7 +519,13 @@ def geb_factorize(A):
     Returns lower bidiagonal factors, then a diagonal factor, then upper
     bidiagonal factors, whose ordered product reconstructs the input. No
     pivoting is performed; a zero pivot above a nonzero entry, or a
-    multiplier below -GEB_ZERO_TOL, is a breakdown. The input is checked as
+    multiplier below -GEB_ZERO_TOL, is a breakdown. An entry counts as zero
+    when its magnitude is at most GEB_ZERO_TOL, or when it is negative and
+    its magnitude is at most GEB_ZERO_TOL times the largest magnitude in
+    its column of the matrix that the pass eliminates (the input, then the
+    transpose of the reduced matrix): the rounding left by cancellation in
+    a column of large entries, not a sign; a column with a non-finite
+    entry has no such negative zeros. The input is checked as
     in classify. Every factor is GEB by construction, so ``is_geb`` is not
     run on them: a nan or infinite multiplier or pivot raises
     NonFiniteInput, and a pivot below -GEB_ZERO_TOL PivotBreakdown, checked
@@ -536,18 +542,19 @@ def geb_factorize(A):
         # Returns factors [L_i(m), ...], their multipliers m and the reduced
         # matrix R with M = factors[0] @ factors[1] @ ... @ R, eliminating
         # below-diagonal entries column by column, bottom-up.
-        M = M.copy()
+        M0, M = M, M.copy()
         factors, multipliers = [], []
         for j in range(n - 1):
             for i in range(n - 1, j, -1):
-                if abs(M[i, j]) <= GEB_ZERO_TOL:
+                x = M[i, j]
+                if abs(x) <= GEB_ZERO_TOL or (x < 0 and _negligible_in(x, M0[:, j])):
                     M[i, j] = 0.0
                     continue
                 if abs(M[i - 1, j]) <= GEB_ZERO_TOL:
                     raise PivotBreakdown(
                         f"zero pivot above nonzero entry at row {i + 1}, column {j + 1}"
                     )
-                m = M[i, j] / M[i - 1, j]
+                m = x / M[i - 1, j]
                 if m < -GEB_ZERO_TOL:
                     raise PivotBreakdown(f"negative multiplier {m} (input not TN?)")
                 M[i, :] -= m * M[i - 1, :]
@@ -575,6 +582,16 @@ def geb_factorize(A):
         if np.less(values, -GEB_ZERO_TOL).any():
             raise PivotBreakdown("produced a non-GEB factor")
     return fact
+
+
+def _negligible_in(x, column):
+    """Whether the negative entry x counts as zero in geb_factorize: its
+    magnitude is at most GEB_ZERO_TOL times the largest magnitude in its
+    column, and that is finite. Called only for negative entries beyond
+    GEB_ZERO_TOL, so a TN input's columns are scanned only where rounding
+    left such an entry."""
+    scale = np.abs(column).max()
+    return bool(np.isfinite(scale)) and -GEB_ZERO_TOL * scale <= x
 
 
 def oscillatory_spectrum(A):

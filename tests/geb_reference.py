@@ -1,11 +1,11 @@
 """Reference Neville factorization, for tests only.
 
 This is ``tpds.geb_factorize`` as it was while it ran ``is_geb`` on every
-factor it returned: the same elimination, product and residual, then the
-per-factor loop. The library now raises the same errors from the
-multipliers and pivots it computed, so the two must agree on every
-input: the same factors and residual bit for bit, or the same exception
-type and message.
+factor it returned: the same elimination, with its zero rules, product
+and residual, then the per-factor loop. The library now raises the same
+errors from the multipliers and pivots it computed, so the two must agree
+on every input: the same factors and residual bit for bit, or the same
+exception type and message.
 """
 
 import numpy as np
@@ -30,10 +30,15 @@ def geb_factorize(A):
 
     def neville_lower(M):
         M = M.copy()
+        # a negative entry no larger than GEB_ZERO_TOL times its column's
+        # largest input magnitude is zero, unless that magnitude is not finite
+        scale = [np.abs(M[:, j]).max() for j in range(n)]
         factors = []
         for j in range(n - 1):
             for i in range(n - 1, j, -1):
-                if abs(M[i, j]) <= GEB_ZERO_TOL:
+                if abs(M[i, j]) <= GEB_ZERO_TOL or (
+                    M[i, j] < 0 and np.isfinite(scale[j]) and -M[i, j] <= GEB_ZERO_TOL * scale[j]
+                ):
                     M[i, j] = 0.0
                     continue
                 if abs(M[i - 1, j]) <= GEB_ZERO_TOL:

@@ -572,3 +572,67 @@ def test_a_source_parsed_again_is_the_same_frozen_tree():
     assert exprlang._parsed.cache_info()[:2] == (1, 1)  # (hits, misses)
     with pytest.raises(AttributeError):
         tree.left = Num(1.0)
+
+
+def test_a_coefficient_built_again_generates_no_lines_but_gets_its_own_functions(compiled, monkeypatch):
+    """compile_fn's point and stack lines are generated once per process for
+    each code text (``_point_lines``, ``_stack_lines``): a coefficient built
+    again generates nothing and compiles nothing, yet ``_define`` still
+    gives it functions of its own, with their own globals, over the shared
+    code objects."""
+    exprlang._point_lines.cache_clear()
+    exprlang._stack_lines.cache_clear()
+    shared, defined = [], []
+    common, define = exprlang._common, exprlang._define
+
+    def counted_common(exprs):
+        shared.append(exprs)
+        return common(exprs)
+
+    def recorded_define(*args, **kwargs):
+        defined.append(define(*args, **kwargs))
+        return defined[-1]
+
+    monkeypatch.setattr(exprlang, "_common", counted_common)
+    monkeypatch.setattr(exprlang, "_define", recorded_define)
+    entries = [[parse("sin(t) * x1"), 2.0], [parse("sin(t) * x1 + x2"), parse("t")]]
+    t, x = np.array([0.5, 1.5]), np.array([[1.0, 2.0], [3.0, 4.0]])
+    fs = [compile_fn(entries, 2) for _ in range(2)]
+    values = [[f(0.5, x[0]).tolist(), f(t, x).tolist()] for f in fs]
+    assert values[0] == values[1]
+    assert len(shared) == 1  # the stack form's subexpressions, found once
+    assert exprlang._point_lines.cache_info()[:2] == exprlang._stack_lines.cache_info()[:2] == (1, 1)
+    assert len(compiled["sources"]) == 2
+    # the first point form, the second, then each one's stack form
+    assert len(defined) == 4
+    for f, g in (defined[:2], defined[2:]):
+        assert f is not g and f.__globals__ is not g.__globals__ and f.__code__ is g.__code__
+        assert f.__globals__["_base"] is not g.__globals__["_base"]
+
+
+def test_coefficients_that_differ_only_in_a_constant_share_their_lines():
+    exprlang._point_lines.cache_clear()
+    exprlang._stack_lines.cache_clear()
+    t = np.array([0.25, 3.0])
+    for c in (1.0, 2.0):
+        f = compile_fn([[c, Var("t")]])
+        assert f(0.5).tolist() == [[c, 0.5]]
+        assert f(t).tolist() == [[[c, 0.25]], [[c, 3.0]]]
+    # the second coefficient's lines are the first's
+    assert exprlang._point_lines.cache_info()[:2] == exprlang._stack_lines.cache_info()[:2] == (1, 1)
+
+
+def test_coefficients_that_differ_only_in_the_sign_of_a_zero_generate_two_sources(compiled):
+    """Num(0.0) == Num(-0.0), so the trees are equal, but the lines are keyed
+    by their code: each coefficient gets its own sources, and its own
+    floats."""
+    plus, minus = ([[BinOp("*", Var("t"), Num(zero)), 1.0]] for zero in (0.0, -0.0))
+    assert plus == minus
+    signs = []
+    for entries in (plus, minus):
+        f = compile_fn(entries)
+        signs.append([math.copysign(1.0, f(1.0)[0, 0]), math.copysign(1.0, f(np.array([1.0]))[0, 0, 0])])
+    assert signs == [[1.0, 1.0], [-1.0, -1.0]]
+    points, stacks = compiled["sources"][0::2], compiled["sources"][1::2]
+    assert len(set(points)) == len(set(stacks)) == 2
+    assert "(t * 0.0)" in points[0] and "(t * -0.0)" in points[1]

@@ -196,25 +196,32 @@ def test_only_exprlang_define_compiles_and_executes_code():
     assert callers == {("compile", "exprlang._code"), ("exec", "exprlang._define")}
 
 
-def test_exprlang_keeps_three_caches_each_bounded_by_code_cache_size():
-    # the parsed strings, the run loops' lines and the compiled sources are
-    # module-level caches, shared by every caller in the process, so each is
-    # an lru_cache of at most CODE_CACHE_SIZE entries and there is no other
-    from tpds import exprlang
+def test_exprlang_and_specfile_keep_caches_each_bounded_by_code_cache_size():
+    # the parsed strings, the coefficients' and run loops' lines, the
+    # compiled sources and the parsed spec documents are module-level
+    # caches, shared by every caller in the process, so each is an
+    # lru_cache of at most CODE_CACHE_SIZE entries and there is no other
+    from tpds import exprlang, specfile
 
     root = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tpds")
-    with open(os.path.join(root, "exprlang.py")) as fh:
-        tree = ast.parse(fh.read(), "exprlang.py")
-    decorated = {
-        node.name: [ast.unparse(d) for d in node.decorator_list]
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.decorator_list
-    }
+
+    def decorated(module):
+        with open(os.path.join(root, f"{module.__name__.split('.')[-1]}.py")) as fh:
+            tree = ast.parse(fh.read())
+        return {
+            node.name: [ast.unparse(d) for d in node.decorator_list]
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.decorator_list
+        }
+
     bounded = ["functools.lru_cache(maxsize=CODE_CACHE_SIZE)"]
-    assert decorated == {"_parsed": bounded, "_code": bounded, "_loop_lines": bounded}
-    cached = {name for name, obj in vars(exprlang).items() if hasattr(obj, "cache_info")}
-    assert cached == set(decorated)
-    assert {getattr(exprlang, name).cache_parameters()["maxsize"] for name in cached} == {exprlang.CODE_CACHE_SIZE}
+    caches = {"_parsed", "_code", "_point_lines", "_stack_lines", "_loop_lines"}
+    assert decorated(exprlang) == dict.fromkeys(caches, bounded)
+    assert decorated(specfile) == {"_document": ["functools.lru_cache(maxsize=exprlang.CODE_CACHE_SIZE)"]}
+    for module, names in ((exprlang, caches), (specfile, {"_document"})):
+        cached = {name for name, obj in vars(module).items() if hasattr(obj, "cache_info")}
+        assert cached == names
+        assert {getattr(module, name).cache_parameters()["maxsize"] for name in cached} == {exprlang.CODE_CACHE_SIZE}
     assert exprlang.CODE_CACHE_SIZE == 128
 
 

@@ -44,6 +44,7 @@ from tpds import (
 from tpds.errors import DomainError, IntegrationSuspect, InvalidArgument
 from tpds.integrate import (
     CHUNK_STEPS,
+    TRACE_PAIRWISE,
     Trajectory,
     _checked_step,
     _increments,
@@ -278,6 +279,25 @@ def special_entries(rng, shape, special, share):
     pick = rng.random(shape) < share
     x[pick] = rng.choice(special, pick.sum())
     return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, TRACE_PAIRWISE - 1),
+    st.sampled_from([1, 3, 17, 700]),
+    st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_stage_traces_by_einsum_give_the_floats_of_trace(m, steps, share, seed):
+    # below TRACE_PAIRWISE diagonal entries numpy's trace adds them in order
+    # from 0.0, as einsum does: the same floats, signed zeros, inf and the
+    # nan of inf - inf included
+    rng = np.random.default_rng(seed)
+    C = special_entries(rng, (3, steps, m, m), SPECIAL + [math.inf, -math.inf], share)
+    with np.errstate(invalid="ignore"):
+        want = C.trace(axis1=2, axis2=3)
+        got = np.einsum("...ii->...", C)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def value_bytes(x):

@@ -1,5 +1,6 @@
 """Tests for the YAML system-spec format."""
 
+import io
 from importlib import resources
 
 import numpy as np
@@ -116,3 +117,60 @@ def test_malformed_yaml_is_a_spec_file_error(text):
 def test_unknown_shipped_name():
     with pytest.raises(SpecFileError):
         specfile.shipped("nonexistent")
+
+
+def test_a_text_loaded_again_parses_its_yaml_once(monkeypatch):
+    calls = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda *args, **kw: calls.append(args) or load(*args, **kw))
+    specfile._document.cache_clear()
+    specs = [specfile.loads(MINIMAL_LINEAR) for _ in range(3)]
+    assert len(calls) == 1
+    assert specfile._document.cache_info()[:2] == (2, 1)  # (hits, misses)
+    assert specs[0].system is not specs[1].system
+    assert specfile.to_dict(specs[0]) == specfile.to_dict(specs[2])
+
+
+def test_a_loaded_spec_is_the_callers_own():
+    # the document is shared by every load of its text; what a load returns
+    # is copied from it, so nothing changed in one spec reaches the next
+    text = MINIMAL_LINEAR + "experiment: {z0: [1.0, -1.0], grid: 5}\n"
+    before = specfile.to_dict(specfile.loads(text))
+    spec = specfile.loads(text)
+    spec.meta["name"] = "changed"
+    spec.meta["interval"][1] = 9.0
+    spec.experiment["z0"][0] = 99.0
+    spec.experiment["z0"].append(7.0)
+    spec.system.segments[0].entries[1][0] = 42.0
+    again = specfile.loads(text)
+    assert specfile.to_dict(again) == before
+    assert again.meta == {"name": "demo", "n": 2, "interval": [0.0, 1.0]}
+    assert again.experiment["z0"] == [1.0, -1.0]
+    assert again.system.segments[0].entries[1] == [1, 0]
+
+
+@pytest.mark.parametrize("text", ["meta: [1", "meta: \ud800"])
+def test_invalid_yaml_raises_the_same_error_every_time(text, monkeypatch):
+    # a text that fails to parse is not kept: each load parses it again
+    calls = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda *args, **kw: calls.append(args) or load(*args, **kw))
+    specfile._document.cache_clear()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(SpecFileError, match="^invalid YAML: ") as err:
+            specfile.loads(text)
+        raised.append(str(err.value))
+    assert raised == raised[:1] * 3
+    assert len(calls) == 3
+    assert specfile._document.cache_info().currsize == 0
+
+
+def test_a_stream_is_parsed_on_every_load():
+    # the cache keys by the text, and a stream's text can change under one key
+    stream = io.StringIO(MINIMAL_LINEAR)
+    assert specfile.loads(stream).meta["name"] == "demo"
+    stream.seek(0)
+    stream.write(MINIMAL_LINEAR.replace("name: demo", "name: other"))
+    stream.seek(0)
+    assert specfile.loads(stream).meta["name"] == "other"

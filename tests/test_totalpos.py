@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -157,6 +157,9 @@ def _geb_outcome(factorize, A):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([random_tn, random_tp]), st.integers(2, 7), st.integers(0, 2**32 - 1))
+# its entry (6, 5) is -1.7e-12 after eliminating, the rounding of a column
+# whose entries reach 15.6, and it broke down as a negative multiplier
+@example(random_tn, 7, 45732)
 def test_every_geb_factor_passes_is_geb(gen, n, seed):
     # is_geb no longer runs inside geb_factorize: its factors are GEB by
     # construction, which this checks, and the residual is the per-factor
@@ -195,6 +198,22 @@ def test_geb_factorize_matches_the_per_factor_loop(entries):
 def test_a_bad_multiplier_or_pivot_raises_as_the_per_factor_loop(A, error, message):
     assert classify(A).is_TN
     assert _geb_outcome(geb_factorize, A) == _geb_outcome(geb_reference.geb_factorize, A) == (error, message)
+
+
+@pytest.mark.parametrize("s, e, breaks", [(0.0, 5e-12, True), (15.0, 5e-12, False), (15.0, 3e-11, True)])
+def test_a_negative_entry_counts_as_zero_only_within_its_columns_scale(s, e, breaks):
+    # eliminating the first column leaves -e at (3, 2) over the pivot 1, in
+    # a column whose largest entry is s + 1: zero when e is at most
+    # GEB_ZERO_TOL (s + 1), else the negative multiplier -e breaks down
+    A = np.array([[1.0, s, 0.0], [1.0, s + 1, 0.0], [1.0, s + 1 - e, 1.0]])
+    assert classify(A).is_TN
+    outcome = _geb_outcome(geb_factorize, A)
+    assert outcome == _geb_outcome(geb_reference.geb_factorize, A)
+    if breaks:
+        assert outcome[0] is PivotBreakdown and outcome[1].startswith("negative multiplier -")
+    else:
+        fact = geb_factorize(A)
+        assert all(is_geb(F) for F in fact.factors) and fact.residual_error < 1e-12
 
 
 def test_an_overflowing_elimination_warns_nothing():
